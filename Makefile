@@ -1,6 +1,7 @@
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: all build vet test race bench bench-smoke bench-tree tree-smoke experiments fuzz-smoke serve-smoke chaos-smoke cert-smoke watch-smoke persist-smoke ci
+.PHONY: all build fmt-check vet test race bench bench-smoke bench-tree tree-smoke experiments fuzz-smoke serve-smoke chaos-smoke cert-smoke watch-smoke persist-smoke perfbench-smoke ci
 
 # Seconds of fuzzing per target in fuzz-smoke.
 FUZZTIME ?= 30s
@@ -26,6 +27,11 @@ all: build
 
 build:
 	$(GO) build ./...
+
+# fmt-check fails when any Go file in the repository, perfbench included,
+# is not gofmt-formatted, listing the offenders.
+fmt-check:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -148,11 +154,20 @@ watch-smoke:
 persist-smoke:
 	sh scripts/persist_smoke.sh
 
-# ci is the gate: everything must build, vet clean, pass under -race, run
-# every benchmark for one smoke iteration, keep serial and parallel tree
-# checking byte-identical (and fast enough), survive a short fuzzing budget
-# on each fuzz target, replay every qualifier-suite certificate, serve one
-# checking request end to end, hold the serving contract under injected
-# faults, keep the watch daemon's incremental generations faithful to batch
-# checking, and keep the disk-backed caches crash-safe and self-healing.
-ci: build vet race bench-smoke tree-smoke fuzz-smoke cert-smoke serve-smoke chaos-smoke watch-smoke persist-smoke
+# perfbench-smoke builds and tests the end-to-end benchmark harness. It is a
+# separate Go module (perfbench/go.mod), so neither `go test ./...` nor any
+# other target compiles it; without this step a change to the API it drives
+# would only surface when the benchmark itself is run.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+
+# ci is the gate: everything must be gofmt-clean, build, vet clean, pass under
+# -race, run every benchmark for one smoke iteration, keep serial and
+# parallel tree checking byte-identical (and fast enough), survive a short
+# fuzzing budget on each fuzz target, replay every qualifier-suite
+# certificate, serve one checking request end to end, hold the serving
+# contract under injected faults, keep the watch daemon's incremental
+# generations faithful to batch checking, keep the disk-backed caches
+# crash-safe and self-healing, and keep the benchmark harness building and
+# passing its smoke test.
+ci: fmt-check build vet race bench-smoke tree-smoke fuzz-smoke cert-smoke serve-smoke chaos-smoke watch-smoke persist-smoke perfbench-smoke

@@ -49,8 +49,6 @@ func main() {
 	timeout := flag.Duration("timeout", simplify.DefaultGoalTimeout, "per-goal wall-clock budget; 0 means unlimited")
 	stats := flag.Bool("stats", false, "print per-qualifier search statistics (decisions, instantiations, ...)")
 	certs := flag.Bool("cert", false, "emit a proof certificate per Valid verdict and verify it with the independent replay checker before trusting the result")
-	prefilter := flag.String("prefilter", "on", "cheap discharge tiers before the full engine: on|off (off is an escape hatch; verdicts are unchanged)")
-	learn := flag.String("learn", "on", "CDCL clause learning and cross-goal lemma sharing: on|off (off selects the chronological engine)")
 	trace := flag.String("trace", "", "write a per-obligation JSONL search trace to this file")
 	traceDeterministic := flag.Bool("trace-deterministic", false, "omit wall-clock fields from -trace records so identical runs produce byte-identical files")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -80,8 +78,6 @@ func main() {
 	}
 	opts.Prover.MaxMemoryBytes = *memBudget
 	opts.Prover.GoalTimeout = *timeout
-	opts.Prover.DisablePrefilter = offSwitch("prefilter", *prefilter)
-	opts.Prover.DisableLearning = offSwitch("learn", *learn)
 	opts.Prover.EmitCertificates = *certs
 	opts.Concurrency = *jobs
 	opts.TraceOmitTimings = *traceDeterministic
@@ -205,18 +201,6 @@ func statsLine(s simplify.Stats) string {
 		s.PrefilterGround+s.PrefilterUnit+s.PrefilterInterval, s.PrefilterAttempts,
 		s.LearnedClauses, s.ForgottenClauses, s.Restarts, s.LemmasImported, s.LemmasExported,
 		s.WallTime.Round(time.Microsecond))
-}
-
-// offSwitch parses an on/off flag value.
-func offSwitch(name, v string) bool {
-	switch v {
-	case "on":
-		return false
-	case "off":
-		return true
-	}
-	fatal(fmt.Errorf("-%s must be on or off, got %q", name, v))
-	return false
 }
 
 func fatal(err error) {

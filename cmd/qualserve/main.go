@@ -112,22 +112,8 @@ func run() int {
 	peerTimeout := flag.Duration("peer-timeout", 0, "per-attempt timeout for one peer cache fetch (default 2s)")
 	peerRetries := flag.Int("peer-retries", 0, "extra fetch attempts per peer after the first (default 1; negative = off)")
 	certs := flag.Bool("cert", false, "emit and replay-verify a proof certificate for every Valid prover verdict (surfaced per obligation and in /metrics)")
-	prefilter := flag.String("prefilter", "on", "prover's cheap discharge tiers: on|off (escape hatch; verdicts unchanged)")
-	learn := flag.String("learn", "on", "CDCL clause learning and lemma sharing: on|off (off selects the chronological engine)")
 	faultSpec := flag.String("faults", "", "arm fault-injection points, e.g. 'simplify.prove.round=budget:every=100' (also QUAL_FAULTS)")
 	flag.Parse()
-
-	offSwitch := func(name, v string) bool {
-		switch v {
-		case "on":
-			return false
-		case "off":
-			return true
-		}
-		fmt.Fprintf(os.Stderr, "qualserve: -%s must be on or off, got %q\n", name, v)
-		os.Exit(2)
-		return false
-	}
 
 	spec := *faultSpec
 	if spec == "" {
@@ -174,8 +160,6 @@ func run() int {
 		ProverMaxTerms:     *maxTerms,
 		ProverMaxClauses:   *maxClauses,
 		ProverMaxInstances: *maxInsts,
-		DisablePrefilter:   offSwitch("prefilter", *prefilter),
-		DisableLearning:    offSwitch("learn", *learn),
 		EmitCertificates:   *certs,
 		CacheDir:           *cacheDir,
 		CacheBudget:        *cacheBudget,

@@ -27,9 +27,9 @@ var (
 
 type encBuf struct{ b []byte }
 
-func (e *encBuf) uvarint(v uint64)  { e.b = binary.AppendUvarint(e.b, v) }
-func (e *encBuf) varint(v int64)    { e.b = binary.AppendVarint(e.b, v) }
-func (e *encBuf) str(s string)      { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
+func (e *encBuf) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+func (e *encBuf) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
+func (e *encBuf) str(s string)     { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
 func (e *encBuf) lits(lits []Lit) {
 	e.uvarint(uint64(len(lits)))
 	for _, l := range lits {

@@ -153,13 +153,13 @@ func TestArmSpecGrammar(t *testing.T) {
 
 	// Error cases.
 	for _, bad := range []string{
-		"nope",                     // no '='
-		"test.spec.a=warp",         // unknown mode
-		"no.such.point=panic",      // unregistered name
-		"zz.nomatch.*=panic",       // wildcard with zero matches
-		"test.spec.a=panic:5ms",    // argument on an argless mode
-		"test.spec.a=delay",        // delay without duration
-		"test.spec.a=error:x:k=1",  // unknown option
+		"nope",                      // no '='
+		"test.spec.a=warp",          // unknown mode
+		"no.such.point=panic",       // unregistered name
+		"zz.nomatch.*=panic",        // wildcard with zero matches
+		"test.spec.a=panic:5ms",     // argument on an argless mode
+		"test.spec.a=delay",         // delay without duration
+		"test.spec.a=error:x:k=1",   // unknown option
 		"test.spec.a=panic:every=x", // non-numeric option
 	} {
 		if err := Arm(bad); err == nil {

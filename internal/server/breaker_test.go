@@ -8,8 +8,8 @@ import (
 // fakeClock is an injectable breaker clock.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) now() time.Time             { return c.t }
-func (c *fakeClock) advance(d time.Duration)    { c.t = c.t.Add(d) }
+func (c *fakeClock) now() time.Time          { return c.t }
+func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newClockedBreaker(threshold int, cooldown time.Duration) (*breaker, *fakeClock) {
 	b := newBreaker(threshold, cooldown)
 	c := &fakeClock{t: time.Unix(1000, 0)}

@@ -92,13 +92,6 @@ type Config struct {
 	ProverMaxClauses   int
 	ProverMaxInstances int
 	ProverMaxMemory    uint64
-	// DisablePrefilter turns off the prover's cheap discharge tiers (ground
-	// evaluation, unit propagation, interval analysis) — an escape hatch;
-	// verdicts are unchanged, only slower.
-	DisablePrefilter bool
-	// DisableLearning turns off CDCL clause learning and cross-goal lemma
-	// sharing, selecting the chronological search engine.
-	DisableLearning bool
 	// EmitCertificates makes every prover run emit a proof certificate and
 	// self-verify it with the independent replay checker before reporting
 	// Valid (see simplify.Options.EmitCertificates). Certificates ride the
@@ -885,8 +878,6 @@ func (s *Server) doProve(ctx context.Context, req *ProveRequest) (int, any) {
 		opts.Prover.MaxInstances = s.cfg.ProverMaxInstances
 	}
 	opts.Prover.MaxMemoryBytes = s.cfg.ProverMaxMemory
-	opts.Prover.DisablePrefilter = s.cfg.DisablePrefilter
-	opts.Prover.DisableLearning = s.cfg.DisableLearning
 	opts.Prover.EmitCertificates = s.cfg.EmitCertificates
 	var defs []*qdl.Def
 	if req.Qualifier != "" {

@@ -6,11 +6,12 @@ import (
 	"repro/internal/logic"
 )
 
-// This file is the interned search's arithmetic theory: the same
-// Fourier-Motzkin procedure as arith.go, but with linear expressions keyed by
-// hash-consed logic.TermID instead of printed strings, and with push/pop
-// levels so constraints asserted on the DPLL trail roll back by truncation
-// instead of rebuilding the solver per branch.
+// This file is the search's arithmetic theory: Fourier-Motzkin elimination
+// over linear expressions keyed by hash-consed logic.TermID, with push/pop
+// levels so constraints asserted on the CDCL trail roll back by truncation
+// instead of rebuilding the solver per branch. Sound for refutation: the
+// rational relaxation of the integer-tightened system being infeasible
+// implies the integer system is.
 
 // linExprI is a linear expression over opaque atoms identified by TermID.
 type linExprI struct {
@@ -47,12 +48,11 @@ func (l linExprI) clone() linExprI {
 	return c
 }
 
-// linearizeID decomposes an interned ground term into a linear expression,
-// mirroring linearize: +, - and ~ are interpreted, a product is interpreted
-// only when one side linearizes to a constant, and everything else is an
-// opaque atom keyed by its TermID. (Distinct printed forms correspond
-// one-to-one with distinct TermIDs, so the atom identities agree with the
-// legacy solver's string keys.)
+// linearizeID decomposes an interned ground term into a linear expression:
+// +, - and ~ are interpreted, a product is interpreted only when one side
+// linearizes to a constant, and everything else (an uninterpreted
+// application, a non-linear product, ...) is an opaque atom keyed by its
+// TermID. The sign axioms reason about non-linear products.
 func linearizeID(t logic.TermID, tt *logic.TermTable) linExprI {
 	switch tt.Kind(t) {
 	case logic.KindInt:
@@ -101,8 +101,8 @@ func linearizeID(t logic.TermID, tt *logic.TermTable) linExprI {
 }
 
 // collectOpaqueAtomsID calls visit on each opaque (non-arithmetic) maximal
-// subterm of t, mirroring collectOpaqueAtoms' decomposition. The callback
-// form avoids a slice allocation per theory assertion.
+// subterm of t, following linearizeID's decomposition. The callback form
+// avoids a slice allocation per theory assertion.
 func collectOpaqueAtomsID(t logic.TermID, tt *logic.TermTable, visit func(logic.TermID)) {
 	if tt.Kind(t) != logic.KindApp {
 		return
@@ -191,8 +191,7 @@ func (s *arithSolver2) lin(t logic.TermID) linExprI {
 }
 
 // assertCmp asserts l op r (EqOp contributes two inequalities; NeOp is a
-// no-op here, handled by EUF and trichotomy splits, as in the legacy
-// solver).
+// no-op here, handled by EUF and trichotomy splits).
 func (s *arithSolver2) assertCmp(op logic.CmpOp, l, r logic.TermID) {
 	le := s.lin(l)
 	re := s.lin(r)
@@ -227,9 +226,10 @@ func (s *arithSolver2) push(e linExprI) {
 
 // infeasible reports whether the asserted constraints plus the ephemeral
 // extra ones (the per-check EUF->LA propagation facts) are infeasible, by
-// the same Fourier-Motzkin elimination as arithSolver.inconsistent —
-// deterministic elimination order (ties broken by TermID), integer
-// tightening via GCD normalization, and the same blowup cap.
+// Fourier-Motzkin elimination: each step eliminates the atom minimizing
+// pos*neg + pos + neg (ties broken by TermID, so the order is
+// deterministic), integer tightening via GCD normalization, and a blowup
+// cap past which the system is reported feasible.
 func (s *arithSolver2) infeasible(extra []linExprI) bool {
 	work := make([]linExprI, 0, len(s.constraints)+len(extra))
 	for i := range s.constraints {
@@ -321,6 +321,14 @@ func (s *arithSolver2) infeasible(extra []linExprI) bool {
 	}
 }
 
+// maxFMConstraints caps Fourier-Motzkin blowup; past the cap the solver
+// reports "consistent" (sound: the prover then simply fails to close this
+// branch).
+const maxFMConstraints = 20000
+
+// normalizeGCDI divides e <= 0 through by the gcd of its coefficients,
+// rounding the constant up, which is sound for integer feasibility:
+// sum(g*ci*xi) + k <= 0  <=>  sum(ci*xi) + ceil(k/g) <= 0.
 func normalizeGCDI(e linExprI) linExprI {
 	g := int64(0)
 	for _, c := range e.coeffs {
@@ -337,4 +345,19 @@ func normalizeGCDI(e linExprI) linExprI {
 	}
 	e.consts = ceilDiv(e.consts, g)
 	return e
+}
+
+func gcd64(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+func ceilDiv(a, b int64) int64 {
+	q := a / b
+	if a%b != 0 && (a > 0) == (b > 0) {
+		q++
+	}
+	return q
 }

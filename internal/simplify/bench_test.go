@@ -7,45 +7,24 @@ import (
 	"repro/internal/logic"
 )
 
-// Microbenchmarks comparing the interned watched-literal engine against the
-// legacy recursive search it replaced. Run with -benchmem: the allocation
-// columns are the before/after evidence for the interning work (the legacy
-// engine re-prints terms into string keys throughout its hot path; the
-// interned engine keys everything by dense IDs).
-
-// benchEngines enumerates the two search engines for sub-benchmarks.
-var benchEngines = []struct {
-	name   string
-	legacy bool
-}{
-	{"interned", false},
-	{"legacy", true},
-}
-
-func benchProver(legacy bool) *Prover {
-	opts := DefaultOptions()
-	opts.LegacySearch = legacy
-	return New(nil, opts)
-}
+// Prover microbenchmarks. Run with -benchmem: the allocation columns track
+// the search engine's per-goal garbage alongside its time.
 
 // BenchmarkRefute proves a fixed slice of the differential corpus — the
 // ground EUF+LA formulas the checker's obligations look like — measuring the
-// full refutation pipeline: clausify, trichotomy splits, DPLL, theory checks.
+// full refutation pipeline: clausify, prefilter, trichotomy splits, CDCL,
+// theory checks.
 func BenchmarkRefute(b *testing.B) {
-	r := &diffRNG{s: 0x5eed5eed5eed5eed}
+	r := &diffRNG{s: groundCorpusSeed}
 	forms := make([]logic.Formula, 128)
 	for i := range forms {
 		forms[i] = genGroundFormula(r, 2+r.intn(2))
 	}
-	for _, eng := range benchEngines {
-		b.Run(eng.name, func(b *testing.B) {
-			p := benchProver(eng.legacy)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Prove(forms[i%len(forms)])
-			}
-		})
+	p := New(nil, DefaultOptions())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Prove(forms[i%len(forms)])
 	}
 }
 
@@ -67,25 +46,23 @@ func theoryConflictGoal(n int) logic.Formula {
 }
 
 // BenchmarkTheoryConflict measures theory-conflict detection as the asserted
-// equality chain grows. The legacy engine rebuilds both solvers at every DPLL
-// branch, so its cost scales with chain length times branch count; the
-// incremental engine asserts each literal once and rolls back by trail marks.
+// equality chain grows. The incremental theory solvers assert each literal
+// once and roll back by trail marks, so the cost should track chain length,
+// not chain length times branch count.
 func BenchmarkTheoryConflict(b *testing.B) {
 	for _, n := range []int{8, 32, 128} {
 		goal := theoryConflictGoal(n)
-		for _, eng := range benchEngines {
-			b.Run(fmt.Sprintf("%s/chain=%d", eng.name, n), func(b *testing.B) {
-				p := benchProver(eng.legacy)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					out := p.Prove(goal)
-					if out.Result != Valid {
-						b.Fatalf("goal unexpectedly %v (%s)", out.Result, out.Reason)
-					}
+		b.Run(fmt.Sprintf("chain=%d", n), func(b *testing.B) {
+			p := New(nil, DefaultOptions())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out := p.Prove(goal)
+				if out.Result != Valid {
+					b.Fatalf("goal unexpectedly %v (%s)", out.Result, out.Reason)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -139,46 +116,32 @@ func BenchmarkPrefilterOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkConflictLearning compares the CDCL engine against the
-// chronological one on corpus formulas whose refutation demonstrably learns
-// clauses (scanned from the differential corpus at a fixed seed, so the
-// workload is deterministic). The prefilter is off in both arms: the point is
-// the search engines, not the tiers in front of them.
+// BenchmarkConflictLearning measures the CDCL engine on corpus formulas
+// whose refutation demonstrably learns clauses (scanned from the
+// differential corpus at a fixed seed, so the workload is deterministic).
+// The prefilter is off: the point is the search engine, not the tiers in
+// front of it.
 func BenchmarkConflictLearning(b *testing.B) {
-	scanOpts := DefaultOptions()
-	scanOpts.DisablePrefilter = true
-	scanner := New(nil, scanOpts)
+	opts := DefaultOptions()
+	opts.DisablePrefilter = true
+	p := New(nil, opts)
 	r := &diffRNG{s: 0x1ea51e55}
 	var forms []logic.Formula
 	for i := 0; i < 4000 && len(forms) < 32; i++ {
 		f := genGroundFormula(r, 3)
-		if out := scanner.Prove(f); out.Result == Valid && out.Stats.LearnedClauses > 0 {
+		if out := p.Prove(f); out.Result == Valid && out.Stats.LearnedClauses > 0 {
 			forms = append(forms, f)
 		}
 	}
 	if len(forms) == 0 {
 		b.Fatal("corpus scan found no clause-learning goals")
 	}
-	for _, eng := range []struct {
-		name    string
-		noLearn bool
-	}{
-		{"cdcl", false},
-		{"chrono", true},
-	} {
-		b.Run(eng.name, func(b *testing.B) {
-			opts := DefaultOptions()
-			opts.DisablePrefilter = true
-			opts.DisableLearning = eng.noLearn
-			p := New(nil, opts)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out := p.Prove(forms[i%len(forms)])
-				if out.Result != Valid {
-					b.Fatalf("goal unexpectedly %v (%s)", out.Result, out.Reason)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out := p.Prove(forms[i%len(forms)])
+		if out.Result != Valid {
+			b.Fatalf("goal unexpectedly %v (%s)", out.Result, out.Reason)
+		}
 	}
 }

@@ -107,20 +107,6 @@ func TestBudgetVerdictNotReplayedWhenRaised(t *testing.T) {
 	}
 }
 
-// TestLegacyInstanceBudgetTransient pins the same discipline on the legacy
-// differential engine.
-func TestLegacyInstanceBudgetTransient(t *testing.T) {
-	opts := budgetOptions()
-	opts.MaxInstances = 50
-	opts.LegacySearch = true
-	cache := NewCache(16)
-	out := New(triggerLoopAxioms(), opts).WithCache(cache).Prove(unprovableGoal())
-	checkBudgetOutcome(t, out, "legacy MaxInstances")
-	if cache.Len() != 0 {
-		t.Fatalf("legacy budget outcome was cached (%d entries)", cache.Len())
-	}
-}
-
 // Fault-point behavior inside the search: budget faults become ReasonBudget,
 // injected errors become "fault: ..." reasons, panics are recovered into
 // "panic: ..." — and none of the three is ever cached.

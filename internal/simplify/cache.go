@@ -93,26 +93,54 @@ func NewCache(capacity int) *Cache {
 	}
 }
 
+// admitFunc is the caller's fetch-time gate: it reports whether a stored
+// outcome may be served for this lookup (under EmitCertificates, whether its
+// certificate replays for the goal). nil admits everything.
+type admitFunc func(Outcome) bool
+
 // get returns the cached outcome for key, marking it most recently used. On
 // a memory miss it falls through to the disk and peer tiers when attached
 // (externalGet, persist.go) — those probes run outside the cache lock, so a
 // slow disk or peer never blocks concurrent memory hits.
-func (c *Cache) get(key string) (Outcome, bool) {
+//
+// admit runs before any tier counts or promotes an entry, so Hits, DiskHits
+// and PeerHits count exactly the outcomes served. A memory entry admit
+// refuses is evicted from memory and disk and counted as a miss; the caller
+// re-proves.
+func (c *Cache) get(key string, admit admitFunc) (Outcome, bool) {
 	c.mu.Lock()
 	el, ok := c.entries[key]
+	var out Outcome
 	if ok {
+		out = el.Value.(*cacheEntry).outcome
+	}
+	c.mu.Unlock()
+	// admit (a certificate replay) runs outside the lock, so recency is
+	// refreshed by key afterwards: the entry may have moved meanwhile.
+	if ok && (admit == nil || admit(out)) {
+		c.mu.Lock()
 		c.stats.Hits++
-		c.lru.MoveToFront(el)
-		out := el.Value.(*cacheEntry).outcome
+		if el, ok := c.entries[key]; ok {
+			c.lru.MoveToFront(el)
+		}
 		c.mu.Unlock()
 		return out, true
 	}
-	c.stats.Misses++
-	c.mu.Unlock()
-	if c.disk == nil && c.peerFetch == nil {
+	if ok {
+		c.evict(key)
+	}
+	c.note(func(s *CacheStats) { s.Misses++ })
+	if ok || (c.disk == nil && c.peerFetch == nil) {
 		return Outcome{}, false
 	}
-	return c.externalGet(key)
+	return c.externalGet(key, admit)
+}
+
+// note bumps a counter under the cache lock.
+func (c *Cache) note(f func(*CacheStats)) {
+	c.mu.Lock()
+	f(&c.stats)
+	c.mu.Unlock()
 }
 
 // put stores the outcome for key, evicting the least recently used entry

@@ -40,14 +40,16 @@ func unsatAxioms() []logic.Formula {
 }
 
 // TestCertificateCorpusReplay runs the fixed-seed 10k differential corpus
-// through the three certificate-emitting configurations — CDCL with the
-// prefilter and a live cache, CDCL alone, and the chronological engine —
-// with the legacy engine as the verdict oracle. Every Valid must carry a
+// through the two certificate-emitting configurations — CDCL with the
+// prefilter and a live cache, and CDCL alone — with the frozen verdicts of
+// testdata/ground10k.golden as the oracle. Every Valid must carry a
 // certificate the replay checker accepts (the engine already self-checked
 // it; this re-replays independently, plus a serialization round-trip on a
-// sample), and emission must never flip a verdict.
+// sample), and emission must never flip a verdict. Under -short a prefix of
+// the corpus is checked.
 func TestCertificateCorpusReplay(t *testing.T) {
-	n := 10000
+	g := loadGroundGolden(t)
+	n := len(g.formulas)
 	if testing.Short() {
 		n = 1500
 	}
@@ -64,23 +66,16 @@ func TestCertificateCorpusReplay(t *testing.T) {
 	}{
 		{"cdcl+prefilter+cache", mk(nil).WithCache(NewCache(0))},
 		{"cdcl", mk(func(o *Options) { o.DisablePrefilter = true })},
-		{"chrono", mk(func(o *Options) { o.DisableLearning = true; o.DisablePrefilter = true })},
 	}
-	legacyOpts := DefaultOptions()
-	legacyOpts.LegacySearch = true
-	legacy := New(nil, legacyOpts)
 
 	before := GlobalCertCounters()
-	r := &diffRNG{s: 0x5eed5eed5eed5eed}
 	valid := 0
-	for i := 0; i < n; i++ {
-		f := genGroundFormula(r, 2+r.intn(2))
-		lo := legacy.Prove(f)
+	for i, f := range g.formulas[:n] {
 		for _, eng := range engines {
 			out := eng.p.Prove(f)
-			if out.Result != lo.Result {
-				t.Fatalf("%s: corpus %d: verdict %v (%q) vs legacy %v (%q)\n  formula: %s",
-					eng.name, i, out.Result, out.Reason, lo.Result, lo.Reason, f)
+			if (out.Result == Valid) != g.valid[i] {
+				t.Fatalf("%s: corpus %d: verdict %v (%q), golden says Valid=%t\n  formula: %s",
+					eng.name, i, out.Result, out.Reason, g.valid[i], f)
 			}
 			if out.Result != Valid {
 				continue
@@ -101,16 +96,12 @@ func TestCertificateCorpusReplay(t *testing.T) {
 				}
 			}
 		}
-		if lo.Result == Valid {
+		if g.valid[i] {
 			valid++
 		}
 	}
 	if after := GlobalCertCounters(); after.Rejected != before.Rejected {
 		t.Fatalf("corpus emission rejected %d certificates, want 0", after.Rejected-before.Rejected)
-	}
-	floor := n / 10
-	if valid < floor {
-		t.Fatalf("only %d/%d corpus formulas proved Valid (floor %d); the replay check lost its teeth", valid, n, floor)
 	}
 	t.Logf("certificate corpus: %d formulas, %d Valid, all certificates replayed on %d engines", n, valid, len(engines))
 }
@@ -186,10 +177,18 @@ func TestCertEmitFaultDegrades(t *testing.T) {
 	}
 }
 
+// servedCount is how many outcomes a cache's counters claim it served: the
+// hits of every tier. It must equal the number of outcomes returned with
+// CacheHit=true — a fetch the certificate gate refuses is a miss.
+func servedCount(c *Cache) uint64 {
+	s := c.Stats()
+	return s.Hits + s.DiskHits + s.PeerHits
+}
+
 // TestCertReplayOnFetch: a cached Valid's certificate is re-verified when
 // served. Corrupting the stored certificate turns the hit into a miss — the
-// goal is re-proved fresh (correct verdict, new certificate) and the
-// rejection is counted.
+// goal is re-proved fresh (correct verdict, new certificate), the rejection
+// is counted, and the cache's hit counters count only what was served.
 func TestCertReplayOnFetch(t *testing.T) {
 	cache := NewCache(0)
 	p := New(unsatAxioms(), certOptions()).WithCache(cache)
@@ -232,9 +231,15 @@ func TestCertReplayOnFetch(t *testing.T) {
 	if after.Rejected != before.Rejected+1 {
 		t.Errorf("rejected counter moved %d, want 1", after.Rejected-before.Rejected)
 	}
+	if st := cache.Stats(); servedCount(cache) != 1 || st.Misses != 2 {
+		t.Errorf("after the refused fetch: stats = %+v, want 1 hit served and the refusal counted as a miss", st)
+	}
 	// The fresh outcome replaced the corrupted entry.
 	if final := p.Prove(goal); !final.CacheHit {
 		t.Error("fresh outcome was not re-cached")
+	}
+	if got := servedCount(cache); got != 2 {
+		t.Errorf("cache counts %d hits served, but 2 outcomes came back with CacheHit=true", got)
 	}
 }
 

@@ -90,8 +90,8 @@ func (b *certBuilder) lits(ls []ilit) []cert.Lit {
 }
 
 // rupStep records a clause derivable by unit propagation from the
-// problem clauses plus all earlier steps (learned clauses, chrono
-// branch/prefix clauses, the final empty clause).
+// problem clauses plus all earlier steps (learned clauses, the final empty
+// clause).
 func (b *certBuilder) rupStep(ls []ilit) {
 	b.c.Steps = append(b.c.Steps, cert.Step{Kind: cert.StepRUP, Lits: b.lits(ls)})
 }

@@ -1,6 +1,12 @@
 package simplify
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/logic"
@@ -327,7 +333,7 @@ func TestDifferentialProveGround(t *testing.T) {
 	if testing.Short() {
 		n = 2000
 	}
-	r := &diffRNG{s: 0x5eed5eed5eed5eed}
+	r := &diffRNG{s: groundCorpusSeed}
 	prover := diffProver()
 	valid := 0
 	for i := 0; i < n; i++ {
@@ -343,55 +349,6 @@ func TestDifferentialProveGround(t *testing.T) {
 		t.Fatalf("only %d/%d corpus formulas proved Valid (floor %d); the differential check lost its teeth", valid, n, floor)
 	}
 	t.Logf("differential corpus: %d/%d Valid, zero discrepancies", valid, n)
-}
-
-// TestDifferentialNewVsLegacySearch runs the same fixed-seed corpus through
-// both search engines — the interned watched-literal engine (the default) and
-// the legacy recursive map-based engine kept behind Options.LegacySearch —
-// and requires verdict-for-verdict agreement. Zero discrepancies is an
-// acceptance criterion for the incremental engine: the legacy search is its
-// differential oracle.
-func TestDifferentialNewVsLegacySearch(t *testing.T) {
-	n := 10000
-	if testing.Short() {
-		n = 2000
-	}
-	r := &diffRNG{s: 0x5eed5eed5eed5eed}
-	interned := New(nil, DefaultOptions())
-	legacyOpts := DefaultOptions()
-	legacyOpts.LegacySearch = true
-	legacy := New(nil, legacyOpts)
-	valid := 0
-	for i := 0; i < n; i++ {
-		f := genGroundFormula(r, 2+r.intn(2))
-		a := interned.Prove(f)
-		b := legacy.Prove(f)
-		if a.Result != b.Result {
-			t.Fatalf("search engines disagree on corpus formula %d:\n  formula: %s\n  interned=%v (%s)  legacy=%v (%s)",
-				i, f, a.Result, a.Reason, b.Result, b.Reason)
-		}
-		if a.Result == Valid {
-			valid++
-		}
-	}
-	floor := n / 10
-	if valid < floor {
-		t.Fatalf("only %d/%d corpus formulas proved Valid (floor %d); the differential check lost its teeth", valid, n, floor)
-	}
-	t.Logf("engine differential: %d formulas, %d Valid on both engines, zero discrepancies", n, valid)
-}
-
-// TestLegacySearchInFingerprint: the search engine participates in the cache
-// fingerprint, so memoized outcomes can never cross between the interned and
-// legacy engines.
-func TestLegacySearchInFingerprint(t *testing.T) {
-	interned := New(nil, DefaultOptions())
-	legacyOpts := DefaultOptions()
-	legacyOpts.LegacySearch = true
-	legacy := New(nil, legacyOpts)
-	if interned.fingerprint == legacy.fingerprint {
-		t.Fatalf("LegacySearch does not alter the cache fingerprint; cached outcomes could cross engines")
-	}
 }
 
 // litFormula converts one ground literal back to a formula for the oracle.
@@ -417,38 +374,109 @@ func clauseFormula(c logic.Clause) logic.Formula {
 	return logic.Or{Fs: fs}
 }
 
-// TestDifferentialThreeEngines runs the fixed-seed corpus through all three
-// engines at once — CDCL (the default, here with a cache attached so
-// cross-goal lemma sharing is live), the chronological trail engine
-// (DisableLearning), and the legacy recursive engine — and requires
-// verdict-for-verdict agreement, with every CDCL Valid double-checked
-// against the bounded-model oracle. Lemmas imported from earlier corpus
-// formulas must never flip a verdict: they are implied by the (empty) axiom
-// base, so they may only prune search.
+// groundCorpusSeed seeds the fixed 10k-formula corpus that the
+// differential, golden, and certificate-replay tests share.
+const groundCorpusSeed = 0x5eed5eed5eed5eed
+
+// groundGoldenPath holds the corpus's frozen verdicts: one V (Valid) or U
+// (Unknown) per formula, recorded when three independent search engines
+// (CDCL, a chronological non-learning trail search, and a recursive
+// string-keyed DPLL) agreed on every formula. The file has no update mode on
+// purpose: regenerating it from the engine under test would make the check a
+// tautology. A change that proves more goals edits the flipped verdicts by
+// hand and shows that each passes the bounded-model oracle.
+const groundGoldenPath = "testdata/ground10k.golden"
+
+// groundGolden is the parsed golden file: the regenerated corpus and its
+// frozen verdicts.
+type groundGolden struct {
+	formulas []logic.Formula
+	valid    []bool
+	nValid   int
+}
+
+// loadGroundGolden parses the golden file and regenerates the corpus its
+// header names. It fails loudly when the regenerated formulas no longer hash
+// to the header's sha256 (genGroundFormula or diffRNG changed, so the frozen
+// verdicts would pair with different formulas), or when the verdict count or
+// Valid count disagrees with the header.
+func loadGroundGolden(t testing.TB) groundGolden {
+	t.Helper()
+	data, err := os.ReadFile(groundGoldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := map[string]string{}
+	var verdicts []byte
+	for _, line := range strings.Split(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(line, "#"); ok {
+			if k, v, ok := strings.Cut(strings.TrimSpace(rest), ": "); ok {
+				hdr[k] = v
+			}
+			continue
+		}
+		verdicts = append(verdicts, strings.TrimSpace(line)...)
+	}
+	seed, err := strconv.ParseUint(hdr["seed"], 0, 64)
+	if err != nil {
+		t.Fatalf("golden header seed: %v", err)
+	}
+	n, err := strconv.Atoi(hdr["formulas"])
+	if err != nil || n != len(verdicts) {
+		t.Fatalf("golden header formulas=%q, but the file holds %d verdicts", hdr["formulas"], len(verdicts))
+	}
+	wantValid, err := strconv.Atoi(hdr["valid"])
+	if err != nil {
+		t.Fatalf("golden header valid: %v", err)
+	}
+	g := groundGolden{formulas: make([]logic.Formula, n), valid: make([]bool, n)}
+	r := &diffRNG{s: seed}
+	h := sha256.New()
+	for i := range g.formulas {
+		f := genGroundFormula(r, 2+r.intn(2))
+		fmt.Fprintf(h, "%s\n", f)
+		g.formulas[i] = f
+		switch verdicts[i] {
+		case 'V':
+			g.valid[i] = true
+			g.nValid++
+		case 'U':
+		default:
+			t.Fatalf("golden verdict %d is %q, want V or U", i, verdicts[i])
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != hdr["sha256"] {
+		t.Fatalf("the regenerated corpus hashes to %s, but %s froze verdicts for %s: the corpus generator changed, so the verdicts no longer pair with their formulas",
+			got, groundGoldenPath, hdr["sha256"])
+	}
+	if g.nValid != wantValid {
+		t.Fatalf("golden file holds %d Valid verdicts, header says %d", g.nValid, wantValid)
+	}
+	return g
+}
+
+// TestDifferentialThreeEngines holds CDCL to the verdicts the three
+// historical engines agreed on (testdata/ground10k.golden), formula for
+// formula, with every Valid double-checked against the bounded-model oracle.
+// The prover has a cache attached, so cross-goal lemma sharing is live:
+// lemmas imported from earlier corpus formulas are implied by the (empty)
+// axiom base, so they may only prune search, never flip a verdict. Under
+// -short a prefix of the corpus is checked.
 func TestDifferentialThreeEngines(t *testing.T) {
-	n := 10000
+	g := loadGroundGolden(t)
+	n := len(g.formulas)
 	if testing.Short() {
 		n = 2000
 	}
-	r := &diffRNG{s: 0x5eed5eed5eed5eed}
 	cdcl := New(nil, DefaultOptions()).WithCache(NewCache(0))
-	chronoOpts := DefaultOptions()
-	chronoOpts.DisableLearning = true
-	chrono := New(nil, chronoOpts)
-	legacyOpts := DefaultOptions()
-	legacyOpts.LegacySearch = true
-	legacy := New(nil, legacyOpts)
 	valid := 0
-	for i := 0; i < n; i++ {
-		f := genGroundFormula(r, 2+r.intn(2))
-		a := cdcl.Prove(f)
-		b := chrono.Prove(f)
-		c := legacy.Prove(f)
-		if a.Result != b.Result || a.Result != c.Result {
-			t.Fatalf("engines disagree on corpus formula %d:\n  formula: %s\n  cdcl=%v (%s)  chrono=%v (%s)  legacy=%v (%s)",
-				i, f, a.Result, a.Reason, b.Result, b.Reason, c.Result, c.Reason)
+	for i, f := range g.formulas[:n] {
+		out := cdcl.Prove(f)
+		if (out.Result == Valid) != g.valid[i] {
+			t.Fatalf("corpus formula %d: cdcl says %v (%s), golden says Valid=%t\n  formula: %s",
+				i, out.Result, out.Reason, g.valid[i], f)
 		}
-		if a.Result == Valid {
+		if out.Result == Valid {
 			valid++
 			if cm := findCounterModel(f); cm != nil {
 				t.Fatalf("cdcl unsound: claimed Valid but counter-model exists\n  formula: %s\n  consts: %v  f-table: %v  P-table: %v",
@@ -456,11 +484,7 @@ func TestDifferentialThreeEngines(t *testing.T) {
 			}
 		}
 	}
-	floor := n / 10
-	if valid < floor {
-		t.Fatalf("only %d/%d corpus formulas proved Valid (floor %d); the differential check lost its teeth", valid, n, floor)
-	}
-	t.Logf("three-engine differential: %d formulas, %d Valid on all engines, zero discrepancies", n, valid)
+	t.Logf("golden differential: %d formulas, %d Valid, all matching %s", n, valid, groundGoldenPath)
 }
 
 // TestCDCLDeterministicTrace: two runs of the CDCL engine over the same

@@ -5,10 +5,10 @@ import (
 )
 
 // This file implements the backtrackable congruence-closure engine used by
-// the interned search (search2.go). Unlike the legacy egraph — rebuilt from
-// scratch at every DPLL branch — egraph2 is asserted into incrementally as
-// literals join the trail, and rolled back to a mark on backtrack via an
-// explicit undo trail. Three design choices make the rollback cheap:
+// the search (search2.go). Rather than being rebuilt at every branch,
+// egraph2 is asserted into incrementally as literals join the trail, and
+// rolled back to a mark on backtrack via an explicit undo trail. Three
+// design choices make the rollback cheap:
 //
 //   - union-find WITHOUT path compression (union by rank only): undoing a
 //     union is a single parent-pointer reset, and find stays O(log n);

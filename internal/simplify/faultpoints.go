@@ -9,10 +9,10 @@ import (
 // The prover's fault-point catalog (see internal/faults). Each point sits on
 // a hot search path and costs one atomic load when disarmed:
 //
-//	simplify.prove.round        — top of every instantiation round (both engines)
-//	simplify.search.decision    — every DPLL branching decision (both engines)
-//	simplify.search.learn       — before each 1UIP conflict analysis (CDCL)
-//	simplify.search.backjump    — before each non-chronological backjump (CDCL)
+//	simplify.prove.round        — top of every instantiation round
+//	simplify.search.decision    — every CDCL branching decision
+//	simplify.search.learn       — before each 1UIP conflict analysis
+//	simplify.search.backjump    — before each non-chronological backjump
 //	simplify.prefilter.interval — before the prefilter's interval-analysis tier
 //	simplify.ematch.round       — top of every e-matching saturation pass
 //	simplify.arith.pivot        — every Fourier-Motzkin variable elimination

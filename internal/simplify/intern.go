@@ -8,8 +8,8 @@ import (
 )
 
 // This file maps ground literals onto dense propositional atom IDs. The
-// interned search engine (search2.go) never touches a printed string on its
-// hot path: terms are hash-consed logic.TermIDs, atoms are (op, L, R) triples
+// search engine (search2.go) never touches a printed string on its hot
+// path: terms are hash-consed logic.TermIDs, atoms are (op, L, R) triples
 // over those IDs, and literals are atom IDs with a sign bit.
 
 // atomID identifies a canonical propositional atom in an atomTable.
@@ -20,9 +20,10 @@ const predOp int8 = -1
 
 // atomKey is the canonical identity of an atom: a comparison op over two
 // interned terms, or a predicate atom (op == predOp, l = the predicate's
-// term encoding, r unused). Canonicalization mirrors canonLit: NeOp folds to
-// a negated EqOp, Gt/Ge swap into Lt/Le, and Eq keeps its argument order
-// (Eq(a,b) and Eq(b,a) are distinct atoms, exactly as in the legacy search).
+// term encoding, r unused). Canonicalization (canonCmp) makes complementary
+// literals share one atom: NeOp folds to a negated EqOp, Gt/Ge swap into
+// Lt/Le, and Eq keeps its argument order (Eq(a,b) and Eq(b,a) are distinct
+// atoms; the e-graph, not the atom table, knows they coincide).
 type atomKey struct {
 	op   int8
 	l, r logic.TermID
@@ -65,8 +66,8 @@ func (at *atomTable) intern(k atomKey) atomID {
 // len returns the number of interned atoms.
 func (at *atomTable) len() int { return len(at.keys) }
 
-// canonCmp applies the legacy canonLit normalization at the ID level:
-// returns the canonical (op, L, R) plus whether the literal flips sign.
+// canonCmp normalizes a comparison to its canonical atom: returns the
+// canonical (op, L, R) plus whether the literal flips sign.
 func canonCmp(op logic.CmpOp, l, r logic.TermID) (logic.CmpOp, logic.TermID, logic.TermID, bool) {
 	switch op {
 	case logic.NeOp:
@@ -133,10 +134,8 @@ func (at *atomTable) literal(a atomID, tt *logic.TermTable) logic.Literal {
 }
 
 // clauseKey builds a content key for an interned clause: the sorted literal
-// list encoded as raw bytes. Clauses equal as literal *sets* share a key, so
-// the dedup this key drives is at least as strong as the legacy printed-form
-// dedup (which was order-sensitive); dropping a permuted duplicate never
-// changes satisfiability.
+// list encoded as raw bytes. Clauses equal as literal *sets* share a key;
+// dropping a permuted duplicate never changes satisfiability.
 func clauseKey(lits []ilit) string {
 	sorted := make([]ilit, len(lits))
 	copy(sorted, lits)
@@ -149,8 +148,8 @@ func clauseKey(lits []ilit) string {
 }
 
 // dedupLits removes exact duplicate literals preserving first-occurrence
-// order (tautological clauses — both polarities present — are kept, as in
-// the legacy search; they are simply always satisfiable).
+// order (tautological clauses — both polarities present — are kept; they
+// are simply always satisfiable).
 func dedupLits(lits []ilit) []ilit {
 	out := lits[:0]
 	for _, l := range lits {

@@ -101,17 +101,6 @@ func TestLemmaSharingAcrossGoals(t *testing.T) {
 	if out.Stats.LemmasImported == 0 {
 		t.Error("cross-prover goal imported no pooled lemmas")
 	}
-	// With learning disabled the same setup must not touch the pool.
-	offOpts := DefaultOptions()
-	offOpts.DisableLearning = true
-	off := New(nil, offOpts).WithCache(cache)
-	out = off.Prove(theoryConflictGoal(6))
-	if out.Result != Valid {
-		t.Fatalf("learning-off goal: %v (%q), want Valid", out.Result, out.Reason)
-	}
-	if out.Stats.LemmasImported != 0 || out.Stats.LearnedClauses != 0 {
-		t.Errorf("DisableLearning still touched lemmas: %+v", out.Stats)
-	}
 }
 
 // TestReduceDBForgetting drives the learned-DB forgetting pass directly: a

@@ -1,22 +1,33 @@
 package simplify
 
 import (
+	"sort"
+
 	"repro/internal/logic"
 )
 
-// This file is the interned counterpart of match.go: the ground term bank is
-// deduplicated by TermID (an O(1) slice probe instead of re-printing every
-// candidate term) and indexed by head symbol, so matching a pattern headed
-// by f scans only the f-terms instead of the whole bank. The bank persists
-// across instantiation rounds; addClause catches it up on newly added
+// This file implements trigger-based instantiation (e-matching) of
+// quantified clauses against the prover's ground term bank. The bank is
+// deduplicated by TermID and indexed by head symbol, so matching a pattern
+// headed by f scans only the f-terms instead of the whole bank. The bank
+// persists across instantiation rounds; prove2 catches it up on newly added
 // clauses only.
+
+// predTermFn is the function-symbol prefix used to encode predicate atoms
+// as terms, so that predicate applications can serve as triggers, match
+// against the bank, and join congruence classes in the e-graph.
+const predTermFn = "@pred$"
+
+// predAsTerm encodes a predicate atom as a term.
+func predAsTerm(p logic.Pred) logic.Term {
+	return logic.App{Fn: predTermFn + p.Name, Args: p.Args}
+}
 
 type bank2 struct {
 	tt *logic.TermTable
 	// byHead indexes application terms by function symbol, in insertion
-	// order (a subsequence of the legacy bank's scan order, which is what
-	// keeps the produced substitution order aligned with the legacy
-	// matcher: only same-head terms can match an application pattern).
+	// order, so substitutions come out in a deterministic order (only
+	// same-head terms can match an application pattern).
 	byHead map[string][]logic.TermID
 	// seen is indexed by TermID (grown on demand).
 	seen []bool
@@ -58,8 +69,7 @@ func (b *bank2) addLit(l ilit, at *atomTable) {
 }
 
 // matchTermID matches pattern against interned ground term t, extending sub.
-// Bound-variable consistency is an integer compare (the legacy matcher
-// re-walked both terms structurally).
+// Bound-variable consistency is an integer compare.
 func matchTermID(pattern logic.Term, t logic.TermID, sub map[string]logic.TermID, tt *logic.TermTable) (map[string]logic.TermID, bool) {
 	switch p := pattern.(type) {
 	case logic.Var:
@@ -150,4 +160,108 @@ func matchTrigger2(trigger []logic.Term, bank *bank2, tk *ticker) []map[string]l
 		}
 	}
 	return subs
+}
+
+// inferTriggers selects trigger patterns for a quantified clause that has no
+// explicit ones: the smallest non-arithmetic application subterms of the
+// clause's literals that cover all clause variables, preferring a single
+// covering term, falling back to a greedy multi-pattern.
+func inferTriggers(c logic.Clause) [][]logic.Term {
+	vars := map[string]bool{}
+	for _, v := range c.Vars() {
+		vars[v] = true
+	}
+	if len(vars) == 0 {
+		return nil
+	}
+	var candidates []logic.Term
+	var collect func(t logic.Term)
+	collect = func(t logic.Term) {
+		app, ok := t.(logic.App)
+		if !ok {
+			return
+		}
+		if !isArithFn(app.Fn) && len(app.Args) > 0 && !logic.TermIsGround(t) {
+			candidates = append(candidates, t)
+		}
+		for _, a := range app.Args {
+			collect(a)
+		}
+	}
+	for _, l := range c.Lits {
+		if l.IsCmp {
+			collect(l.Cmp.L)
+			collect(l.Cmp.R)
+		} else {
+			collect(predAsTerm(l.Pred))
+		}
+	}
+	// Dedup, smallest first.
+	seen := map[string]bool{}
+	uniq := candidates[:0]
+	for _, t := range candidates {
+		k := t.String()
+		if !seen[k] {
+			seen[k] = true
+			uniq = append(uniq, t)
+		}
+	}
+	sort.SliceStable(uniq, func(i, j int) bool {
+		return logic.TermSize(uniq[i]) < logic.TermSize(uniq[j])
+	})
+	covered := func(t logic.Term) map[string]bool {
+		out := map[string]bool{}
+		for _, v := range logic.TermVars(t) {
+			if vars[v] {
+				out[v] = true
+			}
+		}
+		return out
+	}
+	// Single covering term?
+	for _, t := range uniq {
+		if len(covered(t)) == len(vars) {
+			return [][]logic.Term{{t}}
+		}
+	}
+	// Greedy multi-pattern.
+	var multi []logic.Term
+	remaining := map[string]bool{}
+	for v := range vars {
+		remaining[v] = true
+	}
+	for len(remaining) > 0 {
+		best := -1
+		bestGain := 0
+		for i, t := range uniq {
+			gain := 0
+			for v := range covered(t) {
+				if remaining[v] {
+					gain++
+				}
+			}
+			if gain > bestGain {
+				bestGain = gain
+				best = i
+			}
+		}
+		if best < 0 {
+			// Some variable occurs in no candidate subterm; cannot build a
+			// trigger, so the clause will never instantiate.
+			return nil
+		}
+		multi = append(multi, uniq[best])
+		for v := range covered(uniq[best]) {
+			delete(remaining, v)
+		}
+	}
+	return [][]logic.Term{multi}
+}
+
+func isArithFn(fn string) bool {
+	switch fn {
+	case "+", "-", "*", "~":
+		return true
+	}
+	return false
 }

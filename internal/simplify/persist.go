@@ -203,22 +203,23 @@ func (c *Cache) DiskStats() cachedisk.Stats {
 }
 
 // externalGet probes the disk then the peer tier after a memory miss. Any
-// record that fails to decode is evicted at its source of truth (the disk
-// store) or rejected and counted (the peer tier); only verified outcomes are
-// admitted, and admitted outcomes are written through to memory (and, for
-// peer fetches, to disk) so the next lookup is a memory hit.
-func (c *Cache) externalGet(key string) (Outcome, bool) {
+// record that fails to decode, or that the caller's admit gate refuses, is
+// evicted at its source of truth (the disk store) or rejected and counted
+// (the peer tier). Only admitted outcomes count as tier hits, and they are
+// written through to memory (and, for peer fetches, to disk) so the next
+// lookup is a memory hit.
+func (c *Cache) externalGet(key string, admit admitFunc) (Outcome, bool) {
 	if payload, ok := c.disk.Get(key); ok {
 		out, err := decodeOutcome(payload)
-		if err != nil {
-			// Checksum-clean record, rotten payload (stale inner format or
-			// hostile bytes): self-heal exactly like disk-layer corruption.
-			c.disk.Delete(key)
-		} else {
-			c.noteExternal(func(s *CacheStats) { s.DiskHits++ })
+		if err == nil && (admit == nil || admit(out)) {
+			c.note(func(s *CacheStats) { s.DiskHits++ })
 			c.putMemory(key, out)
 			return out, true
 		}
+		// A checksum-clean record with a rotten payload (stale inner format
+		// or hostile bytes), or one the gate refused: self-heal exactly like
+		// disk-layer corruption.
+		c.disk.Delete(key)
 	}
 	if c.peerFetch == nil {
 		return Outcome{}, false
@@ -228,11 +229,11 @@ func (c *Cache) externalGet(key string) (Outcome, bool) {
 		return Outcome{}, false
 	}
 	out, err := verifyPeerOutcome(key, sealed)
-	if err != nil {
-		c.noteExternal(func(s *CacheStats) { s.PeerRejects++ })
+	if err != nil || (admit != nil && !admit(out)) {
+		c.note(func(s *CacheStats) { s.PeerRejects++ })
 		return Outcome{}, false
 	}
-	c.noteExternal(func(s *CacheStats) { s.PeerHits++ })
+	c.note(func(s *CacheStats) { s.PeerHits++ })
 	c.putMemory(key, out)
 	c.disk.Put(key, encodeOutcome(out))
 	return out, true
@@ -270,11 +271,4 @@ func verifyPeerOutcome(key string, sealed []byte) (Outcome, error) {
 		}
 	}
 	return out, nil
-}
-
-// noteExternal bumps an external-tier counter under the cache lock.
-func (c *Cache) noteExternal(f func(*CacheStats)) {
-	c.mu.Lock()
-	f(&c.stats)
-	c.mu.Unlock()
 }

@@ -218,13 +218,20 @@ func TestDiskValidWithoutCertificateReproves(t *testing.T) {
 	if st := store2.Stats(); st.CorruptEvicted != 1 {
 		t.Fatalf("disk stats = %+v, want the stripped record evicted", st)
 	}
+	if st := cache2.Stats(); servedCount(cache2) != 0 || st.Misses != 1 {
+		t.Fatalf("cache stats = %+v, want the refused disk record counted as a miss, not a hit", st)
+	}
 	// The re-prove healed the record: a cold third start serves a Valid that
 	// again carries its certificate.
 	store3, _ := cachedisk.Open(dir, 0)
-	p3 := New(unsatAxioms(), certOptions()).WithCache(NewCache(0).WithDisk(store3))
+	cache3 := NewCache(0).WithDisk(store3)
+	p3 := New(unsatAxioms(), certOptions()).WithCache(cache3)
 	healed := p3.Prove(goal)
 	if !healed.CacheHit || healed.Certificate == nil {
 		t.Fatalf("healed record: hit=%t cert=%t", healed.CacheHit, healed.Certificate != nil)
+	}
+	if got := servedCount(cache3); got != 1 {
+		t.Fatalf("healed cache counts %d hits served, want 1", got)
 	}
 }
 

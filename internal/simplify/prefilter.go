@@ -315,8 +315,8 @@ func intervalConflict(db *clauseDB, assign []int8, tk *ticker) bool {
 		case logic.NeOp:
 			// t != t on the hash-consed same term: refuted outright. (Only
 			// the syntactic case — a zero *linearized* difference between
-			// distinct terms, like b vs b-0, would out-prove the legacy
-			// differential oracle.)
+			// distinct terms, like b vs b-0, would out-prove the verdicts
+			// frozen in testdata/ground10k.golden.)
 			if k.l == k.r {
 				conflict = true
 				break

@@ -123,11 +123,6 @@ func TestPrefilterInFingerprint(t *testing.T) {
 	if on.fingerprint == off.fingerprint {
 		t.Fatal("DisablePrefilter does not alter the cache fingerprint")
 	}
-	learnOpts := DefaultOptions()
-	learnOpts.DisableLearning = true
-	if New(nil, learnOpts).fingerprint == on.fingerprint {
-		t.Fatal("DisableLearning does not alter the cache fingerprint")
-	}
 }
 
 // TestCDCLFaultPoints covers the three new fault sites: conflict analysis

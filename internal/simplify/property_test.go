@@ -203,16 +203,16 @@ func TestArithSoundnessProperty(t *testing.T) {
 			l, r logic.Term
 		}
 		var cons []constraint
-		solver := newArithSolver()
+		fx := newArithFixture()
 		for i := 0; i < 4; i++ {
 			ops := []logic.CmpOp{logic.LeOp, logic.LtOp, logic.GeOp, logic.GtOp, logic.EqOp}
 			op := ops[gen.next(&s)%int64(len(ops))]
 			l := gen.term(&s, 1)
 			r := gen.term(&s, 1)
 			cons = append(cons, constraint{op, l, r})
-			solver.assertCmp(op, l, r)
+			fx.assert(op, l, r)
 		}
-		if !solver.inconsistent() {
+		if !fx.infeasible() {
 			return true
 		}
 		// Claimed infeasible: exhaustively try small assignments.
@@ -249,7 +249,7 @@ func TestEgraphSoundnessProperty(t *testing.T) {
 	gen := &groundGen{}
 	check := func(seed int64) bool {
 		s := seed
-		e := newEgraph()
+		e := newEgFixture()
 		consts := []logic.Term{logic.Const("a"), logic.Const("b"), logic.Const("c"), logic.Const("d")}
 		// Assert random equalities between f-wrapped constants.
 		type eqn struct{ l, r logic.Term }
@@ -264,7 +264,7 @@ func TestEgraphSoundnessProperty(t *testing.T) {
 				r = logic.Fn("f", r)
 			}
 			eqs = append(eqs, eqn{l, r})
-			e.assertEq(l, r)
+			e.eq(l, r)
 		}
 		// Transitivity/symmetry: build expected closure over the asserted
 		// terms with a naive fixpoint and compare against the e-graph.
@@ -324,7 +324,7 @@ func TestEgraphSoundnessProperty(t *testing.T) {
 	}
 }
 
-// TestLinearizeSemanticsProperty: linearize preserves meaning — the linear
+// TestLinearizeSemanticsProperty: linearizeID preserves meaning — the linear
 // form evaluates to the same value as the original term under random
 // assignments (checked on linear-only terms).
 func TestLinearizeSemanticsProperty(t *testing.T) {
@@ -354,7 +354,8 @@ func TestLinearizeSemanticsProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		s := seed
 		tm := linTerm(&s, 3)
-		le := linearize(tm)
+		fx := newArithFixture()
+		le := fx.lin(tm)
 		for i := int64(0); i < 10; i++ {
 			ms := seed + i*104729
 			m := model{consts: map[string]int64{}}
@@ -364,10 +365,10 @@ func TestLinearizeSemanticsProperty(t *testing.T) {
 			want := m.evalTerm(tm)
 			got := le.consts
 			for atom, coeff := range le.coeffs {
-				got += coeff * m.consts[atom]
+				got += coeff * m.consts[fx.tt.Fn(atom)]
 			}
 			if got != want {
-				t.Logf("linearize(%s) = %s; eval mismatch %d != %d under %v", tm, le, got, want, m.consts)
+				t.Logf("linearizeID(%s) = %+v; eval mismatch %d != %d under %v", tm, le, got, want, m.consts)
 				return false
 			}
 		}

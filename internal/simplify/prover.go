@@ -1,3 +1,19 @@
+// Package simplify implements an automatic theorem prover in the style of
+// the Simplify prover used by the paper's soundness checker (Detlefs, Nelson,
+// Saxe; Nelson-Oppen cooperation). It combines:
+//
+//   - congruence closure for equality over uninterpreted function symbols,
+//   - Fourier-Motzkin linear integer arithmetic,
+//   - CDCL propositional search whose theory solvers are asserted into
+//     incrementally along the trail and rolled back on backjump,
+//   - trigger-based (e-matching) instantiation of universally quantified
+//     axioms, and
+//   - background sign axioms for multiplication (Simplify's limited
+//     non-linear support), which the paper's pos/neg/nonzero obligations
+//     require.
+//
+// The prover is sound and incomplete: Valid means the goal is proved;
+// Unknown means no proof was found within the instantiation budget.
 package simplify
 
 import (
@@ -5,7 +21,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -52,29 +67,17 @@ type Options struct {
 	// multiplication sign axioms that Simplify's limited non-linear
 	// arithmetic support provides.
 	NonlinearAxioms bool
-	// LegacySearch selects the original recursive map-based DPLL (string
-	// atom keys, theory solvers rebuilt per branch) instead of the interned
-	// watched-literal engine with incremental theory state. It exists as a
-	// differential oracle: both engines must agree on every Result, and the
-	// differential corpus pins that. The engines participate in the cache
-	// fingerprint, so cached outcomes never cross between them.
-	LegacySearch bool
-	// DisableLearning turns off CDCL clause learning in the interned engine,
-	// selecting the chronological trail search instead (the -learn=off escape
-	// hatch). It also disables cross-goal lemma sharing, which rides on the
-	// learned clauses. Like LegacySearch it participates in the cache
-	// fingerprint: the engines agree on every verdict (the differential
-	// corpus pins that), but their telemetry and countermodels may differ.
-	DisableLearning bool
 	// DisablePrefilter skips the cheap prefilter tier (ground evaluation,
 	// unit-propagation-only, interval analysis) that discharges easy goals
-	// before the full engine is built — the -prefilter=off escape hatch.
+	// before the full engine is built, so tests and benchmarks can reach the
+	// CDCL engine alone. Verdicts are identical either way. Participates in
+	// the cache fingerprint.
 	DisablePrefilter bool
 	// MaxTerms bounds the interned term table built for one goal (0 means
 	// unlimited). Unlike the step budgets above, tripping it yields the
 	// transient, uncached reason ReasonBudget: how many terms a truncated
 	// search interned is an artifact of the cut, not a verdict worth
-	// replaying. The legacy engine has no term table and does not enforce it.
+	// replaying.
 	MaxTerms int
 	// MaxClauses bounds the ground clause set built for one goal (0 means
 	// unlimited); trips to ReasonBudget like MaxTerms.
@@ -92,7 +95,6 @@ type Options struct {
 	// transient, uncached Unknown with a "cert: ..." reason — the engine
 	// never reports a Valid it cannot independently justify. Off by
 	// default (emission costs time and memory proportional to the trail).
-	// Certificate-less engines (LegacySearch) report Valid without one.
 	// Participates in the cache fingerprint.
 	EmitCertificates bool
 }
@@ -133,19 +135,17 @@ type Outcome struct {
 	// the prover is deterministic (up to wall-clock telemetry), so they equal
 	// what a re-run would find.
 	CacheHit bool
-	// TraceHash is a deterministic fingerprint of the interned engine's
-	// decision/conflict/learn/backjump/restart event stream (hex, empty for
-	// the legacy engine). Identical inputs — goal, axioms, options, and any
-	// imported lemmas — produce identical hashes; the determinism regression
-	// tests pin this.
+	// TraceHash is a deterministic fingerprint of the CDCL engine's
+	// decision/conflict/learn/backjump/restart event stream (hex). Identical
+	// inputs — goal, axioms, options, and any imported lemmas — produce
+	// identical hashes; the determinism regression tests pin this.
 	TraceHash string
 	// Stats is the goal's search telemetry (duplicating the counters above
 	// plus the theory-level ones and wall time, in one aggregatable struct).
 	Stats Stats
 	// Certificate is the replayable refutation backing a Valid verdict,
-	// present only when Options.EmitCertificates is on and the engine
-	// supports emission (the interned engines do; the legacy oracle does
-	// not). It has already passed cert.Verify once when attached.
+	// present only when Options.EmitCertificates is on. It has already
+	// passed cert.Verify once when attached.
 	Certificate *cert.Certificate
 }
 
@@ -239,10 +239,9 @@ func (p *Prover) buildBase() {
 		return nil
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "opts|%d|%d|%d|%d|%t|legacy=%t|learn=%t|prefilter=%t|terms=%d|clauses=%d|mem=%d|cert=%t\n",
+	fmt.Fprintf(h, "opts|%d|%d|%d|%d|%t|prefilter=%t|terms=%d|clauses=%d|mem=%d|cert=%t\n",
 		p.opts.MaxRounds, p.opts.MaxInstances, p.opts.MaxDecisions,
-		p.opts.GoalTimeout, p.opts.NonlinearAxioms, p.opts.LegacySearch,
-		!p.opts.DisableLearning, !p.opts.DisablePrefilter,
+		p.opts.GoalTimeout, p.opts.NonlinearAxioms, !p.opts.DisablePrefilter,
 		p.opts.MaxTerms, p.opts.MaxClauses, p.opts.MaxMemoryBytes,
 		p.opts.EmitCertificates)
 	for _, ax := range p.axioms {
@@ -310,30 +309,30 @@ func (p *Prover) ProveContext(ctx context.Context, goal logic.Formula) Outcome {
 	if p.cache != nil {
 		ck := logic.CanonicalString(goal)
 		key = p.fingerprint + "\x00" + ck
-		if out, ok := p.cache.get(key); ok {
-			// Replay-on-fetch: under EmitCertificates a cache-served Valid is
-			// trusted only when it carries a certificate that replays for
-			// this goal — regardless of which tier (memory, disk, peer)
-			// produced it. A fresh Valid in emit mode always embeds its
-			// certificate, so a cert-less Valid here can only be tampered or
-			// stale external bytes; it is rejected exactly like a failed
-			// replay (mirroring verifyPeerOutcome's peer gate), evicted from
-			// every tier, and re-proved.
-			trusted := true
-			if p.opts.EmitCertificates {
+		// Replay-on-fetch: under EmitCertificates a cache-served Valid is
+		// trusted only when it carries a certificate that replays for this
+		// goal — regardless of which tier (memory, disk, peer) produced it.
+		// A fresh Valid in emit mode always embeds its certificate, so a
+		// cert-less Valid here can only be tampered or stale external bytes;
+		// it is rejected exactly like a failed replay (mirroring
+		// verifyPeerOutcome's peer gate). The cache evicts a refused entry
+		// from every tier and counts it as a miss, and the goal is re-proved.
+		var admit admitFunc
+		if p.opts.EmitCertificates {
+			admit = func(out Outcome) bool {
 				switch {
 				case out.Result == Valid && out.Certificate == nil:
 					certRejected.Add(1)
-					trusted = false
+					return false
 				case out.Certificate != nil:
-					trusted = p.replayFetched(out.Certificate, ck)
+					return p.replayFetched(out.Certificate, ck)
 				}
+				return true
 			}
-			if trusted {
-				out.CacheHit = true
-				return out
-			}
-			p.cache.evict(key)
+		}
+		if out, ok := p.cache.get(key, admit); ok {
+			out.CacheHit = true
+			return out
 		}
 	}
 	out := p.proveSafe(ctx, goal)
@@ -402,17 +401,16 @@ var proveRoundHook func()
 const memSampleStaleness = 50 * time.Millisecond
 
 // installLimits arms tk with the configured space budgets. terms and clauses
-// report the current table sizes; either may be nil when the engine has no
-// such table (the legacy engine has no interned term table).
+// report the current sizes of the goal's term table and clause database.
 func (p *Prover) installLimits(tk *ticker, terms, clauses func() int) {
 	if p.opts.MaxTerms <= 0 && p.opts.MaxClauses <= 0 && p.opts.MaxMemoryBytes == 0 {
 		return
 	}
 	tk.limits = func() string {
-		if p.opts.MaxTerms > 0 && terms != nil && terms() > p.opts.MaxTerms {
+		if p.opts.MaxTerms > 0 && terms() > p.opts.MaxTerms {
 			return ReasonBudget
 		}
-		if p.opts.MaxClauses > 0 && clauses != nil && clauses() > p.opts.MaxClauses {
+		if p.opts.MaxClauses > 0 && clauses() > p.opts.MaxClauses {
 			return ReasonBudget
 		}
 		if p.opts.MaxMemoryBytes > 0 && memwatch.Sample(memSampleStaleness) > p.opts.MaxMemoryBytes {
@@ -429,555 +427,12 @@ func (p *Prover) proveSafe(ctx context.Context, goal logic.Formula) (out Outcome
 		if r := recover(); r != nil {
 			out = Outcome{Result: Unknown, Reason: fmt.Sprintf("panic: %v", r)}
 		}
-		// Mirror the legacy counters into the aggregatable Stats view.
+		// Mirror the top-level counters into the aggregatable Stats view.
 		out.Stats.Rounds = out.Rounds
 		out.Stats.Decisions = out.Decisions
 		out.Stats.Instantiations = out.Instances
 		out.Stats.GroundClauses = out.GroundClauses
 		out.Stats.WallTime = time.Since(start)
 	}()
-	tk := newTicker(ctx, start, p.opts.GoalTimeout)
-	if p.opts.LegacySearch {
-		return p.proveLegacy(goal, tk)
-	}
-	return p.prove2(goal, tk)
-}
-
-// proveLegacy runs one refutation search over a private copy of the
-// clausified axiom base extended with the negated goal, using the original
-// recursive engine (see Options.LegacySearch). The interned engine's round
-// loop is prove2 (prover2.go).
-func (p *Prover) proveLegacy(goal logic.Formula, tk *ticker) Outcome {
-	sk := p.baseSk.Clone()
-	ground := make([]logic.Clause, len(p.baseGround), len(p.baseGround)+16)
-	copy(ground, p.baseGround)
-	quant := make([]logic.Clause, len(p.baseQuant), len(p.baseQuant)+16)
-	copy(quant, p.baseQuant)
-	addFormula := func(f logic.Formula) error {
-		cs, err := logic.Clausify(f, sk)
-		if err != nil {
-			return err
-		}
-		for _, c := range cs {
-			if c.IsGround() {
-				ground = append(ground, c)
-			} else {
-				if len(c.Triggers) == 0 {
-					c.Triggers = inferTriggers(c)
-				}
-				quant = append(quant, c)
-			}
-		}
-		return nil
-	}
-	if err := addFormula(logic.Not{F: goal}); err != nil {
-		return Outcome{Result: Unknown, Reason: err.Error()}
-	}
-
-	seenClause := map[string]bool{}
-	for _, c := range ground {
-		seenClause[c.String()] = true
-	}
-	seenTrichotomy := map[string]bool{}
-	out := Outcome{}
-	stopped := func() Outcome {
-		out.Result = Unknown
-		out.Reason = tk.reason
-		out.GroundClauses = len(ground)
-		return out
-	}
-	p.installLimits(tk, nil, func() int { return len(ground) })
-	var lastModel []string
-	for round := 0; round <= p.opts.MaxRounds; round++ {
-		out.Rounds = round + 1
-		if proveRoundHook != nil {
-			proveRoundHook()
-		}
-		fireInto(fpProveRound, tk)
-		if tk.reason != "" {
-			return stopped()
-		}
-		tri := p.trichotomyClauses(ground, seenTrichotomy, seenClause, tk)
-		out.Stats.CaseSplits += len(tri)
-		ground = append(ground, tri...)
-		out.GroundClauses = len(ground)
-		s := &search{maxDecisions: p.opts.MaxDecisions, tick: tk}
-		unsat := s.refute(ground)
-		out.Decisions += s.decisions
-		out.Stats.CongruenceMerges += s.merges
-		out.Stats.FMEliminations += s.fmElims
-		out.Stats.TheoryChecks += s.theoryChecks
-		lastModel = s.model
-		if tk.reason != "" {
-			// A stopped search unwinds as "consistent", so unsat can never be
-			// a cancellation artifact; still, report the stop, not a verdict.
-			return stopped()
-		}
-		if unsat {
-			out.Result = Valid
-			return out
-		}
-		if round == p.opts.MaxRounds {
-			break
-		}
-		// Saturate: instantiate quantified clauses against the term bank.
-		bank := newTermBank()
-		for _, c := range ground {
-			for _, l := range c.Lits {
-				bank.addLiteral(l)
-			}
-		}
-		fireInto(fpEmatchRound, tk)
-		if tk.reason != "" {
-			return stopped()
-		}
-		added := 0
-		for _, qc := range quant {
-			for _, trig := range qc.Triggers {
-				subs := matchTrigger(trig, bank, tk)
-				if tk.reason != "" {
-					return stopped()
-				}
-				for _, sub := range subs {
-					// The clause set grows inside this loop, between the
-					// search's own ticks, so poll the budgets here too.
-					if tk.stop() {
-						return stopped()
-					}
-					inst := instantiateClause(qc, sub)
-					if inst == nil {
-						continue
-					}
-					key := inst.String()
-					if seenClause[key] {
-						continue
-					}
-					seenClause[key] = true
-					ground = append(ground, *inst)
-					added++
-					out.Instances++
-					if out.Instances >= p.opts.MaxInstances {
-						tk.trip(ReasonBudget)
-						return stopped()
-					}
-				}
-			}
-		}
-		if added == 0 {
-			out.Result = Unknown
-			out.Reason = "saturated without contradiction"
-			out.CounterExample = s.model
-			return out
-		}
-	}
-	out.Result = Unknown
-	out.Reason = "round budget exhausted"
-	out.CounterExample = lastModel
-	return out
-}
-
-// instantiateClause applies sub to qc; returns nil when the result is not
-// fully ground (the trigger did not cover every variable).
-func instantiateClause(qc logic.Clause, sub map[string]logic.Term) *logic.Clause {
-	lits := make([]logic.Literal, len(qc.Lits))
-	for i, l := range qc.Lits {
-		if l.IsCmp {
-			lits[i] = logic.Literal{IsCmp: true, Cmp: logic.Cmp{
-				Op: l.Cmp.Op,
-				L:  logic.SubstTerm(l.Cmp.L, sub),
-				R:  logic.SubstTerm(l.Cmp.R, sub),
-			}}
-		} else {
-			args := make([]logic.Term, len(l.Pred.Args))
-			for j, a := range l.Pred.Args {
-				args[j] = logic.SubstTerm(a, sub)
-			}
-			lits[i] = logic.Literal{Neg: l.Neg, Pred: logic.Pred{Name: l.Pred.Name, Args: args}}
-		}
-	}
-	c := logic.Clause{Lits: lits}
-	if !c.IsGround() {
-		return nil
-	}
-	return &c
-}
-
-// trichotomyClauses adds (l < r) || (l = r) || (l > r) for every equality or
-// disequality atom over numeric terms, enabling the case splits that the
-// integer theory needs (e.g. x != 0 |- x < 0 or x > 0). A term is numeric if
-// it appears under an order comparison or an arithmetic operator, closed
-// under equalities.
-func (p *Prover) trichotomyClauses(ground []logic.Clause, seenTri, seenClause map[string]bool, tk *ticker) []logic.Clause {
-	numeric := map[string]bool{}
-	markArith := func(t logic.Term) {
-		for _, a := range collectOpaqueAtoms(t) {
-			numeric[a.String()] = true
-		}
-		numeric[t.String()] = true
-	}
-	type eqPair struct{ l, r logic.Term }
-	var eqs []eqPair
-	for _, c := range ground {
-		for _, lit := range c.Lits {
-			if !lit.IsCmp {
-				continue
-			}
-			switch lit.Cmp.Op {
-			case logic.LtOp, logic.LeOp, logic.GtOp, logic.GeOp:
-				markArith(lit.Cmp.L)
-				markArith(lit.Cmp.R)
-			case logic.EqOp, logic.NeOp:
-				eqs = append(eqs, eqPair{lit.Cmp.L, lit.Cmp.R})
-			}
-		}
-	}
-	// Close numeric-ness over eq/ne pairs until fixpoint.
-	for changed := true; changed && !tk.stop(); {
-		changed = false
-		for _, pr := range eqs {
-			lk, rk := pr.l.String(), pr.r.String()
-			_, lInt := pr.l.(logic.IntLit)
-			_, rInt := pr.r.(logic.IntLit)
-			ln := numeric[lk] || lInt
-			rn := numeric[rk] || rInt
-			if ln && !numeric[rk] {
-				numeric[rk] = true
-				changed = true
-			}
-			if rn && !numeric[lk] {
-				numeric[lk] = true
-				changed = true
-			}
-		}
-	}
-	var out []logic.Clause
-	for _, pr := range eqs {
-		_, lInt := pr.l.(logic.IntLit)
-		_, rInt := pr.r.(logic.IntLit)
-		if !(numeric[pr.l.String()] || lInt) || !(numeric[pr.r.String()] || rInt) {
-			continue
-		}
-		key := pr.l.String() + "|" + pr.r.String()
-		if seenTri[key] {
-			continue
-		}
-		seenTri[key] = true
-		c := logic.Clause{Lits: []logic.Literal{
-			{IsCmp: true, Cmp: logic.Cmp{Op: logic.LtOp, L: pr.l, R: pr.r}},
-			{IsCmp: true, Cmp: logic.Cmp{Op: logic.EqOp, L: pr.l, R: pr.r}},
-			{IsCmp: true, Cmp: logic.Cmp{Op: logic.GtOp, L: pr.l, R: pr.r}},
-		}}
-		if !seenClause[c.String()] {
-			seenClause[c.String()] = true
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// collectOpaqueAtoms returns the opaque (non-arithmetic) maximal subterms of
-// t, mirroring the decomposition done by linearize.
-func collectOpaqueAtoms(t logic.Term) []logic.Term {
-	var out []logic.Term
-	var walk func(t logic.Term)
-	walk = func(t logic.Term) {
-		app, ok := t.(logic.App)
-		if !ok {
-			return
-		}
-		switch app.Fn {
-		case "+", "-", "~":
-			for _, a := range app.Args {
-				walk(a)
-			}
-		case "*":
-			if len(app.Args) == 2 {
-				l0 := linearize(app.Args[0])
-				l1 := linearize(app.Args[1])
-				if len(l0.coeffs) == 0 || len(l1.coeffs) == 0 {
-					walk(app.Args[0])
-					walk(app.Args[1])
-					return
-				}
-			}
-			out = append(out, t)
-		default:
-			out = append(out, t)
-		}
-	}
-	walk(t)
-	return out
-}
-
-// search is one DPLL refutation attempt over a fixed ground clause set.
-type search struct {
-	atoms        map[string]logic.Literal // canonical atom key -> positive atom
-	assign       map[string]bool
-	decisions    int
-	maxDecisions int
-	// tick carries the goal's deadline/cancellation state; a tripped ticker
-	// makes every branch report "consistent" (sound) so the search unwinds.
-	tick *ticker
-	// Theory telemetry, accumulated across the branch consistency checks.
-	merges       int
-	fmElims      int
-	theoryChecks int
-	// model captures the satisfying assignment of the last consistent
-	// branch found (the countermodel candidate reported on Unknown).
-	model []string
-}
-
-// canonLit normalizes a ground literal to (atom key, negated). NeOp folds
-// into a negated EqOp; Gt/Ge swap into Lt/Le so that complementary literals
-// share one propositional atom.
-func canonLit(l logic.Literal) (string, bool, logic.Literal) {
-	if !l.IsCmp {
-		key := l.Pred.String()
-		pos := logic.Literal{Pred: l.Pred}
-		return "P" + key, l.Neg, pos
-	}
-	op, L, R, neg := l.Cmp.Op, l.Cmp.L, l.Cmp.R, false
-	switch op {
-	case logic.NeOp:
-		op, neg = logic.EqOp, true
-	case logic.GtOp:
-		op, L, R = logic.LtOp, R, L
-	case logic.GeOp:
-		op, L, R = logic.LeOp, R, L
-	}
-	atom := logic.Literal{IsCmp: true, Cmp: logic.Cmp{Op: op, L: L, R: R}}
-	key := fmt.Sprintf("C%d|%s|%s", op, L, R)
-	return key, neg, atom
-}
-
-// refute returns true when the clause set is unsatisfiable modulo theories.
-func (s *search) refute(clauses []logic.Clause) bool {
-	s.atoms = map[string]logic.Literal{}
-	type clit struct {
-		key string
-		neg bool
-	}
-	cls := make([][]clit, 0, len(clauses))
-	for _, c := range clauses {
-		lits := make([]clit, len(c.Lits))
-		for i, l := range c.Lits {
-			key, neg, atom := canonLit(l)
-			s.atoms[key] = atom
-			lits[i] = clit{key: key, neg: neg}
-		}
-		cls = append(cls, lits)
-	}
-	s.assign = map[string]bool{}
-	var rec func() bool
-	rec = func() bool {
-		if s.decisions > s.maxDecisions {
-			return false // budget: treat as consistent (sound)
-		}
-		if s.tick.stop() {
-			return false // deadline/cancel: treat as consistent (sound)
-		}
-		// Unit propagation to fixpoint.
-		trail := []string{}
-		undo := func() {
-			for _, k := range trail {
-				delete(s.assign, k)
-			}
-		}
-		for {
-			progress := false
-			for _, c := range cls {
-				if s.tick.stop() {
-					undo()
-					return false
-				}
-				unassigned := -1
-				satisfied := false
-				nUnassigned := 0
-				for i, l := range c {
-					v, ok := s.assign[l.key]
-					if !ok {
-						nUnassigned++
-						unassigned = i
-						continue
-					}
-					if v != l.neg { // literal true
-						satisfied = true
-						break
-					}
-				}
-				if satisfied {
-					continue
-				}
-				if nUnassigned == 0 {
-					undo()
-					return true // propositional conflict
-				}
-				if nUnassigned == 1 {
-					l := c[unassigned]
-					s.assign[l.key] = !l.neg
-					trail = append(trail, l.key)
-					progress = true
-				}
-			}
-			if !progress {
-				break
-			}
-		}
-		if s.theoryConflict() {
-			undo()
-			return true
-		}
-		// Pick an unassigned atom from an unsatisfied clause.
-		pick := ""
-		for _, c := range cls {
-			satisfied := false
-			cand := ""
-			for _, l := range c {
-				v, ok := s.assign[l.key]
-				if !ok {
-					if cand == "" {
-						cand = l.key
-					}
-					continue
-				}
-				if v != l.neg {
-					satisfied = true
-					break
-				}
-			}
-			if !satisfied && cand != "" {
-				pick = cand
-				break
-			}
-		}
-		if pick == "" {
-			// All clauses satisfied and theory consistent: countermodel.
-			s.captureModel()
-			undo()
-			return false
-		}
-		s.decisions++
-		fireInto(fpSearchDecision, s.tick)
-		s.assign[pick] = true
-		if !rec() {
-			delete(s.assign, pick)
-			undo()
-			return false
-		}
-		s.assign[pick] = false
-		if !rec() {
-			delete(s.assign, pick)
-			undo()
-			return false
-		}
-		delete(s.assign, pick)
-		undo()
-		return true
-	}
-	return rec()
-}
-
-// captureModel snapshots the current assignment as readable literals.
-func (s *search) captureModel() {
-	var out []string
-	for key, val := range s.assign {
-		atom := s.atoms[key]
-		lit := atom
-		if !val {
-			lit = atom.Negated()
-		}
-		out = append(out, lit.String())
-	}
-	sort.Strings(out)
-	s.model = out
-}
-
-// theoryConflict rebuilds the EUF and arithmetic solvers from the current
-// assignment and reports inconsistency.
-func (s *search) theoryConflict() bool {
-	eg := newEgraph()
-	ar := newArithSolver()
-	ar.tick = s.tick
-	s.theoryChecks++
-	defer func() {
-		s.merges += eg.merges
-		s.fmElims += ar.elims
-	}()
-	var arithAtomTerms []logic.Term
-	assertCmpBoth := func(op logic.CmpOp, L, R logic.Term) {
-		switch op {
-		case logic.EqOp:
-			eg.assertEq(L, R)
-			ar.assertCmp(logic.EqOp, L, R)
-		case logic.NeOp:
-			eg.assertNe(L, R, L.String()+" != "+R.String())
-		default:
-			ar.assertCmp(op, L, R)
-			arithAtomTerms = append(arithAtomTerms, collectOpaqueAtoms(L)...)
-			arithAtomTerms = append(arithAtomTerms, collectOpaqueAtoms(R)...)
-		}
-	}
-	for key, val := range s.assign {
-		atom := s.atoms[key]
-		if atom.IsCmp {
-			op := atom.Cmp.Op
-			if !val {
-				op = op.Negate()
-			}
-			assertCmpBoth(op, atom.Cmp.L, atom.Cmp.R)
-		} else {
-			eg.assertPred(atom.Pred, val)
-		}
-	}
-	if bad, _ := eg.inconsistent(); bad {
-		return true
-	}
-	// EUF -> LA propagation: equalities among arithmetic atoms, and integer
-	// values for atoms congruent to literals.
-	// Intern every arithmetic atom before computing representatives: a later
-	// intern can trigger the congruence merge that relates earlier atoms.
-	type atomEntry struct {
-		key string
-		id  nodeID
-	}
-	var entries []atomEntry
-	seenAtom := map[string]bool{}
-	for _, t := range arithAtomTerms {
-		k := t.String()
-		if seenAtom[k] {
-			continue
-		}
-		seenAtom[k] = true
-		entries = append(entries, atomEntry{key: k, id: eg.internTerm(t)})
-	}
-	classOf := map[nodeID][]string{}
-	for _, en := range entries {
-		r := eg.find(en.id)
-		classOf[r] = append(classOf[r], en.key)
-	}
-	if bad, _ := eg.inconsistent(); bad {
-		// Interning alone cannot create conflicts, but congruence
-		// propagation from new terms can.
-		return true
-	}
-	for rep, keys := range classOf {
-		for i := 1; i < len(keys); i++ {
-			ar.assertEqAtoms(keys[0], keys[i])
-		}
-		// If the class contains an integer literal, pin the atoms to it.
-		for id, n := range eg.nodes {
-			if n.isInt && eg.find(nodeID(id)) == eg.find(rep) {
-				for _, k := range keys {
-					e1 := newLinExpr().addAtom(k, 1)
-					e1.consts = -n.intVal
-					ar.push(e1)
-					e2 := newLinExpr().addAtom(k, -1)
-					e2.consts = n.intVal
-					ar.push(e2)
-				}
-				break
-			}
-		}
-	}
-	return ar.inconsistent()
+	return p.prove2(goal, newTicker(ctx, start, p.opts.GoalTimeout))
 }

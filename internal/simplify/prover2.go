@@ -6,12 +6,12 @@ import (
 	"repro/internal/logic"
 )
 
-// This file is the interned prover's outer loop: the same round structure as
-// the legacy prove (trichotomy splits, refutation search, e-matching
-// saturation), but over the hash-consed clause database. Clause and
-// trichotomy dedup are integer-keyed, the term bank persists across rounds
-// (catching up on newly added clauses only), and the theory solvers are
-// created once per goal and rewound to their base marks between rounds.
+// This file is the prover's outer loop: rounds of trichotomy splits, a CDCL
+// refutation search, and e-matching saturation over the hash-consed clause
+// database. Clause and trichotomy dedup are integer-keyed, the term bank
+// persists across rounds (catching up on newly added clauses only), and the
+// theory solvers are created once per goal and rewound to their base marks
+// between rounds.
 //
 // Two layers wrap the per-round CDCL search. In front, the prefilter tier
 // (prefilter.go) discharges easy goals before the theory solvers are built.
@@ -59,11 +59,12 @@ func (db *clauseDB) addGround(c logic.Clause, tainted bool) bool {
 }
 
 // trichotomy2 adds (l < r) || (l = r) || (l > r) for every equality atom
-// over numeric terms, mirroring trichotomyClauses: a term is numeric if it
-// appears under an order comparison or an arithmetic operator (its opaque
-// atoms and the full term are both marked), closed over equality pairs, with
-// integer literals numeric by construction. Returns the number of clauses
-// added. Trichotomy clauses are integer-theory facts, untainted by the goal.
+// over numeric terms, enabling the case splits the integer theory needs
+// (e.g. x != 0 |- x < 0 or x > 0). A term is numeric if it appears under an
+// order comparison or an arithmetic operator (its opaque atoms and the full
+// term are both marked), closed over equality pairs, with integer literals
+// numeric by construction. Returns the number of clauses added. Trichotomy
+// clauses are integer-theory facts, untainted by the goal.
 func trichotomy2(db *clauseDB, ar *arithSolver2, seenTri map[[2]logic.TermID]bool, tk *ticker) int {
 	tt, at := db.tt, db.at
 	numeric := map[logic.TermID]bool{}
@@ -125,9 +126,8 @@ func trichotomy2(db *clauseDB, ar *arithSolver2, seenTri map[[2]logic.TermID]boo
 	return added
 }
 
-// prove2 runs one refutation search with the interned engine over a private
-// clause database seeded from the clausified axiom base plus the negated
-// goal. The round structure matches the legacy prove.
+// prove2 runs one refutation search over a private clause database seeded
+// from the clausified axiom base plus the negated goal.
 func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 	sk := p.baseSk.Clone()
 	quant := make([]logic.Clause, len(p.baseQuant), len(p.baseQuant)+16)
@@ -237,10 +237,10 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 	seenTri := map[[2]logic.TermID]bool{}
 
 	// Lemma plumbing: pull the fingerprint pool's shared lemmas (when a
-	// cache is attached and learning is on), carry the learned arena across
-	// rounds, and publish the untainted survivors on a settled outcome.
+	// cache is attached), carry the learned arena across rounds, and publish
+	// the untainted survivors on a settled outcome.
 	var pool *lemmaPool
-	if p.cache != nil && !p.opts.DisableLearning {
+	if p.cache != nil {
 		pool = p.cache.lemmaPoolFor(p.fingerprint)
 	}
 	var carryCl [][]ilit
@@ -326,7 +326,6 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 			s.releaseScratch() // the superseded round's arrays feed this one
 		}
 		s = newSearch2(tt, at, db.clauses, db.taint, eg, ar, p.opts.MaxDecisions, tk)
-		s.noLearn = p.opts.DisableLearning
 		s.cb = cb
 		for i, cl := range carryCl {
 			s.importLearned(cl, carryTaint[i], carryAct[i])

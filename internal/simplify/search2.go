@@ -7,7 +7,7 @@ import (
 	"repro/internal/logic"
 )
 
-// This file is the interned search engine: conflict-driven clause learning
+// This file is the search engine: conflict-driven clause learning
 // (CDCL) over ID-indexed clauses with two-watched-literal unit propagation
 // and an explicit trail. Theory literals are asserted into the backtrackable
 // e-graph and the incremental arithmetic solver as they join the trail;
@@ -28,10 +28,6 @@ import (
 // shared across goals; one that resolved against a goal-derived clause (or
 // absorbed a goal-tainted level-0 propagation) is only implied by this goal's
 // clause set and must stay local. See prover2.go for the sharing pool.
-//
-// The pre-CDCL engine — chronological flip-deepest-unflipped backtracking —
-// is preserved as refuteChrono behind Options.DisableLearning; it is the
-// differential foil for the learning engine and the -learn=off escape hatch.
 
 // search2 is one refutation attempt over a fixed interned clause set.
 type search2 struct {
@@ -103,7 +99,6 @@ type search2 struct {
 	learntBuf []ilit
 	clearBuf  []atomID
 
-	noLearn      bool
 	conflicts    int
 	learnedTotal int
 	forgotten    int
@@ -114,8 +109,8 @@ type search2 struct {
 
 	// cb, when non-nil, transcribes the refutation into a proof
 	// certificate: theory conflicts become explained lemma steps, learned
-	// clauses and chronological branch/prefix clauses become RUP steps,
-	// and a successful refutation ends with the empty clause.
+	// clauses become RUP steps, and a successful refutation ends with the
+	// empty clause.
 	cb *certBuilder
 
 	decisions    int
@@ -144,21 +139,21 @@ type search2 struct {
 // unit lemmas, the model — is deliberately NOT here: prover2 carries those
 // across rounds and publishes them to the shared lemma pool.
 type searchScratch struct {
-	watches  [][]int32
-	assign   []int8
-	level    []int32
-	reasonCl []int32
-	taint0   []bool
-	seen     []bool
-	activity []float64
-	trail    []ilit
-	trailLim []int
-	levEg    []int
-	levArC   []int
-	levArA   []int
+	watches   [][]int32
+	assign    []int8
+	level     []int32
+	reasonCl  []int32
+	taint0    []bool
+	seen      []bool
+	activity  []float64
+	trail     []ilit
+	trailLim  []int
+	levEg     []int
+	levArC    []int
+	levArA    []int
 	learntBuf []ilit
-	clearBuf []atomID
-	unitSeen map[ilit]bool
+	clearBuf  []atomID
+	unitSeen  map[ilit]bool
 }
 
 var searchScratchPool = sync.Pool{New: func() any {
@@ -391,8 +386,8 @@ func (s *search2) enqueue(l ilit, from int32) {
 }
 
 // assertTheory pushes one trail literal into the e-graph and the arithmetic
-// solver, mirroring the legacy theoryConflict's per-atom assertions:
-// equalities merge and constrain, disequalities assert an EUF diseq only,
+// solver: equalities merge and constrain, disequalities assert an EUF diseq
+// only,
 // order comparisons constrain and register their opaque atoms (also
 // interning them into the e-graph so congruence relates them before the
 // EUF->LA propagation reads their classes).
@@ -581,9 +576,6 @@ func (s *search2) refute() bool {
 			s.cb.emptyStep()
 		}
 		return true
-	}
-	if s.noLearn {
-		return s.refuteChrono()
 	}
 	return s.refuteCDCL()
 }
@@ -880,11 +872,11 @@ func (s *search2) rebuildWatches() {
 // pickBranchVSIDS returns the unassigned atom with the highest activity
 // among the literals of unsatisfied problem clauses (ties break toward the
 // smallest atom ID, keeping the order deterministic), or -1 when every
-// problem clause is satisfied. Scanning problem clauses only preserves the
-// pre-CDCL termination contract: all problem clauses satisfied plus a
-// consistent theory state is a countermodel, whether or not some learned
-// clause is still open (learned clauses are implied, so they constrain no
-// genuine model).
+// problem clause is satisfied. Scanning problem clauses only keeps the
+// termination contract: all problem clauses satisfied plus a consistent
+// theory state is a countermodel, whether or not some learned clause is
+// still open (learned clauses are implied, so they constrain no genuine
+// model).
 func (s *search2) pickBranchVSIDS() atomID {
 	best := atomID(-1)
 	bestAct := -1.0
@@ -1004,137 +996,6 @@ func (s *search2) refuteCDCL() bool {
 		fireInto(fpSearchDecision, s.tick)
 		s.hashEvent(evDecision, uint64(pick), uint64(s.decisionLevel()))
 		s.newDecisionLevel()
-		s.enqueue(mkLit(pick, false), -1) // try atom=true first
-	}
-}
-
-// --- chronological engine (pre-CDCL, kept behind Options.DisableLearning) ---
-
-// pickBranch returns the first unassigned atom of the first unsatisfied
-// clause (the legacy branching rule), or -1 when every clause is satisfied.
-func (s *search2) pickBranch() atomID {
-	for _, cl := range s.clauses {
-		sat := false
-		cand := atomID(-1)
-		for _, l := range cl {
-			v := s.assign[l.atom()]
-			if v == 0 {
-				if cand < 0 {
-					cand = l.atom()
-				}
-				continue
-			}
-			if (v == 1) != l.negated() {
-				sat = true
-				break
-			}
-		}
-		if !sat && cand >= 0 {
-			return cand
-		}
-	}
-	return -1
-}
-
-// decFrame is one decision on the explicit stack: the branched atom, which
-// polarity phase it is in, and the trail/theory marks to roll back to.
-type decFrame struct {
-	atom     atomID
-	flipped  bool
-	trailLen int
-	egMark   int
-	arCMark  int
-	arAMark  int
-}
-
-// undoTo rolls the assignment, the propagation frontier, and both theory
-// solvers back to a decision's marks.
-func (s *search2) undoTo(fr *decFrame) {
-	for len(s.trail) > fr.trailLen {
-		l := s.trail[len(s.trail)-1]
-		s.assign[l.atom()] = 0
-		s.trail = s.trail[:len(s.trail)-1]
-	}
-	s.qhead = fr.trailLen
-	s.eg.undoTo(fr.egMark)
-	s.ar.undoTo(fr.arCMark, fr.arAMark)
-}
-
-// refuteChrono is the pre-CDCL loop: propagate to fixpoint, check the
-// theories, branch on the first unassigned atom of the first unsatisfied
-// clause trying true before false, and backtrack chronologically by flipping
-// the deepest unflipped decision. It learns nothing and never backjumps,
-// which is exactly why it survives as the -learn=off differential foil.
-func (s *search2) refuteChrono() bool {
-	var stack []decFrame
-	// branchClause negates the in-effect decision literals: the clause
-	// "some current decision is wrong". Emitted at every conflict it is
-	// RUP (asserting the decisions re-propagates the trail into the
-	// falsified clause or the just-recorded theory explanation); emitted
-	// after popping an exhausted frame it resolves the frame's two
-	// branch outcomes. The final pop emits the empty clause.
-	branchClause := func(frames []decFrame) []ilit {
-		out := make([]ilit, len(frames))
-		for i := range frames {
-			out[i] = mkLit(frames[i].atom, !frames[i].flipped)
-		}
-		return out
-	}
-	for {
-		conflict := s.propagate() >= 0
-		if !conflict {
-			if s.tick.stop() {
-				return false // deadline/cancel: unwind as consistent (sound)
-			}
-			if s.theoryConflict() {
-				conflict = true
-				if s.cb != nil {
-					s.cb.theoryStep(s.theoryClause())
-				}
-			}
-		}
-		if conflict {
-			if s.cb != nil {
-				s.cb.rupStep(branchClause(stack))
-			}
-			// Chronological backtracking: flip the deepest unflipped
-			// decision; a conflict below every decision refutes the set.
-			flipped := false
-			for len(stack) > 0 {
-				fr := &stack[len(stack)-1]
-				s.undoTo(fr)
-				if !fr.flipped {
-					fr.flipped = true
-					s.enqueue(mkLit(fr.atom, true), -1) // try atom=false
-					flipped = true
-					break
-				}
-				stack = stack[:len(stack)-1]
-				if s.cb != nil {
-					s.cb.rupStep(branchClause(stack))
-				}
-			}
-			if !flipped {
-				return true
-			}
-			continue
-		}
-		if s.decisions > s.maxDecisions {
-			return false // budget: treat as consistent (sound)
-		}
-		pick := s.pickBranch()
-		if pick < 0 {
-			// All clauses satisfied and theories consistent: countermodel.
-			s.captureModel()
-			return false
-		}
-		s.decisions++
-		fireInto(fpSearchDecision, s.tick)
-		cm, am := s.ar.mark()
-		stack = append(stack, decFrame{
-			atom: pick, trailLen: len(s.trail),
-			egMark: s.eg.mark(), arCMark: cm, arAMark: am,
-		})
 		s.enqueue(mkLit(pick, false), -1) // try atom=true first
 	}
 }

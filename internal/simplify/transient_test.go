@@ -96,10 +96,10 @@ func TestCachePutRefreshesPresentKey(t *testing.T) {
 
 	// The re-put moved k1 to the front, so a third key evicts k2.
 	c.put("k3", Outcome{Result: Valid})
-	if out, ok := c.get("k1"); !ok || out.Reason != "refreshed" {
+	if out, ok := c.get("k1", nil); !ok || out.Reason != "refreshed" {
 		t.Errorf("k1 = (%+v, %v), want the refreshed value present", out, ok)
 	}
-	if _, ok := c.get("k2"); ok {
+	if _, ok := c.get("k2", nil); ok {
 		t.Error("least-recently-used key survived eviction")
 	}
 	if s := c.Stats(); s.Evictions != 1 {
@@ -130,7 +130,7 @@ func TestCacheStatsConsistentUnderConcurrentOverlap(t *testing.T) {
 				if i%2 == 0 {
 					c.put(k, Outcome{Result: Valid})
 				} else {
-					c.get(k)
+					c.get(k, nil)
 					gets.Add(1)
 				}
 			}

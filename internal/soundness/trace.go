@@ -23,10 +23,9 @@ type traceRecord struct {
 	// (measured at the discharge site, so it is near zero on a cache hit).
 	ElapsedUS int64 `json:"elapsed_us"`
 
-	// TraceHash is the interned engine's deterministic fingerprint of the
-	// whole search event stream (decisions, conflicts, learned clauses,
-	// backjumps, restarts). Two runs with identical inputs produce identical
-	// hashes; empty for the legacy engine.
+	// TraceHash is the CDCL engine's deterministic fingerprint of the whole
+	// search event stream (decisions, conflicts, learned clauses, backjumps,
+	// restarts). Two runs with identical inputs produce identical hashes.
 	TraceHash string `json:"trace_hash,omitempty"`
 
 	// Per-goal search telemetry (see simplify.Stats). On a cache hit these

@@ -35,8 +35,8 @@ func write(t *testing.T, root, rel, body string) {
 // event is one decoded JSONL record; tests key on the "event" field.
 type event map[string]any
 
-func (e event) kind() string   { s, _ := e["event"].(string); return s }
-func (e event) file() string   { s, _ := e["file"].(string); return s }
+func (e event) kind() string { s, _ := e["event"].(string); return s }
+func (e event) file() string { s, _ := e["file"].(string); return s }
 func (e event) num(k string) int {
 	f, _ := e[k].(float64)
 	return int(f)
