@@ -107,14 +107,16 @@ experiments:
 # fuzz-smoke gives each native fuzz target a short budget: the two front-end
 # parsers must never panic on arbitrary bytes, the prover must never disagree
 # with the ground-formula oracle, the certificate replay checker must reject
-# (never accept or panic on) arbitrary mutations of valid certificates, and
-# the /check handler must answer any body with a contract status and a JSON
-# payload.
+# (never accept or panic on) arbitrary mutations of valid certificates, the
+# prover and function-cache payload decoders must never panic and must
+# round-trip whatever they accept, and the /check handler must answer any
+# body with a contract status and a JSON payload.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/cminor
 	$(GO) test -run '^$$' -fuzz '^FuzzParseQDL$$' -fuzztime $(FUZZTIME) ./internal/qdl
 	$(GO) test -run '^$$' -fuzz '^FuzzProveGround$$' -fuzztime $(FUZZTIME) ./internal/simplify
 	$(GO) test -run '^$$' -fuzz '^FuzzCertificateReplay$$' -fuzztime $(FUZZTIME) ./internal/cert
+	$(GO) test -run '^$$' -fuzz '^FuzzPayloadDecoders$$' -fuzztime $(FUZZTIME) ./internal/tiercache
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckHandler$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # chaos-smoke runs the fault-injection soak under the race detector: a

@@ -237,10 +237,10 @@ func TestFuncCacheSharedAcrossConcurrency(t *testing.T) {
 }
 
 // TestFuncCacheSealRejectsCorruption: every entry carries a content seal
-// computed at put and re-verified at get. Corrupting a stored entry in
-// place turns the would-be hit into a counted rejection plus a miss, the
-// function is re-walked (diagnostics identical to an uncached check), and
-// the re-stored entry serves hits again.
+// computed when it is built and re-verified on every lookup. Corrupting a
+// stored entry in place turns the would-be hit into a counted rejection plus
+// a miss, the function is re-walked (diagnostics identical to an uncached
+// check), and the re-stored entry serves hits again.
 func TestFuncCacheSealRejectsCorruption(t *testing.T) {
 	reg := quals.MustStandard()
 	fc := NewFuncCache(0)
@@ -250,16 +250,13 @@ func TestFuncCacheSealRejectsCorruption(t *testing.T) {
 	}
 
 	// Corrupt one non-empty entry's payload behind the seal's back.
-	fc.mu.Lock()
 	corrupted := 0
-	for el := fc.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*funcCacheEntry)
+	fc.Cache.ForEach(func(_ string, e *funcCacheEntry) {
 		if len(e.diags) > 0 && corrupted == 0 {
 			e.diags[0].msg = "tampered"
 			corrupted++
 		}
-	}
-	fc.mu.Unlock()
+	})
 	if corrupted != 1 {
 		t.Fatalf("corrupted %d entries, want 1", corrupted)
 	}

@@ -51,7 +51,7 @@ type Stats struct {
 	// lookups (CheckWithCache only; zero otherwise). A hit means the
 	// function's body walk was skipped and its cached diagnostics replayed.
 	// FuncCacheCoalesced counts lookups that shared another in-flight walk's
-	// result instead of walking (singleflight; see cache.go).
+	// result instead of walking (singleflight; see internal/tiercache).
 	FuncCacheHits      int
 	FuncCacheMisses    int
 	FuncCacheCoalesced int

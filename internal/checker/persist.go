@@ -5,12 +5,14 @@ import (
 	"fmt"
 
 	"repro/internal/cachedisk"
+	"repro/internal/tiercache"
 )
 
-// Disk and peer tiers for the function-result cache. The inner payload codec
-// mirrors the prover's (simplify/persist.go): cachedisk's record framing
+// Disk and peer tiers for the function-result cache. The tiers themselves
+// are the shared tiered cache's (internal/tiercache); this file supplies the
+// payload codec it persists entries with. cachedisk's record framing
 // supplies the key binding and checksum, this codec supplies the entry
-// layout, and the PR 4 content seal — persisted alongside the payload and
+// layout, and the content seal — persisted alongside the payload and
 // recomputed over the decoded entry on every load — supplies the semantic
 // integrity check. A record whose recomputed seal disagrees with its stored
 // seal is rejected and evicted no matter how clean its checksums were: the
@@ -46,8 +48,8 @@ func encodeFuncEntry(e *funcCacheEntry) []byte {
 	for _, d := range e.diags {
 		b = binary.AppendUvarint(b, uint64(d.relLine))
 		b = binary.AppendUvarint(b, uint64(d.col))
-		b = appendFuncString(b, d.code)
-		b = appendFuncString(b, d.msg)
+		b = tiercache.AppendString(b, d.code)
+		b = tiercache.AppendString(b, d.msg)
 	}
 	return binary.BigEndian.AppendUint64(b, e.seal)
 }
@@ -70,31 +72,31 @@ func decodeFuncEntry(data []byte) (*funcCacheEntry, error) {
 		return nil, fmt.Errorf("stale function-entry version %d", v)
 	}
 	storedSeal := binary.BigEndian.Uint64(data[len(data)-8:])
-	d := funcDecoder{buf: data[len(funcEntryMagic)+1 : len(data)-8]}
+	d := tiercache.NewDecoder(data[len(funcEntryMagic)+1 : len(data)-8])
 	e := &funcCacheEntry{
-		restrictChecks:   int(d.uvarint()),
-		restrictFailures: int(d.uvarint()),
-		memoHits:         int(d.uvarint()),
-		memoMisses:       int(d.uvarint()),
+		restrictChecks:   int(d.Uvarint()),
+		restrictFailures: int(d.Uvarint()),
+		memoHits:         int(d.Uvarint()),
+		memoMisses:       int(d.Uvarint()),
 	}
-	n := d.uvarint()
+	n := d.Uvarint()
 	if n > maxPersistDiags {
 		return nil, fmt.Errorf("diagnostic list too long (%d)", n)
 	}
 	e.diags = make([]relDiag, 0, min(int(n), 256))
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		e.diags = append(e.diags, relDiag{
-			relLine: int(d.uvarint()),
-			col:     int(d.uvarint()),
-			code:    d.string(),
-			msg:     d.string(),
+			relLine: int(d.Uvarint()),
+			col:     int(d.Uvarint()),
+			code:    d.Text(),
+			msg:     d.Text(),
 		})
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes", len(d.buf))
+	if d.Len() != 0 {
+		return nil, fmt.Errorf("%d trailing bytes", d.Len())
 	}
 	// A persisted entry must never replay a transient walk.
 	for _, dg := range e.diags {
@@ -109,124 +111,25 @@ func decodeFuncEntry(data []byte) (*funcCacheEntry, error) {
 	return e, nil
 }
 
-func appendFuncString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
+// funcEntryCodec persists entries for the disk and peer tiers. It has no
+// peer check of its own: a peer's entries are trusted only through the fleet
+// MAC the server layer verifies before the cache sees any bytes.
+var funcEntryCodec = tiercache.Codec[*funcCacheEntry]{
+	Encode: encodeFuncEntry,
+	Decode: decodeFuncEntry,
 }
 
-// funcDecoder is a bounds-checked cursor with sticky error state.
-type funcDecoder struct {
-	buf []byte
-	err error
-}
-
-func (d *funcDecoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("truncated function-entry payload")
-	}
-}
-
-func (d *funcDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *funcDecoder) string() string {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(len(d.buf)) {
-		d.fail()
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
-}
-
-// PeerFetch fetches the sealed cachedisk record for a cache key from the
-// peer tier (ok=false on miss or total peer failure — any failure is just a
-// miss). Supplied by the server package so the checker never sees the
-// network.
-type PeerFetch func(key string) (sealed []byte, ok bool)
-
-// WithDisk attaches a disk tier: leader fills probe store before walking,
-// and every stored entry is persisted. Attach before sharing the cache
-// across goroutines. A nil store is a no-op.
+// WithDisk attaches a disk tier: lookups the memory tier misses probe store
+// before walking, and every stored entry is persisted. Attach before sharing
+// the cache across goroutines. A nil store is a no-op.
 func (c *FuncCache) WithDisk(store *cachedisk.Store) *FuncCache {
-	c.disk = store
+	c.Cache.WithDisk(store)
 	return c
 }
 
 // WithPeerFetch attaches a peer tier consulted when the disk tier misses.
 // Attach before sharing the cache across goroutines.
-func (c *FuncCache) WithPeerFetch(fetch PeerFetch) *FuncCache {
-	c.peerFetch = fetch
+func (c *FuncCache) WithPeerFetch(fetch tiercache.PeerFetch) *FuncCache {
+	c.Cache.WithPeerFetch(fetch)
 	return c
-}
-
-// DiskStats snapshots the attached disk store's counters (zero value when
-// none is attached).
-func (c *FuncCache) DiskStats() cachedisk.Stats {
-	return c.disk.Stats()
-}
-
-// externalLookup probes the disk then the peer tier for key. It runs on the
-// singleflight leader path only — waiters coalesce behind it exactly as they
-// do behind a walk — and outside the cache lock (disk and network I/O).
-// Verified entries are admitted to memory (and peer fetches written through
-// to disk); anything unverifiable is evicted at its source of truth and
-// counted, then reported as a miss so the leader walks fresh.
-func (c *FuncCache) externalLookup(key string) *funcCacheEntry {
-	if c.disk == nil && c.peerFetch == nil {
-		return nil
-	}
-	if payload, ok := c.disk.Get(key); ok {
-		e, err := decodeFuncEntry(payload)
-		if err != nil {
-			// Checksum-clean record, rotten payload: evict at the disk
-			// layer and count the rejection, same as a memory seal failure.
-			c.disk.Delete(key)
-			c.rejected.Add(1)
-		} else {
-			c.diskHits.Add(1)
-			c.put(key, e)
-			return e
-		}
-	}
-	if c.peerFetch == nil {
-		return nil
-	}
-	sealed, ok := c.peerFetch(key)
-	if !ok {
-		return nil
-	}
-	payload, err := cachedisk.Unseal(sealed, key)
-	if err != nil {
-		c.peerRejects.Add(1)
-		return nil
-	}
-	e, err := decodeFuncEntry(payload)
-	if err != nil {
-		c.peerRejects.Add(1)
-		return nil
-	}
-	c.peerHits.Add(1)
-	c.put(key, e)
-	c.disk.Put(key, encodeFuncEntry(e))
-	return e
-}
-
-// persist writes a freshly-filled entry through to the disk tier.
-func (c *FuncCache) persist(key string, e *funcCacheEntry) {
-	if c.disk == nil {
-		return
-	}
-	c.disk.Put(key, encodeFuncEntry(e))
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cachedisk"
@@ -187,9 +188,10 @@ func TestFuncCachePeerFetch(t *testing.T) {
 	// Node B has an empty disk and fetches from A by content address.
 	dirB := t.TempDir()
 	storeB, _ := cachedisk.Open(dirB, 0)
-	fetches := 0
+	// The per-function workers call the fetcher concurrently.
+	var fetches atomic.Int64
 	fcB := NewFuncCache(0).WithDisk(storeB).WithPeerFetch(func(key string) ([]byte, bool) {
-		fetches++
+		fetches.Add(1)
 		return storeA.GetSealedByHash(cachedisk.KeyHash(key))
 	})
 	got := checkCached(t, reg, cacheSrc, fcB)
@@ -197,8 +199,8 @@ func TestFuncCachePeerFetch(t *testing.T) {
 		t.Fatalf("peer-warmed check: %d hits, want 3", got.Stats.FuncCacheHits)
 	}
 	st := fcB.Stats()
-	if st.PeerHits != 3 || st.PeerRejects != 0 || fetches != 3 {
-		t.Fatalf("stats = %+v fetches=%d, want 3 verified peer hits", st, fetches)
+	if st.PeerHits != 3 || st.PeerRejects != 0 || fetches.Load() != 3 {
+		t.Fatalf("stats = %+v fetches=%d, want 3 verified peer hits", st, fetches.Load())
 	}
 	plain := checkCached(t, reg, cacheSrc, nil)
 	if a, b := fmt.Sprint(got.Diags), fmt.Sprint(plain.Diags); a != b {

@@ -67,10 +67,10 @@ func peerAuthTag(secret, record []byte) string {
 // peerClient fetches sealed cache records from `-cache-peers` nodes. It
 // performs exactly one check of its own — the transport-level fleet MAC,
 // when a secret is configured — and otherwise returns raw sealed bytes: the
-// cache layers (simplify.Cache, checker.FuncCache) do every integrity and
-// semantic check before admitting anything, so the client's remaining jobs
-// are transport, per-peer timeout, jittered exponential retry, and the
-// per-peer breaker.
+// tiered cache under both caches (internal/tiercache) unseals, decodes and
+// verifies every record through the cache's codec and admit gate before
+// admitting anything, so the client's remaining jobs are transport,
+// per-peer timeout, jittered exponential retry, and the per-peer breaker.
 type peerClient struct {
 	peers   []string
 	timeout time.Duration

@@ -23,6 +23,7 @@ import (
 	"repro/internal/quals"
 	"repro/internal/simplify"
 	"repro/internal/soundness"
+	"repro/internal/tiercache"
 )
 
 // Fault-injection points for the request path, one per handler stage (see
@@ -962,27 +963,12 @@ func (s *Server) doProve(ctx context.Context, req *ProveRequest) (int, any) {
 
 // ---- GET /metrics, GET /healthz ----
 
-// CacheSnapshot is the exported view of one cache's counters. Rejected
-// counts entries evicted by an integrity check on fetch (the function
-// cache's content seal); Coalesced counts lookups that joined another
-// request's in-flight fill instead of duplicating the work (the function
-// cache's singleflight). Both stay zero for caches without those paths.
+// CacheSnapshot is the /metrics view of one cache: its counters (see
+// tiercache.Stats) plus the derived hit rate and its memory size.
 type CacheSnapshot struct {
-	Hits      uint64  `json:"hits"`
-	Misses    uint64  `json:"misses"`
-	Coalesced uint64  `json:"coalesced,omitempty"`
-	Evictions uint64  `json:"evictions"`
-	Rejected  uint64  `json:"rejected,omitempty"`
-	HitRate   float64 `json:"hit_rate"`
-	Len       int     `json:"len"`
-	// External tiers (zero unless -cache-dir / -cache-peers are set):
-	// DiskHits counts memory misses served from disk, PeerHits misses
-	// served and verified from a peer, PeerRejects peer records refused by
-	// verification (bad seal, undecodable payload, failed certificate
-	// replay or content-seal recompute).
-	DiskHits    uint64 `json:"disk_hits,omitempty"`
-	PeerHits    uint64 `json:"peer_hits,omitempty"`
-	PeerRejects uint64 `json:"peer_rejects,omitempty"`
+	tiercache.Stats
+	HitRate float64 `json:"hit_rate"`
+	Len     int     `json:"len"`
 }
 
 // DiskSnapshot is the durable-cache section of GET /metrics: one
@@ -1061,17 +1047,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		QueueDepth:    len(s.jobs),
 		QueueCapacity: cap(s.jobs),
 		Draining:      s.draining.Load(),
-		FuncCache: CacheSnapshot{
-			Hits: fc.Hits, Misses: fc.Misses, Coalesced: fc.Coalesced,
-			Evictions: fc.Evictions, Rejected: fc.Rejected,
-			HitRate: fc.HitRate(), Len: s.funcCache.Len(),
-			DiskHits: fc.DiskHits, PeerHits: fc.PeerHits, PeerRejects: fc.PeerRejects,
-		},
-		ProverCache: CacheSnapshot{
-			Hits: pc.Hits, Misses: pc.Misses, Evictions: pc.Evictions,
-			HitRate: pc.HitRate(), Len: s.proverCache.Len(),
-			DiskHits: pc.DiskHits, PeerHits: pc.PeerHits, PeerRejects: pc.PeerRejects,
-		},
+		FuncCache:     CacheSnapshot{Stats: fc, HitRate: fc.HitRate(), Len: s.funcCache.Len()},
+		ProverCache:   CacheSnapshot{Stats: pc, HitRate: pc.HitRate(), Len: s.proverCache.Len()},
 		Prefilter: PrefilterSnapshot{
 			Attempts: pf.Attempts, Ground: pf.Ground, Unit: pf.Unit,
 			Interval: pf.Interval, Discharged: pf.Discharged(), HitRate: pf.HitRate(),

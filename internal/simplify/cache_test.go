@@ -1,9 +1,13 @@
 package simplify
 
 import (
+	"context"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/logic"
 )
@@ -159,5 +163,127 @@ func TestProveConcurrentSharedCache(t *testing.T) {
 	}
 	if s := shared.Cache().Stats(); s.Hits == 0 {
 		t.Error("no cache hits across concurrent repeated goals")
+	}
+}
+
+// holdFirstSearch parks the first search to reach an instantiation round
+// until release is closed; every later search passes straight through.
+func holdFirstSearch(t *testing.T) (entered <-chan struct{}, release chan struct{}) {
+	in := make(chan struct{})
+	release = make(chan struct{})
+	var held atomic.Bool
+	proveRoundHook = func() {
+		if held.CompareAndSwap(false, true) {
+			close(in)
+			<-release
+		}
+	}
+	t.Cleanup(func() { proveRoundHook = nil })
+	return in, release
+}
+
+// waitCoalesced spins until n lookups have joined an in-flight search.
+func waitCoalesced(c *Cache, n uint64) {
+	for c.Stats().Coalesced != n {
+		runtime.Gosched()
+	}
+}
+
+// TestProveCoalescesConcurrentSearches: N concurrent proofs of one goal on
+// a shared cache do one search. The others wait for it and share its stored
+// outcome, marked as a cache hit.
+func TestProveCoalescesConcurrentSearches(t *testing.T) {
+	const n = 8
+	c := NewCache(0)
+	p := New(unsatAxioms(), DefaultOptions()).WithCache(c)
+	goal := logic.P("R", logic.Const("c"))
+	entered, release := holdFirstSearch(t)
+	outs := make([]Outcome, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i] = p.Prove(goal)
+		}(i)
+	}
+	<-entered
+	waitCoalesced(c, n-1)
+	close(release)
+	wg.Wait()
+
+	if s := c.Stats(); s.Misses != 1 || s.Coalesced != n-1 || s.Hits != 0 {
+		t.Fatalf("stats %+v, want exactly 1 miss (the search) and %d coalesced", s, n-1)
+	}
+	searched := 0
+	for i, out := range outs {
+		if out.Result != Valid {
+			t.Errorf("caller %d: %v (%q), want Valid", i, out.Result, out.Reason)
+		}
+		if !out.CacheHit {
+			searched++
+		}
+	}
+	if searched != 1 {
+		t.Errorf("%d callers report a fresh search, want 1 (every waiter marked CacheHit)", searched)
+	}
+}
+
+// TestProveCanceledWaiterStopsWaiting: a caller whose context ends while it
+// waits on another caller's search stops waiting and proves under its own
+// context, returning a canceled Unknown; nothing transient is stored.
+func TestProveCanceledWaiterStopsWaiting(t *testing.T) {
+	c := NewCache(0)
+	p := New(triggerLoopAxioms(), divergentOptions(time.Minute)).WithCache(c)
+	entered, release := holdFirstSearch(t)
+	leaderCtx, stopLeader := context.WithCancel(context.Background())
+	defer stopLeader()
+	leader := make(chan Outcome, 1)
+	go func() { leader <- p.ProveContext(leaderCtx, unprovableGoal()) }()
+	<-entered
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan Outcome, 1)
+	go func() { waiter <- p.ProveContext(ctx, unprovableGoal()) }()
+	waitCoalesced(c, 1)
+	cancel()
+	// The leader is still parked, so the waiter must return on its own.
+	if out := <-waiter; out.Result != Unknown || out.Reason != ReasonCanceled || out.CacheHit {
+		t.Errorf("canceled waiter: %v (%q) hit=%t, want a canceled Unknown", out.Result, out.Reason, out.CacheHit)
+	}
+	stopLeader()
+	close(release)
+	if out := <-leader; !TransientReason(out.Reason) {
+		t.Fatalf("divergent leader: %v (%q), want a transient Unknown", out.Result, out.Reason)
+	}
+	if got := c.Len(); got != 0 {
+		t.Fatalf("%d transient outcome(s) stored", got)
+	}
+}
+
+// TestProveWaiterReprovesWhenLeaderUnstorable: when the search a caller
+// waited on may not be stored (its caller's context ended), the waiter runs
+// its own search, and that outcome is stored.
+func TestProveWaiterReprovesWhenLeaderUnstorable(t *testing.T) {
+	c := NewCache(0)
+	p := New(unsatAxioms(), DefaultOptions()).WithCache(c)
+	goal := logic.P("R", logic.Const("c"))
+	entered, release := holdFirstSearch(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	leader := make(chan Outcome, 1)
+	go func() { leader <- p.ProveContext(ctx, goal) }()
+	<-entered
+
+	waiter := make(chan Outcome, 1)
+	go func() { waiter <- p.Prove(goal) }()
+	waitCoalesced(c, 1)
+	cancel()
+	close(release)
+	<-leader
+	if out := <-waiter; out.Result != Valid || out.CacheHit {
+		t.Fatalf("waiter: %v (%q) hit=%t, want its own fresh Valid", out.Result, out.Reason, out.CacheHit)
+	}
+	if out := p.Prove(goal); !out.CacheHit {
+		t.Error("the waiter's own outcome was not stored")
 	}
 }

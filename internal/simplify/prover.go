@@ -27,6 +27,7 @@ import (
 	"repro/internal/cert"
 	"repro/internal/logic"
 	"repro/internal/memwatch"
+	"repro/internal/tiercache"
 )
 
 // Result is the prover's verdict on a goal.
@@ -305,49 +306,60 @@ func (p *Prover) ProveContext(ctx context.Context, goal logic.Formula) Outcome {
 	if p.baseErr != nil {
 		return Outcome{Result: Unknown, Reason: p.baseErr.Error()}
 	}
-	var key string
-	if p.cache != nil {
-		ck := logic.CanonicalString(goal)
-		key = p.fingerprint + "\x00" + ck
-		// Replay-on-fetch: under EmitCertificates a cache-served Valid is
-		// trusted only when it carries a certificate that replays for this
-		// goal — regardless of which tier (memory, disk, peer) produced it.
-		// A fresh Valid in emit mode always embeds its certificate, so a
-		// cert-less Valid here can only be tampered or stale external bytes;
-		// it is rejected exactly like a failed replay (mirroring
-		// verifyPeerOutcome's peer gate). The cache evicts a refused entry
-		// from every tier and counts it as a miss, and the goal is re-proved.
-		var admit admitFunc
-		if p.opts.EmitCertificates {
-			admit = func(out Outcome) bool {
-				switch {
-				case out.Result == Valid && out.Certificate == nil:
-					certRejected.Add(1)
-					return false
-				case out.Certificate != nil:
-					return p.replayFetched(out.Certificate, ck)
-				}
-				return true
-			}
-		}
-		if out, ok := p.cache.get(key, admit); ok {
-			out.CacheHit = true
-			return out
-		}
+	if p.cache == nil {
+		return p.proveSafe(ctx, goal)
 	}
-	out := p.proveSafe(ctx, goal)
-	// A canceled (or deadline-expired) parent context bypasses the cache no
-	// matter what reason the outcome carries: the context's deadline is not
-	// part of the cache fingerprint (unlike Options.GoalTimeout), and a search
-	// racing its cancellation may conclude with a nominally deterministic
-	// reason ("saturated", budget exhaustion) computed from a truncated
-	// search. Long-lived callers (qualserve) reuse one cache across requests
-	// with per-request deadlines, so a verdict minted under a dying request
-	// must never be replayed for a healthy one.
-	if p.cache != nil && cacheable(out) && ctx.Err() == nil {
-		p.cache.put(key, out)
+	ck := logic.CanonicalString(goal)
+	fill := func() (Outcome, bool) {
+		out := p.proveSafe(ctx, goal)
+		// A canceled (or deadline-expired) parent context bypasses the cache
+		// no matter what reason the outcome carries: the context's deadline is
+		// not part of the cache fingerprint (unlike Options.GoalTimeout), and a
+		// search racing its cancellation may conclude with a nominally
+		// deterministic reason ("saturated", budget exhaustion) computed from a
+		// truncated search. Long-lived callers (qualserve) reuse one cache
+		// across requests with per-request deadlines, so a verdict minted under
+		// a dying request must never be replayed for a healthy one.
+		return out, cacheable(out) && ctx.Err() == nil
 	}
+	out, src := p.cache.Do(ctx.Done(), p.fingerprint+"\x00"+ck, p.admitFetched(ck), fill)
+	switch src {
+	case tiercache.Computed:
+		return out
+	case tiercache.Abandoned:
+		// Our context ended while another caller searched this goal: stop
+		// waiting and prove under our own context, which returns promptly and
+		// is never stored.
+		return p.proveSafe(ctx, goal)
+	}
+	out.CacheHit = true
 	return out
+}
+
+// admitFetched is the cache's fetch-time gate for one goal. Under
+// EmitCertificates a cache-served Valid is trusted only when it carries a
+// certificate that replays for this goal — regardless of which tier
+// (memory, disk, peer) produced it. A fresh Valid in emit mode always embeds
+// its certificate, so a cert-less Valid here can only be tampered or stale
+// external bytes; it is rejected exactly like a failed replay (mirroring
+// verifyPeerOutcome's peer gate). The cache evicts a refused entry from
+// every tier, and the goal is re-proved. Callers coalesced onto another
+// caller's search skip the gate: equal keys mean equal fingerprints,
+// including cert=, and a fresh Valid has already passed sealCert.
+func (p *Prover) admitFetched(canonicalGoal string) func(Outcome) bool {
+	if !p.opts.EmitCertificates {
+		return nil
+	}
+	return func(out Outcome) bool {
+		switch {
+		case out.Result == Valid && out.Certificate == nil:
+			certRejected.Add(1)
+			return false
+		case out.Certificate != nil:
+			return p.replayFetched(out.Certificate, canonicalGoal)
+		}
+		return true
+	}
 }
 
 // replayFetched re-verifies a certificate served from the cache, checking

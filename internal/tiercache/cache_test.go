@@ -1,0 +1,212 @@
+package tiercache
+
+import (
+	"errors"
+	"runtime"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/cachedisk"
+)
+
+// stringCodec persists strings verbatim and refuses the payload "bad".
+var stringCodec = Codec[string]{
+	Encode: func(s string) []byte { return []byte(s) },
+	Decode: func(b []byte) (string, error) {
+		if string(b) == "bad" {
+			return "", errors.New("bad payload")
+		}
+		return string(b), nil
+	},
+}
+
+func noFill() (string, bool) { return "", false }
+
+func openStore(t *testing.T) *cachedisk.Store {
+	t.Helper()
+	st, err := cachedisk.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestCachePutRefreshesPresentKey pins the put-on-present-key contract: the
+// value and recency are refreshed in place, with no eviction counted and no
+// length change.
+func TestCachePutRefreshesPresentKey(t *testing.T) {
+	c := New(2, stringCodec)
+	c.store("k1", "valid")
+	c.store("k2", "first")
+	c.store("k1", "refreshed")
+	if s := c.Stats(); s.Evictions != 0 {
+		t.Fatalf("re-put of a present key counted %d eviction(s)", s.Evictions)
+	}
+	if got := c.Len(); got != 2 {
+		t.Fatalf("Len = %d after re-put, want 2", got)
+	}
+
+	// The re-put moved k1 to the front, so a third key evicts k2.
+	c.store("k3", "valid")
+	if v, src := c.Do(nil, "k1", nil, noFill); src != Memory || v != "refreshed" {
+		t.Errorf("k1 = (%q, %v), want the refreshed value present", v, src)
+	}
+	if _, src := c.Do(nil, "k2", nil, noFill); src == Memory {
+		t.Error("least-recently-used key survived eviction")
+	}
+	if s := c.Stats(); s.Evictions != 1 {
+		t.Errorf("evictions = %d, want exactly 1", s.Evictions)
+	}
+}
+
+// TestCacheStatsConsistentUnderConcurrentOverlap hammers one cache with
+// concurrent lookups and puts over overlapping keys. Capacity covers every
+// distinct key, so any eviction could only come from a present-key re-put
+// being miscounted; and every lookup must land in exactly one of Hits,
+// Misses and Coalesced. Run under -race this also gates the counter updates
+// themselves.
+func TestCacheStatsConsistentUnderConcurrentOverlap(t *testing.T) {
+	const (
+		keys         = 32
+		workers      = 8
+		opsPerWorker = 400
+	)
+	c := New(keys, stringCodec)
+	var gets atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < opsPerWorker; i++ {
+				k := "k" + strconv.Itoa((w*7+i)%keys)
+				if i%2 == 0 {
+					c.store(k, "valid")
+				} else {
+					c.Do(nil, k, nil, noFill)
+					gets.Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	s := c.Stats()
+	if s.Evictions != 0 {
+		t.Errorf("evictions = %d with capacity >= distinct keys: a present-key re-put evicted", s.Evictions)
+	}
+	if total := s.Hits + s.Misses + s.Coalesced; total != gets.Load() {
+		t.Errorf("Hits+Misses+Coalesced = %d, want %d (one of each per lookup)", total, gets.Load())
+	}
+	if got := c.Len(); got != keys {
+		t.Errorf("Len = %d, want %d", got, keys)
+	}
+}
+
+// TestRefusedEntryEvictedEverywhere: a memory entry admit refuses is dropped
+// from memory and from disk and counted as Rejected, and the lookup goes on
+// to fill. A disk record the decoder refuses is deleted and counted the same
+// way.
+func TestRefusedEntryEvictedEverywhere(t *testing.T) {
+	store := openStore(t)
+	c := New(4, stringCodec)
+	c.WithDisk(store)
+	c.store("k", "stale")
+	refuseStale := func(v string) bool { return v != "stale" }
+	v, src := c.Do(nil, "k", refuseStale, func() (string, bool) { return "fresh", true })
+	if src != Computed || v != "fresh" {
+		t.Fatalf("refused entry: got (%q, %v), want a fresh fill", v, src)
+	}
+	if s := c.Stats(); s.Rejected != 1 || s.Hits != 0 || s.Misses != 1 {
+		t.Fatalf("stats %+v, want 1 rejected, 0 hits, 1 miss", s)
+	}
+	if ds := store.Stats(); ds.CorruptEvicted != 1 {
+		t.Fatalf("disk stats %+v, want the refused record deleted", ds)
+	}
+
+	store.Put("bad key", []byte("bad"))
+	if _, src := c.Do(nil, "bad key", nil, noFill); src != Computed {
+		t.Fatalf("undecodable disk record served from %v", src)
+	}
+	if s := c.Stats(); s.Rejected != 2 || s.DiskHits != 0 {
+		t.Fatalf("stats %+v, want the undecodable record rejected", s)
+	}
+	if _, ok := store.Get("bad key"); ok {
+		t.Fatal("undecodable disk record survived")
+	}
+}
+
+// TestPeerValueWrittenThroughDiskValueNot: a peer value is stored to disk,
+// a disk value is promoted to memory without being written again, and a
+// refused peer record is counted and never written.
+func TestPeerValueWrittenThroughDiskValueNot(t *testing.T) {
+	peer := map[string][]byte{
+		"good": cachedisk.Seal("good", []byte("from peer")),
+		"bad":  cachedisk.Seal("bad", []byte("bad")),
+	}
+	store := openStore(t)
+	c := New(4, stringCodec)
+	c.WithDisk(store)
+	c.WithPeerFetch(func(key string) ([]byte, bool) {
+		rec, ok := peer[key]
+		return rec, ok
+	})
+	if v, src := c.Do(nil, "good", nil, noFill); src != Peer || v != "from peer" {
+		t.Fatalf("got (%q, %v), want the peer value", v, src)
+	}
+	if _, src := c.Do(nil, "bad", nil, noFill); src != Computed {
+		t.Fatalf("refused peer record served from %v", src)
+	}
+	if ds := store.Stats(); ds.Puts != 1 {
+		t.Fatalf("disk puts = %d, want only the accepted peer value", ds.Puts)
+	}
+
+	c2 := New(4, stringCodec)
+	c2.WithDisk(store)
+	if v, src := c2.Do(nil, "good", nil, noFill); src != Disk || v != "from peer" {
+		t.Fatalf("restart: got (%q, %v), want the disk value", v, src)
+	}
+	if ds := store.Stats(); ds.Puts != 1 {
+		t.Fatalf("disk puts = %d after a disk hit, want it not rewritten", ds.Puts)
+	}
+	if s := c.Stats(); s.PeerHits != 1 || s.PeerRejects != 1 {
+		t.Fatalf("stats %+v, want 1 peer hit and 1 peer reject", s)
+	}
+}
+
+// TestFillPanicReleasesWaiters: a filling caller that panics still retires
+// its flight, and a waiter computes its own value instead of hanging.
+func TestFillPanicReleasesWaiters(t *testing.T) {
+	c := New(4, stringCodec)
+	entered, release := make(chan struct{}), make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Do(nil, "k", nil, func() (string, bool) {
+			close(entered)
+			<-release
+			panic("fill failed")
+		})
+	}()
+	<-entered
+	got := make(chan Source, 1)
+	go func() {
+		_, src := c.Do(nil, "k", nil, func() (string, bool) { return "own", true })
+		got <- src
+	}()
+	for c.Stats().Coalesced != 1 {
+		runtime.Gosched()
+	}
+	close(release)
+	if r := <-panicked; r == nil {
+		t.Fatal("the fill's panic did not reach its caller")
+	}
+	if src := <-got; src != Computed {
+		t.Fatalf("waiter got %v, want its own fill", src)
+	}
+	if v, src := c.Do(nil, "k", nil, noFill); src != Memory || v != "own" {
+		t.Fatalf("waiter's storable fill not stored: (%q, %v)", v, src)
+	}
+}
