@@ -11,7 +11,8 @@
 // snapshot. -max-regress turns the same comparison into a CI gate: if the
 // current overall geomean falls more than the given fraction below the
 // previous document's, benchjson exits nonzero (`make bench-smoke` uses this
-// with 0.10).
+// with 0.10). Pass or fail, the gate first prints each family's geomean next
+// to the previous document's on stderr, so a moved geomean names its family.
 //
 // Usage:
 //
@@ -257,6 +258,7 @@ func main() {
 				d.History = d.History[n-maxHistory:]
 			}
 			if *maxRegress > 0 {
+				printFamilies(os.Stderr, d.Families, prev.Families)
 				if err := gate(d.GeomeanSpeedup, prev.GeomeanSpeedup, *maxRegress); err != nil {
 					fatal(err)
 				}
@@ -289,6 +291,23 @@ func loadPrev(path string) (*doc, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return &d, nil
+}
+
+// printFamilies writes one line per family of the current run to w: its
+// geomean speedup next to the previous document's for the same family.
+func printFamilies(w io.Writer, cur, prev []familyEntry) {
+	was := map[string]float64{}
+	for _, f := range prev {
+		was[f.Name] = f.GeomeanSpeedup
+	}
+	for _, f := range cur {
+		if p, ok := was[f.Name]; ok && p > 0 {
+			fmt.Fprintf(w, "benchjson: %s: %.2fx vs previous %.2fx (%+.0f%%)\n",
+				f.Name, f.GeomeanSpeedup, p, 100*(f.GeomeanSpeedup/p-1))
+		} else {
+			fmt.Fprintf(w, "benchjson: %s: %.2fx (no previous value)\n", f.Name, f.GeomeanSpeedup)
+		}
+	}
 }
 
 // gate is the regression check: the current run's overall geomean speedup

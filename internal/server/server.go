@@ -982,53 +982,38 @@ type DiskSnapshot struct {
 }
 
 // PrefilterSnapshot is the process-wide prefilter section of GET /metrics:
-// how many goals each cheap tier discharged before the full engine ran.
+// how many goals each cheap tier discharged before the full engine ran (see
+// simplify.PrefilterCounters) plus the derived total and hit rate.
 type PrefilterSnapshot struct {
-	Attempts   uint64  `json:"attempts"`
-	Ground     uint64  `json:"ground"`
-	Unit       uint64  `json:"unit"`
-	Interval   uint64  `json:"interval"`
+	simplify.PrefilterCounters
 	Discharged uint64  `json:"discharged"`
 	HitRate    float64 `json:"hit_rate"`
-}
-
-// LemmaSnapshot is the CDCL learned-lemma section of GET /metrics:
-// process-wide learn/forget totals plus this server's shared pool state.
-type LemmaSnapshot struct {
-	Learned   uint64 `json:"learned"`
-	Forgotten uint64 `json:"forgotten"`
-	Pools     int    `json:"pools"`
-	Pooled    int    `json:"pooled"`
-	Added     uint64 `json:"added"`
-	Dropped   uint64 `json:"dropped"`
 }
 
 // MetricsResponse is the body of GET /metrics.
 type MetricsResponse struct {
 	Snapshot
-	Workers       int                   `json:"workers"`
-	QueueDepth    int                   `json:"queue_depth"`
-	QueueCapacity int                   `json:"queue_capacity"`
-	Draining      bool                  `json:"draining"`
-	FuncCache     CacheSnapshot         `json:"func_cache"`
-	ProverCache   CacheSnapshot         `json:"prover_cache"`
-	Prefilter     PrefilterSnapshot     `json:"prefilter"`
-	Lemmas        LemmaSnapshot         `json:"lemmas"`
-	Certs         simplify.CertCounters `json:"certs"`
-	BudgetTrips   uint64                `json:"budget_trips"`
-	FaultsArmed   bool                  `json:"faults_armed"`
-	FaultFires    map[string]uint64     `json:"fault_fires,omitempty"`
-	Breaker       BreakerSnapshot       `json:"breaker"`
-	Disk          *DiskSnapshot         `json:"disk,omitempty"`
-	Peers         *PeerSnapshot         `json:"peers,omitempty"`
+	Workers       int                    `json:"workers"`
+	QueueDepth    int                    `json:"queue_depth"`
+	QueueCapacity int                    `json:"queue_capacity"`
+	Draining      bool                   `json:"draining"`
+	FuncCache     CacheSnapshot          `json:"func_cache"`
+	ProverCache   CacheSnapshot          `json:"prover_cache"`
+	Prefilter     PrefilterSnapshot      `json:"prefilter"`
+	Lemmas        simplify.LemmaCounters `json:"lemmas"`
+	Certs         simplify.CertCounters  `json:"certs"`
+	BudgetTrips   uint64                 `json:"budget_trips"`
+	FaultsArmed   bool                   `json:"faults_armed"`
+	FaultFires    map[string]uint64      `json:"fault_fires,omitempty"`
+	Breaker       BreakerSnapshot        `json:"breaker"`
+	Disk          *DiskSnapshot          `json:"disk,omitempty"`
+	Peers         *PeerSnapshot          `json:"peers,omitempty"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fc := s.funcCache.Stats()
 	pc := s.proverCache.Stats()
 	pf := simplify.GlobalPrefilterCounters()
-	lc := simplify.GlobalLemmaCounters()
-	ls := s.proverCache.LemmaStats()
 	var disk *DiskSnapshot
 	if s.cfg.CacheDir != "" {
 		disk = &DiskSnapshot{Dir: s.cfg.CacheDir, Func: s.diskFunc.Stats(), Prover: s.diskProver.Stats()}
@@ -1050,13 +1035,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		FuncCache:     CacheSnapshot{Stats: fc, HitRate: fc.HitRate(), Len: s.funcCache.Len()},
 		ProverCache:   CacheSnapshot{Stats: pc, HitRate: pc.HitRate(), Len: s.proverCache.Len()},
 		Prefilter: PrefilterSnapshot{
-			Attempts: pf.Attempts, Ground: pf.Ground, Unit: pf.Unit,
-			Interval: pf.Interval, Discharged: pf.Discharged(), HitRate: pf.HitRate(),
+			PrefilterCounters: pf, Discharged: pf.Discharged(), HitRate: pf.HitRate(),
 		},
-		Lemmas: LemmaSnapshot{
-			Learned: lc.Learned, Forgotten: lc.Forgotten,
-			Pools: ls.Pools, Pooled: ls.Lemmas, Added: ls.Added, Dropped: ls.Dropped,
-		},
+		Lemmas:      simplify.GlobalLemmaCounters(),
 		Certs:       simplify.GlobalCertCounters(),
 		BudgetTrips: simplify.BudgetTrips(),
 		FaultsArmed: faults.Armed(),

@@ -215,12 +215,10 @@ func litFalseGround(l ilit, db *clauseDB) bool {
 // fact, emitted as a unit theory step; the clause then falsifies under
 // unit propagation and the empty clause follows. If no such clause
 // exists (a clausifier bug), nothing is emitted and the certificate
-// fails its own replay — a sound, transient degrade.
-func emitGroundCert(cb *certBuilder, db *clauseDB) {
-	for i, cl := range db.clauses {
-		if !db.taint[i] {
-			continue
-		}
+// fails its own replay — a sound, transient degrade. goalClauses are the
+// negated goal's clauses, the only ones the scan needs to look at.
+func emitGroundCert(cb *certBuilder, db *clauseDB, goalClauses [][]ilit) {
+	for _, cl := range goalClauses {
 		allFalse := true
 		for _, l := range cl {
 			if !litFalseGround(l, db) {
@@ -260,15 +258,13 @@ func emitIntervalCert(cb *certBuilder, assign []int8) {
 // sealCert finishes the builder's certificate, verifies it with the
 // independent replay checker, and attaches it to out. On a rejection
 // (or an injected cert fault) out is degraded in place to a transient,
-// uncached Unknown and false is returned — callers must then return
-// without publishing lemmas, so nothing derived alongside an
-// unreplayable proof escapes the goal.
-func (p *Prover) sealCert(cb *certBuilder, db *clauseDB, goal logic.Formula, out *Outcome, tk *ticker) bool {
+// uncached Unknown.
+func (p *Prover) sealCert(cb *certBuilder, db *clauseDB, goal logic.Formula, out *Outcome, tk *ticker) {
 	fireInto(fpCertEmit, tk)
 	if tk.reason != "" {
 		out.Result = Unknown
 		out.Reason = tk.reason
-		return false
+		return
 	}
 	crt := cb.finish(db, logic.CanonicalString(goal))
 	verr := fpCertReplay.FireErr()
@@ -281,12 +277,11 @@ func (p *Prover) sealCert(cb *certBuilder, db *clauseDB, goal logic.Formula, out
 		out.Result = Unknown
 		out.Reason = "cert: replay rejected: " + verr.Error()
 		out.CounterExample = nil
-		return false
+		return
 	}
 	certEmitted.Add(1)
 	certReplayed.Add(1)
 	out.Stats.CertsEmitted = 1
 	out.Stats.CertsReplayed = 1
 	out.Certificate = crt
-	return true
 }

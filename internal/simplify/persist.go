@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cachedisk"
 	"repro/internal/cert"
 	"repro/internal/tiercache"
 )
@@ -34,10 +33,10 @@ func encodeOutcome(out Outcome) []byte {
 	b = append(b, outcomeMagic...)
 	b = append(b, outcomeVersion)
 	b = binary.AppendUvarint(b, uint64(out.Result))
-	b = binary.AppendUvarint(b, uint64(out.Rounds))
-	b = binary.AppendUvarint(b, uint64(out.Instances))
-	b = binary.AppendUvarint(b, uint64(out.GroundClauses))
-	b = binary.AppendUvarint(b, uint64(out.Decisions))
+	b = binary.AppendUvarint(b, uint64(out.Stats.Rounds))
+	b = binary.AppendUvarint(b, uint64(out.Stats.Instantiations))
+	b = binary.AppendUvarint(b, uint64(out.Stats.GroundClauses))
+	b = binary.AppendUvarint(b, uint64(out.Stats.Decisions))
 	b = tiercache.AppendString(b, out.Reason)
 	b = binary.AppendUvarint(b, uint64(len(out.CounterExample)))
 	for _, lit := range out.CounterExample {
@@ -67,10 +66,10 @@ func decodeOutcome(data []byte) (Outcome, error) {
 	}
 	var out Outcome
 	out.Result = Result(d.Uvarint())
-	out.Rounds = int(d.Uvarint())
-	out.Instances = int(d.Uvarint())
-	out.GroundClauses = int(d.Uvarint())
-	out.Decisions = int(d.Uvarint())
+	out.Stats.Rounds = int(d.Uvarint())
+	out.Stats.Instantiations = int(d.Uvarint())
+	out.Stats.GroundClauses = int(d.Uvarint())
+	out.Stats.Decisions = int(d.Uvarint())
 	out.Reason = d.Text()
 	n := d.Uvarint()
 	if n > maxPersistList {
@@ -108,13 +107,6 @@ func decodeOutcome(data []byte) (Outcome, error) {
 	if TransientReason(out.Reason) {
 		return Outcome{}, fmt.Errorf("transient outcome %q in persisted record", out.Reason)
 	}
-	// Mirror the counters into Stats exactly as proveSafe does, so a
-	// disk-served outcome aggregates like a fresh one (wall time excepted —
-	// no search ran).
-	out.Stats.Rounds = out.Rounds
-	out.Stats.Decisions = out.Decisions
-	out.Stats.Instantiations = out.Instances
-	out.Stats.GroundClauses = out.GroundClauses
 	return out, nil
 }
 
@@ -125,21 +117,6 @@ var outcomeCodec = tiercache.Codec[Outcome]{
 	Encode:     encodeOutcome,
 	Decode:     decodeOutcome,
 	VerifyPeer: verifyPeerOutcome,
-}
-
-// WithDisk attaches a disk tier: memory misses probe store, and every
-// memoized outcome is persisted to it. Must be called before the cache is
-// shared across goroutines. A nil store is a no-op.
-func (c *Cache) WithDisk(store *cachedisk.Store) *Cache {
-	c.Cache.WithDisk(store)
-	return c
-}
-
-// WithPeerFetch attaches a peer tier consulted after the disk tier misses.
-// Must be called before the cache is shared across goroutines.
-func (c *Cache) WithPeerFetch(fetch tiercache.PeerFetch) *Cache {
-	c.Cache.WithPeerFetch(fetch)
-	return c
 }
 
 // verifyPeerOutcome admits a peer-fetched outcome only when a Valid verdict

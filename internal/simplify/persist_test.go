@@ -2,8 +2,10 @@ package simplify
 
 import (
 	"context"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/cachedisk"
@@ -24,12 +26,19 @@ func provedOutcome(t *testing.T) (Outcome, string) {
 	return out, p.fingerprint + "\x00" + logic.CanonicalString(goal)
 }
 
+// diskCache returns a fresh cache with store attached as its disk tier.
+func diskCache(store *cachedisk.Store) *Cache {
+	c := NewCache(0)
+	c.WithDisk(store)
+	return c
+}
+
 func TestOutcomeCodecRoundtrip(t *testing.T) {
 	valid, _ := provedOutcome(t)
 	cases := []Outcome{
 		valid,
-		{Result: Unknown, Reason: "saturated", Rounds: 3, Instances: 41,
-			GroundClauses: 12, Decisions: 7,
+		{Result: Unknown, Reason: "saturated",
+			Stats:          Stats{Rounds: 3, Instantiations: 41, GroundClauses: 12, Decisions: 7},
 			CounterExample: []string{"Q(a)", "¬R(b)", ""}},
 		{Result: Valid, TraceHash: "deadbeef"},
 	}
@@ -43,8 +52,8 @@ func TestOutcomeCodecRoundtrip(t *testing.T) {
 			t.Errorf("case %d: CacheHit persisted", i)
 		}
 		if got.Result != in.Result || got.Reason != in.Reason ||
-			got.Rounds != in.Rounds || got.Instances != in.Instances ||
-			got.GroundClauses != in.GroundClauses || got.Decisions != in.Decisions ||
+			got.Stats.Rounds != in.Stats.Rounds || got.Stats.Instantiations != in.Stats.Instantiations ||
+			got.Stats.GroundClauses != in.Stats.GroundClauses || got.Stats.Decisions != in.Stats.Decisions ||
 			got.TraceHash != in.TraceHash {
 			t.Errorf("case %d: fields mangled:\n got %+v\nwant %+v", i, got, in)
 		}
@@ -64,10 +73,37 @@ func TestOutcomeCodecRoundtrip(t *testing.T) {
 				t.Errorf("case %d: round-tripped certificate rejected: %v", i, err)
 			}
 		}
-		// Stats mirror: a decoded outcome aggregates like a fresh one.
-		if got.Stats.Rounds != in.Rounds || got.Stats.Decisions != in.Decisions ||
-			got.Stats.Instantiations != in.Instances || got.Stats.GroundClauses != in.GroundClauses {
-			t.Errorf("case %d: Stats mirror missing: %+v", i, got.Stats)
+	}
+}
+
+// TestOutcomeCodecPinnedBytes pins the QPV payload of two fixed outcomes:
+// a layout change must bump outcomeVersion, or cache directories already on
+// disk would decode into different outcomes. Decoding the pinned bytes must
+// yield the same outcomes back.
+func TestOutcomeCodecPinnedBytes(t *testing.T) {
+	cases := []struct {
+		out Outcome
+		hex string
+	}{
+		{Outcome{Result: Unknown, Reason: "saturated without contradiction",
+			Stats:          Stats{Rounds: 3, Instantiations: 41, GroundClauses: 12, Decisions: 7},
+			CounterExample: []string{"Q(a)", "¬R(b)"}, TraceHash: "00c0ffee00c0ffee"},
+			"515056010003290c071f73617475726174656420776974686f757420636f6e74726164696374696f6e02045128612906c2ac52286229103030633066666565303063306666656500"},
+		{Outcome{Result: Valid, Reason: ReasonPrefilterInterval,
+			Stats: Stats{Rounds: 1, GroundClauses: 5}, TraceHash: "0123456789abcdef"},
+			"5150560101010005001c70726566696c7465723a20696e74657276616c20616e616c7973697300103031323334353637383961626364656600"},
+	}
+	for i, tc := range cases {
+		if got := hex.EncodeToString(encodeOutcome(tc.out)); got != tc.hex {
+			t.Errorf("case %d: encoded\n got %s\nwant %s", i, got, tc.hex)
+		}
+		data, _ := hex.DecodeString(tc.hex)
+		got, err := decodeOutcome(data)
+		if err != nil {
+			t.Fatalf("case %d: decode: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, tc.out) {
+			t.Errorf("case %d: decoded\n got %+v\nwant %+v", i, got, tc.out)
 		}
 	}
 }
@@ -106,7 +142,7 @@ func TestCacheDiskTierWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewCache(0).WithDisk(store)
+	cache := diskCache(store)
 	p := New(unsatAxioms(), certOptions()).WithCache(cache)
 	goal := logic.P("R", logic.Const("c"))
 	first := p.Prove(goal)
@@ -119,7 +155,7 @@ func TestCacheDiskTierWarmRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache2 := NewCache(0).WithDisk(store2)
+	cache2 := diskCache(store2)
 	p2 := New(unsatAxioms(), certOptions()).WithCache(cache2)
 	warm := p2.Prove(goal)
 	if warm.Result != Valid || !warm.CacheHit {
@@ -144,7 +180,7 @@ func TestCacheDiskTierWarmRestart(t *testing.T) {
 func TestCacheDiskTierPoisonedPayloadReproves(t *testing.T) {
 	dir := t.TempDir()
 	store, _ := cachedisk.Open(dir, 0)
-	p := New(unsatAxioms(), certOptions()).WithCache(NewCache(0).WithDisk(store))
+	p := New(unsatAxioms(), certOptions()).WithCache(diskCache(store))
 	goal := logic.P("R", logic.Const("c"))
 	p.Prove(goal)
 
@@ -161,7 +197,7 @@ func TestCacheDiskTierPoisonedPayloadReproves(t *testing.T) {
 	}
 
 	store2, _ := cachedisk.Open(dir, 0)
-	cache2 := NewCache(0).WithDisk(store2)
+	cache2 := diskCache(store2)
 	p2 := New(unsatAxioms(), certOptions()).WithCache(cache2)
 	out := p2.Prove(goal)
 	if out.Result != Valid || out.CacheHit {
@@ -172,7 +208,7 @@ func TestCacheDiskTierPoisonedPayloadReproves(t *testing.T) {
 	}
 	// The re-prove wrote a clean record back; a third cold start hits it.
 	store3, _ := cachedisk.Open(dir, 0)
-	p3 := New(unsatAxioms(), certOptions()).WithCache(NewCache(0).WithDisk(store3))
+	p3 := New(unsatAxioms(), certOptions()).WithCache(diskCache(store3))
 	if out := p3.Prove(goal); !out.CacheHit {
 		t.Fatal("healed record not served")
 	}
@@ -187,7 +223,7 @@ func TestCacheDiskTierPoisonedPayloadReproves(t *testing.T) {
 func TestDiskValidWithoutCertificateReproves(t *testing.T) {
 	dir := t.TempDir()
 	store, _ := cachedisk.Open(dir, 0)
-	p := New(unsatAxioms(), certOptions()).WithCache(NewCache(0).WithDisk(store))
+	p := New(unsatAxioms(), certOptions()).WithCache(diskCache(store))
 	goal := logic.P("R", logic.Const("c"))
 	first := p.Prove(goal)
 	if first.Result != Valid || first.Certificate == nil {
@@ -206,7 +242,7 @@ func TestDiskValidWithoutCertificateReproves(t *testing.T) {
 	}
 
 	store2, _ := cachedisk.Open(dir, 0)
-	cache2 := NewCache(0).WithDisk(store2)
+	cache2 := diskCache(store2)
 	p2 := New(unsatAxioms(), certOptions()).WithCache(cache2)
 	out := p2.Prove(goal)
 	if out.Result != Valid || out.CacheHit {
@@ -224,7 +260,7 @@ func TestDiskValidWithoutCertificateReproves(t *testing.T) {
 	// The re-prove healed the record: a cold third start serves a Valid that
 	// again carries its certificate.
 	store3, _ := cachedisk.Open(dir, 0)
-	cache3 := NewCache(0).WithDisk(store3)
+	cache3 := diskCache(store3)
 	p3 := New(unsatAxioms(), certOptions()).WithCache(cache3)
 	healed := p3.Prove(goal)
 	if !healed.CacheHit || healed.Certificate == nil {
@@ -245,7 +281,8 @@ func TestPeerFetchVerifiedPath(t *testing.T) {
 
 	dir := t.TempDir()
 	store, _ := cachedisk.Open(dir, 0)
-	cache := NewCache(0).WithDisk(store).WithPeerFetch(func(k string) ([]byte, bool) {
+	cache := diskCache(store)
+	cache.WithPeerFetch(func(k string) ([]byte, bool) {
 		rec, ok := serve[k]
 		return rec, ok
 	})
@@ -293,7 +330,8 @@ func TestPeerFetchRejectsUnverifiable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cache := NewCache(0).WithPeerFetch(func(string) ([]byte, bool) {
+			cache := NewCache(0)
+			cache.WithPeerFetch(func(string) ([]byte, bool) {
 				return tc.sealed, true
 			})
 			p := New(unsatAxioms(), certOptions()).WithCache(cache)
@@ -317,7 +355,7 @@ func TestDiskTierNeverStoresTransients(t *testing.T) {
 	// persisted, and nothing may be served on retry.
 	dir := t.TempDir()
 	store, _ := cachedisk.Open(dir, 0)
-	p := New(unsatAxioms(), certOptions()).WithCache(NewCache(0).WithDisk(store))
+	p := New(unsatAxioms(), certOptions()).WithCache(diskCache(store))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	out := p.ProveContext(ctx, logic.P("R", logic.Const("c")))

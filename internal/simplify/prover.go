@@ -119,12 +119,8 @@ func DefaultOptions() Options {
 
 // Outcome reports the verdict plus search statistics.
 type Outcome struct {
-	Result        Result
-	Rounds        int
-	Instances     int
-	GroundClauses int
-	Decisions     int
-	Reason        string
+	Result Result
+	Reason string
 	// CounterExample lists the literals of a theory-consistent assignment
 	// found while the goal remained unrefuted (populated on Unknown when
 	// the search saturated). It is the prover's explanation of "why not":
@@ -138,11 +134,10 @@ type Outcome struct {
 	CacheHit bool
 	// TraceHash is a deterministic fingerprint of the CDCL engine's
 	// decision/conflict/learn/backjump/restart event stream (hex). Identical
-	// inputs — goal, axioms, options, and any imported lemmas — produce
-	// identical hashes; the determinism regression tests pin this.
+	// inputs — goal, axioms, options — produce identical hashes; the
+	// determinism regression tests pin this.
 	TraceHash string
-	// Stats is the goal's search telemetry (duplicating the counters above
-	// plus the theory-level ones and wall time, in one aggregatable struct).
+	// Stats is the goal's search telemetry in one aggregatable struct.
 	Stats Stats
 	// Certificate is the replayable refutation backing a Valid verdict,
 	// present only when Options.EmitCertificates is on. It has already
@@ -152,7 +147,7 @@ type Outcome struct {
 
 func (o Outcome) String() string {
 	return fmt.Sprintf("%s (rounds=%d instances=%d ground=%d decisions=%d)",
-		o.Result, o.Rounds, o.Instances, o.GroundClauses, o.Decisions)
+		o.Result, o.Stats.Rounds, o.Stats.Instantiations, o.Stats.GroundClauses, o.Stats.Decisions)
 }
 
 // Prover holds a background axiom set and proves goals against it.
@@ -439,11 +434,6 @@ func (p *Prover) proveSafe(ctx context.Context, goal logic.Formula) (out Outcome
 		if r := recover(); r != nil {
 			out = Outcome{Result: Unknown, Reason: fmt.Sprintf("panic: %v", r)}
 		}
-		// Mirror the top-level counters into the aggregatable Stats view.
-		out.Stats.Rounds = out.Rounds
-		out.Stats.Decisions = out.Decisions
-		out.Stats.Instantiations = out.Instances
-		out.Stats.GroundClauses = out.GroundClauses
 		out.Stats.WallTime = time.Since(start)
 	}()
 	return p.prove2(goal, newTicker(ctx, start, p.opts.GoalTimeout))

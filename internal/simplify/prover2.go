@@ -13,22 +13,17 @@ import (
 // theory solvers are created once per goal and rewound to their base marks
 // between rounds.
 //
-// Two layers wrap the per-round CDCL search. In front, the prefilter tier
-// (prefilter.go) discharges easy goals before the theory solvers are built.
-// Around it, lemma plumbing: learned clauses carry from round to round
-// within a goal (they stay implied as the clause set only grows), and the
-// untainted ones — implied by the axiom base alone — flow through the
-// cache's per-fingerprint lemma pool into later goals over the same axioms.
+// In front of the per-round CDCL search, the prefilter tier (prefilter.go)
+// discharges easy goals before the theory solvers are built. Learned clauses
+// carry from round to round within a goal (they stay implied as the clause
+// set only grows); nothing carries from one goal to the next.
 
 // clauseDB is the interned ground clause set, deduplicated by literal-set
-// content keys. taint marks clauses derived from the negated goal (directly
-// or by instantiating a goal-derived quantified clause); lemmas that resolve
-// against tainted clauses must not be shared across goals.
+// content keys.
 type clauseDB struct {
 	tt      *logic.TermTable
 	at      *atomTable
 	clauses [][]ilit
-	taint   []bool
 	seen    map[string]bool
 }
 
@@ -37,7 +32,7 @@ func newClauseDB(tt *logic.TermTable, at *atomTable) *clauseDB {
 }
 
 // add dedups and appends one interned clause, reporting whether it was new.
-func (db *clauseDB) add(lits []ilit, tainted bool) bool {
+func (db *clauseDB) add(lits []ilit) bool {
 	lits = dedupLits(lits)
 	k := clauseKey(lits)
 	if db.seen[k] {
@@ -45,17 +40,16 @@ func (db *clauseDB) add(lits []ilit, tainted bool) bool {
 	}
 	db.seen[k] = true
 	db.clauses = append(db.clauses, lits)
-	db.taint = append(db.taint, tainted)
 	return true
 }
 
 // addGround interns and adds one ground logic.Clause.
-func (db *clauseDB) addGround(c logic.Clause, tainted bool) bool {
+func (db *clauseDB) addGround(c logic.Clause) bool {
 	lits := make([]ilit, len(c.Lits))
 	for i, l := range c.Lits {
 		lits[i] = db.at.internLit(l, db.tt)
 	}
-	return db.add(lits, tainted)
+	return db.add(lits)
 }
 
 // trichotomy2 adds (l < r) || (l = r) || (l > r) for every equality atom
@@ -63,8 +57,7 @@ func (db *clauseDB) addGround(c logic.Clause, tainted bool) bool {
 // (e.g. x != 0 |- x < 0 or x > 0). A term is numeric if it appears under an
 // order comparison or an arithmetic operator (its opaque atoms and the full
 // term are both marked), closed over equality pairs, with integer literals
-// numeric by construction. Returns the number of clauses added. Trichotomy
-// clauses are integer-theory facts, untainted by the goal.
+// numeric by construction. Returns the number of clauses added.
 func trichotomy2(db *clauseDB, ar *arithSolver2, seenTri map[[2]logic.TermID]bool, tk *ticker) int {
 	tt, at := db.tt, db.at
 	numeric := map[logic.TermID]bool{}
@@ -119,7 +112,7 @@ func trichotomy2(db *clauseDB, ar *arithSolver2, seenTri map[[2]logic.TermID]boo
 			// l > r canonicalizes to r < l.
 			mkLit(at.intern(atomKey{op: int8(logic.LtOp), l: pr[1], r: pr[0]}), false),
 		}
-		if db.add(lits, false) {
+		if db.add(lits) {
 			added++
 		}
 	}
@@ -132,14 +125,16 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 	sk := p.baseSk.Clone()
 	quant := make([]logic.Clause, len(p.baseQuant), len(p.baseQuant)+16)
 	copy(quant, p.baseQuant)
-	qTaint := make([]bool, len(quant), cap(quant))
 
 	tt := logic.NewTermTable()
 	at := newAtomTable()
 	db := newClauseDB(tt, at)
 	for _, c := range p.baseGround {
-		db.addGround(c, false)
+		db.addGround(c)
 	}
+	// The negated goal's ground clauses follow the base ones; the prefilter
+	// adds none, so at prefilter time they are exactly db.clauses[nBase:].
+	nBase := len(db.clauses)
 	{
 		cs, err := logic.Clausify(logic.Not{F: goal}, sk)
 		if err != nil {
@@ -147,13 +142,12 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 		}
 		for _, c := range cs {
 			if c.IsGround() {
-				db.addGround(c, true)
+				db.addGround(c)
 			} else {
 				if len(c.Triggers) == 0 {
 					c.Triggers = inferTriggers(c)
 				}
 				quant = append(quant, c)
-				qTaint = append(qTaint, true)
 			}
 		}
 	}
@@ -162,7 +156,7 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 	stopped := func() Outcome {
 		out.Result = Unknown
 		out.Reason = tk.reason
-		out.GroundClauses = len(db.clauses)
+		out.Stats.GroundClauses = len(db.clauses)
 		return out
 	}
 	p.installLimits(tk, tt.Len, func() int { return len(db.clauses) })
@@ -191,7 +185,7 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 		}
 		if tier != prefilterNone {
 			out.Result = Valid
-			out.GroundClauses = len(db.clauses)
+			out.Stats.GroundClauses = len(db.clauses)
 			switch tier {
 			case prefilterTierGround:
 				out.Reason = ReasonPrefilterGround
@@ -210,7 +204,7 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 			if cb != nil {
 				switch tier {
 				case prefilterTierGround:
-					emitGroundCert(cb, db)
+					emitGroundCert(cb, db, db.clauses[nBase:])
 				case prefilterTierUnit:
 					// The replay checker's whole-database unit propagation
 					// is exactly this tier, so the empty clause is RUP.
@@ -236,79 +230,23 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 	banked := 0
 	seenTri := map[[2]logic.TermID]bool{}
 
-	// Lemma plumbing: pull the fingerprint pool's shared lemmas (when a
-	// cache is attached), carry the learned arena across rounds, and publish
-	// the untainted survivors on a settled outcome.
-	var pool *lemmaPool
-	if p.cache != nil {
-		pool = p.cache.lemmaPoolFor(p.fingerprint)
-	}
+	// The learned arena and unit lemmas carry from one round into the next.
 	var carryCl [][]ilit
-	var carryTaint []bool
 	var carryAct []float64
 	var carryUnits []ilit
-	var carryUnitTaint []bool
-	// Certificates must be self-contained: every clause a replay cites is
-	// either in the snapshot or derived by an earlier step, and pool
-	// lemmas were derived while proving *other* goals, with no derivation
-	// recorded here. So emission disables pool import (the pool stays
-	// attached for publication, which only happens after the certificate
-	// replays — the reject path returns before publish).
-	if pool != nil && cb == nil {
-		for _, c := range pool.snapshot() {
-			lits := make([]ilit, 0, len(c.Lits))
-			for _, l := range c.Lits {
-				lits = append(lits, at.internLit(l, tt))
-			}
-			carryCl = append(carryCl, lits)
-			carryTaint = append(carryTaint, false)
-			carryAct = append(carryAct, 0)
-		}
-		out.Stats.LemmasImported = len(carryCl)
-	}
-	publish := func(s *search2) {
-		if pool == nil || s == nil {
-			return
-		}
-		var cs []logic.Clause
-		export := func(lits []ilit) {
-			c := logic.Clause{Lits: make([]logic.Literal, 0, len(lits))}
-			for _, l := range lits {
-				lit := at.literal(l.atom(), tt)
-				if l.negated() {
-					lit = lit.Negated()
-				}
-				c.Lits = append(c.Lits, lit)
-			}
-			cs = append(cs, c)
-		}
-		for i, cl := range s.learned {
-			if !s.lTaint[i] && len(cl) <= maxLemmaLits {
-				export(cl)
-			}
-		}
-		for i, u := range s.unitLemmas {
-			if !s.unitTaint[i] {
-				export([]ilit{u})
-			}
-		}
-		if len(cs) > 0 {
-			out.Stats.LemmasExported = pool.add(cs)
-		}
-	}
 
 	var lastModel []string
 	var s *search2
 	// Recycle the search's per-goal scratch block on every exit path. By
 	// then only the escaping fields (learned arena, unit lemmas, model) are
-	// read — publish and the carry slices never touch the pooled arrays.
+	// read — the carry slices never touch the pooled arrays.
 	defer func() {
 		if s != nil {
 			s.releaseScratch()
 		}
 	}()
 	for round := 0; round <= p.opts.MaxRounds; round++ {
-		out.Rounds = round + 1
+		out.Stats.Rounds = round + 1
 		if proveRoundHook != nil {
 			proveRoundHook()
 		}
@@ -317,7 +255,7 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 			return stopped()
 		}
 		out.Stats.CaseSplits += trichotomy2(db, ar, seenTri, tk)
-		out.GroundClauses = len(db.clauses)
+		out.Stats.GroundClauses = len(db.clauses)
 		// Rewind the theory solvers to their base state; the search asserts
 		// this round's trail into them incrementally.
 		eg.undoTo(egBase)
@@ -325,16 +263,16 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 		if s != nil {
 			s.releaseScratch() // the superseded round's arrays feed this one
 		}
-		s = newSearch2(tt, at, db.clauses, db.taint, eg, ar, p.opts.MaxDecisions, tk)
+		s = newSearch2(tt, at, db.clauses, eg, ar, p.opts.MaxDecisions, tk)
 		s.cb = cb
 		for i, cl := range carryCl {
-			s.importLearned(cl, carryTaint[i], carryAct[i])
+			s.importLearned(cl, carryAct[i])
 		}
-		for i, u := range carryUnits {
-			s.importUnit(u, carryUnitTaint[i])
+		for _, u := range carryUnits {
+			s.importUnit(u)
 		}
 		unsat := s.refute()
-		out.Decisions += s.decisions
+		out.Stats.Decisions += s.decisions
 		out.Stats.CongruenceMerges = eg.merges
 		out.Stats.FMEliminations = ar.elims
 		out.Stats.TheoryChecks += s.theoryChecks
@@ -348,26 +286,22 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 			lemForgotten.Add(uint64(s.forgotten))
 		}
 		mix(s.hash)
-		carryCl, carryTaint, carryAct = s.learned, s.lTaint, s.lAct
-		carryUnits, carryUnitTaint = s.unitLemmas, s.unitTaint
+		carryCl, carryAct = s.learned, s.lAct
+		carryUnits = s.unitLemmas
 		lastModel = s.model
 		if tk.reason != "" {
 			// A stopped search unwinds as "consistent", so unsat can never be
 			// a cancellation artifact; still, report the stop, not a verdict.
-			// Transient outcomes publish no lemmas (conservative: a fault or
-			// panic mid-derivation must never seed the shared pool).
 			return stopped()
 		}
 		if unsat {
 			out.Result = Valid
 			setHash()
-			if cb != nil && !p.sealCert(cb, db, goal, &out, tk) {
-				// Rejected certificate: transient Unknown, and no lemma
-				// publication — clauses learned alongside an unreplayable
-				// proof must not seed the shared pool.
-				return out
+			if cb != nil {
+				// A rejected certificate degrades out in place to a
+				// transient Unknown.
+				p.sealCert(cb, db, goal, &out, tk)
 			}
-			publish(s)
 			return out
 		}
 		if round == p.opts.MaxRounds {
@@ -389,7 +323,7 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 			return stopped()
 		}
 		added := 0
-		for qi, qc := range quant {
+		for _, qc := range quant {
 			for _, trig := range qc.Triggers {
 				subs := matchTrigger2(trig, bank, tk)
 				if tk.reason != "" {
@@ -411,12 +345,12 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 						}
 						lits = append(lits, il)
 					}
-					if !groundInst || !db.add(lits, qTaint[qi]) {
+					if !groundInst || !db.add(lits) {
 						continue
 					}
 					added++
-					out.Instances++
-					if out.Instances >= p.opts.MaxInstances {
+					out.Stats.Instantiations++
+					if out.Stats.Instantiations >= p.opts.MaxInstances {
 						tk.trip(ReasonBudget)
 						return stopped()
 					}
@@ -428,7 +362,6 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 			out.Reason = "saturated without contradiction"
 			out.CounterExample = s.model
 			setHash()
-			publish(s)
 			return out
 		}
 	}
@@ -436,6 +369,5 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 	out.Reason = "round budget exhausted"
 	out.CounterExample = lastModel
 	setHash()
-	publish(s)
 	return out
 }

@@ -178,7 +178,7 @@ func TestProverOutcomeStats(t *testing.T) {
 	if out.Result != Valid {
 		t.Fatalf("got %s", out)
 	}
-	if out.Rounds < 1 || out.GroundClauses == 0 {
+	if out.Stats.Rounds < 1 || out.Stats.GroundClauses == 0 {
 		t.Errorf("stats not populated: %+v", out)
 	}
 }

@@ -22,12 +22,6 @@ import (
 // learned clauses at Luby-scheduled restarts. Everything is seed-free, so
 // identical inputs produce identical decision traces (hashEvent folds the
 // event stream into a replay-checkable fingerprint).
-//
-// Lemma taint: a learned clause derived only from axiom-base clauses, theory
-// conflicts, and trichotomy splits is implied by the axioms alone and may be
-// shared across goals; one that resolved against a goal-derived clause (or
-// absorbed a goal-tainted level-0 propagation) is only implied by this goal's
-// clause set and must stay local. See prover2.go for the sharing pool.
 
 // search2 is one refutation attempt over a fixed interned clause set.
 type search2 struct {
@@ -36,17 +30,14 @@ type search2 struct {
 	// clauses is shared with the caller's clause database; the watch scheme
 	// permutes literals within a clause (clauses are sets, so callers are
 	// insensitive to the order).
-	clauses [][]ilit
-	// pTaint marks problem clauses derived from the negated goal (nil means
-	// all untainted). Lemmas resolved against tainted clauses are goal-local.
-	pTaint   []bool
+	clauses  [][]ilit
 	nProblem int
 
 	// learned is the clause arena appended by conflict analysis (and by
-	// imported lemmas). A clause reference cr addresses clauses[cr] when
-	// cr < nProblem and learned[cr-nProblem] otherwise.
+	// lemmas carried from the previous round). A clause reference cr
+	// addresses clauses[cr] when cr < nProblem and learned[cr-nProblem]
+	// otherwise.
 	learned [][]ilit
-	lTaint  []bool
 	lAct    []float64
 
 	// watches[l] lists the references of clauses currently watching literal l.
@@ -59,13 +50,11 @@ type search2 struct {
 	// (watch lists visited, theories updated).
 	qhead int
 
-	// Per-atom CDCL bookkeeping: the decision level an atom was assigned at,
-	// the clause that propagated it (-1 for decisions and imported units),
-	// and — for level-0 assignments — whether the derivation touched a
-	// goal-tainted clause (folded into lemmas that absorb the literal).
+	// Per-atom CDCL bookkeeping: the decision level an atom was assigned at
+	// and the clause that propagated it (-1 for decisions and imported
+	// units).
 	level    []int32
 	reasonCl []int32
-	taint0   []bool
 	seen     []bool
 
 	// trailLim[l] is the trail length when level l+1's decision was made;
@@ -91,9 +80,8 @@ type search2 struct {
 	maxLearned   int
 
 	// Unit lemmas learned (or imported) at level 0, tracked apart from the
-	// arena so they survive rounds and export with their taint.
+	// arena so they survive rounds.
 	unitLemmas []ilit
-	unitTaint  []bool
 	unitSeen   map[ilit]bool
 
 	learntBuf []ilit
@@ -136,14 +124,13 @@ type search2 struct {
 // with the problem but hold nothing a caller reads after refute returns, so
 // a pool turns the per-goal burst of slice allocations into a steady state
 // of one block per concurrent prover. The escaping state — learned clauses,
-// unit lemmas, the model — is deliberately NOT here: prover2 carries those
-// across rounds and publishes them to the shared lemma pool.
+// unit lemmas, the model — is deliberately NOT here: prover2 carries the
+// lemmas into the next round and reports the model.
 type searchScratch struct {
 	watches   [][]int32
 	assign    []int8
 	level     []int32
 	reasonCl  []int32
-	taint0    []bool
 	seen      []bool
 	activity  []float64
 	trail     []ilit
@@ -192,8 +179,8 @@ func growWatches(w [][]int32, n int) [][]int32 {
 
 // releaseScratch returns the search's recyclable arrays to the pool. Callers
 // invoke it once refute has returned and only the escaping fields (learned,
-// unitLemmas, model and their taints) are still needed; the pooled fields
-// are nilled so a stale use fails loudly instead of racing the next goal.
+// unitLemmas, model) are still needed; the pooled fields are nilled so a
+// stale use fails loudly instead of racing the next goal.
 func (s *search2) releaseScratch() {
 	sc := s.scratch
 	if sc == nil {
@@ -204,7 +191,6 @@ func (s *search2) releaseScratch() {
 	sc.assign = s.assign
 	sc.level = s.level
 	sc.reasonCl = s.reasonCl
-	sc.taint0 = s.taint0
 	sc.seen = s.seen
 	sc.activity = s.activity
 	sc.trail = s.trail
@@ -217,8 +203,7 @@ func (s *search2) releaseScratch() {
 	clear(s.unitSeen)
 	sc.unitSeen = s.unitSeen
 	s.watches, s.assign, s.activity = nil, nil, nil
-	s.level, s.reasonCl = nil, nil
-	s.taint0, s.seen = nil, nil
+	s.level, s.reasonCl, s.seen = nil, nil, nil
 	s.trail, s.trailLim, s.levEg, s.levArC, s.levArA = nil, nil, nil, nil, nil
 	s.learntBuf, s.clearBuf, s.unitSeen = nil, nil, nil
 	searchScratchPool.Put(sc)
@@ -242,18 +227,17 @@ const (
 // lubyUnit scales the Luby restart sequence into conflict counts.
 const lubyUnit = 64
 
-func newSearch2(tt *logic.TermTable, at *atomTable, clauses [][]ilit, pTaint []bool, eg *egraph2, ar *arithSolver2, maxDecisions int, tk *ticker) *search2 {
+func newSearch2(tt *logic.TermTable, at *atomTable, clauses [][]ilit, eg *egraph2, ar *arithSolver2, maxDecisions int, tk *ticker) *search2 {
 	n := at.len()
 	sc := searchScratchPool.Get().(*searchScratch)
 	s := &search2{
-		tt: tt, at: at, clauses: clauses, pTaint: pTaint,
+		tt: tt, at: at, clauses: clauses,
 		nProblem:     len(clauses),
 		scratch:      sc,
 		watches:      growWatches(sc.watches, 2*n),
 		assign:       growPerAtom(sc.assign, n),
 		level:        growPerAtom(sc.level, n),
 		reasonCl:     growPerAtom(sc.reasonCl, n),
-		taint0:       growPerAtom(sc.taint0, n),
 		seen:         growPerAtom(sc.seen, n),
 		activity:     growPerAtom(sc.activity, n),
 		trail:        sc.trail[:0],
@@ -300,28 +284,20 @@ func (s *search2) clauseOf(cr int32) []ilit {
 	return s.learned[int(cr)-s.nProblem]
 }
 
-// taintOf reports whether the referenced clause is goal-derived.
-func (s *search2) taintOf(cr int32) bool {
-	if int(cr) < s.nProblem {
-		return s.pTaint != nil && s.pTaint[cr]
-	}
-	return s.lTaint[int(cr)-s.nProblem]
-}
-
-// importLearned installs one carried or shared lemma before the search
-// starts: unit lemmas assert at level 0, longer ones join the learned arena
-// with the given activity. A lemma contradicted at level 0 refutes the set
-// outright (the lemma is implied by the clause set, so the set is UNSAT).
-func (s *search2) importLearned(cl []ilit, tainted bool, act float64) {
+// importLearned installs one lemma carried from the previous round before
+// the search starts: unit lemmas assert at level 0, longer ones join the
+// learned arena with the given activity. A lemma contradicted at level 0
+// refutes the set outright (the lemma is implied by the clause set, so the
+// set is UNSAT).
+func (s *search2) importLearned(cl []ilit, act float64) {
 	cl = dedupLits(cl)
 	switch len(cl) {
 	case 0:
 		s.unsatAtSetup = true
 	case 1:
-		s.importUnit(cl[0], tainted)
+		s.importUnit(cl[0])
 	default:
 		s.learned = append(s.learned, cl)
-		s.lTaint = append(s.lTaint, tainted)
 		s.lAct = append(s.lAct, act)
 		cr := int32(s.nProblem + len(s.learned) - 1)
 		s.watches[cl[0]] = append(s.watches[cl[0]], cr)
@@ -329,18 +305,17 @@ func (s *search2) importLearned(cl []ilit, tainted bool, act float64) {
 	}
 }
 
-// importUnit asserts one unit lemma at level 0 and records it for re-export.
-func (s *search2) importUnit(u ilit, tainted bool) {
+// importUnit asserts one unit lemma at level 0 and records it for the next
+// round.
+func (s *search2) importUnit(u ilit) {
 	if s.litFalse(u) {
 		s.unsatAtSetup = true
 	} else {
 		s.enqueue(u, -1)
-		s.taint0[u.atom()] = tainted
 	}
 	if !s.unitSeen[u] {
 		s.unitSeen[u] = true
 		s.unitLemmas = append(s.unitLemmas, u)
-		s.unitTaint = append(s.unitTaint, tainted)
 	}
 }
 
@@ -356,8 +331,7 @@ func (s *search2) litFalse(l ilit) bool {
 
 // enqueue asserts l true with the given reason clause reference (-1 for
 // decisions and imported units). No-op when already assigned; callers check
-// the false case themselves. Level-0 assignments fold their derivation's
-// taint into taint0 so lemmas that absorb them inherit it.
+// the false case themselves.
 func (s *search2) enqueue(l ilit, from int32) {
 	a := l.atom()
 	if s.assign[a] != 0 {
@@ -371,18 +345,6 @@ func (s *search2) enqueue(l ilit, from int32) {
 	s.trail = append(s.trail, l)
 	s.level[a] = int32(len(s.trailLim))
 	s.reasonCl[a] = from
-	if len(s.trailLim) == 0 {
-		t := false
-		if from >= 0 {
-			t = s.taintOf(from)
-			for _, q := range s.clauseOf(from) {
-				if q.atom() != a && s.taint0[q.atom()] {
-					t = true
-				}
-			}
-		}
-		s.taint0[a] = t
-	}
 }
 
 // assertTheory pushes one trail literal into the e-graph and the arithmetic
@@ -490,8 +452,8 @@ func (s *search2) theoryConflict() bool {
 
 // theoryClause explains a theory conflict as a conflict clause: the negation
 // of every asserted trail literal. The disjunction is theory-valid (the
-// conjunction is T-inconsistent), so the clause itself carries no taint;
-// level-0 literals are dropped during analysis, folding in their taint0.
+// conjunction is T-inconsistent); level-0 literals are dropped during
+// analysis.
 func (s *search2) theoryClause() []ilit {
 	out := make([]ilit, len(s.trail))
 	for i, p := range s.trail {
@@ -648,13 +610,11 @@ func (s *search2) decayActivities() {
 // backwards resolving reasons of current-level literals until exactly one
 // remains (the unique implication point), collecting lower-level literals as
 // the clause tail. Level-0 literals are absorbed (their negations are
-// implied), folding their taint0 into the lemma's taint. Returns the learned
-// clause (index 0 is the asserting literal, index 1 the deepest tail
-// literal), the backjump level, and the taint.
-func (s *search2) analyze(confl []ilit, conflTaint bool) ([]ilit, int, bool) {
+// implied). Returns the learned clause (index 0 is the asserting literal,
+// index 1 the deepest tail literal) and the backjump level.
+func (s *search2) analyze(confl []ilit) ([]ilit, int) {
 	curLevel := int32(s.decisionLevel())
 	learnt := append(s.learntBuf[:0], 0) // index 0 reserved for the UIP
-	taint := conflTaint
 	counter := 0
 	idx := len(s.trail) - 1
 	reason := confl
@@ -677,10 +637,6 @@ func (s *search2) analyze(confl []ilit, conflTaint bool) ([]ilit, int, bool) {
 				s.seen[a] = true
 				learnt = append(learnt, q)
 				s.bumpVar(a)
-			default:
-				if s.taint0[a] {
-					taint = true
-				}
 			}
 		}
 		for !s.seen[s.trail[idx].atom()] {
@@ -700,9 +656,6 @@ func (s *search2) analyze(confl []ilit, conflTaint bool) ([]ilit, int, bool) {
 		// is only popped when counter reaches zero.
 		cr := s.reasonCl[pa]
 		reason = s.clauseOf(cr)
-		if s.taintOf(cr) {
-			taint = true
-		}
 		if int(cr) >= s.nProblem {
 			s.bumpClause(cr - int32(s.nProblem))
 		}
@@ -727,28 +680,25 @@ func (s *search2) analyze(confl []ilit, conflTaint bool) ([]ilit, int, bool) {
 		s.seen[a] = false
 	}
 	s.learntBuf = learnt
-	return learnt, bt, taint
+	return learnt, bt
 }
 
 // record installs the learned clause after the backjump and asserts its UIP
-// literal. Unit lemmas assert at level 0 and are tracked for export.
-func (s *search2) record(learnt []ilit, taint bool) {
+// literal. Unit lemmas assert at level 0 and are tracked for the next round.
+func (s *search2) record(learnt []ilit) {
 	s.learnedTotal++
 	if len(learnt) == 1 {
 		u := learnt[0]
 		s.enqueue(u, -1)
-		s.taint0[u.atom()] = taint
 		if !s.unitSeen[u] {
 			s.unitSeen[u] = true
 			s.unitLemmas = append(s.unitLemmas, u)
-			s.unitTaint = append(s.unitTaint, taint)
 		}
 		return
 	}
 	cl := make([]ilit, len(learnt))
 	copy(cl, learnt)
 	s.learned = append(s.learned, cl)
-	s.lTaint = append(s.lTaint, taint)
 	s.lAct = append(s.lAct, 0)
 	cr := int32(s.nProblem + len(s.learned) - 1)
 	s.watches[cl[0]] = append(s.watches[cl[0]], cr)
@@ -814,7 +764,6 @@ func (s *search2) reduceDB() {
 		return
 	}
 	kept := s.learned[:0]
-	keptTaint := s.lTaint[:0]
 	keptAct := s.lAct[:0]
 	for i, cl := range s.learned {
 		if drop[i] {
@@ -822,10 +771,9 @@ func (s *search2) reduceDB() {
 			continue
 		}
 		kept = append(kept, cl)
-		keptTaint = append(keptTaint, s.lTaint[i])
 		keptAct = append(keptAct, s.lAct[i])
 	}
-	s.learned, s.lTaint, s.lAct = kept, keptTaint, keptAct
+	s.learned, s.lAct = kept, keptAct
 	s.rebuildWatches()
 }
 
@@ -912,10 +860,8 @@ func (s *search2) refuteCDCL() bool {
 	for {
 		confl := s.propagate()
 		var conflLits []ilit
-		var conflTaint bool
 		if confl >= 0 {
 			conflLits = s.clauseOf(confl)
-			conflTaint = s.taintOf(confl)
 			if int(confl) >= s.nProblem {
 				s.bumpClause(confl - int32(s.nProblem))
 			}
@@ -956,7 +902,7 @@ func (s *search2) refuteCDCL() bool {
 			if s.tick.stop() {
 				return false
 			}
-			learnt, bt, taint := s.analyze(conflLits, conflTaint)
+			learnt, bt := s.analyze(conflLits)
 			// The 1UIP clause is derived by trail resolution from the
 			// conflict clause and reason clauses — all problem clauses or
 			// earlier steps — so it is RUP against them. (analyze reuses
@@ -975,7 +921,7 @@ func (s *search2) refuteCDCL() bool {
 			}
 			s.hashEvent(evBackjump, uint64(bt), uint64(s.decisionLevel()))
 			s.undoToLevel(bt)
-			s.record(learnt, taint)
+			s.record(learnt)
 			s.decayActivities()
 			if s.sinceRestart >= s.restartLimit {
 				s.restartNow()

@@ -50,10 +50,10 @@ type Stats struct {
 	ForgottenClauses int
 	// Restarts counts Luby-scheduled CDCL restarts.
 	Restarts int
-	// LemmasImported / LemmasExported count ground lemmas pulled from and
-	// published to the cross-goal sharing pool (cache-attached provers only).
+	// LemmasImported is always 0: no learned clause carries from one goal
+	// into another. It stays because perfbench's prover.lemmas_imported
+	// metric reads it.
 	LemmasImported int
-	LemmasExported int
 	// CertsEmitted / CertsReplayed / CertsRejected count proof certificates
 	// built for Valid verdicts, certificates that passed replay
 	// verification (self-check at emission or replay-on-fetch from the
@@ -83,8 +83,6 @@ func (s *Stats) Add(o Stats) {
 	s.LearnedClauses += o.LearnedClauses
 	s.ForgottenClauses += o.ForgottenClauses
 	s.Restarts += o.Restarts
-	s.LemmasImported += o.LemmasImported
-	s.LemmasExported += o.LemmasExported
 	s.CertsEmitted += o.CertsEmitted
 	s.CertsReplayed += o.CertsReplayed
 	s.CertsRejected += o.CertsRejected

@@ -50,8 +50,6 @@ type traceRecord struct {
 	LearnedClauses    int `json:"learned_clauses,omitempty"`
 	ForgottenClauses  int `json:"forgotten_clauses,omitempty"`
 	Restarts          int `json:"restarts,omitempty"`
-	LemmasImported    int `json:"lemmas_imported,omitempty"`
-	LemmasExported    int `json:"lemmas_exported,omitempty"`
 
 	// Certificate telemetry (simplify.Options.EmitCertificates): steps in
 	// the emitted proof, and whether it passed replay verification.
@@ -101,8 +99,6 @@ func writeTrace(w io.Writer, r *Report, omitTimings bool) {
 			LearnedClauses:    st.LearnedClauses,
 			ForgottenClauses:  st.ForgottenClauses,
 			Restarts:          st.Restarts,
-			LemmasImported:    st.LemmasImported,
-			LemmasExported:    st.LemmasExported,
 		}
 		if res.Outcome.Certificate != nil {
 			rec.CertSteps = len(res.Outcome.Certificate.Steps)

@@ -19,7 +19,7 @@ import (
 // value a decoder accepts must survive encode→decode unchanged.
 func FuzzPayloadDecoders(f *testing.F) {
 	prover, funcs := seedCaches(f)
-	for _, out := range values(prover.Cache) {
+	for _, out := range values(prover) {
 		f.Add(prover.Codec().Encode(out))
 	}
 	for _, e := range values(funcs.Cache) {
