@@ -134,11 +134,12 @@ cert-smoke:
 	$(GO) test -run '^TestCertificateSmoke$$' -count=1 ./internal/soundness
 
 # serve-smoke builds the qualserve binary and runs the end-to-end smoke
-# test: the real binary on an ephemeral port, one /check round-trip, then a
-# clean SIGTERM drain.
+# tests: the real binary on an ephemeral port, one /check round-trip, then a
+# clean SIGTERM drain; and a two-node -cert -cache-peers pair whose second
+# node answers /prove from verified peer records.
 serve-smoke:
 	$(GO) build ./cmd/qualserve
-	$(GO) test -run '^TestQualserveSmoke$$' ./cmd/qualserve
+	$(GO) test -run '^TestQualserve(Peer)?Smoke$$' ./cmd/qualserve
 
 # watch-smoke runs the incremental-daemon end-to-end gate: the real qualcheck
 # main in -watch polling mode over a generated corpus tree, one function

@@ -8,8 +8,8 @@
 //	qualserve [-addr :8080] [-workers N] [-queue N] [-timeout 30s] [-drain 10s]
 //	          [-max-body N] [-mem-limit N] [-breaker-threshold K] [-breaker-cooldown 5s]
 //	          [-max-terms N] [-max-clauses N] [-max-insts N]
-//	          [-cache-dir dir] [-cache-budget N] [-cache-peers url,url]
-//	          [-cache-secret-file path] [-faults spec]
+//	          [-cache-dir dir] [-cache-budget N] [-cert [-cache-peers url,url]]
+//	          [-faults spec]
 //
 // Endpoints:
 //
@@ -26,23 +26,17 @@
 //	                    count, cache hit + coalesce rates, budget trips,
 //	                    fault fires, and per-qualifier breaker state
 //	GET  /healthz — liveness (503 while draining)
-//	GET  /cache/{func|prover}/{hash} — serve a sealed cache record to a peer
-//	                    node (with -cache-dir; see -cache-peers)
+//	GET  /cache/prover/{hash} — serve a sealed prover record to a peer node
+//	                    (with -cache-dir; see -cache-peers)
 //
 // With -cache-dir, both warm caches persist across restarts as checksummed
 // crash-safe records; corrupt or torn records are evicted and re-proved,
-// never trusted. With -cache-peers, a local cache miss consults the listed
-// nodes before computing. The two namespaces have different trust anchors:
-// fetched prover verdicts are admitted only after their proof certificates
-// replay locally, so a lying peer (or an on-path attacker on these plain
-// HTTP fetches) costs a re-prove, never a wrong Valid. Fetched checker
-// results have no proof to replay — their content seal is a plain checksum
-// that detects corruption, not tampering — so they are fetched only when
-// -cache-secret-file configures a shared fleet secret: every served record
-// carries an HMAC under it, every fetched record must verify, and without a
-// secret the checker namespace simply never fetches. Give every node in a
-// fleet the same secret file, and treat the secret as the thing that makes
-// a peer's checker results as trustworthy as your own disk.
+// never trusted. With -cache-peers (which requires -cert), a prover cache
+// miss consults the listed nodes before proving. A fetched outcome is
+// admitted only as a Valid whose proof certificate replays locally, so a
+// lying peer (or an on-path attacker on these plain HTTP fetches) costs a
+// re-prove, never a changed verdict. Checker results are never fetched from
+// peers: they carry no proof to replay.
 //
 // SIGINT/SIGTERM starts a graceful drain: in-flight requests finish (up to
 // -drain), new ones are answered 503, then the process exits 0.
@@ -107,13 +101,20 @@ func run() int {
 	maxInsts := flag.Int("max-insts", 0, "per-goal quantifier-instantiation budget (0 = default)")
 	cacheDir := flag.String("cache-dir", "", "persist both warm caches under this directory (crash-safe, checksummed records; restarts start warm)")
 	cacheBudget := flag.Int64("cache-budget", 0, "per-namespace disk cache size in bytes before LRU eviction (0 = default 256 MiB)")
-	cachePeers := flag.String("cache-peers", "", "comma-separated base URLs of peer qualserve nodes to fetch cache records from on a local miss (every fetched record is re-verified before use)")
-	cacheSecretFile := flag.String("cache-secret-file", "", "file holding the shared fleet secret that authenticates peer cache records (required for checker-result peer fetch; prover fetch works without it via certificate replay)")
+	cachePeers := flag.String("cache-peers", "", "comma-separated base URLs of peer qualserve nodes to fetch prover records from on a local miss (requires -cert; a record is admitted only as a Valid whose certificate replays)")
 	peerTimeout := flag.Duration("peer-timeout", 0, "per-attempt timeout for one peer cache fetch (default 2s)")
 	peerRetries := flag.Int("peer-retries", 0, "extra fetch attempts per peer after the first (default 1; negative = off)")
 	certs := flag.Bool("cert", false, "emit and replay-verify a proof certificate for every Valid prover verdict (surfaced per obligation and in /metrics)")
 	faultSpec := flag.String("faults", "", "arm fault-injection points, e.g. 'simplify.prove.round=budget:every=100' (also QUAL_FAULTS)")
 	flag.Parse()
+
+	peers := splitPeers(*cachePeers)
+	if len(peers) > 0 && !*certs {
+		// Without certificates there is nothing a peer could send that
+		// replays, so the peer tier could only cost round trips.
+		fmt.Fprintln(os.Stderr, "qualserve: -cache-peers requires -cert (peer prover records are admitted only when their certificates replay)")
+		return 2
+	}
 
 	spec := *faultSpec
 	if spec == "" {
@@ -125,20 +126,6 @@ func run() int {
 	}
 	if faults.Armed() {
 		fmt.Fprintf(os.Stderr, "qualserve: FAULT INJECTION ARMED (%s) — this process serves degraded answers by design\n", spec)
-	}
-
-	var cacheSecret []byte
-	if *cacheSecretFile != "" {
-		raw, err := os.ReadFile(*cacheSecretFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qualserve: -cache-secret-file:", err)
-			return 2
-		}
-		cacheSecret = []byte(strings.TrimSpace(string(raw)))
-		if len(cacheSecret) == 0 {
-			fmt.Fprintf(os.Stderr, "qualserve: -cache-secret-file %s is empty\n", *cacheSecretFile)
-			return 2
-		}
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -163,8 +150,7 @@ func run() int {
 		EmitCertificates:   *certs,
 		CacheDir:           *cacheDir,
 		CacheBudget:        *cacheBudget,
-		CachePeers:         splitPeers(*cachePeers),
-		CacheSecret:        cacheSecret,
+		CachePeers:         peers,
 		PeerTimeout:        *peerTimeout,
 		PeerRetries:        *peerRetries,
 	})

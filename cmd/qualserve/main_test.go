@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
 	"os/exec"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
@@ -25,10 +27,13 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestQualserveSmoke starts qualserve on an ephemeral port, performs one
-// /check round-trip, sends SIGTERM, and requires a clean drained exit.
-func TestQualserveSmoke(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-drain", "5s")
+// startChild re-executes the test binary as qualserve on an ephemeral port
+// with the given extra flags and returns the process and its bound address,
+// parsed from the listening announcement. Cleanup kills the process if the
+// test has not stopped it.
+func startChild(t *testing.T, args ...string) (*exec.Cmd, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"-addr", "127.0.0.1:0"}, args...)...)
 	cmd.Env = append(os.Environ(), "QUALSERVE_SMOKE_CHILD=1")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
@@ -38,28 +43,49 @@ func TestQualserveSmoke(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cmd.Process.Kill()
+	t.Cleanup(func() { cmd.Process.Kill() })
 
 	// The first stdout line announces the bound address.
 	sc := bufio.NewScanner(stdout)
 	addrCh := make(chan string, 1)
-	var tail []string
 	go func() {
 		for sc.Scan() {
-			line := sc.Text()
-			if rest, ok := strings.CutPrefix(line, "qualserve listening on "); ok {
+			if rest, ok := strings.CutPrefix(sc.Text(), "qualserve listening on "); ok {
 				addrCh <- rest
-				continue
 			}
-			tail = append(tail, line)
 		}
 	}()
-	var addr string
 	select {
-	case addr = <-addrCh:
+	case addr := <-addrCh:
+		return cmd, addr
 	case <-time.After(10 * time.Second):
 		t.Fatal("timed out waiting for the listening announcement")
 	}
+	return nil, ""
+}
+
+// stopChild sends SIGTERM and requires a clean drained exit.
+func stopChild(t *testing.T, cmd *exec.Cmd) {
+	t.Helper()
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("qualserve exited non-zero after SIGTERM: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("qualserve did not exit within 15s of SIGTERM")
+	}
+}
+
+// TestQualserveSmoke starts qualserve on an ephemeral port, performs one
+// /check round-trip, sends SIGTERM, and requires a clean drained exit.
+func TestQualserveSmoke(t *testing.T) {
+	cmd, addr := startChild(t, "-drain", "5s")
 
 	body, _ := json.Marshal(map[string]any{
 		"filename": "smoke.c",
@@ -83,17 +109,86 @@ func TestQualserveSmoke(t *testing.T) {
 		t.Fatalf("smoke program reported %d warnings, want 0", checkResp.Warnings)
 	}
 
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
+	stopChild(t, cmd)
+}
+
+// smokeObligation is the part of a /prove obligation a peer-served answer
+// must reproduce exactly (cache and certificate provenance may differ).
+type smokeObligation struct {
+	Kind        string `json:"kind"`
+	Description string `json:"description"`
+	Valid       bool   `json:"valid"`
+	Result      string `json:"result"`
+	Reason      string `json:"reason"`
+}
+
+// proveSmoke runs POST /prove for one qualifier and returns its obligations.
+func proveSmoke(t *testing.T, addr, qual string) []smokeObligation {
+	t.Helper()
+	body, _ := json.Marshal(map[string]any{"qualifier": qual})
+	resp, err := http.Post(fmt.Sprintf("http://%s/prove", addr), "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /prove: %v", err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("qualserve exited non-zero after SIGTERM: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("qualserve did not exit within 15s of SIGTERM")
+	defer resp.Body.Close()
+	var out struct {
+		AllSound bool `json:"all_sound"`
+		Reports  []struct {
+			Obligations []smokeObligation `json:"obligations"`
+		} `json:"reports"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("decoding /prove response: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK || !out.AllSound {
+		t.Fatalf("POST /prove %s on %s: status %d, all_sound %t", qual, addr, resp.StatusCode, out.AllSound)
+	}
+	var obs []smokeObligation
+	for _, r := range out.Reports {
+		obs = append(obs, r.Obligations...)
+	}
+	return obs
+}
+
+// TestQualservePeerSmoke drives -cache-peers through the real flag parsing:
+// node B, cold and pointed at a warm node A, answers /prove with A's exact
+// obligations from verified peer fetches, and a node asked for peers
+// without -cert refuses to start.
+func TestQualservePeerSmoke(t *testing.T) {
+	cmdA, addrA := startChild(t, "-cert", "-cache-dir", t.TempDir())
+	cmdB, addrB := startChild(t, "-cert", "-cache-peers", "http://"+addrA)
+
+	obsA := proveSmoke(t, addrA, "pos")
+	obsB := proveSmoke(t, addrB, "pos")
+	if len(obsA) == 0 || !reflect.DeepEqual(obsA, obsB) {
+		t.Fatalf("peer-served obligations diverge:\nA: %+v\nB: %+v", obsA, obsB)
+	}
+
+	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", addrB))
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	var m struct {
+		ProverCache struct {
+			PeerHits    uint64 `json:"peer_hits"`
+			PeerRejects uint64 `json:"peer_rejects"`
+		} `json:"prover_cache"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&m)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decoding /metrics: %v", err)
+	}
+	if m.ProverCache.PeerHits == 0 || m.ProverCache.PeerRejects != 0 {
+		t.Fatalf("node B prover_cache = %+v, want peer hits and no rejects", m.ProverCache)
+	}
+	stopChild(t, cmdB)
+	stopChild(t, cmdA)
+
+	noCert := exec.Command(os.Args[0], "-addr", "127.0.0.1:0", "-cache-peers", "http://"+addrA)
+	noCert.Env = append(os.Environ(), "QUALSERVE_SMOKE_CHILD=1")
+	var exitErr *exec.ExitError
+	if err := noCert.Run(); !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
+		t.Fatalf("-cache-peers without -cert: %v, want exit status 2", err)
 	}
 }

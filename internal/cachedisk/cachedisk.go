@@ -479,17 +479,6 @@ func (s *Store) Put(key string, payload []byte) {
 	s.commit(KeyHash(key), Seal(key, payload))
 }
 
-// PutSealed validates an already-sealed record (as fetched from a peer)
-// against the expected key and commits it. The error reports validation
-// failure only; commit I/O failures degrade silently like Put's.
-func (s *Store) PutSealed(key string, record []byte) error {
-	if _, err := Unseal(record, key); err != nil {
-		return err
-	}
-	s.commit(KeyHash(key), record)
-	return nil
-}
-
 // commit writes a record to a temp file and renames it into place, then
 // indexes it and enforces the budget. The rename is the atomicity point: a
 // crash (or an armed cachedisk.commit fault) before it leaves only a temp

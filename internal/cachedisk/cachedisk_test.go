@@ -250,26 +250,6 @@ func TestGetSealedByHashVerifiesAndGuardsPath(t *testing.T) {
 	}
 }
 
-func TestPutSealedValidates(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, 0)
-	rec := Seal("key", []byte("peer payload"))
-	if err := s.PutSealed("key", rec); err != nil {
-		t.Fatalf("PutSealed: %v", err)
-	}
-	if got, ok := s.Get("key"); !ok || string(got) != "peer payload" {
-		t.Fatalf("after PutSealed: %q, %v", got, ok)
-	}
-	bad := append([]byte(nil), rec...)
-	bad[7] ^= 0x10
-	if err := s.PutSealed("key2", bad); err == nil {
-		t.Fatal("PutSealed accepted a tampered record")
-	}
-	if err := s.PutSealed("other", rec); err == nil {
-		t.Fatal("PutSealed accepted a record for the wrong key")
-	}
-}
-
 func TestDeleteCountsCorruptEviction(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, 0)

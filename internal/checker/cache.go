@@ -8,6 +8,7 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/cachedisk"
 	"repro/internal/cminor"
 	"repro/internal/faults"
 	"repro/internal/qdl"
@@ -42,14 +43,17 @@ const DefaultFuncCacheCapacity = 8192
 type FuncCacheStats = tiercache.Stats
 
 // FuncCache is a thread-safe tiered cache of per-function checking results:
-// a least-recently-used memory tier over optional disk and peer tiers
-// (persist.go). Share one across CheckWithCache calls (and across programs —
-// the context key isolates unrelated programs and registries) to make
-// repeated checks of mostly-unchanged sources cheap. Concurrent lookups of
-// one uncached key coalesce: the first caller walks while the rest wait for
-// its result.
+// a least-recently-used memory tier over an optional disk tier (persist.go).
+// Share one across CheckWithCache calls (and across programs — the context
+// key isolates unrelated programs and registries) to make repeated checks of
+// mostly-unchanged sources cheap. Concurrent lookups of one uncached key
+// coalesce: the first caller walks while the rest wait for its result.
+//
+// The tiered cache is held unexported so that no caller can attach a peer
+// tier: a function entry carries no proof a node could check, so it is only
+// ever served from this process's memory or its own disk.
 type FuncCache struct {
-	*tiercache.Cache[*funcCacheEntry]
+	cache *tiercache.Cache[*funcCacheEntry]
 }
 
 // funcCacheEntry is the replayable outcome of walking one function body.
@@ -64,10 +68,8 @@ type funcCacheEntry struct {
 	memoMisses       int
 	// seal is a content checksum over the replayable payload above,
 	// computed when the walk's entry is built and re-verified on every
-	// lookup: a corrupted entry (bit rot, a bad peer) is rejected and
-	// re-walked instead of replayed — the same integrity discipline as the
-	// prover's certificate replay-on-fetch, scaled to the checker's cheaper
-	// unit.
+	// lookup: a corrupted entry (bit rot, a torn or stale disk record) is
+	// rejected and re-walked instead of replayed.
 	seal uint64
 }
 
@@ -104,6 +106,19 @@ func NewFuncCache(capacity int) *FuncCache {
 	return &FuncCache{tiercache.New(capacity, funcEntryCodec)}
 }
 
+// Stats returns a snapshot of the counters.
+func (c *FuncCache) Stats() FuncCacheStats { return c.cache.Stats() }
+
+// Len returns the number of entries held in memory.
+func (c *FuncCache) Len() int { return c.cache.Len() }
+
+// DiskStats snapshots the attached disk store's counters (zero value when no
+// disk tier is attached).
+func (c *FuncCache) DiskStats() cachedisk.Stats { return c.cache.DiskStats() }
+
+// Codec returns the codec the cache persists its entries with.
+func (c *FuncCache) Codec() tiercache.Codec[*funcCacheEntry] { return c.cache.Codec() }
+
 // fpCacheReplay injects faults into the cache-replay path (see
 // checkFuncCached); any fired fault is treated as a miss.
 var fpCacheReplay = faults.Register("checker.cache.replay")
@@ -112,7 +127,7 @@ var fpCacheReplay = faults.Register("checker.cache.replay")
 // cache lock, without touching recency or the counters. Chaos tests use it to
 // assert that no transient ("internal") result was ever stored.
 func (c *FuncCache) ForEach(fn func(key string, diagCodes []string)) {
-	c.Cache.ForEach(func(key string, e *funcCacheEntry) {
+	c.cache.ForEach(func(key string, e *funcCacheEntry) {
 		codes := make([]string, len(e.diags))
 		for i, d := range e.diags {
 			codes[i] = d.code
@@ -225,7 +240,7 @@ func (en *engine) checkFuncCached(f *cminor.FuncDef) {
 	if en.ctx != nil {
 		done = en.ctx.Done()
 	}
-	entry, src := en.fc.Do(done, funcKey(en.ctxKey, f), sealed, func() (*funcCacheEntry, bool) {
+	entry, src := en.fc.cache.Do(done, funcKey(en.ctxKey, f), sealed, func() (*funcCacheEntry, bool) {
 		en.safeCheckFunc(f)
 		return en.entryFromWalk(f)
 	})
@@ -235,7 +250,7 @@ func (en *engine) checkFuncCached(f *cminor.FuncDef) {
 	case tiercache.Coalesced:
 		en.stats.FuncCacheCoalesced++
 		en.replayEntry(entry, f)
-	case tiercache.Memory, tiercache.Disk, tiercache.Peer:
+	case tiercache.Memory, tiercache.Disk:
 		en.stats.FuncCacheHits++
 		en.replayEntry(entry, f)
 	}

@@ -251,7 +251,7 @@ func TestFuncCacheSealRejectsCorruption(t *testing.T) {
 
 	// Corrupt one non-empty entry's payload behind the seal's back.
 	corrupted := 0
-	fc.Cache.ForEach(func(_ string, e *funcCacheEntry) {
+	fc.cache.ForEach(func(_ string, e *funcCacheEntry) {
 		if len(e.diags) > 0 && corrupted == 0 {
 			e.diags[0].msg = "tampered"
 			corrupted++

@@ -8,24 +8,21 @@ import (
 	"repro/internal/tiercache"
 )
 
-// Disk and peer tiers for the function-result cache. The tiers themselves
-// are the shared tiered cache's (internal/tiercache); this file supplies the
-// payload codec it persists entries with. cachedisk's record framing
-// supplies the key binding and checksum, this codec supplies the entry
-// layout, and the content seal — persisted alongside the payload and
-// recomputed over the decoded entry on every load — supplies the semantic
-// integrity check. A record whose recomputed seal disagrees with its stored
-// seal is rejected and evicted no matter how clean its checksums were: the
-// seal attests to what the walk produced, not to what the disk stored.
+// Disk tier for the function-result cache. The tier itself is the shared
+// tiered cache's (internal/tiercache); this file supplies the payload codec
+// it persists entries with. cachedisk's record framing supplies the key
+// binding and checksum, this codec supplies the entry layout, and the
+// content seal — persisted alongside the payload and recomputed over the
+// decoded entry on every load — supplies the semantic integrity check. A
+// record whose recomputed seal disagrees with its stored seal is rejected
+// and evicted no matter how clean its checksums were: the seal attests to
+// what the walk produced, not to what the disk stored.
 //
 // Trust model: seal and checksums are plain FNV-64a — recomputable by any
 // writer — so they detect corruption (bit rot, torn writes, stale formats),
-// NOT deliberate tampering. Unlike prover outcomes, a function entry
-// carries no certificate to replay, so an entry is only as trustworthy as
-// its source: the local disk (same trust domain as the process), or a peer
-// that authenticated itself with the shared fleet secret — the server layer
-// HMACs every served record and only wires the func-namespace peer fetch
-// when a secret is configured (server.Config.CacheSecret).
+// NOT deliberate tampering. A function entry carries no certificate to
+// replay, so it is only as trustworthy as the local disk, which shares the
+// process's trust domain; that is why the function cache has no peer tier.
 const (
 	funcEntryMagic   = "QFE"
 	funcEntryVersion = byte(1)
@@ -58,9 +55,8 @@ func encodeFuncEntry(e *funcCacheEntry) []byte {
 // the content seal: sealEntry over the decoded fields must reproduce the
 // stored seal exactly, so any accidental mutation that survives the outer
 // checksums (or a record minted by a buggy writer) is refused. The seal is
-// not authentication — a deliberate forger recomputes it trivially; keeping
-// forgers out of the fetch path is the transport's job (see the package
-// comment's trust model).
+// not authentication — a deliberate forger recomputes it trivially, which is
+// why entries are read only from the local disk (see the trust model above).
 func decodeFuncEntry(data []byte) (*funcCacheEntry, error) {
 	if len(data) < len(funcEntryMagic)+1+8 {
 		return nil, fmt.Errorf("short function-entry payload")
@@ -111,9 +107,8 @@ func decodeFuncEntry(data []byte) (*funcCacheEntry, error) {
 	return e, nil
 }
 
-// funcEntryCodec persists entries for the disk and peer tiers. It has no
-// peer check of its own: a peer's entries are trusted only through the fleet
-// MAC the server layer verifies before the cache sees any bytes.
+// funcEntryCodec persists entries for the disk tier. It has no VerifyPeer:
+// the function cache never attaches a peer tier.
 var funcEntryCodec = tiercache.Codec[*funcCacheEntry]{
 	Encode: encodeFuncEntry,
 	Decode: decodeFuncEntry,
@@ -123,13 +118,6 @@ var funcEntryCodec = tiercache.Codec[*funcCacheEntry]{
 // before walking, and every stored entry is persisted. Attach before sharing
 // the cache across goroutines. A nil store is a no-op.
 func (c *FuncCache) WithDisk(store *cachedisk.Store) *FuncCache {
-	c.Cache.WithDisk(store)
-	return c
-}
-
-// WithPeerFetch attaches a peer tier consulted when the disk tier misses.
-// Attach before sharing the cache across goroutines.
-func (c *FuncCache) WithPeerFetch(fetch tiercache.PeerFetch) *FuncCache {
-	c.Cache.WithPeerFetch(fetch)
+	c.cache.WithDisk(store)
 	return c
 }

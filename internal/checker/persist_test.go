@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/cachedisk"
@@ -173,82 +172,6 @@ func TestFuncCachePoisonedDiskConverges(t *testing.T) {
 	healed := checkCached(t, reg, cacheSrc, fc3)
 	if healed.Stats.FuncCacheHits != 3 {
 		t.Fatalf("healed restart: %d hits, want 3", healed.Stats.FuncCacheHits)
-	}
-}
-
-func TestFuncCachePeerFetch(t *testing.T) {
-	reg := quals.MustStandard()
-
-	// Node A checks the program and keeps its disk store — it will act as
-	// the peer's source of sealed records.
-	dirA := t.TempDir()
-	storeA, _ := cachedisk.Open(dirA, 0)
-	checkCached(t, reg, cacheSrc, NewFuncCache(0).WithDisk(storeA))
-
-	// Node B has an empty disk and fetches from A by content address.
-	dirB := t.TempDir()
-	storeB, _ := cachedisk.Open(dirB, 0)
-	// The per-function workers call the fetcher concurrently.
-	var fetches atomic.Int64
-	fcB := NewFuncCache(0).WithDisk(storeB).WithPeerFetch(func(key string) ([]byte, bool) {
-		fetches.Add(1)
-		return storeA.GetSealedByHash(cachedisk.KeyHash(key))
-	})
-	got := checkCached(t, reg, cacheSrc, fcB)
-	if got.Stats.FuncCacheHits != 3 {
-		t.Fatalf("peer-warmed check: %d hits, want 3", got.Stats.FuncCacheHits)
-	}
-	st := fcB.Stats()
-	if st.PeerHits != 3 || st.PeerRejects != 0 || fetches.Load() != 3 {
-		t.Fatalf("stats = %+v fetches=%d, want 3 verified peer hits", st, fetches.Load())
-	}
-	plain := checkCached(t, reg, cacheSrc, nil)
-	if a, b := fmt.Sprint(got.Diags), fmt.Sprint(plain.Diags); a != b {
-		t.Fatalf("peer-replayed diags diverge:\n got %s\nwant %s", a, b)
-	}
-	// Peer fetches were written through to B's disk: a cold restart of B no
-	// longer needs A.
-	storeB3, _ := cachedisk.Open(dirB, 0)
-	fcB3 := NewFuncCache(0).WithDisk(storeB3).WithPeerFetch(func(string) ([]byte, bool) {
-		t.Error("restart consulted the peer despite a warm local disk")
-		return nil, false
-	})
-	again := checkCached(t, reg, cacheSrc, fcB3)
-	if again.Stats.FuncCacheHits != 3 {
-		t.Fatalf("restart after write-through: %d hits, want 3", again.Stats.FuncCacheHits)
-	}
-}
-
-func TestFuncCachePeerRejectsTampered(t *testing.T) {
-	reg := quals.MustStandard()
-	dirA := t.TempDir()
-	storeA, _ := cachedisk.Open(dirA, 0)
-	checkCached(t, reg, cacheSrc, NewFuncCache(0).WithDisk(storeA))
-
-	// An adversarial peer: serves A's records with one byte flipped past the
-	// record header (so only the checksum/seal can catch it).
-	fc := NewFuncCache(0).WithPeerFetch(func(key string) ([]byte, bool) {
-		rec, ok := storeA.GetSealedByHash(cachedisk.KeyHash(key))
-		if !ok {
-			return nil, false
-		}
-		rec = append([]byte(nil), rec...)
-		rec[len(rec)/2] ^= 0x20
-		return rec, true
-	})
-	got := checkCached(t, reg, cacheSrc, fc)
-	// Every fetch is rejected; every function is walked locally; the
-	// diagnostics are exactly a fresh run's.
-	if got.Stats.FuncCacheMisses != 3 {
-		t.Fatalf("tampered peers: %d misses, want 3", got.Stats.FuncCacheMisses)
-	}
-	st := fc.Stats()
-	if st.PeerRejects != 3 || st.PeerHits != 0 {
-		t.Fatalf("stats = %+v, want 3 peer rejects", st)
-	}
-	plain := checkCached(t, reg, cacheSrc, nil)
-	if a, b := fmt.Sprint(got.Diags), fmt.Sprint(plain.Diags); a != b {
-		t.Fatalf("diags diverge under tampered peers:\n got %s\nwant %s", a, b)
 	}
 }
 

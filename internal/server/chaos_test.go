@@ -39,7 +39,7 @@ func TestChaosSoak(t *testing.T) {
 
 	// A hostile cache peer: answers every record fetch 200 with garbage
 	// bytes. Under chaos the verification gauntlet must reject every one —
-	// rejects cost re-walks, never verdicts.
+	// rejects cost re-proves, never verdicts.
 	garbagePeer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write([]byte("QDSK garbage that seals nothing"))
 	}))
@@ -59,11 +59,12 @@ func TestChaosSoak(t *testing.T) {
 		// (torn commits, failed loads, failed evictions) and peer.fetch
 		// fire on real traffic, and the store's degrade breaker plus the
 		// hostile peer's rejections are part of the contract under test.
-		CacheDir:    t.TempDir(),
-		CachePeers:  []string{garbagePeer.URL},
-		CacheSecret: []byte("chaos-fleet-secret"),
-		PeerTimeout: 500 * time.Millisecond,
-		PeerRetries: -1,
+		// Certificates are on because the prover consults peers only then.
+		EmitCertificates: true,
+		CacheDir:         t.TempDir(),
+		CachePeers:       []string{garbagePeer.URL},
+		PeerTimeout:      500 * time.Millisecond,
+		PeerRetries:      -1,
 	})
 
 	// Deterministic chaos: a fixed seed picks which points arm and how.
@@ -172,6 +173,14 @@ func TestChaosSoak(t *testing.T) {
 	}
 	if !m.FaultsArmed || len(m.FaultFires) == 0 {
 		t.Errorf("metrics do not reflect the armed faults: armed=%v fires=%v", m.FaultsArmed, m.FaultFires)
+	}
+	// The garbage peer must have been asked, and never believed: a soak
+	// whose peer stage went inert would pass every other check.
+	if m.Peers == nil || m.Peers.Fetches == 0 {
+		t.Errorf("the garbage peer was never consulted: %+v", m.Peers)
+	}
+	if m.ProverCache.PeerHits != 0 {
+		t.Errorf("garbage peer records were admitted: %+v", m.ProverCache)
 	}
 
 	// No fault-minted result may have been memoized.

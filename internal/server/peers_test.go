@@ -6,12 +6,15 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cachedisk"
 	"repro/internal/faults"
+	"repro/internal/simplify"
 )
 
 const peerSrc = `
@@ -21,10 +24,6 @@ void bad(int* p) {
   g = p;
 }
 `
-
-// fleetSecret is the shared cache-auth secret the two-node tests run with:
-// function-cache peer fetch is enabled only when one is configured.
-var fleetSecret = []byte("peers-test-fleet-secret")
 
 // diskHashes lists the committed record hashes in a store directory.
 func diskHashes(t *testing.T, dir string) []string {
@@ -42,32 +41,54 @@ func diskHashes(t *testing.T, dir string) []string {
 	return hashes
 }
 
-// TestCacheEndpointServesSealedRecords: GET /cache/{ns}/{hash} serves the
-// sealed bytes for real records, 404s misses and unknown namespaces.
+// proveVerdicts renders a /prove answer's per-obligation verdicts, the part
+// no peer may change.
+func proveVerdicts(resp ProveResponse) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "all_sound=%t", resp.AllSound)
+	for _, r := range resp.Reports {
+		for _, ob := range r.Obligations {
+			fmt.Fprintf(&b, "\n%s %s: valid=%t", r.Qualifier, ob.Description, ob.Valid)
+		}
+	}
+	return b.String()
+}
+
+// proveOn runs POST /prove for one qualifier and fails the test on a non-200.
+func proveOn(t *testing.T, url, qual string) ProveResponse {
+	t.Helper()
+	var resp ProveResponse
+	if code := postJSON(t, url+"/prove", ProveRequest{Qualifier: qual}, &resp); code != http.StatusOK {
+		t.Fatalf("%s prove %s: status %d", url, qual, code)
+	}
+	return resp
+}
+
+// TestCacheEndpointServesSealedRecords: GET /cache/prover/{hash} serves the
+// sealed bytes of a real prover record and answers 404 for an absent or
+// malformed hash, and for the function namespace even when the record
+// exists on disk — function results are never served to peers.
 func TestCacheEndpointServesSealedRecords(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2, CacheDir: t.TempDir()})
-	var resp CheckResponse
-	if code := postJSON(t, ts.URL+"/check", CheckRequest{Source: peerSrc}, &resp); code != http.StatusOK {
+	s, ts := newTestServer(t, Config{Workers: 2, CacheDir: t.TempDir(), EmitCertificates: true})
+	if code := postJSON(t, ts.URL+"/check", CheckRequest{Source: peerSrc}, nil); code != http.StatusOK {
 		t.Fatalf("seed check: %d", code)
 	}
-	if s.diskFunc.Len() == 0 {
-		t.Fatal("check persisted nothing")
+	proveOn(t, ts.URL, "nonnull")
+	proverHashes := diskHashes(t, s.diskProver.Dir())
+	funcHashes := diskHashes(t, s.diskFunc.Dir())
+	if len(proverHashes) == 0 || len(funcHashes) == 0 {
+		t.Fatalf("records on disk: %d prover, %d func; want both", len(proverHashes), len(funcHashes))
 	}
-	hashes := diskHashes(t, s.diskFunc.Dir())
-	if len(hashes) == 0 {
-		t.Fatal("no records on disk")
-	}
-	hash := hashes[0]
 
-	resp2, err := http.Get(fmt.Sprintf("%s/cache/func/%s", ts.URL, hash))
+	resp, err := http.Get(fmt.Sprintf("%s/cache/prover/%s", ts.URL, proverHashes[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("cache get: %d", resp2.StatusCode)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cache get: %d", resp.StatusCode)
 	}
-	rec, _ := io.ReadAll(resp2.Body)
+	rec, _ := io.ReadAll(resp.Body)
 	// The served bytes are a verifiable sealed record (the key is unknown
 	// here, so verify framing and checksum only).
 	if _, err := cachedisk.Unseal(rec, ""); err != nil {
@@ -75,9 +96,9 @@ func TestCacheEndpointServesSealedRecords(t *testing.T) {
 	}
 
 	for _, path := range []string{
-		"/cache/func/" + strings.Repeat("0", 32), // absent hash
-		"/cache/nosuch/" + hash,                  // bad namespace
-		"/cache/prover/" + hash,                  // wrong namespace
+		"/cache/func/" + funcHashes[0],             // function namespace
+		"/cache/prover/" + strings.Repeat("0", 32), // absent hash
+		"/cache/prover/not-a-hash",                 // bad hash
 	} {
 		r, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -87,57 +108,6 @@ func TestCacheEndpointServesSealedRecords(t *testing.T) {
 		if r.StatusCode != http.StatusNotFound {
 			t.Errorf("%s: status %d, want 404", path, r.StatusCode)
 		}
-	}
-}
-
-// TestPeerWarmsSecondNode is the two-node fleet scenario: node A checks a
-// program; node B, cold but pointed at A, serves the same check entirely
-// from verified peer fetches — identical diagnostics, zero local walks, and
-// the fetched records written through to B's own disk.
-func TestPeerWarmsSecondNode(t *testing.T) {
-	_, tsA := newTestServer(t, Config{Workers: 2, CacheDir: t.TempDir(), CacheSecret: fleetSecret})
-	var respA CheckResponse
-	if code := postJSON(t, tsA.URL+"/check", CheckRequest{Source: peerSrc}, &respA); code != http.StatusOK {
-		t.Fatalf("node A check: %d", code)
-	}
-
-	sB, tsB := newTestServer(t, Config{
-		Workers:     2,
-		CacheDir:    t.TempDir(),
-		CachePeers:  []string{tsA.URL},
-		CacheSecret: fleetSecret,
-	})
-	var respB CheckResponse
-	if code := postJSON(t, tsB.URL+"/check", CheckRequest{Source: peerSrc}, &respB); code != http.StatusOK {
-		t.Fatalf("node B check: %d", code)
-	}
-	if respB.Stats.FuncCacheMisses != 0 {
-		t.Fatalf("node B walked %d functions despite a warm peer", respB.Stats.FuncCacheMisses)
-	}
-	if a, b := fmt.Sprint(respA.Diagnostics), fmt.Sprint(respB.Diagnostics); a != b {
-		t.Fatalf("peer-served diagnostics diverge:\nA: %s\nB: %s", a, b)
-	}
-	fcB := sB.funcCache.Stats()
-	if fcB.PeerHits == 0 || fcB.PeerRejects != 0 {
-		t.Fatalf("node B cache stats = %+v, want peer hits and no rejects", fcB)
-	}
-	// Write-through: B's own disk now holds the fetched records, so a third
-	// node could warm from B.
-	if sB.diskFunc.Len() == 0 {
-		t.Fatal("peer fetches were not written through to node B's disk")
-	}
-	var m MetricsResponse
-	if code := getJSON(t, tsB.URL+"/metrics", &m); code != http.StatusOK {
-		t.Fatalf("metrics: %d", code)
-	}
-	if m.Peers == nil || m.Peers.Hits == 0 {
-		t.Fatalf("metrics peers section missing or empty: %+v", m.Peers)
-	}
-	if m.FuncCache.PeerHits == 0 {
-		t.Fatalf("metrics func_cache.peer_hits = 0: %+v", m.FuncCache)
-	}
-	if m.Disk == nil {
-		t.Fatal("metrics disk section missing")
 	}
 }
 
@@ -184,156 +154,118 @@ func TestProvePeerRequiresCertificates(t *testing.T) {
 	}
 }
 
-// TestAdversarialPeerNeverFlipsVerdicts: a hostile relay serving tampered
-// records costs local re-walks, never wrong output — whether the attacker
-// is outside the fleet (cannot mint the fleet MAC; the transport refuses
-// the record) or inside it (re-MACs the tampered bytes; the cache layer's
-// seal verification refuses them). Both rejections surface in /metrics.
+// TestAdversarialPeerNeverFlipsVerdicts: a hostile peer costs local
+// re-proves, never a changed verdict. An outsider relaying node A's records
+// with one byte flipped is refused at Unseal; a liar serving correctly
+// sealed records that turn A's Valids into Unknowns is refused because an
+// Unknown carries no certificate to replay. Both surface as peer_rejects in
+// /metrics with no peer hits.
 func TestAdversarialPeerNeverFlipsVerdicts(t *testing.T) {
-	// A truthful node A, then proxies in front of it that flip one byte in
-	// every record they relay.
-	_, tsA := newTestServer(t, Config{Workers: 2, CacheDir: t.TempDir(), CacheSecret: fleetSecret})
-	var respA CheckResponse
-	if code := postJSON(t, tsA.URL+"/check", CheckRequest{Source: peerSrc}, &respA); code != http.StatusOK {
-		t.Fatalf("node A check: %d", code)
-	}
-	tamperProxy := func(resign bool) *httptest.Server {
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			resp, err := http.Get(tsA.URL + r.URL.Path)
-			if err != nil {
-				w.WriteHeader(http.StatusBadGateway)
-				return
-			}
-			defer resp.Body.Close()
-			data, _ := io.ReadAll(resp.Body)
-			if resp.StatusCode == http.StatusOK && len(data) > 0 {
-				data[len(data)/2] ^= 0x40
-				if resign {
-					// The insider: knows the fleet secret, so the MAC
-					// verifies — only the record's own checks remain.
-					w.Header().Set(peerAuthHeader, peerAuthTag(fleetSecret, data))
-				}
-			}
-			w.WriteHeader(resp.StatusCode)
-			w.Write(data)
-		}))
+	const qual = "nonnull"
+	sA, tsA := newTestServer(t, Config{Workers: 2, CacheDir: t.TempDir(), EmitCertificates: true})
+	respA := proveOn(t, tsA.URL, qual)
+	if !respA.AllSound {
+		t.Fatalf("node A: %s not sound: %+v", qual, respA)
 	}
 
-	// Outsider: tampered bytes without a mintable MAC die at the transport.
-	evil := tamperProxy(false)
-	defer evil.Close()
-	sB, tsB := newTestServer(t, Config{Workers: 2, CachePeers: []string{evil.URL}, CacheSecret: fleetSecret})
-	var respB CheckResponse
-	if code := postJSON(t, tsB.URL+"/check", CheckRequest{Source: peerSrc}, &respB); code != http.StatusOK {
-		t.Fatalf("node B check: %d", code)
-	}
-	if a, b := fmt.Sprint(respA.Diagnostics), fmt.Sprint(respB.Diagnostics); a != b {
-		t.Fatalf("outsider tampering changed the diagnostics:\nA: %s\nB: %s", a, b)
-	}
-	if fc := sB.funcCache.Stats(); fc.PeerHits != 0 {
-		t.Fatalf("a tampered record was admitted: %+v", fc)
-	}
-	snap := sB.peerClient.snapshot()
-	if snap.AuthRejects == 0 {
-		t.Fatalf("no tampered record failed authentication: %+v", snap)
-	}
-	var m MetricsResponse
-	getJSON(t, tsB.URL+"/metrics", &m)
-	if m.Peers == nil || m.Peers.AuthRejects == 0 || !m.Peers.Authenticated {
-		t.Fatalf("auth rejects not surfaced in /metrics: %+v", m.Peers)
+	// rejectedEverything proves qual on a fresh node behind peer and
+	// requires A's verdicts with every fetched record refused.
+	rejectedEverything := func(stage, peer string) {
+		t.Helper()
+		s, ts := newTestServer(t, Config{Workers: 2, EmitCertificates: true, CachePeers: []string{peer}})
+		resp := proveOn(t, ts.URL, qual)
+		if a, b := proveVerdicts(respA), proveVerdicts(resp); a != b {
+			t.Fatalf("%s changed the verdicts:\nA: %s\ngot: %s", stage, a, b)
+		}
+		if pc := s.proverCache.Stats(); pc.PeerHits != 0 || pc.PeerRejects == 0 {
+			t.Fatalf("%s: prover cache stats = %+v, want rejects and no hits", stage, pc)
+		}
+		var m MetricsResponse
+		getJSON(t, ts.URL+"/metrics", &m)
+		if m.ProverCache.PeerRejects == 0 {
+			t.Fatalf("%s: rejects not surfaced in /metrics: %+v", stage, m.ProverCache)
+		}
 	}
 
-	// Insider: the MAC verifies, so the tampered record reaches the cache
-	// layer — where Unseal's checksum refuses it, counted as a peer reject.
-	insider := tamperProxy(true)
-	defer insider.Close()
-	sC, tsC := newTestServer(t, Config{Workers: 2, CachePeers: []string{insider.URL}, CacheSecret: fleetSecret})
-	var respC CheckResponse
-	if code := postJSON(t, tsC.URL+"/check", CheckRequest{Source: peerSrc}, &respC); code != http.StatusOK {
-		t.Fatalf("node C check: %d", code)
-	}
-	if a, c := fmt.Sprint(respA.Diagnostics), fmt.Sprint(respC.Diagnostics); a != c {
-		t.Fatalf("insider tampering changed the diagnostics:\nA: %s\nC: %s", a, c)
-	}
-	fc := sC.funcCache.Stats()
-	if fc.PeerRejects == 0 {
-		t.Fatalf("no re-signed tampered record was rejected: %+v", fc)
-	}
-	if fc.PeerHits != 0 {
-		t.Fatalf("a re-signed tampered record was admitted: %+v", fc)
-	}
-	var mc MetricsResponse
-	getJSON(t, tsC.URL+"/metrics", &mc)
-	if mc.FuncCache.PeerRejects == 0 {
-		t.Fatalf("rejects not surfaced in /metrics: %+v", mc.FuncCache)
-	}
-}
+	// Outsider: flips one byte in every record it relays from A.
+	tamper := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		resp, err := http.Get(tsA.URL + r.URL.Path)
+		if err != nil {
+			w.WriteHeader(http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode == http.StatusOK && len(data) > 0 {
+			data[len(data)/2] ^= 0x40
+		}
+		w.WriteHeader(resp.StatusCode)
+		w.Write(data)
+	}))
+	defer tamper.Close()
+	rejectedEverything("byte-flipping relay", tamper.URL)
 
-// TestFuncPeerFetchRequiresSecret: without a fleet secret the function
-// namespace never fetches from peers — its seals cannot distinguish a lying
-// peer from an honest one, so the node computes locally instead — while the
-// certificate-gated prover namespace stays peer-fetchable.
-func TestFuncPeerFetchRequiresSecret(t *testing.T) {
-	_, tsA := newTestServer(t, Config{Workers: 2, CacheDir: t.TempDir(), EmitCertificates: true})
-	if code := postJSON(t, tsA.URL+"/check", CheckRequest{Source: peerSrc}, nil); code != http.StatusOK {
-		t.Fatalf("node A check: %d", code)
-	}
-	var proveA ProveResponse
-	if code := postJSON(t, tsA.URL+"/prove", ProveRequest{Qualifier: "nonnull"}, &proveA); code != http.StatusOK {
-		t.Fatalf("node A prove: %d", code)
-	}
-
-	sB, tsB := newTestServer(t, Config{
-		Workers: 2, EmitCertificates: true,
-		CachePeers: []string{tsA.URL}, // no CacheSecret
+	// Liar: serves every key A holds as a correctly sealed, non-transient
+	// Unknown — well-formed bytes that would fail each obligation.
+	lies := map[string][]byte{}
+	sA.proverCache.ForEach(func(key string, _ simplify.Outcome) {
+		payload := sA.proverCache.Codec().Encode(simplify.Outcome{
+			Result: simplify.Unknown, Reason: "saturated without contradiction",
+		})
+		lies[cachedisk.KeyHash(key)] = cachedisk.Seal(key, payload)
 	})
-	var respB CheckResponse
-	if code := postJSON(t, tsB.URL+"/check", CheckRequest{Source: peerSrc}, &respB); code != http.StatusOK {
-		t.Fatalf("node B check: %d", code)
+	if len(lies) == 0 {
+		t.Fatal("node A cached no outcomes to lie about")
 	}
-	if respB.Stats.FuncCacheMisses == 0 {
-		t.Fatal("node B did not walk locally — func entries came from an unauthenticated peer")
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec, ok := lies[path.Base(r.URL.Path)]
+		if !ok {
+			w.WriteHeader(http.StatusNotFound)
+			return
+		}
+		w.Write(rec)
+	}))
+	defer liar.Close()
+	rejectedEverything("lying peer", liar.URL)
+}
+
+// TestCachePeersNeedCertificates: a node without certificates asks only for
+// keys whose Valids carry none, so nothing a peer sends could be admitted;
+// it must not attach the peer tier at all.
+func TestCachePeersNeedCertificates(t *testing.T) {
+	var requests atomic.Int64
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		w.WriteHeader(http.StatusNotFound)
+	}))
+	defer peer.Close()
+	s, ts := newTestServer(t, Config{Workers: 2, CachePeers: []string{peer.URL}})
+	if resp := proveOn(t, ts.URL, "nonnull"); !resp.AllSound {
+		t.Fatalf("nonnull not sound: %+v", resp)
 	}
-	if fc := sB.funcCache.Stats(); fc.PeerHits != 0 || fc.PeerRejects != 0 {
-		t.Fatalf("unauthenticated func peer traffic happened: %+v", fc)
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("a node without certificates sent %d peer requests", n)
 	}
-	var proveB ProveResponse
-	if code := postJSON(t, tsB.URL+"/prove", ProveRequest{Qualifier: "nonnull"}, &proveB); code != http.StatusOK {
-		t.Fatalf("node B prove: %d", code)
-	}
-	if !proveB.AllSound {
-		t.Fatalf("node B prove not sound: %+v", proveB)
-	}
-	if pc := sB.proverCache.Stats(); pc.PeerHits == 0 {
-		t.Fatalf("certificate-gated prover namespace did not fetch: %+v", pc)
-	}
-	var m MetricsResponse
-	getJSON(t, tsB.URL+"/metrics", &m)
-	if m.Peers == nil || m.Peers.Authenticated {
-		t.Fatalf("metrics should report an unauthenticated peer client: %+v", m.Peers)
+	if s.peerClient != nil {
+		t.Fatal("peer client attached without certificates")
 	}
 }
 
-// TestDeadPeerBreakerAndFallback: an unreachable peer costs a few timed-out
+// TestDeadPeerBreakerAndFallback: an unreachable peer costs a few failed
 // fetches, then its breaker opens and later lookups skip it — and every
-// check still answers correctly from local walks throughout.
+// prove still answers correctly from local proofs throughout.
 func TestDeadPeerBreakerAndFallback(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		Workers:     2,
-		CachePeers:  []string{"http://127.0.0.1:1"}, // nothing listens here
-		CacheSecret: fleetSecret,
-		PeerTimeout: 100 * time.Millisecond,
-		PeerRetries: -1,
+		Workers:          2,
+		EmitCertificates: true,
+		CachePeers:       []string{"http://127.0.0.1:1"}, // nothing listens here
+		PeerTimeout:      100 * time.Millisecond,
+		PeerRetries:      -1,
 	})
 	s.peerClient.sleep = func(time.Duration) {} // no real backoff waits in tests
-	for i := 0; i < peerBreakerThreshold+2; i++ {
-		src := fmt.Sprintf("void f%d() { int x = %d; }", i, i)
-		var resp CheckResponse
-		if code := postJSON(t, ts.URL+"/check", CheckRequest{Source: src}, &resp); code != http.StatusOK {
-			t.Fatalf("check %d: status %d", i, code)
-		}
-		if resp.Warnings != 0 {
-			t.Fatalf("check %d: unexpected warnings", i)
+	for _, qual := range []string{"nonnull", "pos", "unique"} {
+		if resp := proveOn(t, ts.URL, qual); !resp.AllSound {
+			t.Fatalf("%s not sound beside a dead peer: %+v", qual, resp)
 		}
 	}
 	snap := s.peerClient.snapshot()
@@ -350,26 +282,21 @@ func TestDeadPeerBreakerAndFallback(t *testing.T) {
 
 // TestPeerFetchFaultPoint: an armed peer.fetch fault behaves exactly like a
 // failing peer — charged to the breaker as fetch errors while every verdict
-// stays locally computed and correct — and a node started after disarm warms
+// stays locally proved and correct — and a node started after disarm warms
 // from the same peer cleanly.
 func TestPeerFetchFaultPoint(t *testing.T) {
 	defer faults.DisarmAll()
-	_, tsA := newTestServer(t, Config{Workers: 2, CacheDir: t.TempDir(), CacheSecret: fleetSecret})
-	if code := postJSON(t, tsA.URL+"/check", CheckRequest{Source: peerSrc}, nil); code != http.StatusOK {
-		t.Fatalf("node A check: %d", code)
-	}
+	_, tsA := newTestServer(t, Config{Workers: 2, CacheDir: t.TempDir(), EmitCertificates: true})
+	respA := proveOn(t, tsA.URL, "nonnull")
 
-	sB, tsB := newTestServer(t, Config{Workers: 2, CachePeers: []string{tsA.URL}, CacheSecret: fleetSecret, PeerRetries: -1})
+	sB, tsB := newTestServer(t, Config{Workers: 2, EmitCertificates: true, CachePeers: []string{tsA.URL}, PeerRetries: -1})
 	sB.peerClient.sleep = func(time.Duration) {}
 	if err := faults.Arm("peer.fetch=error"); err != nil {
 		t.Fatal(err)
 	}
-	var respB CheckResponse
-	if code := postJSON(t, tsB.URL+"/check", CheckRequest{Source: peerSrc}, &respB); code != http.StatusOK {
-		t.Fatalf("node B check under fault: %d", code)
-	}
-	if respB.Warnings == 0 {
-		t.Fatal("faulted peer path lost the local verdicts")
+	respB := proveOn(t, tsB.URL, "nonnull")
+	if a, b := proveVerdicts(respA), proveVerdicts(respB); a != b {
+		t.Fatalf("faulted peer path changed the verdicts:\nA: %s\nB: %s", a, b)
 	}
 	snap := sB.peerClient.snapshot()
 	if snap.Errors == 0 || snap.Hits != 0 {
@@ -377,12 +304,12 @@ func TestPeerFetchFaultPoint(t *testing.T) {
 	}
 
 	faults.DisarmAll()
-	sC, tsC := newTestServer(t, Config{Workers: 2, CachePeers: []string{tsA.URL}, CacheSecret: fleetSecret})
-	var respC CheckResponse
-	if code := postJSON(t, tsC.URL+"/check", CheckRequest{Source: peerSrc}, &respC); code != http.StatusOK {
-		t.Fatalf("node C check after disarm: %d", code)
+	sC, tsC := newTestServer(t, Config{Workers: 2, EmitCertificates: true, CachePeers: []string{tsA.URL}})
+	respC := proveOn(t, tsC.URL, "nonnull")
+	if a, c := proveVerdicts(respA), proveVerdicts(respC); a != c {
+		t.Fatalf("peer-served verdicts diverge:\nA: %s\nC: %s", a, c)
 	}
-	if got := sC.funcCache.Stats(); got.PeerHits == 0 {
+	if got := sC.proverCache.Stats(); got.PeerHits == 0 {
 		t.Fatalf("disarmed peer path served nothing: %+v", got)
 	}
 }
@@ -412,7 +339,7 @@ func TestHealthzDrainingCarriesRetryAfter(t *testing.T) {
 func TestCacheEndpointDrainingShed(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, CacheDir: t.TempDir()})
 	s.draining.Store(true)
-	resp, err := http.Get(ts.URL + "/cache/func/" + strings.Repeat("0", 32))
+	resp, err := http.Get(ts.URL + "/cache/prover/" + strings.Repeat("0", 32))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,22 +110,13 @@ type Config struct {
 	// records are evicted past it. 0 means cachedisk.DefaultBudget.
 	CacheBudget int64
 	// CachePeers lists base URLs (e.g. "http://node2:8080") of qualserve
-	// nodes whose GET /cache/{ns}/{hash} endpoints are tried, in order, when
-	// both local tiers miss. Fetched records are admitted only after full
-	// verification: seal + embedded key for every record, certificate replay
-	// for prover Valids, content-seal recompute for function entries.
+	// nodes whose GET /cache/prover/{hash} endpoints are tried, in order,
+	// when both local prover tiers miss. It takes effect only with
+	// EmitCertificates: a fetched outcome is admitted only as a Valid whose
+	// certificate replays locally and names the requested goal, and a node
+	// without certificates asks for keys whose Valids carry none. The
+	// function cache never fetches from peers.
 	CachePeers []string
-	// CacheSecret is the shared fleet secret authenticating peer cache
-	// traffic: nodes attach an HMAC-SHA256 of every served record and
-	// require one on every fetched record. It is the trust anchor for the
-	// func namespace — a function entry's seals are plain checksums any
-	// writer can recompute (they detect corruption, not tampering), so
-	// WITHOUT a secret, function-cache peer fetch is disabled outright
-	// rather than trusting whoever answers the URL. Prover records stay
-	// fetchable either way: their Valids are gated on certificate replay,
-	// which no secret can forge. Every node in a fleet must share the same
-	// secret (see qualserve -cache-secret-file).
-	CacheSecret []byte
 	// PeerTimeout bounds one fetch attempt against one peer (0 means 2s);
 	// PeerRetries is the extra attempts per peer after the first (0 means 1,
 	// negative disables retry). Failures trip a per-peer circuit breaker.
@@ -275,25 +266,16 @@ func New(cfg Config) *Server {
 		s.funcCache.WithDisk(s.diskFunc)
 		s.proverCache.WithDisk(s.diskProver)
 	}
-	if len(cfg.CachePeers) > 0 {
-		s.peerClient = newPeerClient(cfg.CachePeers, cfg.PeerTimeout, cfg.peerRetries(), cfg.CacheSecret)
-		pc := s.peerClient
-		// The func namespace has no intrinsic proof to replay — its content
-		// seal detects corruption, not tampering — so it fetches from peers
-		// only when the fleet MAC authenticates them. The prover namespace
-		// fetches unconditionally: a Valid is admitted only after its
-		// certificate replays locally, which no network position can forge.
-		if len(cfg.CacheSecret) > 0 {
-			s.funcCache.WithPeerFetch(func(key string) ([]byte, bool) { return pc.fetch("func", key) })
-		}
-		s.proverCache.WithPeerFetch(func(key string) ([]byte, bool) { return pc.fetch("prover", key) })
+	if len(cfg.CachePeers) > 0 && cfg.EmitCertificates {
+		s.peerClient = newPeerClient(cfg.CachePeers, cfg.PeerTimeout, cfg.peerRetries())
+		s.proverCache.WithPeerFetch(s.peerClient.fetch)
 	}
 	s.mux.HandleFunc("POST /check", s.handleCheck)
 	s.mux.HandleFunc("POST /check-batch", s.handleCheckBatch)
 	s.mux.HandleFunc("POST /prove", s.handleProve)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /cache/{ns}/{hash}", s.handleCacheGet)
+	s.mux.HandleFunc("GET /cache/prover/{hash}", s.handleCacheGet)
 	for w := 0; w < cfg.workers(); w++ {
 		s.wg.Add(1)
 		go s.worker()

@@ -119,15 +119,18 @@ var outcomeCodec = tiercache.Codec[Outcome]{
 	VerifyPeer: verifyPeerOutcome,
 }
 
-// verifyPeerOutcome admits a peer-fetched outcome only when a Valid verdict
-// carries a certificate that replays under cert.Verify and names this very
-// goal. The cache has already unsealed the record against the exact key
-// asked for and decoded it as a current, non-transient outcome. A peer (or a
-// man in the middle) can therefore cause extra work, never a wrong Valid:
-// the TCB for peer-sourced proofs is the replay checker.
+// verifyPeerOutcome admits a peer-fetched outcome only when it is a Valid
+// verdict carrying a certificate that replays under cert.Verify and names
+// this very goal. The cache has already unsealed the record against the
+// exact key asked for and decoded it as a current, non-transient outcome.
+// An Unknown has no proof behind it — admitting one would let a peer fail a
+// goal this node proves — so it is refused too, honest or not, and the node
+// proves that goal itself. A peer (or a man in the middle) can therefore
+// cause extra work, never a changed verdict: the TCB for peer-sourced
+// outcomes is the replay checker.
 func verifyPeerOutcome(key string, out Outcome) error {
 	if out.Result != Valid {
-		return nil
+		return fmt.Errorf("peer outcome is not a certified Valid")
 	}
 	if out.Certificate == nil {
 		return fmt.Errorf("peer Valid without certificate")

@@ -327,6 +327,9 @@ func TestPeerFetchRejectsUnverifiable(t *testing.T) {
 		{"valid without certificate", cachedisk.Seal(key, encodeOutcome(noCert))},
 		{"certificate for another goal", cachedisk.Seal(key, encodeOutcome(wrongGoal))},
 		{"transient outcome", cachedisk.Seal(key, encodeOutcome(Outcome{Result: Unknown, Reason: ReasonBudget}))},
+		{"forged unknown", cachedisk.Seal(key, encodeOutcome(Outcome{
+			Result: Unknown, Reason: "saturated without contradiction", CounterExample: []string{"¬R(c)"},
+		}))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

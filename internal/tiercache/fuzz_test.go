@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cachedisk"
 	"repro/internal/checker"
 	"repro/internal/cminor"
 	"repro/internal/logic"
@@ -15,15 +16,16 @@ import (
 
 // FuzzPayloadDecoders feeds arbitrary bytes to both payload decoders, the
 // prover's outcome records (QPV) and the function cache's entries (QFE).
-// Their input comes from disk and from peers, so neither may panic, and any
-// value a decoder accepts must survive encode→decode unchanged.
+// Their input comes from disk (and, for outcomes, from peers), so neither may
+// panic, and any value a decoder accepts must survive encode→decode
+// unchanged.
 func FuzzPayloadDecoders(f *testing.F) {
-	prover, funcs := seedCaches(f)
+	prover, funcs, funcPayloads := seedCaches(f)
 	for _, out := range values(prover) {
 		f.Add(prover.Codec().Encode(out))
 	}
-	for _, e := range values(funcs.Cache) {
-		f.Add(funcs.Codec().Encode(e))
+	for _, payload := range funcPayloads {
+		f.Add(payload)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		roundTrip(t, prover.Codec(), data)
@@ -53,8 +55,9 @@ func values[V any](c *tiercache.Cache[V]) []V {
 
 // seedCaches fills a prover cache and a function cache with real values: a
 // certified Valid, an Unknown with a counter-example, and function entries
-// with and without diagnostics.
-func seedCaches(f *testing.F) (*simplify.Cache, *checker.FuncCache) {
+// with and without diagnostics. The function entries are returned as the
+// payloads their disk tier persisted.
+func seedCaches(f *testing.F) (*simplify.Cache, *checker.FuncCache, [][]byte) {
 	opts := simplify.DefaultOptions()
 	opts.EmitCertificates = true
 	prover := simplify.NewCache(0)
@@ -84,10 +87,20 @@ void leak(int* p) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	funcs := checker.NewFuncCache(0)
-	checker.CheckWithCache(context.Background(), prog, reg, checker.Options{}, funcs)
-	if prover.Len() != 2 || funcs.Len() != 2 {
-		f.Fatalf("seeded %d outcomes and %d function entries, want 2 and 2", prover.Len(), funcs.Len())
+	store, err := cachedisk.Open(f.TempDir(), 0)
+	if err != nil {
+		f.Fatal(err)
 	}
-	return prover, funcs
+	funcs := checker.NewFuncCache(0).WithDisk(store)
+	checker.CheckWithCache(context.Background(), prog, reg, checker.Options{}, funcs)
+	var payloads [][]byte
+	funcs.ForEach(func(key string, _ []string) {
+		if payload, ok := store.Get(key); ok {
+			payloads = append(payloads, payload)
+		}
+	})
+	if prover.Len() != 2 || len(payloads) != 2 {
+		f.Fatalf("seeded %d outcomes and %d function entries, want 2 and 2", prover.Len(), len(payloads))
+	}
+	return prover, funcs, payloads
 }
