@@ -19,7 +19,7 @@ BENCH_BASELINE ?= BENCH_head_baseline.txt
 # families (soundness obligations, Table 2 checking) plus the prover and
 # engine microbenchmarks.
 BENCH_ROOT = ^(BenchmarkTable2Untainted|BenchmarkSoundness|BenchmarkAblationCongruenceChain|BenchmarkProverPosMultiplication|BenchmarkProverSelectStore)$$
-BENCH_SIMPLIFY = ^(BenchmarkRefute|BenchmarkTheoryConflict|BenchmarkPrefilterOnly|BenchmarkConflictLearning)$$
+BENCH_SIMPLIFY = ^(BenchmarkRefute|BenchmarkTheoryConflict|BenchmarkConflictLearning)$$
 # Geomean-regression tolerance for the bench-smoke CI gate.
 BENCH_MAX_REGRESS ?= 0.10
 

@@ -98,9 +98,6 @@ func main() {
 		s := cache.Stats()
 		fmt.Printf("prover cache: %d hits, %d misses, %d evictions (%.1f%% hit rate, %d entries)\n",
 			s.Hits, s.Misses, s.Evictions, 100*s.HitRate(), cache.Len())
-		pf := simplify.GlobalPrefilterCounters()
-		fmt.Printf("prefilter: %d/%d goals discharged (%.1f%%; ground=%d unit=%d interval=%d)\n",
-			pf.Discharged(), pf.Attempts, 100*pf.HitRate(), pf.Ground, pf.Unit, pf.Interval)
 	}
 	printCertStats := func() {
 		if !*certs {
@@ -192,10 +189,9 @@ func main() {
 
 // statsLine renders search telemetry as one compact line.
 func statsLine(s simplify.Stats) string {
-	return fmt.Sprintf("rounds=%d decisions=%d case-splits=%d instantiations=%d ground=%d merges=%d fm-elims=%d theory-checks=%d prefilter=%d/%d learned=%d forgotten=%d restarts=%d search=%v",
+	return fmt.Sprintf("rounds=%d decisions=%d case-splits=%d instantiations=%d ground=%d merges=%d fm-elims=%d theory-checks=%d learned=%d forgotten=%d restarts=%d search=%v",
 		s.Rounds, s.Decisions, s.CaseSplits, s.Instantiations, s.GroundClauses,
 		s.CongruenceMerges, s.FMEliminations, s.TheoryChecks,
-		s.PrefilterGround+s.PrefilterUnit+s.PrefilterInterval, s.PrefilterAttempts,
 		s.LearnedClauses, s.ForgottenClauses, s.Restarts,
 		s.WallTime.Round(time.Microsecond))
 }

@@ -5,10 +5,10 @@
 // clausified problem (over interned terms and atoms), followed by a
 // sequence of derivation steps, ending in the empty clause. The
 // verifier (Verify) checks every step by reverse unit propagation
-// (RUP) or by replaying a literal-level theory explanation against
-// small built-in congruence-closure / Fourier–Motzkin / interval
-// checkers. It never searches: a step either checks in one bounded
-// pass or the certificate is rejected.
+// (RUP) or by replaying a literal-level theory explanation against a
+// small built-in congruence-closure / Fourier–Motzkin checker. It
+// never searches: a step either checks in one bounded pass or the
+// certificate is rejected.
 //
 // The package intentionally depends only on the standard library so
 // that the trusted computing base for a replayed verdict is this
@@ -89,17 +89,11 @@ const (
 	StepTheory uint8 = 1
 )
 
-// Theory explanation kinds for StepTheory steps.
-const (
-	// ExplTheory replays the negated literals through a small
-	// congruence closure plus Fourier–Motzkin elimination and
-	// requires a conflict.
-	ExplTheory uint8 = 0
-	// ExplInterval replays the negated literals through the
-	// prefilter's single-variable integer interval analysis and
-	// requires a conflict.
-	ExplInterval uint8 = 1
-)
+// ExplTheory is the only theory explanation kind for StepTheory steps:
+// it replays the negated literals through a small congruence closure
+// plus Fourier–Motzkin elimination and requires a conflict. Verify
+// rejects any other kind as malformed.
+const ExplTheory uint8 = 0
 
 // Step is one derivation. Lits is the derived clause (empty for the
 // final contradiction). For StepRUP, Premises optionally restricts

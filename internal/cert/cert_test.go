@@ -99,26 +99,6 @@ func certIntMerge() *Certificate {
 	}
 }
 
-// certInterval: x >= 1 ∧ x <= 1 ∧ x != 1 closes the interval.
-func certInterval() *Certificate {
-	ge := MkLit(0, false)
-	le := MkLit(1, false)
-	eq := MkLit(2, false)
-	return &Certificate{
-		Terms: []Term{app("x"), intT(1)},
-		Atoms: []Atom{
-			{Op: OpGe, L: 0, R: 1},
-			{Op: OpLe, L: 0, R: 1},
-			{Op: OpEq, L: 0, R: 1},
-		},
-		Clauses: [][]Lit{{ge}, {le}, {eq.Neg()}},
-		Steps: []Step{
-			{Kind: StepTheory, Expl: ExplInterval, Lits: []Lit{ge.Neg(), le.Neg(), eq}},
-			{Kind: StepRUP, Lits: nil},
-		},
-	}
-}
-
 // certTrueFalse: pred(x) ∧ ¬pred(x) via the virtual true/false nodes.
 func certTrueFalse() *Certificate {
 	p := MkLit(0, false)
@@ -138,7 +118,6 @@ func validSeeds() map[string]*Certificate {
 		"congruence": certCongruence(),
 		"fm":         certFM(),
 		"intmerge":   certIntMerge(),
-		"interval":   certInterval(),
 		"truefalse":  certTrueFalse(),
 	}
 }
@@ -189,20 +168,12 @@ func TestVerifyCircularPremise(t *testing.T) {
 
 func TestVerifyUnexplainedTheory(t *testing.T) {
 	// x <= 0 alone is satisfiable: the lemma {¬(x<=0)} has no
-	// explanation in any theory checker.
+	// theory explanation.
 	c := certFM()
 	c.Steps[0].Lits = []Lit{MkLit(0, true)} // {¬le}: asserts x <= 0 only
 	err := Verify(c)
 	if !errors.Is(err, ErrUnexplainedTheory) {
 		t.Fatalf("consistent theory step: got %v, want ErrUnexplainedTheory", err)
-	}
-
-	// Same for the interval checker.
-	c2 := certInterval()
-	c2.Steps[0].Lits = []Lit{MkLit(0, true)} // asserts x >= 1 only
-	err = Verify(c2)
-	if !errors.Is(err, ErrUnexplainedTheory) {
-		t.Fatalf("consistent interval step: got %v, want ErrUnexplainedTheory", err)
 	}
 }
 
@@ -231,6 +202,12 @@ func TestVerifyStructuralRejects(t *testing.T) {
 		{"unknown-expl", func(c *Certificate) {
 			c.Steps[0].Kind = StepTheory
 			c.Steps[0].Expl = 7
+		}, ErrMalformed},
+		// Kind 1 was the retired interval explanation; no checker
+		// replays it any more.
+		{"retired-interval-expl", func(c *Certificate) {
+			c.Steps[0].Kind = StepTheory
+			c.Steps[0].Expl = 1
 		}, ErrMalformed},
 		{"theory-step-with-premises", func(c *Certificate) {
 			c.Steps[0].Kind = StepTheory

@@ -13,7 +13,7 @@ func FuzzCertificateReplay(f *testing.F) {
 	var encoded [][]byte
 	for _, c := range []*Certificate{
 		certResolution(), certCongruence(), certFM(),
-		certIntMerge(), certInterval(), certTrueFalse(),
+		certIntMerge(), certTrueFalse(),
 	} {
 		c.Key = "fuzz-seed"
 		encoded = append(encoded, Encode(c))

@@ -2,21 +2,20 @@ package cert
 
 import "sort"
 
-// The theory explanation checkers. A StepTheory clause claims that the
+// The theory explanation checker. A StepTheory clause claims that the
 // conjunction of the negations of its literals is theory-unsatisfiable;
-// these checkers replay that conjunction through small, search-free
+// checkTheory replays that conjunction through small, search-free
 // re-implementations of the prover's theories — congruence closure with
-// integer-literal semantics, Fourier–Motzkin elimination with EUF→LA
-// propagation, and the prefilter's single-variable interval analysis —
-// and demand a conflict. They are deliberately at least as strong as
-// the engine's incremental solvers (every extra fact they derive is
-// entailed by the asserted literals), so a genuine engine conflict
-// always replays, while a consistent literal set never does.
+// integer-literal semantics and Fourier–Motzkin elimination with EUF→LA
+// propagation — and demands a conflict. It is deliberately at least as
+// strong as the engine's incremental solvers (every extra fact it
+// derives is entailed by the asserted literals), so a genuine engine
+// conflict always replays, while a consistent literal set never does.
 
 // miniFMCap bounds Fourier–Motzkin blowup. It is deliberately higher
-// than the engine's cap: the mini checker registers more atoms and
-// pinnings than the engine did, so its eliminations can be larger, and
-// hitting the cap here would reject a genuine certificate.
+// than the engine's cap: the mini checker registers more atoms than the
+// engine did, so its eliminations can be larger, and hitting the cap
+// here would reject a genuine certificate.
 const miniFMCap = 200000
 
 // linT is a linear constraint over certificate terms meaning
@@ -100,90 +99,7 @@ func newMini(c *Certificate) *mini {
 		}
 	}
 	m.diseqs = append(m.diseqs, [2]int32{m.trueNode(), m.falseNode()})
-	// Ground-value pinning: fully interpreted terms (integer literals
-	// under +, -, ~, *) are pinned to their value and merged with other
-	// terms of the same value. Every such merge is an arithmetic truth,
-	// so this only strengthens the checker with entailed facts; without
-	// it, evaluation-only refutations (the prefilter ground tier's
-	// ¬(2+3 = 5) units, asserted as disequalities) would have no
-	// congruence path to a conflict.
-	gv, gok := groundVals(c)
-	byVal := map[int64]int32{}
-	for i := range c.Terms {
-		if !gok[i] {
-			continue
-		}
-		m.pinInt(int32(i), gv[i])
-		if r, ok := byVal[gv[i]]; ok {
-			m.union(int32(i), r)
-		} else {
-			byVal[gv[i]] = int32(i)
-		}
-	}
 	return m
-}
-
-// groundVals evaluates every fully interpreted term bottom-up (argument
-// indices strictly precede their application, so one pass suffices),
-// mirroring the prefilter's evalGroundTerm including its int64 wrap.
-func groundVals(c *Certificate) ([]int64, []bool) {
-	gv := make([]int64, len(c.Terms))
-	gok := make([]bool, len(c.Terms))
-	for i := range c.Terms {
-		t := &c.Terms[i]
-		if t.IsInt {
-			gv[i], gok[i] = t.Int, true
-			continue
-		}
-		args := t.Args
-		allOK := true
-		for _, a := range args {
-			if !gok[a] {
-				allOK = false
-				break
-			}
-		}
-		if !allOK {
-			continue
-		}
-		switch t.Fn {
-		case "+":
-			var s int64
-			for _, a := range args {
-				s += gv[a]
-			}
-			gv[i], gok[i] = s, true
-		case "-":
-			if len(args) == 2 {
-				gv[i], gok[i] = gv[args[0]]-gv[args[1]], true
-			} else if len(args) == 1 {
-				gv[i], gok[i] = -gv[args[0]], true
-			}
-		case "~":
-			if len(args) == 1 {
-				gv[i], gok[i] = -gv[args[0]], true
-			}
-		case "*":
-			if len(args) == 2 {
-				gv[i], gok[i] = gv[args[0]]*gv[args[1]], true
-			}
-		}
-	}
-	return gv, gok
-}
-
-// pinInt pins x's class to the integer v; a class already pinned to a
-// different value is a conflict.
-func (m *mini) pinInt(x int32, v int64) {
-	r := m.find(x)
-	if m.hasInt[r] {
-		if m.intv[r] != v {
-			m.conflict = true
-		}
-		return
-	}
-	m.hasInt[r] = true
-	m.intv[r] = v
 }
 
 func (m *mini) trueNode() int32  { return int32(len(m.c.Terms)) }
@@ -572,124 +488,6 @@ func checkTheory(c *Certificate, st *Step) error {
 	all := append(m.cons, m.eufLA()...)
 	if fmInfeasible(all) {
 		return nil
-	}
-	return ErrUnexplainedTheory
-}
-
-// checkInterval validates an ExplInterval step by the prefilter's
-// single-variable interval analysis: unit-coefficient bounds on single
-// opaque terms, integer endpoint tightening through disequalities, and
-// a conflict on an empty interval (or a self-disequality, or a
-// violated ground constraint).
-func checkInterval(c *Certificate, st *Step) error {
-	m := newMini(c)
-	type iv struct {
-		lo, hi       int64
-		hasLo, hasHi bool
-		ne           map[int64]bool
-	}
-	const boundMax = int64(1) << 40
-	ivs := map[int32]*iv{}
-	ivOf := func(t int32) *iv {
-		v := ivs[t]
-		if v == nil {
-			v = &iv{ne: map[int64]bool{}}
-			ivs[t] = v
-		}
-		return v
-	}
-	conflict := false
-	addLe := func(diff linT, bound int64) {
-		if len(diff.coeffs) == 0 {
-			if diff.consts > bound {
-				conflict = true
-			}
-			return
-		}
-		if len(diff.coeffs) != 1 {
-			return
-		}
-		for t, co := range diff.coeffs {
-			b := bound - diff.consts
-			if b > boundMax || b < -boundMax {
-				return
-			}
-			switch co {
-			case 1:
-				v := ivOf(t)
-				if !v.hasHi || b < v.hi {
-					v.hi, v.hasHi = b, true
-				}
-			case -1:
-				v := ivOf(t)
-				if !v.hasLo || -b > v.lo {
-					v.lo, v.hasLo = -b, true
-				}
-			}
-		}
-	}
-	for _, sl := range st.Lits {
-		l := sl.Neg() // the asserted literal
-		at := &c.Atoms[l.Atom()]
-		if at.Op == PredOp {
-			continue
-		}
-		op := at.Op
-		if l.Negated() {
-			op = negOp(op)
-		}
-		diff := m.lin(at.L).clone().add(m.lin(at.R), -1)
-		switch op {
-		case OpEq:
-			addLe(diff.clone(), 0)
-			addLe(newLinT().add(diff, -1), 0)
-		case OpLe:
-			addLe(diff, 0)
-		case OpLt:
-			addLe(diff, -1)
-		case OpGe:
-			addLe(newLinT().add(diff, -1), 0)
-		case OpGt:
-			addLe(newLinT().add(diff, -1), -1)
-		case OpNe:
-			if at.L == at.R {
-				conflict = true
-				break
-			}
-			if len(diff.coeffs) != 1 {
-				break
-			}
-			for t, co := range diff.coeffs {
-				switch co {
-				case 1:
-					if v := -diff.consts; v <= boundMax && v >= -boundMax {
-						ivOf(t).ne[v] = true
-					}
-				case -1:
-					if v := diff.consts; v <= boundMax && v >= -boundMax {
-						ivOf(t).ne[v] = true
-					}
-				}
-			}
-		}
-		if conflict {
-			return nil
-		}
-	}
-	for _, v := range ivs {
-		if !v.hasLo || !v.hasHi {
-			continue
-		}
-		lo, hi := v.lo, v.hi
-		for v.ne[lo] && lo <= hi {
-			lo++
-		}
-		for v.ne[hi] && hi >= lo {
-			hi--
-		}
-		if lo > hi {
-			return nil
-		}
 	}
 	return ErrUnexplainedTheory
 }

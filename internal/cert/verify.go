@@ -29,8 +29,6 @@ func Verify(c *Certificate) error {
 			switch st.Expl {
 			case ExplTheory:
 				err = checkTheory(c, st)
-			case ExplInterval:
-				err = checkInterval(c, st)
 			default:
 				err = fmt.Errorf("%w: unknown explanation kind %d", ErrMalformed, st.Expl)
 			}
@@ -176,9 +174,8 @@ func checkRUP(c *Certificate, i int) error {
 		}
 	}
 
-	// Repeated-scan unit propagation to fixpoint, mirroring the
-	// prover's prefilter semantics. Quadratic but bounded and simple:
-	// no watch lists means nothing subtle to trust.
+	// Repeated-scan unit propagation to fixpoint. Quadratic but
+	// bounded and simple: no watch lists means nothing subtle to trust.
 	for {
 		progress := false
 		for _, cl := range db {

@@ -963,15 +963,6 @@ type DiskSnapshot struct {
 	Prover cachedisk.Stats `json:"prover"`
 }
 
-// PrefilterSnapshot is the process-wide prefilter section of GET /metrics:
-// how many goals each cheap tier discharged before the full engine ran (see
-// simplify.PrefilterCounters) plus the derived total and hit rate.
-type PrefilterSnapshot struct {
-	simplify.PrefilterCounters
-	Discharged uint64  `json:"discharged"`
-	HitRate    float64 `json:"hit_rate"`
-}
-
 // MetricsResponse is the body of GET /metrics.
 type MetricsResponse struct {
 	Snapshot
@@ -981,7 +972,6 @@ type MetricsResponse struct {
 	Draining      bool                   `json:"draining"`
 	FuncCache     CacheSnapshot          `json:"func_cache"`
 	ProverCache   CacheSnapshot          `json:"prover_cache"`
-	Prefilter     PrefilterSnapshot      `json:"prefilter"`
 	Lemmas        simplify.LemmaCounters `json:"lemmas"`
 	Certs         simplify.CertCounters  `json:"certs"`
 	BudgetTrips   uint64                 `json:"budget_trips"`
@@ -995,7 +985,6 @@ type MetricsResponse struct {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fc := s.funcCache.Stats()
 	pc := s.proverCache.Stats()
-	pf := simplify.GlobalPrefilterCounters()
 	var disk *DiskSnapshot
 	if s.cfg.CacheDir != "" {
 		disk = &DiskSnapshot{Dir: s.cfg.CacheDir, Func: s.diskFunc.Stats(), Prover: s.diskProver.Stats()}
@@ -1016,17 +1005,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		Draining:      s.draining.Load(),
 		FuncCache:     CacheSnapshot{Stats: fc, HitRate: fc.HitRate(), Len: s.funcCache.Len()},
 		ProverCache:   CacheSnapshot{Stats: pc, HitRate: pc.HitRate(), Len: s.proverCache.Len()},
-		Prefilter: PrefilterSnapshot{
-			PrefilterCounters: pf, Discharged: pf.Discharged(), HitRate: pf.HitRate(),
-		},
-		Lemmas:      simplify.GlobalLemmaCounters(),
-		Certs:       simplify.GlobalCertCounters(),
-		BudgetTrips: simplify.BudgetTrips(),
-		FaultsArmed: faults.Armed(),
-		FaultFires:  faults.Counters(),
-		Breaker:     s.breaker.snapshot(),
-		Disk:        disk,
-		Peers:       peers,
+		Lemmas:        simplify.GlobalLemmaCounters(),
+		Certs:         simplify.GlobalCertCounters(),
+		BudgetTrips:   simplify.BudgetTrips(),
+		FaultsArmed:   faults.Armed(),
+		FaultFires:    faults.Counters(),
+		Breaker:       s.breaker.snapshot(),
+		Disk:          disk,
+		Peers:         peers,
 	})
 }
 

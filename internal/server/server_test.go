@@ -223,22 +223,16 @@ func TestMetricsAndHealthz(t *testing.T) {
 		t.Errorf("func cache counters not surfaced: %+v", m.FuncCache)
 	}
 
-	// A prove run populates the prefilter section (counters are
-	// process-wide, so only monotone/non-zero properties are asserted).
+	// A prove run on this fresh server fills its prover cache, so the
+	// prover_cache section shows misses.
 	if code := postJSON(t, ts.URL+"/prove", ProveRequest{Qualifier: "pos"}, nil); code != http.StatusOK {
 		t.Fatalf("prove: status %d, want 200", code)
 	}
 	if code := getJSON(t, ts.URL+"/metrics", &m); code != http.StatusOK {
 		t.Fatalf("metrics after prove: status %d, want 200", code)
 	}
-	if m.Prefilter.Attempts == 0 {
-		t.Errorf("prefilter attempts not surfaced: %+v", m.Prefilter)
-	}
-	if m.Prefilter.Discharged != m.Prefilter.Ground+m.Prefilter.Unit+m.Prefilter.Interval {
-		t.Errorf("prefilter discharge total inconsistent: %+v", m.Prefilter)
-	}
-	if m.Prefilter.HitRate < 0 || m.Prefilter.HitRate > 1 {
-		t.Errorf("prefilter hit rate out of range: %v", m.Prefilter.HitRate)
+	if m.ProverCache.Misses == 0 {
+		t.Errorf("prover cache counters not surfaced: %+v", m.ProverCache)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/faults"
+	"repro/internal/logic"
 	"repro/internal/memwatch"
 )
 
@@ -131,12 +132,9 @@ func TestSearchFaultPoints(t *testing.T) {
 		}
 		cache := NewCache(16)
 		// An unprovable-without-search goal keeps the engine in its round
-		// loop long enough for every point to be reachable. The prefilter
-		// would discharge (EQ a a) before any of these points fire, so it is
-		// disabled here; its own points are covered by TestCDCLFaultPoints.
-		opts := DefaultOptions()
-		opts.DisablePrefilter = true
-		p := New(triggerLoopAxioms(), opts).WithCache(cache)
+		// loop long enough for every point to be reachable; the learn and
+		// backjump points are covered by TestCDCLFaultPoints.
+		p := New(triggerLoopAxioms(), DefaultOptions()).WithCache(cache)
 		out := p.Prove(goal)
 		if out.Result != Unknown && !strings.HasPrefix(tc.spec, "simplify.search.decision") &&
 			!strings.HasPrefix(tc.spec, "simplify.ematch.round") {
@@ -154,5 +152,62 @@ func TestSearchFaultPoints(t *testing.T) {
 	faults.DisarmAll()
 	if out := New(triggerLoopAxioms(), DefaultOptions()).Prove(goal); out.Result != Valid {
 		t.Fatalf("after disarm: %v, want Valid", out)
+	}
+}
+
+// TestCDCLFaultPoints covers the CDCL fault sites: conflict analysis
+// (search.learn) and backjumping (search.backjump). A fault mid-conflict-
+// analysis must degrade to a transient Unknown — never a wrong verdict,
+// never a cached one.
+func TestCDCLFaultPoints(t *testing.T) {
+	defer faults.DisarmAll()
+
+	// Find a corpus formula whose clean proof actually learns clauses, so the
+	// armed learn/backjump points are guaranteed reachable.
+	r := &diffRNG{s: 0xc0ffee}
+	var learnGoal logic.Formula
+	for i := 0; i < 500 && learnGoal == nil; i++ {
+		f := genGroundFormula(r, 3)
+		if out := New(nil, DefaultOptions()).Prove(f); out.Result == Valid && out.Stats.LearnedClauses > 0 {
+			learnGoal = f
+		}
+	}
+	if learnGoal == nil {
+		t.Fatal("corpus search found no goal that learns clauses")
+	}
+
+	cases := []struct {
+		spec   string
+		prefix string
+	}{
+		{"simplify.search.learn=panic", "panic: "},
+		{"simplify.search.learn=budget", ReasonBudget},
+		{"simplify.search.backjump=error:chaos", "fault: "},
+	}
+	for _, tc := range cases {
+		faults.DisarmAll()
+		if err := faults.Arm(tc.spec); err != nil {
+			t.Fatal(err)
+		}
+		cache := NewCache(16)
+		out := New(nil, DefaultOptions()).WithCache(cache).Prove(learnGoal)
+		if out.Result != Unknown {
+			t.Errorf("%s: result %v, want transient Unknown", tc.spec, out.Result)
+		}
+		if !strings.HasPrefix(out.Reason, tc.prefix) {
+			t.Errorf("%s: reason %q, want prefix %q", tc.spec, out.Reason, tc.prefix)
+		}
+		if !TransientReason(out.Reason) {
+			t.Errorf("%s: reason %q must be transient", tc.spec, out.Reason)
+		}
+		if cache.Len() != 0 {
+			t.Errorf("%s: transient outcome cached", tc.spec)
+		}
+	}
+
+	// Disarmed, the goal proves normally.
+	faults.DisarmAll()
+	if out := New(nil, DefaultOptions()).Prove(learnGoal); out.Result != Valid {
+		t.Fatalf("learn goal after disarm: %v (%q), want Valid", out.Result, out.Reason)
 	}
 }

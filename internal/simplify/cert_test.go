@@ -24,10 +24,8 @@ func certOptions() Options {
 
 // unsatAxioms is a propositionally unsatisfiable axiom base (the four
 // binary clauses over Q(a), Q(b)). Refuting it needs a real decision and
-// conflict analysis — no units for the prefilter — and every lemma
-// learned from it is untainted, so a settled outcome publishes to the
-// shared pool. Inconsistent axioms prove anything; these tests only care
-// that the search path runs learning and publication.
+// conflict analysis. Inconsistent axioms prove anything; these tests only
+// care that the search path runs learning and emission.
 func unsatAxioms() []logic.Formula {
 	qa := logic.P("Q", logic.Const("a"))
 	qb := logic.P("Q", logic.Const("b"))
@@ -40,8 +38,8 @@ func unsatAxioms() []logic.Formula {
 }
 
 // TestCertificateCorpusReplay runs the fixed-seed 10k differential corpus
-// through the two certificate-emitting configurations — CDCL with the
-// prefilter and a live cache, and CDCL alone — with the frozen verdicts of
+// through the two certificate-emitting configurations — CDCL with a live
+// cache, and CDCL alone — with the frozen verdicts of
 // testdata/ground10k.golden as the oracle. Every Valid must carry a
 // certificate the replay checker accepts (the engine already self-checked
 // it; this re-replays independently, plus a serialization round-trip on a
@@ -53,19 +51,12 @@ func TestCertificateCorpusReplay(t *testing.T) {
 	if testing.Short() {
 		n = 1500
 	}
-	mk := func(mut func(*Options)) *Prover {
-		opts := certOptions()
-		if mut != nil {
-			mut(&opts)
-		}
-		return New(nil, opts)
-	}
 	engines := []struct {
 		name string
 		p    *Prover
 	}{
-		{"cdcl+prefilter+cache", mk(nil).WithCache(NewCache(0))},
-		{"cdcl", mk(func(o *Options) { o.DisablePrefilter = true })},
+		{"cdcl+cache", New(nil, certOptions()).WithCache(NewCache(0))},
+		{"cdcl", New(nil, certOptions())},
 	}
 
 	before := GlobalCertCounters()
@@ -104,6 +95,133 @@ func TestCertificateCorpusReplay(t *testing.T) {
 		t.Fatalf("corpus emission rejected %d certificates, want 0", after.Rejected-before.Rejected)
 	}
 	t.Logf("certificate corpus: %d formulas, %d Valid, all certificates replayed on %d engines", n, valid, len(engines))
+}
+
+// TestEasyShapesProveWithCertificates: small goals whose proofs need only
+// ground arithmetic, one propositional conflict, single-term integer
+// bounds, or reflexivity prove Valid through the CDCL engine with a
+// certificate the replay checker accepts, and a false ground goal stays
+// Unknown.
+func TestEasyShapesProveWithCertificates(t *testing.T) {
+	a := logic.Const("a")
+	cases := []struct {
+		name  string
+		goal  logic.Formula
+		valid bool
+	}{
+		{"ground", logic.Eq(logic.Fn("*", logic.Fn("+", logic.Num(1), logic.Num(2)), logic.Num(3)), logic.Num(9)), true},
+		{"unit", logic.Imp(logic.P("P", a), logic.P("P", a)), true},
+		// a >= 1 and a <= 0: empty interval.
+		{"disjoint-bounds", logic.Not{F: logic.Conj(logic.Ge(a, logic.Num(1)), logic.Le(a, logic.Num(0)))}, true},
+		// 0 <= a <= 1 with both endpoints excluded: empty over the integers.
+		{"ne-tightening", logic.Not{F: logic.Conj(
+			logic.Ge(a, logic.Num(0)), logic.Le(a, logic.Num(1)),
+			logic.Ne(a, logic.Num(0)), logic.Ne(a, logic.Num(1)))}, true},
+		{"self-equality", logic.Eq(logic.Fn("f", a), logic.Fn("f", a)), true},
+		{"ground-false", logic.Eq(logic.Num(1), logic.Num(2)), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			out := New(nil, certOptions()).Prove(tc.goal)
+			if !tc.valid {
+				if out.Result != Unknown || out.Certificate != nil {
+					t.Fatalf("got %v (%q) cert=%t, want Unknown without a certificate",
+						out.Result, out.Reason, out.Certificate != nil)
+				}
+				return
+			}
+			if out.Result != Valid || out.Reason != "" {
+				t.Fatalf("got %v (%q), want Valid from the engine", out.Result, out.Reason)
+			}
+			if out.Certificate == nil {
+				t.Fatal("Valid without a certificate")
+			}
+			if err := cert.Verify(out.Certificate); err != nil {
+				t.Fatalf("replay rejected: %v", err)
+			}
+			if out.TraceHash == "" {
+				t.Error("no trace hash")
+			}
+			if st := out.Stats; st.PrefilterAttempts+st.PrefilterGround+st.PrefilterUnit+st.PrefilterInterval != 0 {
+				t.Errorf("always-zero prefilter stats are set: %+v", st)
+			}
+			t.Logf("%d decisions, %d certificate steps", out.Stats.Decisions, len(out.Certificate.Steps))
+		})
+	}
+}
+
+// TestPrefilterIntervalBounds: the bound shapes the retired prefilter's
+// interval tier used to discharge are refuted by the engine's theory
+// solver, so each certificate carries a theory lemma, and every such
+// lemma replays through ExplTheory: the checker needs no interval rule.
+func TestPrefilterIntervalBounds(t *testing.T) {
+	a := logic.Const("a")
+	cases := []struct {
+		name string
+		goal logic.Formula
+	}{
+		// Negation forces a >= 1 and a <= 0: empty interval.
+		{"disjoint-bounds", logic.Not{F: logic.Conj(logic.Ge(a, logic.Num(1)), logic.Le(a, logic.Num(0)))}},
+		// Negation forces 0 <= a <= 1 with both endpoints excluded: integer
+		// tightening empties the interval.
+		{"ne-tightening", logic.Not{F: logic.Conj(
+			logic.Ge(a, logic.Num(0)), logic.Le(a, logic.Num(1)),
+			logic.Ne(a, logic.Num(0)), logic.Ne(a, logic.Num(1)))}},
+		// Negation forces f(a) != f(a): a zero constant difference.
+		{"self-disequality", logic.Eq(logic.Fn("f", a), logic.Fn("f", a))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			out := New(nil, certOptions()).Prove(tc.goal)
+			if out.Result != Valid || out.Certificate == nil {
+				t.Fatalf("got %v (%q) cert=%t, want Valid with a certificate",
+					out.Result, out.Reason, out.Certificate != nil)
+			}
+			lemmas := 0
+			for i, s := range out.Certificate.Steps {
+				if s.Kind != cert.StepTheory {
+					continue
+				}
+				lemmas++
+				if s.Expl != cert.ExplTheory {
+					t.Errorf("step %d: explanation kind %d, want ExplTheory", i, s.Expl)
+				}
+			}
+			if lemmas == 0 {
+				t.Error("certificate has no theory lemma")
+			}
+			if err := cert.Verify(out.Certificate); err != nil {
+				t.Fatalf("replay rejected: %v", err)
+			}
+		})
+	}
+}
+
+// TestPrefilterOffSwitch: the prefilter is gone, so under the default
+// options every former tier's canonical goal proves Valid through the
+// engine, no reason names the prefilter, and the always-zero
+// Stats.Prefilter* fields stay zero.
+func TestPrefilterOffSwitch(t *testing.T) {
+	a := logic.Const("a")
+	goals := []logic.Formula{
+		logic.Eq(logic.Fn("*", logic.Fn("+", logic.Num(1), logic.Num(2)), logic.Num(3)), logic.Num(9)),
+		logic.Imp(logic.P("P", a), logic.P("P", a)),
+		logic.Not{F: logic.Conj(logic.Ge(a, logic.Num(1)), logic.Le(a, logic.Num(0)))},
+		logic.Eq(logic.Fn("f", a), logic.Fn("f", a)),
+	}
+	p := New(nil, DefaultOptions())
+	for i, g := range goals {
+		out := p.Prove(g)
+		if out.Result != Valid {
+			t.Errorf("goal %d: %v (%q), want Valid from the engine", i, out.Result, out.Reason)
+		}
+		if strings.HasPrefix(out.Reason, "prefilter") {
+			t.Errorf("goal %d: prefilter reason %q", i, out.Reason)
+		}
+		if st := out.Stats; st.PrefilterAttempts+st.PrefilterGround+st.PrefilterUnit+st.PrefilterInterval != 0 {
+			t.Errorf("goal %d: always-zero prefilter stats are set: %+v", i, st)
+		}
+	}
 }
 
 // TestCertRejectIsTransient: a rejected certificate (injected replay fault)

@@ -8,11 +8,11 @@ import (
 // certBuilder transcribes one goal's refutation into a cert.Certificate
 // as the search runs: terms and atoms are copied on first use into the
 // certificate's own tables (so the certificate is self-contained), and
-// every learned clause, theory conflict explanation, and prefilter
-// verdict becomes a derivation step. The problem clause section is
-// snapshotted from the clause database at finish time; since the
-// database only grows within a goal and RUP checking is monotone under
-// database growth, the late snapshot covers every step.
+// every learned clause and theory conflict explanation becomes a
+// derivation step. The problem clause section is snapshotted from the
+// clause database at finish time; since the database only grows within
+// a goal and RUP checking is monotone under database growth, the late
+// snapshot covers every step.
 type certBuilder struct {
 	tt      *logic.TermTable
 	at      *atomTable
@@ -104,14 +104,6 @@ func (b *certBuilder) theoryStep(ls []ilit) {
 	})
 }
 
-// intervalStep records a prefilter interval-tier verdict: the negations
-// of ls close some term's integer interval.
-func (b *certBuilder) intervalStep(ls []ilit) {
-	b.c.Steps = append(b.c.Steps, cert.Step{
-		Kind: cert.StepTheory, Expl: cert.ExplInterval, Lits: b.lits(ls),
-	})
-}
-
 // emptyStep records the final contradiction.
 func (b *certBuilder) emptyStep() {
 	b.c.Steps = append(b.c.Steps, cert.Step{Kind: cert.StepRUP})
@@ -126,133 +118,6 @@ func (b *certBuilder) finish(db *clauseDB, key string) *cert.Certificate {
 	}
 	b.c.Key = key
 	return b.c
-}
-
-// evalGroundTermID mirrors the prefilter's evalGroundTerm over interned
-// term IDs: integer literals under +, -, ~, *; ok is false on any
-// uninterpreted symbol.
-func evalGroundTermID(t logic.TermID, tt *logic.TermTable) (int64, bool) {
-	switch tt.Kind(t) {
-	case logic.KindInt:
-		return tt.IntVal(t), true
-	case logic.KindApp:
-		args := tt.Args(t)
-		switch tt.Fn(t) {
-		case "+":
-			var s int64
-			for _, a := range args {
-				v, ok := evalGroundTermID(a, tt)
-				if !ok {
-					return 0, false
-				}
-				s += v
-			}
-			return s, true
-		case "-":
-			if len(args) == 2 {
-				l, ok1 := evalGroundTermID(args[0], tt)
-				r, ok2 := evalGroundTermID(args[1], tt)
-				return l - r, ok1 && ok2
-			}
-			if len(args) == 1 {
-				v, ok := evalGroundTermID(args[0], tt)
-				return -v, ok
-			}
-		case "~":
-			if len(args) == 1 {
-				v, ok := evalGroundTermID(args[0], tt)
-				return -v, ok
-			}
-		case "*":
-			if len(args) == 2 {
-				l, ok1 := evalGroundTermID(args[0], tt)
-				r, ok2 := evalGroundTermID(args[1], tt)
-				return l * r, ok1 && ok2
-			}
-		}
-	}
-	return 0, false
-}
-
-// litFalseGround reports whether l is a fully interpreted ground
-// comparison that evaluates false under integer semantics.
-func litFalseGround(l ilit, db *clauseDB) bool {
-	k := db.at.keys[l.atom()]
-	if k.op == predOp {
-		return false
-	}
-	lv, ok1 := evalGroundTermID(k.l, db.tt)
-	rv, ok2 := evalGroundTermID(k.r, db.tt)
-	if !ok1 || !ok2 {
-		return false
-	}
-	op := logic.CmpOp(k.op)
-	if l.negated() {
-		op = op.Negate()
-	}
-	switch op {
-	case logic.EqOp:
-		return lv != rv
-	case logic.NeOp:
-		return lv == rv
-	case logic.LtOp:
-		return lv >= rv
-	case logic.LeOp:
-		return lv > rv
-	case logic.GtOp:
-		return lv <= rv
-	case logic.GeOp:
-		return lv < rv
-	}
-	return false
-}
-
-// emitGroundCert transcribes a prefilter ground-tier discharge. A fully
-// interpreted goal that evaluates true means its negation's CNF — the
-// clausifier is Tseitin-free, so the clause set is equivalent, not just
-// equisatisfiable — contains a clause every literal of which is a false
-// ground comparison. Each literal's negation is a one-literal arithmetic
-// fact, emitted as a unit theory step; the clause then falsifies under
-// unit propagation and the empty clause follows. If no such clause
-// exists (a clausifier bug), nothing is emitted and the certificate
-// fails its own replay — a sound, transient degrade. goalClauses are the
-// negated goal's clauses, the only ones the scan needs to look at.
-func emitGroundCert(cb *certBuilder, db *clauseDB, goalClauses [][]ilit) {
-	for _, cl := range goalClauses {
-		allFalse := true
-		for _, l := range cl {
-			if !litFalseGround(l, db) {
-				allFalse = false
-				break
-			}
-		}
-		if !allFalse {
-			continue
-		}
-		for _, l := range cl {
-			cb.theoryStep([]ilit{l ^ 1})
-		}
-		cb.emptyStep()
-		return
-	}
-}
-
-// emitIntervalCert transcribes a prefilter interval-tier discharge: one
-// interval step whose negated literals are exactly the unit-forced
-// assignment the interval analysis read, then the empty clause (during
-// replay unit propagation re-forces those literals, falsifying the
-// interval step).
-func emitIntervalCert(cb *certBuilder, assign []int8) {
-	var negs []ilit
-	for a := range assign {
-		if assign[a] == 0 {
-			continue
-		}
-		// The negation of the forced literal mkLit(a, assign[a] == -1).
-		negs = append(negs, mkLit(atomID(a), assign[a] == 1))
-	}
-	cb.intervalStep(negs)
-	cb.emptyStep()
 }
 
 // sealCert finishes the builder's certificate, verifies it with the

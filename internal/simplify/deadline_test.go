@@ -106,11 +106,7 @@ func TestDeadlineOutcomeNotCached(t *testing.T) {
 // usable afterwards.
 func TestProvePanicRecovered(t *testing.T) {
 	cache := NewCache(0)
-	// The prefilter would discharge this tautology before the round hook
-	// fires; this test is about panics inside the search proper.
-	opts := DefaultOptions()
-	opts.DisablePrefilter = true
-	p := New(nil, opts).WithCache(cache)
+	p := New(nil, DefaultOptions()).WithCache(cache)
 	goal := logic.Imp(logic.P("Q", logic.Const("c0")), logic.P("Q", logic.Const("c0")))
 
 	proveRoundHook = func() { panic("injected prover fault") }

@@ -89,7 +89,9 @@ func TestOutcomeCodecPinnedBytes(t *testing.T) {
 			Stats:          Stats{Rounds: 3, Instantiations: 41, GroundClauses: 12, Decisions: 7},
 			CounterExample: []string{"Q(a)", "¬R(b)"}, TraceHash: "00c0ffee00c0ffee"},
 			"515056010003290c071f73617475726174656420776974686f757420636f6e74726164696374696f6e02045128612906c2ac52286229103030633066666565303063306666656500"},
-		{Outcome{Result: Valid, Reason: ReasonPrefilterInterval,
+		// A reason the engine no longer mints: the codec carries any
+		// reason string verbatim.
+		{Outcome{Result: Valid, Reason: "prefilter: interval analysis",
 			Stats: Stats{Rounds: 1, GroundClauses: 5}, TraceHash: "0123456789abcdef"},
 			"5150560101010005001c70726566696c7465723a20696e74657276616c20616e616c7973697300103031323334353637383961626364656600"},
 	}
@@ -362,7 +364,7 @@ func TestDiskTierNeverStoresTransients(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	out := p.ProveContext(ctx, logic.P("R", logic.Const("c")))
-	// The prefilter may settle the goal before the first cancellation poll,
+	// The search may settle the goal before the first cancellation poll,
 	// so the verdict itself may be either Valid or a transient Unknown —
 	// what matters is that an outcome minted under a dead context reaches
 	// neither the memory cache nor the disk.

@@ -68,12 +68,6 @@ type Options struct {
 	// multiplication sign axioms that Simplify's limited non-linear
 	// arithmetic support provides.
 	NonlinearAxioms bool
-	// DisablePrefilter skips the cheap prefilter tier (ground evaluation,
-	// unit-propagation-only, interval analysis) that discharges easy goals
-	// before the full engine is built, so tests and benchmarks can reach the
-	// CDCL engine alone. Verdicts are identical either way. Participates in
-	// the cache fingerprint.
-	DisablePrefilter bool
 	// MaxTerms bounds the interned term table built for one goal (0 means
 	// unlimited). Unlike the step budgets above, tripping it yields the
 	// transient, uncached reason ReasonBudget: how many terms a truncated
@@ -89,10 +83,10 @@ type Options struct {
 	// soft ceiling against OOM, not an exact per-goal accounting.
 	MaxMemoryBytes uint64
 	// EmitCertificates makes every Valid verdict carry a replayable proof
-	// certificate (Outcome.Certificate): the prefilter tier or CDCL trail
-	// is transcribed into internal/cert steps, self-verified by cert.Verify
-	// before the outcome is returned, and re-verified when served from the
-	// cache. A certificate that fails its replay degrades the outcome to a
+	// certificate (Outcome.Certificate): the CDCL trail is transcribed
+	// into internal/cert steps, self-verified by cert.Verify before the
+	// outcome is returned, and re-verified when served from the cache. A
+	// certificate that fails its replay degrades the outcome to a
 	// transient, uncached Unknown with a "cert: ..." reason — the engine
 	// never reports a Valid it cannot independently justify. Off by
 	// default (emission costs time and memory proportional to the trail).
@@ -235,9 +229,9 @@ func (p *Prover) buildBase() {
 		return nil
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "opts|%d|%d|%d|%d|%t|prefilter=%t|terms=%d|clauses=%d|mem=%d|cert=%t\n",
+	fmt.Fprintf(h, "opts|%d|%d|%d|%d|%t|terms=%d|clauses=%d|mem=%d|cert=%t\n",
 		p.opts.MaxRounds, p.opts.MaxInstances, p.opts.MaxDecisions,
-		p.opts.GoalTimeout, p.opts.NonlinearAxioms, !p.opts.DisablePrefilter,
+		p.opts.GoalTimeout, p.opts.NonlinearAxioms,
 		p.opts.MaxTerms, p.opts.MaxClauses, p.opts.MaxMemoryBytes,
 		p.opts.EmitCertificates)
 	for _, ax := range p.axioms {

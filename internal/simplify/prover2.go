@@ -13,10 +13,9 @@ import (
 // theory solvers are created once per goal and rewound to their base marks
 // between rounds.
 //
-// In front of the per-round CDCL search, the prefilter tier (prefilter.go)
-// discharges easy goals before the theory solvers are built. Learned clauses
-// carry from round to round within a goal (they stay implied as the clause
-// set only grows); nothing carries from one goal to the next.
+// Every goal goes through this one engine. Learned clauses carry from round
+// to round within a goal (they stay implied as the clause set only grows);
+// nothing carries from one goal to the next.
 
 // clauseDB is the interned ground clause set, deduplicated by literal-set
 // content keys.
@@ -132,9 +131,6 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 	for _, c := range p.baseGround {
 		db.addGround(c)
 	}
-	// The negated goal's ground clauses follow the base ones; the prefilter
-	// adds none, so at prefilter time they are exactly db.clauses[nBase:].
-	nBase := len(db.clauses)
 	{
 		cs, err := logic.Clausify(logic.Not{F: goal}, sk)
 		if err != nil {
@@ -162,65 +158,18 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 	p.installLimits(tk, tt.Len, func() int { return len(db.clauses) })
 
 	// Certificate emission: the builder shadows the search, transcribing
-	// prefilter verdicts, theory conflict explanations, and learned
-	// clauses into a self-contained proof that cert.Verify replays before
-	// any Valid verdict is returned.
+	// theory conflict explanations and learned clauses into a
+	// self-contained proof that cert.Verify replays before any Valid
+	// verdict is returned.
 	var cb *certBuilder
 	if p.opts.EmitCertificates {
 		cb = newCertBuilder(tt, at)
 	}
 
-	// hash chains the per-round search event hashes (plus prefilter
-	// discharges) into Outcome.TraceHash.
+	// hash chains the per-round search event hashes into Outcome.TraceHash.
 	hash := uint64(hashOffset)
 	mix := func(x uint64) { hash = (hash ^ x) * hashPrime }
 	setHash := func() { out.TraceHash = fmt.Sprintf("%016x", hash) }
-
-	if !p.opts.DisablePrefilter {
-		out.Stats.PrefilterAttempts = 1
-		prefAttempts.Add(1)
-		tier, passign := prefilter(goal, db, tk)
-		if tk.reason != "" {
-			return stopped()
-		}
-		if tier != prefilterNone {
-			out.Result = Valid
-			out.Stats.GroundClauses = len(db.clauses)
-			switch tier {
-			case prefilterTierGround:
-				out.Reason = ReasonPrefilterGround
-				out.Stats.PrefilterGround = 1
-				prefGround.Add(1)
-			case prefilterTierUnit:
-				out.Reason = ReasonPrefilterUnit
-				out.Stats.PrefilterUnit = 1
-				prefUnit.Add(1)
-			case prefilterTierInterval:
-				out.Reason = ReasonPrefilterInterval
-				out.Stats.PrefilterInterval = 1
-				prefInterval.Add(1)
-			}
-			mix(uint64(tier))
-			if cb != nil {
-				switch tier {
-				case prefilterTierGround:
-					emitGroundCert(cb, db, db.clauses[nBase:])
-				case prefilterTierUnit:
-					// The replay checker's whole-database unit propagation
-					// is exactly this tier, so the empty clause is RUP.
-					cb.emptyStep()
-				case prefilterTierInterval:
-					emitIntervalCert(cb, passign)
-				}
-				// On rejection sealCert degrades out to a transient
-				// Unknown in place; either way the hash below records
-				// the prefilter discharge.
-				p.sealCert(cb, db, goal, &out, tk)
-			}
-			setHash()
-			return out
-		}
-	}
 
 	eg := newEgraph2(tt)
 	egBase := eg.mark()

@@ -35,14 +35,6 @@ type Stats struct {
 	// TheoryChecks counts consistency checks of DPLL branches against the
 	// EUF + arithmetic theories.
 	TheoryChecks int
-	// PrefilterAttempts counts goals that entered the prefilter tier (at most
-	// one per Prove call; aggregated reports sum them).
-	PrefilterAttempts int
-	// PrefilterGround / PrefilterUnit / PrefilterInterval count goals
-	// discharged by each prefilter tier before the full engine ran.
-	PrefilterGround   int
-	PrefilterUnit     int
-	PrefilterInterval int
 	// LearnedClauses counts CDCL lemmas learned across all rounds.
 	LearnedClauses int
 	// ForgottenClauses counts learned clauses dropped by activity-based
@@ -50,10 +42,15 @@ type Stats struct {
 	ForgottenClauses int
 	// Restarts counts Luby-scheduled CDCL restarts.
 	Restarts int
-	// LemmasImported is always 0: no learned clause carries from one goal
-	// into another. It stays because perfbench's prover.lemmas_imported
-	// metric reads it.
-	LemmasImported int
+	// Always-zero fields, kept only because perfbench reads them: no
+	// learned clause carries from one goal into another
+	// (prover.lemmas_imported), and no tier in front of the CDCL engine
+	// discharges goals (prover.prefilter_*). Add does not sum them.
+	LemmasImported    int
+	PrefilterAttempts int
+	PrefilterGround   int
+	PrefilterUnit     int
+	PrefilterInterval int
 	// CertsEmitted / CertsReplayed / CertsRejected count proof certificates
 	// built for Valid verdicts, certificates that passed replay
 	// verification (self-check at emission or replay-on-fetch from the
@@ -76,10 +73,6 @@ func (s *Stats) Add(o Stats) {
 	s.CongruenceMerges += o.CongruenceMerges
 	s.FMEliminations += o.FMEliminations
 	s.TheoryChecks += o.TheoryChecks
-	s.PrefilterAttempts += o.PrefilterAttempts
-	s.PrefilterGround += o.PrefilterGround
-	s.PrefilterUnit += o.PrefilterUnit
-	s.PrefilterInterval += o.PrefilterInterval
 	s.LearnedClauses += o.LearnedClauses
 	s.ForgottenClauses += o.ForgottenClauses
 	s.Restarts += o.Restarts
@@ -111,46 +104,13 @@ var budgetTrips atomic.Uint64
 // (ReasonBudget) since process start.
 func BudgetTrips() uint64 { return budgetTrips.Load() }
 
-// Process-wide prefilter and lemma counters, for qualserve /metrics and
-// qualprove -cache-stats: per-goal Stats aggregate within one Prove call,
-// these aggregate across every call in the process.
+// Process-wide lemma counters, for qualserve /metrics: per-goal Stats
+// aggregate within one Prove call, these aggregate across every call in
+// the process.
 var (
-	prefAttempts atomic.Uint64
-	prefGround   atomic.Uint64
-	prefUnit     atomic.Uint64
-	prefInterval atomic.Uint64
 	lemLearned   atomic.Uint64
 	lemForgotten atomic.Uint64
 )
-
-// PrefilterCounters is a process-wide snapshot of prefilter activity.
-type PrefilterCounters struct {
-	Attempts uint64 `json:"attempts"`
-	Ground   uint64 `json:"ground"`
-	Unit     uint64 `json:"unit"`
-	Interval uint64 `json:"interval"`
-}
-
-// Discharged returns the total goals discharged by any prefilter tier.
-func (c PrefilterCounters) Discharged() uint64 { return c.Ground + c.Unit + c.Interval }
-
-// HitRate returns discharged / attempts, or 0 before any attempt.
-func (c PrefilterCounters) HitRate() float64 {
-	if c.Attempts == 0 {
-		return 0
-	}
-	return float64(c.Discharged()) / float64(c.Attempts)
-}
-
-// GlobalPrefilterCounters snapshots the process-wide prefilter counters.
-func GlobalPrefilterCounters() PrefilterCounters {
-	return PrefilterCounters{
-		Attempts: prefAttempts.Load(),
-		Ground:   prefGround.Load(),
-		Unit:     prefUnit.Load(),
-		Interval: prefInterval.Load(),
-	}
-}
 
 // LemmaCounters is a process-wide snapshot of CDCL clause learning.
 type LemmaCounters struct {

@@ -13,8 +13,8 @@ import (
 // pack plus extras) with certificate emission on: every Valid obligation
 // must carry a certificate that the independent replay checker accepts, and
 // the run must reject nothing. This is the end-to-end exercise of emission
-// across the prefilter tiers and the CDCL trail on the paper's own
-// obligations; `make cert-smoke` runs exactly this test.
+// from the CDCL trail on the paper's own obligations; `make cert-smoke`
+// runs exactly this test.
 func TestCertificateSmoke(t *testing.T) {
 	reg, err := qdl.Load(quals.FileContents())
 	if err != nil {

@@ -40,16 +40,11 @@ type traceRecord struct {
 	TheoryChecks     int   `json:"theory_checks"`
 	SearchUS         int64 `json:"search_us"`
 
-	// Prefilter and CDCL telemetry (omitted when zero to keep old traces
-	// diffable): which cheap tier discharged the goal, and the learned-lemma
-	// churn of the search.
-	PrefilterAttempts int `json:"prefilter_attempts,omitempty"`
-	PrefilterGround   int `json:"prefilter_ground,omitempty"`
-	PrefilterUnit     int `json:"prefilter_unit,omitempty"`
-	PrefilterInterval int `json:"prefilter_interval,omitempty"`
-	LearnedClauses    int `json:"learned_clauses,omitempty"`
-	ForgottenClauses  int `json:"forgotten_clauses,omitempty"`
-	Restarts          int `json:"restarts,omitempty"`
+	// CDCL telemetry (omitted when zero to keep old traces diffable): the
+	// learned-lemma churn of the search.
+	LearnedClauses   int `json:"learned_clauses,omitempty"`
+	ForgottenClauses int `json:"forgotten_clauses,omitempty"`
+	Restarts         int `json:"restarts,omitempty"`
 
 	// Certificate telemetry (simplify.Options.EmitCertificates): steps in
 	// the emitted proof, and whether it passed replay verification.
@@ -72,33 +67,29 @@ func writeTrace(w io.Writer, r *Report, omitTimings bool) {
 	for _, res := range r.Results {
 		st := res.Outcome.Stats
 		rec := traceRecord{
-			Qualifier:         r.Qualifier,
-			Kind:              r.Kind.String(),
-			Obligation:        res.Obligation.Description,
-			OblKind:           res.Obligation.Kind.String(),
-			Result:            res.Outcome.Result.String(),
-			Valid:             res.Valid,
-			Reason:            res.Outcome.Reason,
-			Vacuous:           res.Obligation.Vacuous,
-			CacheHit:          res.Outcome.CacheHit,
-			ElapsedUS:         res.Elapsed.Microseconds(),
-			TraceHash:         res.Outcome.TraceHash,
-			Rounds:            st.Rounds,
-			Decisions:         st.Decisions,
-			CaseSplits:        st.CaseSplits,
-			Instantiations:    st.Instantiations,
-			GroundClauses:     st.GroundClauses,
-			CongruenceMerges:  st.CongruenceMerges,
-			FMEliminations:    st.FMEliminations,
-			TheoryChecks:      st.TheoryChecks,
-			SearchUS:          st.WallTime.Microseconds(),
-			PrefilterAttempts: st.PrefilterAttempts,
-			PrefilterGround:   st.PrefilterGround,
-			PrefilterUnit:     st.PrefilterUnit,
-			PrefilterInterval: st.PrefilterInterval,
-			LearnedClauses:    st.LearnedClauses,
-			ForgottenClauses:  st.ForgottenClauses,
-			Restarts:          st.Restarts,
+			Qualifier:        r.Qualifier,
+			Kind:             r.Kind.String(),
+			Obligation:       res.Obligation.Description,
+			OblKind:          res.Obligation.Kind.String(),
+			Result:           res.Outcome.Result.String(),
+			Valid:            res.Valid,
+			Reason:           res.Outcome.Reason,
+			Vacuous:          res.Obligation.Vacuous,
+			CacheHit:         res.Outcome.CacheHit,
+			ElapsedUS:        res.Elapsed.Microseconds(),
+			TraceHash:        res.Outcome.TraceHash,
+			Rounds:           st.Rounds,
+			Decisions:        st.Decisions,
+			CaseSplits:       st.CaseSplits,
+			Instantiations:   st.Instantiations,
+			GroundClauses:    st.GroundClauses,
+			CongruenceMerges: st.CongruenceMerges,
+			FMEliminations:   st.FMEliminations,
+			TheoryChecks:     st.TheoryChecks,
+			SearchUS:         st.WallTime.Microseconds(),
+			LearnedClauses:   st.LearnedClauses,
+			ForgottenClauses: st.ForgottenClauses,
+			Restarts:         st.Restarts,
 		}
 		if res.Outcome.Certificate != nil {
 			rec.CertSteps = len(res.Outcome.Certificate.Steps)
