@@ -305,8 +305,8 @@ func (en *engine) validateAnnotations() {
 						en.errorf(pos, "annotation", "unknown qualifier %s on %s", q, what)
 						continue
 					}
-					b := newBindings()
-					if !en.matchTypePat(d.Subject.Type, t.Base, b) {
+					var b bindings
+					if !en.matchTypePat(d.Subject.Type, t.Base, &b) {
 						en.errorf(pos, "annotation", "qualifier %s applies to %s types, but annotates %s (%s)", q, d.Subject.Type, t.Base, what)
 					}
 					if d.Kind == qdl.RefQualifier && d.Subject.Classifier == qdl.ClassVar && (!top || !isVariable) {
@@ -632,12 +632,12 @@ func (en *engine) restrictExpr(e cminor.Expr) {
 		return // l-values are matched via restrictLValue
 	}
 	for _, rc := range en.rExprClauses {
-		b := newBindings()
-		if !en.matchPattern(rc.def, rc.cl, rc.cl.Pat, e, b) {
+		var b bindings
+		if !en.matchPattern(rc.def, rc.cl, rc.cl.Pat, e, &b) {
 			continue
 		}
 		en.stats.RestrictChecks++
-		if rc.cl.Where != nil && !en.evalWhere(rc.cl.Where, b, nil, nil) {
+		if rc.cl.Where != nil && !en.evalWhere(rc.cl.Where, &b, nil, nil) {
 			en.stats.RestrictFailures++
 			en.errorf(e.Position(), "restrict", "%s violates qualifier %s's restrict rule: %s",
 				cminor.ExprString(e), rc.def.Name, rc.cl)
@@ -656,12 +656,12 @@ func (en *engine) restrictLValue(lv cminor.LValue) {
 		if !ok {
 			continue
 		}
-		b := newBindings()
-		if !en.bindExpr(vp, dlv.Addr, b) {
+		var b bindings
+		if !en.bindExpr(vp, dlv.Addr, &b) {
 			continue
 		}
 		en.stats.RestrictChecks++
-		if rc.cl.Where != nil && !en.evalWhere(rc.cl.Where, b, nil, nil) {
+		if rc.cl.Where != nil && !en.evalWhere(rc.cl.Where, &b, nil, nil) {
 			en.stats.RestrictFailures++
 			en.errorf(dlv.Pos, "restrict", "dereference of %s violates qualifier %s's restrict rule: %s",
 				cminor.ExprString(dlv.Addr), rc.def.Name, rc.cl)
@@ -910,14 +910,14 @@ func isNullish(t cminor.Type) bool {
 // for a destination of type dst.
 func (en *engine) matchesAssignClauses(d *qdl.Def, dst cminor.Type, rhs cminor.Expr) bool {
 	for _, cl := range d.Assigns {
-		b := newBindings()
-		if !en.matchTypePat(d.Subject.Type, dst, b) {
+		var b bindings
+		if !en.matchTypePat(d.Subject.Type, dst, &b) {
 			continue
 		}
-		if !en.matchPattern(d, cl, cl.Pat, rhs, b) {
+		if !en.matchPattern(d, cl, cl.Pat, rhs, &b) {
 			continue
 		}
-		if cl.Where != nil && !en.evalWhere(cl.Where, b, rhs, map[string]bool{}) {
+		if cl.Where != nil && !en.evalWhere(cl.Where, &b, rhs, map[string]bool{}) {
 			continue
 		}
 		return true

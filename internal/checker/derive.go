@@ -13,18 +13,18 @@ import (
 )
 
 // bindings is the result of matching a clause pattern: pattern variables
-// bound to program fragments, and type variables bound to cminor types.
-// Clauses bind at most a handful of variables, so the bindings are small
-// inline key/value lists (spilling to the heap past the inline capacity)
-// with linear-scan lookups — far cheaper than the three maps this used to
-// allocate per match attempt.
+// bound to expressions, and type variables bound to cminor types. One clause
+// binds at most two expressions, because the pattern grammar
+// P ::= X | *X | &X | new | NULL | uop X | X bop X names at most two
+// variables, and at most three type variables: the subject's and one for
+// each declared operand. So the bindings are fixed arrays with counts and
+// linear-scan lookups. They hold no pointer into themselves, which keeps
+// every local on the stack and makes a value copy independent of its source.
 type bindings struct {
-	exprs    []exprBind
-	lvs      []lvBind
-	types    []typeBind
-	exprsBuf [3]exprBind
-	lvsBuf   [2]lvBind
-	typesBuf [2]typeBind
+	exprs  [2]exprBind
+	types  [3]typeBind
+	nexprs int
+	ntypes int
 }
 
 type exprBind struct {
@@ -32,34 +32,24 @@ type exprBind struct {
 	e    cminor.Expr
 }
 
-type lvBind struct {
-	name string
-	lv   cminor.LValue
-}
-
 type typeBind struct {
 	name string
 	t    cminor.Type
 }
 
-// newBindings returns an empty binding set.
-func newBindings() *bindings { return &bindings{} }
-
 func (b *bindings) setExpr(name string, e cminor.Expr) {
-	for i := range b.exprs {
+	for i := 0; i < b.nexprs; i++ {
 		if b.exprs[i].name == name {
 			b.exprs[i].e = e
 			return
 		}
 	}
-	if b.exprs == nil {
-		b.exprs = b.exprsBuf[:0]
-	}
-	b.exprs = append(b.exprs, exprBind{name, e})
+	b.exprs[b.nexprs] = exprBind{name, e}
+	b.nexprs++
 }
 
 func (b *bindings) getExpr(name string) (cminor.Expr, bool) {
-	for i := range b.exprs {
+	for i := 0; i < b.nexprs; i++ {
 		if b.exprs[i].name == name {
 			return b.exprs[i].e, true
 		}
@@ -67,34 +57,19 @@ func (b *bindings) getExpr(name string) (cminor.Expr, bool) {
 	return nil, false
 }
 
-func (b *bindings) setLV(name string, lv cminor.LValue) {
-	for i := range b.lvs {
-		if b.lvs[i].name == name {
-			b.lvs[i].lv = lv
-			return
-		}
-	}
-	if b.lvs == nil {
-		b.lvs = b.lvsBuf[:0]
-	}
-	b.lvs = append(b.lvs, lvBind{name, lv})
-}
-
 func (b *bindings) setType(name string, t cminor.Type) {
-	for i := range b.types {
+	for i := 0; i < b.ntypes; i++ {
 		if b.types[i].name == name {
 			b.types[i].t = t
 			return
 		}
 	}
-	if b.types == nil {
-		b.types = b.typesBuf[:0]
-	}
-	b.types = append(b.types, typeBind{name, t})
+	b.types[b.ntypes] = typeBind{name, t}
+	b.ntypes++
 }
 
 func (b *bindings) getType(name string) (cminor.Type, bool) {
-	for i := range b.types {
+	for i := 0; i < b.ntypes; i++ {
 		if b.types[i].name == name {
 			return b.types[i].t, true
 		}
@@ -155,7 +130,6 @@ func (en *engine) bindExpr(vp qdl.VarPat, e cminor.Expr, b *bindings) bool {
 		if !en.matchTypePat(vp.Type, en.info.LVTypeOf(lve.LV), b) {
 			return false
 		}
-		b.setLV(vp.Name, lve.LV)
 		b.setExpr(vp.Name, e)
 		return true
 	case qdl.ClassVar:
@@ -169,7 +143,6 @@ func (en *engine) bindExpr(vp qdl.VarPat, e cminor.Expr, b *bindings) bool {
 		if !en.matchTypePat(vp.Type, en.info.LVTypeOf(lve.LV), b) {
 			return false
 		}
-		b.setLV(vp.Name, lve.LV)
 		b.setExpr(vp.Name, e)
 		return true
 	}
@@ -180,7 +153,9 @@ func (en *engine) bindExpr(vp qdl.VarPat, e cminor.Expr, b *bindings) bool {
 	return true
 }
 
-// bindLValue binds a pattern variable to an l-value (for &L patterns).
+// bindLValue checks classifier and type-pattern constraints for binding
+// pattern variable vp to an l-value (for &L patterns), recording only the
+// type variables.
 func (en *engine) bindLValue(vp qdl.VarPat, lv cminor.LValue, b *bindings) bool {
 	if vp.Classifier == qdl.ClassVar {
 		if _, isVar := lv.(*cminor.VarLV); !isVar {
@@ -190,11 +165,7 @@ func (en *engine) bindLValue(vp qdl.VarPat, lv cminor.LValue, b *bindings) bool 
 	if vp.Classifier == qdl.ClassConst {
 		return false
 	}
-	if !en.matchTypePat(vp.Type, en.info.LVTypeOf(lv), b) {
-		return false
-	}
-	b.setLV(vp.Name, lv)
-	return true
+	return en.matchTypePat(vp.Type, en.info.LVTypeOf(lv), b)
 }
 
 var binopByPatOp = map[qdl.PatOp]cminor.BinopKind{
@@ -536,16 +507,15 @@ func predConsultsQuals(p qdl.Pred) bool {
 
 // matchesAnyCase reports whether any case clause of d gives e the qualifier.
 func (en *engine) matchesAnyCase(d *qdl.Def, e cminor.Expr, cur map[string]bool) bool {
-	// The subject's type pattern must match e's type; it is the same check
-	// for every case, so one failed probe rejects the whole definition.
-	et := en.info.TypeOf(e)
+	// The subject's type pattern must match e's type. It is the same check
+	// for every case, so one probe serves them all: a failed probe rejects
+	// the whole definition, and each case starts from a copy of it.
 	var probe bindings
-	if !en.matchTypePat(d.Subject.Type, et, &probe) {
+	if !en.matchTypePat(d.Subject.Type, en.info.TypeOf(e), &probe) {
 		return false
 	}
 	for _, cl := range d.Cases {
-		var b bindings
-		en.matchTypePat(d.Subject.Type, et, &b)
+		b := probe
 		if !en.matchPattern(d, cl, cl.Pat, e, &b) {
 			continue
 		}

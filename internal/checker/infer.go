@@ -105,8 +105,8 @@ func Infer(prog *cminor.Program, reg *qdl.Registry, qualNames []string) ([]Infer
 			if cminor.HasQual(t, d.Name) {
 				continue
 			}
-			b := newBindings()
-			if !en0.matchTypePat(d.Subject.Type, t, b) {
+			var b bindings
+			if !en0.matchTypePat(d.Subject.Type, t, &b) {
 				continue
 			}
 			c.assumed[d.Name] = true

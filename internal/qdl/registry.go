@@ -3,15 +3,20 @@ package qdl
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Registry holds the qualifier definitions in scope. It is the single
 // source of qualifier truth: the cminor parser consults it to resolve
 // postfix annotations, the extensible typechecker executes its type rules,
-// and the soundness checker proves its invariants.
+// and the soundness checker proves its invariants. A Def must not change
+// after Add: Fingerprint hashes the definitions once and reuses the hash.
 type Registry struct {
 	byName map[string]*Def
 	order  []*Def
+
+	fpMu sync.Mutex
+	fp   string // Fingerprint's hash; "" until computed and after Add
 }
 
 // NewRegistry creates an empty registry.
@@ -32,6 +37,9 @@ func (r *Registry) Add(d *Def) error {
 	}
 	r.byName[d.Name] = d
 	r.order = append(r.order, d)
+	r.fpMu.Lock()
+	r.fp = ""
+	r.fpMu.Unlock()
 	return nil
 }
 

@@ -724,6 +724,7 @@ func (s *Server) doCheckBatch(ctx context.Context, req *CheckBatchRequest) (int,
 	if err != nil {
 		return http.StatusUnprocessableEntity, errorBody{Error: "qualifier definitions: " + err.Error()}
 	}
+	names := reg.Names()
 	resp := CheckBatchResponse{Files: make([]BatchFileResult, 0, len(req.Files))}
 	for i, in := range req.Files {
 		name := in.Filename
@@ -731,7 +732,7 @@ func (s *Server) doCheckBatch(ctx context.Context, req *CheckBatchRequest) (int,
 			name = fmt.Sprintf("input%d.c", i)
 		}
 		fr := BatchFileResult{Filename: name, Diagnostics: []CheckDiagnostic{}}
-		prog, err := cminor.Parse(name, in.Source, reg.Names())
+		prog, err := cminor.Parse(name, in.Source, names)
 		if err != nil {
 			fr.Error = "parse: " + err.Error()
 			resp.Failures++
