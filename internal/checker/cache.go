@@ -21,9 +21,13 @@ import (
 //
 // A cached entry is keyed by two hashes:
 //
-//   - the function fingerprint: the position-free rendering of the function
-//     (cminor.FuncString), so a body that merely moved within the file still
-//     hits;
+//   - the function fingerprint: the function's source text as Parse read it
+//     (cminor.FuncDef.Src, from the start of its first line through its
+//     closing brace). Under one context the same text parses to the same
+//     AST, and it fixes the column of every token and the line of every
+//     token relative to the function's first line, so a replayed diagnostic
+//     lands exactly where a fresh walk would put it. A reformatted body gets
+//     a new key; a body that merely moved to other lines still hits;
 //   - the context key: everything outside the body the walk can observe —
 //     the qualifier registry fingerprint, the checker options that change
 //     verdicts (flow sensitivity), the program interface (struct layouts,
@@ -34,7 +38,8 @@ import (
 //
 // Diagnostics are stored with line numbers relative to the function's own
 // first line and rebased on replay, so an unchanged function shifted by an
-// edit above it replays its warnings at the new positions.
+// edit above it replays its warnings at the new positions. Columns are
+// stored as they are, which the text in the key makes exact.
 
 // DefaultFuncCacheCapacity bounds a cache created with capacity <= 0.
 const DefaultFuncCacheCapacity = 8192
@@ -136,13 +141,13 @@ func (c *FuncCache) ForEach(fn func(key string, diagCodes []string)) {
 	})
 }
 
-// funcKey is the full cache key for one function under one context.
+// funcKey is the full cache key for one function under one context: the
+// context key, a NUL byte, then the function's source text.
 func funcKey(ctxKey string, f *cminor.FuncDef) string {
-	h := sha256.New()
-	io.WriteString(h, ctxKey)
-	io.WriteString(h, "\x00")
-	io.WriteString(h, cminor.FuncString(f))
-	return hex.EncodeToString(h.Sum(nil))
+	buf := make([]byte, 0, len(ctxKey)+1+len(f.Src))
+	buf = append(append(append(buf, ctxKey...), 0), f.Src...)
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // contextKey hashes everything a function-body walk can observe besides the
@@ -220,9 +225,10 @@ func hasFreshAssign(d *qdl.Def) bool {
 // exactly the function's contribution. Concurrent calls on one key coalesce
 // to a single walk; a caller whose run is canceled while it waits returns
 // with nothing (the run's Result.Err marks it inconclusive, same as any
-// unwalked function).
+// unwalked function). A function without source text (not built by Parse)
+// has no key and is walked uncached.
 func (en *engine) checkFuncCached(f *cminor.FuncDef) {
-	if en.fc == nil {
+	if en.fc == nil || f.Src == "" {
 		en.safeCheckFunc(f)
 		return
 	}

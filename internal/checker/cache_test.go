@@ -342,3 +342,89 @@ void beta(int* p) {
 		t.Errorf("version 1 replay diverges from cold check:\n got %s\nwant %s", got, want)
 	}
 }
+
+// betaSrc is the primed layout of TestFuncCacheReformattedFunction: beta's
+// violation sits at 4:3.
+const betaSrc = "int* nonnull g;\n\nvoid beta(int* p) {\n  g = p;\n}\n"
+
+// TestFuncCacheReformattedFunction: a function whose layout changed must not
+// replay the positions cached for its old layout. Every variant, checked
+// through a cache primed with betaSrc, must print what a fresh uncached
+// check prints, byte for byte; a function that only moved to other lines
+// must still hit.
+func TestFuncCacheReformattedFunction(t *testing.T) {
+	reg := quals.MustStandard()
+	for _, tc := range []struct {
+		name, src string
+		wantHit   bool
+	}{
+		{"blank line in body", "int* nonnull g;\n\nvoid beta(int* p) {\n\n  g = p;\n}\n", false},
+		{"re-indented body", "int* nonnull g;\n\nvoid beta(int* p) {\n      g = p;\n}\n", false},
+		{"moved down three lines", "int* nonnull g;\n\n\n\n\nvoid beta(int* p) {\n  g = p;\n}\n", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fc := NewFuncCache(0)
+			checkCached(t, reg, betaSrc, fc)
+			got := checkCached(t, reg, tc.src, fc)
+			want := checkCached(t, reg, tc.src, nil)
+			if g, w := fmt.Sprint(got.Diags), fmt.Sprint(want.Diags); g != w || len(want.Diags) == 0 {
+				t.Errorf("cached check diverges from a fresh one:\n got %s\nwant %s", g, w)
+			}
+			if hit := got.Stats.FuncCacheHits == 1; hit != tc.wantHit {
+				t.Errorf("cache hits = %d, want hit %v", got.Stats.FuncCacheHits, tc.wantHit)
+			}
+		})
+	}
+}
+
+// TestFuncKeyTracksSourceText: the function key is exact about the text —
+// one space, one comment character, or a one-column shift changes it — and
+// blind only to which lines the function occupies.
+func TestFuncKeyTracksSourceText(t *testing.T) {
+	reg := quals.MustStandard()
+	const ctxKey = "ctx"
+	key := func(src string) string {
+		t.Helper()
+		return funcKey(ctxKey, parseWith(t, reg, src).Func("f"))
+	}
+	base := key("int g;\nvoid f(int a) {\n  g = a; /* x */\n}\n")
+	for name, src := range map[string]string{
+		"one space in the body":   "int g;\nvoid f(int a) {\n  g =  a; /* x */\n}\n",
+		"one comment in the body": "int g;\nvoid f(int a) {\n  g = a; /* y */\n}\n",
+		"shifted right a column":  "int g;\n void f(int a) {\n   g = a; /* x */\n }\n",
+	} {
+		if key(src) == base {
+			t.Errorf("%s: key unchanged", name)
+		}
+	}
+	if moved := key("int g;\n\n\n\nvoid f(int a) {\n  g = a; /* x */\n}\n"); moved != base {
+		t.Error("moving the function down three lines changed its key")
+	}
+}
+
+// TestFuncCacheEmptySrcWalked: a FuncDef that Parse did not build carries no
+// source text. It has no key, so it is walked and never replayed — not even
+// against a cache primed with the same functions.
+func TestFuncCacheEmptySrcWalked(t *testing.T) {
+	reg := quals.MustStandard()
+	fc := NewFuncCache(0)
+	checkCached(t, reg, cacheSrc, fc)
+	before := fc.Stats()
+
+	prog := parseWith(t, reg, cacheSrc)
+	for _, f := range prog.Funcs {
+		f.Src = ""
+	}
+	got := CheckWithCache(context.Background(), prog, reg, Options{}, fc)
+	if got.Stats.FuncCacheHits != 0 || got.Stats.FuncCacheCoalesced != 0 {
+		t.Errorf("functions without source text replayed: %d hits, %d coalesced",
+			got.Stats.FuncCacheHits, got.Stats.FuncCacheCoalesced)
+	}
+	if after := fc.Stats(); after != before {
+		t.Errorf("functions without source text touched the cache: %+v -> %+v", before, after)
+	}
+	want := checkCached(t, reg, cacheSrc, nil)
+	if g, w := fmt.Sprint(got.Diags), fmt.Sprint(want.Diags); g != w {
+		t.Errorf("walk without source text diverges from a fresh check:\n got %s\nwant %s", g, w)
+	}
+}

@@ -116,11 +116,10 @@ type engine struct {
 
 	// Derivation tables (see prepareDerive): the case-bearing value
 	// qualifier definitions and, per definition, whether its where-clauses
-	// consult qualifier sets. Built lazily on first qualSet call and shared
+	// consult qualifier sets. Built once per file by newEngine and shared
 	// read-only with child engines.
-	deriveReady bool
-	valueDefs   []*qdl.Def
-	defCurDep   []bool
+	valueDefs []*qdl.Def
+	defCurDep []bool
 
 	// Function-granular result cache state (see cache.go). fc is nil for
 	// plain CheckWithContext runs; ctxKey is the context hash shared by every
@@ -183,13 +182,18 @@ func CheckWithContext(ctx context.Context, prog *cminor.Program, reg *qdl.Regist
 }
 
 // CheckWithCache is CheckWithContext backed by a function-granular result
-// cache: function bodies whose content-addressed key (position-free function
-// source × registry fingerprint × options × program interface, see cache.go)
-// is cached replay their stored diagnostics instead of being walked. A nil
+// cache: function bodies whose content-addressed key (function source text ×
+// registry fingerprint × options × program interface, see cache.go) is
+// cached replay their stored diagnostics instead of being walked. A nil
 // cache disables caching. Program-level passes (typechecking unless
 // Options.Types is supplied, annotation validation, global initializers, the
 // address-of pass, statistics collection) always run; only body walks are
 // reused. Safe for concurrent use with a shared cache.
+//
+// The program must be unchanged since Parse built it, the same contract
+// Options.Types states: a function is keyed by the text Parse recorded in
+// FuncDef.Src, so a declaration rewritten in place would replay the old
+// text's results. A FuncDef with an empty Src is walked uncached.
 func CheckWithCache(ctx context.Context, prog *cminor.Program, reg *qdl.Registry, opts Options, fc *FuncCache) *Result {
 	en := newEngine(ctx, prog, reg, opts, fc)
 	en.preFuncPasses()
@@ -223,6 +227,7 @@ func newEngine(ctx context.Context, prog *cminor.Program, reg *qdl.Registry, opt
 		},
 	}
 	en.prepareFlow()
+	en.prepareDerive()
 	if fc != nil {
 		en.fc = fc
 		en.ctxKey = en.contextKey(opts)
@@ -500,7 +505,6 @@ func (en *engine) childEngine() *engine {
 		globalNames:   en.globalNames,
 		rExprClauses:  en.rExprClauses,
 		rDerefClauses: en.rDerefClauses,
-		deriveReady:   en.deriveReady,
 		valueDefs:     en.valueDefs,
 		defCurDep:     en.defCurDep,
 		fc:            en.fc,

@@ -433,9 +433,6 @@ func (en *engine) qualSet(e cminor.Expr) map[string]bool {
 			}
 		}
 	}
-	if !en.deriveReady {
-		en.prepareDerive()
-	}
 	for round := 0; ; round++ {
 		changed := false
 		for i, d := range en.valueDefs {
@@ -483,7 +480,6 @@ func (en *engine) prepareDerive() {
 		en.valueDefs = append(en.valueDefs, d)
 		en.defCurDep = append(en.defCurDep, dep)
 	}
-	en.deriveReady = true
 }
 
 // predConsultsQuals reports whether p contains a qualifier check.

@@ -51,9 +51,9 @@ func posKey(p cminor.Pos) string { return fmt.Sprintf("%s:%d:%d", p.File, p.Line
 
 // Infer computes and APPLIES the maximal consistent set of value-qualifier
 // annotations for the given qualifier names, returning what was added. The
-// program's declared types are mutated; re-run Check afterwards to validate
-// (inference never introduces new warnings on a program that previously
-// checked).
+// program's declared types are mutated, and when anything was inferred every
+// FuncDef.Src is cleared; re-run Check afterwards to validate (inference
+// never introduces new warnings on a program that previously checked).
 func Infer(prog *cminor.Program, reg *qdl.Registry, qualNames []string) ([]InferredAnnotation, error) {
 	var defs []*qdl.Def
 	for _, q := range qualNames {
@@ -173,6 +173,7 @@ func Infer(prog *cminor.Program, reg *qdl.Registry, qualNames []string) ([]Infer
 		apply()
 		info, _ := cminor.TypeCheck(prog)
 		en := &engine{reg: reg, info: info, prog: prog, memo: map[cminor.Expr]map[string]bool{}}
+		en.prepareDerive()
 		changed := false
 		retract := func(def *cminor.VarDef, rhsQuals map[string]bool, resultQuals map[string]bool) {
 			if def == nil {
@@ -279,5 +280,13 @@ func Infer(prog *cminor.Program, reg *qdl.Registry, qualNames []string) ([]Infer
 		}
 		return out[i].Qual < out[j].Qual
 	})
+	if len(out) > 0 {
+		// The rewritten declarations no longer match the source text Parse
+		// recorded; drop it so a function cache walks these functions
+		// instead of replaying results keyed by the old text.
+		for _, f := range prog.Funcs {
+			f.Src = ""
+		}
+	}
 	return out, nil
 }

@@ -1,6 +1,8 @@
 package checker
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -227,5 +229,40 @@ func TestInferRejectsRefQualifiers(t *testing.T) {
 	}
 	if _, err := Infer(prog, reg, []string{"unique"}); err == nil || !strings.Contains(err.Error(), "reference qualifier") {
 		t.Errorf("expected rejection of reference qualifiers, got %v", err)
+	}
+}
+
+// TestCheckWithCacheAfterInfer pins the CheckWithCache contract across
+// Infer, which rewrites declarations in place: checking the inferred program
+// through a cache, fresh or primed on the program before inference, gives
+// what Check gives. Inference here changes only a local, so the context key
+// does not move: only Infer dropping the rewritten function's source text
+// keeps the primed entry from replaying.
+func TestCheckWithCacheAfterInfer(t *testing.T) {
+	const src = `
+int pos f() {
+  int x = 5;
+  int pos y = x;
+  return y;
+}
+`
+	reg := quals.MustStandard()
+	before := Check(parseWith(t, reg, src), reg)
+	for _, primed := range []bool{false, true} {
+		fc := NewFuncCache(0)
+		if primed {
+			checkCached(t, reg, src, fc)
+		}
+		prog := parseWith(t, reg, src)
+		if _, err := Infer(prog, reg, []string{"pos"}); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprint(Check(prog, reg).Diags)
+		if want == fmt.Sprint(before.Diags) {
+			t.Fatalf("inference left the diagnostics unchanged (%s); the test needs a change to catch", want)
+		}
+		if got := fmt.Sprint(CheckWithCache(context.Background(), prog, reg, Options{}, fc).Diags); got != want {
+			t.Errorf("primed=%v: CheckWithCache after Infer = %s, Check = %s", primed, got, want)
+		}
 	}
 }

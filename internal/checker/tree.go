@@ -3,6 +3,7 @@ package checker
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -30,7 +31,7 @@ type TreeOptions struct {
 	// Options configures per-file checking exactly as for CheckWith; the
 	// Concurrency field is ignored here (the tree scheduler owns parallelism).
 	Options
-	// Workers bounds the scheduler pool (the -j flag); 0 means
+	// Workers bounds the scheduler pool (the -j flag); 0 or less means
 	// runtime.GOMAXPROCS(0).
 	Workers int
 	// Seed seeds the scheduler's deterministic victim selection.
@@ -100,8 +101,12 @@ type TreeChecker struct {
 	reader    *input.Reader
 }
 
-// NewTreeChecker builds a checking engine with a running (idle) worker pool.
+// NewTreeChecker builds a checking engine with a running (idle) worker pool
+// of opts.Workers workers, or runtime.GOMAXPROCS(0) when opts.Workers <= 0.
 func NewTreeChecker(reg *qdl.Registry, opts TreeOptions) *TreeChecker {
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.GOMAXPROCS(0)
+	}
 	maxBytes := opts.Walk.MaxFileBytes
 	if maxBytes <= 0 {
 		maxBytes = input.DefaultMaxFileBytes

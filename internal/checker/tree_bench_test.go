@@ -2,10 +2,13 @@ package checker
 
 import (
 	"context"
+	"os"
 	"runtime"
 	"testing"
 
+	"repro/internal/cminor"
 	"repro/internal/corpus"
+	"repro/internal/input"
 	"repro/internal/quals"
 )
 
@@ -47,4 +50,49 @@ func BenchmarkCheckTree(b *testing.B) {
 			b.ReportMetric(float64(files)*float64(b.N)/b.Elapsed().Seconds(), "files/s")
 		})
 	}
+}
+
+// funcKeySink keeps BenchmarkFuncKey's calls from being optimised away.
+var funcKeySink string
+
+// BenchmarkFuncKey measures function-key derivation alone: funcKey over
+// every function of the BenchmarkCheckTree corpus, each under its own
+// file's context key. Parsing and context keys are built outside the timer.
+func BenchmarkFuncKey(b *testing.B) {
+	reg := quals.MustStandard()
+	dir := b.TempDir()
+	if _, err := corpus.WriteTree(dir, 96, 0x7ee5eed); err != nil {
+		b.Fatal(err)
+	}
+	files, _, err := input.Walk(dir, input.WalkOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	type unit struct {
+		ctxKey string
+		f      *cminor.FuncDef
+	}
+	var units []unit
+	for _, file := range files {
+		src, err := os.ReadFile(file.Path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, err := cminor.Parse(file.Rel, string(src), reg.Names())
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctxKey := newEngine(context.Background(), prog, reg, Options{}, NewFuncCache(0)).ctxKey
+		for _, f := range prog.Funcs {
+			units = append(units, unit{ctxKey, f})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, u := range units {
+			funcKeySink = funcKey(u.ctxKey, u.f)
+		}
+	}
+	b.ReportMetric(float64(len(units)), "funcs/op")
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -188,6 +189,19 @@ func TestTreeSchedulerTelemetry(t *testing.T) {
 	}
 	if res.Walk.Matched != 20 {
 		t.Errorf("walk matched %d, want 20", res.Walk.Matched)
+	}
+}
+
+// TestTreeCheckerDefaultWorkers: a zero worker count means every core, as
+// TreeOptions.Workers documents — not the scheduler's clamp to one worker.
+// GOMAXPROCS is raised for the test so the two differ on any machine.
+func TestTreeCheckerDefaultWorkers(t *testing.T) {
+	leak.Check(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	tc := NewTreeChecker(quals.MustStandard(), TreeOptions{})
+	defer tc.Close()
+	if got := tc.SchedStats().Workers; got != 3 {
+		t.Errorf("default pool has %d workers, want runtime.GOMAXPROCS(0) = 3", got)
 	}
 }
 

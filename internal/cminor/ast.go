@@ -339,6 +339,12 @@ type FuncDef struct {
 	Result   Type
 	Variadic bool
 	Body     *Block
+	// Src is the function's source text as Parse read it: from the start of
+	// the line holding its first token through its closing brace (through
+	// its ';' for a prototype). It is a substring of the parsed source, so
+	// it fixes the function's tokens and the column of every one of them.
+	// Empty when the FuncDef was not built by Parse.
+	Src string
 }
 
 // Signature returns the function's type.

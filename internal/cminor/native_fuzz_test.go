@@ -1,6 +1,7 @@
 package cminor
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -33,5 +34,16 @@ int f(int* nonnull p, int n) {
 		// Whatever parsed must survive the rest of the front end.
 		TypeCheck(prog)
 		Print(prog)
+		// Every function's recorded text is a piece of the source ending
+		// in its closing brace, or in a prototype's ';'.
+		for _, fn := range prog.Funcs {
+			end := "}"
+			if fn.Body == nil {
+				end = ";"
+			}
+			if !strings.Contains(src, fn.Src) || !strings.HasSuffix(fn.Src, end) {
+				t.Errorf("%s.Src = %q: not source text ending in %q", fn.Name, fn.Src, end)
+			}
+		}
 	})
 }

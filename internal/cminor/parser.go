@@ -2,6 +2,7 @@ package cminor
 
 import (
 	"fmt"
+	"strings"
 )
 
 // Parser parses cminor source into a Program. The parser must know the set
@@ -16,6 +17,14 @@ type Parser struct {
 	ahead []Token
 	quals map[string]bool
 	depth int
+
+	// blockEnd is the position of the '}' that closed the block parsed
+	// last; a function's body is the last block its definition parses.
+	blockEnd Pos
+	// lines and lineOff are the span cursor: line lines+1 starts at byte
+	// lineOff. Functions come in source order, so it only moves forward.
+	lines   int
+	lineOff int
 }
 
 // MaxSourceBytes caps the size of one translation unit. The checker is
@@ -90,6 +99,24 @@ func (p *Parser) peek(n int) (Token, error) {
 		p.ahead = append(p.ahead, t)
 	}
 	return p.ahead[n-1], nil
+}
+
+// span returns the source from the start of line startLine through the
+// one-byte token at end. The lexer counts columns in bytes, so end sits at
+// its line's offset plus Col-1.
+func (p *Parser) span(startLine int, end Pos) string {
+	start := p.lineOffset(startLine)
+	return p.lex.src[start : p.lineOffset(end.Line)+end.Col]
+}
+
+// lineOffset returns the byte offset at which line starts. Calls must come
+// in non-decreasing line order.
+func (p *Parser) lineOffset(line int) int {
+	for p.lines+1 < line {
+		p.lineOff += strings.IndexByte(p.lex.src[p.lineOff:], '\n') + 1
+		p.lines++
+	}
+	return p.lineOff
 }
 
 func (p *Parser) errf(format string, args ...interface{}) error {
@@ -193,6 +220,7 @@ func (p *Parser) parseTopLevel(prog *Program) error {
 	if !p.isTypeStart() {
 		return p.errf("expected a declaration, found %s", p.tok.Kind)
 	}
+	startLine := p.tok.Pos.Line
 	typ, err := p.parseType()
 	if err != nil {
 		return err
@@ -202,7 +230,7 @@ func (p *Parser) parseTopLevel(prog *Program) error {
 		return err
 	}
 	if p.tok.Kind == TokLParen {
-		fn, err := p.parseFuncRest(typ, name)
+		fn, err := p.parseFuncRest(typ, name, startLine)
 		if err != nil {
 			return err
 		}
@@ -338,7 +366,9 @@ func (p *Parser) parseDeclarators(typ Type, first Token) ([]*VarDecl, error) {
 	return out, nil
 }
 
-func (p *Parser) parseFuncRest(result Type, name Token) (*FuncDef, error) {
+// parseFuncRest parses a function definition or prototype from its '('
+// on; startLine is the line of the declaration's first token.
+func (p *Parser) parseFuncRest(result Type, name Token, startLine int) (*FuncDef, error) {
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
 	}
@@ -387,6 +417,7 @@ func (p *Parser) parseFuncRest(result Type, name Token) (*FuncDef, error) {
 		return nil, err
 	}
 	if p.tok.Kind == TokSemi {
+		fn.Src = p.span(startLine, p.tok.Pos)
 		return fn, p.next() // prototype
 	}
 	body, err := p.parseBlock()
@@ -394,6 +425,7 @@ func (p *Parser) parseFuncRest(result Type, name Token) (*FuncDef, error) {
 		return nil, err
 	}
 	fn.Body = body
+	fn.Src = p.span(startLine, p.blockEnd)
 	return fn, nil
 }
 
@@ -410,6 +442,7 @@ func (p *Parser) parseBlock() (*Block, error) {
 		}
 		b.Stmts = append(b.Stmts, s...)
 	}
+	p.blockEnd = p.tok.Pos
 	return b, p.next()
 }
 

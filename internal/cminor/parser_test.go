@@ -3,6 +3,7 @@ package cminor
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 var testQuals = map[string]bool{
@@ -289,5 +290,76 @@ void f(int n) {
 	out2 := Print(p2)
 	if out != out2 {
 		t.Errorf("print not stable:\n--- first\n%s\n--- second\n%s", out, out2)
+	}
+}
+
+// TestFuncSrc pins FuncDef.Src: the exact source from the start of the line
+// holding the function's first token through its closing brace (or a
+// prototype's ';'), sliced from the parsed source rather than copied.
+func TestFuncSrc(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		want      map[string]string
+	}{
+		{
+			name: "column 1",
+			src:  "int g;\nint f(int a) {\n  return a;\n}\nint h;\n",
+			want: map[string]string{"f": "int f(int a) {\n  return a;\n}"},
+		},
+		{
+			name: "indented",
+			src:  "int g;\n    int f(int a) {\n      return a;\n    }\n",
+			want: map[string]string{"f": "    int f(int a) {\n      return a;\n    }"},
+		},
+		{
+			name: "prototype",
+			src:  "int g;\n  int pos f(int pos a, ...);\nint h;\n",
+			want: map[string]string{"f": "  int pos f(int pos a, ...);"},
+		},
+		{
+			name: "two on one line",
+			src:  "int g;\nint f() { return 1; } int h() { return 2; }\n",
+			want: map[string]string{
+				"f": "int f() { return 1; }",
+				"h": "int f() { return 1; } int h() { return 2; }",
+			},
+		},
+		{
+			name: "trailing comment",
+			src:  "int f() {\n  return 1;\n} // not part of f\nint g;\n",
+			want: map[string]string{"f": "int f() {\n  return 1;\n}"},
+		},
+		{
+			name: "block comment in body",
+			src:  "int f() {\n  /* a } and a ;\n     over two lines */\n  return 1;\n}\n",
+			want: map[string]string{"f": "int f() {\n  /* a } and a ;\n     over two lines */\n  return 1;\n}"},
+		},
+		{
+			name: "nested blocks and split header",
+			src:  "struct s { int x; };\nstruct s* nonnull\nf(int a)\n{\n  if (a) {\n    while (a) { a = a - 1; }\n  }\n  return NULL;\n}",
+			want: map[string]string{"f": "struct s* nonnull\nf(int a)\n{\n  if (a) {\n    while (a) { a = a - 1; }\n  }\n  return NULL;\n}"},
+		},
+		{
+			name: "CRLF and tabs",
+			src:  "int g;\r\n\tint f() {\r\n\t\treturn 1;\r\n\t}\r\n",
+			want: map[string]string{"f": "\tint f() {\r\n\t\treturn 1;\r\n\t}"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := mustParseProg(t, tc.src)
+			if len(p.Funcs) != len(tc.want) {
+				t.Fatalf("parsed %d functions, want %d", len(p.Funcs), len(tc.want))
+			}
+			base := uintptr(unsafe.Pointer(unsafe.StringData(tc.src)))
+			for _, fn := range p.Funcs {
+				if fn.Src != tc.want[fn.Name] {
+					t.Errorf("%s.Src = %q, want %q", fn.Name, fn.Src, tc.want[fn.Name])
+				}
+				at := uintptr(unsafe.Pointer(unsafe.StringData(fn.Src)))
+				if at < base || at+uintptr(len(fn.Src)) > base+uintptr(len(tc.src)) {
+					t.Errorf("%s.Src is a copy, not a substring of the parsed source", fn.Name)
+				}
+			}
+		})
 	}
 }

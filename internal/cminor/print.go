@@ -39,9 +39,8 @@ func Print(p *Program) string {
 }
 
 // FuncString renders one function definition (header plus body) back to
-// source. The rendering is position-free: a function whose text is unchanged
-// renders identically no matter where it sits in the file, which is what
-// makes it usable as a content address for function-granular result caching.
+// source in Print's layout, so it is position-free and ignores the original
+// whitespace and comments (FuncDef.Src keeps those).
 func FuncString(f *FuncDef) string {
 	var sb strings.Builder
 	sb.WriteString(funcHeader(f))
@@ -63,14 +62,27 @@ func HeaderString(f *FuncDef) string { return funcHeader(f) }
 func DeclString(d *VarDecl) string { return declString(d) }
 
 func funcHeader(f *FuncDef) string {
-	params := make([]string, 0, len(f.Params)+1)
-	for _, p := range f.Params {
-		params = append(params, fmt.Sprintf("%s %s", p.Type, p.Name))
+	var sb strings.Builder
+	sb.WriteString(f.Result.String())
+	sb.WriteByte(' ')
+	sb.WriteString(f.Name)
+	sb.WriteByte('(')
+	for i, p := range f.Params {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString(p.Type.String())
+		sb.WriteByte(' ')
+		sb.WriteString(p.Name)
 	}
 	if f.Variadic {
-		params = append(params, "...")
+		if len(f.Params) > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString("...")
 	}
-	return fmt.Sprintf("%s %s(%s)", f.Result, f.Name, strings.Join(params, ", "))
+	sb.WriteByte(')')
+	return sb.String()
 }
 
 func declString(d *VarDecl) string {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -45,6 +46,7 @@ func (e event) num(k string) int {
 // harness runs a daemon against a pipe and exposes its event stream.
 type harness struct {
 	t      *testing.T
+	d      *Daemon
 	events chan event
 	cancel context.CancelFunc
 	done   chan error
@@ -78,7 +80,7 @@ func startDaemon(t *testing.T, root string, opts Options) *harness {
 			events <- ev
 		}
 	}()
-	h := &harness{t: t, events: events, cancel: cancel, done: done}
+	h := &harness{t: t, d: d, events: events, cancel: cancel, done: done}
 	t.Cleanup(h.stop)
 	return h
 }
@@ -181,6 +183,38 @@ func TestDaemonStartupGeneration(t *testing.T) {
 	}
 	if got := g.diags("pkg/clean.c"); len(got) != 0 {
 		t.Errorf("clean.c diags: %v", got)
+	}
+}
+
+// TestDaemonDefaultWorkers: a daemon built with Workers 0 runs its pool on
+// every core, as Options.Workers documents. GOMAXPROCS is raised for the
+// test so that differs from a one-worker pool on any machine.
+func TestDaemonDefaultWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	root := t.TempDir()
+	write(t, root, "pkg/clean.c", cleanFile)
+
+	h := startDaemon(t, root, Options{Poll: 20 * time.Millisecond, Seed: 1})
+	h.nextGeneration(20 * time.Second)
+	h.d.EmitStats()
+	deadline := time.After(20 * time.Second)
+	for {
+		select {
+		case ev, ok := <-h.events:
+			if !ok {
+				t.Fatal("event stream closed before a stats event")
+			}
+			if ev.kind() != "stats" {
+				continue
+			}
+			sched, _ := ev["scheduler"].(map[string]any)
+			if got, _ := sched["workers"].(float64); got != 3 {
+				t.Errorf("default pool has %v workers, want runtime.GOMAXPROCS(0) = 3", sched["workers"])
+			}
+			return
+		case <-deadline:
+			t.Fatal("no stats event within 20s")
+		}
 	}
 }
 
