@@ -121,9 +121,11 @@ fuzz-smoke:
 
 # chaos-smoke runs the fault-injection soak under the race detector: a
 # deterministic subset of the fault catalog armed, 64 concurrent clients,
-# every request answered from {200, 413, 503, 504} with a JSON body, no
-# goroutine leaks, no fault-minted cache entries, and full recovery (breaker
-# closed, sound verdicts) once the faults are disarmed.
+# every request answered once (no retries) from {200, 413, 503, 504} with a
+# JSON body, no goroutine leaks, no fault-minted cache entries, and full
+# recovery (breaker closed, sound verdicts) once the faults are disarmed;
+# the soak shortens the /prove breaker's 5s cooldown in-package so recovery
+# is quick.
 chaos-smoke:
 	$(GO) test -race -run '^TestChaosSoak$$' -count=1 ./internal/server
 

@@ -6,10 +6,10 @@
 // Usage:
 //
 //	qualserve [-addr :8080] [-workers N] [-queue N] [-timeout 30s] [-drain 10s]
-//	          [-max-body N] [-mem-limit N] [-breaker-threshold K] [-breaker-cooldown 5s]
+//	          [-func-cache N] [-prover-cache N] [-max-body N] [-mem-limit N]
 //	          [-max-terms N] [-max-clauses N] [-max-insts N]
-//	          [-cache-dir dir] [-cache-budget N] [-cert [-cache-peers url,url]]
-//	          [-faults spec]
+//	          [-cache-dir dir] [-cache-budget N]
+//	          [-cert [-cache-peers url,url [-peer-timeout 2s]]] [-faults spec]
 //
 // Endpoints:
 //
@@ -44,11 +44,13 @@
 // Failure containment (see DESIGN.md): request bodies over -max-body are
 // answered 413; prover searches past the -max-terms/-max-clauses/-max-insts
 // budgets yield transient "resource budget exceeded" Unknowns that are
-// retried, never cached, and counted against a per-qualifier circuit
-// breaker; requests arriving while the live heap exceeds -mem-limit are
-// shed 503 with Retry-After. The -faults flag (or the QUAL_FAULTS
-// environment variable) arms deterministic fault-injection points for chaos
-// drills — see internal/faults for the spec grammar.
+// answered once (the search is deterministic, so a rerun would trip again),
+// never cached, and counted against a per-qualifier circuit breaker (three
+// consecutive failures open it for 5s); requests arriving while the live
+// heap exceeds -mem-limit are shed 503 with Retry-After. The -faults flag
+// (or the QUAL_FAULTS environment variable) arms deterministic
+// fault-injection points for chaos drills — see internal/faults for the
+// spec grammar.
 package main
 
 import (
@@ -92,18 +94,13 @@ func run() int {
 	proverCache := flag.Int("prover-cache", 0, "prover outcome cache capacity (default 4096)")
 	maxBody := flag.Int64("max-body", 0, "request body size cap in bytes; larger bodies get 413 (default 8 MiB)")
 	memLimit := flag.Uint64("mem-limit", 0, "live-heap high-water mark in bytes; requests shed 503 above it (0 = off)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive infrastructure failures before a qualifier's breaker opens (default 3; negative = off)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (default 5s)")
-	retry := flag.Int("retry", 0, "transient-Unknown retries per obligation with jittered backoff (default 1; negative = off)")
-	retryBackoff := flag.Duration("retry-backoff", 0, "base backoff between transient retries (default 5ms)")
 	maxTerms := flag.Int("max-terms", 0, "per-goal interned-term budget; trips become transient Unknowns (0 = unlimited)")
 	maxClauses := flag.Int("max-clauses", 0, "per-goal clause-database budget (0 = unlimited)")
 	maxInsts := flag.Int("max-insts", 0, "per-goal quantifier-instantiation budget (0 = default)")
 	cacheDir := flag.String("cache-dir", "", "persist both warm caches under this directory (crash-safe, checksummed records; restarts start warm)")
 	cacheBudget := flag.Int64("cache-budget", 0, "per-namespace disk cache size in bytes before LRU eviction (0 = default 256 MiB)")
 	cachePeers := flag.String("cache-peers", "", "comma-separated base URLs of peer qualserve nodes to fetch prover records from on a local miss (requires -cert; a record is admitted only as a Valid whose certificate replays)")
-	peerTimeout := flag.Duration("peer-timeout", 0, "per-attempt timeout for one peer cache fetch (default 2s)")
-	peerRetries := flag.Int("peer-retries", 0, "extra fetch attempts per peer after the first (default 1; negative = off)")
+	peerTimeout := flag.Duration("peer-timeout", 0, "timeout for the one fetch attempt made against each peer (default 2s)")
 	certs := flag.Bool("cert", false, "emit and replay-verify a proof certificate for every Valid prover verdict (surfaced per obligation and in /metrics)")
 	faultSpec := flag.String("faults", "", "arm fault-injection points, e.g. 'simplify.prove.round=budget:every=100' (also QUAL_FAULTS)")
 	flag.Parse()
@@ -140,10 +137,6 @@ func run() int {
 		ProverCacheSize:    *proverCache,
 		MaxBodyBytes:       *maxBody,
 		MemoryHighWater:    *memLimit,
-		BreakerThreshold:   *breakerThreshold,
-		BreakerCooldown:    *breakerCooldown,
-		RetryTransient:     *retry,
-		RetryBackoff:       *retryBackoff,
 		ProverMaxTerms:     *maxTerms,
 		ProverMaxClauses:   *maxClauses,
 		ProverMaxInstances: *maxInsts,
@@ -152,7 +145,6 @@ func run() int {
 		CacheBudget:        *cacheBudget,
 		CachePeers:         peers,
 		PeerTimeout:        *peerTimeout,
-		PeerRetries:        *peerRetries,
 	})
 	err := srv.ListenAndServe(ctx, *addr, func(a net.Addr) {
 		// The announce line is machine-readable: the smoke test (and any

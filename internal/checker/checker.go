@@ -57,6 +57,28 @@ type Stats struct {
 	FuncCacheCoalesced int
 }
 
+// add folds o into s. s's maps must be allocated; o's may be nil (a child
+// engine's are), which adds nothing to them.
+func (s *Stats) add(o Stats) {
+	s.Dereferences += o.Dereferences
+	for k, v := range o.Annotations {
+		s.Annotations[k] += v
+	}
+	for k, v := range o.QualCasts {
+		s.QualCasts[k] += v
+	}
+	for k, v := range o.RefUses {
+		s.RefUses[k] += v
+	}
+	s.RestrictChecks += o.RestrictChecks
+	s.RestrictFailures += o.RestrictFailures
+	s.MemoHits += o.MemoHits
+	s.MemoMisses += o.MemoMisses
+	s.FuncCacheHits += o.FuncCacheHits
+	s.FuncCacheMisses += o.FuncCacheMisses
+	s.FuncCacheCoalesced += o.FuncCacheCoalesced
+}
+
 // Result is the outcome of qualifier checking.
 type Result struct {
 	Diags []Diagnostic
@@ -481,13 +503,7 @@ func (en *engine) checkFuncs(ctx context.Context, workers int) {
 // preserving source (declaration) order when called in function order.
 func (en *engine) mergeChild(child *engine) {
 	en.diags = append(en.diags, child.diags...)
-	en.stats.RestrictChecks += child.stats.RestrictChecks
-	en.stats.RestrictFailures += child.stats.RestrictFailures
-	en.stats.MemoHits += child.stats.MemoHits
-	en.stats.MemoMisses += child.stats.MemoMisses
-	en.stats.FuncCacheHits += child.stats.FuncCacheHits
-	en.stats.FuncCacheMisses += child.stats.FuncCacheMisses
-	en.stats.FuncCacheCoalesced += child.stats.FuncCacheCoalesced
+	en.stats.add(child.stats)
 }
 
 // childEngine clones the engine for one worker: immutable tables (registry,

@@ -169,7 +169,7 @@ func (tc *TreeChecker) CheckTree(ctx context.Context, root string) (*TreeResult,
 		},
 	}
 	for i := range results {
-		addStats(&res.Stats, results[i].Stats)
+		res.Stats.add(results[i].Stats)
 	}
 	res.Duration = time.Since(start)
 	return res, nil
@@ -255,26 +255,4 @@ func finishFileTask(ctx context.Context, en *engine, children []*engine, out *Fi
 	out.Diags = res.Diags
 	out.Stats = res.Stats
 	out.Err = res.Err
-}
-
-// addStats folds one file's statistics into an aggregate whose maps are
-// already allocated.
-func addStats(dst *Stats, src Stats) {
-	dst.Dereferences += src.Dereferences
-	for k, v := range src.Annotations {
-		dst.Annotations[k] += v
-	}
-	for k, v := range src.QualCasts {
-		dst.QualCasts[k] += v
-	}
-	for k, v := range src.RefUses {
-		dst.RefUses[k] += v
-	}
-	dst.RestrictChecks += src.RestrictChecks
-	dst.RestrictFailures += src.RestrictFailures
-	dst.MemoHits += src.MemoHits
-	dst.MemoMisses += src.MemoMisses
-	dst.FuncCacheHits += src.FuncCacheHits
-	dst.FuncCacheMisses += src.FuncCacheMisses
-	dst.FuncCacheCoalesced += src.FuncCacheCoalesced
 }

@@ -4,6 +4,12 @@
 // too much for per-decision polling in the prover, so Sample memoizes the
 // last reading and refreshes it only when older than the caller's staleness
 // bound.
+//
+// The runtime counts a small-object allocation into the live heap only when
+// the allocating P's cached span is flushed (a span refill or a GC), so an
+// early read in a fresh process can undercount, down to 0. That is harmless
+// for a high-water mark: an undercount delays shedding or a budget trip, it
+// never causes one.
 package memwatch
 
 import (

@@ -1,11 +1,15 @@
 package memwatch
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
 
 func TestSampleReadsRuntime(t *testing.T) {
+	// Flush the per-P span caches first: until then the heap metric may not
+	// count this process's small allocations yet (see the package comment).
+	runtime.GC()
 	if got := Sample(0); got == 0 {
 		t.Fatal("fresh heap sample is zero; runtime metric missing?")
 	}

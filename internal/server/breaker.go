@@ -5,6 +5,15 @@ import (
 	"time"
 )
 
+// Breaker sizes: consecutive failures before an entry opens, and how long it
+// stays open before a half-open probe.
+const (
+	proveBreakerThreshold = 3
+	proveBreakerCooldown  = 5 * time.Second
+	peerBreakerThreshold  = 3
+	peerBreakerCooldown   = 10 * time.Second
+)
+
 // breakerState is one qualifier's position in the closed -> open ->
 // half-open cycle.
 type breakerState int
@@ -26,14 +35,16 @@ func (st breakerState) String() string {
 	}
 }
 
-// breaker is a per-qualifier circuit breaker guarding /prove. A qualifier
-// whose obligations keep failing for infrastructure reasons — tripped
-// resource budgets, recovered prover panics, injected faults — is cut off
-// after `threshold` consecutive failures: the breaker opens and the server
-// answers for that qualifier immediately with a degraded report and a
-// Retry-After hint instead of burning a worker on a discharge that will
-// fail again. After `cooldown` the breaker goes half-open and admits a
-// single probe; a clean probe closes it, a failed one re-opens it.
+// breaker is a keyed circuit breaker. Guarding /prove, its key is one
+// qualifier of one registry (proveBreakerKey): a qualifier whose obligations
+// keep failing for infrastructure reasons — tripped resource budgets,
+// recovered prover panics, injected faults — is cut off after `threshold`
+// consecutive failures: the breaker opens and the server answers for that
+// qualifier immediately with a degraded report and a Retry-After hint
+// instead of burning a worker on a discharge that will fail again. After
+// `cooldown` the breaker goes half-open and admits a single probe; a clean
+// probe closes it, a failed one re-opens it. The peer client keys a second
+// breaker by peer URL.
 type breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -61,8 +72,6 @@ func newBreaker(threshold int, cooldown time.Duration) *breaker {
 	}
 }
 
-func (b *breaker) enabled() bool { return b != nil && b.threshold > 0 }
-
 // Allow reports whether a request for key may proceed. An open breaker
 // refuses until the cooldown elapses, then admits a single half-open probe;
 // requests arriving while that probe is in flight are refused. A probe
@@ -70,9 +79,6 @@ func (b *breaker) enabled() bool { return b != nil && b.threshold > 0 }
 // stops blocking after another cooldown, so a lost Record cannot wedge the
 // breaker open forever.
 func (b *breaker) Allow(key string) (ok bool, retryAfter time.Duration) {
-	if !b.enabled() {
-		return true, 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e := b.entries[key]
@@ -105,9 +111,6 @@ func (b *breaker) Allow(key string) (ok bool, retryAfter time.Duration) {
 // breaker-relevant failure (a budget trip, recovered panic, or injected
 // fault — not an unsound-qualifier verdict, which is a correct answer).
 func (b *breaker) Record(key string, ok bool) {
-	if !b.enabled() {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e := b.entries[key]
@@ -146,7 +149,7 @@ func (b *breaker) Record(key string, ok bool) {
 	}
 }
 
-// BreakerEntrySnapshot is one qualifier's exported breaker view.
+// BreakerEntrySnapshot is one key's exported breaker view.
 type BreakerEntrySnapshot struct {
 	State            string `json:"state"`
 	Failures         int    `json:"consecutive_failures"`
@@ -154,17 +157,15 @@ type BreakerEntrySnapshot struct {
 }
 
 // BreakerSnapshot is the exported breaker view rendered under /metrics.
-// Qualifiers in the quiescent closed state with no failure streak are
-// omitted.
+// Qualifiers maps each breaker key (qualifier@registry-fingerprint for
+// /prove, the peer URL for peer fetch) to its state; keys in the quiescent
+// closed state with no failure streak are omitted.
 type BreakerSnapshot struct {
 	Transitions uint64                          `json:"transitions"`
 	Qualifiers  map[string]BreakerEntrySnapshot `json:"qualifiers,omitempty"`
 }
 
 func (b *breaker) snapshot() BreakerSnapshot {
-	if !b.enabled() {
-		return BreakerSnapshot{}
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	out := BreakerSnapshot{Transitions: b.transitions}

@@ -3,6 +3,8 @@ package server
 import (
 	"testing"
 	"time"
+
+	"repro/internal/simplify"
 )
 
 // fakeClock is an injectable breaker clock.
@@ -115,21 +117,6 @@ func TestBreakerLostProbeSelfHeals(t *testing.T) {
 	}
 }
 
-func TestBreakerDisabled(t *testing.T) {
-	b := newBreaker(0, time.Minute)
-	for i := 0; i < 10; i++ {
-		b.Record("q", false)
-	}
-	if ok, _ := b.Allow("q"); !ok {
-		t.Fatal("disabled breaker refused a request")
-	}
-	var nilB *breaker
-	if ok, _ := nilB.Allow("q"); !ok {
-		t.Fatal("nil breaker must allow everything")
-	}
-	nilB.Record("q", false) // must not panic
-}
-
 func TestBreakerKeysAreIndependent(t *testing.T) {
 	b, _ := newClockedBreaker(1, time.Minute)
 	b.Record("bad", false)
@@ -138,5 +125,29 @@ func TestBreakerKeysAreIndependent(t *testing.T) {
 	}
 	if ok, _ := b.Allow("good"); !ok {
 		t.Fatal("an unrelated qualifier must not share the trip")
+	}
+}
+
+// TestBreakerFailureClassification: only infrastructure failures count
+// against a /prove breaker — not the caller's own deadline or cancellation,
+// and not a genuine verdict.
+func TestBreakerFailureClassification(t *testing.T) {
+	cases := []struct {
+		reason string
+		want   bool
+	}{
+		{simplify.ReasonDeadline, false},
+		{simplify.ReasonCanceled, false},
+		{simplify.ReasonBudget, true},
+		{"panic: boom", true},
+		{"fault: injected fault: x", true},
+		{"cert: replay rejected", true},
+		{"saturated without contradiction", false},
+		{"", false},
+	}
+	for _, tc := range cases {
+		if got := breakerFailure(tc.reason); got != tc.want {
+			t.Errorf("breakerFailure(%q) = %v, want %v", tc.reason, got, tc.want)
+		}
 	}
 }

@@ -47,14 +47,10 @@ func TestChaosSoak(t *testing.T) {
 
 	const cooldown = 200 * time.Millisecond
 	s, ts := newTestServer(t, Config{
-		Workers:          4,
-		QueueDepth:       8,
-		RequestTimeout:   20 * time.Second,
-		BreakerThreshold: 3,
-		BreakerCooldown:  cooldown,
-		RetryTransient:   1,
-		RetryBackoff:     time.Millisecond,
-		MaxBodyBytes:     1 << 20,
+		Workers:        4,
+		QueueDepth:     8,
+		RequestTimeout: 20 * time.Second,
+		MaxBodyBytes:   1 << 20,
 		// The durable tier joins the soak: the cachedisk.* fault points
 		// (torn commits, failed loads, failed evictions) and peer.fetch
 		// fire on real traffic, and the store's degrade breaker plus the
@@ -64,8 +60,8 @@ func TestChaosSoak(t *testing.T) {
 		CacheDir:         t.TempDir(),
 		CachePeers:       []string{garbagePeer.URL},
 		PeerTimeout:      500 * time.Millisecond,
-		PeerRetries:      -1,
 	})
+	setBreaker(s, proveBreakerThreshold, cooldown)
 
 	// Deterministic chaos: a fixed seed picks which points arm and how.
 	// Delay mode is excluded (it only slows the soak); panic, error, and

@@ -11,8 +11,19 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/memwatch"
+	"repro/internal/quals"
 	"repro/internal/simplify"
 )
+
+// setBreaker resizes a server's /prove breaker, for tests that cannot wait
+// out the production threshold and cooldown. It takes the breaker's lock, so
+// it is safe while the server runs.
+func setBreaker(s *Server, threshold int, cooldown time.Duration) {
+	s.breaker.mu.Lock()
+	defer s.breaker.mu.Unlock()
+	s.breaker.threshold = threshold
+	s.breaker.cooldown = cooldown
+}
 
 // postJSONFull is postJSON keeping the whole response, for tests that
 // inspect headers (Retry-After) alongside the decoded body.
@@ -126,12 +137,8 @@ func TestWorkerPanicContained(t *testing.T) {
 func TestProveBreakerOpensAndRecovers(t *testing.T) {
 	defer faults.DisarmAll()
 	const cooldown = 100 * time.Millisecond
-	_, ts := newTestServer(t, Config{
-		Workers:          1,
-		BreakerThreshold: 2,
-		BreakerCooldown:  cooldown,
-		RetryTransient:   -1, // make each request exactly one failure
-	})
+	s, ts := newTestServer(t, Config{Workers: 1})
+	setBreaker(s, 2, cooldown)
 	if err := faults.Arm("soundness.discharge=panic"); err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +178,13 @@ func TestProveBreakerOpensAndRecovers(t *testing.T) {
 	if m.Breaker.Transitions == 0 {
 		t.Error("breaker transitions not surfaced in /metrics")
 	}
-	if st := m.Breaker.Qualifiers["pos"].State; st != "open" {
-		t.Errorf("breaker state for pos is %q in /metrics, want open", st)
+	lib, err := quals.Standard()
+	if err != nil {
+		t.Fatal(err)
+	}
+	posKey := proveBreakerKey(lib, "pos")
+	if st := m.Breaker.Qualifiers[posKey].State; st != "open" {
+		t.Errorf("breaker state for %s is %q in /metrics, want open", posKey, st)
 	}
 	if m.DegradedTotal == 0 {
 		t.Error("degraded_total not counted")
@@ -202,8 +214,70 @@ func TestProveBreakerOpensAndRecovers(t *testing.T) {
 	// into m would keep the stale pre-recovery map.
 	var recovered MetricsResponse
 	getJSON(t, ts.URL+"/metrics", &recovered)
-	if st, ok := recovered.Breaker.Qualifiers["pos"]; ok {
+	if st, ok := recovered.Breaker.Qualifiers[posKey]; ok {
 		t.Errorf("recovered qualifier still reported by the breaker: %+v", st)
+	}
+}
+
+// TestProveBreakerKeyedByRegistry: a /prove breaker entry covers one
+// qualifier of one registry. Failing proves of a request-supplied pos open
+// that registry's entry only; the library's pos, a different registry with
+// the same qualifier name, still proves sound.
+func TestProveBreakerKeyedByRegistry(t *testing.T) {
+	defer faults.DisarmAll()
+	_, ts := newTestServer(t, Config{Workers: 1})
+	own := ProveRequest{
+		Quals:     map[string]string{"pos.qdl": quals.Pos, "neg.qdl": quals.Neg},
+		Qualifier: "pos",
+	}
+	if err := faults.Arm("soundness.discharge=panic"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < proveBreakerThreshold; i++ {
+		var resp ProveResponse
+		if code := postJSON(t, ts.URL+"/prove", own, &resp); code != http.StatusOK || !resp.Degraded {
+			t.Fatalf("prove %d of the request's pos: status %d, degraded %t; want 200, degraded", i, code, resp.Degraded)
+		}
+	}
+	faults.DisarmAll()
+
+	var refused ProveResponse
+	if code := postJSON(t, ts.URL+"/prove", own, &refused); code != http.StatusOK {
+		t.Fatalf("status %d, want 200", code)
+	}
+	if len(refused.Reports) != 1 || !strings.Contains(refused.Reports[0].Error, "circuit breaker open") {
+		t.Fatalf("the failing registry's pos should be refused: %+v", refused)
+	}
+	if lib := proveOn(t, ts.URL, "pos"); lib.Degraded || !lib.AllSound {
+		t.Fatalf("the library's pos should prove sound: %+v", lib)
+	}
+}
+
+// TestProveBudgetTripsOnce: a starved obligation is discharged once. With
+// ProverMaxInstances 3, a /prove of the library raises the process-wide
+// budget-trip count by exactly the number of obligations it reports as
+// starved; discharging any of them again would count a second trip.
+func TestProveBudgetTripsOnce(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, ProverMaxInstances: 3})
+	before := simplify.BudgetTrips()
+	var resp ProveResponse
+	if code := postJSON(t, ts.URL+"/prove", ProveRequest{}, &resp); code != http.StatusOK {
+		t.Fatalf("status %d, want 200", code)
+	}
+	trips := simplify.BudgetTrips() - before
+	starved := 0
+	for _, r := range resp.Reports {
+		for _, o := range r.Obligations {
+			if o.Reason == simplify.ReasonBudget {
+				starved++
+			}
+		}
+	}
+	if starved == 0 {
+		t.Fatal("ProverMaxInstances 3 starved no obligation")
+	}
+	if trips != uint64(starved) {
+		t.Fatalf("budget trips rose by %d for %d starved obligations, want one each", trips, starved)
 	}
 }
 
@@ -212,12 +286,7 @@ func TestProveBreakerOpensAndRecovers(t *testing.T) {
 // degraded (not unsound-with-counterexample, not cached), and /metrics
 // counts the budget trips.
 func TestProveBudgetTripDegrades(t *testing.T) {
-	s, ts := newTestServer(t, Config{
-		Workers:          1,
-		BreakerThreshold: -1, // isolate the budget path from the breaker
-		RetryTransient:   -1,
-		ProverMaxTerms:   5,
-	})
+	s, ts := newTestServer(t, Config{Workers: 1, ProverMaxTerms: 5})
 	var resp ProveResponse
 	if code := postJSON(t, ts.URL+"/prove", ProveRequest{Qualifier: "pos"}, &resp); code != http.StatusOK {
 		t.Fatalf("status %d, want 200", code)

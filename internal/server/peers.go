@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"sync/atomic"
@@ -14,42 +13,31 @@ import (
 )
 
 // fpPeerFetch injects faults into every peer fetch attempt (see
-// internal/faults): an armed error is a transport failure — retried, then
-// charged to that peer's breaker — and an armed delay models a slow peer.
+// internal/faults): an armed error is a transport failure charged to that
+// peer's breaker, and an armed delay models a slow peer.
 var fpPeerFetch = faults.Register("peer.fetch")
 
 const (
 	// defaultPeerTimeout bounds one fetch attempt against one peer; a warm
 	// cache read is sub-millisecond, so anything slower is a sick peer.
 	defaultPeerTimeout = 2 * time.Second
-	// defaultPeerRetries is the extra attempts per peer after the first.
-	defaultPeerRetries = 1
-	// peerBackoffBase is the base of the jittered exponential backoff
-	// between retry attempts against one peer.
-	peerBackoffBase = 25 * time.Millisecond
 	// maxPeerRecordBytes caps a fetched record body: a peer streaming
 	// garbage forever must not pin memory. Far above any real record.
 	maxPeerRecordBytes = 8 << 20
-	// peerBreakerThreshold / peerBreakerCooldown size the per-peer circuit
-	// breaker: after this many consecutive fetch failures a peer is skipped
-	// until the cooldown admits a half-open probe.
-	peerBreakerThreshold = 3
-	peerBreakerCooldown  = 10 * time.Second
 )
 
 // peerClient fetches sealed prover records from `-cache-peers` nodes. It
 // returns raw sealed bytes and checks nothing itself: the prover cache
 // (internal/tiercache under simplify.Cache) unseals and decodes every record
 // and admits only a Valid whose certificate replays locally, so the client's
-// jobs are transport, per-peer timeout, jittered exponential retry, and the
-// per-peer breaker.
+// jobs are transport, the per-peer timeout, and the per-peer breaker. It
+// makes one attempt per peer: waiting out a backoff for a second attempt
+// would cost more than proving the goal locally.
 type peerClient struct {
 	peers   []string
 	timeout time.Duration
-	retries int
 	client  *http.Client
 	breaker *breaker
-	sleep   func(time.Duration) // injectable for tests
 
 	fetches atomic.Uint64 // fetch calls (local-miss lookups that went remote)
 	hits    atomic.Uint64 // records returned (pre-verification)
@@ -58,41 +46,24 @@ type peerClient struct {
 	skipped atomic.Uint64 // per-peer skips because the peer's breaker was open
 }
 
-func newPeerClient(peers []string, timeout time.Duration, retries int) *peerClient {
+func newPeerClient(peers []string, timeout time.Duration) *peerClient {
 	if timeout <= 0 {
 		timeout = defaultPeerTimeout
-	}
-	if retries < 0 {
-		retries = 0
 	}
 	return &peerClient{
 		peers:   peers,
 		timeout: timeout,
-		retries: retries,
 		client:  &http.Client{},
 		breaker: newBreaker(peerBreakerThreshold, peerBreakerCooldown),
-		sleep:   time.Sleep,
 	}
 }
 
-// backoff returns the deterministically-jittered exponential delay before
-// retry attempt `attempt` (1-based) for key on peer. Determinism (fnv over
-// peer|key|attempt, the soundness retry idiom) keeps chaos runs replayable
-// while still decorrelating a fleet hammering one warm peer.
-func (p *peerClient) backoff(peer, key string, attempt int) time.Duration {
-	base := peerBackoffBase << (attempt - 1)
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%d", peer, key, attempt)
-	// Jitter in [base/2, base): full backoff ladders, half-range jitter.
-	return base/2 + time.Duration(h.Sum64()%uint64(base/2+1))
-}
-
 // fetch tries each peer in order for the sealed prover record of key,
-// returning ok=false when every peer misses or fails. A 404 is a clean
-// miss (healthy peer, no record — next peer, no retry); transport errors and
-// non-200/404 statuses are retried with backoff, then charged to the peer's
-// breaker. The returned bytes are unverified — the caller's cache layer must
-// Unseal and semantically check them.
+// returning ok=false when every peer misses or fails. A 404 is a clean miss
+// (a healthy peer without the record); a transport error or any other
+// non-200 status is charged to that peer's breaker. Either way the fetch
+// moves on to the next peer. The returned bytes are unverified — the
+// caller's cache layer must Unseal and semantically check them.
 func (p *peerClient) fetch(key string) ([]byte, bool) {
 	if p == nil || len(p.peers) == 0 {
 		return nil, false
@@ -104,39 +75,25 @@ func (p *peerClient) fetch(key string) ([]byte, bool) {
 			p.skipped.Add(1)
 			continue
 		}
-		rec, miss := p.fetchPeer(peer, hash, key)
-		if rec != nil {
-			p.breaker.Record(peer, true)
+		rec, miss, err := p.attempt(fmt.Sprintf("%s/cache/prover/%s", peer, hash))
+		if err != nil {
+			p.errors.Add(1)
+			p.breaker.Record(peer, false)
+			continue
+		}
+		p.breaker.Record(peer, true) // a clean miss is a healthy peer
+		if !miss {
 			p.hits.Add(1)
 			return rec, true
 		}
-		p.breaker.Record(peer, miss) // a clean miss is a healthy peer
 	}
 	p.misses.Add(1)
 	return nil, false
 }
 
-// fetchPeer runs the retry loop against one peer. It returns (record, _) on
-// a 200, (nil, true) on a clean 404 miss, and (nil, false) after exhausting
-// retries on errors.
-func (p *peerClient) fetchPeer(peer, hash, key string) ([]byte, bool) {
-	url := fmt.Sprintf("%s/cache/prover/%s", peer, hash)
-	for attempt := 0; ; attempt++ {
-		rec, miss, err := p.attempt(url)
-		if err == nil {
-			return rec, miss
-		}
-		p.errors.Add(1)
-		if attempt >= p.retries {
-			return nil, false
-		}
-		p.sleep(p.backoff(peer, key, attempt+1))
-	}
-}
-
-// attempt is one HTTP GET under the per-attempt timeout. err != nil means
-// retryable (transport failure, unexpected status, injected fault); a 404
-// returns (nil, true, nil).
+// attempt is one HTTP GET under the per-attempt timeout. err != nil is a
+// failed attempt (transport failure, unexpected status, injected fault); a
+// 404 returns (nil, true, nil).
 func (p *peerClient) attempt(url string) (rec []byte, miss bool, err error) {
 	if ferr := fpPeerFetch.FireErr(); ferr != nil {
 		return nil, false, ferr

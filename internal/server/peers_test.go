@@ -260,9 +260,7 @@ func TestDeadPeerBreakerAndFallback(t *testing.T) {
 		EmitCertificates: true,
 		CachePeers:       []string{"http://127.0.0.1:1"}, // nothing listens here
 		PeerTimeout:      100 * time.Millisecond,
-		PeerRetries:      -1,
 	})
-	s.peerClient.sleep = func(time.Duration) {} // no real backoff waits in tests
 	for _, qual := range []string{"nonnull", "pos", "unique"} {
 		if resp := proveOn(t, ts.URL, qual); !resp.AllSound {
 			t.Fatalf("%s not sound beside a dead peer: %+v", qual, resp)
@@ -280,6 +278,33 @@ func TestDeadPeerBreakerAndFallback(t *testing.T) {
 	}
 }
 
+// TestFailingPeerOneAttemptPerMiss: a peer answering 500 costs one attempt
+// per local miss, each charged to its breaker, until the breaker opens and
+// later misses skip it; every verdict comes from local proofs.
+func TestFailingPeerOneAttemptPerMiss(t *testing.T) {
+	var requests atomic.Int64
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		w.WriteHeader(http.StatusInternalServerError)
+	}))
+	defer peer.Close()
+	s, ts := newTestServer(t, Config{Workers: 1, EmitCertificates: true, CachePeers: []string{peer.URL}})
+	if resp := proveOn(t, ts.URL, "pos"); resp.Degraded || !resp.AllSound {
+		t.Fatalf("pos beside a failing peer: %+v", resp)
+	}
+	snap := s.peerClient.snapshot()
+	if snap.Errors != peerBreakerThreshold || snap.Fetches-snap.Skipped != snap.Errors || snap.Misses != snap.Fetches {
+		t.Fatalf("peer stats %+v: want %d errors, one per fetch until the breaker opened, and every fetch a miss",
+			snap, peerBreakerThreshold)
+	}
+	if n := requests.Load(); n != int64(snap.Errors) {
+		t.Fatalf("the failing peer saw %d requests for %d errors", n, snap.Errors)
+	}
+	if st := snap.Breaker.Qualifiers[peer.URL].State; st != "open" {
+		t.Fatalf("the failing peer's breaker is %q, want open", st)
+	}
+}
+
 // TestPeerFetchFaultPoint: an armed peer.fetch fault behaves exactly like a
 // failing peer — charged to the breaker as fetch errors while every verdict
 // stays locally proved and correct — and a node started after disarm warms
@@ -289,8 +314,7 @@ func TestPeerFetchFaultPoint(t *testing.T) {
 	_, tsA := newTestServer(t, Config{Workers: 2, CacheDir: t.TempDir(), EmitCertificates: true})
 	respA := proveOn(t, tsA.URL, "nonnull")
 
-	sB, tsB := newTestServer(t, Config{Workers: 2, EmitCertificates: true, CachePeers: []string{tsA.URL}, PeerRetries: -1})
-	sB.peerClient.sleep = func(time.Duration) {}
+	sB, tsB := newTestServer(t, Config{Workers: 2, EmitCertificates: true, CachePeers: []string{tsA.URL}})
 	if err := faults.Arm("peer.fetch=error"); err != nil {
 		t.Fatal(err)
 	}

@@ -51,10 +51,6 @@ type Config struct {
 	// DrainTimeout bounds graceful shutdown: in-flight requests get this
 	// long to finish after the stop signal. 0 means 10s.
 	DrainTimeout time.Duration
-	// CheckConcurrency is the per-request function/obligation concurrency.
-	// Parallelism across requests comes from the worker pool, so this
-	// defaults to 1 to avoid oversubscription.
-	CheckConcurrency int
 	// FuncCacheSize caps the function-granular checker result cache
 	// (0 means checker.DefaultFuncCacheCapacity).
 	FuncCacheSize int
@@ -64,35 +60,17 @@ type Config struct {
 	// MaxBodyBytes caps a request body; larger bodies are answered 413.
 	// 0 means 8 MiB.
 	MaxBodyBytes int64
-	// BreakerThreshold is the consecutive infrastructure-failure count
-	// (budget trips, recovered prover panics, injected faults) after which a
-	// qualifier's circuit breaker opens and /prove answers for it with a
-	// degraded report plus Retry-After instead of re-running the discharge.
-	// 0 means 3; negative disables the breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker refuses a qualifier
-	// before admitting a half-open probe. 0 means 5s.
-	BreakerCooldown time.Duration
-	// RetryTransient re-discharges an obligation whose outcome is transient
-	// for an infrastructure reason (recovered panic, injected fault, budget
-	// trip) up to this many extra times with jittered backoff. 0 means 1;
-	// negative disables retry.
-	RetryTransient int
-	// RetryBackoff is the base backoff between transient retries (0 means
-	// the soundness default, 5ms).
-	RetryBackoff time.Duration
 	// MemoryHighWater, when non-zero, sheds new requests with 503 +
 	// Retry-After while the sampled live heap exceeds this many bytes.
 	MemoryHighWater uint64
-	// ProverMaxTerms / ProverMaxClauses / ProverMaxInstances /
-	// ProverMaxMemory bound each prover search's space (see
-	// simplify.Options); a tripped budget yields a transient Unknown
-	// ("resource budget exceeded") that is never cached and counts against
-	// the qualifier's breaker. 0 means unlimited.
+	// ProverMaxTerms / ProverMaxClauses / ProverMaxInstances bound each
+	// prover search's space (see simplify.Options); a tripped budget yields a
+	// transient Unknown ("resource budget exceeded") that is never cached and
+	// counts against the qualifier's breaker. 0 means unlimited (for
+	// ProverMaxInstances, the prover's default).
 	ProverMaxTerms     int
 	ProverMaxClauses   int
 	ProverMaxInstances int
-	ProverMaxMemory    uint64
 	// EmitCertificates makes every prover run emit a proof certificate and
 	// self-verify it with the independent replay checker before reporting
 	// Valid (see simplify.Options.EmitCertificates). Certificates ride the
@@ -117,11 +95,10 @@ type Config struct {
 	// without certificates asks for keys whose Valids carry none. The
 	// function cache never fetches from peers.
 	CachePeers []string
-	// PeerTimeout bounds one fetch attempt against one peer (0 means 2s);
-	// PeerRetries is the extra attempts per peer after the first (0 means 1,
-	// negative disables retry). Failures trip a per-peer circuit breaker.
+	// PeerTimeout bounds the one fetch attempt a lookup makes against each
+	// peer (0 means 2s). A failed attempt counts against that peer's circuit
+	// breaker, and the lookup moves on to the next peer or a local proof.
 	PeerTimeout time.Duration
-	PeerRetries int
 }
 
 func (c Config) workers() int {
@@ -152,13 +129,6 @@ func (c Config) drainTimeout() time.Duration {
 	return 10 * time.Second
 }
 
-func (c Config) checkConcurrency() int {
-	if c.CheckConcurrency > 0 {
-		return c.CheckConcurrency
-	}
-	return 1
-}
-
 func (c Config) maxBodyBytes() int64 {
 	if c.MaxBodyBytes > 0 {
 		return c.MaxBodyBytes
@@ -166,42 +136,10 @@ func (c Config) maxBodyBytes() int64 {
 	return 8 << 20
 }
 
-func (c Config) breakerThreshold() int {
-	switch {
-	case c.BreakerThreshold > 0:
-		return c.BreakerThreshold
-	case c.BreakerThreshold < 0:
-		return 0 // disabled
-	}
-	return 3
-}
-
-func (c Config) breakerCooldown() time.Duration {
-	if c.BreakerCooldown > 0 {
-		return c.BreakerCooldown
-	}
-	return 5 * time.Second
-}
-
-func (c Config) retryTransient() int {
-	switch {
-	case c.RetryTransient > 0:
-		return c.RetryTransient
-	case c.RetryTransient < 0:
-		return 0 // disabled
-	}
-	return 1
-}
-
-func (c Config) peerRetries() int {
-	switch {
-	case c.PeerRetries > 0:
-		return c.PeerRetries
-	case c.PeerRetries < 0:
-		return 0 // disabled
-	}
-	return defaultPeerRetries
-}
+// requestConcurrency is the function and obligation concurrency inside one
+// request. Parallelism across requests comes from the worker pool, so each
+// request runs serially to avoid oversubscription.
+const requestConcurrency = 1
 
 // job is one admitted request body waiting for a pool worker.
 type job struct {
@@ -247,7 +185,7 @@ func New(cfg Config) *Server {
 		metrics:     newMetrics(),
 		funcCache:   checker.NewFuncCache(cfg.FuncCacheSize),
 		proverCache: simplify.NewCache(cfg.ProverCacheSize),
-		breaker:     newBreaker(cfg.breakerThreshold(), cfg.breakerCooldown()),
+		breaker:     newBreaker(proveBreakerThreshold, proveBreakerCooldown),
 	}
 	if cfg.CacheDir != "" {
 		// An unopenable cache dir degrades the server to memory-only caches
@@ -267,7 +205,7 @@ func New(cfg Config) *Server {
 		s.proverCache.WithDisk(s.diskProver)
 	}
 	if len(cfg.CachePeers) > 0 && cfg.EmitCertificates {
-		s.peerClient = newPeerClient(cfg.CachePeers, cfg.PeerTimeout, cfg.peerRetries())
+		s.peerClient = newPeerClient(cfg.CachePeers, cfg.PeerTimeout)
 		s.proverCache.WithPeerFetch(s.peerClient.fetch)
 	}
 	s.mux.HandleFunc("POST /check", s.handleCheck)
@@ -636,7 +574,7 @@ func (s *Server) doCheck(ctx context.Context, req *CheckRequest) (int, any) {
 	}
 	res := checker.CheckWithCache(ctx, prog, reg, checker.Options{
 		FlowSensitive: req.FlowSensitive,
-		Concurrency:   s.cfg.checkConcurrency(),
+		Concurrency:   requestConcurrency,
 	}, s.funcCache)
 	if res.Err != nil {
 		return http.StatusGatewayTimeout, errorBody{Error: "check stopped: " + res.Err.Error()}
@@ -741,7 +679,7 @@ func (s *Server) doCheckBatch(ctx context.Context, req *CheckBatchRequest) (int,
 		}
 		res := checker.CheckWithCache(ctx, prog, reg, checker.Options{
 			FlowSensitive: req.FlowSensitive,
-			Concurrency:   s.cfg.checkConcurrency(),
+			Concurrency:   requestConcurrency,
 		}, s.funcCache)
 		if res.Err != nil {
 			return http.StatusGatewayTimeout, errorBody{
@@ -845,6 +783,14 @@ func breakerFailure(reason string) bool {
 	return simplify.TransientReason(reason)
 }
 
+// proveBreakerKey names a qualifier's /prove breaker entry. The registry
+// fingerprint is part of the key because a qualifier's obligations depend on
+// the whole registry its where-clauses resolve against: a request-supplied
+// pos failing must not cut off the library's pos.
+func proveBreakerKey(reg *qdl.Registry, name string) string {
+	return name + "@" + reg.Fingerprint()
+}
+
 func (s *Server) doProve(ctx context.Context, req *ProveRequest) (int, any) {
 	t0 := time.Now()
 	reg, err := loadRegistry(req.Quals, req.Taint)
@@ -852,16 +798,13 @@ func (s *Server) doProve(ctx context.Context, req *ProveRequest) (int, any) {
 		return http.StatusUnprocessableEntity, errorBody{Error: "qualifier definitions: " + err.Error()}
 	}
 	opts := soundness.DefaultOptions()
-	opts.Concurrency = s.cfg.checkConcurrency()
+	opts.Concurrency = requestConcurrency
 	opts.Cache = s.proverCache
-	opts.RetryTransient = s.cfg.retryTransient()
-	opts.RetryBackoff = s.cfg.RetryBackoff
 	opts.Prover.MaxTerms = s.cfg.ProverMaxTerms
 	opts.Prover.MaxClauses = s.cfg.ProverMaxClauses
 	if s.cfg.ProverMaxInstances > 0 {
 		opts.Prover.MaxInstances = s.cfg.ProverMaxInstances
 	}
-	opts.Prover.MaxMemoryBytes = s.cfg.ProverMaxMemory
 	opts.Prover.EmitCertificates = s.cfg.EmitCertificates
 	var defs []*qdl.Def
 	if req.Qualifier != "" {
@@ -876,7 +819,8 @@ func (s *Server) doProve(ctx context.Context, req *ProveRequest) (int, any) {
 	resp := ProveResponse{AllSound: true}
 	var maxRetryAfter time.Duration
 	for _, d := range defs {
-		if ok, ra := s.breaker.Allow(d.Name); !ok {
+		key := proveBreakerKey(reg, d.Name)
+		if ok, ra := s.breaker.Allow(key); !ok {
 			s.metrics.observeDegraded()
 			if ra > maxRetryAfter {
 				maxRetryAfter = ra
@@ -925,7 +869,7 @@ func (s *Server) doProve(ctx context.Context, req *ProveRequest) (int, any) {
 		// Don't charge the breaker when the client's own deadline ended the
 		// run: those outcomes say nothing about the qualifier's health.
 		if ctx.Err() == nil {
-			s.breaker.Record(d.Name, !pr.Degraded)
+			s.breaker.Record(key, !pr.Degraded)
 		}
 		if pr.Degraded {
 			resp.Degraded = true

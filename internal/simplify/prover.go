@@ -375,7 +375,7 @@ func (p *Prover) replayFetched(crt *cert.Certificate, canonicalGoal string) bool
 // recovered panic, an injected fault, or a certificate replay failure —
 // rather than a property of the goal. Transient outcomes must never be
 // memoized (a rerun with more budget, or a fixed bug, may legitimately
-// differ) and are what qualserve retries and counts toward its
+// differ) and are what qualserve marks degraded and counts toward its
 // per-qualifier circuit breaker.
 func TransientReason(r string) bool {
 	switch r {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/logic"
 	"repro/internal/qdl"
 	"repro/internal/quals"
@@ -248,6 +249,38 @@ func TestDischargePanicIsolation(t *testing.T) {
 			}
 		} else if !res.Valid {
 			t.Errorf("unrelated obligation %q failed: %q", res.Obligation.Description, res.Outcome.Reason)
+		}
+	}
+}
+
+func posRegistry(t *testing.T) *qdl.Registry {
+	t.Helper()
+	reg, err := qdl.Load(map[string]string{"pos.qdl": quals.Pos, "neg.qdl": quals.Neg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// TestDischargeFaultBudgetMode: a budget-mode fault on the discharge point
+// surfaces as the transient ReasonBudget, feeding qualserve's breaker.
+func TestDischargeFaultBudgetMode(t *testing.T) {
+	defer faults.DisarmAll()
+	reg := posRegistry(t)
+	d := reg.Lookup("pos")
+	if err := faults.Arm("soundness.discharge=budget"); err != nil {
+		t.Fatal(err)
+	}
+	report, err := Prove(d, reg, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Sound() {
+		t.Fatal("permanent budget fault should leave the report unsound")
+	}
+	for _, res := range report.Failed() {
+		if res.Outcome.Reason != simplify.ReasonBudget {
+			t.Errorf("reason %q, want %q", res.Outcome.Reason, simplify.ReasonBudget)
 		}
 	}
 }

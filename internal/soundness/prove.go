@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"runtime"
 	"strings"
@@ -155,17 +154,6 @@ type Options struct {
 	// byte-identical trace files — the CDCL determinism regression keys on
 	// this.
 	TraceOmitTimings bool
-	// RetryTransient re-discharges an obligation up to this many extra times
-	// when its outcome is transient for a reason other than the caller's own
-	// deadline or cancellation — a recovered panic, an injected fault, or a
-	// tripped resource budget (memory pressure passes). Retries back off with
-	// RetryBackoff. 0 disables retry.
-	RetryTransient int
-	// RetryBackoff is the base backoff between transient retries (default
-	// 5ms when RetryTransient > 0). The k-th retry sleeps k*base plus a
-	// deterministic jitter derived from the obligation, so concurrent
-	// retries across a pool decorrelate without nondeterminism.
-	RetryBackoff time.Duration
 }
 
 // DefaultOptions returns the standard configuration.
@@ -227,7 +215,7 @@ func ProveContext(ctx context.Context, d *qdl.Def, reg *qdl.Registry, opts Optio
 	}
 	prover := baseProver(opts).Fork(cache)
 	start := time.Now()
-	report.Results = proveObligations(ctx, prover, obls, opts.concurrency(), opts)
+	report.Results = proveObligations(ctx, prover, obls, opts.concurrency())
 	report.Elapsed = time.Since(start)
 	for _, res := range report.Results {
 		if res.Outcome.CacheHit {
@@ -243,10 +231,10 @@ func ProveContext(ctx context.Context, d *qdl.Def, reg *qdl.Registry, opts Optio
 
 // proveObligations discharges obls on a bounded worker pool, writing each
 // result into its obligation's slot so the order is deterministic.
-func proveObligations(ctx context.Context, prover *simplify.Prover, obls []Obligation, workers int, opts Options) []ObligationResult {
+func proveObligations(ctx context.Context, prover *simplify.Prover, obls []Obligation, workers int) []ObligationResult {
 	results := make([]ObligationResult, len(obls))
 	forEachIndex(len(obls), workers, func(i int) {
-		results[i] = discharge(ctx, prover, obls[i], opts)
+		results[i] = discharge(ctx, prover, obls[i])
 	})
 	return results
 }
@@ -259,61 +247,14 @@ var dischargeHook func(o Obligation)
 // the prover (which has its own points inside the search).
 var fpDischarge = faults.Register("soundness.discharge")
 
-// retryable reports whether an outcome is worth re-discharging: transient,
-// but not because the caller's own deadline or cancellation ended the run.
-func retryable(out simplify.Outcome) bool {
-	switch out.Reason {
-	case simplify.ReasonDeadline, simplify.ReasonCanceled:
-		return false
-	}
-	return simplify.TransientReason(out.Reason)
-}
-
-// retryBackoff computes the sleep before the attempt-th retry: linear in the
-// attempt number plus a jitter derived deterministically from the obligation,
-// so a pool's concurrent retries spread out while runs stay reproducible.
-func retryBackoff(base time.Duration, key string, attempt int) time.Duration {
-	if base <= 0 {
-		base = 5 * time.Millisecond
-	}
-	h := fnv.New64a()
-	io.WriteString(h, key)
-	fmt.Fprintf(h, "|%d", attempt)
-	jitter := time.Duration(h.Sum64() % uint64(base))
-	return time.Duration(attempt)*base + jitter
-}
-
-// sleepCtx sleeps for d or until ctx is done, whichever comes first.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
-}
-
-// discharge proves one obligation, retrying transient failures per
-// opts.RetryTransient.
-func discharge(ctx context.Context, prover *simplify.Prover, o Obligation, opts Options) ObligationResult {
-	t0 := time.Now()
-	res := dischargeOnce(ctx, prover, o)
-	for attempt := 1; attempt <= opts.RetryTransient && retryable(res.Outcome) && ctx.Err() == nil; attempt++ {
-		sleepCtx(ctx, retryBackoff(opts.RetryBackoff, o.Description, attempt))
-		res = dischargeOnce(ctx, prover, o)
-	}
-	res.Elapsed = time.Since(t0)
-	return res
-}
-
-// dischargeOnce proves one obligation once. A panic anywhere in the goal's
+// discharge proves one obligation once. A panic anywhere in the goal's
 // discharge (the prover has its own recovery; this guards the surrounding
 // machinery) is converted into a failing result for this obligation only, so
-// one broken goal cannot take down the whole report or its worker pool.
-func dischargeOnce(ctx context.Context, prover *simplify.Prover, o Obligation) (res ObligationResult) {
+// one broken goal cannot take down the whole report or its worker pool. A
+// transient Unknown is reported as it is, not retried: the search is
+// deterministic, so rerunning it under the same step budgets fails the same
+// way.
+func discharge(ctx context.Context, prover *simplify.Prover, o Obligation) (res ObligationResult) {
 	t0 := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
@@ -346,6 +287,7 @@ func dischargeOnce(ctx context.Context, prover *simplify.Prover, o Obligation) (
 			Obligation: o,
 			Outcome:    simplify.Outcome{Result: simplify.Valid},
 			Valid:      true,
+			Elapsed:    time.Since(t0),
 		}
 	}
 	outcome := prover.ProveContext(ctx, o.Formula)
