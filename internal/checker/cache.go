@@ -232,10 +232,10 @@ func (en *engine) checkFuncCached(f *cminor.FuncDef) {
 		en.safeCheckFunc(f)
 		return
 	}
-	// FireErr, not Fire: the parallel walk's pool workers have no recovery
-	// around the cache path, so an injected replay panic must be contained
-	// here. Any replay fault degrades to a fresh walk — never a crash, never
-	// a wrong replay. The degraded walk bypasses the cache entirely, so an
+	// FireErr, not Fire: nothing between here and the pool recovers a panic
+	// on the cache path, and the pool would re-raise it out of the whole
+	// check, so an injected replay panic must be contained here. Any replay
+	// fault degrades to a fresh walk — never a crash, never a wrong replay. The degraded walk bypasses the cache entirely, so an
 	// injected fault can neither strand waiters nor poison the fill.
 	if err := fpCacheReplay.FireErr(); err != nil {
 		en.stats.FuncCacheMisses++

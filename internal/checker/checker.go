@@ -3,12 +3,11 @@ package checker
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/cminor"
 	"repro/internal/faults"
 	"repro/internal/qdl"
+	"repro/internal/scheduler"
 )
 
 // Diagnostic is a qualifier-checking warning. Code classifies the rule that
@@ -163,10 +162,11 @@ type Options struct {
 	// "if (x != NULL)" the variable x additionally carries every value
 	// qualifier whose invariant the condition implies.
 	FlowSensitive bool
-	// Concurrency bounds the worker pool checking functions in parallel.
-	// 0 means runtime.GOMAXPROCS(0); 1 forces the serial walk. Diagnostics
-	// are merged back into source order, so the result is identical at any
-	// setting.
+	// Concurrency is the worker count of the scheduler pool that walks the
+	// program's functions: at most this many walks run at once. 0 means
+	// runtime.GOMAXPROCS(0) (the scheduler's rule); 1 walks every function
+	// on the calling goroutine, in declaration order. Diagnostics are merged
+	// back into source order, so the result is identical at any setting.
 	Concurrency int
 	// Types supplies precomputed base type information (with TypeDiags, the
 	// diagnostics the same cminor.TypeCheck run produced) so repeated checks
@@ -175,14 +175,6 @@ type Options struct {
 	// here.
 	Types     *cminor.TypeInfo
 	TypeDiags []cminor.Diagnostic
-}
-
-// concurrency resolves the effective worker count.
-func (o Options) concurrency() int {
-	if o.Concurrency > 0 {
-		return o.Concurrency
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Check performs qualifier checking of prog against the registry's type
@@ -217,18 +209,56 @@ func CheckWithContext(ctx context.Context, prog *cminor.Program, reg *qdl.Regist
 // FuncDef.Src, so a declaration rewritten in place would replay the old
 // text's results. A FuncDef with an empty Src is walked uncached.
 func CheckWithCache(ctx context.Context, prog *cminor.Program, reg *qdl.Registry, opts Options, fc *FuncCache) *Result {
+	var res *Result
+	scheduler.Run(opts.Concurrency, func(c *scheduler.Ctx) {
+		checkProgram(ctx, c, prog, reg, opts, fc, func(r *Result) { res = r })
+	})
+	return res
+}
+
+// checkProgram is one program's pool task, shared by CheckWithCache and the
+// tree checker's per-file task: it builds the engine and runs the
+// program-level passes, then spawns one unit per function. Functions are
+// independent: the only engine state a body walk touches is its own
+// diagnostics, restrict counters, derivation memo, and refinement
+// environment, so each unit walks on a private child engine sharing the
+// immutable registry/type-info/clause tables. The unit that finishes last
+// merges the walks in source (declaration) order — so the result is
+// byte-identical at any worker count — runs the post-function passes, and
+// hands the Result to done. A canceled context stops the walks: bodies not
+// yet walked report nothing (Result.Err marks the run inconclusive).
+func checkProgram(ctx context.Context, c *scheduler.Ctx, prog *cminor.Program, reg *qdl.Registry, opts Options, fc *FuncCache, done func(*Result)) {
 	en := newEngine(ctx, prog, reg, opts, fc)
 	en.preFuncPasses()
-	en.checkFuncs(ctx, opts.concurrency())
-	en.addrOfPass()
-	return en.finishResult(ctx)
+	funcs := prog.Funcs
+	walks := make([]funcWalk, len(funcs))
+	c.Fan(len(funcs), func(_ *scheduler.Ctx, i int) {
+		if ctx.Err() == nil {
+			child := en.childEngine()
+			child.checkFuncCached(funcs[i])
+			walks[i] = funcWalk{child.diags, child.stats}
+		}
+	}, func() {
+		for _, w := range walks {
+			en.diags = append(en.diags, w.diags...)
+			en.stats.add(w.stats)
+		}
+		en.addrOfPass()
+		done(en.finishResult(ctx))
+	})
+}
+
+// funcWalk is what one function's walk contributes to its program's result.
+// Keeping only this, not the child engine, lets each walk's derivation memo
+// be collected as soon as the walk ends.
+type funcWalk struct {
+	diags []Diagnostic
+	stats Stats
 }
 
 // newEngine builds a checking engine and runs every pass that precedes the
 // per-function walks: typechecking (unless precomputed), flow precomputation,
-// context-key derivation, base diagnostics, and annotation validation. The
-// tree checker (tree.go) uses the same constructor so a file checked inside a
-// tree and alone produce byte-identical diagnostics.
+// context-key derivation, base diagnostics, and annotation validation.
 func newEngine(ctx context.Context, prog *cminor.Program, reg *qdl.Registry, opts Options, fc *FuncCache) *engine {
 	info, baseDiags := opts.Types, opts.TypeDiags
 	if info == nil {
@@ -420,7 +450,7 @@ var fpCheckWalk = faults.Register("checker.walk")
 
 // safeCheckFunc walks one function body, converting a panic anywhere in the
 // walk into an "internal" diagnostic on that function, so one pathological
-// body cannot take down the whole check (or leak a pool worker).
+// body cannot take down the whole check.
 func (en *engine) safeCheckFunc(f *cminor.FuncDef) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -437,76 +467,7 @@ func (en *engine) safeCheckFunc(f *cminor.FuncDef) {
 	en.checkFunc(f)
 }
 
-// checkFuncs checks every function, fanning the bodies out over a bounded
-// worker pool. Functions are independent: the only engine state a body walk
-// touches is its own diagnostics, restrict counters, derivation memo, and
-// refinement environment, so each worker gets a private child engine sharing
-// the immutable registry/type-info/clause tables, and the children's
-// diagnostics are merged back in source (declaration) order — the result is
-// byte-identical to the serial walk. A canceled context stops handing out
-// functions; bodies not walked report nothing (Result.Err marks the run
-// inconclusive).
-func (en *engine) checkFuncs(ctx context.Context, workers int) {
-	funcs := en.prog.Funcs
-	if workers > len(funcs) {
-		workers = len(funcs)
-	}
-	if workers <= 1 {
-		for _, f := range funcs {
-			if ctx.Err() != nil {
-				return
-			}
-			if en.fc == nil {
-				en.safeCheckFunc(f)
-				continue
-			}
-			// With a function cache, the serial path also walks each body on
-			// a private child engine so the cache entry captures exactly one
-			// function's contribution.
-			child := en.childEngine()
-			child.checkFuncCached(f)
-			en.mergeChild(child)
-		}
-		return
-	}
-	children := make([]*engine, len(funcs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				child := en.childEngine()
-				child.checkFuncCached(funcs[i])
-				children[i] = child
-			}
-		}()
-	}
-	for i := range funcs {
-		if ctx.Err() != nil {
-			break
-		}
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, child := range children {
-		if child == nil {
-			continue
-		}
-		en.mergeChild(child)
-	}
-}
-
-// mergeChild folds one function's child-engine state back into the parent,
-// preserving source (declaration) order when called in function order.
-func (en *engine) mergeChild(child *engine) {
-	en.diags = append(en.diags, child.diags...)
-	en.stats.add(child.stats)
-}
-
-// childEngine clones the engine for one worker: immutable tables (registry,
+// childEngine clones the engine for one function: immutable tables (registry,
 // type info, clause lists, flow precomputation) are shared; diagnostic,
 // statistic, memo, and environment state is private.
 func (en *engine) childEngine() *engine {

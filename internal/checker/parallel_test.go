@@ -1,13 +1,17 @@
 package checker
 
 import (
+	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cminor"
 	"repro/internal/corpus"
 	"repro/internal/qdl"
 	"repro/internal/quals"
+	"repro/internal/testutil/leak"
 )
 
 // checkCorpus parses prog fresh (checking annotates the AST, so runs must
@@ -26,6 +30,7 @@ func checkCorpus(t *testing.T, reg *qdl.Registry, p corpus.Program, opts Options
 // same source order, and the same statistics, as the serial pass. Run under
 // -race it also exercises the shared engine tables concurrently.
 func TestCheckWithParallelMatchesSerial(t *testing.T) {
+	leak.Check(t)
 	reg := quals.MustStandard()
 	for _, p := range corpus.All() {
 		for _, flow := range []bool{false, true} {
@@ -59,6 +64,7 @@ func TestCheckWithParallelMatchesSerial(t *testing.T) {
 // configuration the Table 2 experiment uses, where bftpd produces real
 // warnings whose order must be stable.
 func TestCheckWithParallelTaintCorpus(t *testing.T) {
+	leak.Check(t)
 	reg, err := quals.TaintWithConstants()
 	if err != nil {
 		t.Fatal(err)
@@ -76,5 +82,41 @@ func TestCheckWithParallelTaintCorpus(t *testing.T) {
 	}
 	if !reflect.DeepEqual(serial.Stats, parallel.Stats) {
 		t.Errorf("stats differ:\nserial:   %+v\nparallel: %+v", serial.Stats, parallel.Stats)
+	}
+}
+
+// TestCheckConcurrencyBound: CheckWith and CheckTree run on the one pool, so
+// at C workers no more than C function walks run at once — and with enough
+// functions, C do.
+func TestCheckConcurrencyBound(t *testing.T) {
+	leak.Check(t)
+	const workers = 2
+	var active, highWater atomic.Int64
+	CheckFuncHook = func(*cminor.FuncDef) {
+		n := active.Add(1)
+		for hw := highWater.Load(); n > hw && !highWater.CompareAndSwap(hw, n); hw = highWater.Load() {
+		}
+		time.Sleep(200 * time.Microsecond) // force overlap
+		active.Add(-1)
+	}
+	defer func() { CheckFuncHook = nil }()
+	reg := quals.MustStandard()
+	dir := genTree(t, 8)
+	for _, tc := range []struct {
+		name  string
+		check func()
+	}{
+		{"CheckWith", func() { checkCorpus(t, reg, corpus.GrepDFA(), Options{Concurrency: workers}) }},
+		{"CheckTree", func() {
+			if _, err := CheckTree(context.Background(), dir, reg, TreeOptions{Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		highWater.Store(0)
+		tc.check()
+		if hw := highWater.Load(); hw != workers {
+			t.Errorf("%s: high-water %d function walks at once, want %d", tc.name, hw, workers)
+		}
 	}
 }

@@ -3,8 +3,6 @@ package checker
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cminor"
@@ -15,10 +13,11 @@ import (
 
 // This file is the repo-scale entry point: CheckTree walks a directory,
 // parses every source file, and checks them all over a work-stealing
-// scheduler with per-file → per-function work units. A file task runs the
-// program-level passes and then spawns one unit per function onto its own
-// worker's deque; idle workers steal those units, so one huge file's
-// functions spread across the pool instead of serializing behind it.
+// scheduler with per-file → per-function work units. A file task reads and
+// parses the file, then runs checkProgram — CheckWithCache's own task — which
+// spawns one unit per function onto its worker's queue; idle workers steal
+// those units, so one huge file's functions spread across the pool instead of
+// serializing behind it.
 //
 // Determinism: files are indexed in walk (lexical) order and functions in
 // declaration order, every unit writes only its own slot, and the last unit
@@ -101,12 +100,9 @@ type TreeChecker struct {
 	reader    *input.Reader
 }
 
-// NewTreeChecker builds a checking engine with a running (idle) worker pool
-// of opts.Workers workers, or runtime.GOMAXPROCS(0) when opts.Workers <= 0.
+// NewTreeChecker builds a checking engine over a worker pool of opts.Workers
+// workers, or runtime.GOMAXPROCS(0) when opts.Workers <= 0.
 func NewTreeChecker(reg *qdl.Registry, opts TreeOptions) *TreeChecker {
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
 	maxBytes := opts.Walk.MaxFileBytes
 	if maxBytes <= 0 {
 		maxBytes = input.DefaultMaxFileBytes
@@ -185,10 +181,10 @@ func CheckTree(ctx context.Context, root string, reg *qdl.Registry, opts TreeOpt
 	return tc.CheckTree(ctx, root)
 }
 
-// checkFileTask is one file's task: read, parse, run the program-level
-// passes, then spawn one scheduler unit per function. The last function unit
-// to finish assembles the file's result (there is no blocking join — a
-// worker is never parked waiting for another worker's units).
+// checkFileTask is one file's task: read and parse, then checkProgram. The
+// last function unit to finish writes the file's result (there is no
+// blocking join — a worker is never parked waiting for another worker's
+// units).
 func checkFileTask(ctx context.Context, c *scheduler.Ctx, f input.File, reg *qdl.Registry,
 	qualNames map[string]bool, maxBytes int64, reader *input.Reader, opts TreeOptions, out *FileResult) {
 	out.File = f.Rel
@@ -217,42 +213,7 @@ func checkFileTask(ctx context.Context, c *scheduler.Ctx, f input.File, reg *qdl
 		out.Err = err
 		return
 	}
-	en := newEngine(ctx, prog, reg, opts.Options, opts.Cache)
-	en.preFuncPasses()
-	funcs := prog.Funcs
-	if len(funcs) == 0 {
-		finishFileTask(ctx, en, nil, out)
-		return
-	}
-	children := make([]*engine, len(funcs))
-	var remaining atomic.Int64
-	remaining.Store(int64(len(funcs)))
-	for i := range funcs {
-		i := i
-		c.Spawn(func(*scheduler.Ctx) {
-			if ctx.Err() == nil {
-				child := en.childEngine()
-				child.checkFuncCached(funcs[i])
-				children[i] = child
-			}
-			if remaining.Add(-1) == 0 {
-				finishFileTask(ctx, en, children, out)
-			}
-		})
-	}
-}
-
-// finishFileTask merges the function children in declaration order, runs the
-// post-function passes, and writes the file's result slot.
-func finishFileTask(ctx context.Context, en *engine, children []*engine, out *FileResult) {
-	for _, child := range children {
-		if child != nil {
-			en.mergeChild(child)
-		}
-	}
-	en.addrOfPass()
-	res := en.finishResult(ctx)
-	out.Diags = res.Diags
-	out.Stats = res.Stats
-	out.Err = res.Err
+	checkProgram(ctx, c, prog, reg, opts.Options, opts.Cache, func(res *Result) {
+		out.Diags, out.Stats, out.Err = res.Diags, res.Stats, res.Err
+	})
 }

@@ -193,8 +193,8 @@ func TestTreeSchedulerTelemetry(t *testing.T) {
 }
 
 // TestTreeCheckerDefaultWorkers: a zero worker count means every core, as
-// TreeOptions.Workers documents — not the scheduler's clamp to one worker.
-// GOMAXPROCS is raised for the test so the two differ on any machine.
+// TreeOptions.Workers documents — not a pool of one worker. GOMAXPROCS is
+// raised for the test so the two differ on any machine.
 func TestTreeCheckerDefaultWorkers(t *testing.T) {
 	leak.Check(t)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))

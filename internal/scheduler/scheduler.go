@@ -1,51 +1,126 @@
-// Package scheduler is a work-stealing task pool for repo-scale checking.
-// Each worker owns a double-ended queue: the worker pushes and pops work at
-// the bottom (LIFO, so a file task's freshly spawned per-function units run
-// hot in cache), while idle workers steal from the top (FIFO, so thieves
-// take the oldest — typically largest — unit and leave the victim its
-// locality). External callers submit to a shared injector queue that workers
-// drain when their own deque is empty.
+// Package scheduler is the work-stealing task pool behind every fan-out in
+// the repository. A repo-scale tree check (qualcheck -r, -watch) submits one
+// task per file to a long-lived pool; checker.CheckWith runs one pass (Run)
+// whose root is the program's task, and the soundness checker one pass that
+// fans out one task per qualifier. Each file, program, or qualifier task
+// then fans out one unit per function or per obligation.
 //
-// The split between Submit (cross-worker, FIFO injector) and Spawn
-// (current-worker, LIFO deque) is what keeps one huge file from starving
-// the pool: a file task spawns one unit per function onto its own deque, and
-// any idle worker steals those units from the top while the owner chews the
-// bottom.
+// Each worker owns a FIFO queue. The owner takes its own oldest unit first,
+// so a one-worker pool runs units in spawn order, and an idle worker steals
+// the oldest unit from a victim's queue. External callers submit to a shared
+// injector queue that workers drain when their own queue is empty. The split
+// between Submit (shared injector) and Fan (the executing worker's own
+// queue) is what keeps one huge file from starving the pool: its
+// per-function units sit where any idle worker can steal them, and the owner
+// finishes one file's units before it takes the next file.
+//
+// The goroutine that calls Wait is worker 0: it runs tasks until the pool is
+// quiescent. Workers 1..n-1 are helper goroutines, started on demand when
+// more tasks are queued than the idle workers and the pushing worker can
+// take; once started, a helper parks between passes and exits on Close. So
+// a pool of one worker, or a pass that never queues two tasks at once, runs
+// entirely on the caller's goroutine and starts no goroutine; and however
+// tasks nest their spawns, at most n run at once. Fan runs a fan-out with
+// nothing to spread inline, and Run — the one-pass form the per-call
+// fan-outs use — builds its pool only at the first spawn, so a trivial pass
+// costs no pool at all.
+//
+// A task's panic is recovered on its worker. The rest of the pass still
+// runs, Wait re-raises the first panic value on its caller's goroutine, and
+// the pool stays usable.
 //
 // Victim selection is a deterministic per-worker xorshift sequence seeded
 // from the pool seed and the thief's index — no global randomness, so two
 // pools with the same seed probe victims in the same order (the interleaving
 // of steals still depends on OS scheduling; result determinism must come
-// from the caller merging results by index, which the checker does).
+// from the caller merging results by index, which every caller does).
 //
-// The pool is quiescence-counted: every Submit/Spawn increments a pending
-// counter, every completed task decrements it, and Wait returns when it hits
-// zero. Close stops the workers and joins them; a pool is single-use.
+// The pool is quiescence-counted: every submitted or spawned task increments
+// a pending counter, every completed task decrements it, and Wait returns when it hits
+// zero. Close stops the helpers and joins them; a closed pool takes no more
+// work.
 package scheduler
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
 // Ctx is the execution context handed to every task: it identifies the
-// running worker and lets the task spawn subtasks onto that worker's deque.
+// running worker and lets the task spawn subtasks onto that worker's queue.
 type Ctx struct {
-	pool   *Pool
-	worker int
+	pool    *Pool // nil for a Run root until its first spawn
+	worker  int
+	workers int // the pool's size
 }
 
-// Worker returns the index of the worker executing the task (0-based).
-func (c *Ctx) Worker() int { return c.worker }
+// spawn queues a subtask on the executing worker's own queue, where it is
+// eligible for stealing immediately. A Run root builds its pool here.
+func (c *Ctx) spawn(t Task) {
+	p := c.pool
+	if p == nil {
+		p = New(c.workers, 0)
+		c.pool = p
+	}
+	p.pending.Add(1)
+	p.spawned.Add(1)
+	p.push(&p.workers[c.worker].queue, t)
+}
 
-// Spawn pushes a subtask onto the executing worker's own deque (LIFO). It
-// must only be called from inside a running task; spawned tasks are eligible
-// for stealing immediately.
-func (c *Ctx) Spawn(t Task) {
-	c.pool.pending.Add(1)
-	c.pool.spawned.Add(1)
-	c.pool.workers[c.worker].deque.pushBottom(t)
-	c.pool.wake()
+// Fan spawns unit(0), ..., unit(n-1) as n subtasks and runs join on the
+// worker that finishes the last of them. Each unit must write only its own
+// index's state; join sees every unit's writes. No worker ever blocks
+// waiting for the units. A unit that panics leaves join unrun, and Wait
+// re-raises the panic. When there is nothing to spread — at most one unit,
+// or a pool of one worker — Fan runs the units in order and then join on the
+// executing worker before it returns, which is the order a one-worker pool
+// would run them in anyway.
+func (c *Ctx) Fan(n int, unit func(c *Ctx, i int), join func()) {
+	if n <= 1 || c.workers == 1 {
+		for i := 0; i < n; i++ {
+			unit(c, i)
+		}
+		if p := c.pool; p != nil {
+			p.spawned.Add(uint64(n))
+			p.workers[c.worker].executed.Add(uint64(n))
+		}
+		join()
+		return
+	}
+	var remaining atomic.Int64
+	remaining.Store(int64(n))
+	for i := 0; i < n; i++ {
+		c.spawn(func(c *Ctx) {
+			unit(c, i)
+			if remaining.Add(-1) == 0 {
+				join()
+			}
+		})
+	}
+}
+
+// Run runs one pass on a pool of the given number of workers, or of
+// runtime.GOMAXPROCS(0) workers when workers <= 0, that lives only for the
+// call: root runs on the calling goroutine as worker 0, and Run returns when
+// root and every task it spawned have finished. The pool is built at root's
+// first spawn, so a pass whose fan-outs all run inline builds none. Like
+// Wait, Run re-raises a spawned task's panic on the caller; a panic in root
+// itself propagates directly. Either way the pool is closed.
+func Run(workers int, root Task) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	c := &Ctx{workers: workers}
+	defer func() {
+		if c.pool != nil {
+			c.pool.Close()
+		}
+	}()
+	root(c)
+	if c.pool != nil {
+		c.pool.Wait()
+	}
 }
 
 // Task is one unit of work. The Ctx argument is valid only for the duration
@@ -56,12 +131,12 @@ type Task func(c *Ctx)
 type Stats struct {
 	// Workers is the pool size.
 	Workers int `json:"workers"`
-	// Submitted counts external Submit calls; Spawned counts in-task Spawn
-	// calls; Executed is their sum once every task has run.
+	// Submitted counts external Submit calls; Spawned counts the units tasks
+	// fanned out; Executed is their sum once every task has run.
 	Submitted uint64 `json:"submitted"`
 	Spawned   uint64 `json:"spawned"`
 	Executed  uint64 `json:"executed"`
-	// Steals counts tasks taken from another worker's deque; InjectorGrabs
+	// Steals counts tasks taken from another worker's queue; InjectorGrabs
 	// counts tasks taken from the shared injector queue.
 	Steals        uint64 `json:"steals"`
 	InjectorGrabs uint64 `json:"injector_grabs"`
@@ -73,77 +148,71 @@ type Stats struct {
 	Parks uint64 `json:"parks"`
 }
 
-// deque is one worker's double-ended work queue. A mutex guards it: the
-// owner's push/pop and thieves' steals contend only on this worker's lock,
-// so the common case (owner working its own bottom) never touches a global
-// lock. items[0] is the top (steal end); items[len-1] is the bottom.
-type deque struct {
+// queue is a mutex-guarded FIFO of tasks: one per worker, plus the shared
+// injector. The owner and thieves contend only on this queue's lock, so a
+// worker running its own units never touches a global lock.
+type queue struct {
 	mu    sync.Mutex
 	items []Task
+	head  int
 }
 
-func (d *deque) pushBottom(t Task) {
-	d.mu.Lock()
-	d.items = append(d.items, t)
-	d.mu.Unlock()
+func (q *queue) push(t Task) {
+	q.mu.Lock()
+	q.items = append(q.items, t)
+	q.mu.Unlock()
 }
 
-// popBottom removes the most recently pushed task (owner side).
-func (d *deque) popBottom() (Task, bool) {
-	d.mu.Lock()
-	n := len(d.items)
-	if n == 0 {
-		d.mu.Unlock()
+// pop removes the oldest task.
+func (q *queue) pop() (Task, bool) {
+	q.mu.Lock()
+	if q.head == len(q.items) {
+		q.mu.Unlock()
 		return nil, false
 	}
-	t := d.items[n-1]
-	d.items[n-1] = nil
-	d.items = d.items[:n-1]
-	d.mu.Unlock()
+	t := q.items[q.head]
+	q.items[q.head] = nil
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	q.mu.Unlock()
 	return t, true
 }
 
-// stealTop removes the oldest task (thief side).
-func (d *deque) stealTop() (Task, bool) {
-	d.mu.Lock()
-	if len(d.items) == 0 {
-		d.mu.Unlock()
-		return nil, false
-	}
-	t := d.items[0]
-	copy(d.items, d.items[1:])
-	d.items[len(d.items)-1] = nil
-	d.items = d.items[:len(d.items)-1]
-	d.mu.Unlock()
-	return t, true
-}
-
-// worker is one pool member: its deque, its deterministic victim-selection
-// RNG state, and its executed counter.
+// worker is one pool member: its queue, the Ctx its tasks receive, its
+// deterministic victim-selection RNG state, and its executed counter.
 type worker struct {
-	deque    deque
+	queue    queue
+	ctx      Ctx
 	rng      uint64
 	executed atomic.Uint64
 }
 
 // Pool is a work-stealing scheduler. Create with New, feed with Submit,
-// block on Wait, and release with Close.
+// run with Wait, and release with Close.
 type Pool struct {
-	workers []*worker
-
-	injMu    sync.Mutex
-	injector []Task
+	workers  []worker
+	injector queue
 
 	// pending counts submitted-or-spawned tasks not yet finished; Wait
-	// returns when it reaches zero.
+	// returns when it reaches zero. queued counts pushed tasks no worker
+	// has taken yet; idle counts parked workers; helpers counts started
+	// helper goroutines (changed only under mu).
 	pending atomic.Int64
+	queued  atomic.Int64
+	idle    atomic.Int64
+	helpers atomic.Int64
+	stopped atomic.Bool
 
-	// park is the sleep/wake rendezvous: workers that find no work anywhere
-	// wait on cond; wake broadcasts on every push and every completion (the
-	// completion broadcast also unblocks Wait).
-	parkMu  sync.Mutex
-	cond    *sync.Cond
-	stopped bool
+	// mu and cond are the sleep/wake rendezvous: a worker that finds no work
+	// anywhere waits on cond, and a push or the completion that empties the
+	// pool broadcasts when a worker is parked. mu also guards panicVal, the
+	// first recovered panic, which panicked flags.
+	mu       sync.Mutex
+	cond     sync.Cond
+	panicked atomic.Bool
+	panicVal any
 
 	wg sync.WaitGroup
 
@@ -154,26 +223,16 @@ type Pool struct {
 	parks         atomic.Uint64
 }
 
-// New starts a pool with the given worker count (values < 1 are clamped to
-// 1) and victim-selection seed. The same seed gives every worker the same
-// probe sequence across runs.
+// New returns a pool of the given number of workers, or of
+// runtime.GOMAXPROCS(0) workers when workers <= 0, with the given
+// victim-selection seed. The same seed gives every worker the same probe
+// sequence across runs. New starts no goroutine: helpers start on demand.
 func New(workers int, seed uint64) *Pool {
-	p := newPool(workers, seed)
-	for i := range p.workers {
-		p.wg.Add(1)
-		go p.run(i)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return p
-}
-
-// newPool builds the pool state without starting workers (tests probe the
-// deterministic victim sequence on a cold pool).
-func newPool(workers int, seed uint64) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	p := &Pool{workers: make([]*worker, workers)}
-	p.cond = sync.NewCond(&p.parkMu)
+	p := &Pool{workers: make([]worker, workers)}
+	p.cond.L = &p.mu
 	for i := range p.workers {
 		// splitmix64 of seed+index: distinct, deterministic, never zero.
 		s := seed + uint64(i+1)*0x9e3779b97f4a7c15
@@ -185,59 +244,63 @@ func newPool(workers int, seed uint64) *Pool {
 		if s == 0 {
 			s = 1
 		}
-		p.workers[i] = &worker{rng: s}
+		p.workers[i].rng = s
+		p.workers[i].ctx = Ctx{pool: p, worker: i, workers: workers}
 	}
 	return p
 }
 
 // Submit enqueues a task on the shared injector queue (FIFO). Safe from any
-// goroutine. Submitting to a closed pool panics: the workers are gone, so
-// the task would silently never run (the watch daemon reuses one pool across
+// goroutine. Submitting to a closed pool panics: its helpers are gone, so
+// the task might silently never run (the watch daemon reuses one pool across
 // generations — Submit after Wait is fine, Submit after Close is a bug).
 func (p *Pool) Submit(t Task) {
-	p.parkMu.Lock()
-	stopped := p.stopped
-	p.parkMu.Unlock()
-	if stopped {
+	if p.stopped.Load() {
 		panic("scheduler: Submit on a closed pool")
 	}
 	p.pending.Add(1)
 	p.submitted.Add(1)
-	p.injMu.Lock()
-	p.injector = append(p.injector, t)
-	p.injMu.Unlock()
-	p.wake()
+	p.push(&p.injector, t)
 }
 
-func (p *Pool) wake() {
-	p.parkMu.Lock()
-	p.cond.Broadcast()
-	p.parkMu.Unlock()
-}
-
-// popInjector takes the oldest externally submitted task.
-func (p *Pool) popInjector() (Task, bool) {
-	p.injMu.Lock()
-	if len(p.injector) == 0 {
-		p.injMu.Unlock()
-		return nil, false
+// push queues t on q. It starts a helper when the queued tasks outnumber the
+// workers about to take them — the idle ones plus the pusher, which takes a
+// task as soon as its own returns — and wakes any parked worker. With no
+// helper to start and no worker parked it takes no lock.
+func (p *Pool) push(q *queue, t Task) {
+	q.push(t)
+	queued := p.queued.Add(1)
+	idle := p.idle.Load()
+	grow := queued > idle+1 && p.helpers.Load() < int64(len(p.workers)-1)
+	if idle == 0 && !grow {
+		return
 	}
-	t := p.injector[0]
-	copy(p.injector, p.injector[1:])
-	p.injector[len(p.injector)-1] = nil
-	p.injector = p.injector[:len(p.injector)-1]
-	p.injMu.Unlock()
-	return t, true
+	p.mu.Lock()
+	if grow && !p.stopped.Load() && p.helpers.Load() < int64(len(p.workers)-1) {
+		w := int(p.helpers.Add(1))
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			p.work(w, false)
+		}()
+	}
+	p.cond.Broadcast()
+	p.mu.Unlock()
+}
+
+// take pops the oldest task from q.
+func (p *Pool) take(q *queue) (Task, bool) {
+	t, ok := q.pop()
+	if ok {
+		p.queued.Add(-1)
+	}
+	return t, ok
 }
 
 // nextVictim advances worker w's xorshift64 state and maps it onto a victim
-// index other than w (for pools of one worker there is no victim).
-func (p *Pool) nextVictim(w int) int {
-	n := len(p.workers)
-	if n < 2 {
-		return -1
-	}
-	wk := p.workers[w]
+// index in [0, n) other than w, for 2 <= n <= len(p.workers) and w < n.
+func (p *Pool) nextVictim(w, n int) int {
+	wk := &p.workers[w]
 	x := wk.rng
 	x ^= x << 13
 	x ^= x >> 7
@@ -250,24 +313,21 @@ func (p *Pool) nextVictim(w int) int {
 	return v
 }
 
-// findWork locates the next task for worker w: own deque bottom first, then
-// the injector, then up to 2*(n-1) steal probes over the deterministic
-// victim sequence.
+// findWork locates the next task for worker w: its own queue first, then
+// the injector, then 2*(n-1) steal probes over the deterministic victim
+// sequence, where n counts the caller and the helpers started so far (a
+// worker never started has an empty queue).
 func (p *Pool) findWork(w int) (Task, bool) {
-	if t, ok := p.workers[w].deque.popBottom(); ok {
+	if t, ok := p.take(&p.workers[w].queue); ok {
 		return t, true
 	}
-	if t, ok := p.popInjector(); ok {
+	if t, ok := p.take(&p.injector); ok {
 		p.injectorGrabs.Add(1)
 		return t, true
 	}
-	probes := 2 * (len(p.workers) - 1)
-	for i := 0; i < probes; i++ {
-		v := p.nextVictim(w)
-		if v < 0 {
-			break
-		}
-		if t, ok := p.workers[v].deque.stealTop(); ok {
+	n := int(p.helpers.Load()) + 1
+	for i := 0; i < 2*(n-1); i++ {
+		if t, ok := p.take(&p.workers[p.nextVictim(w, n)].queue); ok {
 			p.steals.Add(1)
 			return t, true
 		}
@@ -275,86 +335,85 @@ func (p *Pool) findWork(w int) (Task, bool) {
 	return nil, false
 }
 
-// run is one worker's loop: execute until Close. A task panic propagates
-// after the pending count is repaired, so a caller's recover (or test
-// failure) sees a consistent pool rather than a hung Wait.
-func (p *Pool) run(w int) {
-	defer p.wg.Done()
-	ctx := &Ctx{pool: p, worker: w}
+// work is worker w's loop. A helper (caller false) runs tasks until Close;
+// the goroutine in Wait (caller true, w 0) runs them until every submitted
+// and spawned task has finished.
+func (p *Pool) work(w int, caller bool) {
+	ctx := &p.workers[w].ctx
 	for {
-		t, ok := p.findWork(w)
-		if !ok {
-			p.parkMu.Lock()
-			// Re-check under the lock: a Submit/Spawn between findWork and
-			// here would otherwise be missed forever.
-			if p.stopped {
-				p.parkMu.Unlock()
-				return
-			}
-			if !p.anyWork() {
-				p.parks.Add(1)
-				p.cond.Wait()
-			}
-			p.parkMu.Unlock()
+		if caller && p.pending.Load() == 0 {
+			return
+		}
+		if t, ok := p.findWork(w); ok {
+			p.execute(ctx, t)
 			continue
 		}
-		p.execute(ctx, t)
+		p.mu.Lock()
+		if !caller && p.stopped.Load() {
+			p.mu.Unlock()
+			return
+		}
+		// Count as idle before re-checking the counters: a push or the last
+		// completion that raced this check then sees a parked worker and
+		// broadcasts under mu.
+		p.idle.Add(1)
+		if p.queued.Load() <= 0 && !(caller && p.pending.Load() == 0) {
+			p.parks.Add(1)
+			p.cond.Wait()
+		}
+		p.idle.Add(-1)
+		p.mu.Unlock()
 	}
 }
 
-// execute runs one task, guaranteeing the pending decrement (and the wake
-// that unblocks Wait) even when the task panics.
+// execute runs one task. A panic is recovered and the first one kept for
+// Wait to re-raise; either way the task counts as finished, and the one that
+// empties the pool wakes Wait.
 func (p *Pool) execute(ctx *Ctx, t Task) {
 	defer func() {
+		if r := recover(); r != nil {
+			p.mu.Lock()
+			if !p.panicked.Load() {
+				p.panicVal = r
+				p.panicked.Store(true)
+			}
+			p.mu.Unlock()
+		}
 		p.workers[ctx.worker].executed.Add(1)
-		p.pending.Add(-1)
-		p.wake()
+		if p.pending.Add(-1) == 0 && p.idle.Load() > 0 {
+			p.mu.Lock()
+			p.cond.Broadcast()
+			p.mu.Unlock()
+		}
 	}()
 	t(ctx)
 }
 
-// anyWork reports whether any queue holds a task (racy but conservative:
-// it is only consulted under parkMu after a failed findWork, and every push
-// broadcasts, so a false negative is always followed by a wake).
-func (p *Pool) anyWork() bool {
-	p.injMu.Lock()
-	n := len(p.injector)
-	p.injMu.Unlock()
-	if n > 0 {
-		return true
-	}
-	for _, wk := range p.workers {
-		wk.deque.mu.Lock()
-		n := len(wk.deque.items)
-		wk.deque.mu.Unlock()
-		if n > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// Wait blocks until every submitted and spawned task has finished. It does
-// not close the pool; more work may be submitted after Wait returns.
+// Wait runs tasks on the calling goroutine, as worker 0, until every
+// submitted and spawned task has finished. Then, if any task panicked since
+// the last Wait, it re-raises the first panic value. Wait does not close
+// the pool: more work may be submitted after it returns or panics. At most
+// one goroutine may be in Wait at a time.
 func (p *Pool) Wait() {
-	p.parkMu.Lock()
-	for p.pending.Load() != 0 {
-		p.cond.Wait()
-	}
-	p.parkMu.Unlock()
-}
-
-// Close stops the workers and joins them. Tasks still queued are dropped
-// (callers that need them run call Wait first). Close is idempotent.
-func (p *Pool) Close() {
-	p.parkMu.Lock()
-	if p.stopped {
-		p.parkMu.Unlock()
+	p.work(0, true)
+	if !p.panicked.Load() {
 		return
 	}
-	p.stopped = true
+	p.mu.Lock()
+	v := p.panicVal
+	p.panicVal = nil
+	p.panicked.Store(false)
+	p.mu.Unlock()
+	panic(v)
+}
+
+// Close stops the helpers and joins them. Tasks still queued may be dropped
+// (callers that need them to run call Wait first). Close is idempotent.
+func (p *Pool) Close() {
+	p.mu.Lock()
+	p.stopped.Store(true)
 	p.cond.Broadcast()
-	p.parkMu.Unlock()
+	p.mu.Unlock()
 	p.wg.Wait()
 }
 
@@ -369,8 +428,8 @@ func (p *Pool) Stats() Stats {
 		Parks:         p.parks.Load(),
 		PerWorker:     make([]uint64, len(p.workers)),
 	}
-	for i, wk := range p.workers {
-		n := wk.executed.Load()
+	for i := range p.workers {
+		n := p.workers[i].executed.Load()
 		s.PerWorker[i] = n
 		s.Executed += n
 	}

@@ -2,12 +2,21 @@ package scheduler
 
 import (
 	"runtime"
-	"sync"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/testutil/leak"
 )
+
+// goid returns the calling goroutine's id, parsed from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf), "goroutine "), " ")
+	return id
+}
 
 // TestAllTasksRun checks quiescence counting: every submitted and spawned
 // task executes exactly once before Wait returns.
@@ -20,7 +29,7 @@ func TestAllTasksRun(t *testing.T) {
 			p.Submit(func(c *Ctx) {
 				ran.Add(1)
 				for j := 0; j < 5; j++ {
-					c.Spawn(func(*Ctx) { ran.Add(1) })
+					c.spawn(func(*Ctx) { ran.Add(1) })
 				}
 			})
 		}
@@ -43,49 +52,47 @@ func TestAllTasksRun(t *testing.T) {
 	}
 }
 
-// TestSpawnLIFOStealFIFO checks the deque discipline with one worker: the
-// owner pops its own spawns newest-first, while a steal takes the oldest.
-func TestSpawnLIFOStealFIFO(t *testing.T) {
+// TestSpawnOrderAndSteal checks the queue discipline: a one-worker pool runs
+// its spawns in spawn order (the serial order every caller relies on), and a
+// queue hands out its oldest task first to owner and thief alike.
+func TestSpawnOrderAndSteal(t *testing.T) {
 	leak.Check(t)
 	p := New(1, 1)
 	var order []int
-	var mu sync.Mutex
 	p.Submit(func(c *Ctx) {
 		for i := 0; i < 4; i++ {
-			i := i
-			c.Spawn(func(*Ctx) {
-				mu.Lock()
-				order = append(order, i)
-				mu.Unlock()
-			})
+			c.spawn(func(*Ctx) { order = append(order, i) })
 		}
 	})
 	p.Wait()
 	p.Close()
-	want := []int{3, 2, 1, 0}
+	want := []int{0, 1, 2, 3}
+	if len(order) != len(want) {
+		t.Fatalf("single-worker spawn order %v, want %v", order, want)
+	}
 	for i, v := range want {
 		if order[i] != v {
-			t.Fatalf("single-worker spawn order %v, want %v (LIFO)", order, want)
+			t.Fatalf("single-worker spawn order %v, want %v", order, want)
 		}
 	}
 
-	// Steal side: load a deque directly and take from the top.
-	var d deque
+	var q queue
 	for i := 0; i < 3; i++ {
-		i := i
-		d.pushBottom(func(*Ctx) { _ = i })
+		q.push(func(c *Ctx) { c.worker = i })
 	}
-	d.mu.Lock()
-	n := len(d.items)
-	d.mu.Unlock()
-	if n != 3 {
-		t.Fatalf("deque length %d, want 3", n)
+	for i := 0; i < 3; i++ {
+		task, ok := q.pop()
+		if !ok {
+			t.Fatalf("pop %d failed on a non-empty queue", i)
+		}
+		var c Ctx
+		task(&c)
+		if c.worker != i {
+			t.Fatalf("pop %d returned task %d, want the oldest", i, c.worker)
+		}
 	}
-	if _, ok := d.stealTop(); !ok {
-		t.Fatal("stealTop failed on non-empty deque")
-	}
-	if _, ok := d.popBottom(); !ok {
-		t.Fatal("popBottom failed on non-empty deque")
+	if _, ok := q.pop(); ok {
+		t.Fatal("pop succeeded on an empty queue")
 	}
 }
 
@@ -95,10 +102,10 @@ func TestSpawnLIFOStealFIFO(t *testing.T) {
 func TestVictimSequenceDeterministic(t *testing.T) {
 	leak.Check(t)
 	seq := func(seed uint64) []int {
-		p := newPool(8, seed) // cold pool: no workers racing the rng probe
+		p := New(8, seed) // no Wait, so no worker races the rng probe
 		var out []int
 		for i := 0; i < 64; i++ {
-			out = append(out, p.nextVictim(3))
+			out = append(out, p.nextVictim(3, 8))
 		}
 		return out
 	}
@@ -127,19 +134,18 @@ func TestVictimSequenceDeterministic(t *testing.T) {
 	}
 }
 
-// TestStealsHappen forces the steal path: one worker spawns many units while
-// holding its own deque's bottom busy; with several workers the spawned units
-// must be stolen off the top.
+// TestStealsHappen forces the steal path: one task spawns many units and
+// then holds its worker until they have all run, so every unit must be
+// stolen off its queue by a helper.
 func TestStealsHappen(t *testing.T) {
 	leak.Check(t)
 	p := New(4, 7)
 	defer p.Close()
 	const units = 400
 	var ran atomic.Int64
-	release := make(chan struct{})
 	p.Submit(func(c *Ctx) {
 		for i := 0; i < units; i++ {
-			c.Spawn(func(*Ctx) {
+			c.spawn(func(*Ctx) {
 				ran.Add(1)
 				// Busy the executing worker a little so thieves get a look in.
 				s := 0
@@ -149,19 +155,16 @@ func TestStealsHappen(t *testing.T) {
 				_ = s
 			})
 		}
-		<-release // hold the spawning worker so it cannot drain its own deque
+		for ran.Load() < units {
+			runtime.Gosched()
+		}
 	})
-	// Let the other workers drain everything, then release the spawner.
-	for ran.Load() < units {
-		runtime.Gosched()
-	}
-	close(release)
 	p.Wait()
 	if got := ran.Load(); got != units {
 		t.Fatalf("%d units ran, want %d", got, units)
 	}
-	if st := p.Stats(); st.Steals == 0 {
-		t.Errorf("no steals recorded; stats %+v", st)
+	if st := p.Stats(); st.Steals != units || st.PerWorker[0] != 1 {
+		t.Errorf("want all %d units stolen and worker 0 running only the spawner; stats %+v", units, st)
 	}
 }
 
@@ -187,24 +190,213 @@ func TestCloseJoinsWorkers(t *testing.T) {
 	q.Close()
 }
 
-// TestPanicInTask checks that a panicking task does not hang Wait or
-// corrupt the pending count — the panic propagates on the worker goroutine
-// after bookkeeping is repaired, so we contain it inside the task here and
-// assert the pool stays serviceable.
+// TestPanicInTask pins the panic contract: a panicking task is recovered on
+// its worker, every other task still runs, Wait re-raises the first panic
+// value on the caller's goroutine, and no helper leaks.
 func TestPanicInTask(t *testing.T) {
 	leak.Check(t)
-	p := New(2, 9)
+	p := New(4, 9)
 	defer p.Close()
 	var ran atomic.Int64
-	p.Submit(func(*Ctx) {
-		defer func() { recover() }()
-		ran.Add(1)
-		panic("contained")
+	p.Submit(func(c *Ctx) {
+		c.Fan(64, func(_ *Ctx, i int) {
+			ran.Add(1)
+			if i == 5 {
+				panic("boom at 5")
+			}
+		}, func() { t.Error("join ran although a unit panicked") })
 	})
-	p.Submit(func(*Ctx) { ran.Add(1) })
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		p.Wait()
+	}()
+	if got != "boom at 5" {
+		t.Fatalf("Wait re-raised %v, want the task's panic value", got)
+	}
+	if n := ran.Load(); n != 64 {
+		t.Errorf("%d of 64 units ran; the rest of the pass must still run", n)
+	}
+}
+
+// TestPanicThenReuse is the watch daemon's reuse contract under a panic: an
+// uncontained panic comes back out of Wait, and the same pool then serves
+// another Submit/Wait cycle without re-raising it.
+func TestPanicThenReuse(t *testing.T) {
+	leak.Check(t)
+	for _, workers := range []int{1, 4} {
+		p := New(workers, 1)
+		for i := 0; i < 8; i++ {
+			p.Submit(func(*Ctx) { panic("poisoned") })
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != "poisoned" {
+					t.Errorf("workers=%d: Wait re-raised %v, want the task's panic", workers, r)
+				}
+			}()
+			p.Wait()
+		}()
+		var ran atomic.Int64
+		for i := 0; i < 16; i++ {
+			p.Submit(func(*Ctx) { ran.Add(1) })
+		}
+		p.Wait() // a stale panic would fail the test here
+		if n := ran.Load(); n != 16 {
+			t.Errorf("workers=%d: %d of 16 tasks ran after the panic", workers, n)
+		}
+		if st := p.Stats(); st.Executed != 24 {
+			t.Errorf("workers=%d: executed %d, want 24", workers, st.Executed)
+		}
+		p.Close()
+	}
+}
+
+// TestTrivialFanOutStaysOnCaller: a pool of one worker, and a pass whose
+// fan-outs have nothing to spread, run every task on the calling goroutine
+// and start no goroutine; Run then builds no pool at all.
+func TestTrivialFanOutStaysOnCaller(t *testing.T) {
+	leak.Check(t)
+	caller := goid()
+	onCaller := func(name string) {
+		if id := goid(); id != caller {
+			t.Errorf("%s: task ran on goroutine %s, want the caller's %s", name, id, caller)
+		}
+	}
+
+	one := New(1, 1)
+	for i := 0; i < 8; i++ {
+		one.Submit(func(c *Ctx) {
+			c.Fan(8, func(*Ctx, int) { onCaller("one-worker pool") }, func() {})
+		})
+	}
+	one.Wait()
+	if n := one.helpers.Load(); n != 0 {
+		t.Errorf("one-worker pool started %d helper goroutines", n)
+	}
+	one.Close()
+
+	for _, tc := range []struct {
+		name         string
+		workers, fan int
+	}{{"Run on one worker", 1, 8}, {"Run of single-unit fans", 8, 1}} {
+		var root *Ctx
+		Run(tc.workers, func(c *Ctx) {
+			root = c
+			c.Fan(tc.fan, func(c *Ctx, _ int) {
+				onCaller(tc.name)
+				c.Fan(tc.fan, func(*Ctx, int) { onCaller(tc.name) }, func() {})
+			}, func() {})
+		})
+		if root.pool != nil {
+			t.Errorf("%s: built a pool for a pass with nothing to spread", tc.name)
+		}
+	}
+}
+
+// TestRun: a pass with something to spread builds its pool, runs every unit,
+// and closes the pool; a unit's panic comes back out of Run after the pass
+// drains, and a panic in root itself propagates with the pool closed.
+func TestRun(t *testing.T) {
+	leak.Check(t)
+	var ran atomic.Int64
+	Run(4, func(c *Ctx) {
+		c.Fan(100, func(c *Ctx, _ int) {
+			ran.Add(1)
+			c.Fan(3, func(*Ctx, int) { ran.Add(1) }, func() {})
+		}, func() {})
+	})
+	if n := ran.Load(); n != 400 {
+		t.Errorf("%d units ran, want 400", n)
+	}
+
+	recovered := func(f func()) (r any) {
+		defer func() { r = recover() }()
+		f()
+		return nil
+	}
+	ran.Store(0)
+	r := recovered(func() {
+		Run(4, func(c *Ctx) {
+			c.Fan(50, func(_ *Ctx, i int) {
+				ran.Add(1)
+				if i == 7 {
+					panic("unit 7")
+				}
+			}, func() {})
+		})
+	})
+	if r != "unit 7" || ran.Load() != 50 {
+		t.Errorf("Run re-raised %v after %d of 50 units, want unit 7's panic after all", r, ran.Load())
+	}
+	r = recovered(func() {
+		Run(4, func(c *Ctx) {
+			c.Fan(50, func(*Ctx, int) {}, func() {})
+			panic("root")
+		})
+	})
+	if r != "root" {
+		t.Errorf("Run propagated %v, want root's panic", r)
+	}
+}
+
+// TestNestedSpawnBound: however tasks nest their spawns, a pool of C workers
+// never runs more than C tasks at once — and with enough work it runs C.
+func TestNestedSpawnBound(t *testing.T) {
+	leak.Check(t)
+	const workers = 3
+	p := New(workers, 1)
+	defer p.Close()
+	var active, highWater atomic.Int64
+	busy := func() {
+		n := active.Add(1)
+		for {
+			hw := highWater.Load()
+			if n <= hw || highWater.CompareAndSwap(hw, n) {
+				break
+			}
+		}
+		time.Sleep(200 * time.Microsecond) // force overlap
+		active.Add(-1)
+	}
+	for q := 0; q < 4; q++ {
+		p.Submit(func(c *Ctx) {
+			busy()
+			c.Fan(8, func(c *Ctx, _ int) {
+				busy()
+				c.Fan(2, func(*Ctx, int) { busy() }, func() {})
+			}, func() {})
+		})
+	}
 	p.Wait()
-	if ran.Load() != 2 {
-		t.Fatalf("pool unserviceable after contained panic: %d tasks ran", ran.Load())
+	if hw := highWater.Load(); hw > workers || hw < 2 {
+		t.Errorf("high-water %d tasks at once on a %d-worker pool, want 2..%d", hw, workers, workers)
+	}
+}
+
+// TestFanJoin: join runs exactly once, after every unit, on whichever worker
+// finishes last — and at once for an empty fan.
+func TestFanJoin(t *testing.T) {
+	leak.Check(t)
+	p := New(4, 1)
+	defer p.Close()
+	const n = 100
+	var ran [n]bool
+	var joins atomic.Int64
+	p.Submit(func(c *Ctx) {
+		c.Fan(n, func(_ *Ctx, i int) { ran[i] = true }, func() {
+			joins.Add(1)
+			for i, ok := range ran {
+				if !ok {
+					t.Errorf("join ran before unit %d", i)
+				}
+			}
+		})
+		c.Fan(0, func(*Ctx, int) { t.Error("unit ran in an empty fan") }, func() { joins.Add(1) })
+	})
+	p.Wait()
+	if n := joins.Load(); n != 2 {
+		t.Errorf("%d joins ran, want 2", n)
 	}
 }
 

@@ -14,6 +14,13 @@ const (
 	peerBreakerCooldown   = 10 * time.Second
 )
 
+// maxBreakerEntries caps a breaker's map. A key has an entry only while it
+// has a failure streak or is open or half-open, and the /prove breaker's
+// keys come from request-supplied registries, so without a cap a client
+// that can make proves fail could grow the map without limit. At the cap, a
+// new key evicts the least recently used entry.
+const maxBreakerEntries = 1024
+
 // breakerState is one qualifier's position in the closed -> open ->
 // half-open cycle.
 type breakerState int
@@ -43,8 +50,8 @@ func (st breakerState) String() string {
 // qualifier immediately with a degraded report and a Retry-After hint
 // instead of burning a worker on a discharge that will fail again. After
 // `cooldown` the breaker goes half-open and admits a single probe; a clean
-// probe closes it, a failed one re-opens it. The peer client keys a second
-// breaker by peer URL.
+// probe closes it, a failed one re-opens it. A closed key with no failure
+// streak has no entry. The peer client keys a second breaker by peer URL.
 type breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -53,6 +60,7 @@ type breaker struct {
 	mu          sync.Mutex
 	entries     map[string]*breakerEntry
 	transitions uint64
+	uses        uint64 // ticks on every Allow or Record that touches an entry
 }
 
 type breakerEntry struct {
@@ -61,6 +69,7 @@ type breakerEntry struct {
 	openedAt time.Time // when the breaker last opened
 	probing  bool      // a half-open probe is in flight
 	probeAt  time.Time // when the probe was admitted
+	lastUse  uint64    // the breaker's uses count at this key's last Allow or Record
 }
 
 func newBreaker(threshold int, cooldown time.Duration) *breaker {
@@ -85,6 +94,8 @@ func (b *breaker) Allow(key string) (ok bool, retryAfter time.Duration) {
 	if e == nil {
 		return true, 0
 	}
+	b.uses++
+	e.lastUse = b.uses
 	switch e.state {
 	case breakerClosed:
 		return true, 0
@@ -109,7 +120,8 @@ func (b *breaker) Allow(key string) (ok bool, retryAfter time.Duration) {
 
 // Record reports the outcome of an admitted request: ok=false is a
 // breaker-relevant failure (a budget trip, recovered panic, or injected
-// fault — not an unsound-qualifier verdict, which is a correct answer).
+// fault — not an unsound-qualifier verdict, which is a correct answer). A
+// success that leaves the key closed deletes its entry.
 func (b *breaker) Record(key string, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -118,23 +130,27 @@ func (b *breaker) Record(key string, ok bool) {
 		if ok {
 			return
 		}
+		if len(b.entries) >= maxBreakerEntries {
+			b.evictLeastRecentlyUsed()
+		}
 		e = &breakerEntry{}
 		b.entries[key] = e
 	}
+	b.uses++
+	e.lastUse = b.uses
 	switch e.state {
 	case breakerHalfOpen:
-		e.probing = false
-		if ok {
-			e.state = breakerClosed
-			e.failures = 0
-		} else {
-			e.state = breakerOpen
-			e.openedAt = b.now()
-		}
 		b.transitions++
+		if ok {
+			delete(b.entries, key)
+			return
+		}
+		e.probing = false
+		e.state = breakerOpen
+		e.openedAt = b.now()
 	case breakerClosed:
 		if ok {
-			e.failures = 0
+			delete(b.entries, key)
 			return
 		}
 		e.failures++
@@ -149,6 +165,19 @@ func (b *breaker) Record(key string, ok bool) {
 	}
 }
 
+// evictLeastRecentlyUsed deletes the entry whose last Allow or Record is
+// oldest. A linear scan: it runs only when a new key fails at the cap.
+func (b *breaker) evictLeastRecentlyUsed() {
+	var oldest *breakerEntry
+	var oldestKey string
+	for key, e := range b.entries {
+		if oldest == nil || e.lastUse < oldest.lastUse {
+			oldest, oldestKey = e, key
+		}
+	}
+	delete(b.entries, oldestKey)
+}
+
 // BreakerEntrySnapshot is one key's exported breaker view.
 type BreakerEntrySnapshot struct {
 	State            string `json:"state"`
@@ -158,8 +187,8 @@ type BreakerEntrySnapshot struct {
 
 // BreakerSnapshot is the exported breaker view rendered under /metrics.
 // Qualifiers maps each breaker key (qualifier@registry-fingerprint for
-// /prove, the peer URL for peer fetch) to its state; keys in the quiescent
-// closed state with no failure streak are omitted.
+// /prove, the peer URL for peer fetch) to its state; a key in the quiescent
+// closed state with no failure streak has no entry, so it is absent.
 type BreakerSnapshot struct {
 	Transitions uint64                          `json:"transitions"`
 	Qualifiers  map[string]BreakerEntrySnapshot `json:"qualifiers,omitempty"`
@@ -170,9 +199,6 @@ func (b *breaker) snapshot() BreakerSnapshot {
 	defer b.mu.Unlock()
 	out := BreakerSnapshot{Transitions: b.transitions}
 	for key, e := range b.entries {
-		if e.state == breakerClosed && e.failures == 0 {
-			continue
-		}
 		es := BreakerEntrySnapshot{State: e.state.String(), Failures: e.failures}
 		if e.state == breakerOpen {
 			if remaining := b.cooldown - b.now().Sub(e.openedAt); remaining > 0 {

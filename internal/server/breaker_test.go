@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -114,6 +115,37 @@ func TestBreakerLostProbeSelfHeals(t *testing.T) {
 	clock.advance(time.Minute + time.Second)
 	if ok, _ := b.Allow("q"); !ok {
 		t.Fatal("lost probe wedged the breaker half-open")
+	}
+}
+
+// TestBreakerBounded: a key that recovers leaves no entry behind, and no
+// sequence of distinct failing keys grows the map past maxBreakerEntries —
+// while a key that keeps failing amid such a flood still opens.
+func TestBreakerBounded(t *testing.T) {
+	b, _ := newClockedBreaker(proveBreakerThreshold, time.Minute)
+	b.Record("q", false)
+	b.Record("q", true)
+	if n := len(b.entries); n != 0 {
+		t.Errorf("%d entries after a key recovered, want 0", n)
+	}
+	for i := 0; i < 10000; i++ {
+		b.Record(fmt.Sprintf("pos@registry%d", i), false)
+	}
+	if n := len(b.entries); n > maxBreakerEntries {
+		t.Errorf("%d entries after 10000 distinct failing keys, want at most %d", n, maxBreakerEntries)
+	}
+	for i := 0; i < proveBreakerThreshold; i++ {
+		if ok, _ := b.Allow("pos@library"); !ok {
+			t.Fatalf("pos refused after %d failures, threshold is %d", i, proveBreakerThreshold)
+		}
+		b.Record("pos@library", false)
+		b.Record(fmt.Sprintf("pos@flood%d", i), false)
+	}
+	if ok, _ := b.Allow("pos@library"); ok {
+		t.Errorf("pos still admitted after %d consecutive failures amid the flood", proveBreakerThreshold)
+	}
+	if n := len(b.entries); n > maxBreakerEntries {
+		t.Errorf("%d entries, want at most %d", n, maxBreakerEntries)
 	}
 }
 

@@ -138,7 +138,8 @@ func (c Config) maxBodyBytes() int64 {
 
 // requestConcurrency is the function and obligation concurrency inside one
 // request. Parallelism across requests comes from the worker pool, so each
-// request runs serially to avoid oversubscription.
+// request runs serially, on its worker's own goroutine, to avoid
+// oversubscription.
 const requestConcurrency = 1
 
 // job is one admitted request body waiting for a pool worker.

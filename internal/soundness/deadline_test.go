@@ -120,10 +120,10 @@ func failureReasons(results []ObligationResult) []string {
 	return out
 }
 
-// TestProveAllConcurrencyBudget pins the pool-budget split: with C total
-// workers, the outer qualifier pool times the inner obligation pools must
-// never discharge more than C obligations at once (the old nested pools ran
-// up to C*C).
+// TestProveAllConcurrencyBudget pins the one pool's bound: with C workers,
+// the qualifier tasks and their obligation units together never discharge
+// more than C obligations at once (nested pools would run up to C*C), and
+// with enough obligations they do run C.
 func TestProveAllConcurrencyBudget(t *testing.T) {
 	reg := standard(t)
 	const budget = 2
@@ -187,15 +187,16 @@ func TestProveAllIdleWorkerClamp(t *testing.T) {
 	}
 }
 
-// TestForEachIndexClamp pins the pool primitive: every index runs exactly
-// once at any workers/n ratio, including workers > n and n = 0.
+// TestForEachIndexClamp pins the pool as Prove drives it: every index runs
+// exactly once at any workers/n ratio, including workers > n, n = 0, and
+// workers = 0 (every core).
 func TestForEachIndexClamp(t *testing.T) {
 	for _, tc := range []struct{ n, workers int }{
 		{0, 8}, {1, 8}, {3, 64}, {8, 3}, {5, 5}, {7, 1}, {4, 0},
 	} {
 		var mu sync.Mutex
 		seen := map[int]int{}
-		forEachIndex(tc.n, tc.workers, func(i int) {
+		fanOut(tc.n, tc.workers, func(i int) {
 			mu.Lock()
 			seen[i]++
 			mu.Unlock()

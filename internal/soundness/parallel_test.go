@@ -7,6 +7,7 @@ import (
 	"repro/internal/qdl"
 	"repro/internal/quals"
 	"repro/internal/simplify"
+	"repro/internal/testutil/leak"
 )
 
 // normalizeReports zeroes the fields that legitimately vary between serial
@@ -30,6 +31,7 @@ func normalizeReports(reports []*Report) {
 // registration order as a serial run. Run under -race it also exercises the
 // shared prover and cache concurrently.
 func TestProveAllParallelMatchesSerial(t *testing.T) {
+	leak.Check(t)
 	reg := standard(t)
 
 	serialOpts := DefaultOptions()
@@ -69,6 +71,7 @@ func TestProveAllParallelMatchesSerial(t *testing.T) {
 // qualifier's obligations discharged on 8 workers report in generation
 // order, identical to the serial discharge.
 func TestProveParallelMatchesSerial(t *testing.T) {
+	leak.Check(t)
 	reg := standard(t)
 	d := reg.Lookup("unique")
 

@@ -2,30 +2,49 @@ package soundness
 
 import (
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/scheduler"
 	"repro/internal/testutil/leak"
 )
 
-// Hardening tests for forEachIndex, the worker pool under ProveAll's
-// parallel discharge: degenerate sizes must not call fn or hang, every
-// index must be visited exactly once, and a panicking fn must propagate to
-// the caller without deadlocking the feeder or leaking worker goroutines.
+// Hardening tests for the scheduler pool as Prove drives it: one pass fans
+// one unit out per obligation index. Degenerate sizes must not
+// call fn or hang, every index must be visited exactly once, a budget of one
+// must stay on the caller's goroutine, and a panicking fn must reach the
+// caller without deadlocking the pool or leaking its helpers.
+
+// fanOut runs fn(0..n-1) in one scheduler pass of the given workers the way
+// proveTask fans out a qualifier's obligations.
+func fanOut(n, workers int, fn func(i int)) {
+	scheduler.Run(workers, func(c *scheduler.Ctx) {
+		c.Fan(n, func(_ *scheduler.Ctx, i int) { fn(i) }, func() {})
+	})
+}
+
+// goid returns the calling goroutine's id, parsed from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	id, _, _ := strings.Cut(strings.TrimPrefix(string(buf), "goroutine "), " ")
+	return id
+}
 
 func TestForEachIndexZeroItems(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		forEachIndex(0, 8, func(i int) {
+		fanOut(0, 8, func(i int) {
 			t.Errorf("fn called with i=%d for n=0", i)
 		})
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("forEachIndex(0, 8, fn) hung")
+		t.Fatal("a zero-unit fan-out on 8 workers hung")
 	}
 }
 
@@ -35,12 +54,12 @@ func TestForEachIndexMoreWorkersThanItems(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		forEachIndex(n, 64, func(i int) { visited[i].Add(1) })
+		fanOut(n, 64, func(i int) { visited[i].Add(1) })
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("forEachIndex with workers > n hung")
+		t.Fatal("a fan-out with workers > n hung")
 	}
 	for i := range visited {
 		if got := visited[i].Load(); got != 1 {
@@ -49,20 +68,28 @@ func TestForEachIndexMoreWorkersThanItems(t *testing.T) {
 	}
 }
 
+// TestForEachIndexSerialFallback: a budget of one worker, and a fan-out of
+// one unit on any budget, run on the caller's goroutine.
 func TestForEachIndexSerialFallback(t *testing.T) {
-	for _, workers := range []int{-1, 0, 1} {
-		var count int // no lock: the serial path must stay on one goroutine
-		forEachIndex(5, workers, func(i int) { count++ })
-		if count != 5 {
-			t.Errorf("workers=%d: %d calls, want 5", workers, count)
+	caller := goid()
+	for _, tc := range []struct{ n, workers int }{{5, 1}, {1, 8}} {
+		var count int // no lock: every call must stay on the caller's goroutine
+		fanOut(tc.n, tc.workers, func(i int) {
+			if id := goid(); id != caller {
+				t.Errorf("n=%d workers=%d: fn ran on goroutine %s, want the caller's %s", tc.n, tc.workers, id, caller)
+			}
+			count++
+		})
+		if count != tc.n {
+			t.Errorf("n=%d workers=%d: %d calls, want %d", tc.n, tc.workers, count, tc.n)
 		}
 	}
 }
 
 // TestForEachIndexPanicPropagates requires that a panic inside fn reaches
-// the forEachIndex caller (so safeDischarge above it can turn it into a
-// diagnostic) instead of crashing a pool goroutine, and that the pool winds
-// down completely: no stuck feeder, no leaked workers.
+// the caller of Wait (so a long-lived caller such as qualserve's worker can
+// turn it into an error on its own request) instead of crashing a pool
+// goroutine, and that the pool winds down completely: no leaked helpers.
 func TestForEachIndexPanicPropagates(t *testing.T) {
 	leak.Check(t)
 	before := runtime.NumGoroutine()
@@ -70,7 +97,7 @@ func TestForEachIndexPanicPropagates(t *testing.T) {
 	recovered := make(chan any, 1)
 	go func() {
 		defer func() { recovered <- recover() }()
-		forEachIndex(1000, 8, func(i int) {
+		fanOut(1000, 8, func(i int) {
 			if i == 3 {
 				panic("boom at 3")
 			}
@@ -82,37 +109,36 @@ func TestForEachIndexPanicPropagates(t *testing.T) {
 			t.Fatalf("recovered %v, want the fn's panic value", r)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("panicking fn deadlocked forEachIndex")
+		t.Fatal("panicking fn deadlocked the pool")
 	}
 
-	// The workers must all have exited; give the runtime a moment to reap.
+	// The helpers must all have exited; give the runtime a moment to reap.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before+1 && time.Now().Before(deadline) {
 		runtime.Gosched()
 		time.Sleep(5 * time.Millisecond)
 	}
 	if after := runtime.NumGoroutine(); after > before+1 {
-		t.Errorf("goroutines grew from %d to %d: pool leaked workers after a panic", before, after)
+		t.Errorf("goroutines grew from %d to %d: pool leaked helpers after a panic", before, after)
 	}
 }
 
 // TestForEachIndexAllPanic floods every worker with panics at once; the
-// call must still return (with some panic value) rather than deadlock on
-// the unbuffered index channel.
+// call must still return (with some panic value) rather than deadlock.
 func TestForEachIndexAllPanic(t *testing.T) {
 	leak.Check(t)
 	recovered := make(chan any, 1)
 	go func() {
 		defer func() { recovered <- recover() }()
-		forEachIndex(64, 8, func(i int) { panic(i) })
+		fanOut(64, 8, func(i int) { panic(i) })
 	}()
 	select {
 	case r := <-recovered:
 		if r == nil {
-			t.Fatal("forEachIndex swallowed the workers' panics")
+			t.Fatal("the pool swallowed the units' panics")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("all-panic workload deadlocked forEachIndex")
+		t.Fatal("all-panic workload deadlocked the pool")
 	}
 }
 
@@ -122,7 +148,7 @@ func TestForEachIndexConcurrentVisitsEachOnce(t *testing.T) {
 	const n = 4096
 	visited := make([]atomic.Int32, n)
 	var total atomic.Int64
-	forEachIndex(n, runtime.GOMAXPROCS(0), func(i int) {
+	fanOut(n, runtime.GOMAXPROCS(0), func(i int) {
 		visited[i].Add(1)
 		total.Add(1)
 	})

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/logic"
 	"repro/internal/qdl"
+	"repro/internal/scheduler"
 	"repro/internal/simplify"
 )
 
@@ -125,9 +125,12 @@ func (r *Report) String() string {
 // Options configures soundness checking.
 type Options struct {
 	Prover simplify.Options
-	// Concurrency bounds the worker pool that discharges obligations (and,
-	// in ProveAll, proves qualifiers). 0 means runtime.GOMAXPROCS(0); 1
-	// forces the serial order. Reports and results are always returned in
+	// Concurrency is the worker count of the one scheduler pool that proves
+	// the qualifiers and discharges their obligations: at most this many
+	// obligations are discharged at once, across all qualifiers. 0 means
+	// runtime.GOMAXPROCS(0) (the scheduler's rule); 1 discharges every
+	// obligation on the calling goroutine, qualifier by qualifier in
+	// generation order. Reports and results are always returned in
 	// registration order regardless of the setting.
 	Concurrency int
 	// Cache memoizes prover outcomes across obligations. When nil, Prove
@@ -166,7 +169,18 @@ func DefaultOptions() Options {
 // more than discharging a typical obligation, and every Prove call uses the
 // same base, so rebuilding it per qualifier dominated small proofs. The base
 // is immutable and concurrency-safe; each run forks it with its own cache.
-var stdProvers sync.Map // simplify.Options -> *simplify.Prover
+// lastStdProver short-cuts the map for the options used last, so a Prove
+// need not hash the whole options struct, which costs about a tenth of a
+// vacuous Prove.
+var (
+	stdProvers    sync.Map // simplify.Options -> *simplify.Prover
+	lastStdProver atomic.Pointer[stdProver]
+)
+
+type stdProver struct {
+	opts   simplify.Options
+	prover *simplify.Prover
+}
 
 // baseProver returns the prover base for opts, memoized when no extra
 // axioms are requested.
@@ -175,20 +189,15 @@ func baseProver(opts Options) *simplify.Prover {
 		axioms := append(append([]logic.Formula{}, Axioms()...), opts.ExtraAxioms...)
 		return simplify.New(axioms, opts.Prover)
 	}
-	if p, ok := stdProvers.Load(opts.Prover); ok {
-		return p.(*simplify.Prover)
+	if last := lastStdProver.Load(); last != nil && last.opts == opts.Prover {
+		return last.prover
 	}
-	p := simplify.New(Axioms(), opts.Prover)
-	actual, _ := stdProvers.LoadOrStore(opts.Prover, p)
-	return actual.(*simplify.Prover)
-}
-
-// concurrency resolves the effective worker count.
-func (o Options) concurrency() int {
-	if o.Concurrency > 0 {
-		return o.Concurrency
+	p, ok := stdProvers.Load(opts.Prover)
+	if !ok {
+		p, _ = stdProvers.LoadOrStore(opts.Prover, simplify.New(Axioms(), opts.Prover))
 	}
-	return runtime.GOMAXPROCS(0)
+	lastStdProver.Store(&stdProver{opts: opts.Prover, prover: p.(*simplify.Prover)})
+	return p.(*simplify.Prover)
 }
 
 // Prove generates and discharges every proof obligation for one qualifier
@@ -204,39 +213,68 @@ func Prove(d *qdl.Def, reg *qdl.Registry, opts Options) (*Report, error) {
 // a cancellation reason. The report is still returned — a stopped search is
 // sound, just inconclusive.
 func ProveContext(ctx context.Context, d *qdl.Def, reg *qdl.Registry, opts Options) (*Report, error) {
+	p := proveDefs(ctx, []*qdl.Def{d}, reg, opts)[0]
+	return p.report, p.err
+}
+
+// proved is one qualifier's outcome in proveDefs: its report, or the error
+// that kept its obligations from being generated.
+type proved struct {
+	report *Report
+	err    error
+}
+
+// proveDefs proves defs in one scheduler pass of opts.Concurrency workers:
+// one task per qualifier generates its obligations and spawns one unit per
+// obligation, and the unit that finishes last completes the qualifier's
+// report. Outcomes come back index-aligned with defs. Without opts.Cache the
+// qualifiers share one fresh cache.
+func proveDefs(ctx context.Context, defs []*qdl.Def, reg *qdl.Registry, opts Options) []proved {
+	if opts.Cache == nil {
+		opts.Cache = simplify.NewCache(0)
+	}
+	prover := baseProver(opts).Fork(opts.Cache)
+	limit, trace, omitTimings := opts.CounterExampleLimit, opts.Trace, opts.TraceOmitTimings
+	out := make([]proved, len(defs))
+	scheduler.Run(opts.Concurrency, func(c *scheduler.Ctx) {
+		c.Fan(len(defs), func(c *scheduler.Ctx, i int) {
+			out[i].report, out[i].err = proveTask(ctx, c, defs[i], reg, prover, limit, trace, omitTimings)
+		}, func() {})
+	})
+	return out
+}
+
+// proveTask is one qualifier's task: it generates the obligations and fans
+// their discharge out as pool units, each writing only its own result slot.
+// The report it returns is complete once the pass is.
+func proveTask(ctx context.Context, c *scheduler.Ctx, d *qdl.Def, reg *qdl.Registry, prover *simplify.Prover,
+	limit int, trace io.Writer, omitTimings bool) (*Report, error) {
 	obls, err := Obligations(d, reg)
 	if err != nil {
 		return nil, err
 	}
-	report := &Report{Qualifier: d.Name, Kind: d.Kind, CounterExampleLimit: opts.CounterExampleLimit}
-	cache := opts.Cache
-	if cache == nil {
-		cache = simplify.NewCache(0)
+	report := &Report{
+		Qualifier:           d.Name,
+		Kind:                d.Kind,
+		CounterExampleLimit: limit,
+		Results:             make([]ObligationResult, len(obls)),
 	}
-	prover := baseProver(opts).Fork(cache)
 	start := time.Now()
-	report.Results = proveObligations(ctx, prover, obls, opts.concurrency())
-	report.Elapsed = time.Since(start)
-	for _, res := range report.Results {
-		if res.Outcome.CacheHit {
-			report.CacheHits++
+	c.Fan(len(obls), func(_ *scheduler.Ctx, i int) {
+		report.Results[i] = discharge(ctx, prover, obls[i])
+	}, func() {
+		report.Elapsed = time.Since(start)
+		for _, res := range report.Results {
+			if res.Outcome.CacheHit {
+				report.CacheHits++
+			}
+			report.Stats.Add(res.Outcome.Stats)
 		}
-		report.Stats.Add(res.Outcome.Stats)
-	}
-	if opts.Trace != nil {
-		writeTrace(opts.Trace, report, opts.TraceOmitTimings)
-	}
-	return report, nil
-}
-
-// proveObligations discharges obls on a bounded worker pool, writing each
-// result into its obligation's slot so the order is deterministic.
-func proveObligations(ctx context.Context, prover *simplify.Prover, obls []Obligation, workers int) []ObligationResult {
-	results := make([]ObligationResult, len(obls))
-	forEachIndex(len(obls), workers, func(i int) {
-		results[i] = discharge(ctx, prover, obls[i])
+		if trace != nil {
+			writeTrace(trace, report, omitTimings)
+		}
 	})
-	return results
+	return report, nil
 }
 
 // dischargeHook, when non-nil, runs at the start of every discharge. Tests
@@ -299,67 +337,6 @@ func discharge(ctx context.Context, prover *simplify.Prover, o Obligation) (res 
 	}
 }
 
-// forEachIndex runs fn(0..n-1) on a pool of at most `workers` goroutines
-// (inline when the pool would be trivial, including n == 0). fn must write
-// only to its own index's state.
-//
-// The pool is panic-safe: a panic in fn (on any worker) stops the feed,
-// drains the pool without leaking goroutines or deadlocking the feeder, and
-// re-panics the first recovered value on the caller's goroutine — matching
-// the serial path, where fn's panic unwinds through forEachIndex itself.
-// Long-lived callers (the qualserve worker pool) rely on this: a poisoned
-// goal must surface as an error on its own request, not kill the process.
-func forEachIndex(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	idx := make(chan int)
-	var (
-		wg       sync.WaitGroup
-		panicked atomic.Bool
-		panicMu  sync.Mutex
-		panicVal any
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicMu.Lock()
-							if panicVal == nil {
-								panicVal = r
-							}
-							panicMu.Unlock()
-							panicked.Store(true)
-						}
-					}()
-					fn(i)
-				}()
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		if panicked.Load() {
-			break
-		}
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
-}
-
 // ProveAll proves every qualifier in the registry, in registration order.
 // Qualifiers are proven concurrently (bounded by opts.Concurrency) over a
 // shared memoizing prover cache, so obligations repeated across qualifiers
@@ -373,41 +350,14 @@ func ProveAll(reg *qdl.Registry, opts Options) ([]*Report, error) {
 
 // ProveAllContext is ProveAll with cancellation (see ProveContext).
 func ProveAllContext(ctx context.Context, reg *qdl.Registry, opts Options) ([]*Report, error) {
-	if opts.Cache == nil {
-		opts.Cache = simplify.NewCache(0)
-	}
 	defs := reg.Defs()
-	// Split the concurrency budget between the qualifier pool and each
-	// qualifier's obligation pool so the total never exceeds opts'
-	// concurrency: with C workers and fewer qualifiers than C, the leftover
-	// budget goes to inner obligation discharge instead of idle outer
-	// workers (and instead of the C*C goroutines nested pools would spawn).
-	total := opts.concurrency()
-	outer := total
-	if outer > len(defs) {
-		outer = len(defs)
-	}
-	if outer < 1 {
-		outer = 1
-	}
-	inner := opts
-	inner.Concurrency = total / outer
-	if inner.Concurrency < 1 {
-		inner.Concurrency = 1
-	}
 	out := make([]*Report, len(defs))
-	forEachIndex(len(defs), outer, func(i int) {
-		d := defs[i]
-		r, err := ProveContext(ctx, d, reg, inner)
-		if err != nil {
-			r = &Report{Qualifier: d.Name, Kind: d.Kind, Err: err, CounterExampleLimit: opts.CounterExampleLimit}
-		}
-		out[i] = r
-	})
 	var errs []error
-	for _, r := range out {
-		if r.Err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", r.Qualifier, r.Err))
+	for i, p := range proveDefs(ctx, defs, reg, opts) {
+		out[i] = p.report
+		if p.err != nil {
+			out[i] = &Report{Qualifier: defs[i].Name, Kind: defs[i].Kind, Err: p.err, CounterExampleLimit: opts.CounterExampleLimit}
+			errs = append(errs, fmt.Errorf("%s: %w", defs[i].Name, p.err))
 		}
 	}
 	return out, errors.Join(errs...)

@@ -74,8 +74,10 @@ type Cache[V any] struct {
 	codec    Codec[V]
 	capacity int
 
+	// The list and maps are allocated on first write, so a short-lived cache
+	// that never stores a value costs one allocation.
 	mu      sync.Mutex
-	lru     *list.List // of *entry[V]; front is most recently used
+	lru     list.List // of *entry[V]; front is most recently used
 	entries map[string]*list.Element
 	flights map[string]*flight[V]
 
@@ -107,13 +109,7 @@ type flight[V any] struct {
 
 // New returns an empty cache holding at most capacity values in memory.
 func New[V any](capacity int, codec Codec[V]) *Cache[V] {
-	return &Cache[V]{
-		codec:    codec,
-		capacity: capacity,
-		lru:      list.New(),
-		entries:  map[string]*list.Element{},
-		flights:  map[string]*flight[V]{},
-	}
+	return &Cache[V]{codec: codec, capacity: capacity}
 }
 
 // WithDisk attaches a disk tier: memory misses probe store, and every stored
@@ -229,6 +225,9 @@ func (c *Cache[V]) Do(done <-chan struct{}, key string, admit func(V) bool, fill
 		return v, Computed
 	}
 	fl := &flight[V]{done: make(chan struct{})}
+	if c.flights == nil {
+		c.flights = map[string]*flight[V]{}
+	}
 	c.flights[key] = fl
 	c.mu.Unlock()
 	c.misses.Add(1)
@@ -332,6 +331,9 @@ func (c *Cache[V]) insert(key string, v V) {
 		c.lru.Remove(oldest)
 		delete(c.entries, oldest.Value.(*entry[V]).key)
 		c.evictions.Add(1)
+	}
+	if c.entries == nil {
+		c.entries = map[string]*list.Element{}
 	}
 	c.entries[key] = c.lru.PushFront(e)
 }
