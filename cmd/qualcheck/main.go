@@ -278,9 +278,14 @@ func runTree(ctx context.Context, root string, reg *qdl.Registry, jobs int, flow
 		printTreeStats(res)
 	}
 	if cacheStats {
+		// The cache counts a disk-served lookup as a miss and a disk hit; this
+		// line counts it as a hit, so misses are the functions walked, as on
+		// the -stats line.
 		st := fc.Stats()
-		fmt.Printf("function cache: %d hits, %d misses, %d coalesced, %d evictions (%.1f%% hit rate)\n",
-			st.Hits, st.Misses, st.Coalesced, st.Evictions, 100*st.HitRate())
+		st.Hits += st.DiskHits
+		st.Misses -= st.DiskHits
+		fmt.Printf("function cache: %d hits (%d from disk), %d misses, %d coalesced, %d evictions (%.1f%% hit rate)\n",
+			st.Hits, st.DiskHits, st.Misses, st.Coalesced, st.Evictions, 100*st.HitRate())
 		if cacheDir != "" {
 			ds := fc.DiskStats()
 			fmt.Printf("disk cache: %d hits, %d misses, %d puts, %d entries, %d bytes, %d corrupt evicted, %d budget evicted\n",

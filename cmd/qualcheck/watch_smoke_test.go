@@ -51,7 +51,7 @@ var diagLineRe = regexp.MustCompile(`^\S+:\d+:\d+: \[`)
 
 // TestWatchSmoke is the end-to-end incremental contract: a watch daemon over
 // a generated corpus tree, one edited function, and three assertions — the
-// next generation re-checks exactly one file, the FuncCache miss delta is
+// next generation re-checks exactly one file, its function-cache miss count is
 // exactly the one edited function, and the daemon's accumulated diagnostics
 // byte-match a fresh batch `qualcheck -r` of the final tree.
 func TestWatchSmoke(t *testing.T) {

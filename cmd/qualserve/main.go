@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	qualserve [-addr :8080] [-workers N] [-queue N] [-timeout 30s] [-drain 10s]
+//	qualserve [-addr :8080] [-workers N] [-timeout 30s] [-drain 10s]
 //	          [-func-cache N] [-prover-cache N] [-max-body N] [-mem-limit N]
 //	          [-max-terms N] [-max-clauses N] [-max-insts N]
 //	          [-cache-dir dir] [-cache-budget N]
@@ -86,8 +86,7 @@ func splitPeers(v string) []string {
 
 func run() int {
 	addr := flag.String("addr", ":8080", "listen address (host:port; port 0 picks an ephemeral port)")
-	workers := flag.Int("workers", 0, "worker pool size (default: all cores)")
-	queue := flag.Int("queue", 0, "admission queue capacity (default: 2*workers)")
+	workers := flag.Int("workers", 0, "request bodies run at once; twice as many more may wait, the rest are shed (default: all cores)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain budget")
 	funcCache := flag.Int("func-cache", 0, "function result cache capacity (default 8192)")
@@ -130,7 +129,6 @@ func run() int {
 
 	srv := server.New(server.Config{
 		Workers:            *workers,
-		QueueDepth:         *queue,
 		RequestTimeout:     *timeout,
 		DrainTimeout:       *drain,
 		FuncCacheSize:      *funcCache,

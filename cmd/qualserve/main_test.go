@@ -82,31 +82,67 @@ func stopChild(t *testing.T, cmd *exec.Cmd) {
 	}
 }
 
-// TestQualserveSmoke starts qualserve on an ephemeral port, performs one
-// /check round-trip, sends SIGTERM, and requires a clean drained exit.
+// smokeDiagnostic is a /check or /check-batch diagnostic as the wire shows it.
+type smokeDiagnostic struct {
+	File string `json:"file"`
+	Line int    `json:"line"`
+	Col  int    `json:"col"`
+	Code string `json:"code"`
+	Msg  string `json:"msg"`
+}
+
+// postSmoke posts body to path on addr, requires a 200 and decodes the answer
+// into out.
+func postSmoke(t *testing.T, addr, path string, body, out any) {
+	t.Helper()
+	data, _ := json.Marshal(body)
+	resp, err := http.Post(fmt.Sprintf("http://%s%s", addr, path), "application/json", bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("POST %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s: status %d", path, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatalf("decoding %s response: %v", path, err)
+	}
+}
+
+// TestQualserveSmoke starts qualserve on an ephemeral port, checks a clean
+// and a violating program through /check and through a one-file
+// /check-batch, requires the two endpoints to report the same diagnostics,
+// sends SIGTERM, and requires a clean drained exit.
 func TestQualserveSmoke(t *testing.T) {
 	cmd, addr := startChild(t, "-drain", "5s")
 
-	body, _ := json.Marshal(map[string]any{
-		"filename": "smoke.c",
-		"source":   "int main() { int x = 1; return x; }",
-	})
-	resp, err := http.Post(fmt.Sprintf("http://%s/check", addr), "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST /check: %v", err)
-	}
-	var checkResp struct {
-		Warnings int `json:"warnings"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&checkResp); err != nil {
-		t.Fatalf("decoding /check response: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /check: status %d", resp.StatusCode)
-	}
-	if checkResp.Warnings != 0 {
-		t.Fatalf("smoke program reported %d warnings, want 0", checkResp.Warnings)
+	for _, tc := range []struct {
+		src      string
+		warnings int
+	}{
+		{"int main() { int x = 1; return x; }", 0},
+		{"int* nonnull g;\nvoid bad(int* p) { g = p; }", 1},
+	} {
+		var check struct {
+			Warnings    int               `json:"warnings"`
+			Diagnostics []smokeDiagnostic `json:"diagnostics"`
+		}
+		postSmoke(t, addr, "/check", map[string]any{"filename": "smoke.c", "source": tc.src}, &check)
+		if check.Warnings != tc.warnings {
+			t.Fatalf("smoke program %q reported %d warnings, want %d", tc.src, check.Warnings, tc.warnings)
+		}
+		var batch struct {
+			Files []struct {
+				Diagnostics []smokeDiagnostic `json:"diagnostics"`
+			} `json:"files"`
+		}
+		postSmoke(t, addr, "/check-batch", map[string]any{
+			"files": []map[string]string{{"filename": "smoke.c", "source": tc.src}},
+		}, &batch)
+		if len(batch.Files) != 1 || !reflect.DeepEqual(batch.Files[0].Diagnostics, check.Diagnostics) {
+			t.Fatalf("/check and /check-batch disagree on %q:\n/check:       %+v\n/check-batch: %+v",
+				tc.src, check.Diagnostics, batch.Files)
+		}
 	}
 
 	stopChild(t, cmd)

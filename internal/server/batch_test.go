@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/checker"
 	"repro/internal/cminor"
+	"repro/internal/corpus"
 )
 
 // soloSrc has exactly one function (one function-cache key) containing a
@@ -98,8 +100,8 @@ func TestCheckBatchCoalescing(t *testing.T) {
 	}
 
 	<-entered // the leader is inside its walk, holding the flight open
-	// Every other client must park on the leader's flight; /metrics is served
-	// off the worker pool, so it stays readable while all workers are busy.
+	// Every other client must park on the leader's flight; /metrics takes no
+	// slot, so it stays readable while every slot is busy.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		var m MetricsResponse
@@ -144,7 +146,7 @@ func TestCheckBatchCoalescing(t *testing.T) {
 }
 
 // TestCheckBatchCancellation pins the abandoned-request path: a client that
-// gives up mid-check must not leak the worker, the cache flight, or any
+// gives up mid-check must not leak its slot, the cache flight, or any
 // handler goroutine (newTestServer's leak check audits the teardown).
 func TestCheckBatchCancellation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
@@ -176,13 +178,109 @@ func TestCheckBatchCancellation(t *testing.T) {
 		errc <- err
 	}()
 
-	<-entered // the check is in flight on a pool worker
+	<-entered // the check is in flight on its handler goroutine
 	cancel()  // the client walks away
 	if err := <-errc; err == nil {
 		t.Error("canceled request returned no client error")
 	}
 	// Unblock the walk: the engine then notices the dead request context and
-	// stops; the worker finishes the job with nobody listening. Shutdown in
+	// stops; the handler finishes the body with nobody listening. Shutdown in
 	// the test cleanup must still join every goroutine.
 	close(release)
+}
+
+// TestCheckMatchesOneFileBatch pins /check to the /check-batch path: for
+// each input, /check's body equals the one-file /check-batch answer mapped
+// to a CheckResponse (elapsed_ms zeroed), and an input that fails to parse
+// gets a 422 whose message is the batch file's error. The two endpoints run
+// on separate servers fed the same sequence, so their caches stay in step;
+// every input goes twice, cold and then served from the function cache.
+func TestCheckMatchesOneFileBatch(t *testing.T) {
+	_, checkTS := newTestServer(t, Config{Workers: 1})
+	_, batchTS := newTestServer(t, Config{Workers: 1})
+
+	big := map[string]string{"big.qdl": `
+value qualifier big(int Expr E)
+  case E of
+    decl int Const C:
+      C, where C > 100
+  invariant value(E) > 100
+`}
+	var cases []CheckRequest
+	for _, p := range corpus.All() {
+		cases = append(cases, CheckRequest{Filename: p.Name + ".c", Source: p.Source})
+	}
+	cases = append(cases,
+		CheckRequest{Filename: "bftpd-taint.c", Source: corpus.Bftpd().Source, Taint: true},
+		CheckRequest{Filename: "exploit-taint.c", Source: corpus.BftpdExploit().Source, Taint: true},
+		CheckRequest{Filename: "big.c", Source: "int big x = 3;\nint big y = 300;", Quals: big},
+		CheckRequest{Filename: "mingetty-flow.c", Source: corpus.Mingetty().Source, FlowSensitive: true},
+		CheckRequest{Filename: "grep-dfa-flow.c", Source: corpus.GrepDFA().Source, FlowSensitive: true},
+		CheckRequest{Filename: "broken.c", Source: "int int int"},
+		CheckRequest{Filename: "empty.c", Source: ""},
+	)
+
+	warned, hits, refused := 0, 0, 0
+	for _, pass := range []string{"cold", "warm"} {
+		for _, req := range cases {
+			name := pass + "/" + req.Filename
+			batch := CheckBatchRequest{
+				Files: []BatchInput{{Filename: req.Filename, Source: req.Source}},
+				Quals: req.Quals, Taint: req.Taint, FlowSensitive: req.FlowSensitive,
+			}
+			var br CheckBatchResponse
+			if code := postJSON(t, batchTS.URL+"/check-batch", batch, &br); code != http.StatusOK {
+				t.Fatalf("%s: /check-batch status %d, want 200", name, code)
+			}
+			if len(br.Files) != 1 {
+				t.Fatalf("%s: /check-batch returned %d files, want 1", name, len(br.Files))
+			}
+			fr := br.Files[0]
+
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(checkTS.URL+"/check", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec := json.NewDecoder(resp.Body)
+			dec.DisallowUnknownFields()
+			if fr.Error != "" {
+				var eb errorBody
+				err := dec.Decode(&eb)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusUnprocessableEntity || eb.Error != fr.Error {
+					t.Errorf("%s: /check answered %d %+v (%v), want 422 with the batch file's error %q",
+						name, resp.StatusCode, eb, err, fr.Error)
+				}
+				refused++
+				continue
+			}
+			var got CheckResponse
+			err = dec.Decode(&got)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: /check answered %d (%v), want 200", name, resp.StatusCode, err)
+			}
+			got.ElapsedMillis = 0
+			want := CheckResponse{
+				Filename:    fr.Filename,
+				Diagnostics: fr.Diagnostics,
+				Warnings:    fr.Warnings,
+				Degraded:    fr.Degraded,
+				Stats:       br.Stats,
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: /check body differs from the one-file batch\n/check: %+v\nbatch:  %+v", name, got, want)
+			}
+			warned += got.Warnings
+			hits += got.Stats.FuncCacheHits
+		}
+	}
+	if warned == 0 || hits == 0 || refused != 2 {
+		t.Errorf("the table exercised %d warnings, %d cache hits and %d parse failures; want some, some and 2",
+			warned, hits, refused)
+	}
 }

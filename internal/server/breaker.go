@@ -48,7 +48,7 @@ func (st breakerState) String() string {
 // recovered prover panics, injected faults — is cut off after `threshold`
 // consecutive failures: the breaker opens and the server answers for that
 // qualifier immediately with a degraded report and a Retry-After hint
-// instead of burning a worker on a discharge that will fail again. After
+// instead of burning a slot on a discharge that will fail again. After
 // `cooldown` the breaker goes half-open and admits a single probe; a clean
 // probe closes it, a failed one re-opens it. A closed key with no failure
 // streak has no entry. The peer client keys a second breaker by peer URL.

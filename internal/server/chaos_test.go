@@ -22,7 +22,7 @@ import (
 // TestChaosSoak is the fault-injection soak (make chaos-smoke, run under
 // -race): with a deterministic random subset of every registered fault
 // point armed — panics, errors, and budget trips across the parser-facing
-// handlers, the pool, the checker, and the prover — 64 concurrent clients
+// handlers, admission, the checker, and the prover — 64 concurrent clients
 // hammer /check and /prove. The service contract under chaos:
 //
 //   - every request is answered with one of {200, 413, 503, 504} and a
@@ -48,7 +48,6 @@ func TestChaosSoak(t *testing.T) {
 	const cooldown = 200 * time.Millisecond
 	s, ts := newTestServer(t, Config{
 		Workers:        4,
-		QueueDepth:     8,
 		RequestTimeout: 20 * time.Second,
 		MaxBodyBytes:   1 << 20,
 		// The durable tier joins the soak: the cachedisk.* fault points
@@ -216,7 +215,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// FuzzCheckHandler throws arbitrary bodies at POST /check on a live pool:
+// FuzzCheckHandler throws arbitrary bodies at POST /check on a live server:
 // whatever the bytes, the answer must be one of the contract's status codes
 // with a JSON body, and the server must neither crash nor hang.
 func FuzzCheckHandler(f *testing.F) {

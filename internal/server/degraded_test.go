@@ -94,9 +94,9 @@ func TestCheckBodyTooLarge(t *testing.T) {
 }
 
 // TestWorkerPanicContained arms the server.run point in panic mode: the
-// panic must be recovered on the pool worker, answered as a degraded 503
-// with Retry-After, counted in panics_recovered, and the worker must stay
-// alive for the next request.
+// panic must be recovered on the handler goroutine, answered as a degraded
+// 503 with Retry-After, counted in panics_recovered, and the request's slot
+// must be free for the next request.
 func TestWorkerPanicContained(t *testing.T) {
 	defer faults.DisarmAll()
 	_, ts := newTestServer(t, Config{Workers: 1})
@@ -115,7 +115,7 @@ func TestWorkerPanicContained(t *testing.T) {
 		t.Error("degraded 503 lacks a Retry-After header")
 	}
 
-	// The single worker survived; the limit=1 schedule lets this one pass.
+	// The single slot was released; the limit=1 schedule lets this one pass.
 	if code := postJSON(t, ts.URL+"/check", CheckRequest{Source: "int x = 1;"}, nil); code != http.StatusOK {
 		t.Fatalf("request after recovered panic: status %d, want 200", code)
 	}

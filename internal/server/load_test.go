@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,15 +14,15 @@ import (
 )
 
 // TestLoadConcurrentCheck fires 64 concurrent /check requests of the bftpd
-// corpus program at a deliberately small pool (4 workers, queue of 8) and
+// corpus program at a deliberately small server (4 slots, 8 waiting) and
 // requires that every request is answered — 200 for the admitted ones, 503
 // with a JSON body for the shed ones (never dropped or hung) — and that a
 // warm pass afterwards is served from the function cache, visible in
 // /metrics. Run under -race (make race / make ci) this doubles as the
-// data-race gate for the shared caches, metrics, and pool.
+// data-race gate for the shared caches, metrics, and admission slots.
 func TestLoadConcurrentCheck(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 8, RequestTimeout: 2 * time.Minute})
-	// Pin a floor under per-job service time so the storm reliably overruns
+	s, ts := newTestServer(t, Config{Workers: 4, RequestTimeout: 2 * time.Minute})
+	// Pin a floor under per-request service time so the storm reliably overruns
 	// the 4+8 admission capacity and exercises load shedding (a warm
 	// cache-served check is otherwise sub-millisecond).
 	testJobHook = func() { time.Sleep(20 * time.Millisecond) }
@@ -124,4 +125,131 @@ func TestLoadConcurrentCheck(t *testing.T) {
 		t.Errorf("p99 (%v) below p50 (%v)", ep.P99Millis, ep.P50Millis)
 	}
 	_ = s
+}
+
+// answer is one finished HTTP exchange: status, decoded error body and the
+// Retry-After header.
+type answer struct {
+	code       int
+	body       errorBody
+	retryAfter string
+}
+
+// postAsync posts req to /check on a goroutine and delivers the answer.
+func postAsync(t *testing.T, url string, req CheckRequest) <-chan answer {
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan answer, 1)
+	go func() {
+		var a answer
+		defer func() { out <- a }()
+		resp, err := http.Post(url+"/check", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Errorf("POST /check: %v", err)
+			return
+		}
+		defer resp.Body.Close()
+		a.code, a.retryAfter = resp.StatusCode, resp.Header.Get("Retry-After")
+		if err := json.NewDecoder(resp.Body).Decode(&a.body); err != nil {
+			t.Errorf("decoding /check answer: %v", err)
+		}
+	}()
+	return out
+}
+
+// TestAdmissionContract pins admission control deterministically at one
+// worker slot, so two requests can wait: with one request held in
+// testJobHook, two more wait and /metrics shows queue_depth 2; a fourth is
+// shed at once as "queue full"; the held request, released after its own
+// timeout_ms, is answered 504 "deadline exceeded"; with the next request
+// held and one waiting, a waiter whose 50 ms timeout_ms passes is shed as
+// "deadline expired while queued". shed_total rises by exactly the two
+// shed requests.
+func TestAdmissionContract(t *testing.T) {
+	var calls atomic.Int32
+	enteredA, releaseA := make(chan struct{}), make(chan struct{})
+	enteredB, releaseB := make(chan struct{}), make(chan struct{})
+	testJobHook = func() {
+		switch calls.Add(1) {
+		case 1:
+			close(enteredA)
+			<-releaseA
+		case 2:
+			close(enteredB)
+			<-releaseB
+		}
+	}
+	defer func() { testJobHook = nil }()
+	_, ts := newTestServer(t, Config{Workers: 1, RequestTimeout: 30 * time.Second})
+	// Registered after the server's teardown, so it runs first: a failed
+	// assertion must not leave a handler held while the teardown waits.
+	releaseHeld := sync.OnceFunc(func() { close(releaseA) })
+	releaseNext := sync.OnceFunc(func() { close(releaseB) })
+	t.Cleanup(func() { releaseHeld(); releaseNext() })
+
+	metrics := func() MetricsResponse {
+		var m MetricsResponse
+		if code := getJSON(t, ts.URL+"/metrics", &m); code != http.StatusOK {
+			t.Fatalf("metrics: status %d", code)
+		}
+		return m
+	}
+	waitQueue := func(depth int) {
+		deadline := time.Now().Add(10 * time.Second)
+		for metrics().QueueDepth != depth {
+			if time.Now().After(deadline) {
+				t.Fatalf("queue_depth never reached %d", depth)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	shed0 := metrics().ShedTotal
+
+	const heldTimeout = 200 * time.Millisecond
+	heldSent := time.Now()
+	held := postAsync(t, ts.URL, CheckRequest{Source: "int a = 1;", TimeoutMillis: heldTimeout.Milliseconds()})
+	<-enteredA
+	waiters := []<-chan answer{
+		postAsync(t, ts.URL, CheckRequest{Source: "int b = 1;"}),
+		postAsync(t, ts.URL, CheckRequest{Source: "int c = 1;"}),
+	}
+	waitQueue(2)
+	if m := metrics(); m.QueueCapacity != 2 {
+		t.Errorf("queue_capacity %d, want 2 (twice the one worker)", m.QueueCapacity)
+	}
+
+	var eb errorBody
+	resp := postJSONFull(t, ts.URL+"/check", CheckRequest{Source: "int d = 1;"}, &eb)
+	if resp.StatusCode != http.StatusServiceUnavailable || eb.Error != "queue full" || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("fourth request: %d %+v Retry-After %q, want 503 queue full with Retry-After",
+			resp.StatusCode, eb, resp.Header.Get("Retry-After"))
+	}
+
+	time.Sleep(time.Until(heldSent.Add(heldTimeout + 100*time.Millisecond)))
+	releaseHeld()
+	if a := <-held; a.code != http.StatusGatewayTimeout || a.body.Error != "deadline exceeded" || a.retryAfter != "" {
+		t.Errorf("held request: %d %+v Retry-After %q, want 504 deadline exceeded without Retry-After",
+			a.code, a.body, a.retryAfter)
+	}
+
+	<-enteredB
+	waitQueue(1)
+	eb = errorBody{}
+	resp = postJSONFull(t, ts.URL+"/check", CheckRequest{Source: "int e = 1;", TimeoutMillis: 50}, &eb)
+	if resp.StatusCode != http.StatusServiceUnavailable || eb.Error != "deadline expired while queued" || resp.Header.Get("Retry-After") == "" {
+		t.Errorf("waiter past its timeout: %d %+v Retry-After %q, want 503 deadline expired while queued with Retry-After",
+			resp.StatusCode, eb, resp.Header.Get("Retry-After"))
+	}
+
+	releaseNext()
+	for i, w := range waiters {
+		if a := <-w; a.code != http.StatusOK {
+			t.Errorf("waiter %d: status %d, want 200", i, a.code)
+		}
+	}
+	if shed := metrics().ShedTotal - shed0; shed != 2 {
+		t.Errorf("shed_total rose by %d, want 2 (queue full, deadline expired while queued)", shed)
+	}
 }

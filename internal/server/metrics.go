@@ -1,10 +1,11 @@
 // Package server implements qualserve: a long-lived, concurrent qualifier
-// checking service over the checker and soundness pipelines. Requests run
-// through a bounded worker pool with admission control (a capped queue that
-// sheds overload as 503s) and per-request deadlines threaded into the
+// checking service over the checker and soundness pipelines. Each request
+// body runs on its handler's goroutine behind a semaphore of Workers slots,
+// with admission control (at most 2*Workers requests wait for a slot;
+// overload is shed as 503s) and per-request deadlines threaded into the
 // context plumbing; results are reused across requests via the
 // function-granular checker cache and the memoizing prover cache. See
-// DESIGN.md ("The serving architecture").
+// DESIGN.md ("Serving architecture: qualserve").
 package server
 
 import (
@@ -74,7 +75,7 @@ func (m *Metrics) observeDegraded() {
 	m.mu.Unlock()
 }
 
-// observePanic records one panic recovered on a pool worker.
+// observePanic records one panic recovered from a request body.
 func (m *Metrics) observePanic() {
 	m.mu.Lock()
 	m.panics++

@@ -154,7 +154,7 @@ func (p *peerClient) snapshot() PeerSnapshot {
 // ---- GET /cache/prover/{hash} ----
 
 // handleCacheGet serves a sealed prover record to a peer. It reads straight
-// from the disk store — no worker-pool round trip, the read is microseconds —
+// from the disk store without taking a request slot (the read is microseconds)
 // and only serves records that pass the store's own verification (a corrupt
 // record is evicted server-side and answered 404, never propagated).
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {

@@ -39,12 +39,11 @@ var (
 
 // Config sizes the service.
 type Config struct {
-	// Workers bounds the worker pool executing request bodies (parsing,
-	// checking, proving). 0 means runtime.GOMAXPROCS(0).
+	// Workers bounds how many request bodies (parsing, checking, proving)
+	// run at once, each on its handler's goroutine; at most 2*Workers more
+	// admitted requests wait for a slot, and a request arriving past that is
+	// shed with 503. 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// QueueDepth caps the admission queue of accepted-but-not-started
-	// requests. A full queue sheds new work with 503. 0 means 2*Workers.
-	QueueDepth int
 	// RequestTimeout is the per-request deadline (also the ceiling for a
 	// request's own timeout_ms). 0 means 30s.
 	RequestTimeout time.Duration
@@ -108,13 +107,6 @@ func (c Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (c Config) queueDepth() int {
-	if c.QueueDepth > 0 {
-		return c.QueueDepth
-	}
-	return 2 * c.workers()
-}
-
 func (c Config) requestTimeout() time.Duration {
 	if c.RequestTimeout > 0 {
 		return c.RequestTimeout
@@ -137,27 +129,21 @@ func (c Config) maxBodyBytes() int64 {
 }
 
 // requestConcurrency is the function and obligation concurrency inside one
-// request. Parallelism across requests comes from the worker pool, so each
-// request runs serially, on its worker's own goroutine, to avoid
+// request. Parallelism across requests comes from the Workers slots, so each
+// request runs serially, on its handler's own goroutine, to avoid
 // oversubscription.
 const requestConcurrency = 1
-
-// job is one admitted request body waiting for a pool worker.
-type job struct {
-	ctx     context.Context
-	run     func()
-	done    chan struct{}
-	started atomic.Bool
-}
 
 // Server is the qualserve HTTP service. Create with New, mount Handler (or
 // call Serve), and stop with Shutdown.
 type Server struct {
-	cfg         Config
-	mux         *http.ServeMux
-	jobs        chan *job
-	quit        chan struct{}
-	wg          sync.WaitGroup
+	cfg Config
+	mux *http.ServeMux
+	// slots holds one token per running request body (capacity Workers);
+	// queue holds one per admitted request waiting for a slot (capacity
+	// 2*Workers).
+	slots       chan struct{}
+	queue       chan struct{}
 	draining    atomic.Bool
 	metrics     *Metrics
 	funcCache   *checker.FuncCache
@@ -172,17 +158,19 @@ type Server struct {
 	httpSrv *http.Server
 }
 
-// testJobHook, when non-nil, runs on the worker goroutine at the start of
-// every executed job. Tests use it to hold requests in flight.
+// testJobHook, when non-nil, runs on the handler goroutine once a request
+// holds its slot, before the body runs. Tests use it to hold requests in
+// flight.
 var testJobHook func()
 
-// New builds a server and starts its worker pool.
+// New builds a server. It starts no goroutine: every request body runs on the
+// goroutine net/http calls its handler on.
 func New(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		mux:         http.NewServeMux(),
-		jobs:        make(chan *job, cfg.queueDepth()),
-		quit:        make(chan struct{}),
+		slots:       make(chan struct{}, cfg.workers()),
+		queue:       make(chan struct{}, 2*cfg.workers()),
 		metrics:     newMetrics(),
 		funcCache:   checker.NewFuncCache(cfg.FuncCacheSize),
 		proverCache: simplify.NewCache(cfg.ProverCacheSize),
@@ -215,36 +203,11 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /cache/prover/{hash}", s.handleCacheGet)
-	for w := 0; w < cfg.workers(); w++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	return s
 }
 
 // Handler returns the HTTP handler (for tests and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// worker executes admitted jobs until shutdown. A job whose request context
-// is already dead is skipped — its handler has answered.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case j := <-s.jobs:
-			if j.ctx.Err() == nil {
-				j.started.Store(true)
-				if testJobHook != nil {
-					testJobHook()
-				}
-				j.run()
-			}
-			close(j.done)
-		case <-s.quit:
-			return
-		}
-	}
-}
 
 // Serve accepts connections on l until Shutdown. It always returns a non-nil
 // error; after Shutdown the error is http.ErrServerClosed.
@@ -257,20 +220,19 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // Shutdown drains the server: new requests are answered 503 immediately,
-// in-flight requests (including queued ones whose handlers still wait) get
-// until ctx's deadline to finish, then the listener and worker pool stop.
+// in-flight requests (including ones still waiting for a slot) get until
+// ctx's deadline to finish, then the listener stops. When Handler is mounted
+// on the caller's own http.Server, Shutdown only starts the drain; that
+// server's Shutdown waits for the in-flight handlers.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	var err error
 	s.httpMu.Lock()
 	srv := s.httpSrv
 	s.httpMu.Unlock()
-	if srv != nil {
-		err = srv.Shutdown(ctx)
+	if srv == nil {
+		return nil
 	}
-	close(s.quit)
-	s.wg.Wait()
-	return err
+	return srv.Shutdown(ctx)
 }
 
 // ---- Request execution ----
@@ -309,9 +271,10 @@ type retryAfterHinter interface{ retryAfterHint() time.Duration }
 // admission may be; see memwatch.Sample.
 const memPressureStaleness = 100 * time.Millisecond
 
-// execute runs fn on the worker pool under the request's deadline and writes
-// its response. Admission control: a draining server or a full queue answers
-// 503 without queuing; a request whose deadline expires while still queued
+// execute runs fn on the handler's goroutine under the request's deadline,
+// holding one of the Workers slots while it runs, and writes its response.
+// Admission control: a draining server or a full wait queue answers 503
+// without waiting; a request whose deadline expires while it waits for a slot
 // is answered 503 (shed), while one that expires mid-run is answered 504.
 func (s *Server) execute(w http.ResponseWriter, r *http.Request, endpoint string, timeoutMillis int64, fn func(ctx context.Context) (int, any)) {
 	t0 := time.Now()
@@ -319,27 +282,25 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, endpoint string
 	defer func() {
 		s.metrics.observe(endpoint, code, time.Since(t0))
 	}()
-
-	if s.draining.Load() {
+	// shed answers a request turned away before its body ran.
+	shed := func(retryAfter time.Duration, body errorBody) {
 		code = http.StatusServiceUnavailable
 		s.metrics.observeShed()
-		setRetryAfter(w, s.cfg.drainTimeout())
-		writeJSON(w, code, errorBody{Error: "server is draining"})
+		setRetryAfter(w, retryAfter)
+		writeJSON(w, code, body)
+	}
+
+	if s.draining.Load() {
+		shed(s.cfg.drainTimeout(), errorBody{Error: "server is draining"})
 		return
 	}
 	if err := fpAdmission.FireErr(); err != nil {
-		code = http.StatusServiceUnavailable
-		s.metrics.observeShed()
-		setRetryAfter(w, time.Second)
-		writeJSON(w, code, errorBody{Error: "admission fault: " + err.Error(), Degraded: true})
+		shed(time.Second, errorBody{Error: "admission fault: " + err.Error(), Degraded: true})
 		return
 	}
 	if hw := s.cfg.MemoryHighWater; hw > 0 && memwatch.Sample(memPressureStaleness) > hw {
-		code = http.StatusServiceUnavailable
 		s.metrics.observeMemShed()
-		s.metrics.observeShed()
-		setRetryAfter(w, time.Second)
-		writeJSON(w, code, errorBody{Error: "memory pressure: live heap above the high-water mark", Degraded: true})
+		shed(time.Second, errorBody{Error: "memory pressure: live heap above the high-water mark", Degraded: true})
 		return
 	}
 	timeout := s.cfg.requestTimeout()
@@ -351,89 +312,84 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, endpoint string
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	var (
-		status     int
-		payload    any
-		retryAfter time.Duration
-	)
-	j := &job{ctx: ctx, done: make(chan struct{})}
-	// The worker runs j.run, so the recover below is the pool's panic
-	// containment: a panicking request body (or an armed server.run panic
-	// fault) becomes a degraded 503 on its own request instead of killing
-	// the process. The handler reads status/payload only after j.done.
-	j.run = func() {
-		defer func() {
-			if r := recover(); r != nil {
-				s.metrics.observePanic()
-				s.metrics.observeDegraded()
-				status = http.StatusServiceUnavailable
-				payload = errorBody{Error: fmt.Sprintf("internal error: recovered panic: %v", r), Degraded: true}
-				retryAfter = time.Second
-			}
-		}()
-		if err := fpRun.Fire(); err != nil {
+	if err := fpQueue.FireErr(); err != nil {
+		shed(time.Second, errorBody{Error: "queue fault: " + err.Error(), Degraded: true})
+		return
+	}
+	if msg := s.acquire(ctx); msg != "" {
+		shed(time.Second, errorBody{Error: msg})
+		return
+	}
+	status, payload, retryAfter := s.run(ctx, fn)
+	<-s.slots
+	if ctx.Err() != nil {
+		code = http.StatusGatewayTimeout
+		writeJSON(w, code, errorBody{Error: "deadline exceeded"})
+		return
+	}
+	if err := fpEncode.FireErr(); err != nil {
+		code = http.StatusServiceUnavailable
+		s.metrics.observeDegraded()
+		setRetryAfter(w, time.Second)
+		writeJSON(w, code, errorBody{Error: "encode fault: " + err.Error(), Degraded: true})
+		return
+	}
+	if retryAfter > 0 {
+		setRetryAfter(w, retryAfter)
+	}
+	if h, ok := payload.(retryAfterHinter); ok {
+		if d := h.retryAfterHint(); d > 0 {
+			setRetryAfter(w, d)
+		}
+	}
+	code = status
+	writeJSON(w, code, payload)
+}
+
+// acquire takes a slot for a request, waiting in the queue while every slot
+// is busy. It returns why the request is shed instead ("" when it holds a
+// slot): the queue is full, or ctx died before the request got its slot.
+func (s *Server) acquire(ctx context.Context) string {
+	select {
+	case s.queue <- struct{}{}:
+	default:
+		return "queue full"
+	}
+	defer func() { <-s.queue }()
+	select {
+	case s.slots <- struct{}{}:
+		if ctx.Err() == nil {
+			return ""
+		}
+		<-s.slots
+	case <-ctx.Done():
+	}
+	return "deadline expired while queued"
+}
+
+// run executes a request body on the calling goroutine. The recover is the
+// server's panic containment: a panicking body (or an armed server.run panic
+// fault) becomes a degraded 503 on its own request instead of killing the
+// process.
+func (s *Server) run(ctx context.Context, fn func(ctx context.Context) (int, any)) (status int, payload any, retryAfter time.Duration) {
+	if testJobHook != nil {
+		testJobHook()
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			s.metrics.observePanic()
 			s.metrics.observeDegraded()
 			status = http.StatusServiceUnavailable
-			payload = errorBody{Error: "execution fault: " + err.Error(), Degraded: true}
+			payload = errorBody{Error: fmt.Sprintf("internal error: recovered panic: %v", r), Degraded: true}
 			retryAfter = time.Second
-			return
 		}
-		status, payload = fn(ctx)
+	}()
+	if err := fpRun.Fire(); err != nil {
+		s.metrics.observeDegraded()
+		return http.StatusServiceUnavailable, errorBody{Error: "execution fault: " + err.Error(), Degraded: true}, time.Second
 	}
-	if err := fpQueue.FireErr(); err != nil {
-		code = http.StatusServiceUnavailable
-		s.metrics.observeShed()
-		setRetryAfter(w, time.Second)
-		writeJSON(w, code, errorBody{Error: "queue fault: " + err.Error(), Degraded: true})
-		return
-	}
-	select {
-	case s.jobs <- j:
-	default:
-		code = http.StatusServiceUnavailable
-		s.metrics.observeShed()
-		setRetryAfter(w, time.Second)
-		writeJSON(w, code, errorBody{Error: "queue full"})
-		return
-	}
-	select {
-	case <-j.done:
-		if status == 0 {
-			// The worker skipped the job: its context died in the queue.
-			code = http.StatusServiceUnavailable
-			s.metrics.observeShed()
-			setRetryAfter(w, time.Second)
-			writeJSON(w, code, errorBody{Error: "deadline expired while queued"})
-			return
-		}
-		if err := fpEncode.FireErr(); err != nil {
-			code = http.StatusServiceUnavailable
-			s.metrics.observeDegraded()
-			setRetryAfter(w, time.Second)
-			writeJSON(w, code, errorBody{Error: "encode fault: " + err.Error(), Degraded: true})
-			return
-		}
-		if retryAfter > 0 {
-			setRetryAfter(w, retryAfter)
-		}
-		if h, ok := payload.(retryAfterHinter); ok {
-			if d := h.retryAfterHint(); d > 0 {
-				setRetryAfter(w, d)
-			}
-		}
-		code = status
-		writeJSON(w, code, payload)
-	case <-ctx.Done():
-		if j.started.Load() {
-			code = http.StatusGatewayTimeout
-			writeJSON(w, code, errorBody{Error: "deadline exceeded"})
-		} else {
-			code = http.StatusServiceUnavailable
-			s.metrics.observeShed()
-			setRetryAfter(w, time.Second)
-			writeJSON(w, code, errorBody{Error: "deadline expired while queued"})
-		}
-	}
+	status, payload = fn(ctx)
+	return status, payload, 0
 }
 
 // loadRegistry resolves a request's qualifier set: explicit QDL sources,
@@ -569,28 +525,22 @@ func (s *Server) doCheck(ctx context.Context, req *CheckRequest) (int, any) {
 	if name == "" {
 		name = "input.c"
 	}
-	prog, err := cminor.Parse(name, req.Source, reg.Names())
+	batch, _, err := s.checkInputs(ctx, reg, req.FlowSensitive, []BatchInput{{Filename: name, Source: req.Source}})
 	if err != nil {
-		return http.StatusUnprocessableEntity, errorBody{Error: "parse: " + err.Error()}
+		return http.StatusGatewayTimeout, errorBody{Error: "check stopped: " + err.Error()}
 	}
-	res := checker.CheckWithCache(ctx, prog, reg, checker.Options{
-		FlowSensitive: req.FlowSensitive,
-		Concurrency:   requestConcurrency,
-	}, s.funcCache)
-	if res.Err != nil {
-		return http.StatusGatewayTimeout, errorBody{Error: "check stopped: " + res.Err.Error()}
+	fr := batch.Files[0]
+	if fr.Error != "" {
+		return http.StatusUnprocessableEntity, errorBody{Error: fr.Error}
 	}
-	resp := CheckResponse{
+	return http.StatusOK, CheckResponse{
 		Filename:      name,
-		Warnings:      len(res.Diags),
+		Diagnostics:   fr.Diagnostics,
+		Warnings:      fr.Warnings,
+		Degraded:      fr.Degraded,
+		Stats:         batch.Stats,
 		ElapsedMillis: time.Since(t0).Milliseconds(),
 	}
-	resp.Stats.add(res.Stats)
-	resp.Diagnostics, resp.Degraded = apiDiagnostics(res.Diags)
-	if resp.Degraded {
-		s.metrics.observeDegraded()
-	}
-	return http.StatusOK, resp
 }
 
 // ---- POST /check-batch ----
@@ -663,9 +613,23 @@ func (s *Server) doCheckBatch(ctx context.Context, req *CheckBatchRequest) (int,
 	if err != nil {
 		return http.StatusUnprocessableEntity, errorBody{Error: "qualifier definitions: " + err.Error()}
 	}
+	resp, stoppedAt, err := s.checkInputs(ctx, reg, req.FlowSensitive, req.Files)
+	if err != nil {
+		return http.StatusGatewayTimeout, errorBody{Error: fmt.Sprintf("check stopped at %s: %v", stoppedAt, err)}
+	}
+	resp.ElapsedMillis = time.Since(t0).Milliseconds()
+	return http.StatusOK, resp
+}
+
+// checkInputs parses, checks and converts each input in order against reg,
+// sharing the server's function cache; an input without a name is called
+// inputN.c after its index. A parse failure is recorded on its input and the
+// rest are still checked. A check that ctx stops ends the run with ctx's
+// error and the name of the input it stopped at.
+func (s *Server) checkInputs(ctx context.Context, reg *qdl.Registry, flow bool, inputs []BatchInput) (CheckBatchResponse, string, error) {
 	names := reg.Names()
-	resp := CheckBatchResponse{Files: make([]BatchFileResult, 0, len(req.Files))}
-	for i, in := range req.Files {
+	resp := CheckBatchResponse{Files: make([]BatchFileResult, 0, len(inputs))}
+	for i, in := range inputs {
 		name := in.Filename
 		if name == "" {
 			name = fmt.Sprintf("input%d.c", i)
@@ -679,13 +643,11 @@ func (s *Server) doCheckBatch(ctx context.Context, req *CheckBatchRequest) (int,
 			continue
 		}
 		res := checker.CheckWithCache(ctx, prog, reg, checker.Options{
-			FlowSensitive: req.FlowSensitive,
+			FlowSensitive: flow,
 			Concurrency:   requestConcurrency,
 		}, s.funcCache)
 		if res.Err != nil {
-			return http.StatusGatewayTimeout, errorBody{
-				Error: fmt.Sprintf("check stopped at %s: %v", name, res.Err),
-			}
+			return resp, name, res.Err
 		}
 		fr.Diagnostics, fr.Degraded = apiDiagnostics(res.Diags)
 		fr.Warnings = len(fr.Diagnostics)
@@ -699,8 +661,7 @@ func (s *Server) doCheckBatch(ctx context.Context, req *CheckBatchRequest) (int,
 	if resp.Degraded {
 		s.metrics.observeDegraded()
 	}
-	resp.ElapsedMillis = time.Since(t0).Milliseconds()
-	return http.StatusOK, resp
+	return resp, "", nil
 }
 
 // ---- POST /prove ----
@@ -946,8 +907,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, MetricsResponse{
 		Snapshot:      s.metrics.snapshot(),
 		Workers:       s.cfg.workers(),
-		QueueDepth:    len(s.jobs),
-		QueueCapacity: cap(s.jobs),
+		QueueDepth:    len(s.queue),
+		QueueCapacity: cap(s.queue),
 		Draining:      s.draining.Load(),
 		FuncCache:     CacheSnapshot{Stats: fc, HitRate: fc.HitRate(), Len: s.funcCache.Len()},
 		ProverCache:   CacheSnapshot{Stats: pc, HitRate: pc.HitRate(), Len: s.proverCache.Len()},

@@ -58,7 +58,7 @@ func getJSON(t *testing.T, url string, out any) int {
 
 // newTestServer builds a server plus an httptest front end and tears both
 // down with the test. The leak check registers first, so it audits the
-// teardown: no worker, queue, or handler goroutine may survive Shutdown.
+// teardown: no goroutine a request started may survive Shutdown.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	leak.Check(t)
@@ -217,7 +217,7 @@ func TestMetricsAndHealthz(t *testing.T) {
 		t.Errorf("expected a 200 recorded for check: %+v", ep.Codes)
 	}
 	if m.Workers != 1 || m.QueueCapacity == 0 {
-		t.Errorf("pool gauges wrong: workers=%d queue_capacity=%d", m.Workers, m.QueueCapacity)
+		t.Errorf("admission gauges wrong: workers=%d queue_capacity=%d", m.Workers, m.QueueCapacity)
 	}
 	if m.FuncCache.Misses == 0 {
 		t.Errorf("func cache counters not surfaced: %+v", m.FuncCache)
@@ -311,7 +311,7 @@ func TestProveCertificatesAndMetrics(t *testing.T) {
 // the drain are answered 503 (not dropped); Shutdown returns within the
 // drain budget.
 func TestGracefulShutdown(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 2})
+	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

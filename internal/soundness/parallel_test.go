@@ -140,9 +140,8 @@ value qualifier bad(int Expr E)
 	}
 }
 
-// TestCounterExampleLimit checks the truncation constant is honored: the
-// default shows DefaultCounterExampleLimit literals, and a custom limit
-// threads from Options through Prove into the report.
+// TestCounterExampleLimit checks the truncation constant is honored: a
+// report shows DefaultCounterExampleLimit literals and counts the rest.
 func TestCounterExampleLimit(t *testing.T) {
 	lits := make([]string, 12)
 	for i := range lits {
@@ -157,40 +156,6 @@ func TestCounterExampleLimit(t *testing.T) {
 	if s := def.String(); strings.Count(s, "(> x 0)") != DefaultCounterExampleLimit ||
 		!strings.Contains(s, "(4 more literals)") {
 		t.Errorf("default truncation wrong:\n%s", s)
-	}
-
-	custom := &Report{Qualifier: "q", Results: []ObligationResult{failed}, CounterExampleLimit: 2}
-	if s := custom.String(); strings.Count(s, "(> x 0)") != 2 ||
-		!strings.Contains(s, "(10 more literals)") {
-		t.Errorf("custom truncation wrong:\n%s", s)
-	}
-}
-
-func TestCounterExampleLimitThreadsThroughProve(t *testing.T) {
-	// Broken pos (subtraction instead of multiplication) fails its
-	// obligations, exercising the limit plumbing end to end.
-	broken := strings.Replace(quals.Pos, "E1 * E2", "E1 - E2", 1)
-	reg, err := qdl.Load(map[string]string{"pos.qdl": broken, "neg.qdl": quals.Neg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.CounterExampleLimit = 1
-	r, err := Prove(reg.Lookup("pos"), reg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Sound() {
-		t.Fatal("broken pos proved sound")
-	}
-	if r.CounterExampleLimit != 1 {
-		t.Errorf("report limit = %d, want 1", r.CounterExampleLimit)
-	}
-	for _, res := range r.Failed() {
-		if len(res.Outcome.CounterExample) > 1 &&
-			!strings.Contains(r.String(), "more literals") {
-			t.Error("limit 1 did not truncate a multi-literal counterexample")
-		}
 	}
 }
 

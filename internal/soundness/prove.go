@@ -18,8 +18,7 @@ import (
 )
 
 // DefaultCounterExampleLimit is the number of counterexample literals a
-// report prints per failed obligation before truncating (see
-// Options.CounterExampleLimit).
+// report prints per failed obligation before truncating.
 const DefaultCounterExampleLimit = 8
 
 // ObligationResult is one obligation plus its verdict.
@@ -43,10 +42,6 @@ type Report struct {
 	// CacheHits counts the obligations whose outcome was served from the
 	// memoizing prover cache instead of a fresh search.
 	CacheHits int
-	// CounterExampleLimit caps the counterexample literals printed per
-	// failed obligation (0 means DefaultCounterExampleLimit). It echoes
-	// Options.CounterExampleLimit so String needs no extra context.
-	CounterExampleLimit int
 	// Stats aggregates the per-goal search telemetry of every obligation
 	// (cache hits contribute the stored search's counters). Wall times sum,
 	// so under concurrent discharge Stats.WallTime is total search time, not
@@ -78,13 +73,6 @@ func (r *Report) Failed() []ObligationResult {
 	return out
 }
 
-func (r *Report) counterExampleLimit() int {
-	if r.CounterExampleLimit > 0 {
-		return r.CounterExampleLimit
-	}
-	return DefaultCounterExampleLimit
-}
-
 func (r *Report) String() string {
 	var sb strings.Builder
 	if r.Err != nil {
@@ -96,7 +84,6 @@ func (r *Report) String() string {
 		verdict = "NOT PROVEN"
 	}
 	fmt.Fprintf(&sb, "qualifier %s: %s (%d obligations, %v)\n", r.Qualifier, verdict, len(r.Results), r.Elapsed.Round(time.Millisecond))
-	limit := r.counterExampleLimit()
 	for _, res := range r.Results {
 		mark := "✓"
 		if !res.Valid {
@@ -110,7 +97,7 @@ func (r *Report) String() string {
 			sb.WriteString("      counterexample candidate (hypotheses hold, invariant fails):\n")
 			shown := 0
 			for _, lit := range res.Outcome.CounterExample {
-				if shown >= limit {
+				if shown >= DefaultCounterExampleLimit {
 					fmt.Fprintf(&sb, "        ... (%d more literals)\n", len(res.Outcome.CounterExample)-shown)
 					break
 				}
@@ -139,9 +126,6 @@ type Options struct {
 	// pos/neg/nonneg) are proven once. Pass an explicit cache to share
 	// memoized outcomes across runs.
 	Cache *simplify.Cache
-	// CounterExampleLimit caps the counterexample literals printed per
-	// failed obligation in Report.String (0 = DefaultCounterExampleLimit).
-	CounterExampleLimit int
 	// ExtraAxioms are appended to the standard background axiom set. Tests
 	// use this to inject pathological axioms (e.g. trigger loops); callers
 	// can use it to extend the theory with domain facts.
@@ -234,11 +218,11 @@ func proveDefs(ctx context.Context, defs []*qdl.Def, reg *qdl.Registry, opts Opt
 		opts.Cache = simplify.NewCache(0)
 	}
 	prover := baseProver(opts).Fork(opts.Cache)
-	limit, trace, omitTimings := opts.CounterExampleLimit, opts.Trace, opts.TraceOmitTimings
+	trace, omitTimings := opts.Trace, opts.TraceOmitTimings
 	out := make([]proved, len(defs))
 	scheduler.Run(opts.Concurrency, func(c *scheduler.Ctx) {
 		c.Fan(len(defs), func(c *scheduler.Ctx, i int) {
-			out[i].report, out[i].err = proveTask(ctx, c, defs[i], reg, prover, limit, trace, omitTimings)
+			out[i].report, out[i].err = proveTask(ctx, c, defs[i], reg, prover, trace, omitTimings)
 		}, func() {})
 	})
 	return out
@@ -248,16 +232,15 @@ func proveDefs(ctx context.Context, defs []*qdl.Def, reg *qdl.Registry, opts Opt
 // their discharge out as pool units, each writing only its own result slot.
 // The report it returns is complete once the pass is.
 func proveTask(ctx context.Context, c *scheduler.Ctx, d *qdl.Def, reg *qdl.Registry, prover *simplify.Prover,
-	limit int, trace io.Writer, omitTimings bool) (*Report, error) {
+	trace io.Writer, omitTimings bool) (*Report, error) {
 	obls, err := Obligations(d, reg)
 	if err != nil {
 		return nil, err
 	}
 	report := &Report{
-		Qualifier:           d.Name,
-		Kind:                d.Kind,
-		CounterExampleLimit: limit,
-		Results:             make([]ObligationResult, len(obls)),
+		Qualifier: d.Name,
+		Kind:      d.Kind,
+		Results:   make([]ObligationResult, len(obls)),
 	}
 	start := time.Now()
 	c.Fan(len(obls), func(_ *scheduler.Ctx, i int) {
@@ -356,7 +339,7 @@ func ProveAllContext(ctx context.Context, reg *qdl.Registry, opts Options) ([]*R
 	for i, p := range proveDefs(ctx, defs, reg, opts) {
 		out[i] = p.report
 		if p.err != nil {
-			out[i] = &Report{Qualifier: defs[i].Name, Kind: defs[i].Kind, Err: p.err, CounterExampleLimit: opts.CounterExampleLimit}
+			out[i] = &Report{Qualifier: defs[i].Name, Kind: defs[i].Kind, Err: p.err}
 			errs = append(errs, fmt.Errorf("%s: %w", defs[i].Name, p.err))
 		}
 	}

@@ -48,7 +48,7 @@ type removeEvent struct {
 }
 
 // genEvent closes a generation: what was re-checked, the function-cache
-// delta proving how little work the edit cost, and the whole-tree verdict.
+// counts proving how little work the edit cost, and the whole-tree verdict.
 type genEvent struct {
 	Event      string `json:"event"` // "generation"
 	Generation uint64 `json:"generation"`
@@ -62,9 +62,10 @@ type genEvent struct {
 	Warnings      int `json:"warnings"`
 	TotalWarnings int `json:"total_warnings"`
 	Errors        int `json:"errors"`
-	// CacheHits/CacheMisses/CacheCoalesced are the FuncCache deltas over
-	// this generation: misses count exactly the functions whose content key
-	// changed (the incremental-work receipt).
+	// CacheHits/CacheMisses/CacheCoalesced sum the function-cache counters
+	// of this generation's checked files (checker.Stats): a hit was served
+	// from memory or disk, and misses count exactly the functions walked
+	// (the incremental-work receipt).
 	CacheHits      uint64 `json:"cache_hits"`
 	CacheMisses    uint64 `json:"cache_misses"`
 	CacheCoalesced uint64 `json:"cache_coalesced"`

@@ -75,12 +75,11 @@ type Daemon struct {
 
 	// mu guards the output stream and the tree state below; Run's loop and
 	// EmitStats both take it, so event lines never interleave.
-	mu        sync.Mutex
-	out       io.Writer
-	gen       uint64
-	snapshot  map[string]input.File
-	state     map[string]*fileState
-	lastCache checker.FuncCacheStats
+	mu       sync.Mutex
+	out      io.Writer
+	gen      uint64
+	snapshot map[string]input.File
+	state    map[string]*fileState
 }
 
 // New validates the root and builds a daemon (no pass runs until Run).
@@ -262,7 +261,7 @@ func (d *Daemon) publishGeneration(files []input.File, results []checker.FileRes
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	genWarnings := 0
+	genWarnings, hits, misses, coalesced := 0, 0, 0, 0
 	for i, f := range files {
 		fr := results[i]
 		st := &fileState{diags: fr.Diags}
@@ -272,6 +271,9 @@ func (d *Daemon) publishGeneration(files []input.File, results []checker.FileRes
 		d.state[f.Rel] = st
 		d.snapshot[f.Rel] = f
 		genWarnings += len(fr.Diags)
+		hits += fr.Stats.FuncCacheHits
+		misses += fr.Stats.FuncCacheMisses
+		coalesced += fr.Stats.FuncCacheCoalesced
 	}
 	for _, rel := range removed {
 		delete(d.state, rel)
@@ -305,7 +307,6 @@ func (d *Daemon) publishGeneration(files []input.File, results []checker.FileRes
 		emit(d.out, removeEvent{Event: "remove", Generation: d.gen, File: rel})
 	}
 
-	cache := d.fc.Stats()
 	status := "clean"
 	if totalWarnings > 0 || errs > 0 {
 		status = "dirty"
@@ -314,13 +315,12 @@ func (d *Daemon) publishGeneration(files []input.File, results []checker.FileRes
 		Event: "generation", Generation: d.gen,
 		Checked: len(files), Removed: len(removed), Files: len(d.state),
 		Warnings: genWarnings, TotalWarnings: totalWarnings, Errors: errs,
-		CacheHits:      cache.Hits - d.lastCache.Hits,
-		CacheMisses:    cache.Misses - d.lastCache.Misses,
-		CacheCoalesced: cache.Coalesced - d.lastCache.Coalesced,
+		CacheHits:      uint64(hits),
+		CacheMisses:    uint64(misses),
+		CacheCoalesced: uint64(coalesced),
 		Truncated:      truncated,
 		Status:         status,
 	})
-	d.lastCache = cache
 	d.gen++
 }
 

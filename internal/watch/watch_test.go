@@ -13,6 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cachedisk"
+	"repro/internal/checker"
+	"repro/internal/corpus"
 	"repro/internal/quals"
 )
 
@@ -356,5 +359,42 @@ func TestDaemonInotify(t *testing.T) {
 	g := h.nextGeneration(20 * time.Second)
 	if g.summary.num("files") != 2 || g.summary["status"] != "dirty" {
 		t.Fatalf("inotify generation: %v", g.summary)
+	}
+}
+
+// TestDaemonDiskWarmGeneration: a daemon started on a function store that
+// an earlier run filled walks nothing, and its generation-0 event says so —
+// every lookup is a hit (the disk-served ones included) and none is a miss.
+func TestDaemonDiskWarmGeneration(t *testing.T) {
+	root, store := t.TempDir(), t.TempDir()
+	if _, err := corpus.WriteTree(root, 12, 3); err != nil {
+		t.Fatal(err)
+	}
+	diskCache := func() *checker.FuncCache {
+		st, err := cachedisk.Open(store, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return checker.NewFuncCache(0).WithDisk(st)
+	}
+	cold, err := checker.CheckTree(context.Background(), root, quals.MustStandard(),
+		checker.TreeOptions{Workers: 1, Seed: 1, Cache: diskCache()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookups := cold.Stats.FuncCacheHits + cold.Stats.FuncCacheMisses
+	if cold.Stats.FuncCacheMisses == 0 {
+		t.Fatal("the cold run filled nothing")
+	}
+
+	fc := diskCache()
+	h := startDaemon(t, root, Options{Poll: time.Hour, Workers: 1, Seed: 1, Cache: fc})
+	g := h.nextGeneration(20 * time.Second)
+	if g.summary.num("cache_hits") != lookups || g.summary.num("cache_misses") != 0 {
+		t.Errorf("disk-warm generation 0: %d hits / %d misses, want %d / 0 (nothing walked): %v",
+			g.summary.num("cache_hits"), g.summary.num("cache_misses"), lookups, g.summary)
+	}
+	if st := fc.Stats(); st.DiskHits == 0 {
+		t.Errorf("no lookup was served from disk: %+v", st)
 	}
 }
