@@ -58,8 +58,9 @@ bench:
 	    -o BENCH_prover.json
 	@echo wrote BENCH_prover.json
 
-# bench-smoke compiles and runs every benchmark for one iteration (the CI
-# guard that keeps the suite building and panic-free), then reruns the
+# bench-smoke compiles and runs every benchmark of the root package and the
+# simplify, cminor and checker packages for one iteration (the CI guard that
+# keeps the suite building and panic-free), then reruns the
 # recorded subset at a reduced fixed -benchtime and fails if its geomean
 # speedup has fallen more than $(BENCH_MAX_REGRESS) below the committed
 # BENCH_prover.json. Averaging -count 3 samples matters more than long
@@ -68,7 +69,7 @@ bench:
 GATE_BENCHTIME ?= 25x
 GATE_BENCHCOUNT ?= 3
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/simplify
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/simplify ./internal/cminor ./internal/checker
 	{ $(GO) test -run '^$$' -bench '$(BENCH_ROOT)' -benchtime $(GATE_BENCHTIME) -count $(GATE_BENCHCOUNT) . ; \
 	  $(GO) test -run '^$$' -bench '$(BENCH_SIMPLIFY)' -benchtime $(GATE_BENCHTIME) -count $(GATE_BENCHCOUNT) ./internal/simplify ; } \
 	| $(GO) run ./cmd/benchjson -baseline $(BENCH_BASELINE) \

@@ -112,35 +112,26 @@ func (r *Result) Errors(codes ...string) []Diagnostic {
 
 type engine struct {
 	reg   *qdl.Registry
+	tab   *tables // reg compiled (derive.go); shared read-only with child engines
 	info  *cminor.TypeInfo
 	prog  *cminor.Program
-	memo  map[cminor.Expr]map[string]bool
+	memo  memo
 	diags []Diagnostic
 	stats Stats
 	curFn *cminor.FuncDef
 
 	// Flow-sensitivity state (the section 8 extension; see flow.go). env is
-	// the current refinement environment; it stays empty when flow is off.
+	// the current refinement environment (nil when empty); it stays empty
+	// when flow is off.
 	flow        bool
 	env         refEnv
 	addrTaken   map[string]bool
 	globalNames map[string]bool
 
-	// Precomputed restrict clauses, applied during the statement walk.
-	rExprClauses  []rclause
-	rDerefClauses []rclause
-
 	// freshMemo caches returnsFresh results keyed by "fn|qual"; entries in
 	// progress are pinned false (least fixpoint: recursion must bottom out
 	// in a syntactically fresh return).
 	freshMemo map[string]bool
-
-	// Derivation tables (see prepareDerive): the case-bearing value
-	// qualifier definitions and, per definition, whether its where-clauses
-	// consult qualifier sets. Built once per file by newEngine and shared
-	// read-only with child engines.
-	valueDefs []*qdl.Def
-	defCurDep []bool
 
 	// Function-granular result cache state (see cache.go). fc is nil for
 	// plain CheckWithContext runs; ctxKey is the context hash shared by every
@@ -149,11 +140,6 @@ type engine struct {
 	fc     *FuncCache
 	ctxKey string
 	ctx    context.Context
-}
-
-type rclause struct {
-	def *qdl.Def
-	cl  qdl.Clause
 }
 
 // Options configures qualifier checking.
@@ -210,8 +196,9 @@ func CheckWithContext(ctx context.Context, prog *cminor.Program, reg *qdl.Regist
 // text's results. A FuncDef with an empty Src is walked uncached.
 func CheckWithCache(ctx context.Context, prog *cminor.Program, reg *qdl.Registry, opts Options, fc *FuncCache) *Result {
 	var res *Result
+	tab := tablesFor(reg)
 	scheduler.Run(opts.Concurrency, func(c *scheduler.Ctx) {
-		checkProgram(ctx, c, prog, reg, opts, fc, func(r *Result) { res = r })
+		checkProgram(ctx, c, prog, tab, opts, fc, func(r *Result) { res = r })
 	})
 	return res
 }
@@ -222,19 +209,19 @@ func CheckWithCache(ctx context.Context, prog *cminor.Program, reg *qdl.Registry
 // independent: the only engine state a body walk touches is its own
 // diagnostics, restrict counters, derivation memo, and refinement
 // environment, so each unit walks on a private child engine sharing the
-// immutable registry/type-info/clause tables. The unit that finishes last
-// merges the walks in source (declaration) order — so the result is
-// byte-identical at any worker count — runs the post-function passes, and
-// hands the Result to done. A canceled context stops the walks: bodies not
+// immutable registry/type-info/clause tables; its memo covers the function's
+// node numbers. The unit that finishes last merges the walks in source
+// (declaration) order — so the result is byte-identical at any worker count
+// — runs the post-function passes, and hands the Result to done. A canceled context stops the walks: bodies not
 // yet walked report nothing (Result.Err marks the run inconclusive).
-func checkProgram(ctx context.Context, c *scheduler.Ctx, prog *cminor.Program, reg *qdl.Registry, opts Options, fc *FuncCache, done func(*Result)) {
-	en := newEngine(ctx, prog, reg, opts, fc)
+func checkProgram(ctx context.Context, c *scheduler.Ctx, prog *cminor.Program, tab *tables, opts Options, fc *FuncCache, done func(*Result)) {
+	en := newEngine(ctx, prog, tab, opts, fc)
 	en.preFuncPasses()
 	funcs := prog.Funcs
 	walks := make([]funcWalk, len(funcs))
 	c.Fan(len(funcs), func(_ *scheduler.Ctx, i int) {
 		if ctx.Err() == nil {
-			child := en.childEngine()
+			child := en.childEngine(funcs[i])
 			child.checkFuncCached(funcs[i])
 			walks[i] = funcWalk{child.diags, child.stats}
 		}
@@ -258,19 +245,20 @@ type funcWalk struct {
 
 // newEngine builds a checking engine and runs every pass that precedes the
 // per-function walks: typechecking (unless precomputed), flow precomputation,
-// context-key derivation, base diagnostics, and annotation validation.
-func newEngine(ctx context.Context, prog *cminor.Program, reg *qdl.Registry, opts Options, fc *FuncCache) *engine {
+// context-key derivation, base diagnostics, and annotation validation. Its
+// own memo covers no node numbers: the file-level engine derives only for
+// global initializers, which its memo keeps by node.
+func newEngine(ctx context.Context, prog *cminor.Program, tab *tables, opts Options, fc *FuncCache) *engine {
 	info, baseDiags := opts.Types, opts.TypeDiags
 	if info == nil {
 		info, baseDiags = cminor.TypeCheck(prog)
 	}
 	en := &engine{
-		reg:  reg,
+		reg:  tab.reg,
+		tab:  tab,
 		info: info,
 		prog: prog,
-		memo: map[cminor.Expr]map[string]bool{},
 		flow: opts.FlowSensitive,
-		env:  refEnv{},
 		ctx:  ctx,
 		stats: Stats{
 			Annotations: map[string]int{},
@@ -279,7 +267,6 @@ func newEngine(ctx context.Context, prog *cminor.Program, reg *qdl.Registry, opt
 		},
 	}
 	en.prepareFlow()
-	en.prepareDerive()
 	if fc != nil {
 		en.fc = fc
 		en.ctxKey = en.contextKey(opts)
@@ -302,7 +289,7 @@ func (en *engine) finishResult(ctx context.Context) *Result {
 				for _, q := range cminor.QualsOf(c.Type) {
 					en.stats.QualCasts[q]++
 				}
-				if len(en.valueQualsOf(c.Type)) > 0 {
+				if en.tab.valueSet(c.Type) != 0 {
 					result.Casts = append(result.Casts, c)
 				}
 			}
@@ -312,7 +299,7 @@ func (en *engine) finishResult(ctx context.Context) *Result {
 				en.stats.Dereferences++
 			}
 			if v, ok := lv.(*cminor.VarLV); ok {
-				if def := en.info.VarDefs[v]; def != nil && len(en.refQualsOf(def.Type)) > 0 {
+				if def := en.info.VarDef(v); def != nil && len(en.refQualsOf(def.Type)) > 0 {
 					en.stats.RefUses[v.Name]++
 				}
 			}
@@ -350,74 +337,61 @@ func (en *engine) prepareFlow() {
 // the qualifier's subject type pattern must match the type it annotates, and
 // Var-classified reference qualifiers may only annotate variables.
 func (en *engine) validateAnnotations() {
-	checkType := func(pos cminor.Pos, t cminor.Type, isVariable bool, what string) {
-		var walk func(t cminor.Type, top bool)
-		walk = func(t cminor.Type, top bool) {
-			switch t := t.(type) {
-			case cminor.QualType:
-				for _, q := range t.Quals {
-					en.stats.Annotations[q]++
-					d := en.reg.Lookup(q)
-					if d == nil {
-						en.errorf(pos, "annotation", "unknown qualifier %s on %s", q, what)
-						continue
-					}
-					var b bindings
-					if !en.matchTypePat(d.Subject.Type, t.Base, &b) {
-						en.errorf(pos, "annotation", "qualifier %s applies to %s types, but annotates %s (%s)", q, d.Subject.Type, t.Base, what)
-					}
-					if d.Kind == qdl.RefQualifier && d.Subject.Classifier == qdl.ClassVar && (!top || !isVariable) {
-						en.errorf(pos, "annotation", "qualifier %s applies only to variables (%s)", q, what)
-					}
-				}
-				walk(t.Base, false)
-			case cminor.PointerType:
-				walk(t.Elem, false)
-			case cminor.ArrayType:
-				walk(t.Elem, false)
-			}
-		}
-		walk(t, true)
-	}
 	for _, g := range en.prog.Globals {
-		checkType(g.Pos, g.Type, true, "global "+g.Name)
+		en.checkAnnotations(g.Pos, g.Type, true, true, "global ", g.Name)
 	}
 	for _, st := range en.prog.Structs {
 		for _, f := range st.Fields {
-			checkType(f.Pos, f.Type, false, "field "+st.Name+"."+f.Name)
+			en.checkAnnotations(f.Pos, f.Type, true, false, "field "+st.Name+".", f.Name)
 		}
 	}
 	for _, f := range en.prog.Funcs {
-		checkType(f.Pos, f.Result, false, "result of "+f.Name)
+		en.checkAnnotations(f.Pos, f.Result, true, false, "result of ", f.Name)
 		for _, p := range f.Params {
-			checkType(p.Pos, p.Type, true, "parameter "+p.Name)
+			en.checkAnnotations(p.Pos, p.Type, true, true, "parameter ", p.Name)
 		}
 		if f.Body != nil {
 			cminor.WalkStmt(f.Body, cminor.Visitor{Decl: func(d *cminor.VarDecl) {
-				checkType(d.Pos, d.Type, true, "local "+d.Name)
+				en.checkAnnotations(d.Pos, d.Type, true, true, "local ", d.Name)
 			}})
 		}
+	}
+}
+
+// checkAnnotations validates the qualifiers in t, declared at pos for what+name
+// (a variable's when isVariable); top marks t as the declared type itself
+// rather than a type under it.
+func (en *engine) checkAnnotations(pos cminor.Pos, t cminor.Type, top, isVariable bool, what, name string) {
+	switch t := t.(type) {
+	case cminor.QualType:
+		for _, q := range t.Quals {
+			en.stats.Annotations[q]++
+			d := en.reg.Lookup(q)
+			if d == nil {
+				en.errorf(pos, "annotation", "unknown qualifier %s on %s%s", q, what, name)
+				continue
+			}
+			if !d.Subject.Type.Matches(t.Base) {
+				en.errorf(pos, "annotation", "qualifier %s applies to %s types, but annotates %s (%s%s)", q, d.Subject.Type, t.Base, what, name)
+			}
+			if d.Kind == qdl.RefQualifier && d.Subject.Classifier == qdl.ClassVar && (!top || !isVariable) {
+				en.errorf(pos, "annotation", "qualifier %s applies only to variables (%s%s)", q, what, name)
+			}
+		}
+		en.checkAnnotations(pos, t.Base, false, isVariable, what, name)
+	case cminor.PointerType:
+		en.checkAnnotations(pos, t.Elem, false, isVariable, what, name)
+	case cminor.ArrayType:
+		en.checkAnnotations(pos, t.Elem, false, isVariable, what, name)
 	}
 }
 
 // ---- Main checking pass ----
 
 // preFuncPasses runs the program-level passes that precede the function-body
-// walks: restrict-clause precomputation and global-initializer checking.
-// Diagnostics emitted here land before any function's in en.diags, matching
-// source order.
+// walks: global-initializer checking. Diagnostics emitted here land before any
+// function's in en.diags, matching source order.
 func (en *engine) preFuncPasses() {
-	// Precompute restrict clauses; they are applied to every expression and
-	// dereference during the statement walks.
-	for _, d := range en.reg.Defs() {
-		for _, cl := range d.Restricts {
-			if _, ok := cl.Pat.(qdl.PDeref); ok {
-				en.rDerefClauses = append(en.rDerefClauses, rclause{d, cl})
-			} else {
-				en.rExprClauses = append(en.rExprClauses, rclause{d, cl})
-			}
-		}
-	}
 	for _, g := range en.prog.Globals {
 		if g.Init != nil {
 			en.visitExprTree(g.Init)
@@ -432,7 +406,7 @@ func (en *engine) checkFunc(f *cminor.FuncDef) {
 		return
 	}
 	en.curFn = f
-	en.env = refEnv{}
+	en.env = nil
 	en.checkStmt(f.Body)
 	en.curFn = nil
 }
@@ -467,26 +441,23 @@ func (en *engine) safeCheckFunc(f *cminor.FuncDef) {
 	en.checkFunc(f)
 }
 
-// childEngine clones the engine for one function: immutable tables (registry,
-// type info, clause lists, flow precomputation) are shared; diagnostic,
-// statistic, memo, and environment state is private.
-func (en *engine) childEngine() *engine {
+// childEngine clones the engine for walking f: immutable tables (registry,
+// compiled clauses, type info, flow precomputation) are shared; diagnostic,
+// statistic, memo, and environment state is private. The memo covers f's
+// node numbers.
+func (en *engine) childEngine(f *cminor.FuncDef) *engine {
 	return &engine{
-		reg:           en.reg,
-		info:          en.info,
-		prog:          en.prog,
-		memo:          map[cminor.Expr]map[string]bool{},
-		flow:          en.flow,
-		env:           refEnv{},
-		addrTaken:     en.addrTaken,
-		globalNames:   en.globalNames,
-		rExprClauses:  en.rExprClauses,
-		rDerefClauses: en.rDerefClauses,
-		valueDefs:     en.valueDefs,
-		defCurDep:     en.defCurDep,
-		fc:            en.fc,
-		ctxKey:        en.ctxKey,
-		ctx:           en.ctx,
+		reg:         en.reg,
+		tab:         en.tab,
+		info:        en.info,
+		prog:        en.prog,
+		memo:        memo{r: f.Nodes},
+		flow:        en.flow,
+		addrTaken:   en.addrTaken,
+		globalNames: en.globalNames,
+		fc:          en.fc,
+		ctxKey:      en.ctxKey,
+		ctx:         en.ctx,
 	}
 }
 
@@ -612,16 +583,21 @@ func (en *engine) restrictExpr(e cminor.Expr) {
 	if _, ok := e.(*cminor.LVExpr); ok {
 		return // l-values are matched via restrictLValue
 	}
-	for _, rc := range en.rExprClauses {
+	cs := en.tab.rExpr[headOf(e)]
+	if len(cs) == 0 {
+		return
+	}
+	et := en.info.TypeOf(e)
+	for _, c := range cs {
 		var b bindings
-		if !en.matchPattern(rc.def, rc.cl, rc.cl.Pat, e, &b) {
+		if !en.matchClause(c, e, et, &b) {
 			continue
 		}
 		en.stats.RestrictChecks++
-		if rc.cl.Where != nil && !en.evalWhere(rc.cl.Where, &b, nil, nil) {
+		if c.where != nil && !en.evalWhere(c.where, &b, nil, 0) {
 			en.stats.RestrictFailures++
 			en.errorf(e.Position(), "restrict", "%s violates qualifier %s's restrict rule: %s",
-				cminor.ExprString(e), rc.def.Name, rc.cl)
+				cminor.ExprString(e), c.def.Name, c.src)
 		}
 	}
 }
@@ -631,21 +607,19 @@ func (en *engine) restrictLValue(lv cminor.LValue) {
 	if !ok {
 		return
 	}
-	for _, rc := range en.rDerefClauses {
-		pat := rc.cl.Pat.(qdl.PDeref)
-		vp, ok := declOf(rc.def, rc.cl, pat.Name)
-		if !ok {
+	for _, c := range en.tab.rDeref {
+		if c.kind != patDeref {
 			continue
 		}
 		var b bindings
-		if !en.bindExpr(vp, dlv.Addr, &b) {
+		if !en.bindExpr(&c.x, dlv.Addr, nil, &b) {
 			continue
 		}
 		en.stats.RestrictChecks++
-		if rc.cl.Where != nil && !en.evalWhere(rc.cl.Where, &b, nil, nil) {
+		if c.where != nil && !en.evalWhere(c.where, &b, nil, 0) {
 			en.stats.RestrictFailures++
 			en.errorf(dlv.Pos, "restrict", "dereference of %s violates qualifier %s's restrict rule: %s",
-				cminor.ExprString(dlv.Addr), rc.def.Name, rc.cl)
+				cminor.ExprString(dlv.Addr), c.def.Name, c.src)
 		}
 	}
 }
@@ -725,12 +699,9 @@ func (en *engine) checkCallResult(in *cminor.CallInstr, resultType cminor.Type) 
 		}
 	}
 	// Value qualifiers: the declared result type must carry them.
-	resultQuals := map[string]bool{}
-	for _, q := range en.valueQualsOf(resultType) {
-		resultQuals[q] = true
-	}
-	for _, q := range en.valueQualsOf(lt) {
-		if !resultQuals[q] {
+	resultQuals := en.tab.valueSet(resultType)
+	for _, q := range cminor.QualsOf(lt) {
+		if bit := en.tab.bit(q); bit != 0 && !resultQuals.has(bit) {
 			en.errorf(in.Pos, "qual",
 				"result of %s (type %s) lacks qualifier %s required by %s",
 				in.Fn, resultType, q, cminor.LValueString(in.LHS))
@@ -746,7 +717,7 @@ func (en *engine) freshTransferReturn(lve *cminor.LVExpr) bool {
 	if !ok {
 		return false
 	}
-	def := en.info.VarDefs[v]
+	def := en.info.VarDef(v)
 	if def == nil || def.Kind != cminor.LocalVar {
 		return false
 	}
@@ -797,7 +768,7 @@ func (en *engine) returnsFresh(fnName, q string) bool {
 			fresh = false
 			return
 		}
-		def := en.info.VarDefs[v]
+		def := en.info.VarDef(v)
 		if def == nil || def.Kind != cminor.LocalVar || !cminor.HasQual(def.Type, q) {
 			fresh = false
 		}
@@ -833,8 +804,8 @@ func (en *engine) checkAssignToWith(pos cminor.Pos, dst cminor.Type, rhs cminor.
 	// Value qualifiers on the destination: derivable on the right-hand side
 	// (implicit subtyping lets extra qualifiers on rhs be dropped).
 	set := en.qualSet(rhs)
-	for _, q := range en.valueQualsOf(dst) {
-		if !set[q] {
+	for _, q := range cminor.QualsOf(dst) {
+		if bit := en.tab.bit(q); bit != 0 && !set.has(bit) {
 			en.errorf(pos, "qual", "%s: %s cannot be given qualifier %s (a cast would insert a run-time check)",
 				what(), cminor.ExprString(rhs), q)
 		}
@@ -890,15 +861,23 @@ func isNullish(t cminor.Type) bool {
 // matchesAssignClauses reports whether rhs matches one of d's assign rules
 // for a destination of type dst.
 func (en *engine) matchesAssignClauses(d *qdl.Def, dst cminor.Type, rhs cminor.Expr) bool {
-	for _, cl := range d.Assigns {
-		var b bindings
-		if !en.matchTypePat(d.Subject.Type, dst, &b) {
+	ad := en.tab.assigns[d]
+	if ad == nil {
+		return false
+	}
+	// The subject's type pattern is matched against the destination once,
+	// as matchesAnyCase probes it once for all cases.
+	var probe bindings
+	if !matchType(&ad.subj, dst, &probe) {
+		return false
+	}
+	rt := en.info.TypeOf(rhs)
+	for _, c := range ad.cases {
+		b := probe
+		if !en.matchClause(c, rhs, rt, &b) {
 			continue
 		}
-		if !en.matchPattern(d, cl, cl.Pat, rhs, &b) {
-			continue
-		}
-		if cl.Where != nil && !en.evalWhere(cl.Where, &b, rhs, map[string]bool{}) {
+		if c.where != nil && !en.evalWhere(c.where, &b, rhs, 0) {
 			continue
 		}
 		return true

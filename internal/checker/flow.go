@@ -24,33 +24,24 @@ import (
 // the same invariants the soundness checker proved.
 
 // refEnv maps variable names to the set of refined-in qualifiers.
-type refEnv map[string]map[string]bool
+type refEnv map[string]qset
 
 func (e refEnv) clone() refEnv {
 	out := make(refEnv, len(e))
 	for k, v := range e {
-		qs := make(map[string]bool, len(v))
-		for q := range v {
-			qs[q] = true
-		}
-		out[k] = qs
+		out[k] = v
 	}
 	return out
 }
 
 // merge adds refinements (union per variable).
-func (e refEnv) merge(add map[string][]string) refEnv {
+func (e refEnv) merge(add refEnv) refEnv {
 	if len(add) == 0 {
 		return e
 	}
 	out := e.clone()
 	for name, qs := range add {
-		if out[name] == nil {
-			out[name] = map[string]bool{}
-		}
-		for _, q := range qs {
-			out[name][q] = true
-		}
+		out[name] |= qs
 	}
 	return out
 }
@@ -217,20 +208,13 @@ func (en *engine) refinableVar(e cminor.Expr) (string, bool) {
 
 // refinementsFromCond extracts qualifier refinements implied by a branch
 // condition (negate selects the else-branch sense).
-func (en *engine) refinementsFromCond(cond cminor.Expr, negate bool) map[string][]string {
-	out := map[string][]string{}
+func (en *engine) refinementsFromCond(cond cminor.Expr, negate bool) refEnv {
+	out := refEnv{}
 	var walk func(e cminor.Expr, neg bool)
 	addShape := func(name string, shape cmpShape) {
-		for _, d := range en.reg.Defs() {
-			if d.Kind != qdl.ValueQualifier || d.Invariant == nil {
-				continue
-			}
-			inv, ok := invariantShape(d)
-			if !ok {
-				continue
-			}
-			if condImpliesInvariant(shape, inv) {
-				out[name] = append(out[name], d.Name)
+		for _, inv := range en.tab.shapes {
+			if condImpliesInvariant(shape, inv.shape) {
+				out[name] |= inv.bit
 			}
 		}
 	}

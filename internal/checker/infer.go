@@ -44,7 +44,7 @@ type inferCandidate struct {
 	orig    cminor.Type // declared type before inference
 	getType func() cminor.Type
 	setType func(cminor.Type)
-	assumed map[string]bool
+	assumed qset
 }
 
 func posKey(p cminor.Pos) string { return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col) }
@@ -55,6 +55,7 @@ func posKey(p cminor.Pos) string { return fmt.Sprintf("%s:%d:%d", p.File, p.Line
 // FuncDef.Src is cleared; re-run Check afterwards to validate (inference
 // never introduces new warnings on a program that previously checked).
 func Infer(prog *cminor.Program, reg *qdl.Registry, qualNames []string) ([]InferredAnnotation, error) {
+	tab := tablesFor(reg)
 	var defs []*qdl.Def
 	for _, q := range qualNames {
 		d := reg.Lookup(q)
@@ -73,7 +74,7 @@ func Infer(prog *cminor.Program, reg *qdl.Registry, qualNames []string) ([]Infer
 	addCandidate := func(pos cminor.Pos, name, where string, get func() cminor.Type, set func(cminor.Type)) {
 		c := &inferCandidate{
 			key: posKey(pos), name: name, where: where, pos: pos,
-			orig: get(), getType: get, setType: set, assumed: map[string]bool{},
+			orig: get(), getType: get, setType: set,
 		}
 		candidates = append(candidates, c)
 		byKey[c.key] = c
@@ -98,18 +99,13 @@ func Infer(prog *cminor.Program, reg *qdl.Registry, qualNames []string) ([]Infer
 
 	// Seed assumptions: the qualifier's subject type pattern must match the
 	// declared type, and the site must not already carry the qualifier.
-	en0 := &engine{reg: reg, memo: map[cminor.Expr]map[string]bool{}}
 	for _, c := range candidates {
 		for _, d := range defs {
 			t := c.getType()
-			if cminor.HasQual(t, d.Name) {
+			if cminor.HasQual(t, d.Name) || !d.Subject.Type.Matches(t) {
 				continue
 			}
-			var b bindings
-			if !en0.matchTypePat(d.Subject.Type, t, &b) {
-				continue
-			}
-			c.assumed[d.Name] = true
+			c.assumed |= tab.bit(d.Name)
 		}
 	}
 
@@ -129,7 +125,7 @@ func Infer(prog *cminor.Program, reg *qdl.Registry, qualNames []string) ([]Infer
 			}
 			for i := range f.Params {
 				if c := byKey[posKey(f.Params[i].Pos)]; c != nil {
-					c.assumed = map[string]bool{}
+					c.assumed = 0
 				}
 			}
 		}
@@ -145,9 +141,9 @@ func Infer(prog *cminor.Program, reg *qdl.Registry, qualNames []string) ([]Infer
 				return
 			}
 			if v, isVar := ao.LV.(*cminor.VarLV); isVar {
-				if def := info.VarDefs[v]; def != nil {
+				if def := info.VarDef(v); def != nil {
 					if c := byKey[posKey(def.Pos)]; c != nil {
-						c.assumed = map[string]bool{}
+						c.assumed = 0
 					}
 				}
 			}
@@ -158,10 +154,7 @@ func Infer(prog *cminor.Program, reg *qdl.Registry, qualNames []string) ([]Infer
 		for _, c := range candidates {
 			// Rebuild from the original declared type plus the surviving
 			// assumptions, so user-written annotations are never touched.
-			var add []string
-			for q := range c.assumed {
-				add = append(add, q)
-			}
+			add := tab.names(c.assumed)
 			sort.Strings(add)
 			c.setType(cminor.Qualify(c.orig, add...))
 		}
@@ -172,28 +165,21 @@ func Infer(prog *cminor.Program, reg *qdl.Registry, qualNames []string) ([]Infer
 	for round := 0; round < len(candidates)*len(defs)+2; round++ {
 		apply()
 		info, _ := cminor.TypeCheck(prog)
-		en := &engine{reg: reg, info: info, prog: prog, memo: map[cminor.Expr]map[string]bool{}}
-		en.prepareDerive()
+		en := &engine{reg: reg, tab: tab, info: info, prog: prog, memo: memo{r: cminor.NodeRange{Lo: 1, Hi: prog.Nodes + 1}}}
 		changed := false
-		retract := func(def *cminor.VarDef, rhsQuals map[string]bool, resultQuals map[string]bool) {
+		// keep retracts every assumption of c that have lacks.
+		keep := func(c *inferCandidate, have qset) {
+			if kept := c.assumed & have; kept != c.assumed {
+				c.assumed = kept
+				changed = true
+			}
+		}
+		retract := func(def *cminor.VarDef, have qset) {
 			if def == nil {
 				return
 			}
-			c := byKey[posKey(def.Pos)]
-			if c == nil {
-				return
-			}
-			for q := range c.assumed {
-				ok := false
-				if rhsQuals != nil {
-					ok = rhsQuals[q]
-				} else if resultQuals != nil {
-					ok = resultQuals[q]
-				}
-				if !ok {
-					delete(c.assumed, q)
-					changed = true
-				}
+			if c := byKey[posKey(def.Pos)]; c != nil {
+				keep(c, have)
 			}
 		}
 		defOfLV := func(lv cminor.LValue) *cminor.VarDef {
@@ -201,19 +187,12 @@ func Infer(prog *cminor.Program, reg *qdl.Registry, qualNames []string) ([]Infer
 			if !ok {
 				return nil
 			}
-			return info.VarDefs[v]
-		}
-		resultQualSet := func(t cminor.Type) map[string]bool {
-			out := map[string]bool{}
-			for _, q := range en.valueQualsOf(t) {
-				out[q] = true
-			}
-			return out
+			return info.VarDef(v)
 		}
 		handleInstr := func(in cminor.Instr) {
 			switch in := in.(type) {
 			case *cminor.Assign:
-				retract(defOfLV(in.LHS), en.qualSet(in.RHS), nil)
+				retract(defOfLV(in.LHS), en.qualSet(in.RHS))
 			case *cminor.CallInstr:
 				fn, ok := info.Funcs[in.Fn]
 				if !ok {
@@ -223,17 +202,12 @@ func Infer(prog *cminor.Program, reg *qdl.Registry, qualNames []string) ([]Infer
 					if i >= len(fn.Params) {
 						break
 					}
-					if c := byKey[posKey(fn.Params[i].Pos)]; c != nil {
-						for q := range c.assumed {
-							if !en.qualSet(a)[q] {
-								delete(c.assumed, q)
-								changed = true
-							}
-						}
+					if c := byKey[posKey(fn.Params[i].Pos)]; c != nil && c.assumed != 0 {
+						keep(c, en.qualSet(a))
 					}
 				}
 				if in.LHS != nil {
-					retract(defOfLV(in.LHS), nil, resultQualSet(fn.Signature().Result))
+					retract(defOfLV(in.LHS), tab.valueSet(fn.Signature().Result))
 				}
 			}
 		}
@@ -247,13 +221,8 @@ func Infer(prog *cminor.Program, reg *qdl.Registry, qualNames []string) ([]Infer
 				if d.Init == nil {
 					return
 				}
-				if c := byKey[posKey(d.Pos)]; c != nil {
-					for q := range c.assumed {
-						if !en.qualSet(d.Init)[q] {
-							delete(c.assumed, q)
-							changed = true
-						}
-					}
+				if c := byKey[posKey(d.Pos)]; c != nil && c.assumed != 0 {
+					keep(c, en.qualSet(d.Init))
 				}
 			},
 		})
@@ -265,10 +234,7 @@ func Infer(prog *cminor.Program, reg *qdl.Registry, qualNames []string) ([]Infer
 
 	var out []InferredAnnotation
 	for _, c := range candidates {
-		qs := make([]string, 0, len(c.assumed))
-		for q := range c.assumed {
-			qs = append(qs, q)
-		}
+		qs := tab.names(c.assumed)
 		sort.Strings(qs)
 		for _, q := range qs {
 			out = append(out, InferredAnnotation{Pos: c.pos, Var: c.name, Where: c.where, Qual: q})

@@ -92,7 +92,7 @@ func (r *TreeResult) FilesPerSec() float64 {
 // from one save to the next instead of being rebuilt per pass. Close releases
 // the pool; a closed TreeChecker must not be used again.
 type TreeChecker struct {
-	reg       *qdl.Registry
+	tab       *tables // the registry compiled once for every file
 	opts      TreeOptions
 	qualNames map[string]bool
 	maxBytes  int64
@@ -108,7 +108,7 @@ func NewTreeChecker(reg *qdl.Registry, opts TreeOptions) *TreeChecker {
 		maxBytes = input.DefaultMaxFileBytes
 	}
 	return &TreeChecker{
-		reg:       reg,
+		tab:       tablesFor(reg),
 		opts:      opts,
 		qualNames: reg.Names(),
 		maxBytes:  maxBytes,
@@ -137,7 +137,7 @@ func (tc *TreeChecker) CheckFiles(ctx context.Context, files []input.File) []Fil
 	for i := range files {
 		i, f := i, files[i]
 		tc.pool.Submit(func(c *scheduler.Ctx) {
-			checkFileTask(ctx, c, f, tc.reg, tc.qualNames, tc.maxBytes, tc.reader, tc.opts, &results[i])
+			checkFileTask(ctx, c, f, tc.tab, tc.qualNames, tc.maxBytes, tc.reader, tc.opts, &results[i])
 		})
 	}
 	tc.pool.Wait()
@@ -185,7 +185,7 @@ func CheckTree(ctx context.Context, root string, reg *qdl.Registry, opts TreeOpt
 // last function unit to finish writes the file's result (there is no
 // blocking join — a worker is never parked waiting for another worker's
 // units).
-func checkFileTask(ctx context.Context, c *scheduler.Ctx, f input.File, reg *qdl.Registry,
+func checkFileTask(ctx context.Context, c *scheduler.Ctx, f input.File, tab *tables,
 	qualNames map[string]bool, maxBytes int64, reader *input.Reader, opts TreeOptions, out *FileResult) {
 	out.File = f.Rel
 	if err := ctx.Err(); err != nil {
@@ -213,7 +213,7 @@ func checkFileTask(ctx context.Context, c *scheduler.Ctx, f input.File, reg *qdl
 		out.Err = err
 		return
 	}
-	checkProgram(ctx, c, prog, reg, opts.Options, opts.Cache, func(res *Result) {
+	checkProgram(ctx, c, prog, tab, opts.Options, opts.Cache, func(res *Result) {
 		out.Diags, out.Stats, out.Err = res.Diags, res.Stats, res.Err
 	})
 }

@@ -82,7 +82,7 @@ func BenchmarkFuncKey(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ctxKey := newEngine(context.Background(), prog, reg, Options{}, NewFuncCache(0)).ctxKey
+		ctxKey := newEngine(context.Background(), prog, compileTables(reg), Options{}, NewFuncCache(0)).ctxKey
 		for _, f := range prog.Funcs {
 			units = append(units, unit{ctxKey, f})
 		}
@@ -95,4 +95,38 @@ func BenchmarkFuncKey(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(units)), "funcs/op")
+}
+
+// BenchmarkFuncWalk measures the qualifier checker alone: CheckWithCache over
+// every program of the BenchmarkCheckTree corpus with its base type
+// information precomputed, no function cache, and one worker, so the number
+// is the per-function walks plus the program-level passes around them.
+// Parsing and typechecking happen before the timer starts.
+func BenchmarkFuncWalk(b *testing.B) {
+	reg := quals.MustStandard()
+	type unit struct {
+		prog  *cminor.Program
+		info  *cminor.TypeInfo
+		diags []cminor.Diagnostic
+	}
+	var units []unit
+	for i := 0; i < 96; i++ {
+		prog, err := cminor.Parse(corpus.TreeFileName(i), corpus.TreeFile(0x7ee5eed, i), reg.Names())
+		if err != nil {
+			b.Fatal(err)
+		}
+		info, diags := cminor.TypeCheck(prog)
+		units = append(units, unit{prog, info, diags})
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, u := range units {
+			res := CheckWithCache(ctx, u.prog, reg, Options{Types: u.info, TypeDiags: u.diags, Concurrency: 1}, nil)
+			if res.Err != nil {
+				b.Fatal(res.Err)
+			}
+		}
+	}
 }

@@ -15,14 +15,34 @@ type Node interface {
 // Expr is a side-effect-free expression.
 type Expr interface {
 	Node
+	ID() NodeID
 	isExpr()
 }
 
 // LValue is an addressable expression.
 type LValue interface {
 	Node
+	ID() NodeID
 	isLValue()
 }
+
+// NodeID is the number Parse gives an expression or l-value node as it
+// builds it. The numbers of one Program are 1..Program.Nodes, each used by
+// exactly one node, and the nodes of one function body form the contiguous
+// range FuncDef.Nodes. A node not built by Parse has number 0 (unnumbered);
+// consumers that index tables by number keep such nodes aside. Numbers never
+// change after Parse, so a program may be typechecked any number of times,
+// concurrently too.
+type NodeID int32
+
+// NodeRange is the half-open range of node numbers [Lo, Hi).
+type NodeRange struct{ Lo, Hi NodeID }
+
+// Contains reports whether id lies in the range; it never holds for 0.
+func (r NodeRange) Contains(id NodeID) bool { return id >= r.Lo && id < r.Hi && id != 0 }
+
+// Len is the number of node numbers in the range.
+func (r NodeRange) Len() int { return int(r.Hi - r.Lo) }
 
 // Instr is a side-effecting instruction (assignment or call).
 type Instr interface {
@@ -43,29 +63,34 @@ type IntLit struct {
 	Pos    Pos
 	Value  int64
 	IsChar bool
+	id     NodeID
 }
 
 // StrLit is a string literal; its type is char*.
 type StrLit struct {
 	Pos   Pos
 	Value string
+	id    NodeID
 }
 
 // NullLit is the NULL pointer constant.
 type NullLit struct {
 	Pos Pos
+	id  NodeID
 }
 
 // LVExpr is the r-use of an l-value (reading its contents).
 type LVExpr struct {
 	Pos Pos
 	LV  LValue
+	id  NodeID
 }
 
 // AddrOf is &lv.
 type AddrOf struct {
 	Pos Pos
 	LV  LValue
+	id  NodeID
 }
 
 // UnopKind enumerates unary operators.
@@ -89,6 +114,7 @@ type Unop struct {
 	Pos Pos
 	Op  UnopKind
 	X   Expr
+	id  NodeID
 }
 
 // BinopKind enumerates binary operators.
@@ -125,6 +151,7 @@ type Binop struct {
 	Pos  Pos
 	Op   BinopKind
 	L, R Expr
+	id   NodeID
 }
 
 // Cast is (type) x. Casts to value-qualified types are instrumented with
@@ -133,12 +160,14 @@ type Cast struct {
 	Pos  Pos
 	Type Type
 	X    Expr
+	id   NodeID
 }
 
 // SizeofExpr is sizeof(type); it evaluates to the type's size.
 type SizeofExpr struct {
 	Pos  Pos
 	Type Type
+	id   NodeID
 }
 
 // NewExpr is a memory allocation (a malloc call). It is an expression node
@@ -147,6 +176,7 @@ type SizeofExpr struct {
 type NewExpr struct {
 	Pos  Pos
 	Size Expr
+	id   NodeID
 }
 
 func (*IntLit) isExpr()     {}
@@ -159,6 +189,17 @@ func (*Binop) isExpr()      {}
 func (*Cast) isExpr()       {}
 func (*SizeofExpr) isExpr() {}
 func (*NewExpr) isExpr()    {}
+
+func (e *IntLit) ID() NodeID     { return e.id }
+func (e *StrLit) ID() NodeID     { return e.id }
+func (e *NullLit) ID() NodeID    { return e.id }
+func (e *LVExpr) ID() NodeID     { return e.id }
+func (e *AddrOf) ID() NodeID     { return e.id }
+func (e *Unop) ID() NodeID       { return e.id }
+func (e *Binop) ID() NodeID      { return e.id }
+func (e *Cast) ID() NodeID       { return e.id }
+func (e *SizeofExpr) ID() NodeID { return e.id }
+func (e *NewExpr) ID() NodeID    { return e.id }
 
 func (e *IntLit) Position() Pos     { return e.Pos }
 func (e *StrLit) Position() Pos     { return e.Pos }
@@ -177,6 +218,7 @@ func (e *NewExpr) Position() Pos    { return e.Pos }
 type VarLV struct {
 	Pos  Pos
 	Name string
+	id   NodeID
 }
 
 // DerefLV is *addr. Array indexing a[i] is desugared to *(a+i), matching
@@ -184,6 +226,7 @@ type VarLV struct {
 type DerefLV struct {
 	Pos  Pos
 	Addr Expr
+	id   NodeID
 }
 
 // FieldLV is base.field (p->f is (*p).f).
@@ -191,11 +234,16 @@ type FieldLV struct {
 	Pos   Pos
 	Base  LValue
 	Field string
+	id    NodeID
 }
 
 func (*VarLV) isLValue()   {}
 func (*DerefLV) isLValue() {}
 func (*FieldLV) isLValue() {}
+
+func (l *VarLV) ID() NodeID   { return l.id }
+func (l *DerefLV) ID() NodeID { return l.id }
+func (l *FieldLV) ID() NodeID { return l.id }
 
 func (l *VarLV) Position() Pos   { return l.Pos }
 func (l *DerefLV) Position() Pos { return l.Pos }
@@ -345,6 +393,10 @@ type FuncDef struct {
 	// it fixes the function's tokens and the column of every one of them.
 	// Empty when the FuncDef was not built by Parse.
 	Src string
+	// Nodes is the range of node numbers Parse gave the body's expressions
+	// and l-values (see NodeID); empty for a prototype or a FuncDef not
+	// built by Parse.
+	Nodes NodeRange
 }
 
 // Signature returns the function's type.
@@ -362,6 +414,9 @@ type Program struct {
 	Structs []*StructDef
 	Globals []*VarDecl
 	Funcs   []*FuncDef
+	// Nodes is the highest node number Parse gave (see NodeID); 0 for a
+	// program not built by Parse.
+	Nodes NodeID
 }
 
 // Struct returns the definition of the named struct, or nil.

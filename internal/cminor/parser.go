@@ -25,6 +25,9 @@ type Parser struct {
 	// lineOff. Functions come in source order, so it only moves forward.
 	lines   int
 	lineOff int
+
+	// nodes is the last node number given (see NodeID).
+	nodes NodeID
 }
 
 // MaxSourceBytes caps the size of one translation unit. The checker is
@@ -50,6 +53,14 @@ func (p *Parser) enter() error {
 
 func (p *Parser) leave() { p.depth-- }
 
+// id gives the next node number. Constructors number a node after its
+// children, so a wrapper discarded right after it was built holds the newest
+// number and unwrapLValue can take it back.
+func (p *Parser) id() NodeID {
+	p.nodes++
+	return p.nodes
+}
+
 // Parse parses a translation unit. qualNames is the set of user-defined
 // qualifier names in scope.
 func Parse(file, src string, qualNames map[string]bool) (*Program, error) {
@@ -69,6 +80,7 @@ func Parse(file, src string, qualNames map[string]bool) (*Program, error) {
 			return nil, err
 		}
 	}
+	prog.Nodes = p.nodes
 	return prog, nil
 }
 
@@ -420,12 +432,14 @@ func (p *Parser) parseFuncRest(result Type, name Token, startLine int) (*FuncDef
 		fn.Src = p.span(startLine, p.tok.Pos)
 		return fn, p.next() // prototype
 	}
+	lo := p.nodes + 1
 	body, err := p.parseBlock()
 	if err != nil {
 		return nil, err
 	}
 	fn.Body = body
 	fn.Src = p.span(startLine, p.blockEnd)
+	fn.Nodes = NodeRange{Lo: lo, Hi: p.nodes + 1}
 	return fn, nil
 }
 
@@ -578,7 +592,7 @@ func (p *Parser) parseStmt() ([]Stmt, error) {
 				init := d.Init
 				d.Init = nil
 				out = append(out, &DeclStmt{Pos: d.Pos, Decl: d})
-				lv := &VarLV{Pos: d.Pos, Name: d.Name}
+				lv := &VarLV{Pos: d.Pos, Name: d.Name, id: p.id()}
 				instr, err := p.assignOrCall(d.Pos, lv, init)
 				if err != nil {
 					return nil, err
@@ -688,7 +702,7 @@ func (p *Parser) parseSimpleStmt(wantSemi bool) (Stmt, error) {
 	var instr Instr
 	switch p.tok.Kind {
 	case TokAssign:
-		lv, err := exprToLValue(e)
+		lv, err := p.unwrapLValue(e)
 		if err != nil {
 			return nil, err
 		}
@@ -715,7 +729,8 @@ func (p *Parser) parseSimpleStmt(wantSemi bool) (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		instr = &Assign{Pos: pos, LHS: lv, RHS: &Binop{Pos: pos, Op: op, L: e, R: &IntLit{Pos: pos, Value: 1}}}
+		one := &IntLit{Pos: pos, Value: 1, id: p.id()}
+		instr = &Assign{Pos: pos, LHS: lv, RHS: &Binop{Pos: pos, Op: op, L: e, R: one, id: p.id()}}
 	case TokPlusAssign, TokMinusAssign:
 		op := BAdd
 		if p.tok.Kind == TokMinusAssign {
@@ -735,7 +750,7 @@ func (p *Parser) parseSimpleStmt(wantSemi bool) (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		instr = &Assign{Pos: pos, LHS: lv, RHS: &Binop{Pos: pos, Op: op, L: e, R: rhs}}
+		instr = &Assign{Pos: pos, LHS: lv, RHS: &Binop{Pos: pos, Op: op, L: e, R: rhs, id: p.id()}}
 	default:
 		// Standalone call.
 		call, ok := e.(*callExpr)
@@ -763,7 +778,7 @@ func (p *Parser) assignOrCall(pos Pos, lv LValue, rhs Expr) (Instr, error) {
 			if len(call.args) != 1 {
 				return nil, fmt.Errorf("%s: malloc takes one argument", pos)
 			}
-			return &Assign{Pos: pos, LHS: lv, RHS: &NewExpr{Pos: call.pos, Size: call.args[0]}}, nil
+			return &Assign{Pos: pos, LHS: lv, RHS: &NewExpr{Pos: call.pos, Size: call.args[0], id: p.id()}}, nil
 		}
 		return &CallInstr{Pos: pos, LHS: lv, Fn: call.fn, Args: call.args}, nil
 	}
@@ -773,7 +788,7 @@ func (p *Parser) assignOrCall(pos Pos, lv LValue, rhs Expr) (Instr, error) {
 				if len(call.args) != 1 {
 					return nil, fmt.Errorf("%s: malloc takes one argument", pos)
 				}
-				cast.X = &NewExpr{Pos: call.pos, Size: call.args[0]}
+				cast.X = &NewExpr{Pos: call.pos, Size: call.args[0], id: p.id()}
 				return &Assign{Pos: pos, LHS: lv, RHS: cast}, nil
 			}
 			return nil, fmt.Errorf("%s: calls cannot appear under casts; assign to a temporary first", pos)
@@ -795,6 +810,7 @@ type callExpr struct {
 }
 
 func (c *callExpr) isExpr()       {}
+func (c *callExpr) ID() NodeID    { return 0 }
 func (c *callExpr) Position() Pos { return c.pos }
 
 // containsCall reports whether e contains a parse-time call node.
@@ -831,6 +847,17 @@ func rejectCallLV(lv LValue) error {
 		return rejectCallLV(lv.Base)
 	}
 	return nil
+}
+
+// unwrapLValue is exprToLValue for a parsed expression whose LVExpr wrapper
+// is dropped: it takes back the wrapper's number, which is the newest one, so
+// the program's numbers stay dense.
+func (p *Parser) unwrapLValue(e Expr) (LValue, error) {
+	lv, err := exprToLValue(e)
+	if err == nil && e.ID() == p.nodes {
+		p.nodes--
+	}
+	return lv, err
 }
 
 // exprToLValue reinterprets a parsed expression as an assignment target.
@@ -878,7 +905,7 @@ func (p *Parser) parseBinary(level int) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		left = &Binop{Pos: pos, Op: op, L: left, R: right}
+		left = &Binop{Pos: pos, Op: op, L: left, R: right, id: p.id()}
 	}
 }
 
@@ -898,9 +925,11 @@ func (p *Parser) parseUnary() (Expr, error) {
 			return nil, err
 		}
 		if lit, ok := x.(*IntLit); ok && !lit.IsChar {
-			return &IntLit{Pos: pos, Value: -lit.Value}, nil
+			// Fold the negation into the literal, which keeps its number.
+			lit.Pos, lit.Value = pos, -lit.Value
+			return lit, nil
 		}
-		return &Unop{Pos: pos, Op: UNeg, X: x}, nil
+		return &Unop{Pos: pos, Op: UNeg, X: x, id: p.id()}, nil
 	case TokBang:
 		if err := p.next(); err != nil {
 			return nil, err
@@ -909,7 +938,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Unop{Pos: pos, Op: UNot, X: x}, nil
+		return &Unop{Pos: pos, Op: UNot, X: x, id: p.id()}, nil
 	case TokStar:
 		if err := p.next(); err != nil {
 			return nil, err
@@ -918,7 +947,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &LVExpr{Pos: pos, LV: &DerefLV{Pos: pos, Addr: x}}, nil
+		return p.lvExpr(pos, &DerefLV{Pos: pos, Addr: x, id: p.id()}), nil
 	case TokAmp:
 		if err := p.next(); err != nil {
 			return nil, err
@@ -927,11 +956,11 @@ func (p *Parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		lv, err := exprToLValue(x)
+		lv, err := p.unwrapLValue(x)
 		if err != nil {
 			return nil, err
 		}
-		return &AddrOf{Pos: pos, LV: lv}, nil
+		return &AddrOf{Pos: pos, LV: lv, id: p.id()}, nil
 	case TokKwSizeof:
 		if err := p.next(); err != nil {
 			return nil, err
@@ -946,7 +975,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 		if _, err := p.expect(TokRParen); err != nil {
 			return nil, err
 		}
-		return &SizeofExpr{Pos: pos, Type: t}, nil
+		return &SizeofExpr{Pos: pos, Type: t, id: p.id()}, nil
 	case TokLParen:
 		// Cast or parenthesized expression: a type keyword after '(' means
 		// cast (there are no typedef names in cminor).
@@ -970,7 +999,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &Cast{Pos: pos, Type: typ, X: x}, nil
+			return &Cast{Pos: pos, Type: typ, X: x, id: p.id()}, nil
 		}
 		if err := p.next(); err != nil {
 			return nil, err
@@ -992,15 +1021,15 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch p.tok.Kind {
 	case TokInt:
 		v := p.tok.Int
-		return &IntLit{Pos: pos, Value: v}, p.next()
+		return &IntLit{Pos: pos, Value: v, id: p.id()}, p.next()
 	case TokChar:
 		v := p.tok.Int
-		return &IntLit{Pos: pos, Value: v, IsChar: true}, p.next()
+		return &IntLit{Pos: pos, Value: v, IsChar: true, id: p.id()}, p.next()
 	case TokString:
 		s := p.tok.Str
-		return &StrLit{Pos: pos, Value: s}, p.next()
+		return &StrLit{Pos: pos, Value: s, id: p.id()}, p.next()
 	case TokKwNull:
-		return &NullLit{Pos: pos}, p.next()
+		return &NullLit{Pos: pos, id: p.id()}, p.next()
 	case TokIdent:
 		name := p.tok.Text
 		if err := p.next(); err != nil {
@@ -1034,9 +1063,14 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			}
 			return &callExpr{pos: pos, fn: name, args: args}, nil
 		}
-		return p.parsePostfix(&LVExpr{Pos: pos, LV: &VarLV{Pos: pos, Name: name}})
+		return p.parsePostfix(p.lvExpr(pos, &VarLV{Pos: pos, Name: name, id: p.id()}))
 	}
 	return nil, p.errf("expected an expression, found %s", p.tok.Kind)
+}
+
+// lvExpr wraps an l-value built just before it, numbering the wrapper last.
+func (p *Parser) lvExpr(pos Pos, lv LValue) *LVExpr {
+	return &LVExpr{Pos: pos, LV: lv, id: p.id()}
 }
 
 // parsePostfix handles [], ., and -> chains on an expression.
@@ -1056,7 +1090,8 @@ func (p *Parser) parsePostfix(e Expr) (Expr, error) {
 				return nil, err
 			}
 			// a[i] desugars to *(a + i), per the logical memory model.
-			e = &LVExpr{Pos: pos, LV: &DerefLV{Pos: pos, Addr: &Binop{Pos: pos, Op: BAdd, L: e, R: idx}}}
+			addr := &Binop{Pos: pos, Op: BAdd, L: e, R: idx, id: p.id()}
+			e = p.lvExpr(pos, &DerefLV{Pos: pos, Addr: addr, id: p.id()})
 		case TokDot:
 			if err := p.next(); err != nil {
 				return nil, err
@@ -1065,11 +1100,11 @@ func (p *Parser) parsePostfix(e Expr) (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			lv, err := exprToLValue(e)
+			lv, err := p.unwrapLValue(e)
 			if err != nil {
 				return nil, err
 			}
-			e = &LVExpr{Pos: pos, LV: &FieldLV{Pos: pos, Base: lv, Field: f.Text}}
+			e = p.lvExpr(pos, &FieldLV{Pos: pos, Base: lv, Field: f.Text, id: p.id()})
 		case TokArrow:
 			if err := p.next(); err != nil {
 				return nil, err
@@ -1078,7 +1113,8 @@ func (p *Parser) parsePostfix(e Expr) (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			e = &LVExpr{Pos: pos, LV: &FieldLV{Pos: pos, Base: &DerefLV{Pos: pos, Addr: e}, Field: f.Text}}
+			base := &DerefLV{Pos: pos, Addr: e, id: p.id()}
+			e = p.lvExpr(pos, &FieldLV{Pos: pos, Base: base, Field: f.Text, id: p.id()})
 		default:
 			return e, nil
 		}

@@ -33,28 +33,70 @@ type VarDef struct {
 // TypeInfo records the results of base typechecking: the (fully qualified,
 // as-declared) type of every expression and l-value, and variable
 // resolution. Qualifier checking consumes this.
+//
+// The per-node facts live in a slice indexed by node number (see NodeID),
+// sized to the program's numbers when TypeCheck starts; a node without a
+// number in that range (one not built by Parse) is kept in a map instead.
+// TypeCheck only writes its own TypeInfo, and a finished TypeInfo is
+// read-only, so checks may share one across goroutines.
 type TypeInfo struct {
-	ExprTypes map[Expr]Type
-	LVTypes   map[LValue]Type
-	VarDefs   map[*VarLV]*VarDef
-	Funcs     map[string]*FuncDef
-	Structs   map[string]*StructDef
+	Funcs   map[string]*FuncDef
+	Structs map[string]*StructDef
+
+	nodes      []nodeInfo
+	unnumbered map[Node]*nodeInfo
 }
 
-// TypeOf returns the recorded type of an expression.
-func (ti *TypeInfo) TypeOf(e Expr) Type {
-	if t, ok := ti.ExprTypes[e]; ok {
-		return t
+// nodeInfo is what typechecking records for one node: its type (nil until
+// recorded) and, for a variable l-value, the definition it resolves to.
+type nodeInfo struct {
+	t   Type
+	def *VarDef
+}
+
+// info returns n's record, or nil when none was made.
+func (ti *TypeInfo) info(id NodeID, n Node) *nodeInfo {
+	if id != 0 && int(id) < len(ti.nodes) {
+		return &ti.nodes[id]
+	}
+	return ti.unnumbered[n]
+}
+
+// record returns n's record, creating it for an unnumbered node.
+func (ti *TypeInfo) record(id NodeID, n Node) *nodeInfo {
+	if r := ti.info(id, n); r != nil {
+		return r
+	}
+	if ti.unnumbered == nil {
+		ti.unnumbered = map[Node]*nodeInfo{}
+	}
+	r := &nodeInfo{}
+	ti.unnumbered[n] = r
+	return r
+}
+
+func (ti *TypeInfo) typeOf(id NodeID, n Node) Type {
+	if r := ti.info(id, n); r != nil && r.t != nil {
+		return r.t
 	}
 	return IntType{}
 }
 
-// LVTypeOf returns the recorded declared type of an l-value.
-func (ti *TypeInfo) LVTypeOf(lv LValue) Type {
-	if t, ok := ti.LVTypes[lv]; ok {
-		return t
+// TypeOf returns the recorded type of an expression (int when none was
+// recorded).
+func (ti *TypeInfo) TypeOf(e Expr) Type { return ti.typeOf(e.ID(), e) }
+
+// LVTypeOf returns the recorded declared type of an l-value (int when none
+// was recorded).
+func (ti *TypeInfo) LVTypeOf(lv LValue) Type { return ti.typeOf(lv.ID(), lv) }
+
+// VarDef returns the definition a variable occurrence resolves to, or nil
+// when it resolved to none.
+func (ti *TypeInfo) VarDef(v *VarLV) *VarDef {
+	if r := ti.info(v.id, v); r != nil {
+		return r.def
 	}
-	return IntType{}
+	return nil
 }
 
 // checker is the base (qualifier-erased) typechecker state.
@@ -75,11 +117,9 @@ func TypeCheck(prog *Program) (*TypeInfo, []Diagnostic) {
 	s := &tcState{
 		prog: prog,
 		info: &TypeInfo{
-			ExprTypes: map[Expr]Type{},
-			LVTypes:   map[LValue]Type{},
-			VarDefs:   map[*VarLV]*VarDef{},
-			Funcs:     map[string]*FuncDef{},
-			Structs:   map[string]*StructDef{},
+			Funcs:   map[string]*FuncDef{},
+			Structs: map[string]*StructDef{},
+			nodes:   make([]nodeInfo, prog.Nodes+1),
 		},
 	}
 	for _, st := range prog.Structs {
@@ -307,7 +347,7 @@ func (s *tcState) instr(in Instr) {
 
 func (s *tcState) exprType(e Expr) Type {
 	t := s.exprTypeUncached(e)
-	s.info.ExprTypes[e] = t
+	s.info.record(e.ID(), e).t = t
 	return t
 }
 
@@ -409,7 +449,7 @@ func isNullExpr(e Expr) bool {
 
 func (s *tcState) lvalueType(lv LValue) Type {
 	t := s.lvalueTypeUncached(lv)
-	s.info.LVTypes[lv] = t
+	s.info.record(lv.ID(), lv).t = t
 	return t
 }
 
@@ -421,7 +461,7 @@ func (s *tcState) lvalueTypeUncached(lv LValue) Type {
 			s.errorf(lv.Pos, "undefined variable %s", lv.Name)
 			return IntType{}
 		}
-		s.info.VarDefs[lv] = def
+		s.info.record(lv.id, lv).def = def
 		return def.Type
 	case *DerefLV:
 		at := s.exprType(lv.Addr)

@@ -142,24 +142,28 @@ void f(int n) {
 }
 
 func TestTypeCheckQualifiedTypesRecorded(t *testing.T) {
-	info := wantClean(t, `
+	prog := mustParseProg(t, `
 int pos lcm(int pos a, int pos b) {
   int pos prod = a * b;
   return prod;
 }
 `)
+	info, diags := TypeCheck(prog)
+	for _, d := range diags {
+		t.Errorf("unexpected diagnostic: %s", d)
+	}
 	// Find the recorded type of some expression mentioning a.
 	found := false
-	for e, typ := range info.ExprTypes {
+	Walk(prog, Visitor{Expr: func(e Expr) {
 		if lve, ok := e.(*LVExpr); ok {
 			if v, ok := lve.LV.(*VarLV); ok && v.Name == "a" {
-				if !HasQual(typ, "pos") {
+				if typ := info.TypeOf(e); !HasQual(typ, "pos") {
 					t.Errorf("type of a = %s, want int pos", typ)
 				}
 				found = true
 			}
 		}
-	}
+	}})
 	if !found {
 		t.Error("no occurrence of a recorded")
 	}

@@ -1,6 +1,7 @@
 package qdl
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -633,5 +634,48 @@ value qualifier q(int Expr E)
 	}
 	if err := NewRegistry().Add(d2); err != nil {
 		t.Errorf("negated comparison rejected: %v", err)
+	}
+}
+
+// valueQualSources generates n value qualifiers q00, q01, ... in files that
+// Load registers in index order.
+func valueQualSources(n int) map[string]string {
+	srcs := map[string]string{}
+	for i := 0; i < n; i++ {
+		srcs[fmt.Sprintf("q%02d.qdl", i)] = fmt.Sprintf(`value qualifier q%02d(int Expr E)
+  case E of
+    decl int Const C:
+      C, where C > %d
+  invariant value(E) > %d
+`, i, i, i)
+	}
+	return srcs
+}
+
+// TestValueQualifierLimit pins MaxValueQualifiers: a registry of exactly 64
+// value qualifiers loads with dense indexes in registration order, and a
+// 65th is rejected by an error that names the limit. Reference qualifiers do
+// not count toward it.
+func TestValueQualifierLimit(t *testing.T) {
+	srcs := valueQualSources(MaxValueQualifiers)
+	srcs["unique.qdl"] = uniqueSrc
+	reg, err := Load(srcs)
+	if err != nil {
+		t.Fatalf("64 value qualifiers: %v", err)
+	}
+	if n := len(reg.ValueDefs()); n != MaxValueQualifiers {
+		t.Fatalf("%d value defs, want %d", n, MaxValueQualifiers)
+	}
+	for i, d := range reg.ValueDefs() {
+		if idx, ok := reg.ValueIndex(d.Name); !ok || idx != i || d.Name != fmt.Sprintf("q%02d", i) {
+			t.Errorf("value def %d is %s with index %d, %v", i, d.Name, idx, ok)
+		}
+	}
+	if _, ok := reg.ValueIndex("unique"); ok {
+		t.Error("reference qualifier unique has a value index")
+	}
+	_, err = Load(valueQualSources(MaxValueQualifiers + 1))
+	if err == nil || !strings.Contains(err.Error(), "at most 64") {
+		t.Errorf("65 value qualifiers: err = %v, want one naming the limit of 64", err)
 	}
 }

@@ -14,18 +14,32 @@ import (
 type Registry struct {
 	byName map[string]*Def
 	order  []*Def
+	// values lists the value qualifiers in registration order; a value
+	// qualifier's index into it is its dense index (see ValueIndex).
+	values   []*Def
+	valueIdx map[string]int
 
 	fpMu sync.Mutex
 	fp   string // Fingerprint's hash; "" until computed and after Add
+
+	memoMu sync.Mutex
+	memo   map[any]any // Memo's values; nil until computed and after Add
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{byName: map[string]*Def{}}
+	return &Registry{byName: map[string]*Def{}, valueIdx: map[string]int{}}
 }
 
-// Add validates the definition's local well-formedness and registers it.
-// Cross-definition references (qualifier checks naming other qualifiers)
+// MaxValueQualifiers bounds the value qualifiers one registry may declare:
+// the checker represents a set of them as one 64-bit word. Add rejects a
+// value qualifier past the bound.
+const MaxValueQualifiers = 64
+
+// Add validates the definition's local well-formedness and registers it,
+// giving a value qualifier the next dense index (see ValueIndex); a registry
+// holds at most MaxValueQualifiers value qualifiers. Cross-definition
+// references (qualifier checks naming other qualifiers)
 // are validated by Validate once all definitions are added, so mutually
 // recursive definitions like pos/neg work.
 func (r *Registry) Add(d *Def) error {
@@ -35,12 +49,42 @@ func (r *Registry) Add(d *Def) error {
 	if err := validateLocal(d); err != nil {
 		return err
 	}
+	if d.Kind == ValueQualifier && len(r.values) == MaxValueQualifiers {
+		return fmt.Errorf("%s: qualifier %s: a registry may declare at most %d value qualifiers", d.Pos, d.Name, MaxValueQualifiers)
+	}
 	r.byName[d.Name] = d
 	r.order = append(r.order, d)
+	if d.Kind == ValueQualifier {
+		r.valueIdx[d.Name] = len(r.values)
+		r.values = append(r.values, d)
+	}
 	r.fpMu.Lock()
 	r.fp = ""
 	r.fpMu.Unlock()
+	r.memoMu.Lock()
+	r.memo = nil
+	r.memoMu.Unlock()
 	return nil
+}
+
+// Memo returns build's result for key, calling build once per key while the
+// registry is unchanged (Add discards the results). Consumers keep forms
+// compiled from the definitions here, such as the checker's clause tables,
+// so a registry shared by many checks is compiled once and a registry built
+// for one request is compiled with it and collected with it. Concurrent
+// callers share one build; build must not call Memo.
+func (r *Registry) Memo(key any, build func() any) any {
+	r.memoMu.Lock()
+	defer r.memoMu.Unlock()
+	if v, ok := r.memo[key]; ok {
+		return v
+	}
+	v := build()
+	if r.memo == nil {
+		r.memo = map[any]any{}
+	}
+	r.memo[key] = v
+	return v
 }
 
 // Lookup returns the named definition, or nil.
@@ -48,6 +92,17 @@ func (r *Registry) Lookup(name string) *Def { return r.byName[name] }
 
 // Defs returns the definitions in registration order.
 func (r *Registry) Defs() []*Def { return r.order }
+
+// ValueDefs returns the value qualifiers in index order (registration order).
+func (r *Registry) ValueDefs() []*Def { return r.values }
+
+// ValueIndex returns the dense index Add gave the named value qualifier:
+// value qualifiers are numbered 0, 1, ... in registration order. ok is false
+// for reference qualifiers and unknown names.
+func (r *Registry) ValueIndex(name string) (int, bool) {
+	i, ok := r.valueIdx[name]
+	return i, ok
+}
 
 // Names returns the qualifier name set, in the form the cminor parser
 // consumes.

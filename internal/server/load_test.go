@@ -253,3 +253,32 @@ func TestAdmissionContract(t *testing.T) {
 		t.Errorf("shed_total rose by %d, want 2 (queue full, deadline expired while queued)", shed)
 	}
 }
+
+// TestTimedOutRunAnswers504 extends TestAdmissionContract's held-request
+// answer to the other two request bodies: a /check-batch or /prove whose
+// timeout_ms passes while it is held after admission runs its body on a dead
+// context, and execute answers it 504 "deadline exceeded" without a
+// Retry-After, whatever the body returned.
+func TestTimedOutRunAnswers504(t *testing.T) {
+	const timeout = 50 * time.Millisecond
+	testJobHook = func() { time.Sleep(3 * timeout) }
+	defer func() { testJobHook = nil }()
+	_, ts := newTestServer(t, Config{Workers: 1, RequestTimeout: 30 * time.Second})
+	for _, tc := range []struct {
+		path string
+		body any
+	}{
+		{"/check-batch", CheckBatchRequest{
+			Files:         []BatchInput{{Filename: "a.c", Source: "int a = 1;"}, {Filename: "b.c", Source: "int b = 1;"}},
+			TimeoutMillis: timeout.Milliseconds(),
+		}},
+		{"/prove", ProveRequest{Qualifier: "pos", TimeoutMillis: timeout.Milliseconds()}},
+	} {
+		var eb errorBody
+		resp := postJSONFull(t, ts.URL+tc.path, tc.body, &eb)
+		if resp.StatusCode != http.StatusGatewayTimeout || eb.Error != "deadline exceeded" || resp.Header.Get("Retry-After") != "" {
+			t.Errorf("%s held past its timeout_ms: %d %+v Retry-After %q, want 504 deadline exceeded without Retry-After",
+				tc.path, resp.StatusCode, eb, resp.Header.Get("Retry-After"))
+		}
+	}
+}

@@ -525,10 +525,7 @@ func (s *Server) doCheck(ctx context.Context, req *CheckRequest) (int, any) {
 	if name == "" {
 		name = "input.c"
 	}
-	batch, _, err := s.checkInputs(ctx, reg, req.FlowSensitive, []BatchInput{{Filename: name, Source: req.Source}})
-	if err != nil {
-		return http.StatusGatewayTimeout, errorBody{Error: "check stopped: " + err.Error()}
-	}
+	batch := s.checkInputs(ctx, reg, req.FlowSensitive, []BatchInput{{Filename: name, Source: req.Source}})
 	fr := batch.Files[0]
 	if fr.Error != "" {
 		return http.StatusUnprocessableEntity, errorBody{Error: fr.Error}
@@ -613,10 +610,7 @@ func (s *Server) doCheckBatch(ctx context.Context, req *CheckBatchRequest) (int,
 	if err != nil {
 		return http.StatusUnprocessableEntity, errorBody{Error: "qualifier definitions: " + err.Error()}
 	}
-	resp, stoppedAt, err := s.checkInputs(ctx, reg, req.FlowSensitive, req.Files)
-	if err != nil {
-		return http.StatusGatewayTimeout, errorBody{Error: fmt.Sprintf("check stopped at %s: %v", stoppedAt, err)}
-	}
+	resp := s.checkInputs(ctx, reg, req.FlowSensitive, req.Files)
 	resp.ElapsedMillis = time.Since(t0).Milliseconds()
 	return http.StatusOK, resp
 }
@@ -624,9 +618,9 @@ func (s *Server) doCheckBatch(ctx context.Context, req *CheckBatchRequest) (int,
 // checkInputs parses, checks and converts each input in order against reg,
 // sharing the server's function cache; an input without a name is called
 // inputN.c after its index. A parse failure is recorded on its input and the
-// rest are still checked. A check that ctx stops ends the run with ctx's
-// error and the name of the input it stopped at.
-func (s *Server) checkInputs(ctx context.Context, reg *qdl.Registry, flow bool, inputs []BatchInput) (CheckBatchResponse, string, error) {
+// rest are still checked. A check that ctx stops ends the run after its
+// input's result: execute answers such a request 504 and drops the response.
+func (s *Server) checkInputs(ctx context.Context, reg *qdl.Registry, flow bool, inputs []BatchInput) CheckBatchResponse {
 	names := reg.Names()
 	resp := CheckBatchResponse{Files: make([]BatchFileResult, 0, len(inputs))}
 	for i, in := range inputs {
@@ -646,9 +640,6 @@ func (s *Server) checkInputs(ctx context.Context, reg *qdl.Registry, flow bool, 
 			FlowSensitive: flow,
 			Concurrency:   requestConcurrency,
 		}, s.funcCache)
-		if res.Err != nil {
-			return resp, name, res.Err
-		}
 		fr.Diagnostics, fr.Degraded = apiDiagnostics(res.Diags)
 		fr.Warnings = len(fr.Diagnostics)
 		resp.Warnings += fr.Warnings
@@ -657,11 +648,14 @@ func (s *Server) checkInputs(ctx context.Context, reg *qdl.Registry, flow bool, 
 			resp.Degraded = true
 		}
 		resp.Files = append(resp.Files, fr)
+		if res.Err != nil {
+			return resp
+		}
 	}
 	if resp.Degraded {
 		s.metrics.observeDegraded()
 	}
-	return resp, "", nil
+	return resp
 }
 
 // ---- POST /prove ----
@@ -841,9 +835,6 @@ func (s *Server) doProve(ctx context.Context, req *ProveRequest) (int, any) {
 			resp.AllSound = false
 		}
 		resp.Reports = append(resp.Reports, pr)
-	}
-	if err := ctx.Err(); err != nil {
-		return http.StatusGatewayTimeout, errorBody{Error: "prove stopped: " + err.Error()}
 	}
 	resp.RetryAfterMillis = maxRetryAfter.Milliseconds()
 	resp.ElapsedMillis = time.Since(t0).Milliseconds()

@@ -395,3 +395,20 @@ func TestServeListenerCloses(t *testing.T) {
 		t.Error("listener still accepting after shutdown")
 	}
 }
+
+// TestCheckTooManyValueQualifiers sends /check a registry one value qualifier
+// past qdl.MaxValueQualifiers: the registry fails to load, and the answer is
+// the 422 of any broken qualifier definitions, naming the limit.
+func TestCheckTooManyValueQualifiers(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	srcs := map[string]string{}
+	for i := 0; i < 65; i++ {
+		srcs[fmt.Sprintf("q%02d.qdl", i)] = fmt.Sprintf(
+			"value qualifier q%02d(int Expr E)\n  case E of\n    decl int Const C:\n      C, where C > %d\n  invariant value(E) > %d\n", i, i, i)
+	}
+	var eb errorBody
+	code := postJSON(t, ts.URL+"/check", CheckRequest{Source: "int x = 0;", Quals: srcs}, &eb)
+	if code != http.StatusUnprocessableEntity || !strings.HasPrefix(eb.Error, "qualifier definitions: ") || !strings.Contains(eb.Error, "at most 64 value qualifiers") {
+		t.Errorf("65 value qualifiers: %d %q, want 422 qualifier definitions: ... at most 64 value qualifiers", code, eb.Error)
+	}
+}
