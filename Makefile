@@ -33,8 +33,11 @@ build:
 fmt-check:
 	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
+# vet covers the repository and the perfbench module, which ./... does not
+# reach (it has its own go.mod).
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

@@ -79,7 +79,7 @@ func main() {
 	var qualFiles stringList
 	flag.Var(&qualFiles, "quals", "qualifier definition file (repeatable; default: standard library)")
 	taint := flag.Bool("taint", false, "use the taintedness configuration (untainted with constant case, tainted)")
-	stats := flag.Bool("stats", false, "print checking statistics")
+	stats := flag.Bool("stats", false, "print checking and cache statistics")
 	corpusName := flag.String("corpus", "", "check a built-in corpus program instead of a file")
 	infer := flag.String("infer", "", "comma-separated value qualifiers to infer before checking (section 8 extension)")
 	flow := flag.Bool("flow", false, "enable flow-sensitive refinement of branch conditions (section 8 extension)")
@@ -92,7 +92,6 @@ func main() {
 	maxFiles := flag.Int("max-files", 0, "with -r/-watch: stop the walk after this many files (0 = unlimited)")
 	cacheDir := flag.String("cache-dir", "", "with -r/-watch: persist the function cache under this directory so later runs start warm")
 	cacheBudget := flag.Int64("cache-budget", 0, "with -cache-dir: total record bytes kept on disk before LRU eviction (0 = default 256 MiB)")
-	cacheStats := flag.Bool("cache-stats", false, "print derivation-memo cache statistics after checking")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget for the check; 0 means unlimited")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
@@ -133,7 +132,7 @@ func main() {
 		return
 	}
 	if *treeRoot != "" {
-		runTree(ctx, *treeRoot, reg, *jobs, *flow, *stats, *cacheStats, *maxFiles, *cacheDir, *cacheBudget)
+		runTree(ctx, *treeRoot, reg, *jobs, *flow, *stats, *maxFiles, *cacheDir, *cacheBudget)
 		return
 	}
 
@@ -191,15 +190,6 @@ func main() {
 	if *stats {
 		printStats(res)
 	}
-	if *cacheStats {
-		total := res.Stats.MemoHits + res.Stats.MemoMisses
-		rate := 0.0
-		if total > 0 {
-			rate = 100 * float64(res.Stats.MemoHits) / float64(total)
-		}
-		fmt.Printf("derivation memo: %d hits, %d misses (%.1f%% hit rate)\n",
-			res.Stats.MemoHits, res.Stats.MemoMisses, rate)
-	}
 	if len(res.Diags) == 0 {
 		fmt.Printf("%s: no qualifier warnings\n", name)
 	} else {
@@ -250,7 +240,7 @@ func openFuncCache(dir string, budget int64) *checker.FuncCache {
 // runTree is the -r mode: repo-scale checking over the work-stealing
 // scheduler. Exit status matches the single-file mode: 1 for warnings, 2 for
 // read/parse failures or an interrupted run, 0 for a clean tree.
-func runTree(ctx context.Context, root string, reg *qdl.Registry, jobs int, flow, stats, cacheStats bool, maxFiles int, cacheDir string, cacheBudget int64) {
+func runTree(ctx context.Context, root string, reg *qdl.Registry, jobs int, flow, stats bool, maxFiles int, cacheDir string, cacheBudget int64) {
 	fc := openFuncCache(cacheDir, cacheBudget)
 	res, err := checker.CheckTree(ctx, root, reg, checker.TreeOptions{
 		Options: checker.Options{FlowSensitive: flow},
@@ -275,22 +265,7 @@ func runTree(ctx context.Context, root string, reg *qdl.Registry, jobs int, flow
 		}
 	}
 	if stats {
-		printTreeStats(res)
-	}
-	if cacheStats {
-		// The cache counts a disk-served lookup as a miss and a disk hit; this
-		// line counts it as a hit, so misses are the functions walked, as on
-		// the -stats line.
-		st := fc.Stats()
-		st.Hits += st.DiskHits
-		st.Misses -= st.DiskHits
-		fmt.Printf("function cache: %d hits (%d from disk), %d misses, %d coalesced, %d evictions (%.1f%% hit rate)\n",
-			st.Hits, st.DiskHits, st.Misses, st.Coalesced, st.Evictions, 100*st.HitRate())
-		if cacheDir != "" {
-			ds := fc.DiskStats()
-			fmt.Printf("disk cache: %d hits, %d misses, %d puts, %d entries, %d bytes, %d corrupt evicted, %d budget evicted\n",
-				ds.Hits, ds.Misses, ds.Puts, ds.Entries, ds.Bytes, ds.CorruptEvicted, ds.BudgetEvicted)
-		}
+		printTreeStats(res, fc, cacheDir != "")
 	}
 	if res.Err != nil {
 		fmt.Fprintf(os.Stderr, "qualcheck: tree check stopped: %v (results are incomplete)\n", res.Err)
@@ -305,10 +280,11 @@ func runTree(ctx context.Context, root string, reg *qdl.Registry, jobs int, flow
 	}
 }
 
-// printTreeStats reports the run's scheduler, reader, and checking
+// printTreeStats reports the run's scheduler, reader, checking and cache
 // telemetry: the utilization profile answers "did the tree decompose", the
-// steal count answers "did idle workers find the work".
-func printTreeStats(res *checker.TreeResult) {
+// steal count answers "did idle workers find the work". The disk line prints
+// when the run was given a cache directory.
+func printTreeStats(res *checker.TreeResult, fc *checker.FuncCache, disk bool) {
 	trunc := ""
 	if res.Walk.Truncated {
 		trunc = " [truncated: -max-files cap hit, tree only partially checked]"
@@ -324,8 +300,14 @@ func printTreeStats(res *checker.TreeResult) {
 		res.Read.Files, res.Read.Bytes, res.Read.Reuses, res.Read.Grows)
 	fmt.Printf("dereferences: %d\n", res.Stats.Dereferences)
 	fmt.Printf("restrict checks: %d (%d failed)\n", res.Stats.RestrictChecks, res.Stats.RestrictFailures)
-	fmt.Printf("function cache: %d hits, %d misses, %d coalesced\n",
-		res.Stats.FuncCacheHits, res.Stats.FuncCacheMisses, res.Stats.FuncCacheCoalesced)
+	st := fc.Stats()
+	fmt.Printf("function cache: %d hits (%d from disk), %d misses, %d coalesced, %d evictions (%.1f%% hit rate)\n",
+		st.Hits, st.DiskHits, st.Misses, st.Coalesced, st.Evictions, 100*st.HitRate())
+	if disk {
+		ds := fc.DiskStats()
+		fmt.Printf("disk cache: %d hits, %d misses, %d puts, %d entries, %d bytes, %d corrupt evicted, %d budget evicted\n",
+			ds.Hits, ds.Misses, ds.Puts, ds.Entries, ds.Bytes, ds.CorruptEvicted, ds.BudgetEvicted)
+	}
 }
 
 func loadRegistry(files stringList, taint bool) (*qdl.Registry, error) {
@@ -359,23 +341,28 @@ func findCorpus(name string) (corpus.Program, bool) {
 func printStats(res *checker.Result) {
 	fmt.Printf("dereferences: %d\n", res.Stats.Dereferences)
 	fmt.Printf("restrict checks: %d (%d failed)\n", res.Stats.RestrictChecks, res.Stats.RestrictFailures)
-	keys := make([]string, 0, len(res.Stats.Annotations))
-	for k := range res.Stats.Annotations {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Printf("annotations[%s]: %d\n", k, res.Stats.Annotations[k])
-	}
-	keys = keys[:0]
-	for k := range res.Stats.QualCasts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Printf("casts[%s]: %d\n", k, res.Stats.QualCasts[k])
-	}
+	printSorted("annotations", res.Stats.Annotations)
+	printSorted("casts", res.Stats.QualCasts)
 	fmt.Printf("value-qualified casts to instrument: %d\n", len(res.Casts))
+	total := res.Stats.MemoHits + res.Stats.MemoMisses
+	rate := 0.0
+	if total > 0 {
+		rate = 100 * float64(res.Stats.MemoHits) / float64(total)
+	}
+	fmt.Printf("derivation memo: %d hits, %d misses (%.1f%% hit rate)\n",
+		res.Stats.MemoHits, res.Stats.MemoMisses, rate)
+}
+
+// printSorted prints one "label[key]: n" line per entry of m, in key order.
+func printSorted(label string, m map[string]int) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		fmt.Printf("%s[%s]: %d\n", label, k, m[k])
+	}
 }
 
 func fatal(err error) {

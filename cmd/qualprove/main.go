@@ -45,9 +45,8 @@ func main() {
 	maxInsts := flag.Int("max-insts", 0, "per-goal quantifier-instantiation budget (0 = default)")
 	memBudget := flag.Uint64("mem-budget", 0, "process live-heap watermark in bytes; searches trip when exceeded (0 = unlimited)")
 	jobs := flag.Int("j", 0, "number of concurrent proof workers (default: all cores)")
-	cacheStats := flag.Bool("cache-stats", false, "print memoizing prover-cache statistics after the run")
 	timeout := flag.Duration("timeout", simplify.DefaultGoalTimeout, "per-goal wall-clock budget; 0 means unlimited")
-	stats := flag.Bool("stats", false, "print per-qualifier search statistics (decisions, instantiations, ...)")
+	stats := flag.Bool("stats", false, "print per-qualifier search statistics (decisions, instantiations, ...) and prover-cache statistics")
 	certs := flag.Bool("cert", false, "emit a proof certificate per Valid verdict and verify it with the independent replay checker before trusting the result")
 	trace := flag.String("trace", "", "write a per-obligation JSONL search trace to this file")
 	traceDeterministic := flag.Bool("trace-deterministic", false, "omit wall-clock fields from -trace records so identical runs produce byte-identical files")
@@ -92,7 +91,7 @@ func main() {
 		opts.Trace = f
 	}
 	printCacheStats := func() {
-		if !*cacheStats {
+		if !*stats {
 			return
 		}
 		s := cache.Stats()

@@ -228,3 +228,41 @@ func TestQualservePeerSmoke(t *testing.T) {
 		t.Fatalf("-cache-peers without -cert: %v, want exit status 2", err)
 	}
 }
+
+// TestQualserveRestartServesProverFromDisk proves the standard library on a
+// qualserve with -cache-dir, restarts it over the same directory and proves
+// the library again: every obligation the restarted node looks up is served
+// from disk, so its prover cache reports only hits and a hit rate of 1.
+func TestQualserveRestartServesProverFromDisk(t *testing.T) {
+	store := t.TempDir()
+	cold, addr := startChild(t, "-cache-dir", store)
+	want := proveSmoke(t, addr, "")
+	stopChild(t, cold)
+
+	warm, addr := startChild(t, "-cache-dir", store)
+	if got := proveSmoke(t, addr, ""); len(got) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("restarted node's obligations diverge:\ncold: %+v\nwarm: %+v", want, got)
+	}
+	resp, err := http.Get(fmt.Sprintf("http://%s/metrics", addr))
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	var m struct {
+		ProverCache struct {
+			Hits     uint64  `json:"hits"`
+			Misses   uint64  `json:"misses"`
+			DiskHits uint64  `json:"disk_hits"`
+			HitRate  float64 `json:"hit_rate"`
+		} `json:"prover_cache"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&m)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decoding /metrics: %v", err)
+	}
+	pc := m.ProverCache
+	if pc.HitRate != 1 || pc.Misses != 0 || pc.DiskHits == 0 || pc.Hits != pc.DiskHits {
+		t.Fatalf("restarted node prover_cache = %+v, want every lookup a disk-served hit (hit_rate 1)", pc)
+	}
+	stopChild(t, warm)
+}

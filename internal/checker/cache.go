@@ -253,10 +253,12 @@ func (en *engine) checkFuncCached(f *cminor.FuncDef) {
 	switch src {
 	case tiercache.Computed:
 		en.stats.FuncCacheMisses++
+	case tiercache.Abandoned:
+		en.stats.FuncCacheCoalesced++
 	case tiercache.Coalesced:
 		en.stats.FuncCacheCoalesced++
 		en.replayEntry(entry, f)
-	case tiercache.Memory, tiercache.Disk:
+	case tiercache.Memory, tiercache.Disk, tiercache.Peer:
 		en.stats.FuncCacheHits++
 		en.replayEntry(entry, f)
 	}

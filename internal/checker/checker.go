@@ -46,11 +46,11 @@ type Stats struct {
 	// cache counters.
 	MemoHits   int
 	MemoMisses int
-	// FuncCacheHits / FuncCacheMisses count function-granular result cache
-	// lookups (CheckWithCache only; zero otherwise). A hit means the
-	// function's body walk was skipped and its cached diagnostics replayed.
-	// FuncCacheCoalesced counts lookups that shared another in-flight walk's
-	// result instead of walking (singleflight; see internal/tiercache).
+	// FuncCacheHits / FuncCacheMisses / FuncCacheCoalesced count
+	// function-granular result cache lookups (CheckWithCache only; zero
+	// otherwise) by the cache's own rule (see tiercache.Source). A hit means
+	// the function's body walk was skipped and its cached diagnostics
+	// replayed, whichever tier served them.
 	FuncCacheHits      int
 	FuncCacheMisses    int
 	FuncCacheCoalesced int
@@ -81,8 +81,8 @@ func (s *Stats) add(o Stats) {
 // Result is the outcome of qualifier checking.
 type Result struct {
 	Diags []Diagnostic
-	// Casts lists casts to value-qualified types, for run-time check
-	// instrumentation (section 2.1.3).
+	// Casts lists the casts to value-qualified types, the sites section 2.1.3
+	// instruments (interp checks them itself under RuntimeChecks).
 	Casts []*cminor.Cast
 	Stats Stats
 	Info  *cminor.TypeInfo

@@ -102,9 +102,11 @@ func TestFuncCacheDiskWarmRestart(t *testing.T) {
 		t.Fatalf("warm restart: %d hits / %d misses, want 3 / 0",
 			warm.Stats.FuncCacheHits, warm.Stats.FuncCacheMisses)
 	}
+	// The cache's own counters agree with the run's: three hits, all from
+	// disk, and no miss.
 	st := fc2.Stats()
-	if st.DiskHits != 3 {
-		t.Fatalf("stats = %+v, want 3 disk hits", st)
+	if st.Hits != 3 || st.DiskHits != 3 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want 3 hits, all from disk, and no miss", st)
 	}
 	plain := checkCached(t, reg, cacheSrc, nil)
 	if got, want := fmt.Sprint(warm.Diags), fmt.Sprint(plain.Diags); got != want {

@@ -266,6 +266,56 @@ void solo(int* p) {
 	}
 }
 
+// TestAbandonedLookupCountsCoalesced: a check whose context ends while it
+// waits on another check's walk of the same function counts that lookup as
+// Coalesced, in its own Stats and in the cache's, and walks nothing.
+func TestAbandonedLookupCountsCoalesced(t *testing.T) {
+	leak.Check(t)
+	reg := quals.MustStandard()
+	const src = `
+void solo(int* p) {
+  int x = 0;
+}
+`
+	fc := NewFuncCache(0)
+	release := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	CheckFuncHook = func(*cminor.FuncDef) {
+		entered <- struct{}{}
+		<-release
+	}
+	defer func() { CheckFuncHook = nil }()
+	check := func(ctx context.Context) *Result {
+		prog, err := cminor.Parse("solo.c", src, reg.Names())
+		if err != nil {
+			panic(err)
+		}
+		return CheckWithCache(ctx, prog, reg, Options{Concurrency: 1}, fc)
+	}
+
+	leader := make(chan *Result, 1)
+	go func() { leader <- check(context.Background()) }()
+	<-entered // the leader is inside its walk, holding the flight open
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan *Result, 1)
+	go func() { waiter <- check(ctx) }()
+	for fc.Stats().Coalesced != 1 {
+		runtime.Gosched()
+	}
+	cancel()
+	got := <-waiter
+	close(release)
+	<-leader
+
+	if got.Stats.FuncCacheCoalesced != 1 || got.Stats.FuncCacheHits != 0 || got.Stats.FuncCacheMisses != 0 {
+		t.Errorf("abandoned run stats: %d hits, %d misses, %d coalesced, want 0 / 0 / 1",
+			got.Stats.FuncCacheHits, got.Stats.FuncCacheMisses, got.Stats.FuncCacheCoalesced)
+	}
+	if st := fc.Stats(); st.Hits != 0 || st.Misses != 1 || st.Coalesced != 1 {
+		t.Errorf("cache stats %+v, want the leader's miss and the abandoned lookup coalesced", st)
+	}
+}
+
 // TestFuncCacheCountersRace is the satellite -race regression: counters are
 // updated from concurrent lookups (including the coalescing path, which
 // counts outside the cache lock) while Stats is read concurrently. Under

@@ -419,16 +419,6 @@ type Program struct {
 	Nodes NodeID
 }
 
-// Struct returns the definition of the named struct, or nil.
-func (p *Program) Struct(name string) *StructDef {
-	for _, s := range p.Structs {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
-
 // Func returns the named function (definition preferred over prototype), or
 // nil.
 func (p *Program) Func(name string) *FuncDef {

@@ -101,12 +101,30 @@ func (ti *TypeInfo) VarDef(v *VarLV) *VarDef {
 
 // checker is the base (qualifier-erased) typechecker state.
 type tcState struct {
-	prog   *Program
-	info   *TypeInfo
-	diags  []Diagnostic
-	scopes []map[string]*VarDef
-	cur    *FuncDef
+	prog  *Program
+	info  *TypeInfo
+	diags []Diagnostic
+	// vars maps each visible name, globals included, to its innermost
+	// declaration. Block scopes share one stack: undo records what each of
+	// their declarations hid, and marks[i] is where the i-th starts in undo.
+	vars  map[string]scoped
+	undo  []shadowed
+	marks []int
+	cur   *FuncDef
 }
+
+// scoped is a declaration and its scope's depth (0 is the file scope);
+// shadowed is what a block-scope declaration of name hid (zero for nothing).
+type (
+	scoped struct {
+		def   *VarDef
+		depth int
+	}
+	shadowed struct {
+		name string
+		prev scoped
+	}
+)
 
 // TypeCheck performs standard C-style typechecking, ignoring qualifiers for
 // compatibility but recording declared (qualified) types for every
@@ -121,6 +139,7 @@ func TypeCheck(prog *Program) (*TypeInfo, []Diagnostic) {
 			Structs: map[string]*StructDef{},
 			nodes:   make([]nodeInfo, prog.Nodes+1),
 		},
+		vars: make(map[string]scoped, len(prog.Globals)),
 	}
 	for _, st := range prog.Structs {
 		if _, dup := s.info.Structs[st.Name]; dup {
@@ -143,7 +162,6 @@ func TypeCheck(prog *Program) (*TypeInfo, []Diagnostic) {
 		}
 		s.info.Funcs[f.Name] = f
 	}
-	s.pushScope()
 	for _, g := range prog.Globals {
 		s.declare(g, GlobalVar)
 		if g.Init != nil {
@@ -167,7 +185,6 @@ func TypeCheck(prog *Program) (*TypeInfo, []Diagnostic) {
 		s.popScope()
 		s.cur = nil
 	}
-	s.popScope()
 	return s.info, s.diags
 }
 
@@ -175,19 +192,36 @@ func (s *tcState) errorf(pos Pos, format string, args ...interface{}) {
 	s.diags = append(s.diags, Diagnostic{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
-func (s *tcState) pushScope() { s.scopes = append(s.scopes, map[string]*VarDef{}) }
-func (s *tcState) popScope()  { s.scopes = s.scopes[:len(s.scopes)-1] }
+func (s *tcState) pushScope() { s.marks = append(s.marks, len(s.undo)) }
+
+// popScope closes the innermost block scope, restoring what it hid.
+func (s *tcState) popScope() {
+	mark := s.marks[len(s.marks)-1]
+	for i := len(s.undo) - 1; i >= mark; i-- {
+		if u := s.undo[i]; u.prev.def != nil {
+			s.vars[u.name] = u.prev
+		} else {
+			delete(s.vars, u.name)
+		}
+	}
+	s.undo, s.marks = s.undo[:mark], s.marks[:len(s.marks)-1]
+}
 
 func (s *tcState) declare(d *VarDecl, kind VarKind) {
 	s.declareDef(&VarDef{Name: d.Name, Type: d.Type, Kind: kind, Pos: d.Pos})
 }
 
+// declareDef declares def in the innermost open scope (depth 0: file scope).
 func (s *tcState) declareDef(def *VarDef) {
-	top := s.scopes[len(s.scopes)-1]
-	if _, dup := top[def.Name]; dup {
+	depth := len(s.marks)
+	prev := s.vars[def.Name]
+	if prev.def != nil && prev.depth == depth {
 		s.errorf(def.Pos, "%s redeclared in this scope", def.Name)
 	}
-	top[def.Name] = def
+	if depth > 0 {
+		s.undo = append(s.undo, shadowed{def.Name, prev})
+	}
+	s.vars[def.Name] = scoped{def, depth}
 	// Validate struct references in the type.
 	s.checkTypeRefs(def.Pos, def.Type)
 }
@@ -207,14 +241,7 @@ func (s *tcState) checkTypeRefs(pos Pos, t Type) {
 	}
 }
 
-func (s *tcState) lookup(name string) *VarDef {
-	for i := len(s.scopes) - 1; i >= 0; i-- {
-		if d, ok := s.scopes[i][name]; ok {
-			return d
-		}
-	}
-	return nil
-}
+func (s *tcState) lookup(name string) *VarDef { return s.vars[name].def }
 
 // assignable reports whether a value of type src may be assigned to a
 // location of type dst under base (qualifier-erased) C rules.

@@ -10,6 +10,7 @@ package server
 
 import (
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -125,7 +126,7 @@ func (m *Metrics) snapshot() Snapshot {
 	for name, em := range m.endpoints {
 		es := EndpointSnapshot{Count: em.count, Codes: map[string]uint64{}}
 		for code, n := range em.codes {
-			es.Codes[itoa(code)] = n
+			es.Codes[strconv.Itoa(code)] = n
 		}
 		if len(em.latencies) > 0 {
 			sorted := append([]time.Duration(nil), em.latencies...)
@@ -151,19 +152,4 @@ func percentile(sorted []time.Duration, p int) time.Duration {
 		rank = len(sorted)
 	}
 	return sorted[rank-1]
-}
-
-// itoa avoids strconv for the tiny code-to-key conversion.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

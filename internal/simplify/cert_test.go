@@ -289,14 +289,6 @@ func TestCertEmitFaultDegrades(t *testing.T) {
 	}
 }
 
-// servedCount is how many outcomes a cache's counters claim it served: the
-// hits of every tier. It must equal the number of outcomes returned with
-// CacheHit=true — a fetch the certificate gate refuses is a miss.
-func servedCount(c *Cache) uint64 {
-	s := c.Stats()
-	return s.Hits + s.DiskHits + s.PeerHits
-}
-
 // TestCertReplayOnFetch: a cached Valid's certificate is re-verified when
 // served. Corrupting the stored certificate turns the hit into a miss — the
 // goal is re-proved fresh (correct verdict, new certificate), the rejection
@@ -343,14 +335,14 @@ func TestCertReplayOnFetch(t *testing.T) {
 	if after.Rejected != before.Rejected+1 {
 		t.Errorf("rejected counter moved %d, want 1", after.Rejected-before.Rejected)
 	}
-	if st := cache.Stats(); servedCount(cache) != 1 || st.Misses != 2 {
+	if st := cache.Stats(); st.Hits != 1 || st.Misses != 2 {
 		t.Errorf("after the refused fetch: stats = %+v, want 1 hit served and the refusal counted as a miss", st)
 	}
 	// The fresh outcome replaced the corrupted entry.
 	if final := p.Prove(goal); !final.CacheHit {
 		t.Error("fresh outcome was not re-cached")
 	}
-	if got := servedCount(cache); got != 2 {
+	if got := cache.Stats().Hits; got != 2 {
 		t.Errorf("cache counts %d hits served, but 2 outcomes came back with CacheHit=true", got)
 	}
 }

@@ -167,14 +167,14 @@ func TestCacheDiskTierWarmRestart(t *testing.T) {
 		t.Fatal("disk-served Valid lost its certificate (replay-on-fetch has nothing to check)")
 	}
 	st := cache2.Stats()
-	if st.DiskHits != 1 || st.Hits != 0 {
-		t.Fatalf("stats = %+v, want exactly one disk hit", st)
+	if st.Hits != 1 || st.DiskHits != 1 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want exactly one hit, served from disk", st)
 	}
 	// Third prove is a pure memory hit — the disk-loaded entry was promoted.
 	if third := p2.Prove(goal); !third.CacheHit {
 		t.Fatal("promoted entry missed")
 	}
-	if st := cache2.Stats(); st.Hits != 1 || st.DiskHits != 1 {
+	if st := cache2.Stats(); st.Hits != 2 || st.DiskHits != 1 || st.Misses != 0 {
 		t.Fatalf("stats after promotion = %+v", st)
 	}
 }
@@ -256,7 +256,7 @@ func TestDiskValidWithoutCertificateReproves(t *testing.T) {
 	if st := store2.Stats(); st.CorruptEvicted != 1 {
 		t.Fatalf("disk stats = %+v, want the stripped record evicted", st)
 	}
-	if st := cache2.Stats(); servedCount(cache2) != 0 || st.Misses != 1 {
+	if st := cache2.Stats(); st.Hits != 0 || st.Misses != 1 {
 		t.Fatalf("cache stats = %+v, want the refused disk record counted as a miss, not a hit", st)
 	}
 	// The re-prove healed the record: a cold third start serves a Valid that
@@ -268,7 +268,7 @@ func TestDiskValidWithoutCertificateReproves(t *testing.T) {
 	if !healed.CacheHit || healed.Certificate == nil {
 		t.Fatalf("healed record: hit=%t cert=%t", healed.CacheHit, healed.Certificate != nil)
 	}
-	if got := servedCount(cache3); got != 1 {
+	if got := cache3.Stats().Hits; got != 1 {
 		t.Fatalf("healed cache counts %d hits served, want 1", got)
 	}
 }
@@ -296,8 +296,8 @@ func TestPeerFetchVerifiedPath(t *testing.T) {
 		t.Fatalf("peer-served prove: %v hit=%t", out.Result, out.CacheHit)
 	}
 	st := cache.Stats()
-	if st.PeerHits != 1 || st.PeerRejects != 0 {
-		t.Fatalf("stats = %+v, want one peer hit", st)
+	if st.Hits != 1 || st.PeerHits != 1 || st.Misses != 0 || st.PeerRejects != 0 {
+		t.Fatalf("stats = %+v, want one hit, served by the peer", st)
 	}
 	// The peer-fetched entry was written through to the local disk tier.
 	if ds := store.Stats(); ds.Puts != 1 {

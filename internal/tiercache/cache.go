@@ -20,10 +20,10 @@ import (
 )
 
 // Stats is a snapshot of a cache's counters. Every Do call counts exactly
-// one of Hits, Misses and Coalesced.
+// one of Hits, Misses and Coalesced, by the Source it returns.
 type Stats struct {
-	// Hits counts lookups served from memory; Misses counts lookups that
-	// became the filling caller.
+	// Hits counts lookups served from any tier; Misses counts lookups whose
+	// value the caller's own fill computed.
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
@@ -34,8 +34,8 @@ type Stats struct {
 	// of the same key: of N concurrent identical lookups, one is a Miss and
 	// N-1 are Coalesced.
 	Coalesced uint64 `json:"coalesced"`
-	// DiskHits and PeerHits count misses served from the disk and peer
-	// tiers; PeerRejects counts peer records refused by verification.
+	// DiskHits and PeerHits are the Hits the disk and peer tiers served;
+	// PeerRejects counts peer records refused by verification.
 	DiskHits    uint64 `json:"disk_hits"`
 	PeerHits    uint64 `json:"peer_hits"`
 	PeerRejects uint64 `json:"peer_rejects"`
@@ -50,7 +50,9 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Source says where Do found its value.
+// Source says where Do found its value. Each Source maps to one counter:
+// Memory, Disk and Peer to Hits, Computed to Misses, and Coalesced and
+// Abandoned to Coalesced.
 type Source int
 
 const (
@@ -211,6 +213,8 @@ func (c *Cache[V]) Do(done <-chan struct{}, key string, admit func(V) bool, fill
 	}
 	if fl, ok := c.flights[key]; ok {
 		c.mu.Unlock()
+		// A waiter is Coalesced from the moment it joins; when the fill
+		// stores nothing, it runs its own and its lookup moves to Misses.
 		c.coalesced.Add(1)
 		select {
 		case <-fl.done:
@@ -221,6 +225,7 @@ func (c *Cache[V]) Do(done <-chan struct{}, key string, admit func(V) bool, fill
 		if fl.ok {
 			return fl.val, Coalesced
 		}
+		c.coalesced.Add(^uint64(0))
 		v, _ := c.compute(key, fill)
 		return v, Computed
 	}
@@ -230,7 +235,6 @@ func (c *Cache[V]) Do(done <-chan struct{}, key string, admit func(V) bool, fill
 	}
 	c.flights[key] = fl
 	c.mu.Unlock()
-	c.misses.Add(1)
 	// Deferred so that a panicking fill still releases the waiters. The
 	// value reaches memory before the flight is retired, so a lookup never
 	// finds the key in neither place while a fill is under way.
@@ -248,8 +252,9 @@ func (c *Cache[V]) Do(done <-chan struct{}, key string, admit func(V) bool, fill
 	return fl.val, Computed
 }
 
-// compute runs fill and stores its value when fill reports it storable.
+// compute counts a Miss, then runs fill and stores a storable value.
 func (c *Cache[V]) compute(key string, fill func() (V, bool)) (V, bool) {
+	c.misses.Add(1)
 	v, ok := fill()
 	if ok {
 		c.store(key, v)
@@ -270,6 +275,7 @@ func (c *Cache[V]) probe(key string, admit func(V) bool) (V, Source, bool) {
 	if payload, ok := c.disk.Get(key); ok {
 		v, err := c.codec.Decode(payload)
 		if err == nil && (admit == nil || admit(v)) {
+			c.hits.Add(1)
 			c.diskHits.Add(1)
 			c.insert(key, v)
 			return v, Disk, true
@@ -297,6 +303,7 @@ func (c *Cache[V]) probe(key string, admit func(V) bool) (V, Source, bool) {
 		c.peerRejects.Add(1)
 		return zero, 0, false
 	}
+	c.hits.Add(1)
 	c.peerHits.Add(1)
 	c.store(key, v)
 	return v, Peer, true

@@ -62,18 +62,23 @@ func TestCachePutRefreshesPresentKey(t *testing.T) {
 }
 
 // TestCacheStatsConsistentUnderConcurrentOverlap hammers one cache with
-// concurrent lookups and puts over overlapping keys. Capacity covers every
-// distinct key, so any eviction could only come from a present-key re-put
-// being miscounted; and every lookup must land in exactly one of Hits,
-// Misses and Coalesced. Run under -race this also gates the counter updates
-// themselves.
+// concurrent lookups and puts over overlapping keys, plus lookups of keys
+// only the disk tier holds. Capacity covers every distinct key, so any
+// eviction could only come from a present-key re-put being miscounted; and
+// every lookup must land in exactly one of Hits, Misses and Coalesced. Run
+// under -race this also gates the counter updates themselves.
 func TestCacheStatsConsistentUnderConcurrentOverlap(t *testing.T) {
 	const (
 		keys         = 32
 		workers      = 8
 		opsPerWorker = 400
 	)
-	c := New(keys, stringCodec)
+	store := openStore(t)
+	for i := 0; i < keys; i++ {
+		store.Put("d"+strconv.Itoa(i), []byte("on disk"))
+	}
+	c := New(2*keys, stringCodec)
+	c.WithDisk(store)
 	var gets atomic.Uint64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -82,10 +87,14 @@ func TestCacheStatsConsistentUnderConcurrentOverlap(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < opsPerWorker; i++ {
 				k := "k" + strconv.Itoa((w*7+i)%keys)
-				if i%2 == 0 {
+				switch i % 3 {
+				case 0:
 					c.store(k, "valid")
-				} else {
+				case 1:
 					c.Do(nil, k, nil, noFill)
+					gets.Add(1)
+				case 2:
+					c.Do(nil, "d"+strconv.Itoa((w*5+i)%keys), nil, noFill)
 					gets.Add(1)
 				}
 			}
@@ -100,8 +109,11 @@ func TestCacheStatsConsistentUnderConcurrentOverlap(t *testing.T) {
 	if total := s.Hits + s.Misses + s.Coalesced; total != gets.Load() {
 		t.Errorf("Hits+Misses+Coalesced = %d, want %d (one of each per lookup)", total, gets.Load())
 	}
-	if got := c.Len(); got != keys {
-		t.Errorf("Len = %d, want %d", got, keys)
+	if s.DiskHits != keys || s.DiskHits > s.Hits {
+		t.Errorf("DiskHits = %d of %d Hits, want each disk-only key served from disk once, as a hit", s.DiskHits, s.Hits)
+	}
+	if got := c.Len(); got != 2*keys {
+		t.Errorf("Len = %d, want %d", got, 2*keys)
 	}
 }
 
@@ -140,7 +152,8 @@ func TestRefusedEntryEvictedEverywhere(t *testing.T) {
 
 // TestPeerValueWrittenThroughDiskValueNot: a peer value is stored to disk,
 // a disk value is promoted to memory without being written again, and a
-// refused peer record is counted and never written.
+// refused peer record is counted and never written. A peer-served and a
+// disk-served lookup each count one Hit and no Miss.
 func TestPeerValueWrittenThroughDiskValueNot(t *testing.T) {
 	peer := map[string][]byte{
 		"good": cachedisk.Seal("good", []byte("from peer")),
@@ -156,6 +169,9 @@ func TestPeerValueWrittenThroughDiskValueNot(t *testing.T) {
 	if v, src := c.Do(nil, "good", nil, noFill); src != Peer || v != "from peer" {
 		t.Fatalf("got (%q, %v), want the peer value", v, src)
 	}
+	if s := c.Stats(); s != (Stats{Hits: 1, PeerHits: 1}) {
+		t.Fatalf("after a peer-served lookup: %+v, want one hit, from the peer, and no miss", s)
+	}
 	if _, src := c.Do(nil, "bad", nil, noFill); src != Computed {
 		t.Fatalf("refused peer record served from %v", src)
 	}
@@ -167,6 +183,9 @@ func TestPeerValueWrittenThroughDiskValueNot(t *testing.T) {
 	c2.WithDisk(store)
 	if v, src := c2.Do(nil, "good", nil, noFill); src != Disk || v != "from peer" {
 		t.Fatalf("restart: got (%q, %v), want the disk value", v, src)
+	}
+	if s := c2.Stats(); s != (Stats{Hits: 1, DiskHits: 1}) {
+		t.Fatalf("after a disk-served lookup: %+v, want one hit, from disk, and no miss", s)
 	}
 	if ds := store.Stats(); ds.Puts != 1 {
 		t.Fatalf("disk puts = %d after a disk hit, want it not rewritten", ds.Puts)
@@ -205,6 +224,10 @@ func TestFillPanicReleasesWaiters(t *testing.T) {
 	}
 	if src := <-got; src != Computed {
 		t.Fatalf("waiter got %v, want its own fill", src)
+	}
+	// Both lookups ran a fill: the waiter's moved from Coalesced to Misses.
+	if s := c.Stats(); s.Misses != 2 || s.Coalesced != 0 {
+		t.Fatalf("stats %+v, want 2 misses and no coalesced lookup", s)
 	}
 	if v, src := c.Do(nil, "k", nil, noFill); src != Memory || v != "own" {
 		t.Fatalf("waiter's storable fill not stored: (%q, %v)", v, src)

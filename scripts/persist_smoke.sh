@@ -19,18 +19,20 @@ trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/qualcheck" ./cmd/qualcheck
 go run ./cmd/gentree -o "$tmp/corpus" -n "$N" -seed 1 >/dev/null
 
-# run <outfile>: qualcheck -r with the shared cache dir; -cache-stats lines
-# land in the stats file, diagnostics in the out file. Exit 1 (warnings) is
-# the expected verdict on this corpus; >=2 is a real failure.
+# run <outfile>: qualcheck -r -stats with the shared cache dir. The -stats
+# block (from "files:" through "disk cache:") and the summary line are
+# dropped from the diagnostics written to the out file, and the "disk
+# cache:" line is printed. Exit 1 (warnings) is the expected verdict on this
+# corpus; >=2 is a real failure.
 run() {
 	rc=0
-	"$tmp/qualcheck" -r "$tmp/corpus" -cache-dir "$tmp/cache" -cache-stats >"$tmp/raw" 2>"$tmp/err" || rc=$?
+	"$tmp/qualcheck" -r "$tmp/corpus" -cache-dir "$tmp/cache" -stats >"$tmp/raw" 2>"$tmp/err" || rc=$?
 	if [ "$rc" -gt 1 ]; then
 		echo "persist-smoke: qualcheck failed (exit $rc):" >&2
 		cat "$tmp/err" >&2
 		exit 1
 	fi
-	grep -v '^function cache:\|^disk cache:\|^'"$tmp"'/corpus:' "$tmp/raw" >"$1" || true
+	sed '/^files: [0-9]* matched/,/^disk cache: /d' "$tmp/raw" | grep -v '^'"$tmp"'/corpus:' >"$1" || true
 	grep '^disk cache:' "$tmp/raw"
 }
 

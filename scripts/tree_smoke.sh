@@ -45,8 +45,8 @@ if ! cmp -s "$tmp/out_j1.txt" "$tmp/out_jn.txt"; then
 fi
 
 # The default pool. -stats prints its block (from "files:" through "function
-# cache:") between the diagnostics and the summary line; without that block
-# the output must equal the -j 1 run's.
+# cache:", the last line without -cache-dir) between the diagnostics and the
+# summary line; without that block the output must equal the -j 1 run's.
 rc=0
 "$tmp/qualcheck" -r "$tmp/corpus" -stats >"$tmp/out_jdef.txt" 2>"$tmp/err" || rc=$?
 if [ "$rc" -gt 1 ]; then
