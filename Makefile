@@ -156,10 +156,12 @@ watch-smoke:
 	$(GO) test -run '^TestWatchSmoke$$' -count=1 ./cmd/qualcheck
 
 # persist-smoke is the durable-cache gate: scripts/persist_smoke.sh runs the
-# real qualcheck binary twice against one -cache-dir (run 2 must be served
-# entirely from disk with byte-identical diagnostics), then corrupts a
+# real qualcheck binary twice against one -cache-dir (run 2 must serve every
+# file from its disk record, with no miss and byte-identical diagnostics),
+# edits one function in one file (the next run must miss exactly that file's
+# record and match a fresh run without -cache-dir), then corrupts a
 # committed record and asserts the next cold start detects it, evicts it,
-# and re-proves — converging to the same diagnostics as a fresh run.
+# and re-checks — converging to the same diagnostics as a fresh run.
 persist-smoke:
 	sh scripts/persist_smoke.sh
 

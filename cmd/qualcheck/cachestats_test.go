@@ -41,15 +41,25 @@ func runChild(t *testing.T, args ...string) string {
 }
 
 // TestCacheStatsDiskWarm runs qualcheck -r twice on one -cache-dir. On the
-// warm run nothing is walked: -stats prints one function-cache line whose
-// every lookup is a hit, the ones the disk served included, with no misses,
-// and a disk line that served those hits.
+// warm run nothing is parsed: the disk line counts one record hit per file
+// and no miss, and -stats prints one function-cache line that counts every
+// function of those files (the cold run's lookups) as a hit from disk, with
+// no misses.
 func TestCacheStatsDiskWarm(t *testing.T) {
+	const files = 60
 	dir, store := t.TempDir(), t.TempDir()
-	if _, err := corpus.WriteTree(dir, 60, 3); err != nil {
+	if _, err := corpus.WriteTree(dir, files, 3); err != nil {
 		t.Fatal(err)
 	}
-	runChild(t, "-r", dir, "-cache-dir", store)
+	cold := statsFuncLineRe.FindStringSubmatch(runChild(t, "-r", dir, "-cache-dir", store, "-stats"))
+	if cold == nil {
+		t.Fatal("cold run printed no function-cache line")
+	}
+	lookups := 0
+	for _, n := range []string{cold[1], cold[3], cold[4]} {
+		v, _ := strconv.Atoi(n)
+		lookups += v
+	}
 	out := runChild(t, "-r", dir, "-cache-dir", store, "-stats")
 
 	if n := strings.Count("\n"+out, "\nfunction cache:"); n != 1 {
@@ -63,8 +73,11 @@ func TestCacheStatsDiskWarm(t *testing.T) {
 	if fn[1] == "0" || fn[3] != "0" {
 		t.Errorf("function-cache line %q: want hits and no misses on a warm store", fn[0])
 	}
-	if fn[2] != disk[1] || disk[1] == "0" || disk[2] != "0" {
-		t.Errorf("function-cache line %q: want the disk hits of %q", fn[0], disk[0])
+	if fn[1] != strconv.Itoa(lookups) || fn[2] != fn[1] {
+		t.Errorf("function-cache line %q: want all %d functions as hits from disk", fn[0], lookups)
+	}
+	if disk[1] != strconv.Itoa(files) || disk[2] != "0" {
+		t.Errorf("disk line %q: want one record hit per file (%d) and no miss", disk[0], files)
 	}
 	if rate, _ := strconv.ParseFloat(fn[5], 64); rate != 100 {
 		t.Errorf("function-cache line %q: want a 100%% hit rate", fn[0])
@@ -80,9 +93,9 @@ func counters(hits, misses, coalesced any) string {
 // qualcheck -r -cache-dir, through every surface that reports the function
 // cache: qualcheck -r -stats, the watch daemon's generation-0 and stats
 // events, and qualserve's /metrics after a /check-batch of the same files
-// (qualserve keeps function records under the same <dir>/func layout). Each
-// must count every function as a hit, disk-served ones included, and none
-// as a miss. One worker everywhere keeps the counts free of coalescing.
+// (qualserve keeps the checker's file records under the same <dir>/func
+// layout). Each must count every function as a hit, disk-served ones
+// included, and none as a miss. One worker everywhere keeps the counts free of coalescing.
 func TestCacheCountersAgreeAcrossSurfaces(t *testing.T) {
 	dir, store := t.TempDir(), t.TempDir()
 	rels, err := corpus.WriteTree(dir, 40, 5)

@@ -14,11 +14,11 @@
 // scheduler bounded by -j. Diagnostics are printed in deterministic
 // path/line order regardless of the worker count.
 //
-// With -cache-dir, the function-result cache is persisted to disk as
-// checksummed, crash-safe records, so a later run (or a -watch daemon
-// restarted after a crash) starts warm instead of re-walking every
-// function. Corrupt or torn records are detected, evicted, and re-proved —
-// never trusted. -cache-budget bounds the directory's size in bytes; the
+// With -cache-dir, each file's check result is persisted to disk as a
+// checksummed, crash-safe record keyed by the file's bytes, so a later run
+// (or a -watch daemon restarted after a crash) replays every unchanged file
+// instead of parsing and walking it. Corrupt or torn records are detected,
+// evicted, and re-checked — never trusted. -cache-budget bounds the directory's size in bytes; the
 // least recently used records are evicted past it.
 //
 // With -watch, qualcheck becomes a resident incremental checker: one full
@@ -90,7 +90,7 @@ func main() {
 	debounce := flag.Duration("debounce", watch.DefaultDebounce, "with -watch: quiet window before a change burst is re-checked")
 	poll := flag.Duration("poll", 0, "with -watch: rescan interval replacing fs notifications (0 = use notifications)")
 	maxFiles := flag.Int("max-files", 0, "with -r/-watch: stop the walk after this many files (0 = unlimited)")
-	cacheDir := flag.String("cache-dir", "", "with -r/-watch: persist the function cache under this directory so later runs start warm")
+	cacheDir := flag.String("cache-dir", "", "with -r/-watch: persist each file's check result under this directory so later runs start warm")
 	cacheBudget := flag.Int64("cache-budget", 0, "with -cache-dir: total record bytes kept on disk before LRU eviction (0 = default 256 MiB)")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget for the check; 0 means unlimited")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")

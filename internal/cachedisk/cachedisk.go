@@ -43,6 +43,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faults"
@@ -181,6 +182,7 @@ type Store struct {
 	dir    string
 	budget int64
 	now    func() time.Time // injectable clock for breaker tests
+	tmpSeq atomic.Uint64    // numbers this process's temp files
 
 	mu       sync.Mutex
 	index    map[string]*list.Element // KeyHash -> *entry in lru
@@ -347,17 +349,8 @@ func (s *Store) recordIOLocked(ok bool) {
 // read error is charged to the breaker and reported as a miss. Never
 // returns unverified bytes.
 func (s *Store) Get(key string) ([]byte, bool) {
-	record, ok := s.getSealed(KeyHash(key), key)
-	if !ok {
-		return nil, false
-	}
-	payload, err := Unseal(record, key)
-	if err != nil {
-		// getSealed already verified; unreachable in practice, but never
-		// return bytes that failed a check.
-		return nil, false
-	}
-	return payload, true
+	_, payload, ok := s.getSealed(KeyHash(key), key)
+	return payload, ok
 }
 
 // GetSealedByHash returns the raw sealed record stored under a content
@@ -368,7 +361,8 @@ func (s *Store) GetSealedByHash(hash string) ([]byte, bool) {
 	if !validHash(hash) {
 		return nil, false
 	}
-	return s.getSealed(hash, "")
+	record, _, ok := s.getSealed(hash, "")
+	return record, ok
 }
 
 // validHash guards the file-name position of a peer-supplied hash: exactly
@@ -387,22 +381,23 @@ func validHash(hash string) bool {
 	return true
 }
 
-// getSealed loads, verifies, and touches one record by content address.
-// wantKey additionally pins the embedded key when non-empty.
-func (s *Store) getSealed(hash, wantKey string) ([]byte, bool) {
+// getSealed loads, verifies, and touches one record by content address,
+// returning the record and the payload its one Unseal pass found. wantKey
+// additionally pins the embedded key when non-empty.
+func (s *Store) getSealed(hash, wantKey string) (record, payload []byte, ok bool) {
 	if s == nil {
-		return nil, false
+		return nil, nil, false
 	}
 	s.mu.Lock()
 	if _, indexed := s.index[hash]; !indexed {
 		s.stats.Misses++
 		s.mu.Unlock()
-		return nil, false
+		return nil, nil, false
 	}
 	if s.degradedLocked() {
 		s.stats.Misses++
 		s.mu.Unlock()
-		return nil, false
+		return nil, nil, false
 	}
 	s.mu.Unlock()
 
@@ -428,28 +423,29 @@ func (s *Store) getSealed(hash, wantKey string) ([]byte, bool) {
 			s.stats.Misses++
 			s.recordIOLocked(true)
 			s.mu.Unlock()
-			return nil, false
+			return nil, nil, false
 		}
 		s.stats.LoadErrors++
 		s.stats.Misses++
 		s.recordIOLocked(false)
 		s.mu.Unlock()
-		return nil, false
+		return nil, nil, false
 	}
 	s.recordIOLocked(true)
 	if !indexed {
 		s.stats.Misses++
 		s.mu.Unlock()
-		return nil, false
+		return nil, nil, false
 	}
-	if _, err := Unseal(record, wantKey); err != nil {
+	payload, err = Unseal(record, wantKey)
+	if err != nil {
 		// Self-healing load: the record is short, torn, bit-rotted, stale,
 		// or mis-keyed. Evict it at the source of truth and miss.
 		s.dropLocked(el, true)
 		s.stats.CorruptEvicted++
 		s.stats.Misses++
 		s.mu.Unlock()
-		return nil, false
+		return nil, nil, false
 	}
 	s.lru.MoveToFront(el)
 	s.stats.Hits++
@@ -458,7 +454,7 @@ func (s *Store) getSealed(hash, wantKey string) ([]byte, bool) {
 	// in-memory LRU is authoritative while the process lives).
 	now := time.Now()
 	_ = os.Chtimes(path, now, now)
-	return record, true
+	return record, payload, true
 }
 
 // readRecord is the faultable file read.
@@ -529,7 +525,9 @@ func (s *Store) writeRecord(hash string, record []byte) error {
 	if err := fpWrite.FireErr(); err != nil {
 		return err
 	}
-	tmp := filepath.Join(s.dir, hash+tmpExt)
+	// Each commit writes its own temp file: writers of one key at once would
+	// otherwise truncate and rename each other's half-written bytes.
+	tmp := filepath.Join(s.dir, fmt.Sprintf("%s.%d-%d%s", hash, os.Getpid(), s.tmpSeq.Add(1), tmpExt))
 	if err := os.WriteFile(tmp, record, 0o644); err != nil {
 		os.Remove(tmp)
 		return err

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -395,5 +396,39 @@ func TestConcurrentPutGet(t *testing.T) {
 	}
 	for w := 0; w < 8; w++ {
 		<-done
+	}
+}
+
+// TestConcurrentPutsOfOneKey: writers committing the same key at once (two
+// byte-identical files checked on two workers store one record) each write
+// their own temp file, so no write fails, none is charged to the degrade
+// breaker, no reader sees a torn record and no temp file is left behind.
+func TestConcurrentPutsOfOneKey(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, 0)
+	const key, payload = "shared", "the same record from every writer"
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				s.Put(key, []byte(payload))
+				if got, ok := s.Get(key); ok && string(got) != payload {
+					t.Errorf("wrong payload %q", got)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := s.Stats()
+	if st.WriteErrors != 0 || st.CorruptEvicted != 0 || st.Degraded || st.Entries != 1 {
+		t.Fatalf("stats %+v: want 400 clean commits of one record", st)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*"+tmpExt)); len(tmps) != 0 {
+		t.Fatalf("temp files left behind: %v", tmps)
+	}
+	if got, ok := s.Get(key); !ok || string(got) != payload {
+		t.Fatalf("Get = %q, %v", got, ok)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"io"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/cachedisk"
 	"repro/internal/cminor"
@@ -15,9 +16,10 @@ import (
 	"repro/internal/tiercache"
 )
 
-// This file implements content-addressed, function-granular result caching:
-// the unit of reuse for a long-lived checking service is one function body,
-// so that editing a file re-checks only the functions whose text changed.
+// This file implements the memory tier of content-addressed result caching
+// (the disk tier keeps whole files, see persist.go): the unit of reuse for a
+// long-lived checking service is one function body, so that editing a file
+// re-checks only the functions whose text changed.
 //
 // A cached entry is keyed by two hashes:
 //
@@ -47,18 +49,25 @@ const DefaultFuncCacheCapacity = 8192
 // FuncCacheStats is a snapshot of a function cache's counters.
 type FuncCacheStats = tiercache.Stats
 
-// FuncCache is a thread-safe tiered cache of per-function checking results:
-// a least-recently-used memory tier over an optional disk tier (persist.go).
-// Share one across CheckWithCache calls (and across programs — the context
-// key isolates unrelated programs and registries) to make repeated checks of
-// mostly-unchanged sources cheap. Concurrent lookups of one uncached key
-// coalesce: the first caller walks while the rest wait for its result.
+// FuncCache is a thread-safe cache of checking results: a least-recently-used
+// memory tier of per-function results, plus an optional disk tier of
+// per-file records (persist.go). Share one across CheckWithCache calls (and
+// across programs — the context key isolates unrelated programs and
+// registries) to make repeated checks of mostly-unchanged sources cheap.
+// Concurrent lookups of one uncached function coalesce: the first caller
+// walks while the rest wait for its result.
 //
-// The tiered cache is held unexported so that no caller can attach a peer
-// tier: a function entry carries no proof a node could check, so it is only
-// ever served from this process's memory or its own disk.
+// The tiers are held unexported so that no caller can attach a peer tier: a
+// result carries no proof a node could check, so it is only ever served from
+// this process's memory or its own disk.
 type FuncCache struct {
 	cache *tiercache.Cache[*funcCacheEntry]
+	disk  *cachedisk.Store // file records; nil without WithDisk
+
+	// diskFuncs counts the functions of the files the disk tier served, and
+	// diskRejected the records it refused; Stats folds them into the memory
+	// tier's counters.
+	diskFuncs, diskRejected atomic.Uint64
 }
 
 // funcCacheEntry is the replayable outcome of walking one function body.
@@ -73,8 +82,8 @@ type funcCacheEntry struct {
 	memoMisses       int
 	// seal is a content checksum over the replayable payload above,
 	// computed when the walk's entry is built and re-verified on every
-	// lookup: a corrupted entry (bit rot, a torn or stale disk record) is
-	// rejected and re-walked instead of replayed.
+	// lookup: a corrupted entry is rejected and re-walked instead of
+	// replayed.
 	seal uint64
 }
 
@@ -108,29 +117,36 @@ func NewFuncCache(capacity int) *FuncCache {
 	if capacity <= 0 {
 		capacity = DefaultFuncCacheCapacity
 	}
-	return &FuncCache{tiercache.New(capacity, funcEntryCodec)}
+	// The memory tier never persists, so its codec is empty.
+	return &FuncCache{cache: tiercache.New(capacity, tiercache.Codec[*funcCacheEntry]{})}
 }
 
-// Stats returns a snapshot of the counters.
-func (c *FuncCache) Stats() FuncCacheStats { return c.cache.Stats() }
+// Stats returns a snapshot of the counters. Each function of a file the disk
+// tier served counts as one hit from disk (Hits and DiskHits), so the
+// counters agree with the runs' own Stats.FuncCacheHits.
+func (c *FuncCache) Stats() FuncCacheStats {
+	s := c.cache.Stats()
+	n := c.diskFuncs.Load()
+	s.Hits += n
+	s.DiskHits += n
+	s.Rejected += c.diskRejected.Load()
+	return s
+}
 
 // Len returns the number of entries held in memory.
 func (c *FuncCache) Len() int { return c.cache.Len() }
 
-// DiskStats snapshots the attached disk store's counters (zero value when no
-// disk tier is attached).
-func (c *FuncCache) DiskStats() cachedisk.Stats { return c.cache.DiskStats() }
+// DiskStats snapshots the attached disk store's counters, one lookup per
+// file (zero value when no disk tier is attached).
+func (c *FuncCache) DiskStats() cachedisk.Stats { return c.disk.Stats() }
 
-// Codec returns the codec the cache persists its entries with.
-func (c *FuncCache) Codec() tiercache.Codec[*funcCacheEntry] { return c.cache.Codec() }
-
-// fpCacheReplay injects faults into the cache-replay path (see
-// checkFuncCached); any fired fault is treated as a miss.
+// fpCacheReplay injects faults into the cache-replay paths (checkFuncCached
+// and checkSource); any fired fault is treated as a miss.
 var fpCacheReplay = faults.Register("checker.cache.replay")
 
-// ForEach calls fn with every cached entry's diagnostic codes, under the
-// cache lock, without touching recency or the counters. Chaos tests use it to
-// assert that no transient ("internal") result was ever stored.
+// ForEach calls fn with every memory-tier entry's diagnostic codes, under
+// the cache lock, without touching recency or the counters. Chaos tests use
+// it to assert that no transient ("internal") result was ever stored.
 func (c *FuncCache) ForEach(fn func(key string, diagCodes []string)) {
 	c.cache.ForEach(func(key string, e *funcCacheEntry) {
 		codes := make([]string, len(e.diags))

@@ -181,14 +181,16 @@ func CheckWithContext(ctx context.Context, prog *cminor.Program, reg *qdl.Regist
 	return CheckWithCache(ctx, prog, reg, opts, nil)
 }
 
-// CheckWithCache is CheckWithContext backed by a function-granular result
-// cache: function bodies whose content-addressed key (function source text ×
-// registry fingerprint × options × program interface, see cache.go) is
-// cached replay their stored diagnostics instead of being walked. A nil
-// cache disables caching. Program-level passes (typechecking unless
-// Options.Types is supplied, annotation validation, global initializers, the
-// address-of pass, statistics collection) always run; only body walks are
-// reused. Safe for concurrent use with a shared cache.
+// CheckWithCache is CheckWithContext backed by the cache's memory tier of
+// function results: function bodies whose content-addressed key (function
+// source text × registry fingerprint × options × program interface, see
+// cache.go) is cached replay their stored diagnostics instead of being
+// walked. A nil cache disables caching. Program-level passes (typechecking
+// unless Options.Types is supplied, annotation validation, global
+// initializers, the address-of pass, statistics collection) always run; only
+// body walks are reused. The disk tier is never consulted: its records are
+// keyed by a file's bytes, which a parsed program no longer carries (see
+// CheckSource). Safe for concurrent use with a shared cache.
 //
 // The program must be unchanged since Parse built it, the same contract
 // Options.Types states: a function is keyed by the text Parse recorded in
@@ -203,8 +205,56 @@ func CheckWithCache(ctx context.Context, prog *cminor.Program, reg *qdl.Registry
 	return res
 }
 
-// checkProgram is one program's pool task, shared by CheckWithCache and the
-// tree checker's per-file task: it builds the engine and runs the
+// CheckSource parses src as the file name and checks it as its own program,
+// consulting fc's disk tier of file records first when one is attached: a
+// stored record replays under name without parsing, and a file checked in
+// full is stored for the next run. Otherwise it is CheckWithCache of the
+// parsed program. A parse failure is returned as the error. A replayed
+// Result has no Info or Casts; its Stats count every function of the file as
+// a cache hit.
+func CheckSource(ctx context.Context, name, src string, reg *qdl.Registry, opts Options, fc *FuncCache) (*Result, error) {
+	var res *Result
+	var err error
+	tab := tablesFor(reg)
+	scheduler.Run(opts.Concurrency, func(c *scheduler.Ctx) {
+		checkSource(ctx, c, name, src, tab, opts, fc, func(r *Result, e error) { res, err = r, e })
+	})
+	return res, err
+}
+
+// checkSource is one source file's pool task, shared by CheckSource and the
+// tree checker's per-file task. With a disk tier attached it looks the file
+// up before parsing, and a hit replays the record: no parse, no typecheck,
+// no context key, no function lookup. A miss parses and runs checkProgram,
+// whose completion stores the file's record. done receives the result, or
+// the parse error.
+func checkSource(ctx context.Context, c *scheduler.Ctx, name, src string, tab *tables, opts Options, fc *FuncCache, done func(*Result, error)) {
+	key := ""
+	// A replay fault bypasses the disk tier entirely, as it bypasses the
+	// memory tier in checkFuncCached: the file is checked afresh and not
+	// stored.
+	if fc != nil && fc.disk != nil && fpCacheReplay.FireErr() == nil {
+		key = fileKey(tab, opts, src)
+		if rec, ok := fc.lookupFile(key); ok {
+			done(rec.replay(name), nil)
+			return
+		}
+	}
+	prog, err := cminor.Parse(name, src, tab.qualNames)
+	if err != nil {
+		done(nil, err)
+		return
+	}
+	checkProgram(ctx, c, prog, tab, opts, fc, func(res *Result) {
+		if key != "" {
+			fc.storeFile(key, name, res)
+		}
+		done(res, nil)
+	})
+}
+
+// checkProgram is one program's pool task, shared by CheckWithCache and
+// checkSource: it builds the engine and runs the
 // program-level passes, then spawns one unit per function. Functions are
 // independent: the only engine state a body walk touches is its own
 // diagnostics, restrict counters, derivation memo, and refinement

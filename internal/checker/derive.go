@@ -117,6 +117,8 @@ func headOf(e cminor.Expr) head {
 // shared by every engine checking against the registry.
 type tables struct {
 	reg *qdl.Registry
+	// qualNames is reg.Names(), the qualifier names Parse recognizes.
+	qualNames map[string]bool
 	// byHead[h] lists, in registration order, each case-bearing value
 	// qualifier that has a case whose pattern can match head h, with just
 	// those cases in declaration order. A case an expression's head rules
@@ -168,7 +170,7 @@ func tablesFor(reg *qdl.Registry) *tables {
 
 // compileTables compiles reg's clauses and invariants for checking.
 func compileTables(reg *qdl.Registry) *tables {
-	tab := &tables{reg: reg, assigns: map[*qdl.Def]*assignDef{}}
+	tab := &tables{reg: reg, qualNames: reg.Names(), assigns: map[*qdl.Def]*assignDef{}}
 	for _, d := range reg.Defs() {
 		var groups [numHeads]headDefs
 		for _, cl := range d.Cases {

@@ -26,7 +26,7 @@ func TestTreeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := goldenReport(t)
+	got := goldenReport(t, "")
 	if got == string(want) {
 		return
 	}
@@ -45,8 +45,11 @@ func TestTreeGolden(t *testing.T) {
 	}
 }
 
-// goldenReport renders the golden's contents.
-func goldenReport(t *testing.T) string {
+// goldenReport renders the golden's contents. With a non-empty diskDir the
+// tree is checked as a restarted process would check it: a cold pass fills
+// a disk tier on diskDir, and the reported pass runs on a fresh cache over
+// it, every file served from disk.
+func goldenReport(t *testing.T, diskDir string) string {
 	t.Helper()
 	var b strings.Builder
 	std := quals.MustStandard()
@@ -59,14 +62,20 @@ func goldenReport(t *testing.T) string {
 		t.Fatal(err)
 	}
 	for _, flow := range []bool{false, true} {
-		res, err := CheckTree(context.Background(), dir, std, TreeOptions{
-			Options: Options{FlowSensitive: flow},
-			Workers: 1,
-			Seed:    1,
-			Cache:   NewFuncCache(0),
-		})
+		opts := TreeOptions{Options: Options{FlowSensitive: flow}, Workers: 1, Seed: 1, Cache: NewFuncCache(0)}
+		if diskDir != "" {
+			opts.Cache = diskCache(t, diskDir)
+			if _, err := CheckTree(context.Background(), dir, std, opts); err != nil {
+				t.Fatal(err)
+			}
+			opts.Cache = diskCache(t, diskDir)
+		}
+		res, err := CheckTree(context.Background(), dir, std, opts)
 		if err != nil || res.Err != nil {
 			t.Fatalf("CheckTree: %v / %v", err, res.Err)
+		}
+		if ds := opts.Cache.DiskStats(); diskDir != "" && (ds.Misses != 0 || int(ds.Hits) != len(res.Files)) {
+			t.Fatalf("disk-warm pass: %+v, want every file served from disk", ds)
 		}
 		for _, fr := range res.Files {
 			fmt.Fprintf(&b, "== tree %s flow=%v\n", fr.File, flow)

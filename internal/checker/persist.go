@@ -1,92 +1,243 @@
 package checker
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"hash/fnv"
+	"io"
+	"sort"
 
 	"repro/internal/cachedisk"
 	"repro/internal/tiercache"
 )
 
-// Disk tier for the function-result cache. The tier itself is the shared
-// tiered cache's (internal/tiercache); this file supplies the payload codec
-// it persists entries with. cachedisk's record framing supplies the key
-// binding and checksum, this codec supplies the entry layout, and the
-// content seal — persisted alongside the payload and recomputed over the
-// decoded entry on every load — supplies the semantic integrity check. A
-// record whose recomputed seal disagrees with its stored seal is rejected
-// and evicted no matter how clean its checksums were: the seal attests to
-// what the walk produced, not to what the disk stored.
+// Disk tier of the checker's cache: one record per source file. Each file is
+// its own program, so its diagnostics and statistics depend only on the
+// registry, the verdict-changing options (flow sensitivity) and the file's
+// bytes; fileKey hashes exactly those. A record stores the diagnostics
+// without the file name, which the replay adds back, so byte-identical
+// files share one record. A lookup runs before parse (checkSource): a hit
+// skips parse, typecheck and every function lookup.
 //
-// Trust model: seal and checksums are plain FNV-64a — recomputable by any
-// writer — so they detect corruption (bit rot, torn writes, stale formats),
-// NOT deliberate tampering. A function entry carries no certificate to
-// replay, so it is only as trustworthy as the local disk, which shares the
-// process's trust domain; that is why the function cache has no peer tier.
+// cachedisk's record framing supplies the key binding and checksum, this
+// codec supplies the payload layout, and the content seal, computed over the
+// check's result when the record is built and recomputed over the decoded
+// record on every load, supplies the semantic integrity check: a record
+// whose recomputed seal disagrees with its stored seal is rejected and
+// evicted no matter how clean its checksums were.
+//
+// Trust model: seal and checksums are plain FNV-64a, recomputable by any
+// writer, so they detect corruption (bit rot, torn writes, stale formats),
+// NOT deliberate tampering. A record carries no certificate to replay, so it
+// is only as trustworthy as the local disk, which shares the process's trust
+// domain; that is why the checker's cache has no peer tier.
 const (
-	funcEntryMagic   = "QFE"
-	funcEntryVersion = byte(1)
-	// maxPersistDiags bounds the decoded diagnostic count so a hostile
-	// record cannot demand a giant allocation.
-	maxPersistDiags = 1 << 16
+	fileRecordMagic   = "QFR"
+	fileRecordVersion = byte(1)
+	// maxPersistDiags and maxPersistCounts bound the decoded diagnostic and
+	// per-qualifier counter lists so a hostile record cannot demand a giant
+	// allocation.
+	maxPersistDiags  = 1 << 16
+	maxPersistCounts = 1 << 12
 )
 
-// encodeFuncEntry serializes an entry's replayable payload plus its content
-// seal. The key is not encoded — cachedisk's record framing binds it.
-func encodeFuncEntry(e *funcCacheEntry) []byte {
-	b := make([]byte, 0, 64)
-	b = append(b, funcEntryMagic...)
-	b = append(b, funcEntryVersion)
-	b = binary.AppendUvarint(b, uint64(e.restrictChecks))
-	b = binary.AppendUvarint(b, uint64(e.restrictFailures))
-	b = binary.AppendUvarint(b, uint64(e.memoHits))
-	b = binary.AppendUvarint(b, uint64(e.memoMisses))
-	b = binary.AppendUvarint(b, uint64(len(e.diags)))
-	for _, d := range e.diags {
-		b = binary.AppendUvarint(b, uint64(d.relLine))
-		b = binary.AppendUvarint(b, uint64(d.col))
-		b = tiercache.AppendString(b, d.code)
-		b = tiercache.AppendString(b, d.msg)
-	}
-	return binary.BigEndian.AppendUint64(b, e.seal)
+// FileRecord is one source file's replayable checking outcome, the payload
+// of a disk-tier record. Diags carry no file name (Pos.File is empty). Stats
+// are the statistics a replay reports: the check's own counts, with
+// FuncCacheHits set to the file's function lookups (each counts as a hit
+// from disk) and no misses or coalesced lookups.
+type FileRecord struct {
+	Diags []Diagnostic
+	Stats Stats
+	// seal checksums the fields above (sealFileRecord).
+	seal uint64
 }
 
-// decodeFuncEntry is encodeFuncEntry's inverse. Beyond framing, it verifies
-// the content seal: sealEntry over the decoded fields must reproduce the
-// stored seal exactly, so any accidental mutation that survives the outer
-// checksums (or a record minted by a buggy writer) is refused. The seal is
-// not authentication — a deliberate forger recomputes it trivially, which is
-// why entries are read only from the local disk (see the trust model above).
-func decodeFuncEntry(data []byte) (*funcCacheEntry, error) {
-	if len(data) < len(funcEntryMagic)+1+8 {
-		return nil, fmt.Errorf("short function-entry payload")
+// FileRecordCodec is the disk tier's payload codec, exported so that a
+// store's records can be read back outside this package.
+var FileRecordCodec = tiercache.Codec[*FileRecord]{
+	Encode: encodeFileRecord,
+	Decode: decodeFileRecord,
+}
+
+// fileKey is the disk-tier key of one source file checked against tab's
+// registry under opts.
+func fileKey(tab *tables, opts Options, src string) string {
+	h := sha256.New()
+	io.WriteString(h, "file\x00")
+	io.WriteString(h, tab.reg.Fingerprint())
+	fmt.Fprintf(h, "\x00flow=%v\x00", opts.FlowSensitive)
+	io.WriteString(h, src)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// WithDisk attaches a disk tier of file records: the tree checker and
+// CheckSource look each file up in store before parsing it, and store every
+// file they check in full. CheckWithCache, which is handed a
+// parsed program, uses the memory tier only. Attach before sharing the cache
+// across goroutines. A nil store is a no-op.
+func (c *FuncCache) WithDisk(store *cachedisk.Store) *FuncCache {
+	c.disk = store
+	return c
+}
+
+// lookupFile returns the record stored under key. A record the decoder
+// refuses is deleted from the store and counted as Rejected; a served one
+// counts its functions as hits from disk.
+func (c *FuncCache) lookupFile(key string) (*FileRecord, bool) {
+	payload, ok := c.disk.Get(key)
+	if !ok {
+		return nil, false
 	}
-	if string(data[:len(funcEntryMagic)]) != funcEntryMagic {
-		return nil, fmt.Errorf("bad function-entry magic")
+	rec, err := decodeFileRecord(payload)
+	if err != nil {
+		c.diskRejected.Add(1)
+		c.disk.Delete(key)
+		return nil, false
 	}
-	if v := data[len(funcEntryMagic)]; v != funcEntryVersion {
-		return nil, fmt.Errorf("stale function-entry version %d", v)
+	c.diskFuncs.Add(uint64(rec.Stats.FuncCacheHits))
+	return rec, true
+}
+
+// storeFile writes res, the complete check of the file name, as the record
+// under key. A result that is not safely replayable is not stored: a run cut
+// short by its context, an "internal" diagnostic (a recovered panic or an
+// injected fault, both transient), or a diagnostic positioned in another
+// file, whose name the record could not restore.
+func (c *FuncCache) storeFile(key, name string, res *Result) {
+	if res.Err != nil {
+		return
+	}
+	rec := &FileRecord{Stats: res.Stats}
+	if len(res.Diags) > 0 {
+		rec.Diags = make([]Diagnostic, len(res.Diags))
+	}
+	for i, d := range res.Diags {
+		if d.Code == "internal" || d.Pos.File != name {
+			return
+		}
+		d.Pos.File = ""
+		rec.Diags[i] = d
+	}
+	rec.Stats.FuncCacheHits = res.Stats.FuncCacheHits + res.Stats.FuncCacheMisses + res.Stats.FuncCacheCoalesced
+	rec.Stats.FuncCacheMisses, rec.Stats.FuncCacheCoalesced = 0, 0
+	rec.seal = sealFileRecord(rec)
+	c.disk.Put(key, encodeFileRecord(rec))
+}
+
+// replay returns the record's result for the file name.
+func (r *FileRecord) replay(name string) *Result {
+	res := &Result{Stats: r.Stats}
+	if len(r.Diags) > 0 {
+		res.Diags = make([]Diagnostic, len(r.Diags))
+		for i, d := range r.Diags {
+			d.Pos.File = name
+			res.Diags[i] = d
+		}
+	}
+	return res
+}
+
+// sealFileRecord checksums a record's replayable payload.
+func sealFileRecord(r *FileRecord) uint64 {
+	h := fnv.New64a()
+	h.Write(appendFileRecordBody(nil, r))
+	return h.Sum64()
+}
+
+// appendFileRecordBody appends a record's fields in their persisted layout:
+// the counters, the function count, each per-qualifier map as a count and
+// its entries in key order, then the diagnostics.
+func appendFileRecordBody(b []byte, r *FileRecord) []byte {
+	s := &r.Stats
+	for _, n := range []int{s.Dereferences, s.RestrictChecks, s.RestrictFailures, s.MemoHits, s.MemoMisses, s.FuncCacheHits} {
+		b = binary.AppendUvarint(b, uint64(n))
+	}
+	for _, m := range []map[string]int{s.Annotations, s.QualCasts, s.RefUses} {
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		b = binary.AppendUvarint(b, uint64(len(keys)))
+		for _, k := range keys {
+			b = tiercache.AppendString(b, k)
+			b = binary.AppendUvarint(b, uint64(m[k]))
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(r.Diags)))
+	for _, d := range r.Diags {
+		b = binary.AppendUvarint(b, uint64(d.Pos.Line))
+		b = binary.AppendUvarint(b, uint64(d.Pos.Col))
+		b = tiercache.AppendString(b, d.Code)
+		b = tiercache.AppendString(b, d.Msg)
+	}
+	return b
+}
+
+// encodeFileRecord serializes a record: magic, version, body, seal. The key
+// is not encoded; cachedisk's record framing binds it.
+func encodeFileRecord(r *FileRecord) []byte {
+	b := make([]byte, 0, 256)
+	b = append(b, fileRecordMagic...)
+	b = append(b, fileRecordVersion)
+	b = appendFileRecordBody(b, r)
+	return binary.BigEndian.AppendUint64(b, r.seal)
+}
+
+// decodeFileRecord is encodeFileRecord's inverse. Beyond framing, it
+// refuses a transient "internal" diagnostic and verifies the content seal:
+// sealFileRecord over the decoded fields must reproduce the stored seal, so
+// any accidental mutation that survives the outer checksums (or a record
+// minted by a buggy writer) is refused.
+func decodeFileRecord(data []byte) (*FileRecord, error) {
+	if len(data) < len(fileRecordMagic)+1+8 {
+		return nil, fmt.Errorf("short file-record payload")
+	}
+	if string(data[:len(fileRecordMagic)]) != fileRecordMagic {
+		return nil, fmt.Errorf("bad file-record magic")
+	}
+	if v := data[len(fileRecordMagic)]; v != fileRecordVersion {
+		return nil, fmt.Errorf("stale file-record version %d", v)
 	}
 	storedSeal := binary.BigEndian.Uint64(data[len(data)-8:])
-	d := tiercache.NewDecoder(data[len(funcEntryMagic)+1 : len(data)-8])
-	e := &funcCacheEntry{
-		restrictChecks:   int(d.Uvarint()),
-		restrictFailures: int(d.Uvarint()),
-		memoHits:         int(d.Uvarint()),
-		memoMisses:       int(d.Uvarint()),
+	d := tiercache.NewDecoder(data[len(fileRecordMagic)+1 : len(data)-8])
+	r := &FileRecord{}
+	s := &r.Stats
+	for _, n := range []*int{&s.Dereferences, &s.RestrictChecks, &s.RestrictFailures, &s.MemoHits, &s.MemoMisses, &s.FuncCacheHits} {
+		*n = int(d.Uvarint())
+	}
+	for _, m := range []*map[string]int{&s.Annotations, &s.QualCasts, &s.RefUses} {
+		n := d.Uvarint()
+		if n > maxPersistCounts {
+			return nil, fmt.Errorf("counter list too long (%d)", n)
+		}
+		*m = make(map[string]int, min(n, 64))
+		for i := uint64(0); i < n && d.Err() == nil; i++ {
+			k := d.Text()
+			(*m)[k] = int(d.Uvarint())
+		}
 	}
 	n := d.Uvarint()
 	if n > maxPersistDiags {
 		return nil, fmt.Errorf("diagnostic list too long (%d)", n)
 	}
-	e.diags = make([]relDiag, 0, min(int(n), 256))
+	if n > 0 {
+		r.Diags = make([]Diagnostic, 0, min(int(n), 256))
+	}
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		e.diags = append(e.diags, relDiag{
-			relLine: int(d.Uvarint()),
-			col:     int(d.Uvarint()),
-			code:    d.Text(),
-			msg:     d.Text(),
-		})
+		var dg Diagnostic
+		dg.Pos.Line = int(d.Uvarint())
+		dg.Pos.Col = int(d.Uvarint())
+		dg.Code = d.Text()
+		dg.Msg = d.Text()
+		// A persisted record must never replay a transient check.
+		if dg.Code == "internal" {
+			return nil, fmt.Errorf("transient %q diagnostic in persisted record", dg.Code)
+		}
+		r.Diags = append(r.Diags, dg)
 	}
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -94,30 +245,9 @@ func decodeFuncEntry(data []byte) (*funcCacheEntry, error) {
 	if d.Len() != 0 {
 		return nil, fmt.Errorf("%d trailing bytes", d.Len())
 	}
-	// A persisted entry must never replay a transient walk.
-	for _, dg := range e.diags {
-		if dg.code == "internal" {
-			return nil, fmt.Errorf("transient %q diagnostic in persisted entry", dg.code)
-		}
-	}
-	if got := sealEntry(e); got != storedSeal {
+	if got := sealFileRecord(r); got != storedSeal {
 		return nil, fmt.Errorf("content seal mismatch (stored %x, recomputed %x)", storedSeal, got)
 	}
-	e.seal = storedSeal
-	return e, nil
-}
-
-// funcEntryCodec persists entries for the disk tier. It has no VerifyPeer:
-// the function cache never attaches a peer tier.
-var funcEntryCodec = tiercache.Codec[*funcCacheEntry]{
-	Encode: encodeFuncEntry,
-	Decode: decodeFuncEntry,
-}
-
-// WithDisk attaches a disk tier: lookups the memory tier misses probe store
-// before walking, and every stored entry is persisted. Attach before sharing
-// the cache across goroutines. A nil store is a no-op.
-func (c *FuncCache) WithDisk(store *cachedisk.Store) *FuncCache {
-	c.cache.WithDisk(store)
-	return c
+	r.seal = storedSeal
+	return r, nil
 }

@@ -13,11 +13,13 @@ import (
 
 // This file is the repo-scale entry point: CheckTree walks a directory,
 // parses every source file, and checks them all over a work-stealing
-// scheduler with per-file → per-function work units. A file task reads and
-// parses the file, then runs checkProgram — CheckWithCache's own task — which
-// spawns one unit per function onto its worker's queue; idle workers steal
-// those units, so one huge file's functions spread across the pool instead of
-// serializing behind it.
+// scheduler with per-file → per-function work units. A file task reads the
+// file and runs checkSource — CheckSource's own task — which replays the
+// file's disk record when one holds its bytes, and otherwise parses the file
+// and runs checkProgram, CheckWithCache's own task. That spawns one unit per
+// function onto its worker's queue; idle workers steal those units, so one
+// huge file's functions spread across the pool instead of serializing behind
+// it.
 //
 // Determinism: files are indexed in walk (lexical) order and functions in
 // declaration order, every unit writes only its own slot, and the last unit
@@ -37,8 +39,9 @@ type TreeOptions struct {
 	Seed uint64
 	// Walk configures file discovery (extensions, skip rules, size caps).
 	Walk input.WalkOptions
-	// Cache, when non-nil, is the shared function-granular result cache;
-	// identical functions across files coalesce to one walk.
+	// Cache, when non-nil, is the shared result cache: identical functions
+	// across files coalesce to one walk, and with a disk tier attached a
+	// file whose bytes a record holds is replayed without being parsed.
 	Cache *FuncCache
 	// DegradeReadErrors turns a vanished or unreadable file into a per-file
 	// "internal" diagnostic instead of a FileResult.Err. Under a watch daemon
@@ -92,12 +95,11 @@ func (r *TreeResult) FilesPerSec() float64 {
 // from one save to the next instead of being rebuilt per pass. Close releases
 // the pool; a closed TreeChecker must not be used again.
 type TreeChecker struct {
-	tab       *tables // the registry compiled once for every file
-	opts      TreeOptions
-	qualNames map[string]bool
-	maxBytes  int64
-	pool      *scheduler.Pool
-	reader    *input.Reader
+	tab      *tables // the registry compiled once for every file
+	opts     TreeOptions
+	maxBytes int64
+	pool     *scheduler.Pool
+	reader   *input.Reader
 }
 
 // NewTreeChecker builds a checking engine over a worker pool of opts.Workers
@@ -108,12 +110,11 @@ func NewTreeChecker(reg *qdl.Registry, opts TreeOptions) *TreeChecker {
 		maxBytes = input.DefaultMaxFileBytes
 	}
 	return &TreeChecker{
-		tab:       tablesFor(reg),
-		opts:      opts,
-		qualNames: reg.Names(),
-		maxBytes:  maxBytes,
-		pool:      scheduler.New(opts.Workers, opts.Seed),
-		reader:    input.NewReader(),
+		tab:      tablesFor(reg),
+		opts:     opts,
+		maxBytes: maxBytes,
+		pool:     scheduler.New(opts.Workers, opts.Seed),
+		reader:   input.NewReader(),
 	}
 }
 
@@ -137,7 +138,7 @@ func (tc *TreeChecker) CheckFiles(ctx context.Context, files []input.File) []Fil
 	for i := range files {
 		i, f := i, files[i]
 		tc.pool.Submit(func(c *scheduler.Ctx) {
-			checkFileTask(ctx, c, f, tc.tab, tc.qualNames, tc.maxBytes, tc.reader, tc.opts, &results[i])
+			checkFileTask(ctx, c, f, tc.tab, tc.maxBytes, tc.reader, tc.opts, &results[i])
 		})
 	}
 	tc.pool.Wait()
@@ -181,12 +182,12 @@ func CheckTree(ctx context.Context, root string, reg *qdl.Registry, opts TreeOpt
 	return tc.CheckTree(ctx, root)
 }
 
-// checkFileTask is one file's task: read and parse, then checkProgram. The
-// last function unit to finish writes the file's result (there is no
-// blocking join — a worker is never parked waiting for another worker's
-// units).
+// checkFileTask is one file's task: read, then checkSource. A file the disk
+// tier serves is written here; otherwise the last function unit to finish
+// writes the file's result (there is no blocking join — a worker is never
+// parked waiting for another worker's units).
 func checkFileTask(ctx context.Context, c *scheduler.Ctx, f input.File, tab *tables,
-	qualNames map[string]bool, maxBytes int64, reader *input.Reader, opts TreeOptions, out *FileResult) {
+	maxBytes int64, reader *input.Reader, opts TreeOptions, out *FileResult) {
 	out.File = f.Rel
 	if err := ctx.Err(); err != nil {
 		out.Err = err
@@ -208,12 +209,11 @@ func checkFileTask(ctx context.Context, c *scheduler.Ctx, f input.File, tab *tab
 		out.Err = err
 		return
 	}
-	prog, err := cminor.Parse(f.Rel, src, qualNames)
-	if err != nil {
-		out.Err = err
-		return
-	}
-	checkProgram(ctx, c, prog, tab, opts.Options, opts.Cache, func(res *Result) {
+	checkSource(ctx, c, f.Rel, src, tab, opts.Options, opts.Cache, func(res *Result, err error) {
+		if err != nil {
+			out.Err = err
+			return
+		}
 		out.Diags, out.Stats, out.Err = res.Diags, res.Stats, res.Err
 	})
 }

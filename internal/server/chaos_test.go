@@ -8,11 +8,15 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cachedisk"
+	"repro/internal/checker"
 	"repro/internal/corpus"
 	"repro/internal/faults"
 	"repro/internal/simplify"
@@ -29,7 +33,8 @@ import (
 //     decodable JSON body (never dropped, never hung, never a 500);
 //   - the process survives every injected panic;
 //   - no fault-minted outcome is cached: the prover cache holds no
-//     transient reasons, the function cache no internal diagnostics;
+//     transient reasons, the function cache's memory tier and its disk
+//     records no internal diagnostics;
 //   - after the faults clear, authoritative service resumes (the breaker
 //     closes, verdicts are sound) and no goroutines are leaked.
 func TestChaosSoak(t *testing.T) {
@@ -192,6 +197,11 @@ func TestChaosSoak(t *testing.T) {
 			}
 		}
 	})
+	// The disk tier keeps no transient result either; a soak that left no
+	// record would check nothing here.
+	if n := checkFileRecords(t, s.diskFunc.Dir()); n == 0 {
+		t.Error("the soak left no file record on disk to decode")
+	}
 
 	// Recovery: the breaker must close and authoritative answers resume.
 	deadline := time.Now().Add(30 * time.Second)
@@ -213,6 +223,39 @@ func TestChaosSoak(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/check", CheckRequest{Source: "void f() { int x = 1; }"}, &check); code != http.StatusOK || check.Degraded {
 		t.Fatalf("post-chaos check degraded: code %d, %+v", code, check)
 	}
+}
+
+// checkFileRecords decodes every record in the function store at dir,
+// failing the test on one that does not decode or that holds an "internal"
+// diagnostic, and returns how many it read.
+func checkFileRecords(t *testing.T, dir string) int {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.qc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := cachedisk.Unseal(raw, "")
+		if err != nil {
+			t.Errorf("file record %s: %v", filepath.Base(path), err)
+			continue
+		}
+		rec, err := checker.FileRecordCodec.Decode(payload)
+		if err != nil {
+			t.Errorf("file record %s: %v", filepath.Base(path), err)
+			continue
+		}
+		for _, d := range rec.Diags {
+			if d.Code == "internal" {
+				t.Errorf("file record %s holds an internal diagnostic: %v", filepath.Base(path), d)
+			}
+		}
+	}
+	return len(paths)
 }
 
 // FuzzCheckHandler throws arbitrary bodies at POST /check on a live server:

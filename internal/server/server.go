@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/cachedisk"
 	"repro/internal/checker"
-	"repro/internal/cminor"
 	"repro/internal/faults"
 	"repro/internal/memwatch"
 	"repro/internal/qdl"
@@ -615,13 +614,14 @@ func (s *Server) doCheckBatch(ctx context.Context, req *CheckBatchRequest) (int,
 	return http.StatusOK, resp
 }
 
-// checkInputs parses, checks and converts each input in order against reg,
-// sharing the server's function cache; an input without a name is called
-// inputN.c after its index. A parse failure is recorded on its input and the
-// rest are still checked. A check that ctx stops ends the run after its
-// input's result: execute answers such a request 504 and drops the response.
+// checkInputs checks and converts each input in order against reg, sharing
+// the server's cache (checker.CheckSource: with -cache-dir, an input whose
+// bytes the disk tier holds replays without parsing); an input without a
+// name is called inputN.c after its index. A parse failure is recorded on
+// its input and the rest are still checked. A check that ctx stops ends the
+// run after its input's result: execute answers such a request 504 and drops
+// the response.
 func (s *Server) checkInputs(ctx context.Context, reg *qdl.Registry, flow bool, inputs []BatchInput) CheckBatchResponse {
-	names := reg.Names()
 	resp := CheckBatchResponse{Files: make([]BatchFileResult, 0, len(inputs))}
 	for i, in := range inputs {
 		name := in.Filename
@@ -629,17 +629,16 @@ func (s *Server) checkInputs(ctx context.Context, reg *qdl.Registry, flow bool, 
 			name = fmt.Sprintf("input%d.c", i)
 		}
 		fr := BatchFileResult{Filename: name, Diagnostics: []CheckDiagnostic{}}
-		prog, err := cminor.Parse(name, in.Source, names)
+		res, err := checker.CheckSource(ctx, name, in.Source, reg, checker.Options{
+			FlowSensitive: flow,
+			Concurrency:   requestConcurrency,
+		}, s.funcCache)
 		if err != nil {
 			fr.Error = "parse: " + err.Error()
 			resp.Failures++
 			resp.Files = append(resp.Files, fr)
 			continue
 		}
-		res := checker.CheckWithCache(ctx, prog, reg, checker.Options{
-			FlowSensitive: flow,
-			Concurrency:   requestConcurrency,
-		}, s.funcCache)
 		fr.Diagnostics, fr.Degraded = apiDiagnostics(res.Diags)
 		fr.Warnings = len(fr.Diagnostics)
 		resp.Warnings += fr.Warnings

@@ -1,6 +1,7 @@
 // Package tiercache is the tiered memoizing cache under both warm caches:
-// the checker's per-function results (checker.FuncCache) and the prover's
-// per-goal outcomes (simplify.Cache). A Cache owns the memory LRU,
+// the checker's per-function results in memory (checker.FuncCache, whose
+// disk tier keeps per-file records of its own) and the prover's per-goal
+// outcomes (simplify.Cache). A Cache owns the memory LRU,
 // singleflight coalescing of concurrent fills, disk write-through, the
 // disk-then-peer probe on a memory miss, eviction of refused entries at
 // their source, and the counters. Each user supplies its key derivation, a
@@ -129,12 +130,6 @@ func (c *Cache[V]) WithPeerFetch(fetch PeerFetch) {
 
 // Codec returns the codec the cache persists its values with.
 func (c *Cache[V]) Codec() Codec[V] { return c.codec }
-
-// DiskStats snapshots the attached disk store's counters (zero value when no
-// disk tier is attached).
-func (c *Cache[V]) DiskStats() cachedisk.Stats {
-	return c.disk.Stats()
-}
 
 // Stats returns a snapshot of the counters.
 func (c *Cache[V]) Stats() Stats {

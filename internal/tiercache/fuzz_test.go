@@ -2,12 +2,14 @@ package tiercache_test
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/cachedisk"
 	"repro/internal/checker"
-	"repro/internal/cminor"
 	"repro/internal/logic"
 	"repro/internal/quals"
 	"repro/internal/simplify"
@@ -15,21 +17,21 @@ import (
 )
 
 // FuzzPayloadDecoders feeds arbitrary bytes to both payload decoders, the
-// prover's outcome records (QPV) and the function cache's entries (QFE).
+// prover's outcome records (QPV) and the checker's file records (QFR).
 // Their input comes from disk (and, for outcomes, from peers), so neither may
 // panic, and any value a decoder accepts must survive encode→decode
 // unchanged.
 func FuzzPayloadDecoders(f *testing.F) {
-	prover, funcs, funcPayloads := seedCaches(f)
+	prover, filePayloads := seedCaches(f)
 	for _, out := range values(prover) {
 		f.Add(prover.Codec().Encode(out))
 	}
-	for _, payload := range funcPayloads {
+	for _, payload := range filePayloads {
 		f.Add(payload)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		roundTrip(t, prover.Codec(), data)
-		roundTrip(t, funcs.Codec(), data)
+		roundTrip(t, checker.FileRecordCodec, data)
 	})
 }
 
@@ -53,11 +55,11 @@ func values[V any](c *tiercache.Cache[V]) []V {
 	return vs
 }
 
-// seedCaches fills a prover cache and a function cache with real values: a
-// certified Valid, an Unknown with a counter-example, and function entries
-// with and without diagnostics. The function entries are returned as the
-// payloads their disk tier persisted.
-func seedCaches(f *testing.F) (*simplify.Cache, *checker.FuncCache, [][]byte) {
+// seedCaches fills a prover cache with real values, a certified Valid and an
+// Unknown with a counter-example, and checks two files, one clean and one
+// with diagnostics, through a function cache's disk tier. It returns the
+// prover cache and the payloads of the two file records.
+func seedCaches(f *testing.F) (*simplify.Cache, [][]byte) {
 	opts := simplify.DefaultOptions()
 	opts.EmitCertificates = true
 	prover := simplify.NewCache(0)
@@ -73,34 +75,40 @@ func seedCaches(f *testing.F) (*simplify.Cache, *checker.FuncCache, [][]byte) {
 		p.Prove(goal)
 	}
 
-	const src = `
-int* nonnull g;
-void clean() {
-  int x = 1;
-}
-void leak(int* p) {
-  g = p;
-}
-`
 	reg := quals.MustStandard()
-	prog, err := cminor.Parse("seed.c", src, reg.Names())
-	if err != nil {
-		f.Fatal(err)
-	}
-	store, err := cachedisk.Open(f.TempDir(), 0)
+	dir := f.TempDir()
+	store, err := cachedisk.Open(dir, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
 	funcs := checker.NewFuncCache(0).WithDisk(store)
-	checker.CheckWithCache(context.Background(), prog, reg, checker.Options{}, funcs)
-	var payloads [][]byte
-	funcs.ForEach(func(key string, _ []string) {
-		if payload, ok := store.Get(key); ok {
-			payloads = append(payloads, payload)
+	for _, src := range []string{
+		"int* nonnull g;\nvoid clean() {\n  int x = 1;\n}\n",
+		"int* nonnull g;\nvoid leak(int* p) {\n  g = p;\n}\n",
+	} {
+		if _, err := checker.CheckSource(context.Background(), "seed.c", src, reg, checker.Options{}, funcs); err != nil {
+			f.Fatal(err)
 		}
-	})
-	if prover.Len() != 2 || len(payloads) != 2 {
-		f.Fatalf("seeded %d outcomes and %d function entries, want 2 and 2", prover.Len(), len(payloads))
 	}
-	return prover, funcs, payloads
+	records, err := filepath.Glob(filepath.Join(dir, "*.qc"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	sort.Strings(records)
+	var payloads [][]byte
+	for _, path := range records {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		payload, err := cachedisk.Unseal(raw, "")
+		if err != nil {
+			f.Fatal(err)
+		}
+		payloads = append(payloads, payload)
+	}
+	if prover.Len() != 2 || len(payloads) != 2 {
+		f.Fatalf("seeded %d outcomes and %d file records, want 2 and 2", prover.Len(), len(payloads))
+	}
+	return prover, payloads
 }

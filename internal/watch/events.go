@@ -64,8 +64,8 @@ type genEvent struct {
 	Errors        int `json:"errors"`
 	// CacheHits/CacheMisses/CacheCoalesced sum the function-cache counters
 	// of this generation's checked files (checker.Stats): a hit was served
-	// from memory or disk, and misses count exactly the functions walked
-	// (the incremental-work receipt).
+	// from memory or belongs to a file served from disk, and misses count
+	// exactly the functions walked (the incremental-work receipt).
 	CacheHits      uint64 `json:"cache_hits"`
 	CacheMisses    uint64 `json:"cache_misses"`
 	CacheCoalesced uint64 `json:"cache_coalesced"`

@@ -362,8 +362,8 @@ func TestDaemonInotify(t *testing.T) {
 	}
 }
 
-// TestDaemonDiskWarmGeneration: a daemon started on a function store that
-// an earlier run filled walks nothing, and its generation-0 event says so —
+// TestDaemonDiskWarmGeneration: a daemon started on a store of file records
+// that an earlier run filled walks nothing, and its generation-0 event says so —
 // every lookup is a hit (the disk-served ones included) and none is a miss.
 func TestDaemonDiskWarmGeneration(t *testing.T) {
 	root, store := t.TempDir(), t.TempDir()
