@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	table := flag.Int("table", 0, "run a single experiment (1-6); 0 runs all")
+	table := flag.Int("table", 0, "run a single experiment (1-8); 0 runs all")
 	timeout := flag.Duration("timeout", 0, "per-goal wall-clock budget for prover-backed experiments (0 = prover default)")
 	flag.Parse()
 

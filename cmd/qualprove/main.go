@@ -7,6 +7,13 @@
 //	qualprove [-v] [file.qdl ...]           prove definitions from files
 //	qualprove [-v]                          prove the standard library
 //	qualprove -goal '(IMPLIES (> x 0) ...)' prove one raw formula
+//
+// Every goal's search is bounded by steps and a deadline: -rounds and
+// -max-insts cap the instantiation rounds and instances (the decision cap
+// is the prover's default), and -timeout caps its wall-clock time. A goal
+// that runs out reports Unknown with the limit as its reason, never a
+// proof. -max-insts and -timeout trips are transient and never cached, and
+// -stats counts the -max-insts trips.
 package main
 
 import (
@@ -40,10 +47,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print each obligation formula")
 	goal := flag.String("goal", "", "prove a single Simplify-style formula against the semantics axioms")
 	rounds := flag.Int("rounds", 0, "override the prover's instantiation round budget")
-	maxTerms := flag.Int("max-terms", 0, "per-goal interned-term budget; a trip yields a transient Unknown (0 = unlimited)")
-	maxClauses := flag.Int("max-clauses", 0, "per-goal clause-database budget (0 = unlimited)")
-	maxInsts := flag.Int("max-insts", 0, "per-goal quantifier-instantiation budget (0 = default)")
-	memBudget := flag.Uint64("mem-budget", 0, "process live-heap watermark in bytes; searches trip when exceeded (0 = unlimited)")
+	maxInsts := flag.Int("max-insts", 0, "per-goal quantifier-instantiation budget; a trip yields a transient Unknown (0 = default)")
 	jobs := flag.Int("j", 0, "number of concurrent proof workers (default: all cores)")
 	timeout := flag.Duration("timeout", simplify.DefaultGoalTimeout, "per-goal wall-clock budget; 0 means unlimited")
 	stats := flag.Bool("stats", false, "print per-qualifier search statistics (decisions, instantiations, ...) and prover-cache statistics")
@@ -70,12 +74,9 @@ func main() {
 	if *rounds > 0 {
 		opts.Prover.MaxRounds = *rounds
 	}
-	opts.Prover.MaxTerms = *maxTerms
-	opts.Prover.MaxClauses = *maxClauses
 	if *maxInsts > 0 {
 		opts.Prover.MaxInstances = *maxInsts
 	}
-	opts.Prover.MaxMemoryBytes = *memBudget
 	opts.Prover.GoalTimeout = *timeout
 	opts.Prover.EmitCertificates = *certs
 	opts.Concurrency = *jobs
@@ -178,7 +179,7 @@ func main() {
 	printCertStats()
 	if *stats {
 		if trips := simplify.BudgetTrips(); trips > 0 {
-			fmt.Printf("budget trips: %d (transient Unknowns; rerun with larger -max-terms/-max-clauses/-max-insts/-mem-budget)\n", trips)
+			fmt.Printf("budget trips: %d (transient Unknowns; rerun with a larger -max-insts)\n", trips)
 		}
 	}
 	if !allSound {

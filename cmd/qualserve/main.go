@@ -7,8 +7,7 @@
 //
 //	qualserve [-addr :8080] [-workers N] [-timeout 30s] [-drain 10s]
 //	          [-func-cache N] [-prover-cache N] [-max-body N] [-mem-limit N]
-//	          [-max-terms N] [-max-clauses N] [-max-insts N]
-//	          [-cache-dir dir] [-cache-budget N]
+//	          [-max-insts N] [-cache-dir dir] [-cache-budget N]
 //	          [-cert [-cache-peers url,url [-peer-timeout 2s]]] [-faults spec]
 //
 // Endpoints:
@@ -42,15 +41,15 @@
 // -drain), new ones are answered 503, then the process exits 0.
 //
 // Failure containment (see DESIGN.md): request bodies over -max-body are
-// answered 413; prover searches past the -max-terms/-max-clauses/-max-insts
-// budgets yield transient "resource budget exceeded" Unknowns that are
-// answered once (the search is deterministic, so a rerun would trip again),
-// never cached, and counted against a per-qualifier circuit breaker (three
-// consecutive failures open it for 5s); requests arriving while the live
-// heap exceeds -mem-limit are shed 503 with Retry-After. The -faults flag
-// (or the QUAL_FAULTS environment variable) arms deterministic
-// fault-injection points for chaos drills — see internal/faults for the
-// spec grammar.
+// answered 413; every prover search is bounded by its step budgets and a
+// per-goal deadline, and one that uses up -max-insts yields a transient
+// "resource budget exceeded" Unknown that is answered once (the search is
+// deterministic, so a rerun would trip again), never cached, and counted
+// against a per-qualifier circuit breaker (three consecutive failures open
+// it for 5s); requests arriving while the live heap exceeds -mem-limit are
+// shed 503 with Retry-After. The -faults flag (or the QUAL_FAULTS
+// environment variable) arms deterministic fault-injection points for chaos
+// drills — see internal/faults for the spec grammar.
 package main
 
 import (
@@ -93,9 +92,7 @@ func run() int {
 	proverCache := flag.Int("prover-cache", 0, "prover outcome cache capacity (default 4096)")
 	maxBody := flag.Int64("max-body", 0, "request body size cap in bytes; larger bodies get 413 (default 8 MiB)")
 	memLimit := flag.Uint64("mem-limit", 0, "live-heap high-water mark in bytes; requests shed 503 above it (0 = off)")
-	maxTerms := flag.Int("max-terms", 0, "per-goal interned-term budget; trips become transient Unknowns (0 = unlimited)")
-	maxClauses := flag.Int("max-clauses", 0, "per-goal clause-database budget (0 = unlimited)")
-	maxInsts := flag.Int("max-insts", 0, "per-goal quantifier-instantiation budget (0 = default)")
+	maxInsts := flag.Int("max-insts", 0, "per-goal quantifier-instantiation budget; trips become transient Unknowns (0 = default)")
 	cacheDir := flag.String("cache-dir", "", "persist both warm caches under this directory (crash-safe, checksummed records; restarts start warm)")
 	cacheBudget := flag.Int64("cache-budget", 0, "per-namespace disk cache size in bytes before LRU eviction (0 = default 256 MiB)")
 	cachePeers := flag.String("cache-peers", "", "comma-separated base URLs of peer qualserve nodes to fetch prover records from on a local miss (requires -cert; a record is admitted only as a Valid whose certificate replays)")
@@ -135,8 +132,6 @@ func run() int {
 		ProverCacheSize:    *proverCache,
 		MaxBodyBytes:       *maxBody,
 		MemoryHighWater:    *memLimit,
-		ProverMaxTerms:     *maxTerms,
-		ProverMaxClauses:   *maxClauses,
 		ProverMaxInstances: *maxInsts,
 		EmitCertificates:   *certs,
 		CacheDir:           *cacheDir,

@@ -1,10 +1,10 @@
 // Package cachedisk is the durable warm-state layer under the in-process
 // caches: a content-addressed, disk-backed store of fingerprint → verdict
 // blobs, in the style of the go build cache. Both warm stores — the prover
-// outcome cache (internal/simplify) and the function-result cache
-// (internal/checker) — persist through one of these, so a restarted process
-// (a redeployed qualserve node, a relaunched `qualcheck -watch` daemon)
-// opens warm instead of re-proving the world.
+// outcome cache (internal/simplify) and the checker's file records
+// (internal/checker, one per source file) — persist through one of these, so
+// a restarted process (a redeployed qualserve node, a relaunched
+// `qualcheck -watch` daemon) opens warm instead of re-proving the world.
 //
 // The store's invariant is that no corrupt, truncated, torn, or stale byte
 // is ever returned as a payload:
@@ -50,11 +50,11 @@ import (
 )
 
 // Fault-injection points for the disk tier (see internal/faults). Armed via
-// qualserve -faults / QUAL_FAULTS / qualcheck -faults, they let the chaos
-// harness exercise every disk failure mode deterministically: a write fault
-// is an I/O error charged to the breaker, a commit fault aborts between the
-// temp write and the rename (the kill-9 torn-write window), a load fault
-// fails a read, an evict fault fails a removal.
+// qualserve -faults (or QUAL_FAULTS) or faults.Arm in tests, they let the
+// chaos harness exercise every disk failure mode deterministically: a write
+// fault is an I/O error charged to the breaker, a commit fault aborts
+// between the temp write and the rename (the kill-9 torn-write window), a
+// load fault fails a read, an evict fault fails a removal.
 var (
 	fpWrite  = faults.Register("cachedisk.write")
 	fpCommit = faults.Register("cachedisk.commit")

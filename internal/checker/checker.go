@@ -85,7 +85,6 @@ type Result struct {
 	// instruments (interp checks them itself under RuntimeChecks).
 	Casts []*cminor.Cast
 	Stats Stats
-	Info  *cminor.TypeInfo
 	// Err is set when the run was cut short (context canceled or deadline
 	// expired): diagnostics for functions not yet walked are missing, so an
 	// absent warning is inconclusive rather than a clean bill.
@@ -210,8 +209,8 @@ func CheckWithCache(ctx context.Context, prog *cminor.Program, reg *qdl.Registry
 // stored record replays under name without parsing, and a file checked in
 // full is stored for the next run. Otherwise it is CheckWithCache of the
 // parsed program. A parse failure is returned as the error. A replayed
-// Result has no Info or Casts; its Stats count every function of the file as
-// a cache hit.
+// Result has no Casts; its Stats count every function of the file as a cache
+// hit.
 func CheckSource(ctx context.Context, name, src string, reg *qdl.Registry, opts Options, fc *FuncCache) (*Result, error) {
 	var res *Result
 	var err error
@@ -331,7 +330,7 @@ func newEngine(ctx context.Context, prog *cminor.Program, tab *tables, opts Opti
 // finishResult runs the post-function statistics walk (cast collection,
 // dereference and reference-use counts) and packages the Result.
 func (en *engine) finishResult(ctx context.Context) *Result {
-	result := &Result{Diags: en.diags, Stats: en.stats, Info: en.info, Err: ctx.Err()}
+	result := &Result{Diags: en.diags, Stats: en.stats, Err: ctx.Err()}
 	// Collect value-qualified casts for instrumentation and count stats.
 	cminor.Walk(en.prog, cminor.Visitor{
 		Expr: func(e cminor.Expr) {

@@ -24,43 +24,14 @@ import (
 // read; the cap is restated here to keep this package dependency-free).
 const DefaultMaxFileBytes = 4 << 20
 
-// DefaultSkipDirs are directory basenames never descended into: vendored
-// code and test fixtures are someone else's diagnostics.
-var DefaultSkipDirs = []string{"vendor", "testdata", "node_modules"}
-
 // WalkOptions configures Walk.
 type WalkOptions struct {
-	// Exts are the file extensions collected (default: .c only — the
-	// cminor front end's unit).
-	Exts []string
-	// SkipDirs are directory basenames to prune (default DefaultSkipDirs).
-	// Hidden directories (leading dot) are always pruned.
-	SkipDirs []string
 	// MaxFileBytes skips files larger than this (default
 	// DefaultMaxFileBytes); skipped files are counted, not errors.
 	MaxFileBytes int64
 	// MaxFiles, when > 0, caps how many files are collected; the walk stops
 	// early once reached (deterministically, in walk order).
 	MaxFiles int
-}
-
-func (o WalkOptions) exts() []string {
-	if len(o.Exts) > 0 {
-		return o.Exts
-	}
-	return []string{".c"}
-}
-
-func (o WalkOptions) skipDirs() map[string]bool {
-	dirs := o.SkipDirs
-	if dirs == nil {
-		dirs = DefaultSkipDirs
-	}
-	m := make(map[string]bool, len(dirs))
-	for _, d := range dirs {
-		m[d] = true
-	}
-	return m
 }
 
 func (o WalkOptions) maxFileBytes() int64 {
@@ -70,20 +41,21 @@ func (o WalkOptions) maxFileBytes() int64 {
 	return DefaultMaxFileBytes
 }
 
-// MatchName reports whether a file basename would be collected by Walk:
-// a configured extension suffix on a non-hidden name. Dot-prefixed files are
-// never collected, matching the pruning of dot-directories (a file literally
-// named ".c" satisfies the suffix check but is editor/VCS state, not source).
-func (o WalkOptions) MatchName(name string) bool {
-	if strings.HasPrefix(name, ".") {
-		return false
+// Skip reports whether the walk leaves out the entry called name. Hidden
+// (dot-prefixed) entries are always left out, a file literally named ".c"
+// included: it is editor or VCS state, not source. Of the rest, a
+// directory is pruned when it holds vendored code or fixtures (vendor,
+// testdata, node_modules), whose diagnostics are someone else's, and a file
+// is left out unless it is C source (.c), the cminor front end's unit. Walk
+// and the watch daemon's directory registration both prune by it.
+func Skip(name string, dir bool) bool {
+	switch {
+	case strings.HasPrefix(name, "."):
+		return true
+	case dir:
+		return name == "vendor" || name == "testdata" || name == "node_modules"
 	}
-	for _, e := range o.exts() {
-		if strings.HasSuffix(name, e) {
-			return true
-		}
-	}
-	return false
+	return !strings.HasSuffix(name, ".c")
 }
 
 // File is one collected source file.
@@ -139,8 +111,6 @@ func Walk(root string, opts WalkOptions) ([]File, WalkStats, error) {
 	if !info.IsDir() {
 		return nil, WalkStats{}, fmt.Errorf("input: %s is not a directory", root)
 	}
-	exts := opts.exts()
-	skip := opts.skipDirs()
 	maxBytes := opts.maxFileBytes()
 	var files []File
 	var stats WalkStats
@@ -158,7 +128,7 @@ func Walk(root string, opts WalkOptions) ([]File, WalkStats, error) {
 		}
 		name := d.Name()
 		if d.IsDir() {
-			if path != root && (skip[name] || strings.HasPrefix(name, ".")) {
+			if path != root && Skip(name, true) {
 				stats.SkippedDirs++
 				return fs.SkipDir
 			}
@@ -171,17 +141,7 @@ func Walk(root string, opts WalkOptions) ([]File, WalkStats, error) {
 			return nil
 		}
 		stats.Visited++
-		matched := false
-		for _, e := range exts {
-			if strings.HasSuffix(name, e) {
-				matched = true
-				break
-			}
-		}
-		if !matched || strings.HasPrefix(name, ".") {
-			// Dot-prefixed files are skipped for consistency with the
-			// dot-directory pruning above: ".c" matches the suffix check but
-			// is hidden state, not source.
+		if Skip(name, false) {
 			return nil
 		}
 		fi, err := d.Info()
@@ -213,29 +173,6 @@ func Walk(root string, opts WalkOptions) ([]File, WalkStats, error) {
 		return nil, stats, walkErr
 	}
 	return files, stats, nil
-}
-
-// StatFile is the single-file refresh path: it re-stats one root-relative
-// file and reports whether Walk would collect it right now. ok is false —
-// with a nil error — when the file is gone, is not a regular file, has a
-// non-matching or hidden name, or exceeds the size cap; the watch daemon
-// uses it to classify a burst of change events without re-walking the tree.
-func StatFile(root, rel string, opts WalkOptions) (File, bool, error) {
-	if !opts.MatchName(filepath.Base(rel)) {
-		return File{}, false, nil
-	}
-	path := filepath.Join(root, filepath.FromSlash(rel))
-	fi, err := os.Stat(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return File{}, false, nil
-		}
-		return File{}, false, err
-	}
-	if !fi.Mode().IsRegular() || fi.Size() > opts.maxFileBytes() {
-		return File{}, false, nil
-	}
-	return File{Path: path, Rel: filepath.ToSlash(rel), Size: fi.Size(), ModTime: fi.ModTime()}, true, nil
 }
 
 // chunkSize is the unit one pooled read grows by. 64 KiB covers most source

@@ -96,39 +96,23 @@ func TestWalkSkipsHiddenFiles(t *testing.T) {
 	}
 }
 
-func TestMatchName(t *testing.T) {
-	o := WalkOptions{}
-	for name, want := range map[string]bool{
-		"a.c": true, "sub.x.c": true, "a.h": false, ".c": false, ".hidden.c": false, "c": false,
+// TestSkip pins the one pruning rule the walker and the watcher share:
+// non-hidden .c files are collected, and hidden, vendored and fixture
+// directories are pruned.
+func TestSkip(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dir  bool
+		want bool
+	}{
+		{"a.c", false, false}, {"sub.x.c", false, false},
+		{"a.h", false, true}, {".c", false, true}, {".hidden.c", false, true}, {"c", false, true},
+		{"src", true, false}, {"sub.c", true, false},
+		{"vendor", true, true}, {"testdata", true, true}, {"node_modules", true, true}, {".git", true, true},
 	} {
-		if got := o.MatchName(name); got != want {
-			t.Errorf("MatchName(%q) = %v, want %v", name, got, want)
+		if got := Skip(tc.name, tc.dir); got != tc.want {
+			t.Errorf("Skip(%q, dir=%t) = %t, want %t", tc.name, tc.dir, got, tc.want)
 		}
-	}
-}
-
-func TestStatFile(t *testing.T) {
-	root := t.TempDir()
-	write(t, filepath.Join(root, "sub", "a.c"), "int a;")
-
-	f, ok, err := StatFile(root, "sub/a.c", WalkOptions{})
-	if err != nil || !ok {
-		t.Fatalf("StatFile existing: ok=%v err=%v", ok, err)
-	}
-	if f.Rel != "sub/a.c" || f.Size != int64(len("int a;")) || f.ModTime.IsZero() {
-		t.Errorf("StatFile result %+v", f)
-	}
-	if _, ok, err := StatFile(root, "sub/gone.c", WalkOptions{}); err != nil || ok {
-		t.Errorf("vanished file: ok=%v err=%v, want ok=false err=nil", ok, err)
-	}
-	if _, ok, _ := StatFile(root, "sub/.a.c", WalkOptions{}); ok {
-		t.Error("hidden file: want ok=false")
-	}
-	if _, ok, _ := StatFile(root, "sub", WalkOptions{Exts: []string{"sub"}}); ok {
-		t.Error("directory: want ok=false")
-	}
-	if _, ok, _ := StatFile(root, "sub/a.c", WalkOptions{MaxFileBytes: 2}); ok {
-		t.Error("over size cap: want ok=false")
 	}
 }
 

@@ -37,8 +37,6 @@ type termNode struct {
 	hash uint64
 	// term caches the reconstructed Term, built on first Term() call.
 	term Term
-	// ground reports that the subtree contains no variables.
-	ground bool
 }
 
 // TermTable hash-conses terms to dense TermIDs. It is not safe for
@@ -52,9 +50,6 @@ type TermTable struct {
 func NewTermTable() *TermTable {
 	return &TermTable{buckets: make(map[uint64][]TermID, 256)}
 }
-
-// Len returns the number of interned terms. Valid TermIDs are [0, Len).
-func (tt *TermTable) Len() int { return len(tt.nodes) }
 
 const (
 	hashSeed  uint64 = 1469598103934665603 // FNV-64 offset basis
@@ -105,7 +100,7 @@ func (tt *TermTable) lookup(n termNode) TermID {
 // InternInt interns an integer literal.
 func (tt *TermTable) InternInt(v int64) TermID {
 	h := hashUint(hashSeed^0x1, uint64(v))
-	return tt.lookup(termNode{kind: KindInt, val: v, hash: h, ground: true})
+	return tt.lookup(termNode{kind: KindInt, val: v, hash: h})
 }
 
 // InternVar interns a variable by name.
@@ -117,12 +112,10 @@ func (tt *TermTable) InternVar(name string) TermID {
 // InternApp interns fn applied to already-interned arguments.
 func (tt *TermTable) InternApp(fn string, args []TermID) TermID {
 	h := hashString(hashSeed^0x3, fn)
-	ground := true
 	for _, a := range args {
 		h = hashUint(h, uint64(uint32(a)))
-		ground = ground && tt.nodes[a].ground
 	}
-	return tt.lookup(termNode{kind: KindApp, fn: fn, args: args, hash: h, ground: ground})
+	return tt.lookup(termNode{kind: KindApp, fn: fn, args: args, hash: h})
 }
 
 // Intern hash-conses t (and all its subterms), returning its id.
@@ -191,9 +184,6 @@ func (tt *TermTable) IsInt(id TermID) (int64, bool) {
 // Args returns the argument ids of a KindApp term. The slice is owned by
 // the table; callers must not mutate it.
 func (tt *TermTable) Args(id TermID) []TermID { return tt.nodes[id].args }
-
-// Ground reports whether the interned term contains no variables.
-func (tt *TermTable) Ground(id TermID) bool { return tt.nodes[id].ground }
 
 // Term reconstructs the logic.Term for id. The result is cached, so
 // repeated rendering of the same id is cheap and shares structure.

@@ -3,37 +3,32 @@ package memwatch
 import (
 	"runtime"
 	"testing"
-	"time"
 )
 
 func TestSampleReadsRuntime(t *testing.T) {
 	// Flush the per-P span caches first: until then the heap metric may not
 	// count this process's small allocations yet (see the package comment).
 	runtime.GC()
-	if got := Sample(0); got == 0 {
+	if got := Sample(); got == 0 {
 		t.Fatal("fresh heap sample is zero; runtime metric missing?")
 	}
 }
 
-func TestSampleCachesWithinStaleness(t *testing.T) {
-	calls := 0
-	SetSampleHook(func() uint64 { calls++; return uint64(1000 + calls) })
+// TestSampleReadsFreshEachCall: Sample keeps no cached reading, so every
+// call goes to the hook (or the runtime), and removing the hook restores the
+// runtime read.
+func TestSampleReadsFreshEachCall(t *testing.T) {
+	calls := uint64(0)
+	SetSampleHook(func() uint64 { calls++; return 1000 + calls })
 	defer SetSampleHook(nil)
-
-	first := Sample(time.Hour)
-	for i := 0; i < 50; i++ {
-		if got := Sample(time.Hour); got != first {
-			t.Fatalf("cached sample changed: %d != %d", got, first)
+	for want := uint64(1001); want <= 1003; want++ {
+		if got := Sample(); got != want {
+			t.Fatalf("Sample() = %d, want %d (a fresh hook read per call)", got, want)
 		}
 	}
-	if calls != 1 {
-		t.Fatalf("runtime read %d times within staleness bound, want 1", calls)
-	}
-	// A forced read refreshes.
-	if got := Sample(0); got == first {
-		t.Fatal("maxStale<=0 did not force a fresh read")
-	}
-	if calls != 2 {
-		t.Fatalf("forced read count = %d, want 2", calls)
+	SetSampleHook(nil)
+	runtime.GC()
+	if got := Sample(); got == 0 || got == 1004 {
+		t.Fatalf("Sample() = %d after removing the hook, want a runtime reading", got)
 	}
 }

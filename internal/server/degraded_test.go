@@ -281,12 +281,12 @@ func TestProveBudgetTripsOnce(t *testing.T) {
 	}
 }
 
-// TestProveBudgetTripDegrades starves the prover with a tiny term budget:
-// obligations come back as transient budget Unknowns, the report is
+// TestProveBudgetTripDegrades starves the prover with a tiny instantiation
+// budget: obligations come back as transient budget Unknowns, the report is
 // degraded (not unsound-with-counterexample, not cached), and /metrics
 // counts the budget trips.
 func TestProveBudgetTripDegrades(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, ProverMaxTerms: 5})
+	s, ts := newTestServer(t, Config{Workers: 1, ProverMaxInstances: 1})
 	var resp ProveResponse
 	if code := postJSON(t, ts.URL+"/prove", ProveRequest{Qualifier: "pos"}, &resp); code != http.StatusOK {
 		t.Fatalf("status %d, want 200", code)

@@ -59,15 +59,14 @@ type Config struct {
 	// 0 means 8 MiB.
 	MaxBodyBytes int64
 	// MemoryHighWater, when non-zero, sheds new requests with 503 +
-	// Retry-After while the sampled live heap exceeds this many bytes.
+	// Retry-After while the live heap, read afresh on each admission,
+	// exceeds this many bytes.
 	MemoryHighWater uint64
-	// ProverMaxTerms / ProverMaxClauses / ProverMaxInstances bound each
-	// prover search's space (see simplify.Options); a tripped budget yields a
-	// transient Unknown ("resource budget exceeded") that is never cached and
-	// counts against the qualifier's breaker. 0 means unlimited (for
-	// ProverMaxInstances, the prover's default).
-	ProverMaxTerms     int
-	ProverMaxClauses   int
+	// ProverMaxInstances bounds each prover search's quantifier
+	// instantiations (see simplify.Options.MaxInstances); a tripped budget
+	// yields a transient Unknown ("resource budget exceeded") that is never
+	// cached and counts against the qualifier's breaker. 0 means the
+	// prover's default.
 	ProverMaxInstances int
 	// EmitCertificates makes every prover run emit a proof certificate and
 	// self-verify it with the independent replay checker before reporting
@@ -266,10 +265,6 @@ func setRetryAfter(w http.ResponseWriter, d time.Duration) {
 // execute to attach a Retry-After header.
 type retryAfterHinter interface{ retryAfterHint() time.Duration }
 
-// memPressureStaleness bounds how stale the cached heap sample consulted on
-// admission may be; see memwatch.Sample.
-const memPressureStaleness = 100 * time.Millisecond
-
 // execute runs fn on the handler's goroutine under the request's deadline,
 // holding one of the Workers slots while it runs, and writes its response.
 // Admission control: a draining server or a full wait queue answers 503
@@ -297,7 +292,7 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, endpoint string
 		shed(time.Second, errorBody{Error: "admission fault: " + err.Error(), Degraded: true})
 		return
 	}
-	if hw := s.cfg.MemoryHighWater; hw > 0 && memwatch.Sample(memPressureStaleness) > hw {
+	if hw := s.cfg.MemoryHighWater; hw > 0 && memwatch.Sample() > hw {
 		s.metrics.observeMemShed()
 		shed(time.Second, errorBody{Error: "memory pressure: live heap above the high-water mark", Degraded: true})
 		return
@@ -755,8 +750,6 @@ func (s *Server) doProve(ctx context.Context, req *ProveRequest) (int, any) {
 	opts := soundness.DefaultOptions()
 	opts.Concurrency = requestConcurrency
 	opts.Cache = s.proverCache
-	opts.Prover.MaxTerms = s.cfg.ProverMaxTerms
-	opts.Prover.MaxClauses = s.cfg.ProverMaxClauses
 	if s.cfg.ProverMaxInstances > 0 {
 		opts.Prover.MaxInstances = s.cfg.ProverMaxInstances
 	}

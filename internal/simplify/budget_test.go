@@ -7,17 +7,16 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/logic"
-	"repro/internal/memwatch"
 )
 
-// Resource-budget regressions: every space budget must trip to the transient
-// reason ReasonBudget, never hang, never OOM, and never leave a verdict in
-// the cache — a budget-starved Unknown replayed after the budget is raised
-// would be a soundness-of-service bug.
+// Resource-budget regressions: the instantiation budget and injected budget
+// faults must trip to the transient reason ReasonBudget, never hang, and
+// never leave a verdict in the cache — a budget-starved Unknown replayed
+// after the budget is raised would be a soundness-of-service bug.
 
-// budgetOptions is the divergent trigger-loop setup with all wall-clock and
-// step budgets effectively disabled, so only the space budget under test can
-// stop the search.
+// budgetOptions is the divergent trigger-loop setup with the wall-clock and
+// step budgets effectively disabled, so only the budget under test can stop
+// the search.
 func budgetOptions() Options {
 	opts := DefaultOptions()
 	opts.MaxRounds = 1 << 20
@@ -49,29 +48,6 @@ func TestInstanceBudgetTripsTransient(t *testing.T) {
 	if BudgetTrips() <= before {
 		t.Error("BudgetTrips counter did not advance")
 	}
-}
-
-func TestMaxTermsBudget(t *testing.T) {
-	opts := budgetOptions()
-	opts.MaxTerms = 100
-	out := New(triggerLoopAxioms(), opts).Prove(unprovableGoal())
-	checkBudgetOutcome(t, out, "MaxTerms")
-}
-
-func TestMaxClausesBudget(t *testing.T) {
-	opts := budgetOptions()
-	opts.MaxClauses = 60
-	out := New(triggerLoopAxioms(), opts).Prove(unprovableGoal())
-	checkBudgetOutcome(t, out, "MaxClauses")
-}
-
-func TestMemoryWatermarkBudget(t *testing.T) {
-	memwatch.SetSampleHook(func() uint64 { return 1 << 40 }) // pretend 1 TiB live
-	defer memwatch.SetSampleHook(nil)
-	opts := budgetOptions()
-	opts.MaxMemoryBytes = 1 << 30
-	out := New(triggerLoopAxioms(), opts).Prove(unprovableGoal())
-	checkBudgetOutcome(t, out, "MaxMemoryBytes")
 }
 
 // TestBudgetVerdictNotReplayedWhenRaised is the cache-poisoning regression:

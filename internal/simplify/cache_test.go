@@ -191,7 +191,8 @@ func waitCoalesced(c *Cache, n uint64) {
 
 // TestProveCoalescesConcurrentSearches: N concurrent proofs of one goal on
 // a shared cache do one search. The others wait for it and share its stored
-// outcome, marked as a cache hit.
+// outcome. A shared search is not a cache hit: the outcomes marked CacheHit
+// number exactly the cache's Hits.
 func TestProveCoalescesConcurrentSearches(t *testing.T) {
 	const n = 8
 	c := NewCache(0)
@@ -212,20 +213,21 @@ func TestProveCoalescesConcurrentSearches(t *testing.T) {
 	close(release)
 	wg.Wait()
 
-	if s := c.Stats(); s.Misses != 1 || s.Coalesced != n-1 || s.Hits != 0 {
+	s := c.Stats()
+	if s.Misses != 1 || s.Coalesced != n-1 || s.Hits != 0 {
 		t.Fatalf("stats %+v, want exactly 1 miss (the search) and %d coalesced", s, n-1)
 	}
-	searched := 0
+	hits := 0
 	for i, out := range outs {
 		if out.Result != Valid {
 			t.Errorf("caller %d: %v (%q), want Valid", i, out.Result, out.Reason)
 		}
-		if !out.CacheHit {
-			searched++
+		if out.CacheHit {
+			hits++
 		}
 	}
-	if searched != 1 {
-		t.Errorf("%d callers report a fresh search, want 1 (every waiter marked CacheHit)", searched)
+	if uint64(hits) != s.Hits {
+		t.Errorf("%d outcomes marked CacheHit, but the cache counts %d hits", hits, s.Hits)
 	}
 }
 

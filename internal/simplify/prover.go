@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/cert"
 	"repro/internal/logic"
-	"repro/internal/memwatch"
 	"repro/internal/tiercache"
 )
 
@@ -68,20 +67,6 @@ type Options struct {
 	// multiplication sign axioms that Simplify's limited non-linear
 	// arithmetic support provides.
 	NonlinearAxioms bool
-	// MaxTerms bounds the interned term table built for one goal (0 means
-	// unlimited). Unlike the step budgets above, tripping it yields the
-	// transient, uncached reason ReasonBudget: how many terms a truncated
-	// search interned is an artifact of the cut, not a verdict worth
-	// replaying.
-	MaxTerms int
-	// MaxClauses bounds the ground clause set built for one goal (0 means
-	// unlimited); trips to ReasonBudget like MaxTerms.
-	MaxClauses int
-	// MaxMemoryBytes trips the search when the process's sampled live heap
-	// exceeds this watermark (0 means unlimited). The sample is shared and
-	// refreshed at most every few tens of milliseconds, so the bound is a
-	// soft ceiling against OOM, not an exact per-goal accounting.
-	MaxMemoryBytes uint64
 	// EmitCertificates makes every Valid verdict carry a replayable proof
 	// certificate (Outcome.Certificate): the CDCL trail is transcribed
 	// into internal/cert steps, self-verified by cert.Verify before the
@@ -121,8 +106,10 @@ type Outcome struct {
 	// a candidate situation in which the hypotheses hold but the goal
 	// fails.
 	CounterExample []string
-	// CacheHit reports that this outcome was served from a memoizing Cache
-	// rather than a fresh search. All other fields are the stored search's;
+	// CacheHit reports that this outcome was served from a memoizing
+	// Cache's memory, disk or peer tier rather than a search. An outcome
+	// shared with a concurrent caller's search is not a hit, matching the
+	// cache's own Stats. All other fields are the stored search's;
 	// the prover is deterministic (up to wall-clock telemetry), so they equal
 	// what a re-run would find.
 	CacheHit bool
@@ -229,11 +216,9 @@ func (p *Prover) buildBase() {
 		return nil
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "opts|%d|%d|%d|%d|%t|terms=%d|clauses=%d|mem=%d|cert=%t\n",
+	fmt.Fprintf(h, "opts|%d|%d|%d|%d|%t|cert=%t\n",
 		p.opts.MaxRounds, p.opts.MaxInstances, p.opts.MaxDecisions,
-		p.opts.GoalTimeout, p.opts.NonlinearAxioms,
-		p.opts.MaxTerms, p.opts.MaxClauses, p.opts.MaxMemoryBytes,
-		p.opts.EmitCertificates)
+		p.opts.GoalTimeout, p.opts.NonlinearAxioms, p.opts.EmitCertificates)
 	for _, ax := range p.axioms {
 		fmt.Fprintf(h, "ax|%s\n", ax)
 		if err := addFormula(ax); err != nil {
@@ -313,15 +298,15 @@ func (p *Prover) ProveContext(ctx context.Context, goal logic.Formula) Outcome {
 	}
 	out, src := p.cache.Do(ctx.Done(), p.fingerprint+"\x00"+ck, p.admitFetched(ck), fill)
 	switch src {
-	case tiercache.Computed:
-		return out
+	case tiercache.Memory, tiercache.Disk, tiercache.Peer:
+		out.CacheHit = true
 	case tiercache.Abandoned:
 		// Our context ended while another caller searched this goal: stop
 		// waiting and prove under our own context, which returns promptly and
 		// is never stored.
 		return p.proveSafe(ctx, goal)
 	}
-	out.CacheHit = true
+	// Computed and Coalesced outcomes come from a search, not a hit.
 	return out
 }
 
@@ -396,30 +381,6 @@ func cacheable(o Outcome) bool {
 // proveRoundHook, when non-nil, runs once per instantiation round. It exists
 // for tests that inject faults (panics, delays) into the search.
 var proveRoundHook func()
-
-// memSampleStaleness bounds how stale the shared heap sample may be when the
-// memory watermark is polled mid-search.
-const memSampleStaleness = 50 * time.Millisecond
-
-// installLimits arms tk with the configured space budgets. terms and clauses
-// report the current sizes of the goal's term table and clause database.
-func (p *Prover) installLimits(tk *ticker, terms, clauses func() int) {
-	if p.opts.MaxTerms <= 0 && p.opts.MaxClauses <= 0 && p.opts.MaxMemoryBytes == 0 {
-		return
-	}
-	tk.limits = func() string {
-		if p.opts.MaxTerms > 0 && terms() > p.opts.MaxTerms {
-			return ReasonBudget
-		}
-		if p.opts.MaxClauses > 0 && clauses() > p.opts.MaxClauses {
-			return ReasonBudget
-		}
-		if p.opts.MaxMemoryBytes > 0 && memwatch.Sample(memSampleStaleness) > p.opts.MaxMemoryBytes {
-			return ReasonBudget
-		}
-		return ""
-	}
-}
 
 // proveSafe wraps one search with wall-clock telemetry and panic recovery.
 func (p *Prover) proveSafe(ctx context.Context, goal logic.Formula) (out Outcome) {

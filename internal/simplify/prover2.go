@@ -155,7 +155,6 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 		out.Stats.GroundClauses = len(db.clauses)
 		return out
 	}
-	p.installLimits(tk, tt.Len, func() int { return len(db.clauses) })
 
 	// Certificate emission: the builder shadows the search, transcribing
 	// theory conflict explanations and learned clauses into a

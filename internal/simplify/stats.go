@@ -89,11 +89,10 @@ const (
 	ReasonDeadline = "deadline exceeded"
 	// ReasonCanceled is reported when the Prove call's context was canceled.
 	ReasonCanceled = "canceled"
-	// ReasonBudget is reported when a space budget tripped mid-search:
-	// Options.MaxInstances, MaxTerms, MaxClauses, or the sampled process
-	// memory watermark (MaxMemoryBytes). Like a deadline, it depends on how
-	// far a truncated search happened to get, so it is transient and never
-	// cached.
+	// ReasonBudget is reported when the search used up Options.MaxInstances
+	// mid-round, or an injected budget fault fired. Like a deadline, it
+	// describes how far a truncated search got rather than the goal, so it
+	// is transient and never cached.
 	ReasonBudget = "resource budget exceeded"
 )
 
@@ -162,11 +161,6 @@ type ticker struct {
 	deadline time.Time
 	n        uint32
 	reason   string
-	// limits, when set, is evaluated on the same throttled cadence as the
-	// clock; a non-empty return trips the ticker with that reason. The prover
-	// installs a closure here probing its space budgets (term-table size,
-	// clause count, sampled heap bytes).
-	limits func() string
 }
 
 // newTicker builds the per-goal cancellation state. A zero timeout means no
@@ -202,7 +196,7 @@ func (t *ticker) stop() bool {
 	return t.poll()
 }
 
-// poll performs the real deadline/context/budget check.
+// poll performs the real deadline and context check.
 func (t *ticker) poll() bool {
 	if t.reason != "" {
 		return true
@@ -217,12 +211,6 @@ func (t *ticker) poll() bool {
 			t.reason = ReasonCanceled
 			return true
 		default:
-		}
-	}
-	if t.limits != nil {
-		if r := t.limits(); r != "" {
-			t.trip(r)
-			return true
 		}
 	}
 	return false

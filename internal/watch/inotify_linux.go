@@ -16,7 +16,7 @@ import (
 )
 
 // notifyWatcher is the inotify-backed change source: one inotify fd with a
-// watch per directory (the tree's directories, minus the walker's skip set),
+// watch per directory (the tree's directories that input.Skip keeps),
 // a reader goroutine translating raw events into root-relative paths, and
 // dynamic watch registration when directories appear. It is deliberately
 // best-effort — delivered paths only *accelerate* the daemon's
@@ -32,7 +32,6 @@ type notifyWatcher struct {
 	f      *os.File
 	fd     int
 	root   string
-	skip   map[string]bool
 	events chan string
 
 	mu      sync.Mutex
@@ -46,24 +45,15 @@ const watchMask = syscall.IN_CLOSE_WRITE | syscall.IN_CREATE | syscall.IN_DELETE
 	syscall.IN_MOVED_TO | syscall.IN_MOVED_FROM | syscall.IN_DELETE_SELF
 
 // newNotifyWatcher starts watching root's directory tree.
-func newNotifyWatcher(root string, opts input.WalkOptions) (*notifyWatcher, error) {
+func newNotifyWatcher(root string) (*notifyWatcher, error) {
 	fd, err := syscall.InotifyInit1(syscall.IN_CLOEXEC | syscall.IN_NONBLOCK)
 	if err != nil {
 		return nil, fmt.Errorf("inotify_init: %w", err)
-	}
-	skipList := opts.SkipDirs
-	if skipList == nil {
-		skipList = input.DefaultSkipDirs
-	}
-	skip := make(map[string]bool, len(skipList))
-	for _, dirName := range skipList {
-		skip[dirName] = true
 	}
 	w := &notifyWatcher{
 		f:       os.NewFile(uintptr(fd), "inotify"),
 		fd:      fd,
 		root:    root,
-		skip:    skip,
 		events:  make(chan string, 1024),
 		wdPaths: map[int]string{},
 	}
@@ -85,12 +75,6 @@ func (w *notifyWatcher) Close() error {
 	return w.f.Close()
 }
 
-// skipDir mirrors the walker's pruning: configured skip names and hidden
-// directories are never watched.
-func (w *notifyWatcher) skipDir(name string) bool {
-	return w.skip[name] || strings.HasPrefix(name, ".")
-}
-
 // addDirTree registers watches for dir and every non-pruned directory below
 // it. Called at startup and whenever a directory is created or moved in
 // (its contents may predate the watch, so the daemon's next rescan picks
@@ -106,7 +90,7 @@ func (w *notifyWatcher) addDirTree(dir string) error {
 		if !d.IsDir() {
 			return nil
 		}
-		if path != dir && w.skipDir(d.Name()) {
+		if path != dir && input.Skip(d.Name(), true) {
 			return fs.SkipDir
 		}
 		wd, err := syscall.InotifyAddWatch(w.fd, path, watchMask)
@@ -167,7 +151,7 @@ func (w *notifyWatcher) handleEvent(ev *syscall.InotifyEvent, name string) {
 	}
 	path := filepath.Join(dir, name)
 	if ev.Mask&syscall.IN_ISDIR != 0 {
-		if w.skipDir(name) {
+		if input.Skip(name, true) {
 			return
 		}
 		if ev.Mask&(syscall.IN_CREATE|syscall.IN_MOVED_TO) != 0 {

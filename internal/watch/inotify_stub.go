@@ -2,18 +2,14 @@
 
 package watch
 
-import (
-	"errors"
-
-	"repro/internal/input"
-)
+import "errors"
 
 // notifyWatcher is unavailable off linux; Run reports the polling fallback.
 type notifyWatcher struct{}
 
 var errNoNotify = errors.New("no fs notification backend on this platform")
 
-func newNotifyWatcher(string, input.WalkOptions) (*notifyWatcher, error) {
+func newNotifyWatcher(string) (*notifyWatcher, error) {
 	return nil, errNoNotify
 }
 

@@ -133,7 +133,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 	var w *notifyWatcher
 	if d.opts.Poll <= 0 {
 		var werr error
-		w, werr = newNotifyWatcher(d.root, d.opts.Walk)
+		w, werr = newNotifyWatcher(d.root)
 		if werr != nil {
 			return fmt.Errorf("watch: fs notifications unavailable (%v); use -poll", werr)
 		}

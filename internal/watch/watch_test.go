@@ -329,7 +329,7 @@ func TestDaemonInotify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if probe, werr := newNotifyWatcher(root, d.opts.Walk); werr != nil {
+	if probe, werr := newNotifyWatcher(root); werr != nil {
 		t.Skipf("fs notifications unavailable: %v", werr)
 	} else {
 		probe.Close()
