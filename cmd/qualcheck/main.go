@@ -343,7 +343,7 @@ func printStats(res *checker.Result) {
 	fmt.Printf("restrict checks: %d (%d failed)\n", res.Stats.RestrictChecks, res.Stats.RestrictFailures)
 	printSorted("annotations", res.Stats.Annotations)
 	printSorted("casts", res.Stats.QualCasts)
-	fmt.Printf("value-qualified casts to instrument: %d\n", len(res.Casts))
+	fmt.Printf("value-qualified casts: %d\n", res.ValueCasts)
 	total := res.Stats.MemoHits + res.Stats.MemoMisses
 	rate := 0.0
 	if total > 0 {

@@ -92,8 +92,8 @@ func main() {
 	for _, d := range res.Diags {
 		fmt.Println(d)
 	}
-	fmt.Printf("lcm.c: %d warning(s), %d cast(s) instrumented with run-time checks\n",
-		len(res.Diags), len(res.Casts))
+	fmt.Printf("lcm.c: %d warning(s), %d value-qualified cast(s)\n",
+		len(res.Diags), res.ValueCasts)
 
 	// Step 4: run with instrumented checks.
 	fmt.Println("\n== instrumented execution ==")

@@ -81,10 +81,11 @@ func (s *Stats) add(o Stats) {
 // Result is the outcome of qualifier checking.
 type Result struct {
 	Diags []Diagnostic
-	// Casts lists the casts to value-qualified types, the sites section 2.1.3
-	// instruments (interp checks them itself under RuntimeChecks).
-	Casts []*cminor.Cast
-	Stats Stats
+	// ValueCasts counts the casts to value-qualified types, the sites
+	// section 2.1.3 checks at run time (interp checks them itself under
+	// RuntimeChecks).
+	ValueCasts int
+	Stats      Stats
 	// Err is set when the run was cut short (context canceled or deadline
 	// expired): diagnostics for functions not yet walked are missing, so an
 	// absent warning is inconclusive rather than a clean bill.
@@ -209,8 +210,8 @@ func CheckWithCache(ctx context.Context, prog *cminor.Program, reg *qdl.Registry
 // stored record replays under name without parsing, and a file checked in
 // full is stored for the next run. Otherwise it is CheckWithCache of the
 // parsed program. A parse failure is returned as the error. A replayed
-// Result has no Casts; its Stats count every function of the file as a cache
-// hit.
+// Result counts no ValueCasts; its Stats count every function of the file as
+// a cache hit.
 func CheckSource(ctx context.Context, name, src string, reg *qdl.Registry, opts Options, fc *FuncCache) (*Result, error) {
 	var res *Result
 	var err error
@@ -331,7 +332,7 @@ func newEngine(ctx context.Context, prog *cminor.Program, tab *tables, opts Opti
 // dereference and reference-use counts) and packages the Result.
 func (en *engine) finishResult(ctx context.Context) *Result {
 	result := &Result{Diags: en.diags, Stats: en.stats, Err: ctx.Err()}
-	// Collect value-qualified casts for instrumentation and count stats.
+	// Count value-qualified casts and the statistics.
 	cminor.Walk(en.prog, cminor.Visitor{
 		Expr: func(e cminor.Expr) {
 			if c, ok := e.(*cminor.Cast); ok {
@@ -339,7 +340,7 @@ func (en *engine) finishResult(ctx context.Context) *Result {
 					en.stats.QualCasts[q]++
 				}
 				if en.tab.valueSet(c.Type) != 0 {
-					result.Casts = append(result.Casts, c)
+					result.ValueCasts++
 				}
 			}
 		},

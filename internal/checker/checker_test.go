@@ -74,8 +74,8 @@ func TestLcmChecksCleanly(t *testing.T) {
 	// Figure 2: with the cast, lcm typechecks with no warnings.
 	r := run(t, lcmSrc)
 	wantNoDiags(t, r)
-	if len(r.Casts) != 1 {
-		t.Errorf("got %d value-qualified casts, want 1", len(r.Casts))
+	if r.ValueCasts != 1 {
+		t.Errorf("got %d value-qualified casts, want 1", r.ValueCasts)
 	}
 }
 
@@ -403,12 +403,13 @@ void f(int x) {
   int* q = (int*) NULL;
 }
 `)
-	// Only the value-qualified cast is collected.
-	if len(r.Casts) != 1 {
-		t.Fatalf("got %d casts, want 1", len(r.Casts))
+	// Only the value-qualified cast counts; the (int*) cast shows in
+	// neither count.
+	if r.ValueCasts != 1 {
+		t.Fatalf("got %d value-qualified casts, want 1", r.ValueCasts)
 	}
-	if !cminor.HasQual(r.Casts[0].Type, "pos") {
-		t.Errorf("collected cast type = %s", r.Casts[0].Type)
+	if r.Stats.QualCasts["pos"] != 1 || len(r.Stats.QualCasts) != 1 {
+		t.Errorf("qualified casts = %v, want pos=1", r.Stats.QualCasts)
 	}
 }
 

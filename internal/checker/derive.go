@@ -3,8 +3,8 @@
 // It consumes the base type information from cminor.TypeCheck and the
 // qualifier registry from qdl, enforces case/restrict/assign/disallow rules,
 // applies the implicit subtyping of value qualifiers (tau q <= tau), strips
-// reference qualifiers from r-types, and collects the value-qualified casts
-// that the instrumenter turns into run-time checks.
+// reference qualifiers from r-types, and counts the value-qualified casts,
+// which the interpreter checks at run time.
 //
 // This file is qualifier derivation. Each registry is compiled once into
 // tables (tablesFor): every case, restrict and assign clause has its

@@ -29,10 +29,10 @@ int pos lcm(int pos a, int pos b) {
 	}
 	res := checker.Check(prog, reg)
 	fmt.Println("warnings:", len(res.Diags))
-	fmt.Println("instrumented casts:", len(res.Casts))
+	fmt.Println("value-qualified casts:", res.ValueCasts)
 	// Output:
 	// warnings: 0
-	// instrumented casts: 1
+	// value-qualified casts: 1
 }
 
 // ExampleCheckWith demonstrates the flow-sensitivity extension: the NULL

@@ -92,23 +92,31 @@ func goldenReport(t *testing.T, diskDir string) string {
 		}
 		for _, flow := range []bool{false, true} {
 			fmt.Fprintf(&b, "== corpus %s flow=%v\n", p.Name, flow)
-			res := runGolden(t, reg, p, flow)
+			prog, res := runGolden(t, reg, p, flow)
 			writeGoldenResult(&b, res.Diags, res.Stats)
-			for _, c := range res.Casts {
-				fmt.Fprintf(&b, "cast %s %s\n", c.Pos, c.Type)
+			casts := 0
+			tab := tablesFor(reg)
+			cminor.Walk(prog, cminor.Visitor{Expr: func(e cminor.Expr) {
+				if c, ok := e.(*cminor.Cast); ok && tab.valueSet(c.Type) != 0 {
+					fmt.Fprintf(&b, "cast %s %s\n", c.Pos, c.Type)
+					casts++
+				}
+			}})
+			if casts != res.ValueCasts {
+				t.Fatalf("%s: %d value-qualified casts in the program, Result.ValueCasts %d", p.Name, casts, res.ValueCasts)
 			}
 		}
 	}
 	return b.String()
 }
 
-func runGolden(t *testing.T, reg *qdl.Registry, p corpus.Program, flow bool) *Result {
+func runGolden(t *testing.T, reg *qdl.Registry, p corpus.Program, flow bool) (*cminor.Program, *Result) {
 	t.Helper()
 	prog, err := cminor.Parse(p.Name+".c", p.Source, reg.Names())
 	if err != nil {
 		t.Fatalf("parse %s: %v", p.Name, err)
 	}
-	return CheckWith(prog, reg, Options{FlowSensitive: flow, Concurrency: 1})
+	return prog, CheckWith(prog, reg, Options{FlowSensitive: flow, Concurrency: 1})
 }
 
 func writeGoldenResult(b *strings.Builder, diags []Diagnostic, s Stats) {

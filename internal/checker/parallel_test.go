@@ -52,9 +52,9 @@ func TestCheckWithParallelMatchesSerial(t *testing.T) {
 				t.Errorf("%s (flow=%t): stats differ:\nserial:   %+v\nparallel: %+v",
 					p.Name, flow, serial.Stats, parallel.Stats)
 			}
-			if len(serial.Casts) != len(parallel.Casts) {
+			if serial.ValueCasts != parallel.ValueCasts {
 				t.Errorf("%s (flow=%t): cast counts differ: serial %d, parallel %d",
-					p.Name, flow, len(serial.Casts), len(parallel.Casts))
+					p.Name, flow, serial.ValueCasts, parallel.ValueCasts)
 			}
 		}
 	}

@@ -53,3 +53,24 @@ func BenchmarkTypeCheck(b *testing.B) {
 		}
 	}
 }
+
+// parseAllocCeiling bounds Parse's allocations on the grep-dfa corpus
+// program: 4,001 at the last measurement, plus a small margin. Allocation
+// counts do not depend on host load, so this catches a parser allocation
+// regression that a timing benchmark on a busy host would not.
+const parseAllocCeiling = 4100
+
+// TestParseAllocs holds Parse of one fixed corpus file under
+// parseAllocCeiling allocations.
+func TestParseAllocs(t *testing.T) {
+	names := quals.MustStandard().Names()
+	src := corpus.GrepDFA().Source
+	n := testing.AllocsPerRun(20, func() {
+		if _, err := cminor.Parse("grep-dfa.c", src, names); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > parseAllocCeiling {
+		t.Errorf("Parse of grep-dfa.c: %v allocations, ceiling %d", n, parseAllocCeiling)
+	}
+}

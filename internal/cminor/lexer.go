@@ -9,17 +9,21 @@ import (
 // Lexer tokenizes cminor source text. Comments (// and /* */) and
 // preprocessor-style lines beginning with '#' are skipped, so corpora can
 // carry #include-looking headers for realism.
+//
+// Columns count bytes from 1. The lexer keeps the offset at which the
+// current line starts, so a column is pos-lineStart+1 and only a newline
+// updates the line state.
 type Lexer struct {
-	src  string
-	file string
-	pos  int
-	line int
-	col  int
+	src       string
+	file      string
+	pos       int
+	line      int
+	lineStart int
 }
 
 // NewLexer creates a lexer over src; file is used in positions.
 func NewLexer(file, src string) *Lexer {
-	return &Lexer{src: src, file: file, line: 1, col: 1}
+	return &Lexer{src: src, file: file, line: 1}
 }
 
 func (l *Lexer) at(off int) byte {
@@ -29,48 +33,50 @@ func (l *Lexer) at(off int) byte {
 	return l.src[l.pos+off]
 }
 
-func (l *Lexer) advance() byte {
-	c := l.src[l.pos]
-	l.pos++
-	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
-	return c
+// newline notes that the byte before pos was a '\n'.
+func (l *Lexer) newline() {
+	l.line++
+	l.lineStart = l.pos
 }
 
-func (l *Lexer) here() Pos { return Pos{File: l.file, Line: l.line, Col: l.col} }
+func (l *Lexer) here() Pos { return Pos{File: l.file, Line: l.line, Col: l.pos - l.lineStart + 1} }
 
 func (l *Lexer) skipTrivia() error {
-	for l.pos < len(l.src) {
-		c := l.at(0)
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
-		case c == '#' && l.col == 1:
-			for l.pos < len(l.src) && l.at(0) != '\n' {
-				l.advance()
+	src := l.src
+	for l.pos < len(src) {
+		switch src[l.pos] {
+		case ' ', '\t', '\r':
+			l.pos++
+		case '\n':
+			l.pos++
+			l.newline()
+		case '#':
+			if l.pos != l.lineStart {
+				return nil
 			}
-		case c == '/' && l.at(1) == '/':
-			for l.pos < len(l.src) && l.at(0) != '\n' {
-				l.advance()
-			}
-		case c == '/' && l.at(1) == '*':
-			start := l.here()
-			l.advance()
-			l.advance()
-			for {
-				if l.pos >= len(l.src) {
-					return fmt.Errorf("%s: unterminated block comment", start)
+			l.skipLine()
+		case '/':
+			switch l.at(1) {
+			case '/':
+				l.skipLine()
+			case '*':
+				start := l.here()
+				l.pos += 2
+				for {
+					if l.pos >= len(src) {
+						return fmt.Errorf("%s: unterminated block comment", start)
+					}
+					c := src[l.pos]
+					l.pos++
+					if c == '\n' {
+						l.newline()
+					} else if c == '*' && l.pos < len(src) && src[l.pos] == '/' {
+						l.pos++
+						break
+					}
 				}
-				if l.at(0) == '*' && l.at(1) == '/' {
-					l.advance()
-					l.advance()
-					break
-				}
-				l.advance()
+			default:
+				return nil
 			}
 		default:
 			return nil
@@ -79,184 +85,277 @@ func (l *Lexer) skipTrivia() error {
 	return nil
 }
 
+// skipLine moves to the next '\n', leaving it unread.
+func (l *Lexer) skipLine() {
+	if i := strings.IndexByte(l.src[l.pos:], '\n'); i >= 0 {
+		l.pos += i
+	} else {
+		l.pos = len(l.src)
+	}
+}
+
+// identPart marks the bytes that may continue an identifier (and make up a
+// number's spelling).
+var identPart = func() (t [256]bool) {
+	for c := range t {
+		t[c] = isIdentStart(byte(c)) || (c >= '0' && c <= '9')
+	}
+	return t
+}()
+
 func isIdentStart(c byte) bool {
 	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }
 
-func isIdentPart(c byte) bool { return isIdentStart(c) || (c >= '0' && c <= '9') }
-
 // Next returns the next token.
 func (l *Lexer) Next() (Token, error) {
+	var t Token
+	err := l.scan(&t)
+	return t, err
+}
+
+// scan reads the next token into t.
+func (l *Lexer) scan(t *Token) error {
 	if err := l.skipTrivia(); err != nil {
-		return Token{}, err
+		return err
 	}
-	pos := l.here()
-	if l.pos >= len(l.src) {
-		return Token{Kind: TokEOF, Pos: pos}, nil
+	src := l.src
+	start := l.pos
+	*t = Token{Line: int32(l.line), Col: int32(start - l.lineStart + 1)}
+	if start >= len(src) {
+		return nil // TokEOF
 	}
-	c := l.at(0)
-	switch {
-	case isIdentStart(c):
-		start := l.pos
-		for l.pos < len(l.src) && isIdentPart(l.at(0)) {
-			l.advance()
+	c := src[start]
+	if isIdentStart(c) {
+		l.pos++
+		for l.pos < len(src) && identPart[src[l.pos]] {
+			l.pos++
 		}
-		text := l.src[start:l.pos]
-		if kw, ok := keywords[text]; ok {
-			return Token{Kind: kw, Text: text, Pos: pos}, nil
-		}
-		return Token{Kind: TokIdent, Text: text, Pos: pos}, nil
-	case c >= '0' && c <= '9':
-		start := l.pos
-		base := 10
-		if c == '0' && (l.at(1) == 'x' || l.at(1) == 'X') {
-			base = 16
-			l.advance()
-			l.advance()
-		}
-		for l.pos < len(l.src) && (isIdentPart(l.at(0))) {
-			l.advance()
-		}
-		text := l.src[start:l.pos]
-		parseText := text
-		if base == 16 {
-			parseText = text[2:]
-		}
-		// Tolerate C suffixes (U, L).
-		parseText = strings.TrimRight(parseText, "uUlL")
-		v, err := strconv.ParseInt(parseText, base, 64)
-		if err != nil {
-			return Token{}, fmt.Errorf("%s: bad integer literal %q", pos, text)
-		}
-		return Token{Kind: TokInt, Text: text, Int: v, Pos: pos}, nil
-	case c == '"':
-		l.advance()
-		var sb strings.Builder
-		for {
-			if l.pos >= len(l.src) {
-				return Token{}, fmt.Errorf("%s: unterminated string literal", pos)
-			}
-			ch := l.advance()
-			if ch == '"' {
-				break
-			}
-			if ch == '\\' {
-				if l.pos >= len(l.src) {
-					return Token{}, fmt.Errorf("%s: unterminated escape", pos)
-				}
-				sb.WriteByte(unescape(l.advance()))
-				continue
-			}
-			sb.WriteByte(ch)
-		}
-		return Token{Kind: TokString, Str: sb.String(), Pos: pos}, nil
-	case c == '\'':
-		l.advance()
-		if l.pos >= len(l.src) {
-			return Token{}, fmt.Errorf("%s: unterminated character literal", pos)
-		}
-		ch := l.advance()
-		if ch == '\\' {
-			if l.pos >= len(l.src) {
-				return Token{}, fmt.Errorf("%s: unterminated escape", pos)
-			}
-			ch = unescape(l.advance())
-		}
-		if l.pos >= len(l.src) || l.advance() != '\'' {
-			return Token{}, fmt.Errorf("%s: unterminated character literal", pos)
-		}
-		return Token{Kind: TokChar, Int: int64(ch), Pos: pos}, nil
+		t.Text = src[start:l.pos]
+		t.Kind = keyword(t.Text)
+		return nil
 	}
-	two := func(k TokenKind) (Token, error) {
-		l.advance()
-		l.advance()
-		return Token{Kind: k, Pos: pos}, nil
-	}
-	one := func(k TokenKind) (Token, error) {
-		l.advance()
-		return Token{Kind: k, Pos: pos}, nil
+	if c >= '0' && c <= '9' {
+		return l.number(t)
 	}
 	switch c {
+	case '"':
+		return l.str(t)
+	case '\'':
+		return l.char(t)
 	case '(':
-		return one(TokLParen)
+		t.Kind = TokLParen
 	case ')':
-		return one(TokRParen)
+		t.Kind = TokRParen
 	case '{':
-		return one(TokLBrace)
+		t.Kind = TokLBrace
 	case '}':
-		return one(TokRBrace)
+		t.Kind = TokRBrace
 	case '[':
-		return one(TokLBracket)
+		t.Kind = TokLBracket
 	case ']':
-		return one(TokRBracket)
+		t.Kind = TokRBracket
 	case ';':
-		return one(TokSemi)
+		t.Kind = TokSemi
 	case ',':
-		return one(TokComma)
+		t.Kind = TokComma
 	case '.':
+		t.Kind = TokDot
 		if l.at(1) == '.' && l.at(2) == '.' {
-			l.advance()
-			l.advance()
-			l.advance()
-			return Token{Kind: TokEllipsis, Pos: pos}, nil
+			t.Kind = TokEllipsis
+			l.pos += 2
 		}
-		return one(TokDot)
 	case '+':
-		if l.at(1) == '+' {
-			return two(TokPlusPlus)
+		t.Kind = TokPlus
+		if l.follow('+') {
+			t.Kind = TokPlusPlus
+		} else if l.follow('=') {
+			t.Kind = TokPlusAssign
 		}
-		if l.at(1) == '=' {
-			return two(TokPlusAssign)
-		}
-		return one(TokPlus)
 	case '-':
-		if l.at(1) == '>' {
-			return two(TokArrow)
+		t.Kind = TokMinus
+		if l.follow('>') {
+			t.Kind = TokArrow
+		} else if l.follow('-') {
+			t.Kind = TokMinusMinus
+		} else if l.follow('=') {
+			t.Kind = TokMinusAssign
 		}
-		if l.at(1) == '-' {
-			return two(TokMinusMinus)
-		}
-		if l.at(1) == '=' {
-			return two(TokMinusAssign)
-		}
-		return one(TokMinus)
 	case '*':
-		return one(TokStar)
+		t.Kind = TokStar
 	case '/':
-		return one(TokSlash)
+		t.Kind = TokSlash
 	case '%':
-		return one(TokPercent)
+		t.Kind = TokPercent
 	case '&':
-		if l.at(1) == '&' {
-			return two(TokAndAnd)
+		t.Kind = TokAmp
+		if l.follow('&') {
+			t.Kind = TokAndAnd
 		}
-		return one(TokAmp)
 	case '|':
-		if l.at(1) == '|' {
-			return two(TokOrOr)
+		if !l.follow('|') {
+			return fmt.Errorf("%s: unexpected character %q", l.here(), string(c))
 		}
+		t.Kind = TokOrOr
 	case '!':
-		if l.at(1) == '=' {
-			return two(TokNe)
+		t.Kind = TokBang
+		if l.follow('=') {
+			t.Kind = TokNe
 		}
-		return one(TokBang)
 	case '=':
-		if l.at(1) == '=' {
-			return two(TokEq)
+		t.Kind = TokAssign
+		if l.follow('=') {
+			t.Kind = TokEq
 		}
-		return one(TokAssign)
 	case '<':
-		if l.at(1) == '=' {
-			return two(TokLe)
+		t.Kind = TokLt
+		if l.follow('=') {
+			t.Kind = TokLe
 		}
-		return one(TokLt)
 	case '>':
-		if l.at(1) == '=' {
-			return two(TokGe)
+		t.Kind = TokGt
+		if l.follow('=') {
+			t.Kind = TokGe
 		}
-		return one(TokGt)
+	default:
+		return fmt.Errorf("%s: unexpected character %q", l.here(), string(c))
 	}
-	return Token{}, fmt.Errorf("%s: unexpected character %q", pos, string(c))
+	l.pos++
+	return nil
+}
+
+// follow consumes the byte after the one at pos when it is c, making a
+// two-byte punctuator.
+func (l *Lexer) follow(c byte) bool {
+	if l.at(1) != c {
+		return false
+	}
+	l.pos++
+	return true
+}
+
+// number scans an integer literal: decimal or 0x hexadecimal, with any C
+// suffix of U and L letters.
+func (l *Lexer) number(t *Token) error {
+	src := l.src
+	start := l.pos
+	base := 10
+	if src[start] == '0' && (l.at(1) == 'x' || l.at(1) == 'X') {
+		base = 16
+		l.pos += 2
+	}
+	digits := true
+	for l.pos < len(src) && identPart[src[l.pos]] {
+		digits = digits && src[l.pos] >= '0' && src[l.pos] <= '9'
+		l.pos++
+	}
+	text := src[start:l.pos]
+	t.Kind, t.Text = TokInt, text
+	if base == 10 && digits && len(text) <= 18 {
+		// At most 18 decimal digits cannot overflow an int64.
+		var v int64
+		for i := 0; i < len(text); i++ {
+			v = v*10 + int64(text[i]-'0')
+		}
+		t.Int = v
+		return nil
+	}
+	parseText := text
+	if base == 16 {
+		parseText = text[2:]
+	}
+	// Tolerate C suffixes (U, L).
+	parseText = strings.TrimRight(parseText, "uUlL")
+	v, err := strconv.ParseInt(parseText, base, 64)
+	if err != nil {
+		pos := Pos{File: l.file, Line: l.line, Col: start - l.lineStart + 1}
+		return fmt.Errorf("%s: bad integer literal %q", pos, text)
+	}
+	t.Int = v
+	return nil
+}
+
+// str scans a string literal; its Text is the decoded value. A literal
+// without escapes is a substring of the source.
+func (l *Lexer) str(t *Token) error {
+	src := l.src
+	pos := l.here()
+	l.pos++
+	start := l.pos
+	for l.pos < len(src) {
+		switch src[l.pos] {
+		case '"':
+			t.Kind, t.Text = TokString, src[start:l.pos]
+			l.pos++
+			return nil
+		case '\\':
+			return l.strEscaped(t, pos, start)
+		case '\n':
+			l.pos++
+			l.newline()
+		default:
+			l.pos++
+		}
+	}
+	return fmt.Errorf("%s: unterminated string literal", pos)
+}
+
+// strEscaped finishes a string literal, begun at pos with its contents at
+// start, whose first escape is at the current offset.
+func (l *Lexer) strEscaped(t *Token, pos Pos, start int) error {
+	src := l.src
+	var sb strings.Builder
+	sb.WriteString(src[start:l.pos])
+	for {
+		if l.pos >= len(src) {
+			return fmt.Errorf("%s: unterminated string literal", pos)
+		}
+		ch := l.advance()
+		if ch == '"' {
+			break
+		}
+		if ch == '\\' {
+			if l.pos >= len(src) {
+				return fmt.Errorf("%s: unterminated escape", pos)
+			}
+			sb.WriteByte(unescape(l.advance()))
+			continue
+		}
+		sb.WriteByte(ch)
+	}
+	t.Kind, t.Text = TokString, sb.String()
+	return nil
+}
+
+// advance consumes one byte of a string or character literal.
+func (l *Lexer) advance() byte {
+	c := l.src[l.pos]
+	l.pos++
+	if c == '\n' {
+		l.newline()
+	}
+	return c
+}
+
+// char scans a character literal.
+func (l *Lexer) char(t *Token) error {
+	pos := l.here()
+	l.pos++
+	if l.pos >= len(l.src) {
+		return fmt.Errorf("%s: unterminated character literal", pos)
+	}
+	ch := l.advance()
+	if ch == '\\' {
+		if l.pos >= len(l.src) {
+			return fmt.Errorf("%s: unterminated escape", pos)
+		}
+		ch = unescape(l.advance())
+	}
+	if l.pos >= len(l.src) || l.advance() != '\'' {
+		return fmt.Errorf("%s: unterminated character literal", pos)
+	}
+	t.Kind, t.Int = TokChar, int64(ch)
+	return nil
 }
 
 func unescape(c byte) byte {

@@ -56,8 +56,8 @@ func TestLexStringEscapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].Str != "a\nb\"c" {
-		t.Errorf("string = %q", toks[0].Str)
+	if toks[0].Text != "a\nb\"c" {
+		t.Errorf("string = %q", toks[0].Text)
 	}
 }
 
@@ -86,8 +86,8 @@ func TestLexPositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[1].Pos.Line != 2 || toks[1].Pos.Col != 3 {
-		t.Errorf("x position = %s, want 2:3", toks[1].Pos)
+	if toks[1].Line != 2 || toks[1].Col != 3 {
+		t.Errorf("x position = %d:%d, want 2:3", toks[1].Line, toks[1].Col)
 	}
 }
 

@@ -12,15 +12,27 @@ import (
 // the paper's use of gcc attributes behind macros: the macro table there is
 // the registry here.
 type Parser struct {
-	lex   *Lexer
-	tok   Token
-	ahead []Token
-	quals map[string]bool
-	depth int
+	lex Lexer
+	tok Token
+	// ahead holds the nahead tokens peek has read past tok.
+	ahead  [2]Token
+	nahead int
+	quals  map[string]bool
+	depth  int
 
-	// blockEnd is the position of the '}' that closed the block parsed
-	// last; a function's body is the last block its definition parses.
-	blockEnd Pos
+	// blockEnd is the '}' that closed the block parsed last; a function's
+	// body is the last block its definition parses.
+	blockEnd Token
+
+	// stmts, params and args are stacks on which the statements of the
+	// open blocks, the parameters of a function and the arguments of the
+	// open calls collect; each list is copied off at its exact length when
+	// it closes (see popFrom). decls holds the declarators of the
+	// declaration parsed last.
+	stmts  []Stmt
+	params []Param
+	args   []Expr
+	decls  []*VarDecl
 	// lines and lineOff are the span cursor: line lines+1 starts at byte
 	// lineOff. Functions come in source order, so it only moves forward.
 	lines   int
@@ -42,7 +54,8 @@ const MaxSourceBytes = 4 << 20
 // — a panic no recover can catch. Deeper nesting returns a diagnostic.
 const maxNestingDepth = 1000
 
-// enter guards one recursion level; pair with leave.
+// enter guards one recursion level; the caller decrements depth when the
+// level returns. An error ends the parse, so an error return need not.
 func (p *Parser) enter() error {
 	p.depth++
 	if p.depth > maxNestingDepth {
@@ -51,7 +64,16 @@ func (p *Parser) enter() error {
 	return nil
 }
 
-func (p *Parser) leave() { p.depth-- }
+// popFrom returns a copy of the entries of stack from mark on, nil when
+// there are none, and truncates stack to mark.
+func popFrom[T any](stack *[]T, mark int) []T {
+	s := *stack
+	*stack = s[:mark]
+	if len(s) == mark {
+		return nil
+	}
+	return append([]T(nil), s[mark:]...)
+}
 
 // id gives the next node number. Constructors number a node after its
 // children, so a wrapper discarded right after it was built holds the newest
@@ -67,7 +89,7 @@ func Parse(file, src string, qualNames map[string]bool) (*Program, error) {
 	if len(src) > MaxSourceBytes {
 		return nil, fmt.Errorf("%s: source is %d bytes; the limit is %d", file, len(src), MaxSourceBytes)
 	}
-	p := &Parser{lex: NewLexer(file, src), quals: qualNames}
+	p := &Parser{lex: Lexer{src: src, file: file, line: 1}, quals: qualNames}
 	if p.quals == nil {
 		p.quals = map[string]bool{}
 	}
@@ -85,40 +107,41 @@ func Parse(file, src string, qualNames map[string]bool) (*Program, error) {
 }
 
 func (p *Parser) next() error {
-	if len(p.ahead) > 0 {
+	if p.nahead > 0 {
 		p.tok = p.ahead[0]
-		p.ahead = p.ahead[1:]
+		p.ahead[0] = p.ahead[1]
+		p.nahead--
 		return nil
 	}
-	t, err := p.lex.Next()
-	if err != nil {
-		return err
-	}
-	p.tok = t
-	return nil
+	return p.lex.scan(&p.tok)
 }
 
-// peek returns the token n positions ahead (0 = current).
-func (p *Parser) peek(n int) (Token, error) {
-	if n == 0 {
-		return p.tok, nil
-	}
-	for len(p.ahead) < n {
-		t, err := p.lex.Next()
-		if err != nil {
-			return Token{}, err
+// peek returns the kind of the token n places past the current one; n is 1
+// or 2.
+func (p *Parser) peek(n int) (TokenKind, error) {
+	for p.nahead < n {
+		if err := p.lex.scan(&p.ahead[p.nahead]); err != nil {
+			return 0, err
 		}
-		p.ahead = append(p.ahead, t)
+		p.nahead++
 	}
-	return p.ahead[n-1], nil
+	return p.ahead[n-1].Kind, nil
 }
+
+// posOf is the position of token t.
+func (p *Parser) posOf(t *Token) Pos {
+	return Pos{File: p.lex.file, Line: int(t.Line), Col: int(t.Col)}
+}
+
+// pos is the position of the current token.
+func (p *Parser) pos() Pos { return p.posOf(&p.tok) }
 
 // span returns the source from the start of line startLine through the
-// one-byte token at end. The lexer counts columns in bytes, so end sits at
-// its line's offset plus Col-1.
-func (p *Parser) span(startLine int, end Pos) string {
+// one-byte token end. The lexer counts columns in bytes, so end sits at its
+// line's offset plus Col-1.
+func (p *Parser) span(startLine int, end *Token) string {
 	start := p.lineOffset(startLine)
-	return p.lex.src[start : p.lineOffset(end.Line)+end.Col]
+	return p.lex.src[start : p.lineOffset(int(end.Line))+int(end.Col)]
 }
 
 // lineOffset returns the byte offset at which line starts. Calls must come
@@ -132,7 +155,7 @@ func (p *Parser) lineOffset(line int) int {
 }
 
 func (p *Parser) errf(format string, args ...interface{}) error {
-	return fmt.Errorf("%s: %s", p.tok.Pos, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%s: %s", p.pos(), fmt.Sprintf(format, args...))
 }
 
 func (p *Parser) expect(k TokenKind) (Token, error) {
@@ -216,11 +239,11 @@ func (p *Parser) parseTypeSuffix(t Type) (Type, error) {
 func (p *Parser) parseTopLevel(prog *Program) error {
 	// struct definition: struct Name { ... };
 	if p.tok.Kind == TokKwStruct {
-		t1, err := p.peek(2)
+		k, err := p.peek(2)
 		if err != nil {
 			return err
 		}
-		if t1.Kind == TokLBrace {
+		if k == TokLBrace {
 			def, err := p.parseStructDef()
 			if err != nil {
 				return err
@@ -232,7 +255,7 @@ func (p *Parser) parseTopLevel(prog *Program) error {
 	if !p.isTypeStart() {
 		return p.errf("expected a declaration, found %s", p.tok.Kind)
 	}
-	startLine := p.tok.Pos.Line
+	startLine := int(p.tok.Line)
 	typ, err := p.parseType()
 	if err != nil {
 		return err
@@ -266,7 +289,7 @@ func (p *Parser) parseTopLevel(prog *Program) error {
 }
 
 func (p *Parser) parseStructDef() (*StructDef, error) {
-	pos := p.tok.Pos
+	pos := p.pos()
 	if _, err := p.expect(TokKwStruct); err != nil {
 		return nil, err
 	}
@@ -302,7 +325,7 @@ func (p *Parser) parseStructDef() (*StructDef, error) {
 				}
 				fieldType = ArrayType{Elem: ft, Size: size.Int}
 			}
-			def.Fields = append(def.Fields, Field{Pos: fname.Pos, Name: fname.Text, Type: fieldType})
+			def.Fields = append(def.Fields, Field{Pos: p.posOf(&fname), Name: fname.Text, Type: fieldType})
 			ok, err := p.accept(TokComma)
 			if err != nil {
 				return nil, err
@@ -326,9 +349,10 @@ func (p *Parser) parseStructDef() (*StructDef, error) {
 
 // parseDeclarators parses the remainder of a variable declaration after the
 // type and first name, handling arrays, initializers, and comma-separated
-// declarator lists; it consumes the trailing ';'.
+// declarator lists; it consumes the trailing ';'. The returned slice is the
+// parser's and the next call reuses it.
 func (p *Parser) parseDeclarators(typ Type, first Token) ([]*VarDecl, error) {
-	var out []*VarDecl
+	out := p.decls[:0]
 	name := first
 	for {
 		declType := typ
@@ -347,7 +371,7 @@ func (p *Parser) parseDeclarators(typ Type, first Token) ([]*VarDecl, error) {
 			// apply to the array's elements in our model.
 			declType = ArrayType{Elem: typ, Size: size.Int}
 		}
-		decl := &VarDecl{Pos: name.Pos, Name: name.Text, Type: declType}
+		decl := &VarDecl{Pos: p.posOf(&name), Name: name.Text, Type: declType}
 		ok, err := p.accept(TokAssign)
 		if err != nil {
 			return nil, err
@@ -372,6 +396,7 @@ func (p *Parser) parseDeclarators(typ Type, first Token) ([]*VarDecl, error) {
 			return nil, err
 		}
 	}
+	p.decls = out
 	if _, err := p.expect(TokSemi); err != nil {
 		return nil, err
 	}
@@ -384,14 +409,15 @@ func (p *Parser) parseFuncRest(result Type, name Token, startLine int) (*FuncDef
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
 	}
-	fn := &FuncDef{Pos: name.Pos, Name: name.Text, Result: result}
+	fn := &FuncDef{Pos: p.posOf(&name), Name: name.Text, Result: result}
+	mark := len(p.params)
 	if p.tok.Kind == TokKwVoid {
 		// void parameter list: f(void)
-		t1, err := p.peek(1)
+		k, err := p.peek(1)
 		if err != nil {
 			return nil, err
 		}
-		if t1.Kind == TokRParen {
+		if k == TokRParen {
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -416,7 +442,7 @@ func (p *Parser) parseFuncRest(result Type, name Token, startLine int) (*FuncDef
 		// Qualifiers may also follow the parameter name in the paper's
 		// examples (e.g. "int pos n" parses via parseType; but "char *
 		// untainted format" has them before the name already).
-		fn.Params = append(fn.Params, Param{Pos: pname.Pos, Name: pname.Text, Type: pt})
+		p.params = append(p.params, Param{Pos: p.posOf(&pname), Name: pname.Text, Type: pt})
 		ok, err := p.accept(TokComma)
 		if err != nil {
 			return nil, err
@@ -425,11 +451,12 @@ func (p *Parser) parseFuncRest(result Type, name Token, startLine int) (*FuncDef
 			break
 		}
 	}
+	fn.Params = popFrom(&p.params, mark)
 	if _, err := p.expect(TokRParen); err != nil {
 		return nil, err
 	}
 	if p.tok.Kind == TokSemi {
-		fn.Src = p.span(startLine, p.tok.Pos)
+		fn.Src = p.span(startLine, &p.tok)
 		return fn, p.next() // prototype
 	}
 	lo := p.nodes + 1
@@ -438,101 +465,110 @@ func (p *Parser) parseFuncRest(result Type, name Token, startLine int) (*FuncDef
 		return nil, err
 	}
 	fn.Body = body
-	fn.Src = p.span(startLine, p.blockEnd)
+	fn.Src = p.span(startLine, &p.blockEnd)
 	fn.Nodes = NodeRange{Lo: lo, Hi: p.nodes + 1}
 	return fn, nil
 }
 
 func (p *Parser) parseBlock() (*Block, error) {
-	pos := p.tok.Pos
+	pos := p.pos()
 	if _, err := p.expect(TokLBrace); err != nil {
 		return nil, err
 	}
 	b := &Block{Pos: pos}
+	mark := len(p.stmts)
 	for p.tok.Kind != TokRBrace {
-		s, err := p.parseStmt()
-		if err != nil {
+		if err := p.parseStmt(); err != nil {
 			return nil, err
 		}
-		b.Stmts = append(b.Stmts, s...)
 	}
-	p.blockEnd = p.tok.Pos
+	b.Stmts = popFrom(&p.stmts, mark)
+	p.blockEnd = p.tok
 	return b, p.next()
 }
 
-// parseStmt returns one or more statements (a multi-declarator declaration
-// expands to several DeclStmts).
-func (p *Parser) parseStmt() ([]Stmt, error) {
+// parseStmt parses one statement and pushes it on the statement stack, on
+// the enclosing block's list: a declaration pushes a DeclStmt per
+// declarator, each followed by the call instruction of a call initializer.
+func (p *Parser) parseStmt() error {
 	if err := p.enter(); err != nil {
+		return err
+	}
+	var s Stmt
+	var err error
+	if p.isTypeStart() {
+		err = p.parseLocalDecl()
+	} else if s, err = p.parseOneStmt(); err == nil {
+		p.stmts = append(p.stmts, s)
+	}
+	p.depth--
+	return err
+}
+
+// parseBody parses the statement governed by the if, else, while or for at
+// pos. A declaration that expands to several statements becomes a Block of
+// them.
+func (p *Parser) parseBody(pos Pos) (Stmt, error) {
+	mark := len(p.stmts)
+	if err := p.parseStmt(); err != nil {
 		return nil, err
 	}
-	defer p.leave()
-	pos := p.tok.Pos
+	if len(p.stmts) == mark+1 {
+		s := p.stmts[mark]
+		p.stmts = p.stmts[:mark]
+		return s, nil
+	}
+	return &Block{Pos: pos, Stmts: popFrom(&p.stmts, mark)}, nil
+}
+
+// parseOneStmt parses a statement that is not a declaration.
+func (p *Parser) parseOneStmt() (Stmt, error) {
+	pos := p.pos()
 	switch p.tok.Kind {
 	case TokLBrace:
 		b, err := p.parseBlock()
 		if err != nil {
 			return nil, err
 		}
-		return []Stmt{b}, nil
+		return b, nil
 	case TokSemi:
-		return []Stmt{&Block{Pos: pos}}, p.next()
+		return &Block{Pos: pos}, p.next()
 	case TokKwIf:
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TokLParen); err != nil {
-			return nil, err
-		}
-		cond, err := p.parseExpr()
+		cond, err := p.parseCond()
 		if err != nil {
 			return nil, err
 		}
-		if err := rejectCall(cond); err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokRParen); err != nil {
-			return nil, err
-		}
-		then, err := p.parseStmt()
+		then, err := p.parseBody(pos)
 		if err != nil {
 			return nil, err
 		}
-		stmt := &If{Pos: pos, Cond: cond, Then: blockOf(pos, then)}
+		stmt := &If{Pos: pos, Cond: cond, Then: then}
 		ok, err := p.accept(TokKwElse)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			els, err := p.parseStmt()
-			if err != nil {
+			if stmt.Else, err = p.parseBody(pos); err != nil {
 				return nil, err
 			}
-			stmt.Else = blockOf(pos, els)
 		}
-		return []Stmt{stmt}, nil
+		return stmt, nil
 	case TokKwWhile:
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TokLParen); err != nil {
-			return nil, err
-		}
-		cond, err := p.parseExpr()
+		cond, err := p.parseCond()
 		if err != nil {
 			return nil, err
 		}
-		if err := rejectCall(cond); err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokRParen); err != nil {
-			return nil, err
-		}
-		body, err := p.parseStmt()
+		body, err := p.parseBody(pos)
 		if err != nil {
 			return nil, err
 		}
-		return []Stmt{&While{Pos: pos, Cond: cond, Body: blockOf(pos, body)}}, nil
+		return &While{Pos: pos, Cond: cond, Body: body}, nil
 	case TokKwFor:
 		return p.parseFor()
 	case TokKwReturn:
@@ -553,7 +589,7 @@ func (p *Parser) parseStmt() ([]Stmt, error) {
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return []Stmt{stmt}, nil
+		return stmt, nil
 	case TokKwBreak:
 		if err := p.next(); err != nil {
 			return nil, err
@@ -561,7 +597,7 @@ func (p *Parser) parseStmt() ([]Stmt, error) {
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return []Stmt{&Break{Pos: pos}}, nil
+		return &Break{Pos: pos}, nil
 	case TokKwContinue:
 		if err := p.next(); err != nil {
 			return nil, err
@@ -569,57 +605,66 @@ func (p *Parser) parseStmt() ([]Stmt, error) {
 		if _, err := p.expect(TokSemi); err != nil {
 			return nil, err
 		}
-		return []Stmt{&Continue{Pos: pos}}, nil
+		return &Continue{Pos: pos}, nil
 	}
-	if p.isTypeStart() {
-		typ, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		name, err := p.expect(TokIdent)
-		if err != nil {
-			return nil, err
-		}
-		decls, err := p.parseDeclarators(typ, name)
-		if err != nil {
-			return nil, err
-		}
-		var out []Stmt
-		for _, d := range decls {
-			// Call initializers are split CIL-style into a declaration plus
-			// a call instruction (figure 2's "int pos d = gcd(a, b);").
-			if d.Init != nil && containsCall(d.Init) {
-				init := d.Init
-				d.Init = nil
-				out = append(out, &DeclStmt{Pos: d.Pos, Decl: d})
-				lv := &VarLV{Pos: d.Pos, Name: d.Name, id: p.id()}
-				instr, err := p.assignOrCall(d.Pos, lv, init)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, &InstrStmt{Pos: d.Pos, Instr: instr})
-				continue
-			}
-			out = append(out, &DeclStmt{Pos: d.Pos, Decl: d})
-		}
-		return out, nil
+	return p.parseSimpleStmt(true)
+}
+
+// parseCond parses the parenthesized condition of an if or while.
+func (p *Parser) parseCond() (Expr, error) {
+	if _, err := p.expect(TokLParen); err != nil {
+		return nil, err
 	}
-	s, err := p.parseSimpleStmt(true)
+	cond, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	return []Stmt{s}, nil
-}
-
-func blockOf(pos Pos, stmts []Stmt) Stmt {
-	if len(stmts) == 1 {
-		return stmts[0]
+	if err := rejectCall(cond); err != nil {
+		return nil, err
 	}
-	return &Block{Pos: pos, Stmts: stmts}
+	if _, err := p.expect(TokRParen); err != nil {
+		return nil, err
+	}
+	return cond, nil
 }
 
-func (p *Parser) parseFor() ([]Stmt, error) {
-	pos := p.tok.Pos
+// parseLocalDecl parses a local declaration and pushes its statements on
+// the statement stack.
+func (p *Parser) parseLocalDecl() error {
+	typ, err := p.parseType()
+	if err != nil {
+		return err
+	}
+	name, err := p.expect(TokIdent)
+	if err != nil {
+		return err
+	}
+	decls, err := p.parseDeclarators(typ, name)
+	if err != nil {
+		return err
+	}
+	for _, d := range decls {
+		// Call initializers are split CIL-style into a declaration plus
+		// a call instruction (figure 2's "int pos d = gcd(a, b);").
+		if d.Init != nil && containsCall(d.Init) {
+			init := d.Init
+			d.Init = nil
+			p.stmts = append(p.stmts, &DeclStmt{Pos: d.Pos, Decl: d})
+			lv := &VarLV{Pos: d.Pos, Name: d.Name, id: p.id()}
+			instr, err := p.assignOrCall(d.Pos, lv, init)
+			if err != nil {
+				return err
+			}
+			p.stmts = append(p.stmts, &InstrStmt{Pos: d.Pos, Instr: instr})
+			continue
+		}
+		p.stmts = append(p.stmts, &DeclStmt{Pos: d.Pos, Decl: d})
+	}
+	return nil
+}
+
+func (p *Parser) parseFor() (Stmt, error) {
+	pos := p.pos()
 	if err := p.next(); err != nil {
 		return nil, err
 	}
@@ -683,18 +728,18 @@ func (p *Parser) parseFor() ([]Stmt, error) {
 	if _, err := p.expect(TokRParen); err != nil {
 		return nil, err
 	}
-	body, err := p.parseStmt()
+	body, err := p.parseBody(pos)
 	if err != nil {
 		return nil, err
 	}
-	f.Body = blockOf(pos, body)
-	return []Stmt{f}, nil
+	f.Body = body
+	return f, nil
 }
 
 // parseSimpleStmt parses an assignment, call, or increment statement. When
 // wantSemi is true the trailing ';' is consumed.
 func (p *Parser) parseSimpleStmt(wantSemi bool) (Stmt, error) {
-	pos := p.tok.Pos
+	pos := p.pos()
 	e, err := p.parseExpr()
 	if err != nil {
 		return nil, err
@@ -872,36 +917,61 @@ func exprToLValue(e Expr) (LValue, error) {
 
 // ---- Expressions ----
 
-func (p *Parser) parseExpr() (Expr, error) { return p.parseBinary(0) }
+func (p *Parser) parseExpr() (Expr, error) { return p.parseBinary(1) }
 
-// binary precedence levels, low to high.
-var binPrec = []map[TokenKind]BinopKind{
-	{TokOrOr: BOr},
-	{TokAndAnd: BAnd},
-	{TokEq: BEq, TokNe: BNe},
-	{TokLt: BLt, TokLe: BLe, TokGt: BGt, TokGe: BGe},
-	{TokPlus: BAdd, TokMinus: BSub},
-	{TokStar: BMul, TokSlash: BDiv, TokPercent: BMod},
+// binop returns the binary operator kind k spells and its precedence, from
+// 1 (||) to 6 (* / %); precedence 0 means k is no binary operator.
+func binop(k TokenKind) (BinopKind, int) {
+	switch k {
+	case TokOrOr:
+		return BOr, 1
+	case TokAndAnd:
+		return BAnd, 2
+	case TokEq:
+		return BEq, 3
+	case TokNe:
+		return BNe, 3
+	case TokLt:
+		return BLt, 4
+	case TokLe:
+		return BLe, 4
+	case TokGt:
+		return BGt, 4
+	case TokGe:
+		return BGe, 4
+	case TokPlus:
+		return BAdd, 5
+	case TokMinus:
+		return BSub, 5
+	case TokStar:
+		return BMul, 6
+	case TokSlash:
+		return BDiv, 6
+	case TokPercent:
+		return BMod, 6
+	}
+	return 0, 0
 }
 
-func (p *Parser) parseBinary(level int) (Expr, error) {
-	if level >= len(binPrec) {
-		return p.parseUnary()
-	}
-	left, err := p.parseBinary(level + 1)
+// parseBinary parses a chain of operands joined by binary operators of
+// precedence minPrec or higher, by precedence climbing. Operators of one
+// precedence associate to the left, and each Binop is numbered after both
+// of its operands.
+func (p *Parser) parseBinary(minPrec int) (Expr, error) {
+	left, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		op, ok := binPrec[level][p.tok.Kind]
-		if !ok {
+		op, prec := binop(p.tok.Kind)
+		if prec < minPrec {
 			return left, nil
 		}
-		pos := p.tok.Pos
+		pos := p.pos()
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		right, err := p.parseBinary(level + 1)
+		right, err := p.parseBinary(prec + 1)
 		if err != nil {
 			return nil, err
 		}
@@ -913,8 +983,14 @@ func (p *Parser) parseUnary() (Expr, error) {
 	if err := p.enter(); err != nil {
 		return nil, err
 	}
-	defer p.leave()
-	pos := p.tok.Pos
+	x, err := p.unary()
+	p.depth--
+	return x, err
+}
+
+// unary is parseUnary inside its nesting guard.
+func (p *Parser) unary() (Expr, error) {
+	pos := p.pos()
 	switch p.tok.Kind {
 	case TokMinus:
 		if err := p.next(); err != nil {
@@ -979,11 +1055,11 @@ func (p *Parser) parseUnary() (Expr, error) {
 	case TokLParen:
 		// Cast or parenthesized expression: a type keyword after '(' means
 		// cast (there are no typedef names in cminor).
-		t1, err := p.peek(1)
+		k, err := p.peek(1)
 		if err != nil {
 			return nil, err
 		}
-		switch t1.Kind {
+		switch k {
 		case TokKwInt, TokKwChar, TokKwVoid, TokKwStruct:
 			if err := p.next(); err != nil {
 				return nil, err
@@ -1017,7 +1093,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 }
 
 func (p *Parser) parsePrimary() (Expr, error) {
-	pos := p.tok.Pos
+	pos := p.pos()
 	switch p.tok.Kind {
 	case TokInt:
 		v := p.tok.Int
@@ -1026,7 +1102,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		v := p.tok.Int
 		return &IntLit{Pos: pos, Value: v, IsChar: true, id: p.id()}, p.next()
 	case TokString:
-		s := p.tok.Str
+		s := p.tok.Text
 		return &StrLit{Pos: pos, Value: s, id: p.id()}, p.next()
 	case TokKwNull:
 		return &NullLit{Pos: pos, id: p.id()}, p.next()
@@ -1040,7 +1116,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if err := p.next(); err != nil {
 				return nil, err
 			}
-			var args []Expr
+			mark := len(p.args)
 			for p.tok.Kind != TokRParen {
 				a, err := p.parseExpr()
 				if err != nil {
@@ -1049,7 +1125,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 				if err := rejectCall(a); err != nil {
 					return nil, err
 				}
-				args = append(args, a)
+				p.args = append(p.args, a)
 				ok, err := p.accept(TokComma)
 				if err != nil {
 					return nil, err
@@ -1058,14 +1134,27 @@ func (p *Parser) parsePrimary() (Expr, error) {
 					break
 				}
 			}
+			args := popFrom(&p.args, mark)
 			if _, err := p.expect(TokRParen); err != nil {
 				return nil, err
 			}
 			return &callExpr{pos: pos, fn: name, args: args}, nil
 		}
-		return p.parsePostfix(p.lvExpr(pos, &VarLV{Pos: pos, Name: name, id: p.id()}))
+		return p.parsePostfix(p.varExpr(pos, name))
 	}
 	return nil, p.errf("expected an expression, found %s", p.tok.Kind)
+}
+
+// varExpr builds the r-use of variable name, numbering the VarLV before its
+// LVExpr wrapper. Variable references are the commonest operands, so the
+// two nodes share one allocation.
+func (p *Parser) varExpr(pos Pos, name string) *LVExpr {
+	n := &struct {
+		e LVExpr
+		v VarLV
+	}{v: VarLV{Pos: pos, Name: name, id: p.id()}}
+	n.e = LVExpr{Pos: pos, LV: &n.v, id: p.id()}
+	return &n.e
 }
 
 // lvExpr wraps an l-value built just before it, numbering the wrapper last.
@@ -1076,7 +1165,7 @@ func (p *Parser) lvExpr(pos Pos, lv LValue) *LVExpr {
 // parsePostfix handles [], ., and -> chains on an expression.
 func (p *Parser) parsePostfix(e Expr) (Expr, error) {
 	for {
-		pos := p.tok.Pos
+		pos := p.pos()
 		switch p.tok.Kind {
 		case TokLBracket:
 			if err := p.next(); err != nil {

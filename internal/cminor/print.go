@@ -2,6 +2,7 @@ package cminor
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -190,9 +191,12 @@ func InstrString(in Instr) string {
 func ExprString(e Expr) string {
 	switch e := e.(type) {
 	case *IntLit:
-		return fmt.Sprintf("%d", e.Value)
+		if e.IsChar && e.Value >= 0 && e.Value <= 0xff {
+			return quote(string([]byte{byte(e.Value)}), '\'')
+		}
+		return strconv.FormatInt(e.Value, 10)
 	case *StrLit:
-		return fmt.Sprintf("%q", e.Value)
+		return quote(e.Value, '"')
 	case *NullLit:
 		return "NULL"
 	case *LVExpr:
@@ -217,6 +221,31 @@ func ExprString(e Expr) string {
 		return fmt.Sprintf("%s(%s)", e.fn, strings.Join(args, ", "))
 	}
 	return "?"
+}
+
+// quote renders s as a literal between q quotes, in the escapes the lexer
+// reads (\n \t \r \0 \\ and the quote's own); every other byte stands for
+// itself, so the lexer reads back exactly s.
+func quote(s string, q byte) string {
+	b := make([]byte, 0, len(s)+2)
+	b = append(b, q)
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '\n':
+			b = append(b, '\\', 'n')
+		case '\t':
+			b = append(b, '\\', 't')
+		case '\r':
+			b = append(b, '\\', 'r')
+		case 0:
+			b = append(b, '\\', '0')
+		case '\\', q:
+			b = append(b, '\\', c)
+		default:
+			b = append(b, c)
+		}
+	}
+	return string(append(b, q))
 }
 
 // LValueString renders an l-value.

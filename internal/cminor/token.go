@@ -95,12 +95,38 @@ func (k TokenKind) String() string {
 	return fmt.Sprintf("token(%d)", int(k))
 }
 
-var keywords = map[string]TokenKind{
-	"int": TokKwInt, "char": TokKwChar, "void": TokKwVoid,
-	"struct": TokKwStruct, "if": TokKwIf, "else": TokKwElse,
-	"while": TokKwWhile, "for": TokKwFor, "return": TokKwReturn,
-	"break": TokKwBreak, "continue": TokKwContinue, "sizeof": TokKwSizeof,
-	"NULL": TokKwNull,
+// keyword returns the keyword kind spelled by an identifier's text, or
+// TokIdent.
+func keyword(text string) TokenKind {
+	switch text {
+	case "int":
+		return TokKwInt
+	case "char":
+		return TokKwChar
+	case "void":
+		return TokKwVoid
+	case "struct":
+		return TokKwStruct
+	case "if":
+		return TokKwIf
+	case "else":
+		return TokKwElse
+	case "while":
+		return TokKwWhile
+	case "for":
+		return TokKwFor
+	case "return":
+		return TokKwReturn
+	case "break":
+		return TokKwBreak
+	case "continue":
+		return TokKwContinue
+	case "sizeof":
+		return TokKwSizeof
+	case "NULL":
+		return TokKwNull
+	}
+	return TokIdent
 }
 
 // Pos is a source position.
@@ -117,11 +143,12 @@ func (p Pos) String() string {
 	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
 }
 
-// Token is a lexical token.
+// Token is a lexical token: 40 bytes, so the parser copies it cheaply. It
+// carries its line and column but not its file, which the lexer and parser
+// hold once; Parser.posOf makes a node's Pos from it.
 type Token struct {
-	Kind TokenKind
-	Text string // identifier spelling, literal text
-	Int  int64  // value for TokInt and TokChar
-	Str  string // decoded value for TokString
-	Pos  Pos
+	Kind      TokenKind
+	Line, Col int32
+	Text      string // identifier spelling, integer literal text, decoded string value
+	Int       int64  // value for TokInt and TokChar
 }

@@ -92,6 +92,9 @@ func Qualify(t Type, quals ...string) Type {
 	if len(quals) == 0 {
 		return t
 	}
+	if _, ok := t.(QualType); !ok && len(quals) == 1 {
+		return QualType{Base: t, Quals: []string{quals[0]}} // the parser's case
+	}
 	base := t
 	var all []string
 	if qt, ok := t.(QualType); ok {
