@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: all build fmt-check vet test race bench bench-smoke bench-tree tree-smoke experiments fuzz-smoke serve-smoke chaos-smoke cert-smoke watch-smoke persist-smoke perfbench-smoke ci
+.PHONY: all build fmt-check vet test race bench bench-smoke bench-tree tree-smoke experiments fuzz-smoke serve-smoke chaos-smoke cert-smoke watch-smoke persist-smoke perfbench-smoke inventory ci
 
 # Seconds of fuzzing per target in fuzz-smoke.
 FUZZTIME ?= 30s
@@ -171,6 +171,14 @@ persist-smoke:
 # would only surface when the benchmark itself is run.
 perfbench-smoke:
 	cd perfbench && $(GO) test ./...
+
+# inventory prints the two sizes ROADMAP aim 2 tracks: non-test Go lines
+# outside perfbench/ (tracked files only) and flag definitions in
+# cmd/*/main.go. It reports and gates nothing.
+FLAG_DEFS = flag\.(Bool|BoolFunc|BoolVar|Duration|DurationVar|Float64|Float64Var|Func|Int|Int64|Int64Var|IntVar|String|StringVar|TextVar|Uint|Uint64|Uint64Var|UintVar|Var)\(
+inventory:
+	@echo "non-test Go lines outside perfbench/: $$(git ls-files '*.go' ':!:*_test.go' ':!:perfbench/*' | xargs cat | wc -l)"
+	@echo "CLI flags in cmd/*/main.go: $$(grep -ohE '$(FLAG_DEFS)' cmd/*/main.go | wc -l)"
 
 # ci is the gate: everything must be gofmt-clean, build, vet clean, pass under
 # -race, run every benchmark for one smoke iteration, keep serial and

@@ -23,10 +23,11 @@
 //
 // Durability is best-effort by design: the store protects the verdicts'
 // integrity, not their availability. Disk failures (ENOSPC, EIO, permission
-// flips) never surface to the caller — after a few consecutive I/O errors a
-// circuit breaker degrades the store to memory-only (every Get misses,
-// every Put is dropped) and periodically admits a probe to heal, mirroring
-// the per-qualifier breaker in internal/server.
+// flips) never surface to the caller — after a few consecutive I/O errors
+// the store's circuit breaker (internal/breaker) degrades it to memory-only
+// (every Get misses, every Put is dropped) and periodically admits a probe
+// to heal. A read or write admitted before the breaker opened cannot close
+// the open breaker by finishing cleanly; the probe cycle decides.
 package cachedisk
 
 import (
@@ -46,6 +47,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/faults"
 )
 
@@ -81,6 +83,9 @@ const (
 	// reopenCooldown later a single probe operation is admitted.
 	failureThreshold = 3
 	reopenCooldown   = 30 * time.Second
+
+	// ioKey is the one key of a store's breaker: all of its disk I/O.
+	ioKey = "io"
 )
 
 // ErrCorrupt is the (internal) load-failure class counted in
@@ -179,19 +184,16 @@ type Stats struct {
 // misses, every Put drops), so callers can thread an optional disk tier
 // without nil checks at each site.
 type Store struct {
-	dir    string
-	budget int64
-	now    func() time.Time // injectable clock for breaker tests
-	tmpSeq atomic.Uint64    // numbers this process's temp files
+	dir     string
+	budget  int64
+	breaker *breaker.Breaker // degrades the store to memory-only
+	tmpSeq  atomic.Uint64    // numbers this process's temp files
 
-	mu       sync.Mutex
-	index    map[string]*list.Element // KeyHash -> *entry in lru
-	lru      *list.List               // front = most recently used
-	bytes    int64
-	stats    Stats
-	failures int       // consecutive I/O errors while the breaker is closed
-	openedAt time.Time // when the breaker last opened; zero when closed
-	probing  bool      // a half-open probe operation is in flight
+	mu    sync.Mutex
+	index map[string]*list.Element // KeyHash -> *entry in lru
+	lru   *list.List               // front = most recently used
+	bytes int64
+	stats Stats
 }
 
 // entry is one indexed record.
@@ -253,11 +255,11 @@ func Open(dir string, budget int64) (*Store, error) {
 		return found[i].hash < found[j].hash
 	})
 	s := &Store{
-		dir:    dir,
-		budget: budget,
-		now:    time.Now,
-		index:  map[string]*list.Element{},
-		lru:    list.New(),
+		dir:     dir,
+		budget:  budget,
+		breaker: breaker.New(failureThreshold, reopenCooldown),
+		index:   map[string]*list.Element{},
+		lru:     list.New(),
 	}
 	for _, f := range found {
 		s.index[f.hash] = s.lru.PushFront(&entry{hash: f.hash, size: f.size})
@@ -285,7 +287,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	st.Degraded = !s.openedAt.IsZero()
+	st.Degraded = s.breaker.Tripped(ioKey)
 	st.Entries = s.lru.Len()
 	st.Bytes = s.bytes
 	return st
@@ -299,47 +301,6 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lru.Len()
-}
-
-// ---- degrade breaker ----
-
-// degradedLocked reports whether disk I/O is currently refused. Open state
-// expires into a half-open probe after the cooldown; the probe slot is
-// released by recordIOLocked.
-func (s *Store) degradedLocked() bool {
-	if s.openedAt.IsZero() {
-		return false
-	}
-	if s.now().Sub(s.openedAt) < reopenCooldown {
-		return true
-	}
-	// Cooldown over: admit one probe at a time.
-	if s.probing {
-		return true
-	}
-	s.probing = true
-	return false
-}
-
-// recordIOLocked feeds the breaker one I/O outcome: a success closes it, a
-// failure counts toward the threshold (or re-opens a probing breaker).
-func (s *Store) recordIOLocked(ok bool) {
-	probe := s.probing
-	s.probing = false
-	if ok {
-		s.failures = 0
-		s.openedAt = time.Time{}
-		return
-	}
-	if probe {
-		s.openedAt = s.now()
-		return
-	}
-	s.failures++
-	if s.failures >= failureThreshold {
-		s.openedAt = s.now()
-		s.failures = 0
-	}
 }
 
 // ---- load path ----
@@ -394,7 +355,7 @@ func (s *Store) getSealed(hash, wantKey string) (record, payload []byte, ok bool
 		s.mu.Unlock()
 		return nil, nil, false
 	}
-	if s.degradedLocked() {
+	if ok, _ := s.breaker.Allow(ioKey); !ok {
 		s.stats.Misses++
 		s.mu.Unlock()
 		return nil, nil, false
@@ -421,17 +382,17 @@ func (s *Store) getSealed(hash, wantKey string) (record, payload []byte, ok bool
 				s.dropLocked(el, false)
 			}
 			s.stats.Misses++
-			s.recordIOLocked(true)
+			s.breaker.Record(ioKey, true)
 			s.mu.Unlock()
 			return nil, nil, false
 		}
 		s.stats.LoadErrors++
 		s.stats.Misses++
-		s.recordIOLocked(false)
+		s.breaker.Record(ioKey, false)
 		s.mu.Unlock()
 		return nil, nil, false
 	}
-	s.recordIOLocked(true)
+	s.breaker.Record(ioKey, true)
 	if !indexed {
 		s.stats.Misses++
 		s.mu.Unlock()
@@ -491,7 +452,7 @@ func (s *Store) commit(hash string, record []byte) {
 		s.mu.Unlock()
 		return
 	}
-	if s.degradedLocked() {
+	if ok, _ := s.breaker.Allow(ioKey); !ok {
 		s.mu.Unlock()
 		return
 	}
@@ -503,10 +464,10 @@ func (s *Store) commit(hash string, record []byte) {
 	defer s.mu.Unlock()
 	if err != nil {
 		s.stats.WriteErrors++
-		s.recordIOLocked(false)
+		s.breaker.Record(ioKey, false)
 		return
 	}
-	s.recordIOLocked(true)
+	s.breaker.Record(ioKey, true)
 	s.stats.Puts++
 	if el, ok := s.index[hash]; ok {
 		e := el.Value.(*entry)

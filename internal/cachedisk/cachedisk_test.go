@@ -313,9 +313,7 @@ func TestWriteFaultsDegradeToMemoryOnly(t *testing.T) {
 
 	// After the cooldown the next operation is a probe; with the fault
 	// disarmed it succeeds and closes the breaker.
-	s.mu.Lock()
-	s.now = func() time.Time { return time.Now().Add(2 * reopenCooldown) }
-	s.mu.Unlock()
+	s.breaker.Now = func() time.Time { return time.Now().Add(2 * reopenCooldown) }
 	s.Put("healed", []byte("back"))
 	st = s.Stats()
 	if st.Degraded {
@@ -326,6 +324,46 @@ func TestWriteFaultsDegradeToMemoryOnly(t *testing.T) {
 	}
 	if got, ok := s.Get("warm"); !ok || string(got) != "kept" {
 		t.Fatalf("pre-degrade record lost: %q, %v", got, ok)
+	}
+}
+
+// TestLateSuccessKeepsBreakerOpen: a read admitted while the breaker was
+// closed, and finishing cleanly after write failures opened it, says nothing
+// about the disk's health now. Only a probe may close the breaker.
+func TestLateSuccessKeepsBreakerOpen(t *testing.T) {
+	defer faults.DisarmAll()
+	s := open(t, t.TempDir(), 0)
+	s.Put("k", []byte("v"))
+	if err := faults.Arm("cachedisk.load=delay:500ms:limit=1"); err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan bool, 1)
+	go func() {
+		_, ok := s.Get("k")
+		read <- ok
+	}()
+	for fpLoad.Fires() == 0 { // the read is admitted and held in the fault
+		time.Sleep(time.Millisecond)
+	}
+	if err := faults.Arm("cachedisk.write=error"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < failureThreshold; i++ {
+		s.Put("w", []byte("dropped"))
+	}
+	if !s.Stats().Degraded {
+		t.Fatal("write failures did not open the breaker")
+	}
+	select {
+	case <-read:
+		t.Fatal("the held read finished before the breaker opened")
+	default:
+	}
+	if ok := <-read; !ok {
+		t.Fatal("the held read missed; it was admitted before the trip")
+	}
+	if st := s.Stats(); !st.Degraded {
+		t.Fatalf("a read admitted before the trip closed the breaker: %+v", st)
 	}
 }
 

@@ -3,26 +3,26 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/faults"
 	"repro/internal/memwatch"
 	"repro/internal/quals"
 	"repro/internal/simplify"
 )
 
-// setBreaker resizes a server's /prove breaker, for tests that cannot wait
-// out the production threshold and cooldown. It takes the breaker's lock, so
-// it is safe while the server runs.
+// setBreaker gives a server a /prove breaker of another threshold and
+// cooldown, for tests that cannot wait out the production ones. Call it
+// before the server's first request.
 func setBreaker(s *Server, threshold int, cooldown time.Duration) {
-	s.breaker.mu.Lock()
-	defer s.breaker.mu.Unlock()
-	s.breaker.threshold = threshold
-	s.breaker.cooldown = cooldown
+	s.breaker = breaker.New(threshold, cooldown)
 }
 
 // postJSONFull is postJSON keeping the whole response, for tests that
@@ -253,6 +253,30 @@ func TestProveBreakerKeyedByRegistry(t *testing.T) {
 	}
 }
 
+// TestBreakerFailureClassification: only infrastructure failures count
+// against a /prove breaker — not the caller's own deadline or cancellation,
+// and not a genuine verdict.
+func TestBreakerFailureClassification(t *testing.T) {
+	cases := []struct {
+		reason string
+		want   bool
+	}{
+		{simplify.ReasonDeadline, false},
+		{simplify.ReasonCanceled, false},
+		{simplify.ReasonBudget, true},
+		{"panic: boom", true},
+		{"fault: injected fault: x", true},
+		{"cert: replay rejected", true},
+		{"saturated without contradiction", false},
+		{"", false},
+	}
+	for _, tc := range cases {
+		if got := breakerFailure(tc.reason); got != tc.want {
+			t.Errorf("breakerFailure(%q) = %v, want %v", tc.reason, got, tc.want)
+		}
+	}
+}
+
 // TestProveBudgetTripsOnce: a starved obligation is discharged once. With
 // ProverMaxInstances 3, a /prove of the library raises the process-wide
 // budget-trip count by exactly the number of obligations it reports as
@@ -392,5 +416,102 @@ func TestCheckWalkFaultDegradesAndIsNotCached(t *testing.T) {
 	}
 	if clean.Degraded || clean.Warnings != 0 {
 		t.Errorf("recheck after disarm should be clean: %+v", clean)
+	}
+}
+
+// TestDegradedTotalCountsAnswers drives every degraded path through one
+// server: the admission, queue, encode and run faults (run in panic and error
+// mode), memory pressure, a /prove with several budget-tripped qualifiers, a
+// breaker-refused /prove, and a /check-batch carrying an internal diagnostic.
+// degraded_total must equal the number of answers whose body says
+// "degraded": true, every 503 must carry a Retry-After of at least 1 s, and
+// so must the breaker-refused /prove.
+func TestDegradedTotalCountsAnswers(t *testing.T) {
+	defer faults.DisarmAll()
+	memwatch.SetSampleHook(func() uint64 { return 0 })
+	defer memwatch.SetSampleHook(nil)
+	s, ts := newTestServer(t, Config{Workers: 1, ProverMaxInstances: 1, MemoryHighWater: 1 << 30})
+	setBreaker(s, 1, time.Minute)
+
+	check := CheckRequest{Source: "int x = 1;"}
+	degradedAnswers := 0
+	// send posts req to path with fault ("" for none) armed for this request
+	// only, and counts the answer if its body says it is degraded.
+	send := func(fault, path string, req any) (*http.Response, map[string]any) {
+		t.Helper()
+		faults.DisarmAll()
+		if fault != "" {
+			if err := faults.Arm(fault); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var body map[string]any
+		resp := postJSONFull(t, ts.URL+path, req, &body)
+		faults.DisarmAll()
+		if body["degraded"] == true {
+			degradedAnswers++
+		}
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 1 {
+				t.Errorf("%s with %q: 503 with Retry-After %q, want at least 1 s", path, fault, resp.Header.Get("Retry-After"))
+			}
+		}
+		return resp, body
+	}
+
+	send("", "/check", check)
+	for _, fault := range []string{
+		"server.admission=error:limit=1",
+		"server.queue=error:limit=1",
+		"server.encode=error:limit=1",
+		"server.run=panic:limit=1",
+		"server.run=error:limit=1",
+	} {
+		if resp, body := send(fault, "/check", check); resp.StatusCode != http.StatusServiceUnavailable || body["degraded"] != true {
+			t.Errorf("%s: status %d, body %v; want a degraded 503", fault, resp.StatusCode, body)
+		}
+	}
+
+	memwatch.SetSampleHook(func() uint64 { return 1 << 40 })
+	if resp, body := send("", "/check", check); resp.StatusCode != http.StatusServiceUnavailable || body["degraded"] != true {
+		t.Errorf("memory pressure: status %d, body %v; want a degraded 503", resp.StatusCode, body)
+	}
+	memwatch.SetSampleHook(func() uint64 { return 0 })
+
+	// One /prove, several budget-tripped qualifiers: one degraded answer.
+	var starved ProveResponse
+	resp := postJSONFull(t, ts.URL+"/prove", ProveRequest{}, &starved)
+	tripped := 0
+	for _, r := range starved.Reports {
+		if r.Degraded {
+			tripped++
+		}
+	}
+	if resp.StatusCode != http.StatusOK || !starved.Degraded || tripped < 2 {
+		t.Fatalf("starved prove: status %d, degraded %t, %d degraded reports; want 200, degraded, several", resp.StatusCode, starved.Degraded, tripped)
+	}
+	degradedAnswers++
+
+	// The tripped qualifiers' breakers are open now.
+	var refused ProveResponse
+	resp = postJSONFull(t, ts.URL+"/prove", ProveRequest{}, &refused)
+	if resp.StatusCode != http.StatusOK || !refused.Degraded || !strings.Contains(fmt.Sprint(refused.Reports), "circuit breaker open") {
+		t.Fatalf("refused prove: status %d, %+v; want a breaker-refused 200", resp.StatusCode, refused)
+	}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 1 {
+		t.Errorf("breaker-refused prove: Retry-After %q, want at least 1 s", resp.Header.Get("Retry-After"))
+	}
+	degradedAnswers++
+
+	batch := CheckBatchRequest{Files: []BatchInput{{Filename: "a.c", Source: "void f() { int x = 1; }"}}}
+	if resp, body := send("checker.walk=error:limit=1", "/check-batch", batch); resp.StatusCode != http.StatusOK || body["degraded"] != true ||
+		!strings.Contains(fmt.Sprint(body["files"]), "internal") {
+		t.Errorf("walk fault: status %d, body %v; want a degraded 200 with an internal diagnostic", resp.StatusCode, body)
+	}
+
+	var m MetricsResponse
+	getJSON(t, ts.URL+"/metrics", &m)
+	if m.DegradedTotal != uint64(degradedAnswers) {
+		t.Errorf("degraded_total %d, want %d: one per answer whose body says degraded", m.DegradedTotal, degradedAnswers)
 	}
 }

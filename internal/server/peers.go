@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/cachedisk"
 	"repro/internal/faults"
 )
@@ -24,6 +25,10 @@ const (
 	// maxPeerRecordBytes caps a fetched record body: a peer streaming
 	// garbage forever must not pin memory. Far above any real record.
 	maxPeerRecordBytes = 8 << 20
+	// A peer's breaker opens after peerBreakerThreshold consecutive failed
+	// attempts and admits a probe peerBreakerCooldown later.
+	peerBreakerThreshold = 3
+	peerBreakerCooldown  = 10 * time.Second
 )
 
 // peerClient fetches sealed prover records from `-cache-peers` nodes. It
@@ -37,7 +42,7 @@ type peerClient struct {
 	peers   []string
 	timeout time.Duration
 	client  *http.Client
-	breaker *breaker
+	breaker *breaker.Breaker
 
 	fetches atomic.Uint64 // fetch calls (local-miss lookups that went remote)
 	hits    atomic.Uint64 // records returned (pre-verification)
@@ -54,7 +59,7 @@ func newPeerClient(peers []string, timeout time.Duration) *peerClient {
 		peers:   peers,
 		timeout: timeout,
 		client:  &http.Client{},
-		breaker: newBreaker(peerBreakerThreshold, peerBreakerCooldown),
+		breaker: breaker.New(peerBreakerThreshold, peerBreakerCooldown),
 	}
 }
 
@@ -130,13 +135,13 @@ func (p *peerClient) attempt(url string) (rec []byte, miss bool, err error) {
 // returned by peers before verification; prover_cache.peer_rejects says how
 // many of those verification refused.
 type PeerSnapshot struct {
-	Peers   []string        `json:"peers"`
-	Fetches uint64          `json:"fetches"`
-	Hits    uint64          `json:"hits"`
-	Misses  uint64          `json:"misses"`
-	Errors  uint64          `json:"errors"`
-	Skipped uint64          `json:"skipped"`
-	Breaker BreakerSnapshot `json:"breaker"`
+	Peers   []string         `json:"peers"`
+	Fetches uint64           `json:"fetches"`
+	Hits    uint64           `json:"hits"`
+	Misses  uint64           `json:"misses"`
+	Errors  uint64           `json:"errors"`
+	Skipped uint64           `json:"skipped"`
+	Breaker breaker.Snapshot `json:"breaker"`
 }
 
 func (p *peerClient) snapshot() PeerSnapshot {
@@ -147,7 +152,7 @@ func (p *peerClient) snapshot() PeerSnapshot {
 		Misses:  p.misses.Load(),
 		Errors:  p.errors.Load(),
 		Skipped: p.skipped.Load(),
-		Breaker: p.breaker.snapshot(),
+		Breaker: p.breaker.Snapshot(),
 	}
 }
 
@@ -159,13 +164,12 @@ func (p *peerClient) snapshot() PeerSnapshot {
 // record is evicted server-side and answered 404, never propagated).
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		setRetryAfter(w, s.cfg.drainTimeout())
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "server is draining"})
+		s.respond(w, http.StatusServiceUnavailable, unavailable("server is draining", false, s.cfg.drainTimeout()))
 		return
 	}
 	rec, ok := s.diskProver.GetSealedByHash(r.PathValue("hash"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "no such record"})
+		s.respond(w, http.StatusNotFound, errorBody{Error: "no such record"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -372,4 +373,68 @@ func TestCacheEndpointDrainingShed(t *testing.T) {
 		t.Fatalf("draining cache get: %d retry-after=%q", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 	s.draining.Store(false)
+}
+
+// TestProveBodiesAgreeAcrossTiers: under EmitCertificates a /prove of the
+// standard library reads the same whichever tier served its outcomes — a
+// cold search, the memory tier, the disk tier after a restart over the same
+// CacheDir, or a peer — once elapsed_ms, cache_hit and cache_hits, the
+// fields that say how the answer was made, are zeroed. A certificate on an
+// answer has passed replay in the answering process, so cert_replayed holds
+// on every path.
+func TestProveBodiesAgreeAcrossTiers(t *testing.T) {
+	body := func(url string) string {
+		t.Helper()
+		var resp ProveResponse
+		if code := postJSON(t, url+"/prove", ProveRequest{}, &resp); code != http.StatusOK {
+			t.Fatalf("%s prove: status %d", url, code)
+		}
+		if !resp.AllSound {
+			t.Fatalf("%s: the standard library is not sound: %+v", url, resp)
+		}
+		resp.ElapsedMillis = 0
+		for i := range resp.Reports {
+			resp.Reports[i].CacheHits = 0
+			for j := range resp.Reports[i].Obligations {
+				resp.Reports[i].Obligations[j].CacheHit = false
+			}
+		}
+		out, err := json.MarshalIndent(resp, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	cfg := Config{Workers: 1, CacheDir: t.TempDir(), EmitCertificates: true}
+	_, first := newTestServer(t, cfg)
+	cold := body(first.URL)
+	if !strings.Contains(cold, `"cert_replayed": true`) {
+		t.Fatal("no certified obligation in the cold answer")
+	}
+	warm := map[string]string{"memory": body(first.URL)}
+	first.Close()
+
+	restarted, tsRestarted := newTestServer(t, cfg)
+	warm["disk"] = body(tsRestarted.URL)
+	peer, tsPeer := newTestServer(t, Config{Workers: 1, EmitCertificates: true, CachePeers: []string{tsRestarted.URL}})
+	warm["peer"] = body(tsPeer.URL)
+	if st := restarted.proverCache.Stats(); st.DiskHits == 0 {
+		t.Errorf("the restarted node served nothing from disk: %+v", st)
+	}
+	if st := peer.proverCache.Stats(); st.PeerHits == 0 {
+		t.Errorf("the second node fetched nothing from its peer: %+v", st)
+	}
+
+	for tier, got := range warm {
+		if got == cold {
+			continue
+		}
+		coldLines, gotLines := strings.Split(cold, "\n"), strings.Split(got, "\n")
+		i := 0
+		for i < len(coldLines) && i < len(gotLines) && coldLines[i] == gotLines[i] {
+			i++
+		}
+		window := func(lines []string) string { return strings.Join(lines[min(i, len(lines)):min(i+2, len(lines))], "\n") }
+		t.Errorf("%s-warm body differs from the cold one at line %d:\n%s\nwant\n%s", tier, i+1, window(gotLines), window(coldLines))
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/breaker"
 	"repro/internal/cachedisk"
 	"repro/internal/checker"
 	"repro/internal/faults"
@@ -146,7 +147,7 @@ type Server struct {
 	metrics     *Metrics
 	funcCache   *checker.FuncCache
 	proverCache *simplify.Cache
-	breaker     *breaker
+	breaker     *breaker.Breaker
 	diskFunc    *cachedisk.Store // nil when CacheDir is unset or open failed
 	diskProver  *cachedisk.Store
 	diskErr     error // why the disk tier degraded to memory-only, if it did
@@ -172,7 +173,7 @@ func New(cfg Config) *Server {
 		metrics:     newMetrics(),
 		funcCache:   checker.NewFuncCache(cfg.FuncCacheSize),
 		proverCache: simplify.NewCache(cfg.ProverCacheSize),
-		breaker:     newBreaker(proveBreakerThreshold, proveBreakerCooldown),
+		breaker:     breaker.New(proveBreakerThreshold, proveBreakerCooldown),
 	}
 	if cfg.CacheDir != "" {
 		// An unopenable cache dir degrades the server to memory-only caches
@@ -235,12 +236,32 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // ---- Request execution ----
 
+// reply is an answer's body. Every body says whether failure containment
+// produced it and how long a client should wait before retrying (0: no
+// wait); respond counts the first in degraded_total and sends the second as
+// Retry-After.
+type reply interface {
+	containment() (degraded bool, retryAfter time.Duration)
+}
+
 // errorBody is the JSON error envelope. Degraded marks answers produced by
 // failure containment (a recovered panic, an injected fault, memory-pressure
-// shedding) rather than by the request itself being wrong.
+// shedding) rather than by the request itself being wrong. Every 503 sets
+// RetryAfterMillis.
 type errorBody struct {
-	Error    string `json:"error"`
-	Degraded bool   `json:"degraded,omitempty"`
+	Error            string `json:"error"`
+	Degraded         bool   `json:"degraded,omitempty"`
+	RetryAfterMillis int64  `json:"retry_after_ms,omitempty"`
+}
+
+func (b errorBody) containment() (bool, time.Duration) {
+	return b.Degraded, time.Duration(b.RetryAfterMillis) * time.Millisecond
+}
+
+// unavailable is the body of a 503: the request was not answered, and the
+// client may retry after wait.
+func unavailable(msg string, degraded bool, wait time.Duration) errorBody {
+	return errorBody{Error: msg, Degraded: degraded, RetryAfterMillis: wait.Milliseconds()}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -251,51 +272,51 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// setRetryAfter attaches a Retry-After header of at least one second,
+// respond writes an answer, and is the one place that acts on what its body
+// says about failure containment: a degraded body adds one to
+// degraded_total, and a body that asks the client to wait sets Retry-After,
 // rounded up to whole seconds per RFC 9110.
-func setRetryAfter(w http.ResponseWriter, d time.Duration) {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
+func (s *Server) respond(w http.ResponseWriter, code int, body reply) {
+	degraded, retryAfter := body.containment()
+	if degraded {
+		s.metrics.observeDegraded()
 	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	if retryAfter > 0 {
+		secs := int64((retryAfter + time.Second - 1) / time.Second)
+		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	}
+	writeJSON(w, code, body)
 }
 
-// retryAfterHinter lets a success payload (a degraded ProveResponse) ask
-// execute to attach a Retry-After header.
-type retryAfterHinter interface{ retryAfterHint() time.Duration }
-
-// execute runs fn on the handler's goroutine under the request's deadline,
-// holding one of the Workers slots while it runs, and writes its response.
-// Admission control: a draining server or a full wait queue answers 503
-// without waiting; a request whose deadline expires while it waits for a slot
-// is answered 503 (shed), while one that expires mid-run is answered 504.
-func (s *Server) execute(w http.ResponseWriter, r *http.Request, endpoint string, timeoutMillis int64, fn func(ctx context.Context) (int, any)) {
+// execute answers a request whose work is fn, every answer through respond.
+func (s *Server) execute(w http.ResponseWriter, r *http.Request, endpoint string, timeoutMillis int64, fn func(ctx context.Context) (int, reply)) {
 	t0 := time.Now()
-	code := 0
-	defer func() {
-		s.metrics.observe(endpoint, code, time.Since(t0))
-	}()
-	// shed answers a request turned away before its body ran.
-	shed := func(retryAfter time.Duration, body errorBody) {
-		code = http.StatusServiceUnavailable
-		s.metrics.observeShed()
-		setRetryAfter(w, retryAfter)
-		writeJSON(w, code, body)
-	}
+	code, body := s.admitAndRun(r, timeoutMillis, fn)
+	s.respond(w, code, body)
+	s.metrics.observe(endpoint, code, time.Since(t0))
+}
 
+// admitAndRun runs fn on the handler's goroutine under the request's
+// deadline, holding one of the Workers slots while it runs, and returns the
+// answer. Admission control: a draining server or a full wait queue answers
+// 503 without waiting; a request whose deadline expires while it waits for a
+// slot is answered 503 (shed), while one that expires mid-run is answered
+// 504.
+func (s *Server) admitAndRun(r *http.Request, timeoutMillis int64, fn func(ctx context.Context) (int, reply)) (int, reply) {
+	// shed answers a request turned away before its body ran.
+	shed := func(body errorBody) (int, reply) {
+		s.metrics.observeShed()
+		return http.StatusServiceUnavailable, body
+	}
 	if s.draining.Load() {
-		shed(s.cfg.drainTimeout(), errorBody{Error: "server is draining"})
-		return
+		return shed(unavailable("server is draining", false, s.cfg.drainTimeout()))
 	}
 	if err := fpAdmission.FireErr(); err != nil {
-		shed(time.Second, errorBody{Error: "admission fault: " + err.Error(), Degraded: true})
-		return
+		return shed(unavailable("admission fault: "+err.Error(), true, time.Second))
 	}
 	if hw := s.cfg.MemoryHighWater; hw > 0 && memwatch.Sample() > hw {
 		s.metrics.observeMemShed()
-		shed(time.Second, errorBody{Error: "memory pressure: live heap above the high-water mark", Degraded: true})
-		return
+		return shed(unavailable("memory pressure: live heap above the high-water mark", true, time.Second))
 	}
 	timeout := s.cfg.requestTimeout()
 	if timeoutMillis > 0 {
@@ -307,37 +328,20 @@ func (s *Server) execute(w http.ResponseWriter, r *http.Request, endpoint string
 	defer cancel()
 
 	if err := fpQueue.FireErr(); err != nil {
-		shed(time.Second, errorBody{Error: "queue fault: " + err.Error(), Degraded: true})
-		return
+		return shed(unavailable("queue fault: "+err.Error(), true, time.Second))
 	}
 	if msg := s.acquire(ctx); msg != "" {
-		shed(time.Second, errorBody{Error: msg})
-		return
+		return shed(unavailable(msg, false, time.Second))
 	}
-	status, payload, retryAfter := s.run(ctx, fn)
+	status, body := s.run(ctx, fn)
 	<-s.slots
 	if ctx.Err() != nil {
-		code = http.StatusGatewayTimeout
-		writeJSON(w, code, errorBody{Error: "deadline exceeded"})
-		return
+		return http.StatusGatewayTimeout, errorBody{Error: "deadline exceeded"}
 	}
 	if err := fpEncode.FireErr(); err != nil {
-		code = http.StatusServiceUnavailable
-		s.metrics.observeDegraded()
-		setRetryAfter(w, time.Second)
-		writeJSON(w, code, errorBody{Error: "encode fault: " + err.Error(), Degraded: true})
-		return
+		return http.StatusServiceUnavailable, unavailable("encode fault: "+err.Error(), true, time.Second)
 	}
-	if retryAfter > 0 {
-		setRetryAfter(w, retryAfter)
-	}
-	if h, ok := payload.(retryAfterHinter); ok {
-		if d := h.retryAfterHint(); d > 0 {
-			setRetryAfter(w, d)
-		}
-	}
-	code = status
-	writeJSON(w, code, payload)
+	return status, body
 }
 
 // acquire takes a slot for a request, waiting in the queue while every slot
@@ -365,25 +369,21 @@ func (s *Server) acquire(ctx context.Context) string {
 // server's panic containment: a panicking body (or an armed server.run panic
 // fault) becomes a degraded 503 on its own request instead of killing the
 // process.
-func (s *Server) run(ctx context.Context, fn func(ctx context.Context) (int, any)) (status int, payload any, retryAfter time.Duration) {
+func (s *Server) run(ctx context.Context, fn func(ctx context.Context) (int, reply)) (status int, body reply) {
 	if testJobHook != nil {
 		testJobHook()
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.observePanic()
-			s.metrics.observeDegraded()
 			status = http.StatusServiceUnavailable
-			payload = errorBody{Error: fmt.Sprintf("internal error: recovered panic: %v", r), Degraded: true}
-			retryAfter = time.Second
+			body = unavailable(fmt.Sprintf("internal error: recovered panic: %v", r), true, time.Second)
 		}
 	}()
 	if err := fpRun.Fire(); err != nil {
-		s.metrics.observeDegraded()
-		return http.StatusServiceUnavailable, errorBody{Error: "execution fault: " + err.Error(), Degraded: true}, time.Second
+		return http.StatusServiceUnavailable, unavailable("execution fault: "+err.Error(), true, time.Second)
 	}
-	status, payload = fn(ctx)
-	return status, payload, 0
+	return fn(ctx)
 }
 
 // loadRegistry resolves a request's qualifier set: explicit QDL sources,
@@ -477,6 +477,8 @@ type CheckResponse struct {
 	ElapsedMillis int64             `json:"elapsed_ms"`
 }
 
+func (r CheckResponse) containment() (bool, time.Duration) { return r.Degraded, 0 }
+
 // decodeBody decodes the JSON request body into req under the configured
 // size cap, answering 400 on malformed JSON and 413 on an oversized body.
 // It reports whether the handler should proceed.
@@ -488,13 +490,13 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, endpoint str
 	}
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{
+		s.respond(w, http.StatusRequestEntityTooLarge, errorBody{
 			Error: fmt.Sprintf("request body exceeds the %d-byte limit", mbe.Limit),
 		})
 		s.metrics.observe(endpoint, http.StatusRequestEntityTooLarge, 0)
 		return false
 	}
-	writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+	s.respond(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 	s.metrics.observe(endpoint, http.StatusBadRequest, 0)
 	return false
 }
@@ -504,12 +506,12 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, "check", &req) {
 		return
 	}
-	s.execute(w, r, "check", req.TimeoutMillis, func(ctx context.Context) (int, any) {
+	s.execute(w, r, "check", req.TimeoutMillis, func(ctx context.Context) (int, reply) {
 		return s.doCheck(ctx, &req)
 	})
 }
 
-func (s *Server) doCheck(ctx context.Context, req *CheckRequest) (int, any) {
+func (s *Server) doCheck(ctx context.Context, req *CheckRequest) (int, reply) {
 	t0 := time.Now()
 	reg, err := loadRegistry(req.Quals, req.Taint)
 	if err != nil {
@@ -585,17 +587,19 @@ type CheckBatchResponse struct {
 	ElapsedMillis int64             `json:"elapsed_ms"`
 }
 
+func (r CheckBatchResponse) containment() (bool, time.Duration) { return r.Degraded, 0 }
+
 func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
 	var req CheckBatchRequest
 	if !s.decodeBody(w, r, "check-batch", &req) {
 		return
 	}
-	s.execute(w, r, "check-batch", req.TimeoutMillis, func(ctx context.Context) (int, any) {
+	s.execute(w, r, "check-batch", req.TimeoutMillis, func(ctx context.Context) (int, reply) {
 		return s.doCheckBatch(ctx, &req)
 	})
 }
 
-func (s *Server) doCheckBatch(ctx context.Context, req *CheckBatchRequest) (int, any) {
+func (s *Server) doCheckBatch(ctx context.Context, req *CheckBatchRequest) (int, reply) {
 	t0 := time.Now()
 	if len(req.Files) == 0 {
 		return http.StatusUnprocessableEntity, errorBody{Error: "empty batch: files is required"}
@@ -646,9 +650,6 @@ func (s *Server) checkInputs(ctx context.Context, reg *qdl.Registry, flow bool, 
 			return resp
 		}
 	}
-	if resp.Degraded {
-		s.metrics.observeDegraded()
-	}
 	return resp
 }
 
@@ -668,8 +669,9 @@ type ProveRequest struct {
 // ProveObligation is one discharged obligation. The certificate fields are
 // populated only when the server runs with EmitCertificates: CertSteps is the
 // length of the emitted proof and CertReplayed reports that the independent
-// replay checker accepted it (a rejection never reaches here — it degrades
-// the obligation to a transient Unknown with a "cert:" reason).
+// replay checker accepted it in this process, whichever tier served the
+// outcome (a rejection never reaches here — it degrades the obligation to a
+// transient Unknown with a "cert:" reason, or re-proves a fetched one).
 type ProveObligation struct {
 	Kind         string `json:"kind"`
 	Description  string `json:"description"`
@@ -706,8 +708,8 @@ type ProveResponse struct {
 	ElapsedMillis    int64         `json:"elapsed_ms"`
 }
 
-func (p ProveResponse) retryAfterHint() time.Duration {
-	return time.Duration(p.RetryAfterMillis) * time.Millisecond
+func (p ProveResponse) containment() (bool, time.Duration) {
+	return p.Degraded, time.Duration(p.RetryAfterMillis) * time.Millisecond
 }
 
 func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
@@ -715,10 +717,17 @@ func (s *Server) handleProve(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, "prove", &req) {
 		return
 	}
-	s.execute(w, r, "prove", req.TimeoutMillis, func(ctx context.Context) (int, any) {
+	s.execute(w, r, "prove", req.TimeoutMillis, func(ctx context.Context) (int, reply) {
 		return s.doProve(ctx, &req)
 	})
 }
+
+// The /prove breaker opens a qualifier after proveBreakerThreshold
+// consecutive failures and admits a probe proveBreakerCooldown later.
+const (
+	proveBreakerThreshold = 3
+	proveBreakerCooldown  = 5 * time.Second
+)
 
 // breakerFailure reports whether an obligation outcome counts against its
 // qualifier's circuit breaker: transient for an infrastructure reason (a
@@ -741,7 +750,7 @@ func proveBreakerKey(reg *qdl.Registry, name string) string {
 	return name + "@" + reg.Fingerprint()
 }
 
-func (s *Server) doProve(ctx context.Context, req *ProveRequest) (int, any) {
+func (s *Server) doProve(ctx context.Context, req *ProveRequest) (int, reply) {
 	t0 := time.Now()
 	reg, err := loadRegistry(req.Quals, req.Taint)
 	if err != nil {
@@ -769,7 +778,6 @@ func (s *Server) doProve(ctx context.Context, req *ProveRequest) (int, any) {
 	for _, d := range defs {
 		key := proveBreakerKey(reg, d.Name)
 		if ok, ra := s.breaker.Allow(key); !ok {
-			s.metrics.observeDegraded()
 			if ra > maxRetryAfter {
 				maxRetryAfter = ra
 			}
@@ -807,7 +815,9 @@ func (s *Server) doProve(ctx context.Context, req *ProveRequest) (int, any) {
 			}
 			if crt := res.Outcome.Certificate; crt != nil {
 				po.CertSteps = len(crt.Steps)
-				po.CertReplayed = res.Outcome.Stats.CertsReplayed > 0
+				// A returned certificate passed replay in this process: at
+				// emission, or in the fetch gate for a cache-served outcome.
+				po.CertReplayed = true
 			}
 			pr.Obligations = append(pr.Obligations, po)
 			if !res.Valid && breakerFailure(res.Outcome.Reason) {
@@ -821,14 +831,15 @@ func (s *Server) doProve(ctx context.Context, req *ProveRequest) (int, any) {
 		}
 		if pr.Degraded {
 			resp.Degraded = true
-			s.metrics.observeDegraded()
 		}
 		if !pr.Sound {
 			resp.AllSound = false
 		}
 		resp.Reports = append(resp.Reports, pr)
 	}
-	resp.RetryAfterMillis = maxRetryAfter.Milliseconds()
+	// Rounded up, so a refusal with under a millisecond left still asks the
+	// client to wait.
+	resp.RetryAfterMillis = (maxRetryAfter + time.Millisecond - 1).Milliseconds()
 	resp.ElapsedMillis = time.Since(t0).Milliseconds()
 	return http.StatusOK, resp
 }
@@ -867,7 +878,7 @@ type MetricsResponse struct {
 	BudgetTrips   uint64                 `json:"budget_trips"`
 	FaultsArmed   bool                   `json:"faults_armed"`
 	FaultFires    map[string]uint64      `json:"fault_fires,omitempty"`
-	Breaker       BreakerSnapshot        `json:"breaker"`
+	Breaker       breaker.Snapshot       `json:"breaker"`
 	Disk          *DiskSnapshot          `json:"disk,omitempty"`
 	Peers         *PeerSnapshot          `json:"peers,omitempty"`
 }
@@ -900,7 +911,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		BudgetTrips:   simplify.BudgetTrips(),
 		FaultsArmed:   faults.Armed(),
 		FaultFires:    faults.Counters(),
-		Breaker:       s.breaker.snapshot(),
+		Breaker:       s.breaker.Snapshot(),
 		Disk:          disk,
 		Peers:         peers,
 	})
@@ -910,8 +921,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
 		// Like every other shed path, the draining 503 tells the load
 		// balancer when trying again is worthwhile.
-		setRetryAfter(w, s.cfg.drainTimeout())
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "draining"})
+		s.respond(w, http.StatusServiceUnavailable, unavailable("draining", false, s.cfg.drainTimeout()))
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})

@@ -120,18 +120,18 @@ func (b *certBuilder) finish(db *clauseDB, key string) *cert.Certificate {
 	return b.c
 }
 
-// sealCert finishes the builder's certificate, verifies it with the
-// independent replay checker, and attaches it to out. On a rejection
-// (or an injected cert fault) out is degraded in place to a transient,
-// uncached Unknown.
-func (p *Prover) sealCert(cb *certBuilder, db *clauseDB, goal logic.Formula, out *Outcome, tk *ticker) {
+// sealCert finishes the builder's certificate for the goal whose canonical
+// string is key, verifies it with the independent replay checker, and
+// attaches it to out. On a rejection (or an injected cert fault) out is
+// degraded in place to a transient, uncached Unknown.
+func (p *Prover) sealCert(cb *certBuilder, db *clauseDB, key string, out *Outcome, tk *ticker) {
 	fireInto(fpCertEmit, tk)
 	if tk.reason != "" {
 		out.Result = Unknown
 		out.Reason = tk.reason
 		return
 	}
-	crt := cb.finish(db, logic.CanonicalString(goal))
+	crt := cb.finish(db, key)
 	verr := fpCertReplay.FireErr()
 	if verr == nil {
 		verr = cert.Verify(crt)

@@ -280,12 +280,17 @@ func (p *Prover) ProveContext(ctx context.Context, goal logic.Formula) Outcome {
 	if p.baseErr != nil {
 		return Outcome{Result: Unknown, Reason: p.baseErr.Error()}
 	}
-	if p.cache == nil {
-		return p.proveSafe(ctx, goal)
+	// The canonical goal keys the cache and names a certificate's goal;
+	// build it once and pass it down.
+	var ck string
+	if p.cache != nil || p.opts.EmitCertificates {
+		ck = logic.CanonicalString(goal)
 	}
-	ck := logic.CanonicalString(goal)
+	if p.cache == nil {
+		return p.proveSafe(ctx, goal, ck)
+	}
 	fill := func() (Outcome, bool) {
-		out := p.proveSafe(ctx, goal)
+		out := p.proveSafe(ctx, goal, ck)
 		// A canceled (or deadline-expired) parent context bypasses the cache
 		// no matter what reason the outcome carries: the context's deadline is
 		// not part of the cache fingerprint (unlike Options.GoalTimeout), and a
@@ -304,7 +309,7 @@ func (p *Prover) ProveContext(ctx context.Context, goal logic.Formula) Outcome {
 		// Our context ended while another caller searched this goal: stop
 		// waiting and prove under our own context, which returns promptly and
 		// is never stored.
-		return p.proveSafe(ctx, goal)
+		return p.proveSafe(ctx, goal, ck)
 	}
 	// Computed and Coalesced outcomes come from a search, not a hit.
 	return out
@@ -383,7 +388,8 @@ func cacheable(o Outcome) bool {
 var proveRoundHook func()
 
 // proveSafe wraps one search with wall-clock telemetry and panic recovery.
-func (p *Prover) proveSafe(ctx context.Context, goal logic.Formula) (out Outcome) {
+// canonicalGoal is logic.CanonicalString(goal) under EmitCertificates.
+func (p *Prover) proveSafe(ctx context.Context, goal logic.Formula, canonicalGoal string) (out Outcome) {
 	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
@@ -391,5 +397,5 @@ func (p *Prover) proveSafe(ctx context.Context, goal logic.Formula) (out Outcome
 		}
 		out.Stats.WallTime = time.Since(start)
 	}()
-	return p.prove2(goal, newTicker(ctx, start, p.opts.GoalTimeout))
+	return p.prove2(goal, canonicalGoal, newTicker(ctx, start, p.opts.GoalTimeout))
 }

@@ -119,8 +119,9 @@ func trichotomy2(db *clauseDB, ar *arithSolver2, seenTri map[[2]logic.TermID]boo
 }
 
 // prove2 runs one refutation search over a private clause database seeded
-// from the clausified axiom base plus the negated goal.
-func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
+// from the clausified axiom base plus the negated goal. canonicalGoal keys a
+// Valid's certificate.
+func (p *Prover) prove2(goal logic.Formula, canonicalGoal string, tk *ticker) Outcome {
 	sk := p.baseSk.Clone()
 	quant := make([]logic.Clause, len(p.baseQuant), len(p.baseQuant)+16)
 	copy(quant, p.baseQuant)
@@ -248,7 +249,7 @@ func (p *Prover) prove2(goal logic.Formula, tk *ticker) Outcome {
 			if cb != nil {
 				// A rejected certificate degrades out in place to a
 				// transient Unknown.
-				p.sealCert(cb, db, goal, &out, tk)
+				p.sealCert(cb, db, canonicalGoal, &out, tk)
 			}
 			return out
 		}

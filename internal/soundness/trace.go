@@ -93,7 +93,9 @@ func writeTrace(w io.Writer, r *Report, omitTimings bool) {
 		}
 		if res.Outcome.Certificate != nil {
 			rec.CertSteps = len(res.Outcome.Certificate.Steps)
-			rec.CertReplayed = st.CertsReplayed > 0
+			// A returned certificate passed replay in this process: at
+			// emission, or in the fetch gate for a cache-served outcome.
+			rec.CertReplayed = true
 		}
 		if omitTimings {
 			rec.ElapsedUS, rec.SearchUS = 0, 0
