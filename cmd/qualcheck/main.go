@@ -67,17 +67,15 @@ func exit(code int) {
 	os.Exit(code)
 }
 
-type stringList []string
-
-func (s *stringList) String() string { return fmt.Sprint(*s) }
-func (s *stringList) Set(v string) error {
-	*s = append(*s, v)
-	return nil
-}
-
 func main() {
-	var qualFiles stringList
-	flag.Var(&qualFiles, "quals", "qualifier definition file (repeatable; default: standard library)")
+	qualSources := map[string]string{}
+	flag.Func("quals", "qualifier definition file (repeatable; default: standard library)", func(f string) error {
+		data, err := os.ReadFile(f)
+		if err == nil {
+			qualSources[f] = string(data)
+		}
+		return err
+	})
 	taint := flag.Bool("taint", false, "use the taintedness configuration (untainted with constant case, tainted)")
 	stats := flag.Bool("stats", false, "print checking and cache statistics")
 	corpusName := flag.String("corpus", "", "check a built-in corpus program instead of a file")
@@ -114,7 +112,7 @@ func main() {
 		defer tcancel()
 	}
 
-	reg, err := loadRegistry(qualFiles, *taint)
+	reg, err := quals.Load(qualSources, *taint)
 	if err != nil {
 		fatal(err)
 	}
@@ -139,7 +137,7 @@ func main() {
 	var name, source string
 	switch {
 	case *corpusName != "":
-		p, ok := findCorpus(*corpusName)
+		p, ok := corpus.Lookup(*corpusName)
 		if !ok {
 			fatal(fmt.Errorf("unknown corpus program %q", *corpusName))
 		}
@@ -308,34 +306,6 @@ func printTreeStats(res *checker.TreeResult, fc *checker.FuncCache, disk bool) {
 		fmt.Printf("disk cache: %d hits, %d misses, %d puts, %d entries, %d bytes, %d corrupt evicted, %d budget evicted\n",
 			ds.Hits, ds.Misses, ds.Puts, ds.Entries, ds.Bytes, ds.CorruptEvicted, ds.BudgetEvicted)
 	}
-}
-
-func loadRegistry(files stringList, taint bool) (*qdl.Registry, error) {
-	if len(files) > 0 {
-		sources := map[string]string{}
-		for _, f := range files {
-			data, err := os.ReadFile(f)
-			if err != nil {
-				return nil, err
-			}
-			sources[f] = string(data)
-		}
-		return qdl.Load(sources)
-	}
-	if taint {
-		return quals.TaintWithConstants()
-	}
-	return quals.Standard()
-}
-
-func findCorpus(name string) (corpus.Program, bool) {
-	all := append(corpus.All(), corpus.BftpdFixed(), corpus.BftpdExploit())
-	for _, p := range all {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return corpus.Program{}, false
 }
 
 func printStats(res *checker.Result) {

@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/logic"
 	"repro/internal/profiling"
-	"repro/internal/qdl"
 	"repro/internal/quals"
 	"repro/internal/simplify"
 	"repro/internal/soundness"
@@ -134,20 +133,15 @@ func main() {
 		return
 	}
 
-	var reg *qdl.Registry
-	if flag.NArg() == 0 {
-		reg, err = quals.Standard()
-	} else {
-		sources := map[string]string{}
-		for _, f := range flag.Args() {
-			data, rerr := os.ReadFile(f)
-			if rerr != nil {
-				fatal(rerr)
-			}
-			sources[f] = string(data)
+	sources := map[string]string{}
+	for _, f := range flag.Args() {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			fatal(err)
 		}
-		reg, err = qdl.Load(sources)
+		sources[f] = string(data)
 	}
+	reg, err := quals.Load(sources, false)
 	if err != nil {
 		fatal(err)
 	}

@@ -17,44 +17,24 @@ import (
 	"repro/internal/cminor"
 	"repro/internal/corpus"
 	"repro/internal/interp"
-	"repro/internal/qdl"
 	"repro/internal/quals"
 )
 
-type stringList []string
-
-func (s *stringList) String() string { return fmt.Sprint(*s) }
-func (s *stringList) Set(v string) error {
-	*s = append(*s, v)
-	return nil
-}
-
 func main() {
-	var qualFiles stringList
-	flag.Var(&qualFiles, "quals", "qualifier definition file (repeatable; default: standard library)")
+	qualSources := map[string]string{}
+	flag.Func("quals", "qualifier definition file (repeatable; default: standard library)", func(f string) error {
+		data, err := os.ReadFile(f)
+		if err == nil {
+			qualSources[f] = string(data)
+		}
+		return err
+	})
 	taint := flag.Bool("taint", false, "use the taintedness configuration")
 	noChecks := flag.Bool("nochecks", false, "disable instrumented qualifier checks")
 	corpusName := flag.String("corpus", "", "run a built-in corpus program")
 	flag.Parse()
 
-	var reg *qdl.Registry
-	var err error
-	switch {
-	case len(qualFiles) > 0:
-		sources := map[string]string{}
-		for _, f := range qualFiles {
-			data, rerr := os.ReadFile(f)
-			if rerr != nil {
-				fatal(rerr)
-			}
-			sources[f] = string(data)
-		}
-		reg, err = qdl.Load(sources)
-	case *taint:
-		reg, err = quals.TaintWithConstants()
-	default:
-		reg, err = quals.Standard()
-	}
+	reg, err := quals.Load(qualSources, *taint)
 	if err != nil {
 		fatal(err)
 	}
@@ -62,15 +42,11 @@ func main() {
 	var name, source string
 	switch {
 	case *corpusName != "":
-		found := false
-		for _, p := range append(corpus.All(), corpus.BftpdFixed(), corpus.BftpdExploit()) {
-			if p.Name == *corpusName {
-				name, source, found = p.Name+".c", p.Source, true
-			}
-		}
-		if !found {
+		p, ok := corpus.Lookup(*corpusName)
+		if !ok {
 			fatal(fmt.Errorf("unknown corpus program %q", *corpusName))
 		}
+		name, source = p.Name+".c", p.Source
 	case flag.NArg() == 1:
 		data, rerr := os.ReadFile(flag.Arg(0))
 		if rerr != nil {

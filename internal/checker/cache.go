@@ -109,7 +109,7 @@ type relDiag struct {
 
 // sealed is the function cache's admit gate: an entry from any tier is
 // served only while its content seal matches its payload.
-func sealed(e *funcCacheEntry) bool { return sealEntry(e) == e.seal }
+func sealed(e *funcCacheEntry, _ tiercache.Source) bool { return sealEntry(e) == e.seal }
 
 // NewFuncCache returns an empty cache holding at most capacity function
 // results (DefaultFuncCacheCapacity when capacity <= 0).

@@ -209,9 +209,9 @@ func CheckWithCache(ctx context.Context, prog *cminor.Program, reg *qdl.Registry
 // consulting fc's disk tier of file records first when one is attached: a
 // stored record replays under name without parsing, and a file checked in
 // full is stored for the next run. Otherwise it is CheckWithCache of the
-// parsed program. A parse failure is returned as the error. A replayed
-// Result counts no ValueCasts; its Stats count every function of the file as
-// a cache hit.
+// parsed program, typechecked here: opts.Types and opts.TypeDiags are
+// ignored. A parse failure is returned as the error. A replayed Result counts
+// no ValueCasts; its Stats count every function of the file as a cache hit.
 func CheckSource(ctx context.Context, name, src string, reg *qdl.Registry, opts Options, fc *FuncCache) (*Result, error) {
 	var res *Result
 	var err error
@@ -227,8 +227,11 @@ func CheckSource(ctx context.Context, name, src string, reg *qdl.Registry, opts 
 // up before parsing, and a hit replays the record: no parse, no typecheck,
 // no context key, no function lookup. A miss parses and runs checkProgram,
 // whose completion stores the file's record. done receives the result, or
-// the parse error.
+// the parse error. It owns the parse, so it typechecks the program it parsed
+// and ignores opts.Types and opts.TypeDiags, which can only describe some
+// other program.
 func checkSource(ctx context.Context, c *scheduler.Ctx, name, src string, tab *tables, opts Options, fc *FuncCache, done func(*Result, error)) {
+	opts.Types, opts.TypeDiags = nil, nil
 	key := ""
 	// A replay fault bypasses the disk tier entirely, as it bypasses the
 	// memory tier in checkFuncCached: the file is checked afresh and not

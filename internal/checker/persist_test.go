@@ -50,6 +50,36 @@ func render(diags []Diagnostic, s Stats, err error) string {
 	return fmt.Sprintf("%v\n%+v\nerr=%v", diags, s, err)
 }
 
+// TestCheckSourceIgnoresCallerTypes: CheckSource parses the file itself, so
+// base type information a caller holds for another program must not stand
+// in for the file's own. Neither the check nor the record a disk tier
+// stores under the file's key, which does not cover the types, may take it.
+func TestCheckSourceIgnoresCallerTypes(t *testing.T) {
+	reg := quals.MustStandard()
+	const src = "int f(int a) { int pos b = a; return b; }\nint h(int * p) { return *p; }\n"
+	other, err := cminor.Parse("other.c", "int g(int x) { return x; }\n", reg.Names())
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, tdiags := cminor.TypeCheck(other)
+	foreign := Options{Types: info, TypeDiags: tdiags}
+
+	want := checkSrc(t, reg, "t.c", src, nil)
+	if len(want.Diags) != 2 {
+		t.Fatalf("own check: %d diagnostics, want 2: %v", len(want.Diags), want.Diags)
+	}
+	dir := t.TempDir()
+	for _, fc := range []*FuncCache{nil, diskCache(t, dir), diskCache(t, dir)} {
+		got, err := CheckSource(context.Background(), "t.c", src, reg, foreign, fc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := render(got.Diags, got.Stats, got.Err), render(want.Diags, want.Stats, want.Err); g != w {
+			t.Fatalf("check with another program's types (disk=%t):\n%s\nwant\n%s", fc != nil, g, w)
+		}
+	}
+}
+
 func TestFileRecordCodecRoundtrip(t *testing.T) {
 	cases := []*FileRecord{
 		{Stats: Stats{Annotations: map[string]int{}, QualCasts: map[string]int{}, RefUses: map[string]int{}}},

@@ -51,3 +51,14 @@ func NonBlankLines(src string) int {
 func All() []Program {
 	return []Program{GrepDFA(), Bftpd(), Mingetty(), Identd()}
 }
+
+// Lookup returns the corpus program called name, bftpd's fixed and exploit
+// variants included.
+func Lookup(name string) (Program, bool) {
+	for _, p := range append(All(), BftpdFixed(), BftpdExploit()) {
+		if p.Name == name {
+			return p, true
+		}
+	}
+	return Program{}, false
+}

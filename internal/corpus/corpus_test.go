@@ -28,6 +28,17 @@ func taintReg(t *testing.T) map[string]bool {
 	return reg.Names()
 }
 
+func TestLookupFindsEveryProgram(t *testing.T) {
+	for _, want := range append(All(), BftpdFixed(), BftpdExploit()) {
+		if p, ok := Lookup(want.Name); !ok || p.Source != want.Source {
+			t.Errorf("Lookup(%q) = %q, %t", want.Name, p.Name, ok)
+		}
+	}
+	if _, ok := Lookup("no-such-program"); ok {
+		t.Error("Lookup found an unknown program")
+	}
+}
+
 func TestGrepDFATypechecksCleanly(t *testing.T) {
 	reg := quals.MustStandard()
 	p := GrepDFA()

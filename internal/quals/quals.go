@@ -168,3 +168,17 @@ var taintOnce = sync.OnceValues(func() (*qdl.Registry, error) {
 func TaintWithConstants() (*qdl.Registry, error) {
 	return taintOnce()
 }
+
+// Load resolves the qualifier set every front end offers: the given QDL
+// sources (keyed by file name) when there are any, else the taint
+// configuration when taint is set, else the standard library.
+func Load(sources map[string]string, taint bool) (*qdl.Registry, error) {
+	switch {
+	case len(sources) > 0:
+		return qdl.Load(sources)
+	case taint:
+		return TaintWithConstants()
+	default:
+		return Standard()
+	}
+}

@@ -17,6 +17,40 @@ func TestStandardLoads(t *testing.T) {
 	}
 }
 
+// TestLoadPicksSources: explicit sources win over the taint flag, and
+// without sources the flag picks the shared taint configuration over the
+// shared standard library.
+func TestLoadPicksSources(t *testing.T) {
+	std, _ := Standard()
+	taint, _ := TaintWithConstants()
+	for _, tc := range []struct {
+		sources map[string]string
+		taint   bool
+		want    []string
+		shared  *qdl.Registry
+	}{
+		{nil, false, []string{"pos", "neg", "nonzero", "nonnull", "untainted", "tainted", "unique", "unaliased"}, std},
+		{nil, true, []string{"untainted", "tainted"}, taint},
+		{map[string]string{"pos.qdl": Pos, "neg.qdl": Neg}, true, []string{"pos", "neg"}, nil},
+	} {
+		reg, err := Load(tc.sources, tc.taint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.shared != nil && reg != tc.shared {
+			t.Errorf("Load(no sources, taint=%t) built a fresh registry instead of the shared one", tc.taint)
+		}
+		if len(reg.Defs()) != len(tc.want) {
+			t.Errorf("Load(%d sources, taint=%t) has %d qualifiers, want %v", len(tc.sources), tc.taint, len(reg.Defs()), tc.want)
+		}
+		for _, name := range tc.want {
+			if reg.Lookup(name) == nil {
+				t.Errorf("Load(%d sources, taint=%t) lacks %s", len(tc.sources), tc.taint, name)
+			}
+		}
+	}
+}
+
 func TestExtrasLoadAndProveSound(t *testing.T) {
 	reg, err := WithExtras()
 	if err != nil {

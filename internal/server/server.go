@@ -386,19 +386,6 @@ func (s *Server) run(ctx context.Context, fn func(ctx context.Context) (int, rep
 	return fn(ctx)
 }
 
-// loadRegistry resolves a request's qualifier set: explicit QDL sources,
-// the taint configuration, or the standard library.
-func loadRegistry(srcs map[string]string, taint bool) (*qdl.Registry, error) {
-	switch {
-	case len(srcs) > 0:
-		return qdl.Load(srcs)
-	case taint:
-		return quals.TaintWithConstants()
-	default:
-		return quals.Standard()
-	}
-}
-
 // ---- POST /check ----
 
 // CheckRequest is the body of POST /check.
@@ -513,7 +500,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) doCheck(ctx context.Context, req *CheckRequest) (int, reply) {
 	t0 := time.Now()
-	reg, err := loadRegistry(req.Quals, req.Taint)
+	reg, err := quals.Load(req.Quals, req.Taint)
 	if err != nil {
 		return http.StatusUnprocessableEntity, errorBody{Error: "qualifier definitions: " + err.Error()}
 	}
@@ -604,7 +591,7 @@ func (s *Server) doCheckBatch(ctx context.Context, req *CheckBatchRequest) (int,
 	if len(req.Files) == 0 {
 		return http.StatusUnprocessableEntity, errorBody{Error: "empty batch: files is required"}
 	}
-	reg, err := loadRegistry(req.Quals, req.Taint)
+	reg, err := quals.Load(req.Quals, req.Taint)
 	if err != nil {
 		return http.StatusUnprocessableEntity, errorBody{Error: "qualifier definitions: " + err.Error()}
 	}
@@ -752,7 +739,7 @@ func proveBreakerKey(reg *qdl.Registry, name string) string {
 
 func (s *Server) doProve(ctx context.Context, req *ProveRequest) (int, reply) {
 	t0 := time.Now()
-	reg, err := loadRegistry(req.Quals, req.Taint)
+	reg, err := quals.Load(req.Quals, req.Taint)
 	if err != nil {
 		return http.StatusUnprocessableEntity, errorBody{Error: "qualifier definitions: " + err.Error()}
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cachedisk"
 	"repro/internal/cert"
 	"repro/internal/faults"
 	"repro/internal/logic"
@@ -344,6 +345,81 @@ func TestCertReplayOnFetch(t *testing.T) {
 	}
 	if got := cache.Stats().Hits; got != 2 {
 		t.Errorf("cache counts %d hits served, but 2 outcomes came back with CacheHit=true", got)
+	}
+}
+
+// TestCertCountersSumToProcessWide: each outcome's certificate counters
+// describe its own lookup. A search emits and replays its certificate, a
+// memory or disk hit replays the one it serves, so in a serial run over one
+// cache the outcomes' sums equal the process-wide counters' delta. A value
+// the gate refuses counts only process-wide, and the outcome that replaces
+// it describes the new search alone.
+func TestCertCountersSumToProcessWide(t *testing.T) {
+	dir := t.TempDir()
+	store, err := cachedisk.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goal := logic.P("R", logic.Const("c"))
+	before := GlobalCertCounters()
+	cache := diskCache(store)
+	p := New(unsatAxioms(), certOptions()).WithCache(cache)
+	computed := p.Prove(goal)
+	memory := p.Prove(goal)
+	store2, err := cachedisk.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk := New(unsatAxioms(), certOptions()).WithCache(diskCache(store2)).Prove(goal)
+
+	var sum Stats
+	for _, tc := range []struct {
+		name              string
+		out               Outcome
+		hit               bool
+		emitted, replayed int
+	}{
+		{"computed", computed, false, 1, 1},
+		{"memory hit", memory, true, 0, 1},
+		{"disk hit", disk, true, 0, 1},
+	} {
+		st := tc.out.Stats
+		if tc.out.Result != Valid || tc.out.CacheHit != tc.hit {
+			t.Fatalf("%s: %v hit=%t, want a Valid with hit=%t", tc.name, tc.out.Result, tc.out.CacheHit, tc.hit)
+		}
+		if st.CertsEmitted != tc.emitted || st.CertsReplayed != tc.replayed || st.CertsRejected != 0 {
+			t.Errorf("%s: certificates emitted %d, replayed %d, rejected %d; want %d, %d, 0",
+				tc.name, st.CertsEmitted, st.CertsReplayed, st.CertsRejected, tc.emitted, tc.replayed)
+		}
+		sum.Add(st)
+	}
+	after := GlobalCertCounters()
+	got := CertCounters{Emitted: uint64(sum.CertsEmitted), Replayed: uint64(sum.CertsReplayed), Rejected: uint64(sum.CertsRejected)}
+	want := CertCounters{
+		Emitted:  after.Emitted - before.Emitted,
+		Replayed: after.Replayed - before.Replayed,
+		Rejected: after.Rejected - before.Rejected,
+	}
+	if got != want {
+		t.Errorf("outcomes sum to %+v, process-wide counters moved %+v", got, want)
+	}
+
+	// Corrupt the memory entry's certificate: the gate refuses it, and the
+	// outcome of the search that replaces it rejects nothing of its own.
+	cache.ForEach(func(_ string, out Outcome) {
+		out.Certificate.Steps = out.Certificate.Steps[:len(out.Certificate.Steps)-1]
+	})
+	before = GlobalCertCounters()
+	out := p.Prove(goal)
+	if out.CacheHit || out.Result != Valid {
+		t.Fatalf("after corruption: %v hit=%t, want a fresh Valid", out.Result, out.CacheHit)
+	}
+	if st := out.Stats; st.CertsEmitted != 1 || st.CertsReplayed != 1 || st.CertsRejected != 0 {
+		t.Errorf("re-proved outcome: certificates emitted %d, replayed %d, rejected %d; want 1, 1, 0",
+			st.CertsEmitted, st.CertsReplayed, st.CertsRejected)
+	}
+	if after := GlobalCertCounters(); after.Rejected != before.Rejected+1 {
+		t.Errorf("process-wide rejections moved %d, want the refused value's 1", after.Rejected-before.Rejected)
 	}
 }
 

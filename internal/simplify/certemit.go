@@ -1,6 +1,8 @@
 package simplify
 
 import (
+	"errors"
+
 	"repro/internal/cert"
 	"repro/internal/logic"
 )
@@ -121,9 +123,9 @@ func (b *certBuilder) finish(db *clauseDB, key string) *cert.Certificate {
 }
 
 // sealCert finishes the builder's certificate for the goal whose canonical
-// string is key, verifies it with the independent replay checker, and
-// attaches it to out. On a rejection (or an injected cert fault) out is
-// degraded in place to a transient, uncached Unknown.
+// string is key, replays it, and attaches it to out. On a rejection (or an
+// injected cert fault) out is degraded in place to a transient, uncached
+// Unknown.
 func (p *Prover) sealCert(cb *certBuilder, db *clauseDB, key string, out *Outcome, tk *ticker) {
 	fireInto(fpCertEmit, tk)
 	if tk.reason != "" {
@@ -132,21 +134,38 @@ func (p *Prover) sealCert(cb *certBuilder, db *clauseDB, key string, out *Outcom
 		return
 	}
 	crt := cb.finish(db, key)
-	verr := fpCertReplay.FireErr()
-	if verr == nil {
-		verr = cert.Verify(crt)
-	}
-	if verr != nil {
-		certRejected.Add(1)
+	if err := replay(crt, key); err != nil {
 		out.Stats.CertsRejected = 1
 		out.Result = Unknown
-		out.Reason = "cert: replay rejected: " + verr.Error()
+		out.Reason = "cert: replay rejected: " + err.Error()
 		out.CounterExample = nil
 		return
 	}
 	certEmitted.Add(1)
-	certReplayed.Add(1)
 	out.Stats.CertsEmitted = 1
 	out.Stats.CertsReplayed = 1
 	out.Certificate = crt
+}
+
+// replay is the one place the prover checks a certificate: at emission, and
+// whenever a cache tier serves one. It runs the cert.replay fault point, the
+// independent checker, and the check that crt was minted for goal (a
+// canonical goal string), not for another goal it also proves. A nil crt is
+// a certificate that was due and is missing, and is rejected. Each call
+// counts once in GlobalCertCounters, as replayed or rejected.
+func replay(crt *cert.Certificate, goal string) error {
+	var err error
+	if crt == nil {
+		err = errors.New("missing certificate")
+	} else if err = fpCertReplay.FireErr(); err == nil {
+		if err = cert.Verify(crt); err == nil && crt.Key != goal {
+			err = errors.New("certificate key mismatch")
+		}
+	}
+	if err != nil {
+		certRejected.Add(1)
+		return err
+	}
+	certReplayed.Add(1)
+	return nil
 }

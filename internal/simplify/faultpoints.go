@@ -2,6 +2,7 @@ package simplify
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/faults"
 )
@@ -30,18 +31,32 @@ var (
 	fpCertReplay     = faults.Register("cert.replay")
 )
 
-// fireInto delivers p's armed fault into a running search: a budget fault
-// trips the ticker with ReasonBudget (exercising the uncached-transient
-// path), any other injected error trips a "fault: ..." reason, and a panic
-// propagates to proveSafe's recovery. Disarmed, this is one atomic load.
+// fireInto delivers p's armed fault into a running search: the search stops
+// with Interrupted's reason for the fault (ReasonBudget for a budget fault,
+// which exercises the uncached-transient path), and a panic propagates to
+// proveSafe's recovery. Disarmed, this is one atomic load.
 func fireInto(p *faults.Point, tk *ticker) {
-	err := p.Fire()
-	if err == nil {
-		return
+	if err := p.Fire(); err != nil {
+		tk.trip(Interrupted(err).Reason)
 	}
-	if errors.Is(err, faults.ErrBudget) {
-		tk.trip(ReasonBudget)
-	} else {
-		tk.trip("fault: " + err.Error())
+}
+
+// Interrupted is the transient Unknown outcome of a discharge that cause cut
+// short: an injected fault's error reads ReasonBudget for faults.ErrBudget
+// and "fault: ..." for any other, and a recovered panic value reads
+// "panic: ...". The prover and the soundness checker around it build every
+// such outcome here, so the reasons TransientReason recognizes are written
+// in one place.
+func Interrupted(cause any) Outcome {
+	out := Outcome{Result: Unknown}
+	err, _ := cause.(error)
+	switch {
+	case errors.Is(err, faults.ErrBudget):
+		out.Reason = ReasonBudget
+	case errors.Is(err, faults.ErrInjected):
+		out.Reason = "fault: " + err.Error()
+	default:
+		out.Reason = fmt.Sprintf("panic: %v", cause)
 	}
+	return out
 }

@@ -3,7 +3,6 @@ package simplify
 import (
 	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"repro/internal/cert"
 	"repro/internal/tiercache"
@@ -110,39 +109,10 @@ func decodeOutcome(data []byte) (Outcome, error) {
 	return out, nil
 }
 
-// outcomeCodec persists outcomes for the disk and peer tiers. Under
-// EmitCertificates every tier's values also pass ProveContext's replay gate;
-// the peer check below holds whatever the local options.
+// outcomeCodec persists outcomes for the disk and peer tiers. What a decoded
+// value must further show to be served, a peer's certificate included, is
+// ProveContext's admit gate.
 var outcomeCodec = tiercache.Codec[Outcome]{
-	Encode:     encodeOutcome,
-	Decode:     decodeOutcome,
-	VerifyPeer: verifyPeerOutcome,
-}
-
-// verifyPeerOutcome admits a peer-fetched outcome only when it is a Valid
-// verdict carrying a certificate that replays under cert.Verify and names
-// this very goal. The cache has already unsealed the record against the
-// exact key asked for and decoded it as a current, non-transient outcome.
-// An Unknown has no proof behind it — admitting one would let a peer fail a
-// goal this node proves — so it is refused too, honest or not, and the node
-// proves that goal itself. A peer (or a man in the middle) can therefore
-// cause extra work, never a changed verdict: the TCB for peer-sourced
-// outcomes is the replay checker.
-func verifyPeerOutcome(key string, out Outcome) error {
-	if out.Result != Valid {
-		return fmt.Errorf("peer outcome is not a certified Valid")
-	}
-	if out.Certificate == nil {
-		return fmt.Errorf("peer Valid without certificate")
-	}
-	if err := cert.Verify(out.Certificate); err != nil {
-		return fmt.Errorf("peer certificate replay: %w", err)
-	}
-	// The cache key is fingerprint + NUL + canonical goal (the fingerprint
-	// is hex, so the first NUL is the separator); the certificate must have
-	// been minted for that goal, not a different valid one.
-	if i := strings.IndexByte(key, 0); i < 0 || out.Certificate.Key != key[i+1:] {
-		return fmt.Errorf("peer certificate key mismatch")
-	}
-	return nil
+	Encode: encodeOutcome,
+	Decode: decodeOutcome,
 }

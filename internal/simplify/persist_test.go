@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cachedisk"
 	"repro/internal/cert"
+	"repro/internal/faults"
 	"repro/internal/logic"
 )
 
@@ -305,8 +306,13 @@ func TestPeerFetchVerifiedPath(t *testing.T) {
 	}
 }
 
+// TestPeerFetchRejectsUnverifiable serves hostile peer records to a
+// certificate-emitting and to a certificate-off prover: the peer rule holds
+// whatever the local options, so each is refused, counted as a peer reject,
+// and the goal proved locally.
 func TestPeerFetchRejectsUnverifiable(t *testing.T) {
-	valid, key := provedOutcome(t)
+	valid, _ := provedOutcome(t)
+	goal := logic.P("R", logic.Const("c"))
 
 	noCert := valid
 	noCert.Certificate = nil
@@ -315,43 +321,73 @@ func TestPeerFetchRejectsUnverifiable(t *testing.T) {
 	crt.Key = "⊢ something else entirely"
 	wrongGoal.Certificate = &crt
 
+	// Each case builds its record for the key the prover under test asks
+	// for, so only the named defect stands between the record and a hit.
 	cases := []struct {
 		name   string
-		sealed []byte
+		sealed func(key string) []byte
 	}{
-		{"tampered seal", func() []byte {
+		{"tampered seal", func(key string) []byte {
 			rec := cachedisk.Seal(key, encodeOutcome(valid))
 			rec[len(rec)/2] ^= 1
 			return rec
-		}()},
-		{"wrong key seal", cachedisk.Seal("some other key", encodeOutcome(valid))},
-		{"undecodable payload", cachedisk.Seal(key, []byte("garbage"))},
-		{"valid without certificate", cachedisk.Seal(key, encodeOutcome(noCert))},
-		{"certificate for another goal", cachedisk.Seal(key, encodeOutcome(wrongGoal))},
-		{"transient outcome", cachedisk.Seal(key, encodeOutcome(Outcome{Result: Unknown, Reason: ReasonBudget}))},
-		{"forged unknown", cachedisk.Seal(key, encodeOutcome(Outcome{
-			Result: Unknown, Reason: "saturated without contradiction", CounterExample: []string{"¬R(c)"},
-		}))},
+		}},
+		{"wrong key seal", func(string) []byte { return cachedisk.Seal("some other key", encodeOutcome(valid)) }},
+		{"undecodable payload", func(key string) []byte { return cachedisk.Seal(key, []byte("garbage")) }},
+		{"valid without certificate", func(key string) []byte { return cachedisk.Seal(key, encodeOutcome(noCert)) }},
+		{"certificate for another goal", func(key string) []byte { return cachedisk.Seal(key, encodeOutcome(wrongGoal)) }},
+		{"transient outcome", func(key string) []byte {
+			return cachedisk.Seal(key, encodeOutcome(Outcome{Result: Unknown, Reason: ReasonBudget}))
+		}},
+		{"forged unknown", func(key string) []byte {
+			return cachedisk.Seal(key, encodeOutcome(Outcome{
+				Result: Unknown, Reason: "saturated without contradiction", CounterExample: []string{"¬R(c)"},
+			}))
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cache := NewCache(0)
-			cache.WithPeerFetch(func(string) ([]byte, bool) {
-				return tc.sealed, true
-			})
-			p := New(unsatAxioms(), certOptions()).WithCache(cache)
-			out := p.Prove(logic.P("R", logic.Const("c")))
-			// The hostile record is refused and the goal proved locally —
-			// the adversary cost us a prove, never a verdict.
-			if out.Result != Valid || out.CacheHit {
-				t.Fatalf("%v hit=%t, want a fresh local Valid", out.Result, out.CacheHit)
-			}
-			st := cache.Stats()
-			if st.PeerRejects != 1 || st.PeerHits != 0 {
-				t.Fatalf("stats = %+v, want exactly one peer reject", st)
+			for _, opts := range []Options{certOptions(), DefaultOptions()} {
+				p := New(unsatAxioms(), opts)
+				rec := tc.sealed(p.fingerprint + "\x00" + logic.CanonicalString(goal))
+				cache := NewCache(0)
+				cache.WithPeerFetch(func(string) ([]byte, bool) {
+					return rec, true
+				})
+				out := p.WithCache(cache).Prove(goal)
+				// The hostile record is refused and the goal proved locally —
+				// the adversary cost us a prove, never a verdict.
+				if out.Result != Valid || out.CacheHit {
+					t.Fatalf("cert=%t: %v hit=%t, want a fresh local Valid", opts.EmitCertificates, out.Result, out.CacheHit)
+				}
+				st := cache.Stats()
+				if st.PeerRejects != 1 || st.PeerHits != 0 {
+					t.Fatalf("cert=%t: stats = %+v, want exactly one peer reject", opts.EmitCertificates, st)
+				}
 			}
 		})
 	}
+
+	// A certificate-off prover still replays a peer's certificate through the
+	// one replay function, fault point included: a genuine certified Valid
+	// whose replay faults is refused like any other unproved peer value.
+	t.Run("replay fault, certificate-off prover", func(t *testing.T) {
+		defer faults.DisarmAll()
+		p := New(unsatAxioms(), DefaultOptions())
+		rec := cachedisk.Seal(p.fingerprint+"\x00"+logic.CanonicalString(goal), encodeOutcome(valid))
+		cache := NewCache(0)
+		cache.WithPeerFetch(func(string) ([]byte, bool) { return rec, true })
+		if err := faults.ArmPoint("cert.replay", faults.Config{Mode: faults.ModeError}); err != nil {
+			t.Fatal(err)
+		}
+		out := p.WithCache(cache).Prove(goal)
+		if out.Result != Valid || out.CacheHit {
+			t.Fatalf("%v hit=%t, want a fresh local Valid", out.Result, out.CacheHit)
+		}
+		if st := cache.Stats(); st.PeerRejects != 1 || st.PeerHits != 0 {
+			t.Fatalf("stats = %+v, want the faulted replay refused as one peer reject", st)
+		}
+	})
 }
 
 func TestDiskTierNeverStoresTransients(t *testing.T) {

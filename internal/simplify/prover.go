@@ -301,63 +301,59 @@ func (p *Prover) ProveContext(ctx context.Context, goal logic.Formula) Outcome {
 		// a dying request must never be replayed for a healthy one.
 		return out, cacheable(out) && ctx.Err() == nil
 	}
-	out, src := p.cache.Do(ctx.Done(), p.fingerprint+"\x00"+ck, p.admitFetched(ck), fill)
+	out, src := p.cache.Do(ctx.Done(), p.fingerprint+"\x00"+ck, p.admit(ck), fill)
 	switch src {
 	case tiercache.Memory, tiercache.Disk, tiercache.Peer:
+		// A served outcome emitted nothing; its one piece of certificate
+		// work is the gate's replay of the certificate it carries.
 		out.CacheHit = true
+		out.Stats.CertsEmitted, out.Stats.CertsReplayed, out.Stats.CertsRejected = 0, 0, 0
+		if out.Certificate != nil {
+			out.Stats.CertsReplayed = 1
+		}
 	case tiercache.Abandoned:
 		// Our context ended while another caller searched this goal: stop
 		// waiting and prove under our own context, which returns promptly and
 		// is never stored.
 		return p.proveSafe(ctx, goal, ck)
 	}
-	// Computed and Coalesced outcomes come from a search, not a hit.
+	// Computed and Coalesced outcomes are not hits. A Coalesced one is the
+	// filler's value as the cache holds it, counters included: a search's,
+	// or a tier's, whose replay counts on the filler's outcome.
 	return out
 }
 
-// admitFetched is the cache's fetch-time gate for one goal. Under
-// EmitCertificates a cache-served Valid is trusted only when it carries a
-// certificate that replays for this goal — regardless of which tier
-// (memory, disk, peer) produced it. A fresh Valid in emit mode always embeds
-// its certificate, so a cert-less Valid here can only be tampered or stale
-// external bytes; it is rejected exactly like a failed replay (mirroring
-// verifyPeerOutcome's peer gate). The cache evicts a refused entry from
-// every tier, and the goal is re-proved. Callers coalesced onto another
-// caller's search skip the gate: equal keys mean equal fingerprints,
-// including cert=, and a fresh Valid has already passed sealCert.
-func (p *Prover) admitFetched(canonicalGoal string) func(Outcome) bool {
-	if !p.opts.EmitCertificates {
-		return nil
-	}
-	return func(out Outcome) bool {
+// admit is the prover cache's one trust gate for the goal whose canonical
+// string is goal. It runs on a value from any tier before the tier serves
+// it, and keeps three rules:
+//
+//   - a certificate that is present must replay, whatever tier served it;
+//   - under EmitCertificates, a Valid must carry a certificate;
+//   - a peer value must be a Valid with a certificate, whatever the local
+//     options. An Unknown has no proof behind it, and admitting one would
+//     let a peer fail a goal this node proves, so it is refused, honest or
+//     not.
+//
+// A fresh Valid in emit mode always embeds its certificate, so a Valid
+// without one where one is due can only be tampered or stale bytes; replay
+// rejects it like a certificate that fails. The cache evicts a refused value
+// from every tier and the goal is proved again, so a bad record costs a
+// search, never a verdict: for every served Valid that needs a proof, the
+// replay checker is the whole trusted base. Callers coalesced onto another
+// caller's fill skip the gate: equal keys mean equal fingerprints, including
+// cert=, and the filler's value either passed the gate on its way in from a
+// tier or is a fresh search's, whose certificate sealCert replayed.
+func (p *Prover) admit(goal string) func(Outcome, tiercache.Source) bool {
+	return func(out Outcome, src tiercache.Source) bool {
 		switch {
-		case out.Result == Valid && out.Certificate == nil:
-			certRejected.Add(1)
+		case src == tiercache.Peer && out.Result != Valid:
 			return false
-		case out.Certificate != nil:
-			return p.replayFetched(out.Certificate, canonicalGoal)
+		case out.Certificate != nil,
+			out.Result == Valid && (p.opts.EmitCertificates || src == tiercache.Peer):
+			return replay(out.Certificate, goal) == nil
 		}
 		return true
 	}
-}
-
-// replayFetched re-verifies a certificate served from the cache, checking
-// it was minted for this goal. It returns false (treat as a cache miss and
-// re-prove) on any rejection, counting it in the process-wide counters.
-func (p *Prover) replayFetched(crt *cert.Certificate, canonicalGoal string) bool {
-	verr := fpCertReplay.FireErr()
-	if verr == nil {
-		verr = cert.Verify(crt)
-	}
-	if verr == nil && crt.Key != canonicalGoal {
-		verr = fmt.Errorf("certificate key mismatch")
-	}
-	if verr != nil {
-		certRejected.Add(1)
-		return false
-	}
-	certReplayed.Add(1)
-	return true
 }
 
 // TransientReason reports whether an Unknown reason describes a transient
@@ -393,7 +389,7 @@ func (p *Prover) proveSafe(ctx context.Context, goal logic.Formula, canonicalGoa
 	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
-			out = Outcome{Result: Unknown, Reason: fmt.Sprintf("panic: %v", r)}
+			out = Interrupted(r)
 		}
 		out.Stats.WallTime = time.Since(start)
 	}()

@@ -11,9 +11,10 @@ import (
 // report), so slow qualifiers and hot obligations are diagnosable without
 // re-running the search under a profiler.
 //
-// A cached outcome carries the stored search's counters and wall time, not
-// the (near-zero) cost of the lookup itself; Outcome.CacheHit distinguishes
-// the two.
+// A cached outcome carries the stored search's counters, not the
+// (near-zero) cost of the lookup itself; Outcome.CacheHit distinguishes the
+// two. The certificate counters are the exception: they count the lookup's
+// own replay.
 type Stats struct {
 	// Rounds is the number of instantiation rounds entered.
 	Rounds int
@@ -51,10 +52,14 @@ type Stats struct {
 	PrefilterGround   int
 	PrefilterUnit     int
 	PrefilterInterval int
-	// CertsEmitted / CertsReplayed / CertsRejected count proof certificates
-	// built for Valid verdicts, certificates that passed replay
-	// verification (self-check at emission or replay-on-fetch from the
-	// cache), and certificates the replay verifier rejected.
+	// CertsEmitted / CertsReplayed / CertsRejected count this outcome's
+	// certificate work. A searched Valid reads 1, 1, 0 (its certificate
+	// was built and replayed), or 0, 0, 1 when the replay rejected it and
+	// the outcome degraded to a transient Unknown. An outcome a cache tier
+	// served reads 0, 1, 0 when it carries a certificate, which the fetch
+	// gate replayed, and 0, 0, 0 otherwise. A cached value the gate refuses
+	// is not this outcome's: it counts only in GlobalCertCounters, and the
+	// outcome describes the search that replaced it.
 	CertsEmitted  int
 	CertsReplayed int
 	CertsRejected int

@@ -279,29 +279,14 @@ func discharge(ctx context.Context, prover *simplify.Prover, o Obligation) (res 
 	t0 := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
-			res = ObligationResult{
-				Obligation: o,
-				Outcome: simplify.Outcome{
-					Result: simplify.Unknown,
-					Reason: fmt.Sprintf("panic: %v", r),
-				},
-				Elapsed: time.Since(t0),
-			}
+			res = ObligationResult{Obligation: o, Outcome: simplify.Interrupted(r), Elapsed: time.Since(t0)}
 		}
 	}()
 	if dischargeHook != nil {
 		dischargeHook(o)
 	}
 	if err := fpDischarge.Fire(); err != nil {
-		reason := "fault: " + err.Error()
-		if errors.Is(err, faults.ErrBudget) {
-			reason = simplify.ReasonBudget
-		}
-		return ObligationResult{
-			Obligation: o,
-			Outcome:    simplify.Outcome{Result: simplify.Unknown, Reason: reason},
-			Elapsed:    time.Since(t0),
-		}
+		return ObligationResult{Obligation: o, Outcome: simplify.Interrupted(err), Elapsed: time.Since(t0)}
 	}
 	if o.Vacuous {
 		return ObligationResult{

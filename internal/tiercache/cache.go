@@ -7,9 +7,10 @@
 // their source, and the counters. Each user supplies its key derivation, a
 // Codec for the persisted payload, and per lookup an admit gate and a fill.
 //
-// Trust checks plug in at three places: Codec.Decode runs on every disk and
-// peer payload, Codec.VerifyPeer on peer payloads only, and admit on a value
-// from any tier before that tier counts or promotes it.
+// Trust checks plug in at two places: Codec.Decode runs on every disk and
+// peer payload, and admit runs on a value from any tier, told which tier
+// served it, before that tier counts or promotes the value. Whatever a tier
+// must prove beyond decoding, a peer's evidence included, is admit's rule.
 package tiercache
 
 import (
@@ -36,7 +37,8 @@ type Stats struct {
 	// N-1 are Coalesced.
 	Coalesced uint64 `json:"coalesced"`
 	// DiskHits and PeerHits are the Hits the disk and peer tiers served;
-	// PeerRejects counts peer records refused by verification.
+	// PeerRejects counts peer records refused by unsealing, decoding or
+	// admit.
 	DiskHits    uint64 `json:"disk_hits"`
 	PeerHits    uint64 `json:"peer_hits"`
 	PeerRejects uint64 `json:"peer_rejects"`
@@ -53,7 +55,7 @@ func (s Stats) HitRate() float64 {
 
 // Source says where Do found its value. Each Source maps to one counter:
 // Memory, Disk and Peer to Hits, Computed to Misses, and Coalesced and
-// Abandoned to Coalesced.
+// Abandoned to Coalesced. Do's admit gate sees Memory, Disk or Peer.
 type Source int
 
 const (
@@ -173,12 +175,13 @@ func (c *Cache[V]) ForEach(fn func(key string, v V)) {
 // it produced nothing storable. A waiter whose done channel closes first
 // stops waiting and gets Abandoned.
 //
-// admit runs outside the cache lock, before any tier counts or promotes a
-// value, so Hits, DiskHits and PeerHits count exactly the values served. A
-// refused value is evicted from every tier that holds it. Waiters skip admit:
-// the filler's value either passed admit on its way in from a tier or was
-// just computed, and callers derive equal admit gates for equal keys.
-func (c *Cache[V]) Do(done <-chan struct{}, key string, admit func(V) bool, fill func() (V, bool)) (V, Source) {
+// admit runs outside the cache lock, with the tier that holds the value,
+// before any tier counts or promotes it, so Hits, DiskHits and PeerHits
+// count exactly the values served. A refused value is evicted from every
+// tier that holds it. Waiters skip admit: the filler's value either passed
+// admit on its way in from a tier or was just computed, and callers derive
+// equal admit gates for equal keys.
+func (c *Cache[V]) Do(done <-chan struct{}, key string, admit func(v V, src Source) bool, fill func() (V, bool)) (V, Source) {
 	c.mu.Lock()
 	for {
 		el, ok := c.entries[key]
@@ -187,7 +190,7 @@ func (c *Cache[V]) Do(done <-chan struct{}, key string, admit func(V) bool, fill
 		}
 		e := el.Value.(*entry[V])
 		c.mu.Unlock()
-		if admit == nil || admit(e.val) {
+		if admit == nil || admit(e.val, Memory) {
 			c.mu.Lock()
 			// The entry may have moved or gone while admit ran.
 			if el, ok := c.entries[key]; ok {
@@ -259,17 +262,17 @@ func (c *Cache[V]) compute(key string, fill func() (V, bool)) (V, bool) {
 
 // probe looks key up in the disk tier, then the peer tier. A disk record the
 // decoder or admit refuses is deleted and counted as Rejected; a peer record
-// that fails unsealing, decoding, VerifyPeer or admit is counted as a
-// PeerReject and never written. An accepted value is promoted to memory, and
-// a peer value is also written through to disk.
-func (c *Cache[V]) probe(key string, admit func(V) bool) (V, Source, bool) {
+// that fails unsealing, decoding or admit is counted as a PeerReject and
+// never written. An accepted value is promoted to memory, and a peer value is
+// also written through to disk.
+func (c *Cache[V]) probe(key string, admit func(v V, src Source) bool) (V, Source, bool) {
 	var zero V
 	if c.disk == nil && c.peerFetch == nil {
 		return zero, 0, false
 	}
 	if payload, ok := c.disk.Get(key); ok {
 		v, err := c.codec.Decode(payload)
-		if err == nil && (admit == nil || admit(v)) {
+		if err == nil && (admit == nil || admit(v, Disk)) {
 			c.hits.Add(1)
 			c.diskHits.Add(1)
 			c.insert(key, v)
@@ -291,10 +294,7 @@ func (c *Cache[V]) probe(key string, admit func(V) bool) (V, Source, bool) {
 	if err == nil {
 		v, err = c.codec.Decode(payload)
 	}
-	if err == nil && c.codec.VerifyPeer != nil {
-		err = c.codec.VerifyPeer(key, v)
-	}
-	if err != nil || (admit != nil && !admit(v)) {
+	if err != nil || (admit != nil && !admit(v, Peer)) {
 		c.peerRejects.Add(1)
 		return zero, 0, false
 	}

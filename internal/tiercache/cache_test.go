@@ -3,6 +3,7 @@ package tiercache
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -126,7 +127,7 @@ func TestRefusedEntryEvictedEverywhere(t *testing.T) {
 	c := New(4, stringCodec)
 	c.WithDisk(store)
 	c.store("k", "stale")
-	refuseStale := func(v string) bool { return v != "stale" }
+	refuseStale := func(v string, _ Source) bool { return v != "stale" }
 	v, src := c.Do(nil, "k", refuseStale, func() (string, bool) { return "fresh", true })
 	if src != Computed || v != "fresh" {
 		t.Fatalf("refused entry: got (%q, %v), want a fresh fill", v, src)
@@ -192,6 +193,40 @@ func TestPeerValueWrittenThroughDiskValueNot(t *testing.T) {
 	}
 	if s := c.Stats(); s.PeerHits != 1 || s.PeerRejects != 1 {
 		t.Fatalf("stats %+v, want 1 peer hit and 1 peer reject", s)
+	}
+}
+
+// TestAdmitSeesServingTier: admit is told which tier holds the value it
+// judges, so one gate can ask more of a peer than of the local tiers. A
+// gate that refuses peer values turns a peer record into a PeerReject, while
+// the same payload on disk, and then in memory, is served.
+func TestAdmitSeesServingTier(t *testing.T) {
+	store := openStore(t)
+	store.Put("local", []byte("v"))
+	c := New(4, stringCodec)
+	c.WithDisk(store)
+	c.WithPeerFetch(func(string) ([]byte, bool) {
+		return cachedisk.Seal("remote", []byte("v")), true
+	})
+	var seen []Source
+	localOnly := func(_ string, src Source) bool {
+		seen = append(seen, src)
+		return src != Peer
+	}
+	if _, src := c.Do(nil, "local", localOnly, noFill); src != Disk {
+		t.Fatalf("disk record served from %v", src)
+	}
+	if _, src := c.Do(nil, "local", localOnly, noFill); src != Memory {
+		t.Fatalf("promoted record served from %v", src)
+	}
+	if _, src := c.Do(nil, "remote", localOnly, noFill); src != Computed {
+		t.Fatalf("refused peer record served from %v", src)
+	}
+	if want := []Source{Disk, Memory, Peer}; !slices.Equal(seen, want) {
+		t.Fatalf("admit saw %v, want %v", seen, want)
+	}
+	if s := c.Stats(); s.Hits != 2 || s.DiskHits != 1 || s.PeerRejects != 1 || s.Rejected != 0 {
+		t.Fatalf("stats %+v, want the disk and memory hits served and the peer record refused", s)
 	}
 }
 

@@ -15,9 +15,6 @@ type Codec[V any] struct {
 	// that is truncated, stale, or semantically impossible: its input comes
 	// from disk and from peers.
 	Decode func([]byte) (V, error)
-	// VerifyPeer, when non-nil, is an extra check on a decoded peer value,
-	// for evidence a peer must show that the local disk need not.
-	VerifyPeer func(key string, v V) error
 }
 
 // AppendString appends s with a uvarint length prefix, the string encoding
