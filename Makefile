@@ -172,12 +172,14 @@ persist-smoke:
 perfbench-smoke:
 	cd perfbench && $(GO) test ./...
 
-# inventory prints the two sizes ROADMAP aim 2 tracks: non-test Go lines
-# outside perfbench/ (tracked files only) and flag definitions in
-# cmd/*/main.go. It reports and gates nothing.
+# inventory prints the three sizes ROADMAP aim 2 tracks: non-test Go lines
+# and *Stats/*Snapshot/*Counters struct types outside perfbench/ (tracked
+# files only), and flag definitions in cmd/*/main.go. It reports and gates
+# nothing.
 FLAG_DEFS = flag\.(Bool|BoolFunc|BoolVar|Duration|DurationVar|Float64|Float64Var|Func|Int|Int64|Int64Var|IntVar|String|StringVar|TextVar|Uint|Uint64|Uint64Var|UintVar|Var)\(
 inventory:
 	@echo "non-test Go lines outside perfbench/: $$(git ls-files '*.go' ':!:*_test.go' ':!:perfbench/*' | xargs cat | wc -l)"
+	@echo "stats/snapshot/counters struct types outside perfbench/: $$(git ls-files '*.go' ':!:*_test.go' ':!:perfbench/*' | xargs grep -hE '^type [A-Za-z0-9_]*(Stats|Snapshot|Counters) struct' | wc -l)"
 	@echo "CLI flags in cmd/*/main.go: $$(grep -ohE '$(FLAG_DEFS)' cmd/*/main.go | wc -l)"
 
 # ci is the gate: everything must be gofmt-clean, build, vet clean, pass under

@@ -122,7 +122,6 @@ func main() {
 			Checker:  checker.Options{FlowSensitive: *flow},
 			Walk:     input.WalkOptions{MaxFiles: *maxFiles},
 			Workers:  *jobs,
-			Seed:     1,
 			Debounce: *debounce,
 			Poll:     *poll,
 			Cache:    openFuncCache(*cacheDir, *cacheBudget),

@@ -308,16 +308,27 @@ func (s *Store) Len() int {
 // Get returns the payload stored under key. A record that fails any
 // integrity check is evicted (self-healing) and reported as a miss; a disk
 // read error is charged to the breaker and reported as a miss. Never
-// returns unverified bytes.
+// returns unverified bytes. Get is the one lookup Hits and Misses count.
 func (s *Store) Get(key string) ([]byte, bool) {
 	_, payload, ok := s.getSealed(KeyHash(key), key)
+	if s != nil {
+		s.mu.Lock()
+		if ok {
+			s.stats.Hits++
+		} else {
+			s.stats.Misses++
+		}
+		s.mu.Unlock()
+	}
 	return payload, ok
 }
 
 // GetSealedByHash returns the raw sealed record stored under a content
 // address, for serving to peers. The record is verified (checksum, magic,
 // version, framing) before it leaves, so a node never propagates a corrupt
-// record; the requester still re-verifies, including the key match.
+// record; the requester still re-verifies, including the key match. A
+// peer's request is not this node's lookup, so Hits and Misses do not count
+// it; a corrupt record it finds is still evicted and counted.
 func (s *Store) GetSealedByHash(hash string) ([]byte, bool) {
 	if !validHash(hash) {
 		return nil, false
@@ -344,19 +355,18 @@ func validHash(hash string) bool {
 
 // getSealed loads, verifies, and touches one record by content address,
 // returning the record and the payload its one Unseal pass found. wantKey
-// additionally pins the embedded key when non-empty.
+// additionally pins the embedded key when non-empty. It counts no hit or
+// miss: Get does.
 func (s *Store) getSealed(hash, wantKey string) (record, payload []byte, ok bool) {
 	if s == nil {
 		return nil, nil, false
 	}
 	s.mu.Lock()
 	if _, indexed := s.index[hash]; !indexed {
-		s.stats.Misses++
 		s.mu.Unlock()
 		return nil, nil, false
 	}
 	if ok, _ := s.breaker.Allow(ioKey); !ok {
-		s.stats.Misses++
 		s.mu.Unlock()
 		return nil, nil, false
 	}
@@ -381,20 +391,17 @@ func (s *Store) getSealed(hash, wantKey string) (record, payload []byte, ok bool
 			if indexed {
 				s.dropLocked(el, false)
 			}
-			s.stats.Misses++
 			s.breaker.Record(ioKey, true)
 			s.mu.Unlock()
 			return nil, nil, false
 		}
 		s.stats.LoadErrors++
-		s.stats.Misses++
 		s.breaker.Record(ioKey, false)
 		s.mu.Unlock()
 		return nil, nil, false
 	}
 	s.breaker.Record(ioKey, true)
 	if !indexed {
-		s.stats.Misses++
 		s.mu.Unlock()
 		return nil, nil, false
 	}
@@ -404,12 +411,10 @@ func (s *Store) getSealed(hash, wantKey string) (record, payload []byte, ok bool
 		// or mis-keyed. Evict it at the source of truth and miss.
 		s.dropLocked(el, true)
 		s.stats.CorruptEvicted++
-		s.stats.Misses++
 		s.mu.Unlock()
 		return nil, nil, false
 	}
 	s.lru.MoveToFront(el)
-	s.stats.Hits++
 	s.mu.Unlock()
 	// Touch the file so recency survives a restart (best-effort; the
 	// in-memory LRU is authoritative while the process lives).

@@ -249,6 +249,17 @@ func TestGetSealedByHashVerifiesAndGuardsPath(t *testing.T) {
 	if _, ok := s.GetSealedByHash(hash); ok {
 		t.Fatal("corrupt sealed record propagated to a peer")
 	}
+	// Serving peers is not a lookup of this node's own: Hits and Misses
+	// count Get only, while the corrupt record is still evicted and counted.
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 || st.CorruptEvicted != 1 {
+		t.Fatalf("stats after serving peers: %+v, want no hit or miss and the corrupt record evicted", st)
+	}
+	if _, ok := s.Get("key"); ok {
+		t.Fatal("evicted record served")
+	}
+	if st := s.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("stats after a Get: %+v, want its one miss", st)
+	}
 }
 
 func TestDeleteCountsCorruptEviction(t *testing.T) {

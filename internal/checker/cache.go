@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 	"sync/atomic"
@@ -16,12 +15,15 @@ import (
 	"repro/internal/tiercache"
 )
 
-// This file implements the memory tier of content-addressed result caching
-// (the disk tier keeps whole files, see persist.go): the unit of reuse for a
-// long-lived checking service is one function body, so that editing a file
-// re-checks only the functions whose text changed.
+// This file implements the memory tier of content-addressed result caching:
+// the unit of reuse for a long-lived checking service is one function body,
+// so that editing a file re-checks only the functions whose text changed.
+// Both tiers hold one record type, FileRecord (persist.go): a function's
+// result is the record of its walk with lines counted from the function's
+// first line, and the disk tier keeps one record per file, counted from
+// line 0.
 //
-// A cached entry is keyed by two hashes:
+// A cached function is keyed by two hashes:
 //
 //   - the function fingerprint: the function's source text as Parse read it
 //     (cminor.FuncDef.Src, from the start of its first line through its
@@ -38,10 +40,10 @@ import (
 //     (the one piece of cross-function body information the checker uses,
 //     via the section 2.2.1 fresh-assignment extension).
 //
-// Diagnostics are stored with line numbers relative to the function's own
-// first line and rebased on replay, so an unchanged function shifted by an
-// edit above it replays its warnings at the new positions. Columns are
-// stored as they are, which the text in the key makes exact.
+// A function's record is rebased on replay to the function's current first
+// line, so an unchanged function shifted by an edit above it replays its
+// warnings at the new positions. Columns are stored as they are, which the
+// text in the key makes exact.
 
 // DefaultFuncCacheCapacity bounds a cache created with capacity <= 0.
 const DefaultFuncCacheCapacity = 8192
@@ -50,10 +52,10 @@ const DefaultFuncCacheCapacity = 8192
 type FuncCacheStats = tiercache.Stats
 
 // FuncCache is a thread-safe cache of checking results: a least-recently-used
-// memory tier of per-function results, plus an optional disk tier of
-// per-file records (persist.go). Share one across CheckWithCache calls (and
-// across programs — the context key isolates unrelated programs and
-// registries) to make repeated checks of mostly-unchanged sources cheap.
+// memory tier of function records, plus an optional disk tier of file
+// records (persist.go), both FileRecords. Share one across CheckWithCache
+// calls (and across programs — the context key isolates unrelated programs
+// and registries) to make repeated checks of mostly-unchanged sources cheap.
 // Concurrent lookups of one uncached function coalesce: the first caller
 // walks while the rest wait for its result.
 //
@@ -61,8 +63,8 @@ type FuncCacheStats = tiercache.Stats
 // result carries no proof a node could check, so it is only ever served from
 // this process's memory or its own disk.
 type FuncCache struct {
-	cache *tiercache.Cache[*funcCacheEntry]
-	disk  *cachedisk.Store // file records; nil without WithDisk
+	cache *tiercache.Cache[*FileRecord] // function records
+	disk  *cachedisk.Store              // file records; nil without WithDisk
 
 	// diskFuncs counts the functions of the files the disk tier served, and
 	// diskRejected the records it refused; Stats folds them into the memory
@@ -70,46 +72,10 @@ type FuncCache struct {
 	diskFuncs, diskRejected atomic.Uint64
 }
 
-// funcCacheEntry is the replayable outcome of walking one function body.
-type funcCacheEntry struct {
-	diags []relDiag
-	// The statistic deltas a body walk contributes (the program-level
-	// counters — dereferences, annotations, ref uses — are recomputed by the
-	// surrounding CheckWithCache pass and never cached).
-	restrictChecks   int
-	restrictFailures int
-	memoHits         int
-	memoMisses       int
-	// seal is a content checksum over the replayable payload above,
-	// computed when the walk's entry is built and re-verified on every
-	// lookup: a corrupted entry is rejected and re-walked instead of
-	// replayed.
-	seal uint64
-}
-
-// sealEntry checksums an entry's replayable payload (diagnostics and
-// statistic deltas; the key is excluded — it addresses, the seal attests).
-func sealEntry(e *funcCacheEntry) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%d|%d\x00", e.restrictChecks, e.restrictFailures, e.memoHits, e.memoMisses)
-	for _, d := range e.diags {
-		fmt.Fprintf(h, "%d|%d|%s|%s\x00", d.relLine, d.col, d.code, d.msg)
-	}
-	return h.Sum64()
-}
-
-// relDiag is a diagnostic with its line stored relative to the function's
-// first line.
-type relDiag struct {
-	relLine int
-	col     int
-	code    string
-	msg     string
-}
-
-// sealed is the function cache's admit gate: an entry from any tier is
-// served only while its content seal matches its payload.
-func sealed(e *funcCacheEntry, _ tiercache.Source) bool { return sealEntry(e) == e.seal }
+// sealed is the memory tier's admit gate: a record is served only while its
+// content seal matches its payload, the check decodeFileRecord applies to
+// every disk record.
+func sealed(r *FileRecord, _ tiercache.Source) bool { return sealFileRecord(r) == r.seal }
 
 // NewFuncCache returns an empty cache holding at most capacity function
 // results (DefaultFuncCacheCapacity when capacity <= 0).
@@ -118,7 +84,7 @@ func NewFuncCache(capacity int) *FuncCache {
 		capacity = DefaultFuncCacheCapacity
 	}
 	// The memory tier never persists, so its codec is empty.
-	return &FuncCache{cache: tiercache.New(capacity, tiercache.Codec[*funcCacheEntry]{})}
+	return &FuncCache{cache: tiercache.New(capacity, tiercache.Codec[*FileRecord]{})}
 }
 
 // Stats returns a snapshot of the counters. Each function of a file the disk
@@ -148,10 +114,10 @@ var fpCacheReplay = faults.Register("checker.cache.replay")
 // the cache lock, without touching recency or the counters. Chaos tests use
 // it to assert that no transient ("internal") result was ever stored.
 func (c *FuncCache) ForEach(fn func(key string, diagCodes []string)) {
-	c.cache.ForEach(func(key string, e *funcCacheEntry) {
-		codes := make([]string, len(e.diags))
-		for i, d := range e.diags {
-			codes[i] = d.code
+	c.cache.ForEach(func(key string, r *FileRecord) {
+		codes := make([]string, len(r.Diags))
+		for i, d := range r.Diags {
+			codes[i] = d.Code
 		}
 		fn(key, codes)
 	})
@@ -251,8 +217,9 @@ func (en *engine) checkFuncCached(f *cminor.FuncDef) {
 	// FireErr, not Fire: nothing between here and the pool recovers a panic
 	// on the cache path, and the pool would re-raise it out of the whole
 	// check, so an injected replay panic must be contained here. Any replay
-	// fault degrades to a fresh walk — never a crash, never a wrong replay. The degraded walk bypasses the cache entirely, so an
-	// injected fault can neither strand waiters nor poison the fill.
+	// fault degrades to a fresh walk — never a crash, never a wrong replay.
+	// The degraded walk bypasses the cache entirely, so an injected fault can
+	// neither strand waiters nor poison the fill.
 	if err := fpCacheReplay.FireErr(); err != nil {
 		en.stats.FuncCacheMisses++
 		en.safeCheckFunc(f)
@@ -262,9 +229,9 @@ func (en *engine) checkFuncCached(f *cminor.FuncDef) {
 	if en.ctx != nil {
 		done = en.ctx.Done()
 	}
-	entry, src := en.fc.cache.Do(done, funcKey(en.ctxKey, f), sealed, func() (*funcCacheEntry, bool) {
+	rec, src := en.fc.cache.Do(done, funcKey(en.ctxKey, f), sealed, func() (*FileRecord, bool) {
 		en.safeCheckFunc(f)
-		return en.entryFromWalk(f)
+		return newFileRecord(f.Pos.File, f.Pos.Line, en.diags, en.stats)
 	})
 	switch src {
 	case tiercache.Computed:
@@ -273,57 +240,9 @@ func (en *engine) checkFuncCached(f *cminor.FuncDef) {
 		en.stats.FuncCacheCoalesced++
 	case tiercache.Coalesced:
 		en.stats.FuncCacheCoalesced++
-		en.replayEntry(entry, f)
+		en.diags = rec.replay(f.Pos.File, f.Pos.Line, en.diags, &en.stats)
 	case tiercache.Memory, tiercache.Disk, tiercache.Peer:
 		en.stats.FuncCacheHits++
-		en.replayEntry(entry, f)
+		en.diags = rec.replay(f.Pos.File, f.Pos.Line, en.diags, &en.stats)
 	}
-}
-
-// replayEntry rebases and appends a cached function's diagnostics and
-// statistic deltas onto the (child) engine.
-func (en *engine) replayEntry(entry *funcCacheEntry, f *cminor.FuncDef) {
-	for _, d := range entry.diags {
-		en.diags = append(en.diags, Diagnostic{
-			Pos:  cminor.Pos{File: f.Pos.File, Line: f.Pos.Line + d.relLine, Col: d.col},
-			Code: d.code,
-			Msg:  d.msg,
-		})
-	}
-	en.stats.RestrictChecks += entry.restrictChecks
-	en.stats.RestrictFailures += entry.restrictFailures
-	en.stats.MemoHits += entry.memoHits
-	en.stats.MemoMisses += entry.memoMisses
-}
-
-// entryFromWalk converts a completed walk's child-engine state into a sealed
-// cache entry. It refuses (ok=false) when the result is not safely
-// replayable:
-// an "internal" diagnostic records a recovered panic (transient, like the
-// prover's uncached panic outcomes), and a diagnostic positioned outside the
-// function's own span cannot be rebased by line offset.
-func (en *engine) entryFromWalk(f *cminor.FuncDef) (*funcCacheEntry, bool) {
-	entry := &funcCacheEntry{
-		diags:            make([]relDiag, 0, len(en.diags)),
-		restrictChecks:   en.stats.RestrictChecks,
-		restrictFailures: en.stats.RestrictFailures,
-		memoHits:         en.stats.MemoHits,
-		memoMisses:       en.stats.MemoMisses,
-	}
-	for _, d := range en.diags {
-		if d.Code == "internal" {
-			return nil, false
-		}
-		if d.Pos.File != f.Pos.File || d.Pos.Line < f.Pos.Line {
-			return nil, false
-		}
-		entry.diags = append(entry.diags, relDiag{
-			relLine: d.Pos.Line - f.Pos.Line,
-			col:     d.Pos.Col,
-			code:    d.Code,
-			msg:     d.Msg,
-		})
-	}
-	entry.seal = sealEntry(entry)
-	return entry, true
 }

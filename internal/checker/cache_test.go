@@ -236,7 +236,7 @@ func TestFuncCacheSharedAcrossConcurrency(t *testing.T) {
 	}
 }
 
-// TestFuncCacheSealRejectsCorruption: every entry carries a content seal
+// TestFuncCacheSealRejectsCorruption: every record carries a content seal
 // computed when it is built and re-verified on every lookup. Corrupting a
 // stored entry in place turns the would-be hit into a counted rejection plus
 // a miss, the function is re-walked (diagnostics identical to an uncached
@@ -251,9 +251,9 @@ func TestFuncCacheSealRejectsCorruption(t *testing.T) {
 
 	// Corrupt one non-empty entry's payload behind the seal's back.
 	corrupted := 0
-	fc.cache.ForEach(func(_ string, e *funcCacheEntry) {
-		if len(e.diags) > 0 && corrupted == 0 {
-			e.diags[0].msg = "tampered"
+	fc.cache.ForEach(func(_ string, r *FileRecord) {
+		if len(r.Diags) > 0 && corrupted == 0 {
+			r.Diags[0].Msg = "tampered"
 			corrupted++
 		}
 	})

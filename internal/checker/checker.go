@@ -56,8 +56,15 @@ type Stats struct {
 	FuncCacheCoalesced int
 }
 
-// add folds o into s. s's maps must be allocated; o's may be nil (a child
-// engine's are), which adds nothing to them.
+// newStats returns zero statistics with their maps allocated, ready to add
+// into.
+func newStats() Stats {
+	return Stats{Annotations: map[string]int{}, QualCasts: map[string]int{}, RefUses: map[string]int{}}
+}
+
+// add folds o into s. s's maps must be allocated unless o's are empty; o's
+// may be nil (a child engine's are, and so are a function record's), which
+// adds nothing to them.
 func (s *Stats) add(o Stats) {
 	s.Dereferences += o.Dereferences
 	for k, v := range o.Annotations {
@@ -239,7 +246,9 @@ func checkSource(ctx context.Context, c *scheduler.Ctx, name, src string, tab *t
 	if fc != nil && fc.disk != nil && fpCacheReplay.FireErr() == nil {
 		key = fileKey(tab, opts, src)
 		if rec, ok := fc.lookupFile(key); ok {
-			done(rec.replay(name), nil)
+			res := &Result{Stats: newStats()}
+			res.Diags = rec.replay(name, 0, nil, &res.Stats)
+			done(res, nil)
 			return
 		}
 	}
@@ -307,17 +316,13 @@ func newEngine(ctx context.Context, prog *cminor.Program, tab *tables, opts Opti
 		info, baseDiags = cminor.TypeCheck(prog)
 	}
 	en := &engine{
-		reg:  tab.reg,
-		tab:  tab,
-		info: info,
-		prog: prog,
-		flow: opts.FlowSensitive,
-		ctx:  ctx,
-		stats: Stats{
-			Annotations: map[string]int{},
-			QualCasts:   map[string]int{},
-			RefUses:     map[string]int{},
-		},
+		reg:   tab.reg,
+		tab:   tab,
+		info:  info,
+		prog:  prog,
+		flow:  opts.FlowSensitive,
+		ctx:   ctx,
+		stats: newStats(),
 	}
 	en.prepareFlow()
 	if fc != nil {
@@ -472,7 +477,7 @@ var CheckFuncHook func(f *cminor.FuncDef)
 
 // fpCheckWalk injects faults into the body walk; see internal/faults. Panics
 // are contained by safeCheckFunc's recovery, errors degrade to an "internal"
-// diagnostic — both transient, so entryFromWalk refuses to cache them.
+// diagnostic — both transient, so newFileRecord refuses to cache them.
 var fpCheckWalk = faults.Register("checker.walk")
 
 // safeCheckFunc walks one function body, converting a panic anywhere in the

@@ -5,26 +5,27 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash/fnv"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/cachedisk"
 	"repro/internal/tiercache"
 )
 
-// Disk tier of the checker's cache: one record per source file. Each file is
-// its own program, so its diagnostics and statistics depend only on the
-// registry, the verdict-changing options (flow sensitivity) and the file's
-// bytes; fileKey hashes exactly those. A record stores the diagnostics
-// without the file name, which the replay adds back, so byte-identical
-// files share one record. A lookup runs before parse (checkSource): a hit
-// skips parse, typecheck and every function lookup.
+// FileRecord, the one record both tiers of the checker's cache hold, and the
+// disk tier, which keeps one record per source file. Each file is its own
+// program, so its diagnostics and statistics depend only on the registry,
+// the verdict-changing options (flow sensitivity) and the file's bytes;
+// fileKey hashes exactly those. A record stores the diagnostics without the
+// file name, which the replay adds back, so byte-identical files share one
+// record. A lookup runs before parse (checkSource): a hit skips parse,
+// typecheck and every function lookup.
 //
 // cachedisk's record framing supplies the key binding and checksum, this
 // codec supplies the payload layout, and the content seal, computed over the
-// check's result when the record is built and recomputed over the decoded
-// record on every load, supplies the semantic integrity check: a record
+// record's payload when it is built and recomputed on every load from disk
+// and every hit in memory, supplies the semantic integrity check: a record
 // whose recomputed seal disagrees with its stored seal is rejected and
 // evicted no matter how clean its checksums were.
 //
@@ -43,16 +44,53 @@ const (
 	maxPersistCounts = 1 << 12
 )
 
-// FileRecord is one source file's replayable checking outcome, the payload
-// of a disk-tier record. Diags carry no file name (Pos.File is empty). Stats
-// are the statistics a replay reports: the check's own counts, with
-// FuncCacheHits set to the file's function lookups (each counts as a hit
-// from disk) and no misses or coalesced lookups.
+// FileRecord is a replayable checking outcome: the diagnostics and
+// statistics of a walk, with lines counted from a base line and no file
+// name (Pos.File is empty), both of which replay adds back. The memory tier
+// holds one per function, counted from the function's first line, with the
+// walk's own counters (restrict and memo; its maps nil, its cache counters
+// zero). The disk tier holds one per file, counted from line 0, with the
+// check's statistics, FuncCacheHits set to the file's function lookups (each
+// counts as a hit from disk) and no misses or coalesced lookups.
 type FileRecord struct {
 	Diags []Diagnostic
 	Stats Stats
 	// seal checksums the fields above (sealFileRecord).
 	seal uint64
+}
+
+// newFileRecord builds the sealed record of a walk's diagnostics and
+// statistics s, in file and with lines counted from base. It refuses
+// (ok=false) a result that is not safely replayable: an "internal"
+// diagnostic records a recovered panic or an injected fault, both
+// transient, and a diagnostic in another file or above base cannot be
+// rebased.
+func newFileRecord(file string, base int, diags []Diagnostic, s Stats) (*FileRecord, bool) {
+	r := &FileRecord{Stats: s}
+	if len(diags) > 0 {
+		r.Diags = make([]Diagnostic, len(diags))
+	}
+	for i, d := range diags {
+		if d.Code == "internal" || d.Pos.File != file || d.Pos.Line < base {
+			return nil, false
+		}
+		d.Pos.File, d.Pos.Line = "", d.Pos.Line-base
+		r.Diags[i] = d
+	}
+	r.seal = sealFileRecord(r)
+	return r, true
+}
+
+// replay appends the record's diagnostics to diags, in file and with lines
+// counted from base, and folds its statistics into s.
+func (r *FileRecord) replay(file string, base int, diags []Diagnostic, s *Stats) []Diagnostic {
+	diags = slices.Grow(diags, len(r.Diags))
+	for _, d := range r.Diags {
+		d.Pos.File, d.Pos.Line = file, base+d.Pos.Line
+		diags = append(diags, d)
+	}
+	s.add(r.Stats)
+	return diags
 }
 
 // FileRecordCodec is the disk tier's payload codec, exported so that a
@@ -102,49 +140,30 @@ func (c *FuncCache) lookupFile(key string) (*FileRecord, bool) {
 }
 
 // storeFile writes res, the complete check of the file name, as the record
-// under key. A result that is not safely replayable is not stored: a run cut
-// short by its context, an "internal" diagnostic (a recovered panic or an
-// injected fault, both transient), or a diagnostic positioned in another
-// file, whose name the record could not restore.
+// under key. A run cut short by its context is not stored, nor is a result
+// newFileRecord refuses.
 func (c *FuncCache) storeFile(key, name string, res *Result) {
 	if res.Err != nil {
 		return
 	}
-	rec := &FileRecord{Stats: res.Stats}
-	if len(res.Diags) > 0 {
-		rec.Diags = make([]Diagnostic, len(res.Diags))
+	s := res.Stats
+	s.FuncCacheHits += s.FuncCacheMisses + s.FuncCacheCoalesced
+	s.FuncCacheMisses, s.FuncCacheCoalesced = 0, 0
+	if rec, ok := newFileRecord(name, 0, res.Diags, s); ok {
+		c.disk.Put(key, encodeFileRecord(rec))
 	}
-	for i, d := range res.Diags {
-		if d.Code == "internal" || d.Pos.File != name {
-			return
-		}
-		d.Pos.File = ""
-		rec.Diags[i] = d
-	}
-	rec.Stats.FuncCacheHits = res.Stats.FuncCacheHits + res.Stats.FuncCacheMisses + res.Stats.FuncCacheCoalesced
-	rec.Stats.FuncCacheMisses, rec.Stats.FuncCacheCoalesced = 0, 0
-	rec.seal = sealFileRecord(rec)
-	c.disk.Put(key, encodeFileRecord(rec))
 }
 
-// replay returns the record's result for the file name.
-func (r *FileRecord) replay(name string) *Result {
-	res := &Result{Stats: r.Stats}
-	if len(r.Diags) > 0 {
-		res.Diags = make([]Diagnostic, len(r.Diags))
-		for i, d := range r.Diags {
-			d.Pos.File = name
-			res.Diags[i] = d
-		}
-	}
-	return res
-}
-
-// sealFileRecord checksums a record's replayable payload.
+// sealFileRecord checksums a record's replayable payload: FNV-64a over its
+// persisted body, built in a stack buffer, so that sealing the record of a
+// typical function allocates nothing.
 func sealFileRecord(r *FileRecord) uint64 {
-	h := fnv.New64a()
-	h.Write(appendFileRecordBody(nil, r))
-	return h.Sum64()
+	var buf [512]byte
+	h := uint64(14695981039346656037) // FNV-64a offset basis
+	for _, c := range appendFileRecordBody(buf[:0], r) {
+		h = (h ^ uint64(c)) * 1099511628211 // FNV-64a prime
+	}
+	return h
 }
 
 // appendFileRecordBody appends a record's fields in their persisted layout:

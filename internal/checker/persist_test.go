@@ -2,6 +2,7 @@ package checker
 
 import (
 	"context"
+	"encoding/hex"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -103,6 +104,52 @@ func TestFileRecordCodecRoundtrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, in) {
 			t.Fatalf("case %d: mangled:\n got %+v\nwant %+v", i, got, in)
+		}
+	}
+}
+
+// TestFileRecordPinnedBytes pins the QFR payload of a fixed record and the
+// file key of a fixed source under the standard registry, flow off and on:
+// a layout or key change must bump fileRecordVersion, or cache directories
+// already on disk would miss every file or decode into different results.
+// Decoding the pinned bytes must yield the same record back.
+func TestFileRecordPinnedBytes(t *testing.T) {
+	rec := &FileRecord{
+		Diags: []Diagnostic{
+			{Pos: cminor.Pos{Line: 8, Col: 3}, Code: "qual", Msg: "assignment may store NULL into nonnull g"},
+			{Pos: cminor.Pos{Line: 300, Col: 12}, Code: "restrict", Msg: "Δ"},
+		},
+		Stats: Stats{
+			Dereferences: 4, RestrictChecks: 3, RestrictFailures: 1, MemoHits: 200, MemoMisses: 2, FuncCacheHits: 6,
+			Annotations: map[string]int{"pos": 1, "nonnull": 3},
+			QualCasts:   map[string]int{"nonnull": 2},
+			RefUses:     map[string]int{"p": 7},
+		},
+	}
+	rec.seal = sealFileRecord(rec)
+	const want = "51465201040301c801020602076e6f6e6e756c6c0303706f730101076e6f6e6e756c6c0201017007020803047175616c2861737369676e6d656e74206d61792073746f7265204e554c4c20696e746f206e6f6e6e756c6c2067ac020c08726573747269637402ce943bbf0ad2cc2af852"
+	if got := hex.EncodeToString(encodeFileRecord(rec)); got != want {
+		t.Errorf("encoded\n got %s\nwant %s", got, want)
+	}
+	data, _ := hex.DecodeString(want)
+	got, err := decodeFileRecord(data)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(got, rec) {
+		t.Errorf("decoded\n got %+v\nwant %+v", got, rec)
+	}
+
+	tab := tablesFor(quals.MustStandard())
+	for _, tc := range []struct {
+		flow bool
+		key  string
+	}{
+		{false, "5636e90f368853c72370826a3e619d73d92637cf0f68d828a3545f82f4c9ef8c"},
+		{true, "b05b687f5dfe0d9684ac2b4c87c7beca6dff4dce3ff6e1d4799e1bcdd82d8092"},
+	} {
+		if got := fileKey(tab, Options{FlowSensitive: tc.flow}, cacheSrc); got != tc.key {
+			t.Errorf("fileKey(flow=%v)\n got %s\nwant %s", tc.flow, got, tc.key)
 		}
 	}
 }

@@ -159,11 +159,7 @@ func (tc *TreeChecker) CheckTree(ctx context.Context, root string) (*TreeResult,
 		Read:  tc.reader.Stats(),
 		Sched: tc.pool.Stats(),
 		Err:   ctx.Err(),
-		Stats: Stats{
-			Annotations: map[string]int{},
-			QualCasts:   map[string]int{},
-			RefUses:     map[string]int{},
-		},
+		Stats: newStats(),
 	}
 	for i := range results {
 		res.Stats.add(results[i].Stats)

@@ -14,14 +14,13 @@ import (
 // never leave a verdict in the cache — a budget-starved Unknown replayed
 // after the budget is raised would be a soundness-of-service bug.
 
-// budgetOptions is the divergent trigger-loop setup with the wall-clock and
-// step budgets effectively disabled, so only the budget under test can stop
-// the search.
+// budgetOptions is the divergent trigger-loop setup with the wall-clock,
+// round and instance budgets effectively disabled, so only the budget under
+// test can stop the search.
 func budgetOptions() Options {
 	opts := DefaultOptions()
 	opts.MaxRounds = 1 << 20
 	opts.MaxInstances = 1 << 20
-	opts.MaxDecisions = 1 << 20
 	opts.GoalTimeout = 30 * time.Second // backstop against a broken budget
 	return opts
 }

@@ -162,7 +162,7 @@ func TestProverSoundnessProperty(t *testing.T) {
 	check := func(seed int64) bool {
 		s := seed
 		f := gen.formula(&s, 3)
-		p := New(nil, Options{MaxRounds: 4, MaxInstances: 2000, MaxDecisions: 20000, NonlinearAxioms: true})
+		p := New(nil, Options{MaxRounds: 4, MaxInstances: 2000})
 		out := p.Prove(f)
 		if out.Result != Valid {
 			return true // Unknown is always acceptable

@@ -54,8 +54,6 @@ type Options struct {
 	MaxRounds int
 	// MaxInstances bounds the total instantiated clauses (default 20000).
 	MaxInstances int
-	// MaxDecisions bounds DPLL branching decisions per round (default 200000).
-	MaxDecisions int
 	// GoalTimeout bounds the wall-clock time of one Prove call (default 5s
 	// via DefaultOptions; 0 disables the bound, leaving only the static step
 	// budgets above). The deadline is checked at DPLL decision points, unit
@@ -63,10 +61,6 @@ type Options struct {
 	// pathological goal (e.g. a trigger loop) returns Unknown with reason
 	// ReasonDeadline instead of wedging its worker.
 	GoalTimeout time.Duration
-	// NonlinearAxioms, when true (the default via DefaultOptions), loads the
-	// multiplication sign axioms that Simplify's limited non-linear
-	// arithmetic support provides.
-	NonlinearAxioms bool
 	// EmitCertificates makes every Valid verdict carry a replayable proof
 	// certificate (Outcome.Certificate): the CDCL trail is transcribed
 	// into internal/cert steps, self-verified by cert.Verify before the
@@ -85,14 +79,15 @@ type Options struct {
 // limit rather than hang.
 const DefaultGoalTimeout = 5 * time.Second
 
+// maxDecisions bounds the CDCL search's branching decisions per round.
+const maxDecisions = 200000
+
 // DefaultOptions returns the standard search budget.
 func DefaultOptions() Options {
 	return Options{
-		MaxRounds:       8,
-		MaxInstances:    20000,
-		MaxDecisions:    200000,
-		GoalTimeout:     DefaultGoalTimeout,
-		NonlinearAxioms: true,
+		MaxRounds:    8,
+		MaxInstances: 20000,
+		GoalTimeout:  DefaultGoalTimeout,
 	}
 }
 
@@ -160,9 +155,6 @@ func New(axioms []logic.Formula, opts Options) *Prover {
 	if opts.MaxInstances == 0 {
 		opts.MaxInstances = 20000
 	}
-	if opts.MaxDecisions == 0 {
-		opts.MaxDecisions = 200000
-	}
 	p := &Prover{axioms: axioms, opts: opts}
 	p.buildBase()
 	return p
@@ -191,8 +183,8 @@ func (p *Prover) Fork(c *Cache) *Prover {
 	return &q
 }
 
-// buildBase clausifies the background axioms (plus the non-linear sign
-// axioms when enabled) once, infers triggers for the quantified clauses, and
+// buildBase clausifies the background axioms (plus the multiplication sign
+// axioms, MulSignAxioms) once, infers triggers for the quantified clauses, and
 // fingerprints the (axioms, options) pair for cache keying. Errors are
 // deferred to Prove, which historically reported clausification failures as
 // Unknown outcomes.
@@ -216,9 +208,12 @@ func (p *Prover) buildBase() {
 		return nil
 	}
 	h := sha256.New()
+	// The decision bound and a true (the sign axioms are always loaded)
+	// hold their places in this line: other bytes would change every
+	// fingerprint and so miss every outcome a store already holds.
 	fmt.Fprintf(h, "opts|%d|%d|%d|%d|%t|cert=%t\n",
-		p.opts.MaxRounds, p.opts.MaxInstances, p.opts.MaxDecisions,
-		p.opts.GoalTimeout, p.opts.NonlinearAxioms, p.opts.EmitCertificates)
+		p.opts.MaxRounds, p.opts.MaxInstances, maxDecisions,
+		p.opts.GoalTimeout, true, p.opts.EmitCertificates)
 	for _, ax := range p.axioms {
 		fmt.Fprintf(h, "ax|%s\n", ax)
 		if err := addFormula(ax); err != nil {
@@ -226,12 +221,10 @@ func (p *Prover) buildBase() {
 			return
 		}
 	}
-	if p.opts.NonlinearAxioms {
-		for _, ax := range MulSignAxioms() {
-			if err := addFormula(ax); err != nil {
-				p.baseErr = err
-				return
-			}
+	for _, ax := range MulSignAxioms() {
+		if err := addFormula(ax); err != nil {
+			p.baseErr = err
+			return
 		}
 	}
 	p.baseSk = sk

@@ -212,7 +212,7 @@ func (p *Prover) prove2(goal logic.Formula, canonicalGoal string, tk *ticker) Ou
 		if s != nil {
 			s.releaseScratch() // the superseded round's arrays feed this one
 		}
-		s = newSearch2(tt, at, db.clauses, eg, ar, p.opts.MaxDecisions, tk)
+		s = newSearch2(tt, at, db.clauses, eg, ar, maxDecisions, tk)
 		s.cb = cb
 		for i, cl := range carryCl {
 			s.importLearned(cl, carryAct[i])

@@ -188,7 +188,7 @@ func TestProverBudgetExhaustion(t *testing.T) {
 	// contradiction available the prover must stop at its budget.
 	p := New([]logic.Formula{
 		mustParse(t, "(FORALL (x) (PATS (f x)) (EQ (f (f x)) (f x)))"),
-	}, Options{MaxRounds: 3, MaxInstances: 50, MaxDecisions: 1000, NonlinearAxioms: false})
+	}, Options{MaxRounds: 3, MaxInstances: 50})
 	out := p.Prove(mustParse(t, "(NEQ (f a) (f a))"))
 	// The goal is actually false; result must be Unknown, not a hang.
 	if out.Result != Unknown {
@@ -217,14 +217,6 @@ func TestProveMultiPatternTrigger(t *testing.T) {
 	wantValid(t,
 		[]string{"(FORALL (x y) (IMPLIES (AND (p x) (q y)) (r x y)))", "(p a)", "(q b)"},
 		"(r a b)")
-}
-
-func TestNonlinearAxiomsToggle(t *testing.T) {
-	p := New(nil, Options{MaxRounds: 6, MaxInstances: 1000, MaxDecisions: 10000, NonlinearAxioms: false})
-	out := p.Prove(mustParse(t, "(IMPLIES (AND (> x 0) (> y 0)) (> (* x y) 0))"))
-	if out.Result != Unknown {
-		t.Errorf("without sign axioms the product obligation must be Unknown, got %s", out)
-	}
 }
 
 func TestCounterExampleOnUnknown(t *testing.T) {

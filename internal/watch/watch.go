@@ -43,8 +43,6 @@ type Options struct {
 	Walk input.WalkOptions
 	// Workers bounds the persistent scheduler pool; 0 means all cores.
 	Workers int
-	// Seed seeds the scheduler's deterministic victim selection.
-	Seed uint64
 	// Debounce is the post-event quiet window (DefaultDebounce when 0).
 	Debounce time.Duration
 	// Poll, when > 0, replaces fs notifications with a rescan every Poll —
@@ -119,7 +117,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 	d.tc = checker.NewTreeChecker(d.reg, checker.TreeOptions{
 		Options:           d.opts.Checker,
 		Workers:           d.opts.Workers,
-		Seed:              d.opts.Seed,
+		Seed:              1,
 		Walk:              d.opts.Walk,
 		Cache:             d.fc,
 		DegradeReadErrors: true,

@@ -173,7 +173,7 @@ func TestDaemonStartupGeneration(t *testing.T) {
 	write(t, root, "pkg/clean.c", cleanFile)
 	write(t, root, "pkg/dirty.c", dirtyFile)
 
-	h := startDaemon(t, root, Options{Poll: 20 * time.Millisecond, Workers: 2, Seed: 1})
+	h := startDaemon(t, root, Options{Poll: 20 * time.Millisecond, Workers: 2})
 	g := h.nextGeneration(20 * time.Second)
 	if g.summary.num("generation") != 0 || g.summary.num("checked") != 2 || g.summary.num("files") != 2 {
 		t.Fatalf("startup summary: %v", g.summary)
@@ -197,7 +197,7 @@ func TestDaemonDefaultWorkers(t *testing.T) {
 	root := t.TempDir()
 	write(t, root, "pkg/clean.c", cleanFile)
 
-	h := startDaemon(t, root, Options{Poll: 20 * time.Millisecond, Seed: 1})
+	h := startDaemon(t, root, Options{Poll: 20 * time.Millisecond})
 	h.nextGeneration(20 * time.Second)
 	h.d.EmitStats()
 	deadline := time.After(20 * time.Second)
@@ -229,7 +229,7 @@ func TestDaemonIncrementalEdit(t *testing.T) {
 	write(t, root, "pkg/clean.c", cleanFile)
 	write(t, root, "pkg/dirty.c", dirtyFile)
 
-	h := startDaemon(t, root, Options{Poll: 20 * time.Millisecond, Workers: 2, Seed: 1})
+	h := startDaemon(t, root, Options{Poll: 20 * time.Millisecond, Workers: 2})
 	h.nextGeneration(20 * time.Second)
 
 	// Edit keep's body only; violate (and all of clean.c) must replay.
@@ -258,7 +258,7 @@ func TestDaemonAddRemove(t *testing.T) {
 	root := t.TempDir()
 	write(t, root, "a.c", cleanFile)
 
-	h := startDaemon(t, root, Options{Poll: 20 * time.Millisecond, Workers: 2, Seed: 1})
+	h := startDaemon(t, root, Options{Poll: 20 * time.Millisecond, Workers: 2})
 	h.nextGeneration(20 * time.Second)
 
 	write(t, root, "b.c", dirtyFile)
@@ -294,7 +294,7 @@ func TestDaemonHiddenFileIgnored(t *testing.T) {
 	root := t.TempDir()
 	write(t, root, "a.c", cleanFile)
 
-	h := startDaemon(t, root, Options{Poll: 20 * time.Millisecond, Workers: 1, Seed: 1})
+	h := startDaemon(t, root, Options{Poll: 20 * time.Millisecond, Workers: 1})
 	h.nextGeneration(20 * time.Second)
 
 	write(t, root, ".c", "not source (((")
@@ -324,7 +324,7 @@ func TestDaemonInotify(t *testing.T) {
 
 	pr, pw := io.Pipe()
 	d, err := New(root, quals.MustStandard(), Options{
-		Debounce: 50 * time.Millisecond, Workers: 1, Seed: 1, Out: pw,
+		Debounce: 50 * time.Millisecond, Workers: 1, Out: pw,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -388,7 +388,7 @@ func TestDaemonDiskWarmGeneration(t *testing.T) {
 	}
 
 	fc := diskCache()
-	h := startDaemon(t, root, Options{Poll: time.Hour, Workers: 1, Seed: 1, Cache: fc})
+	h := startDaemon(t, root, Options{Poll: time.Hour, Workers: 1, Cache: fc})
 	g := h.nextGeneration(20 * time.Second)
 	if g.summary.num("cache_hits") != lookups || g.summary.num("cache_misses") != 0 {
 		t.Errorf("disk-warm generation 0: %d hits / %d misses, want %d / 0 (nothing walked): %v",
