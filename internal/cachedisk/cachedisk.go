@@ -10,7 +10,8 @@
 // is ever returned as a payload:
 //
 //   - every record carries a magic header, a format version, its full key,
-//     and an FNV-64a checksum trailer over everything before it; a load
+//     and an FNV-64a checksum trailer over everything before it, framed and
+//     read with internal/wire like every other persisted format; a load
 //     re-verifies all four and re-checks that the embedded key matches the
 //     requested one (hash collisions and adversarially renamed files both
 //     fail here);
@@ -37,7 +38,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -49,6 +49,7 @@ import (
 
 	"repro/internal/breaker"
 	"repro/internal/faults"
+	"repro/internal/wire"
 )
 
 // Fault-injection points for the disk tier (see internal/faults). Armed via
@@ -102,19 +103,17 @@ func KeyHash(key string) string {
 	return hex.EncodeToString(h[:16])
 }
 
-// Seal frames a payload into a record: magic, version, key, payload, and an
-// FNV-64a checksum trailer over everything before it.
+// Seal frames a payload into a record: magic, version, the key and the
+// payload each with a uvarint length prefix, and the FNV-64a checksum trailer
+// over everything before it (wire.AppendSum).
 func Seal(key string, payload []byte) []byte {
 	b := make([]byte, 0, len(recMagic)+1+2*binary.MaxVarintLen64+len(key)+len(payload)+8)
 	b = append(b, recMagic...)
 	b = append(b, recVersion)
-	b = binary.AppendUvarint(b, uint64(len(key)))
-	b = append(b, key...)
+	b = wire.AppendString(b, key)
 	b = binary.AppendUvarint(b, uint64(len(payload)))
 	b = append(b, payload...)
-	h := fnv.New64a()
-	h.Write(b)
-	return binary.BigEndian.AppendUint64(b, h.Sum64())
+	return wire.AppendSum(b)
 }
 
 // Unseal verifies a record end to end — magic, version, checksum, framing,
@@ -125,33 +124,28 @@ func Unseal(record []byte, wantKey string) ([]byte, error) {
 	if len(record) < len(recMagic)+1+8 {
 		return nil, fmt.Errorf("%w: short record (%d bytes)", ErrCorrupt, len(record))
 	}
-	body, trailer := record[:len(record)-8], record[len(record)-8:]
-	h := fnv.New64a()
-	h.Write(body)
-	if binary.BigEndian.Uint64(trailer) != h.Sum64() {
+	body, ok := wire.SplitSum(record)
+	if !ok {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	if string(body[:len(recMagic)]) != recMagic {
+	d := wire.NewDecoder(body)
+	if string(d.Take(len(recMagic))) != recMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if body[len(recMagic)] != recVersion {
-		return nil, fmt.Errorf("%w: stale format version %d", ErrCorrupt, body[len(recMagic)])
+	if v := d.Byte(); v != recVersion {
+		return nil, fmt.Errorf("%w: stale format version %d", ErrCorrupt, v)
 	}
-	rest := body[len(recMagic)+1:]
-	klen, n := binary.Uvarint(rest)
-	if n <= 0 || klen > uint64(len(rest)-n) {
+	key := d.Bytes()
+	if d.Err() != nil {
 		return nil, fmt.Errorf("%w: bad key framing", ErrCorrupt)
 	}
-	key := string(rest[n : n+int(klen)])
-	rest = rest[n+int(klen):]
-	plen, n := binary.Uvarint(rest)
-	if n <= 0 || plen != uint64(len(rest)-n) {
+	if n := d.Uvarint(); d.Err() != nil || n != uint64(d.Len()) {
 		return nil, fmt.Errorf("%w: bad payload framing", ErrCorrupt)
 	}
-	if wantKey != "" && key != wantKey {
+	if wantKey != "" && string(key) != wantKey {
 		return nil, fmt.Errorf("%w: key mismatch", ErrCorrupt)
 	}
-	return rest[n:], nil
+	return d.Take(d.Len()), nil
 }
 
 // Stats snapshots the store's counters.

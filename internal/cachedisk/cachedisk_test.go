@@ -3,6 +3,7 @@ package cachedisk
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -40,6 +41,25 @@ func TestSealUnsealRoundtrip(t *testing.T) {
 	// Empty payloads and empty keys are legal frames.
 	if _, err := Unseal(Seal("", nil), ""); err != nil {
 		t.Fatalf("empty frame: %v", err)
+	}
+}
+
+// TestSealPinnedBytes pins the QDSK record framing: records written by an
+// earlier build must keep loading.
+func TestSealPinnedBytes(t *testing.T) {
+	key := "fingerprint\x00goal Δ"
+	payload := []byte("QPV\x01verdict\x00\xff")
+	const want = "5144534b011366696e6765727072696e7400676f616c20ce940d515056017665726469637400ffe147ba9f08055f0c"
+	if got := hex.EncodeToString(Seal(key, payload)); got != want {
+		t.Errorf("sealed\n got %s\nwant %s", got, want)
+	}
+	rec, _ := hex.DecodeString(want)
+	got, err := Unseal(rec, key)
+	if err != nil {
+		t.Fatalf("Unseal: %v", err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Errorf("payload: got %q want %q", got, payload)
 	}
 }
 

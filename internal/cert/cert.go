@@ -10,9 +10,11 @@
 // never searches: a step either checks in one bounded pass or the
 // certificate is rejected.
 //
-// The package intentionally depends only on the standard library so
-// that the trusted computing base for a replayed verdict is this
-// package plus the clausifier that produced the problem clauses.
+// The package intentionally depends only on the standard library and
+// internal/wire, the byte cursor and checksum of every persisted format,
+// which itself imports only the standard library, so that the trusted
+// computing base for a replayed verdict is these two packages plus the
+// clausifier that produced the problem clauses.
 package cert
 
 import "errors"

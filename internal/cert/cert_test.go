@@ -2,9 +2,12 @@ package cert
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -257,6 +260,36 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodePinnedBytes pins the QCRT1 byte form: certificates travel inside
+// disk and peer records, so a stored certificate must keep decoding.
+func TestEncodePinnedBytes(t *testing.T) {
+	a, b := MkLit(0, false), MkLit(1, false)
+	c := &Certificate{
+		Terms: []Term{intT(-300), app("f", 0), app("p", 1)},
+		Atoms: []Atom{{Op: PredOp, L: 2, R: -1}, {Op: OpLe, L: 1, R: 0}},
+		Clauses: [][]Lit{
+			{a, b}, {a.Neg()}, {b.Neg()},
+		},
+		Steps: []Step{
+			{Kind: StepRUP, Lits: []Lit{b}, Premises: []int32{0, 1}},
+			{Kind: StepTheory, Expl: ExplTheory, Lits: []Lit{a.Neg(), b.Neg()}},
+		},
+		Key: "goal Δ",
+	}
+	const want = "51435254310301d7040001660100000170010102010401060200030200020101010302000001020102000101000201030007676f616c20ce94072b9e63d424e927"
+	if got := hex.EncodeToString(Encode(c)); got != want {
+		t.Errorf("encoded\n got %s\nwant %s", got, want)
+	}
+	data, _ := hex.DecodeString(want)
+	got, err := Decode(data)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(got, c) {
+		t.Errorf("decoded\n got %#v\nwant %#v", got, c)
+	}
+}
+
 // normalize maps nil and empty slices to one form for DeepEqual.
 func normalize(c *Certificate) *Certificate {
 	out := &Certificate{Key: c.Key}
@@ -312,6 +345,40 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	// Trailing garbage shifts the trailer: checksum mismatch.
 	if _, err := Decode(append(append([]byte(nil), data...), 0xAB)); err == nil {
 		t.Fatal("trailing byte accepted")
+	}
+}
+
+// TestDecodeBounds trips each bound of the decoder on input whose checksum is
+// intact: a count the remaining bytes cannot hold (which would otherwise size
+// an allocation), an atom operator outside int8, an atom operand outside
+// int32, and a literal outside 32 bits.
+func TestDecodeBounds(t *testing.T) {
+	enc := func(parts ...[]byte) []byte {
+		b := []byte(encMagic)
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+		return fixChecksum(append(b, make([]byte, 8)...))
+	}
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	sv := func(v int64) []byte { return binary.AppendVarint(nil, v) }
+	cases := []struct {
+		name string
+		data []byte
+		want error
+		msg  string
+	}{
+		{"term count", enc(uv(1<<40), uv(0)), ErrTruncated, ""},
+		{"atom count", enc(uv(0), uv(4), sv(0), sv(0), sv(0)), ErrTruncated, ""},
+		{"atom op", enc(uv(0), uv(1), sv(200), sv(0), sv(-1), uv(0), uv(0), uv(0)), ErrMalformed, "atom field overflow"},
+		{"atom operand", enc(uv(0), uv(1), sv(0), sv(1<<33), sv(0), uv(0), uv(0), uv(0)), ErrMalformed, "atom field overflow"},
+		{"literal", enc(uv(0), uv(0), uv(1), uv(1), uv(1<<33), uv(0), uv(0)), ErrMalformed, "32-bit value overflow"},
+	}
+	for _, tc := range cases {
+		_, err := Decode(tc.data)
+		if !errors.Is(err, tc.want) || !strings.Contains(fmt.Sprint(err), tc.msg) {
+			t.Errorf("%s: got %v, want %v %q", tc.name, err, tc.want, tc.msg)
+		}
 	}
 }
 

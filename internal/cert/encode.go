@@ -4,16 +4,29 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
+
+	"repro/internal/wire"
 )
 
-// Binary certificate encoding: a magic header, varint-framed sections
-// in declaration order, and an FNV-64a checksum trailer over
-// everything before it. The format is deliberately simple — the
-// decoder bounds-checks every count against the remaining input so a
-// corrupted length cannot allocate unboundedly, and any trailing
-// bytes, bad magic, or checksum mismatch is a decode error.
+// The QCRT1 byte form: the magic "QCRT1"; the terms, atoms, clauses and
+// steps, each section a uvarint count followed by its elements; the key as a
+// uvarint-length-prefixed string; and a checksum trailer, FNV-64a over
+// everything before it as 8 big-endian bytes (wire.AppendSum).
+//
+//   - A term is a kind byte, then for kind 1 (an integer) its zig-zag
+//     varint value, and for kind 0 its length-prefixed function name and a
+//     counted list of argument indexes.
+//   - An atom is three zig-zag varints: Op, L and R.
+//   - A clause is a counted list of literals. A literal, an argument and a
+//     premise are each the uvarint of their 32 bits.
+//   - A step is its Kind and Expl bytes, a counted list of literals, and a
+//     premise flag byte: 0 for nil premises, 1 followed by a counted list.
+//
+// Decode reads through one wire.Decoder, which bounds every count by the
+// bytes that remain, so a corrupted length cannot allocate unboundedly. A
+// wrong magic, a checksum mismatch, a field out of range or trailing bytes
+// is an error.
 
 const encMagic = "QCRT1"
 
@@ -25,153 +38,83 @@ var (
 	ErrChecksum = errors.New("cert: checksum mismatch")
 )
 
-type encBuf struct{ b []byte }
-
-func (e *encBuf) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *encBuf) varint(v int64)   { e.b = binary.AppendVarint(e.b, v) }
-func (e *encBuf) str(s string)     { e.uvarint(uint64(len(s))); e.b = append(e.b, s...) }
-func (e *encBuf) lits(lits []Lit) {
-	e.uvarint(uint64(len(lits)))
-	for _, l := range lits {
-		e.uvarint(uint64(uint32(l)))
+// appendIndexes appends a counted list of 32-bit values.
+func appendIndexes[T Lit | int32](b []byte, vs []T) []byte {
+	b = binary.AppendUvarint(b, uint64(len(vs)))
+	for _, v := range vs {
+		b = binary.AppendUvarint(b, uint64(uint32(v)))
 	}
+	return b
 }
 
 // Encode serializes the certificate.
 func Encode(c *Certificate) []byte {
-	var e encBuf
-	e.b = append(e.b, encMagic...)
-	e.uvarint(uint64(len(c.Terms)))
+	b := append([]byte(nil), encMagic...)
+	b = binary.AppendUvarint(b, uint64(len(c.Terms)))
 	for i := range c.Terms {
 		t := &c.Terms[i]
 		if t.IsInt {
-			e.b = append(e.b, 1)
-			e.varint(t.Int)
+			b = append(b, 1)
+			b = binary.AppendVarint(b, t.Int)
 			continue
 		}
-		e.b = append(e.b, 0)
-		e.str(t.Fn)
-		e.uvarint(uint64(len(t.Args)))
-		for _, a := range t.Args {
-			e.uvarint(uint64(uint32(a)))
-		}
+		b = append(b, 0)
+		b = wire.AppendString(b, t.Fn)
+		b = appendIndexes(b, t.Args)
 	}
-	e.uvarint(uint64(len(c.Atoms)))
-	for i := range c.Atoms {
-		a := &c.Atoms[i]
-		e.varint(int64(a.Op))
-		e.varint(int64(a.L))
-		e.varint(int64(a.R))
+	b = binary.AppendUvarint(b, uint64(len(c.Atoms)))
+	for _, a := range c.Atoms {
+		b = binary.AppendVarint(b, int64(a.Op))
+		b = binary.AppendVarint(b, int64(a.L))
+		b = binary.AppendVarint(b, int64(a.R))
 	}
-	e.uvarint(uint64(len(c.Clauses)))
+	b = binary.AppendUvarint(b, uint64(len(c.Clauses)))
 	for _, cl := range c.Clauses {
-		e.lits(cl)
+		b = appendIndexes(b, cl)
 	}
-	e.uvarint(uint64(len(c.Steps)))
+	b = binary.AppendUvarint(b, uint64(len(c.Steps)))
 	for i := range c.Steps {
 		st := &c.Steps[i]
-		e.b = append(e.b, st.Kind, st.Expl)
-		e.lits(st.Lits)
+		b = append(b, st.Kind, st.Expl)
+		b = appendIndexes(b, st.Lits)
 		if st.Premises == nil {
-			e.b = append(e.b, 0)
+			b = append(b, 0)
 		} else {
-			e.b = append(e.b, 1)
-			e.uvarint(uint64(len(st.Premises)))
-			for _, p := range st.Premises {
-				e.uvarint(uint64(uint32(p)))
-			}
+			b = append(b, 1)
+			b = appendIndexes(b, st.Premises)
 		}
 	}
-	e.str(c.Key)
-	h := fnv.New64a()
-	h.Write(e.b)
-	e.b = binary.BigEndian.AppendUint64(e.b, h.Sum64())
-	return e.b
+	b = wire.AppendString(b, c.Key)
+	return wire.AppendSum(b)
 }
 
-type decBuf struct{ b []byte }
-
-func (d *decBuf) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		return 0, ErrTruncated
-	}
-	d.b = d.b[n:]
-	return v, nil
+// decoder is a wire.Decoder that also keeps the first malformed field. Every
+// read after a truncation returns zero, which no field check refuses, so the
+// first error in the input is whichever of the two came first.
+type decoder struct {
+	wire.Decoder
+	malformed error
 }
 
-func (d *decBuf) varint() (int64, error) {
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		return 0, ErrTruncated
+// reject records a malformed field unless an earlier one, or a truncation,
+// came first.
+func (d *decoder) reject(format string, args ...any) {
+	if d.malformed == nil && d.Err() == nil {
+		d.malformed = fmt.Errorf("%w: %s", ErrMalformed, fmt.Sprintf(format, args...))
 	}
-	d.b = d.b[n:]
-	return v, nil
 }
 
-func (d *decBuf) byte() (byte, error) {
-	if len(d.b) == 0 {
-		return 0, ErrTruncated
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v, nil
-}
-
-// count reads a collection length and bounds-checks it against the
-// remaining input, where each element costs at least min bytes.
-func (d *decBuf) count(min int) (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if min < 1 {
-		min = 1
-	}
-	if v > uint64(len(d.b)/min) {
-		return 0, ErrTruncated
-	}
-	return int(v), nil
-}
-
-func (d *decBuf) str() (string, error) {
-	n, err := d.count(1)
-	if err != nil {
-		return "", err
-	}
-	if n > len(d.b) {
-		return "", ErrTruncated
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s, nil
-}
-
-func (d *decBuf) i32() (int32, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxUint32 {
-		return 0, fmt.Errorf("%w: 32-bit value overflow", ErrMalformed)
-	}
-	return int32(uint32(v)), nil
-}
-
-func (d *decBuf) lits() ([]Lit, error) {
-	n, err := d.count(1)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Lit, n)
+// indexes reads a counted list of 32-bit values.
+func indexes[T Lit | int32](d *decoder) []T {
+	out := make([]T, d.Count(1))
 	for i := range out {
-		v, err := d.i32()
-		if err != nil {
-			return nil, err
+		v := d.Uvarint()
+		if v > math.MaxUint32 {
+			d.reject("32-bit value overflow")
 		}
-		out[i] = Lit(v)
+		out[i] = T(int32(uint32(v)))
 	}
-	return out, nil
+	return out
 }
 
 // Decode parses an encoded certificate, verifying the magic header,
@@ -185,126 +128,55 @@ func Decode(data []byte) (*Certificate, error) {
 	if string(data[:len(encMagic)]) != encMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrMalformed)
 	}
-	body, trailer := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	h.Write(body)
-	if binary.BigEndian.Uint64(trailer) != h.Sum64() {
+	body, ok := wire.SplitSum(data)
+	if !ok {
 		return nil, ErrChecksum
 	}
-	d := &decBuf{b: body[len(encMagic):]}
-	c := &Certificate{}
-	nt, err := d.count(1)
-	if err != nil {
-		return nil, err
-	}
-	c.Terms = make([]Term, nt)
+	d := &decoder{Decoder: *wire.NewDecoder(body[len(encMagic):])}
+	c := &Certificate{Terms: make([]Term, d.Count(1))}
 	for i := range c.Terms {
-		kind, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		switch kind {
+		switch kind := d.Byte(); kind {
 		case 1:
-			v, err := d.varint()
-			if err != nil {
-				return nil, err
-			}
-			c.Terms[i] = Term{Int: v, IsInt: true}
+			c.Terms[i] = Term{Int: d.Varint(), IsInt: true}
 		case 0:
-			fn, err := d.str()
-			if err != nil {
-				return nil, err
-			}
-			na, err := d.count(1)
-			if err != nil {
-				return nil, err
-			}
-			args := make([]int32, na)
-			for j := range args {
-				if args[j], err = d.i32(); err != nil {
-					return nil, err
-				}
-			}
-			c.Terms[i] = Term{Fn: fn, Args: args}
+			c.Terms[i] = Term{Fn: d.Text(), Args: indexes[int32](d)}
 		default:
-			return nil, fmt.Errorf("%w: bad term kind %d", ErrMalformed, kind)
+			d.reject("bad term kind %d", kind)
 		}
 	}
-	na, err := d.count(3)
-	if err != nil {
-		return nil, err
-	}
-	c.Atoms = make([]Atom, na)
+	c.Atoms = make([]Atom, d.Count(3))
 	for i := range c.Atoms {
-		op, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		l, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		r, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
+		op, l, r := d.Varint(), d.Varint(), d.Varint()
 		if op < math.MinInt8 || op > math.MaxInt8 || l < math.MinInt32 || l > math.MaxInt32 || r < math.MinInt32 || r > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: atom field overflow", ErrMalformed)
+			d.reject("atom field overflow")
 		}
 		c.Atoms[i] = Atom{Op: int8(op), L: int32(l), R: int32(r)}
 	}
-	nc, err := d.count(1)
-	if err != nil {
-		return nil, err
-	}
-	c.Clauses = make([][]Lit, nc)
+	c.Clauses = make([][]Lit, d.Count(1))
 	for i := range c.Clauses {
-		if c.Clauses[i], err = d.lits(); err != nil {
-			return nil, err
-		}
+		c.Clauses[i] = indexes[Lit](d)
 	}
-	ns, err := d.count(3)
-	if err != nil {
-		return nil, err
-	}
-	c.Steps = make([]Step, ns)
+	c.Steps = make([]Step, d.Count(3))
 	for i := range c.Steps {
 		st := &c.Steps[i]
-		if st.Kind, err = d.byte(); err != nil {
-			return nil, err
-		}
-		if st.Expl, err = d.byte(); err != nil {
-			return nil, err
-		}
-		if st.Lits, err = d.lits(); err != nil {
-			return nil, err
-		}
-		hasPrem, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		switch hasPrem {
+		st.Kind, st.Expl = d.Byte(), d.Byte()
+		st.Lits = indexes[Lit](d)
+		switch flag := d.Byte(); flag {
 		case 0:
 		case 1:
-			np, err := d.count(1)
-			if err != nil {
-				return nil, err
-			}
-			st.Premises = make([]int32, np)
-			for j := range st.Premises {
-				if st.Premises[j], err = d.i32(); err != nil {
-					return nil, err
-				}
-			}
+			st.Premises = indexes[int32](d)
 		default:
-			return nil, fmt.Errorf("%w: bad premise flag %d", ErrMalformed, hasPrem)
+			d.reject("bad premise flag %d", flag)
 		}
 	}
-	if c.Key, err = d.str(); err != nil {
-		return nil, err
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(d.b))
+	c.Key = d.Text()
+	switch {
+	case d.malformed != nil:
+		return nil, d.malformed
+	case d.Err() != nil:
+		return nil, ErrTruncated
+	case d.Len() != 0:
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, d.Len())
 	}
 	return c, nil
 }

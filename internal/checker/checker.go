@@ -24,58 +24,54 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: [%s] %s", d.Pos, d.Code, d.Msg)
 }
 
-// Stats aggregates the counts the paper's evaluation tables report.
+// Stats aggregates the counts the paper's evaluation tables report. Its
+// JSON form is the "stats" object of qualserve's /check and /check-batch
+// answers, which carries the six tagged counters.
 type Stats struct {
 	// Dereferences is the number of dereference sites (including desugared
 	// array indexing), the denominator of Table 1.
-	Dereferences int
+	Dereferences int `json:"dereferences"`
 	// Annotations counts qualifier occurrences in declared types, per
 	// qualifier name.
-	Annotations map[string]int
+	Annotations map[string]int `json:"-"`
 	// QualCasts counts casts to types carrying each qualifier.
-	QualCasts map[string]int
+	QualCasts map[string]int `json:"-"`
 	// RefUses counts r-value occurrences of each reference-qualified
 	// variable (the "references validated" count of section 6.2 when the
 	// program checks cleanly).
-	RefUses map[string]int
+	RefUses map[string]int `json:"-"`
 	// RestrictChecks / RestrictFailures count restrict-clause applications.
-	RestrictChecks   int
-	RestrictFailures int
+	RestrictChecks   int `json:"restrict_checks"`
+	RestrictFailures int `json:"restrict_failures"`
 	// MemoHits / MemoMisses count qualifier-derivation memo lookups (the
 	// per-AST-node qualSet cache), the checker's analogue of the prover's
 	// cache counters.
-	MemoHits   int
-	MemoMisses int
+	MemoHits   int `json:"-"`
+	MemoMisses int `json:"-"`
 	// FuncCacheHits / FuncCacheMisses / FuncCacheCoalesced count
 	// function-granular result cache lookups (CheckWithCache only; zero
 	// otherwise) by the cache's own rule (see tiercache.Source). A hit means
 	// the function's body walk was skipped and its cached diagnostics
-	// replayed, whichever tier served them.
-	FuncCacheHits      int
-	FuncCacheMisses    int
-	FuncCacheCoalesced int
+	// replayed, whichever tier served them. Coalesced lookups joined another
+	// request's in-flight fill instead of walking the body themselves.
+	FuncCacheHits      int `json:"func_cache_hits"`
+	FuncCacheMisses    int `json:"func_cache_misses"`
+	FuncCacheCoalesced int `json:"func_cache_coalesced"`
 }
 
-// newStats returns zero statistics with their maps allocated, ready to add
-// into.
+// newStats returns zero statistics with their maps allocated: the engine
+// counts into them, and every Result carries them.
 func newStats() Stats {
 	return Stats{Annotations: map[string]int{}, QualCasts: map[string]int{}, RefUses: map[string]int{}}
 }
 
-// add folds o into s. s's maps must be allocated unless o's are empty; o's
-// may be nil (a child engine's are, and so are a function record's), which
-// adds nothing to them.
-func (s *Stats) add(o Stats) {
+// Add folds o into s, allocating a map of s on the first entry it receives;
+// o's maps may be nil (a child engine's are, and so are a function record's).
+func (s *Stats) Add(o Stats) {
 	s.Dereferences += o.Dereferences
-	for k, v := range o.Annotations {
-		s.Annotations[k] += v
-	}
-	for k, v := range o.QualCasts {
-		s.QualCasts[k] += v
-	}
-	for k, v := range o.RefUses {
-		s.RefUses[k] += v
-	}
+	addCounts(&s.Annotations, o.Annotations)
+	addCounts(&s.QualCasts, o.QualCasts)
+	addCounts(&s.RefUses, o.RefUses)
 	s.RestrictChecks += o.RestrictChecks
 	s.RestrictFailures += o.RestrictFailures
 	s.MemoHits += o.MemoHits
@@ -83,6 +79,16 @@ func (s *Stats) add(o Stats) {
 	s.FuncCacheHits += o.FuncCacheHits
 	s.FuncCacheMisses += o.FuncCacheMisses
 	s.FuncCacheCoalesced += o.FuncCacheCoalesced
+}
+
+// addCounts adds src's counts into *dst, allocating it for the first entry.
+func addCounts(dst *map[string]int, src map[string]int) {
+	if len(src) > 0 && *dst == nil {
+		*dst = make(map[string]int, len(src))
+	}
+	for k, v := range src {
+		(*dst)[k] += v
+	}
 }
 
 // Result is the outcome of qualifier checking.
@@ -290,7 +296,7 @@ func checkProgram(ctx context.Context, c *scheduler.Ctx, prog *cminor.Program, t
 	}, func() {
 		for _, w := range walks {
 			en.diags = append(en.diags, w.diags...)
-			en.stats.add(w.stats)
+			en.stats.Add(w.stats)
 		}
 		en.addrOfPass()
 		done(en.finishResult(ctx))

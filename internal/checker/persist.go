@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cachedisk"
 	"repro/internal/tiercache"
+	"repro/internal/wire"
 )
 
 // FileRecord, the one record both tiers of the checker's cache hold, and the
@@ -89,7 +90,7 @@ func (r *FileRecord) replay(file string, base int, diags []Diagnostic, s *Stats)
 		d.Pos.File, d.Pos.Line = file, base+d.Pos.Line
 		diags = append(diags, d)
 	}
-	s.add(r.Stats)
+	s.Add(r.Stats)
 	return diags
 }
 
@@ -159,11 +160,7 @@ func (c *FuncCache) storeFile(key, name string, res *Result) {
 // typical function allocates nothing.
 func sealFileRecord(r *FileRecord) uint64 {
 	var buf [512]byte
-	h := uint64(14695981039346656037) // FNV-64a offset basis
-	for _, c := range appendFileRecordBody(buf[:0], r) {
-		h = (h ^ uint64(c)) * 1099511628211 // FNV-64a prime
-	}
-	return h
+	return wire.FNV64a(appendFileRecordBody(buf[:0], r))
 }
 
 // appendFileRecordBody appends a record's fields in their persisted layout:
@@ -182,7 +179,7 @@ func appendFileRecordBody(b []byte, r *FileRecord) []byte {
 		sort.Strings(keys)
 		b = binary.AppendUvarint(b, uint64(len(keys)))
 		for _, k := range keys {
-			b = tiercache.AppendString(b, k)
+			b = wire.AppendString(b, k)
 			b = binary.AppendUvarint(b, uint64(m[k]))
 		}
 	}
@@ -190,8 +187,8 @@ func appendFileRecordBody(b []byte, r *FileRecord) []byte {
 	for _, d := range r.Diags {
 		b = binary.AppendUvarint(b, uint64(d.Pos.Line))
 		b = binary.AppendUvarint(b, uint64(d.Pos.Col))
-		b = tiercache.AppendString(b, d.Code)
-		b = tiercache.AppendString(b, d.Msg)
+		b = wire.AppendString(b, d.Code)
+		b = wire.AppendString(b, d.Msg)
 	}
 	return b
 }
@@ -215,14 +212,14 @@ func decodeFileRecord(data []byte) (*FileRecord, error) {
 	if len(data) < len(fileRecordMagic)+1+8 {
 		return nil, fmt.Errorf("short file-record payload")
 	}
-	if string(data[:len(fileRecordMagic)]) != fileRecordMagic {
+	d := wire.NewDecoder(data[:len(data)-8])
+	if string(d.Take(len(fileRecordMagic))) != fileRecordMagic {
 		return nil, fmt.Errorf("bad file-record magic")
 	}
-	if v := data[len(fileRecordMagic)]; v != fileRecordVersion {
+	if v := d.Byte(); v != fileRecordVersion {
 		return nil, fmt.Errorf("stale file-record version %d", v)
 	}
 	storedSeal := binary.BigEndian.Uint64(data[len(data)-8:])
-	d := tiercache.NewDecoder(data[len(fileRecordMagic)+1 : len(data)-8])
 	r := &FileRecord{}
 	s := &r.Stats
 	for _, n := range []*int{&s.Dereferences, &s.RestrictChecks, &s.RestrictFailures, &s.MemoHits, &s.MemoMisses, &s.FuncCacheHits} {

@@ -2,6 +2,7 @@ package checker
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"maps"
@@ -191,6 +192,24 @@ func TestFileRecordDecodeRejectsHostileBytes(t *testing.T) {
 	huge := append([]byte(fileRecordMagic), fileRecordVersion)
 	huge = append(huge, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f)
 	reject("counter list too long", append(huge, make([]byte, 8)...))
+}
+
+// TestFileRecordDecodeBounds trips each list bound of the decoder with a
+// length no record could hold, before any element is read.
+func TestFileRecordDecodeBounds(t *testing.T) {
+	counters := append([]byte(fileRecordMagic), fileRecordVersion, 0, 0, 0, 0, 0, 0)
+	for _, tc := range []struct {
+		want string
+		body []byte
+	}{
+		{"counter list too long", binary.AppendUvarint(nil, maxPersistCounts+1)},
+		{"diagnostic list too long", binary.AppendUvarint([]byte{0, 0, 0}, maxPersistDiags+1)},
+	} {
+		data := append(append(append([]byte(nil), counters...), tc.body...), make([]byte, 8)...)
+		if _, err := decodeFileRecord(data); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("got %v, want %q", err, tc.want)
+		}
+	}
 }
 
 func TestFuncCacheDiskWarmRestart(t *testing.T) {

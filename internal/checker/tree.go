@@ -162,7 +162,7 @@ func (tc *TreeChecker) CheckTree(ctx context.Context, root string) (*TreeResult,
 		Stats: newStats(),
 	}
 	for i := range results {
-		res.Stats.add(results[i].Stats)
+		res.Stats.Add(results[i].Stats)
 	}
 	res.Duration = time.Since(start)
 	return res, nil

@@ -100,6 +100,17 @@ var goldenErrorInputs = []string{
 	"int #x;",
 	"void f() { while (1) }",
 	"struct",
+	// Rejected expressions holding two calls: the error names the first in
+	// source order, and a parse error later in the declaration comes first.
+	"void h() { int x; x = f(1) + g(2); }",
+	"void h() { if (f(g(1)) < k(2)) {} }",
+	"void h() { int a = f(1), b = 2 * g(3) - k(4); }",
+	"int a = 1, b = (f(1))[g(2)];",
+	"void h() { return -f(1) * g(2); }",
+	"void h() { int x; x += (f(1)) + g(2); }",
+	"void h() { while (x < f(1) && g(2)) {} }",
+	"int a = f(1) + g(2), b = ;",
+	"void h() { for (int i = f(1) + g(2), j = 1; i; i++) {} }",
 }
 
 // parseReport renders the golden's contents.

@@ -32,7 +32,15 @@ type Parser struct {
 	stmts  []Stmt
 	params []Param
 	args   []Expr
-	decls  []*VarDecl
+	decls  []declarator
+	// calls counts the call nodes built so far. A call may only be a whole
+	// statement or a whole right-hand side, so every other expression site
+	// is a window (openCalls/closeCalls) that refuses the first call built
+	// in it; callMark is calls when the innermost open window began, and
+	// firstCall is the first call built since then.
+	calls     int
+	callMark  int
+	firstCall *callExpr
 	// lines and lineOff are the span cursor: line lines+1 starts at byte
 	// lineOff. Functions come in source order, so it only moves forward.
 	lines   int
@@ -278,13 +286,11 @@ func (p *Parser) parseTopLevel(prog *Program) error {
 		return err
 	}
 	for _, d := range decls {
-		if d.Init != nil {
-			if err := rejectCall(d.Init); err != nil {
-				return err
-			}
+		if d.call != nil {
+			return d.call.misplaced()
 		}
+		prog.Globals = append(prog.Globals, d.VarDecl)
 	}
-	prog.Globals = append(prog.Globals, decls...)
 	return nil
 }
 
@@ -351,7 +357,7 @@ func (p *Parser) parseStructDef() (*StructDef, error) {
 // type and first name, handling arrays, initializers, and comma-separated
 // declarator lists; it consumes the trailing ';'. The returned slice is the
 // parser's and the next call reuses it.
-func (p *Parser) parseDeclarators(typ Type, first Token) ([]*VarDecl, error) {
+func (p *Parser) parseDeclarators(typ Type, first Token) ([]declarator, error) {
 	out := p.decls[:0]
 	name := first
 	for {
@@ -376,14 +382,17 @@ func (p *Parser) parseDeclarators(typ Type, first Token) ([]*VarDecl, error) {
 		if err != nil {
 			return nil, err
 		}
+		var call *callExpr
 		if ok {
+			outer := p.openCalls()
 			init, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
 			decl.Init = init // calls are split out or rejected by the caller
+			call = p.closeCalls(outer)
 		}
-		out = append(out, decl)
+		out = append(out, declarator{decl, call})
 		ok, err = p.accept(TokComma)
 		if err != nil {
 			return nil, err
@@ -401,6 +410,13 @@ func (p *Parser) parseDeclarators(typ Type, first Token) ([]*VarDecl, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// declarator is a parsed declarator and the first call its initializer
+// built, or nil.
+type declarator struct {
+	*VarDecl
+	call *callExpr
 }
 
 // parseFuncRest parses a function definition or prototype from its '('
@@ -577,11 +593,8 @@ func (p *Parser) parseOneStmt() (Stmt, error) {
 		}
 		stmt := &Return{Pos: pos}
 		if p.tok.Kind != TokSemi {
-			x, err := p.parseExpr()
+			x, err := p.parseCallFree()
 			if err != nil {
-				return nil, err
-			}
-			if err := rejectCall(x); err != nil {
 				return nil, err
 			}
 			stmt.X = x
@@ -615,11 +628,8 @@ func (p *Parser) parseCond() (Expr, error) {
 	if _, err := p.expect(TokLParen); err != nil {
 		return nil, err
 	}
-	cond, err := p.parseExpr()
+	cond, err := p.parseCallFree()
 	if err != nil {
-		return nil, err
-	}
-	if err := rejectCall(cond); err != nil {
 		return nil, err
 	}
 	if _, err := p.expect(TokRParen); err != nil {
@@ -646,19 +656,19 @@ func (p *Parser) parseLocalDecl() error {
 	for _, d := range decls {
 		// Call initializers are split CIL-style into a declaration plus
 		// a call instruction (figure 2's "int pos d = gcd(a, b);").
-		if d.Init != nil && containsCall(d.Init) {
+		if d.call != nil {
 			init := d.Init
 			d.Init = nil
-			p.stmts = append(p.stmts, &DeclStmt{Pos: d.Pos, Decl: d})
+			p.stmts = append(p.stmts, &DeclStmt{Pos: d.Pos, Decl: d.VarDecl})
 			lv := &VarLV{Pos: d.Pos, Name: d.Name, id: p.id()}
-			instr, err := p.assignOrCall(d.Pos, lv, init)
+			instr, err := p.assignOrCall(d.Pos, lv, init, d.call)
 			if err != nil {
 				return err
 			}
 			p.stmts = append(p.stmts, &InstrStmt{Pos: d.Pos, Instr: instr})
 			continue
 		}
-		p.stmts = append(p.stmts, &DeclStmt{Pos: d.Pos, Decl: d})
+		p.stmts = append(p.stmts, &DeclStmt{Pos: d.Pos, Decl: d.VarDecl})
 	}
 	return nil
 }
@@ -689,12 +699,10 @@ func (p *Parser) parseFor() (Stmt, error) {
 			if len(decls) != 1 {
 				return nil, fmt.Errorf("%s: for-init must declare one variable", pos)
 			}
-			if decls[0].Init != nil {
-				if err := rejectCall(decls[0].Init); err != nil {
-					return nil, err
-				}
+			if c := decls[0].call; c != nil {
+				return nil, c.misplaced()
 			}
-			f.Init = &DeclStmt{Pos: decls[0].Pos, Decl: decls[0]}
+			f.Init = &DeclStmt{Pos: decls[0].Pos, Decl: decls[0].VarDecl}
 		} else {
 			s, err := p.parseSimpleStmt(true)
 			if err != nil {
@@ -706,11 +714,8 @@ func (p *Parser) parseFor() (Stmt, error) {
 		return nil, err
 	}
 	if p.tok.Kind != TokSemi {
-		cond, err := p.parseExpr()
+		cond, err := p.parseCallFree()
 		if err != nil {
-			return nil, err
-		}
-		if err := rejectCall(cond); err != nil {
 			return nil, err
 		}
 		f.Cond = cond
@@ -754,11 +759,12 @@ func (p *Parser) parseSimpleStmt(wantSemi bool) (Stmt, error) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
+		outer := p.openCalls()
 		rhs, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		instr, err = p.assignOrCall(pos, lv, rhs)
+		instr, err = p.assignOrCall(pos, lv, rhs, p.closeCalls(outer))
 		if err != nil {
 			return nil, err
 		}
@@ -784,11 +790,8 @@ func (p *Parser) parseSimpleStmt(wantSemi bool) (Stmt, error) {
 		if err := p.next(); err != nil {
 			return nil, err
 		}
-		rhs, err := p.parseExpr()
+		rhs, err := p.parseCallFree()
 		if err != nil {
-			return nil, err
-		}
-		if err := rejectCall(rhs); err != nil {
 			return nil, err
 		}
 		lv, err := exprToLValue(e)
@@ -813,8 +816,9 @@ func (p *Parser) parseSimpleStmt(wantSemi bool) (Stmt, error) {
 }
 
 // assignOrCall builds the instruction for lv = rhs, turning call and malloc
-// right-hand sides into CallInstr/NewExpr.
-func (p *Parser) assignOrCall(pos Pos, lv LValue, rhs Expr) (Instr, error) {
+// right-hand sides into CallInstr/NewExpr; first is the first call parsing rhs
+// built, or nil.
+func (p *Parser) assignOrCall(pos Pos, lv LValue, rhs Expr, first *callExpr) (Instr, error) {
 	// Unwrap casts to find a call underneath (the paper: "the cast to int*
 	// in the assignment to array is ignored for the purposes of pattern
 	// matching" — we keep the cast but allow the call under it).
@@ -839,8 +843,8 @@ func (p *Parser) assignOrCall(pos Pos, lv LValue, rhs Expr) (Instr, error) {
 			return nil, fmt.Errorf("%s: calls cannot appear under casts; assign to a temporary first", pos)
 		}
 	}
-	if err := rejectCall(rhs); err != nil {
-		return nil, err
+	if first != nil {
+		return nil, first.misplaced()
 	}
 	return &Assign{Pos: pos, LHS: lv, RHS: rhs}, nil
 }
@@ -858,40 +862,41 @@ func (c *callExpr) isExpr()       {}
 func (c *callExpr) ID() NodeID    { return 0 }
 func (c *callExpr) Position() Pos { return c.pos }
 
-// containsCall reports whether e contains a parse-time call node.
-func containsCall(e Expr) bool { return rejectCall(e) != nil }
-
-// rejectCall reports an error if e contains a call (calls are only legal as
-// a whole statement or a whole assignment right-hand side).
-func rejectCall(e Expr) error {
-	switch e := e.(type) {
-	case *callExpr:
-		return fmt.Errorf("%s: call to %s used in expression position; assign it to a temporary first", e.pos, e.fn)
-	case *Unop:
-		return rejectCall(e.X)
-	case *Binop:
-		if err := rejectCall(e.L); err != nil {
-			return err
-		}
-		return rejectCall(e.R)
-	case *Cast:
-		return rejectCall(e.X)
-	case *AddrOf:
-		return rejectCallLV(e.LV)
-	case *LVExpr:
-		return rejectCallLV(e.LV)
-	}
-	return nil
+// misplaced is the error for a call in an expression position.
+func (c *callExpr) misplaced() error {
+	return fmt.Errorf("%s: call to %s used in expression position; assign it to a temporary first", c.pos, c.fn)
 }
 
-func rejectCallLV(lv LValue) error {
-	switch lv := lv.(type) {
-	case *DerefLV:
-		return rejectCall(lv.Addr)
-	case *FieldLV:
-		return rejectCallLV(lv.Base)
+// openCalls begins a call window for the expression parsed next and returns
+// the enclosing window's mark, which closeCalls restores.
+func (p *Parser) openCalls() (outer int) {
+	outer, p.callMark = p.callMark, p.calls
+	return outer
+}
+
+// closeCalls ends the window openCalls began and returns the first call built
+// in it, or nil. A call's arguments are windows that refuse any call, so the
+// first call of a window that built one is the one firstCall holds.
+func (p *Parser) closeCalls(outer int) *callExpr {
+	mark := p.callMark
+	p.callMark = outer
+	if p.calls == mark {
+		return nil
 	}
-	return nil
+	return p.firstCall
+}
+
+// parseCallFree parses an expression that may hold no call.
+func (p *Parser) parseCallFree() (Expr, error) {
+	outer := p.openCalls()
+	x, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if c := p.closeCalls(outer); c != nil {
+		return nil, c.misplaced()
+	}
+	return x, nil
 }
 
 // unwrapLValue is exprToLValue for a parsed expression whose LVExpr wrapper
@@ -1118,11 +1123,8 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			}
 			mark := len(p.args)
 			for p.tok.Kind != TokRParen {
-				a, err := p.parseExpr()
+				a, err := p.parseCallFree()
 				if err != nil {
-					return nil, err
-				}
-				if err := rejectCall(a); err != nil {
 					return nil, err
 				}
 				p.args = append(p.args, a)
@@ -1138,7 +1140,12 @@ func (p *Parser) parsePrimary() (Expr, error) {
 			if _, err := p.expect(TokRParen); err != nil {
 				return nil, err
 			}
-			return &callExpr{pos: pos, fn: name, args: args}, nil
+			c := &callExpr{pos: pos, fn: name, args: args}
+			if p.calls == p.callMark {
+				p.firstCall = c
+			}
+			p.calls++
+			return c, nil
 		}
 		return p.parsePostfix(p.varExpr(pos, name))
 	}

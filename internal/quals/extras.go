@@ -9,31 +9,13 @@ import "repro/internal/qdl"
 
 // Nonneg tracks non-negative integers. Its case block encodes pos as a
 // subtype and closes over addition and multiplication.
-const Nonneg = `
-value qualifier nonneg(int Expr E)
-  case E of
-    decl int Const C:
-      C, where C >= 0
-  | decl int Expr E1:
-      E1, where pos(E1)
-  | decl int Expr E1, E2:
-      E1 + E2, where nonneg(E1) && nonneg(E2)
-  | decl int Expr E1, E2:
-      E1 * E2, where nonneg(E1) && nonneg(E2)
-  invariant value(E) >= 0
-`
+var Nonneg = mustRead("nonneg.qdl")
 
 // Byteval tracks byte-range integers (0..255); its invariant is a
 // conjunction, exercising multi-conjunct invariant translation. Only
 // constants introduce it; arithmetic escapes the range, so anything else
 // needs a (run-time-checked) cast.
-const Byteval = `
-value qualifier byteval(int Expr E)
-  case E of
-    decl int Const C:
-      C, where C >= 0 && C <= 255
-  invariant value(E) >= 0 && value(E) <= 255
-`
+var Byteval = mustRead("byteval.qdl")
 
 // Kernel and User reproduce the user/kernel pointer analysis of Johnson and
 // Wagner (cited in section 2.1.4): dereferences demand kernel pointers, so
@@ -41,23 +23,11 @@ value qualifier byteval(int Expr E)
 // flow through a checked copy routine (modeled as a cast). Both are flow
 // qualifiers plus a restrict: no invariant, soundness is vacuous, and
 // protection comes from subtyping exactly as for untainted.
-const Kernel = `
-value qualifier kernel(T* Expr E)
-  case E of
-    decl T LValue L:
-      &L
-  restrict
-    decl T* Expr E1:
-      *E1, where kernel(E1)
-`
+var Kernel = mustRead("kernel.qdl")
 
 // User marks pointers received from user space; any expression may be
 // considered user (the tainted pattern).
-const User = `
-value qualifier user(T* Expr E)
-  case E of
-    E
-`
+var User = mustRead("user.qdl")
 
 // Constq is the const-style qualifier section 8 targets: a variable whose
 // value never changes after declaration. Its invariant compares the current
@@ -65,13 +35,7 @@ value qualifier user(T* Expr E)
 // conversion); the noassign block (a QDL extension) forbids all assignments
 // after the declaration, which is exactly what makes the invariant
 // preservable.
-const Constq = `
-ref qualifier constq(T Var X)
-  ondecl
-  noassign
-  disallow &X
-  invariant value(X) == initvalue(X)
-`
+var Constq = mustRead("constq.qdl")
 
 // UniqueFresh is figure 5's unique extended with the assign rule the paper
 // wished for in section 2.2.1: "intuitively we can assign a unique l-value

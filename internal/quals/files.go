@@ -1,10 +1,9 @@
 package quals
 
-// FileContents maps the on-disk qualifier definition files shipped in the
+// FileContents maps the qualifier definition files shipped in the
 // repository's qualifiers/ directory to their contents. cmd/qualcheck and
 // cmd/qualprove accept these files directly (e.g. "qualprove
-// qualifiers/pos.qdl"); the TestShippedFilesMatch test keeps them in sync
-// with the embedded sources.
+// qualifiers/pos.qdl").
 func FileContents() map[string]string {
 	out := map[string]string{}
 	for k, v := range Sources() {

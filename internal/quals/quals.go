@@ -2,85 +2,47 @@
 // sources: the value qualifiers pos, neg, nonzero, nonnull (figures 1, 3,
 // 12), the flow qualifiers tainted and untainted (figure 4), and the
 // reference qualifiers unique and unaliased (figures 5 and 7). All of them
-// parse, validate, and are proven sound by the soundness checker.
+// parse, validate, and are proven sound by the soundness checker. Each
+// shipped definition is read from its file in the qualifiers directory
+// (embedded by package qualifiers), the one copy of its text; only the two
+// variants without a file, UntaintedConst and UniqueFresh, are written here.
 package quals
 
 import (
 	"sync"
 
 	"repro/internal/qdl"
+	"repro/qualifiers"
 )
 
+// mustRead returns the shipped definition file name. A missing file is a
+// broken build, so it fails package initialisation.
+func mustRead(name string) string {
+	b, err := qualifiers.Files.ReadFile(name)
+	if err != nil {
+		panic("quals: " + err.Error())
+	}
+	return string(b)
+}
+
 // Pos is figure 1: positive integers.
-const Pos = `
-value qualifier pos(int Expr E)
-  case E of
-    decl int Const C:
-      C, where C > 0
-  | decl int Expr E1, E2:
-      E1 * E2, where pos(E1) && pos(E2)
-  | decl int Expr E1, E2:
-      E1 + E2, where pos(E1) && pos(E2)
-  | decl int Expr E1:
-      -E1, where neg(E1)
-  invariant value(E) > 0
-`
+var Pos = mustRead("pos.qdl")
 
 // Neg is the mutually recursive companion of pos (mentioned in section
 // 2.1.1: "the definition of neg (not shown) has rules that refer to pos").
-const Neg = `
-value qualifier neg(int Expr E)
-  case E of
-    decl int Const C:
-      C, where C < 0
-  | decl int Expr E1, E2:
-      E1 + E2, where neg(E1) && neg(E2)
-  | decl int Expr E1:
-      -E1, where pos(E1)
-  invariant value(E) < 0
-`
+var Neg = mustRead("neg.qdl")
 
 // Nonzero is figure 3: nonzero integers, whose restrict clause checks
 // denominators of divisions.
-const Nonzero = `
-value qualifier nonzero(int Expr E)
-  case E of
-    decl int Const C:
-      C, where C != 0
-  | decl int Expr E1:
-      E1, where pos(E1)
-  | decl int Expr E1:
-      E1, where neg(E1)
-  | decl int Expr E1, E2:
-      E1 * E2, where nonzero(E1) && nonzero(E2)
-  restrict
-    decl int Expr E1, E2:
-      E1 / E2, where nonzero(E2)
-  | decl int Expr E1, E2:
-      E1 % E2, where nonzero(E2)
-  invariant value(E) != 0
-`
+var Nonzero = mustRead("nonzero.qdl")
 
 // Nonnull is figure 12: non-NULL pointers, whose restrict clause checks
 // every dereference in the program.
-const Nonnull = `
-value qualifier nonnull(T* Expr E)
-  case E of
-    decl T LValue L:
-      &L
-  | decl T* Const C:
-      C, where C != NULL
-  restrict
-    decl T* Expr E1:
-      *E1, where nonnull(E1)
-  invariant value(E) != NULL
-`
+var Nonnull = mustRead("nonnull.qdl")
 
 // Untainted is figure 4's untainted: a flow qualifier with no case block
 // (introduced only by casts) and no invariant.
-const Untainted = `
-value qualifier untainted(T Expr E)
-`
+var Untainted = mustRead("untainted.qdl")
 
 // UntaintedConst is the section 6.3 variant augmented with "all constants
 // are trusted": the extra case clause obviates casts on string literals.
@@ -92,30 +54,14 @@ value qualifier untainted(T Expr E)
 `
 
 // Tainted is figure 4's tainted: any expression may be considered tainted.
-const Tainted = `
-value qualifier tainted(T Expr E)
-  case E of
-    E
-`
+var Tainted = mustRead("tainted.qdl")
 
 // Unique is figure 5: an l-value that is NULL or the only reference to a
 // heap location.
-const Unique = `
-ref qualifier unique(T* LValue L)
-  assign L
-    NULL
-  | new
-  disallow L
-  invariant value(L) == NULL || (isHeapLoc(value(L)) && forall T** P: *P == value(L) => P == location(L))
-`
+var Unique = mustRead("unique.qdl")
 
 // Unaliased is figure 7: a variable whose address is never taken.
-const Unaliased = `
-ref qualifier unaliased(T Var X)
-  ondecl
-  disallow &X
-  invariant forall T** P: *P != location(X)
-`
+var Unaliased = mustRead("unaliased.qdl")
 
 // Sources returns the full standard library keyed by file name.
 func Sources() map[string]string {

@@ -70,6 +70,61 @@ func TestCheckBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckStatsPinnedBytes pins the exact "stats" object of a /check answer
+// and of a /check-batch answer that aggregates a warm and a cold input:
+// clients read these six counters by name.
+func TestCheckStatsPinnedBytes(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	src := `
+int nonzero k;
+int div(int* nonnull p, int d) {
+  int x = *p;
+  return x / d;
+}
+int ok(int* nonnull q) {
+  return *q / k;
+}
+`
+	var check struct {
+		Stats json.RawMessage `json:"stats"`
+	}
+	if code := postJSON(t, ts.URL+"/check", CheckRequest{Filename: "a.c", Source: src}, &check); code != http.StatusOK {
+		t.Fatalf("/check status %d", code)
+	}
+	const wantCheck = `{
+    "dereferences": 2,
+    "restrict_checks": 4,
+    "restrict_failures": 1,
+    "func_cache_hits": 0,
+    "func_cache_misses": 2,
+    "func_cache_coalesced": 0
+  }`
+	if got := string(check.Stats); got != wantCheck {
+		t.Errorf("/check stats\n got %s\nwant %s", got, wantCheck)
+	}
+	req := CheckBatchRequest{Files: []BatchInput{
+		{Filename: "a.c", Source: src},
+		{Filename: "b.c", Source: "int* nonnull g;\nvoid bad(int* p) { g = p; }"},
+	}}
+	var batch struct {
+		Stats json.RawMessage `json:"stats"`
+	}
+	if code := postJSON(t, ts.URL+"/check-batch", req, &batch); code != http.StatusOK {
+		t.Fatalf("/check-batch status %d", code)
+	}
+	const wantBatch = `{
+    "dereferences": 2,
+    "restrict_checks": 4,
+    "restrict_failures": 1,
+    "func_cache_hits": 2,
+    "func_cache_misses": 1,
+    "func_cache_coalesced": 0
+  }`
+	if got := string(batch.Stats); got != wantBatch {
+		t.Errorf("/check-batch stats\n got %s\nwant %s", got, wantBatch)
+	}
+}
+
 // TestCheckBatchCoalescing is the acceptance criterion for the batch path:
 // 32 concurrent identical submissions must observe exactly one cache fill
 // (the leader's miss) and 31 coalesced joins in /metrics, and all 32 answers

@@ -413,28 +413,6 @@ type CheckDiagnostic struct {
 	Msg  string `json:"msg"`
 }
 
-// CheckStats is the subset of checker statistics the API exports. Coalesced
-// counts function lookups that joined another request's in-flight cache fill
-// instead of walking the body themselves (the /check-batch dedupe path).
-type CheckStats struct {
-	Dereferences       int `json:"dereferences"`
-	RestrictChecks     int `json:"restrict_checks"`
-	RestrictFailures   int `json:"restrict_failures"`
-	FuncCacheHits      int `json:"func_cache_hits"`
-	FuncCacheMisses    int `json:"func_cache_misses"`
-	FuncCacheCoalesced int `json:"func_cache_coalesced"`
-}
-
-// add accumulates one check run's statistics into s (batch aggregation).
-func (s *CheckStats) add(st checker.Stats) {
-	s.Dereferences += st.Dereferences
-	s.RestrictChecks += st.RestrictChecks
-	s.RestrictFailures += st.RestrictFailures
-	s.FuncCacheHits += st.FuncCacheHits
-	s.FuncCacheMisses += st.FuncCacheMisses
-	s.FuncCacheCoalesced += st.FuncCacheCoalesced
-}
-
 // apiDiagnostics converts checker diagnostics to their JSON form, reporting
 // whether any is an "internal" (failure-containment) diagnostic — the
 // degraded marker meaning the absence of warnings is not a clean bill.
@@ -460,7 +438,7 @@ type CheckResponse struct {
 	Diagnostics   []CheckDiagnostic `json:"diagnostics"`
 	Warnings      int               `json:"warnings"`
 	Degraded      bool              `json:"degraded,omitempty"`
-	Stats         CheckStats        `json:"stats"`
+	Stats         checker.Stats     `json:"stats"`
 	ElapsedMillis int64             `json:"elapsed_ms"`
 }
 
@@ -570,7 +548,7 @@ type CheckBatchResponse struct {
 	Warnings      int               `json:"warnings"`
 	Failures      int               `json:"failures"`
 	Degraded      bool              `json:"degraded,omitempty"`
-	Stats         CheckStats        `json:"stats"`
+	Stats         checker.Stats     `json:"stats"`
 	ElapsedMillis int64             `json:"elapsed_ms"`
 }
 
@@ -628,7 +606,7 @@ func (s *Server) checkInputs(ctx context.Context, reg *qdl.Registry, flow bool, 
 		fr.Diagnostics, fr.Degraded = apiDiagnostics(res.Diags)
 		fr.Warnings = len(fr.Diagnostics)
 		resp.Warnings += fr.Warnings
-		resp.Stats.add(res.Stats)
+		resp.Stats.Add(res.Stats)
 		if fr.Degraded {
 			resp.Degraded = true
 		}

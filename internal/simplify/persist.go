@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cert"
 	"repro/internal/tiercache"
+	"repro/internal/wire"
 )
 
 // Payload format for a persisted prover outcome. This is the *inner* codec:
@@ -36,12 +37,12 @@ func encodeOutcome(out Outcome) []byte {
 	b = binary.AppendUvarint(b, uint64(out.Stats.Instantiations))
 	b = binary.AppendUvarint(b, uint64(out.Stats.GroundClauses))
 	b = binary.AppendUvarint(b, uint64(out.Stats.Decisions))
-	b = tiercache.AppendString(b, out.Reason)
+	b = wire.AppendString(b, out.Reason)
 	b = binary.AppendUvarint(b, uint64(len(out.CounterExample)))
 	for _, lit := range out.CounterExample {
-		b = tiercache.AppendString(b, lit)
+		b = wire.AppendString(b, lit)
 	}
-	b = tiercache.AppendString(b, out.TraceHash)
+	b = wire.AppendString(b, out.TraceHash)
 	var crt []byte
 	if out.Certificate != nil {
 		crt = cert.Encode(out.Certificate)
@@ -56,7 +57,7 @@ func encodeOutcome(out Outcome) []byte {
 // embedded-certificate decode failure is an error — the caller treats the
 // record as corrupt and evicts it.
 func decodeOutcome(data []byte) (Outcome, error) {
-	d := tiercache.NewDecoder(data)
+	d := wire.NewDecoder(data)
 	if string(d.Take(len(outcomeMagic))) != outcomeMagic {
 		return Outcome{}, fmt.Errorf("bad outcome magic")
 	}

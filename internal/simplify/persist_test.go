@@ -2,10 +2,12 @@ package simplify
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cachedisk"
@@ -137,6 +139,16 @@ func TestDecodeOutcomeRejectsHostileBytes(t *testing.T) {
 	mut := append([]byte(nil), good...)
 	mut[len(mut)-10] ^= 0x55
 	reject("corrupt embedded certificate", mut)
+}
+
+// TestDecodeOutcomeBounds trips the counter-example list bound with a length
+// no payload could hold, before any element is read.
+func TestDecodeOutcomeBounds(t *testing.T) {
+	data := append([]byte(outcomeMagic), outcomeVersion, 0, 0, 0, 0, 0, 0)
+	data = binary.AppendUvarint(data, maxPersistList+1)
+	if _, err := decodeOutcome(data); err == nil || !strings.Contains(err.Error(), "counter-example list too long") {
+		t.Errorf("got %v, want the counter-example list bound", err)
+	}
 }
 
 func TestCacheDiskTierWarmRestart(t *testing.T) {

@@ -5,7 +5,8 @@
 // singleflight coalescing of concurrent fills, disk write-through, the
 // disk-then-peer probe on a memory miss, eviction of refused entries at
 // their source, and the counters. Each user supplies its key derivation, a
-// Codec for the persisted payload, and per lookup an admit gate and a fill.
+// Codec for the persisted payload (laid out with internal/wire, inside
+// cachedisk's record framing), and per lookup an admit gate and a fill.
 //
 // Trust checks plug in at two places: Codec.Decode runs on every disk and
 // peer payload, and admit runs on a value from any tier, told which tier

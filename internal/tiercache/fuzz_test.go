@@ -1,6 +1,7 @@
 package tiercache_test
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -17,21 +18,45 @@ import (
 )
 
 // FuzzPayloadDecoders feeds arbitrary bytes to both payload decoders, the
-// prover's outcome records (QPV) and the checker's file records (QFR).
-// Their input comes from disk (and, for outcomes, from peers), so neither may
-// panic, and any value a decoder accepts must survive encode→decode
-// unchanged.
+// prover's outcome records (QPV) and the checker's file records (QFR), and to
+// the record framing around them (cachedisk's QDSK). Their input comes from
+// disk (and, for outcomes, from peers), so none may panic, and any value a
+// decoder accepts must survive encode→decode unchanged. The same bytes, as a
+// payload, must come back unchanged from Unseal(Seal(k, data), k) and be
+// refused under any other key.
 func FuzzPayloadDecoders(f *testing.F) {
-	prover, filePayloads := seedCaches(f)
+	prover, records := seedCaches(f)
 	for _, out := range values(prover) {
 		f.Add(prover.Codec().Encode(out))
 	}
-	for _, payload := range filePayloads {
+	for _, rec := range records {
+		payload, err := cachedisk.Unseal(rec, "")
+		if err != nil {
+			f.Fatal(err)
+		}
 		f.Add(payload)
+		f.Add(rec)
 	}
+	const key = "fuzz key"
 	f.Fuzz(func(t *testing.T, data []byte) {
 		roundTrip(t, prover.Codec(), data)
 		roundTrip(t, checker.FileRecordCodec, data)
+		cachedisk.Unseal(data, "")
+		cachedisk.Unseal(data, key)
+
+		rec := cachedisk.Seal(key, data)
+		got, err := cachedisk.Unseal(rec, key)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("Unseal(Seal(k, %x), k) = %x, %v", data, got, err)
+		}
+		for _, other := range []string{"fuzz ke", "fuzz keY", key + "\x00", string(data)} {
+			if other == "" || other == key {
+				continue
+			}
+			if _, err := cachedisk.Unseal(rec, other); err == nil {
+				t.Fatalf("record sealed under %q unsealed under %q", key, other)
+			}
+		}
 	})
 }
 
@@ -58,7 +83,7 @@ func values[V any](c *tiercache.Cache[V]) []V {
 // seedCaches fills a prover cache with real values, a certified Valid and an
 // Unknown with a counter-example, and checks two files, one clean and one
 // with diagnostics, through a function cache's disk tier. It returns the
-// prover cache and the payloads of the two file records.
+// prover cache and the two sealed file records.
 func seedCaches(f *testing.F) (*simplify.Cache, [][]byte) {
 	opts := simplify.DefaultOptions()
 	opts.EmitCertificates = true
@@ -95,20 +120,16 @@ func seedCaches(f *testing.F) (*simplify.Cache, [][]byte) {
 		f.Fatal(err)
 	}
 	sort.Strings(records)
-	var payloads [][]byte
+	var raws [][]byte
 	for _, path := range records {
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
-		payload, err := cachedisk.Unseal(raw, "")
-		if err != nil {
-			f.Fatal(err)
-		}
-		payloads = append(payloads, payload)
+		raws = append(raws, raw)
 	}
-	if prover.Len() != 2 || len(payloads) != 2 {
-		f.Fatalf("seeded %d outcomes and %d file records, want 2 and 2", prover.Len(), len(payloads))
+	if prover.Len() != 2 || len(raws) != 2 {
+		f.Fatalf("seeded %d outcomes and %d file records, want 2 and 2", prover.Len(), len(raws))
 	}
-	return prover, payloads
+	return prover, raws
 }
