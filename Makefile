@@ -114,14 +114,16 @@ experiments:
 # (never accept or panic on) arbitrary mutations of valid certificates, the
 # prover and function-cache payload decoders must never panic and must
 # round-trip whatever they accept, and the /check handler must answer any
-# body with a contract status and a JSON payload.
+# body with a contract status and a JSON payload. Minimizing a new input is
+# capped at 5 executions: go test's default of 60 s per input can spend the
+# whole budget minimizing instead of fuzzing.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/cminor
-	$(GO) test -run '^$$' -fuzz '^FuzzParseQDL$$' -fuzztime $(FUZZTIME) ./internal/qdl
-	$(GO) test -run '^$$' -fuzz '^FuzzProveGround$$' -fuzztime $(FUZZTIME) ./internal/simplify
-	$(GO) test -run '^$$' -fuzz '^FuzzCertificateReplay$$' -fuzztime $(FUZZTIME) ./internal/cert
-	$(GO) test -run '^$$' -fuzz '^FuzzPayloadDecoders$$' -fuzztime $(FUZZTIME) ./internal/tiercache
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckHandler$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5x ./internal/cminor
+	$(GO) test -run '^$$' -fuzz '^FuzzParseQDL$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5x ./internal/qdl
+	$(GO) test -run '^$$' -fuzz '^FuzzProveGround$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5x ./internal/simplify
+	$(GO) test -run '^$$' -fuzz '^FuzzCertificateReplay$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5x ./internal/cert
+	$(GO) test -run '^$$' -fuzz '^FuzzPayloadDecoders$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5x ./internal/tiercache
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckHandler$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5x ./internal/server
 
 # chaos-smoke runs the fault-injection soak under the race detector: a
 # deterministic subset of the fault catalog armed, 64 concurrent clients,

@@ -11,7 +11,6 @@ import (
 	"repro/internal/cachedisk"
 	"repro/internal/cminor"
 	"repro/internal/faults"
-	"repro/internal/qdl"
 	"repro/internal/tiercache"
 )
 
@@ -181,7 +180,7 @@ func (en *engine) contextKey(opts Options) string {
 	// every function.
 	io.WriteString(h, "fresh\x00")
 	for _, d := range en.reg.Defs() {
-		if !hasFreshAssign(d) {
+		if !d.HasFreshAssign() {
 			continue
 		}
 		for _, f := range en.prog.Funcs {
@@ -189,16 +188,6 @@ func (en *engine) contextKey(opts Options) string {
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// hasFreshAssign reports whether d declares a fresh assign clause.
-func hasFreshAssign(d *qdl.Def) bool {
-	for _, cl := range d.Assigns {
-		if _, ok := cl.Pat.(qdl.PFresh); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // checkFuncCached walks one function on a fresh child engine, consulting and

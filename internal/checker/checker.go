@@ -750,13 +750,7 @@ func (en *engine) checkCallResult(in *cminor.CallInstr, resultType cminor.Type) 
 		if len(d.Assigns) == 0 {
 			continue
 		}
-		ok := false
-		for _, cl := range d.Assigns {
-			if _, isFresh := cl.Pat.(qdl.PFresh); isFresh && en.returnsFresh(in.Fn, q) {
-				ok = true
-			}
-		}
-		if !ok {
+		if !d.HasFreshAssign() || !en.returnsFresh(in.Fn, q) {
 			en.errorf(in.Pos, "assign",
 				"cannot validate assignment of %s's result to %s l-value %s: no assign rule matches a call result",
 				in.Fn, q, cminor.LValueString(in.LHS))
@@ -786,10 +780,8 @@ func (en *engine) freshTransferReturn(lve *cminor.LVExpr) bool {
 		return false
 	}
 	for _, q := range en.refQualsOf(def.Type) {
-		for _, cl := range en.reg.Lookup(q).Assigns {
-			if _, isFresh := cl.Pat.(qdl.PFresh); isFresh {
-				return true
-			}
+		if en.reg.Lookup(q).HasFreshAssign() {
+			return true
 		}
 	}
 	return false

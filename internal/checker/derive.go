@@ -387,7 +387,7 @@ func compileClause(reg *qdl.Registry, d *qdl.Def, cl qdl.Clause) *clause {
 	}
 	if cl.Where != nil {
 		c.where = compilePred(reg, cl.Where, evars)
-		c.quals = predConsultsQuals(cl.Where)
+		c.quals = qdl.ContainsQualCheck(cl.Where)
 	}
 	return c
 }
@@ -404,25 +404,6 @@ func declOf(d *qdl.Def, cl qdl.Clause, name string) (qdl.VarPat, bool) {
 		return d.Subject, true
 	}
 	return qdl.VarPat{}, false
-}
-
-// predConsultsQuals reports whether p contains a qualifier check.
-func predConsultsQuals(p qdl.Pred) bool {
-	switch p := p.(type) {
-	case qdl.PQual:
-		return true
-	case qdl.PAnd:
-		return predConsultsQuals(p.L) || predConsultsQuals(p.R)
-	case qdl.POr:
-		return predConsultsQuals(p.L) || predConsultsQuals(p.R)
-	case qdl.PImp:
-		return predConsultsQuals(p.L) || predConsultsQuals(p.R)
-	case qdl.PNot:
-		return predConsultsQuals(p.P)
-	case qdl.PForall:
-		return predConsultsQuals(p.Body)
-	}
-	return false
 }
 
 // predOp is the operator of a compiled where-predicate.

@@ -271,6 +271,17 @@ func (d *Def) IsFlow() bool {
 	return d.Kind == ValueQualifier && d.Invariant == nil
 }
 
+// HasFreshAssign reports whether the qualifier declares a fresh assign
+// clause (the section 2.2.1 extension).
+func (d *Def) HasFreshAssign() bool {
+	for _, cl := range d.Assigns {
+		if _, ok := cl.Pat.(PFresh); ok {
+			return true
+		}
+	}
+	return false
+}
+
 // ---- Predicates and terms (where-clauses and invariants) ----
 
 // Term is a term in a predicate: value(X), location(X), *X, NULL, integers,

@@ -344,6 +344,11 @@ func TestValidateValueQualifierMisuse(t *testing.T) {
 		// invariant naming the wrong variable
 		`value qualifier q(int Expr E)
 		 invariant value(F) > 0`,
+		// the initvalue ghost in a where clause
+		`value qualifier q(int Expr E)
+		 case E of
+		   decl int Const C: C, where !(C == initvalue(C))
+		 invariant value(E) > 0`,
 	}
 	for i, src := range bad {
 		d, err := ParseOne("bad.qdl", src)

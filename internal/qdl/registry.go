@@ -219,8 +219,8 @@ func walkPred(p Pred, visit func(PQual) error) error {
 	return nil
 }
 
-// containsQualCheck reports whether p contains a qualifier check.
-func containsQualCheck(p Pred) bool {
+// ContainsQualCheck reports whether p contains a qualifier check.
+func ContainsQualCheck(p Pred) bool {
 	found := false
 	walkPred(p, func(PQual) error {
 		found = true
@@ -333,7 +333,7 @@ func checkWherePred(p Pred, declared map[string]VarPat, errf func(string, ...int
 				return err
 			}
 			return checkTerm(t.R)
-		case TValue, TLocation, TDeref:
+		case TValue, TLocation, TDeref, TInitValue:
 			return errf("%s clause at %s: %s is only allowed in invariants", kind, pos, t)
 		}
 		return nil
@@ -364,7 +364,7 @@ func checkWherePred(p Pred, declared map[string]VarPat, errf func(string, ...int
 		// fixpoint non-monotone (a clause could fire and then have its
 		// premise invalidated by a later derivation), so only comparisons
 		// may be negated.
-		if containsQualCheck(p.P) {
+		if ContainsQualCheck(p.P) {
 			return errf("%s clause at %s: qualifier checks may not be negated", kind, pos)
 		}
 		return checkWherePred(p.P, declared, errf, kind, pos)

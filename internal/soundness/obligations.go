@@ -159,98 +159,6 @@ func patternTerm(cl qdl.Clause, cv *clauseVars) (logic.Term, error) {
 	return nil, fmt.Errorf("soundness: unknown pattern %v", cl.Pat)
 }
 
-// whereHypothesis translates a clause's where-predicate into logic: a
-// qualifier check becomes the checked qualifier's invariant (definition
-// 5.1), and constant comparisons become arithmetic over the Const variables.
-func whereHypothesis(reg *qdl.Registry, p qdl.Pred, cv *clauseVars, state logic.Term) (logic.Formula, error) {
-	if p == nil {
-		return logic.TrueF{}, nil
-	}
-	switch p := p.(type) {
-	case qdl.PQual:
-		qd := reg.Lookup(p.Qual)
-		if qd == nil {
-			return nil, fmt.Errorf("soundness: unknown qualifier %s in where clause", p.Qual)
-		}
-		subj, ok := cv.expr[p.Arg]
-		if !ok {
-			return nil, fmt.Errorf("soundness: unbound variable %s in qualifier check", p.Arg)
-		}
-		return valueInvariant(qd, state, subj)
-	case qdl.PCmp:
-		l, err := constTerm(p.L, cv)
-		if err != nil {
-			return nil, err
-		}
-		r, err := constTerm(p.R, cv)
-		if err != nil {
-			return nil, err
-		}
-		return cmpFormula(p.Op, l, r)
-	case qdl.PAnd:
-		l, err := whereHypothesis(reg, p.L, cv, state)
-		if err != nil {
-			return nil, err
-		}
-		r, err := whereHypothesis(reg, p.R, cv, state)
-		if err != nil {
-			return nil, err
-		}
-		return logic.Conj(l, r), nil
-	case qdl.POr:
-		l, err := whereHypothesis(reg, p.L, cv, state)
-		if err != nil {
-			return nil, err
-		}
-		r, err := whereHypothesis(reg, p.R, cv, state)
-		if err != nil {
-			return nil, err
-		}
-		return logic.Disj(l, r), nil
-	case qdl.PNot:
-		inner, err := whereHypothesis(reg, p.P, cv, state)
-		if err != nil {
-			return nil, err
-		}
-		return logic.Not{F: inner}, nil
-	}
-	return nil, fmt.Errorf("soundness: predicate %s not supported in where clauses", p)
-}
-
-func constTerm(t qdl.Term, cv *clauseVars) (logic.Term, error) {
-	switch t := t.(type) {
-	case qdl.TInt:
-		return logic.Num(t.Value), nil
-	case qdl.TNull:
-		return nullT, nil
-	case qdl.TVar:
-		v, ok := cv.cval[t.Name]
-		if !ok {
-			return nil, fmt.Errorf("soundness: %s is not a Const variable", t.Name)
-		}
-		return v, nil
-	case qdl.TArith:
-		l, err := constTerm(t.L, cv)
-		if err != nil {
-			return nil, err
-		}
-		r, err := constTerm(t.R, cv)
-		if err != nil {
-			return nil, err
-		}
-		switch t.Op {
-		case "+":
-			return logic.Add(l, r), nil
-		case "-":
-			return logic.Sub(l, r), nil
-		case "*":
-			return logic.Mul(l, r), nil
-		}
-		return nil, fmt.Errorf("soundness: unsupported constant arithmetic %q", t.Op)
-	}
-	return nil, fmt.Errorf("soundness: term %s not allowed over constants", t)
-}
-
 // Obligations generates every proof obligation for a qualifier definition.
 func Obligations(d *qdl.Def, reg *qdl.Registry) ([]Obligation, error) {
 	switch d.Kind {
@@ -333,6 +241,15 @@ func refObligations(d *qdl.Def, reg *qdl.Registry) ([]Obligation, error) {
 		// Subject locations are locations of l-values: never NULL.
 		subjectHyps = append(subjectHyps, logic.Ne(locL, nullT))
 	}
+	// stored is the obligation that hyps (and the subject's hypotheses)
+	// imply the invariant after v is stored at target.
+	stored := func(hyps []logic.Formula, target, v logic.Term) (logic.Formula, error) {
+		goal, _, err := refInvariant(d, sto(sigma, target, v), locL)
+		if err != nil {
+			return nil, err
+		}
+		return logic.Imp(logic.Conj(append(hyps, subjectHyps...)...), goal), nil
+	}
 
 	// Establishment: assign clauses.
 	for i, cl := range d.Assigns {
@@ -341,16 +258,14 @@ func refObligations(d *qdl.Def, reg *qdl.Registry) ([]Obligation, error) {
 		if err != nil {
 			return nil, err
 		}
-		hyps = append(hyps, subjectHyps...)
-		post := sto(sigma, locL, v)
-		goal, err := refInvariant(d, post, env, locL)
+		f, err := stored(hyps, locL, v)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, Obligation{
 			Kind: AssignClause, Qualifier: d.Name, ClauseIndex: i,
 			Description: desc,
-			Formula:     logic.Imp(logic.Conj(hyps...), goal),
+			Formula:     f,
 		})
 	}
 
@@ -359,21 +274,16 @@ func refObligations(d *qdl.Def, reg *qdl.Registry) ([]Obligation, error) {
 		fresh := logic.Const("FRESH_LOC")
 		xname := logic.Const("x!subj")
 		postEnv := sto(env, xname, fresh)
-		hyps := []logic.Formula{
-			// The new variable's location is fresh: nothing stored points
-			// to it.
-			logic.AllPats([]string{"p"}, [][]logic.Term{{sel(sigma, logic.V("p"))}},
-				logic.Ne(sel(sigma, logic.V("p")), fresh)),
-			logic.Ne(fresh, nullT),
+		goal, initValue, err := refInvariant(d, sigma, sel(postEnv, xname))
+		if err != nil {
+			return nil, err
 		}
-		if usesInitValue(d.Invariant) {
+		// The new variable's location is fresh: nothing stored points to it.
+		hyps := []logic.Formula{noPointerTo(sigma, fresh), logic.Ne(fresh, nullT)}
+		if initValue {
 			// Ghost definition: initValue records the declared variable's
 			// value at this point.
 			hyps = append(hyps, logic.Eq(logic.Fn("initValue", fresh), sel(sigma, fresh)))
-		}
-		goal, err := refInvariant(d, sigma, postEnv, sel(postEnv, xname))
-		if err != nil {
-			return nil, err
 		}
 		out = append(out, Obligation{
 			Kind: OnDecl, Qualifier: d.Name,
@@ -384,7 +294,7 @@ func refObligations(d *qdl.Def, reg *qdl.Registry) ([]Obligation, error) {
 
 	// Preservation: an assignment to a different l-value, with a right-hand
 	// side consistent with the disallow clause, preserves the invariant.
-	preInv, err := refInvariant(d, sigma, env, locL)
+	preInv, _, err := refInvariant(d, sigma, locL)
 	if err != nil {
 		return nil, err
 	}
@@ -397,13 +307,7 @@ func refObligations(d *qdl.Def, reg *qdl.Registry) ([]Obligation, error) {
 		case "NULL":
 			v = nullT
 		case "new":
-			v = logic.Fn("newLoc", rho)
-			hyps = append(hyps,
-				isHeapLoc(v),
-				logic.Ne(v, nullT),
-				logic.AllPats([]string{"p"}, [][]logic.Term{{sel(sigma, logic.V("p"))}},
-					logic.Ne(sel(sigma, logic.V("p")), v)),
-			)
+			v, hyps = newLoc(rho, sigma)
 		case "varRead":
 			yloc := logic.Const("Y_LOC")
 			v = sel(sigma, yloc)
@@ -428,29 +332,21 @@ func refObligations(d *qdl.Def, reg *qdl.Registry) ([]Obligation, error) {
 	// Frame condition (see DESIGN.md): no stored pointer to the subject
 	// exists; the extensible typechecker enforces this by rejecting
 	// address-of on reference-qualified l-values.
-	frame := logic.AllPats([]string{"p"}, [][]logic.Term{{sel(sigma, logic.V("p"))}},
-		logic.Ne(sel(sigma, logic.V("p")), locL))
+	frame := noPointerTo(sigma, locL)
+	locPrime := logic.Const("LOC_PRIME")
 	for i, form := range preservationForms {
-		locPrime := logic.Const("LOC_PRIME")
 		v, formHyps := formValue(form)
-		hyps := append([]logic.Formula{
-			preInv,
-			// Assignments to the subject itself are covered by the assign
-			// obligations (or the unrestricted-assignment obligations
-			// below); preservation considers other targets.
-			logic.Ne(locPrime, locL),
-			frame,
-		}, formHyps...)
-		hyps = append(hyps, subjectHyps...)
-		post := sto(sigma, locPrime, v)
-		goal, err := refInvariant(d, post, env, locL)
+		// Assignments to the subject itself are covered by the assign
+		// obligations (or the unrestricted-assignment obligations below);
+		// preservation considers other targets.
+		f, err := stored(append([]logic.Formula{preInv, logic.Ne(locPrime, locL), frame}, formHyps...), locPrime, v)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, Obligation{
 			Kind: Preservation, Qualifier: d.Name, ClauseIndex: i,
 			Description: fmt.Sprintf("%s preservation: assignment of form %s to another l-value", d.Name, form),
-			Formula:     logic.Imp(logic.Conj(hyps...), goal),
+			Formula:     f,
 		})
 	}
 	// A reference qualifier with no assign block and no noassign implicitly
@@ -463,52 +359,26 @@ func refObligations(d *qdl.Def, reg *qdl.Registry) ([]Obligation, error) {
 	if len(d.Assigns) == 0 && !d.NoAssign {
 		for i, form := range preservationForms {
 			v, formHyps := formValue(form)
-			hyps := append([]logic.Formula{preInv, frame}, formHyps...)
-			hyps = append(hyps, subjectHyps...)
-			post := sto(sigma, locL, v)
-			goal, err := refInvariant(d, post, env, locL)
+			f, err := stored(append([]logic.Formula{preInv, frame}, formHyps...), locL, v)
 			if err != nil {
 				return nil, err
 			}
 			out = append(out, Obligation{
 				Kind: AssignClause, Qualifier: d.Name, ClauseIndex: i,
 				Description: fmt.Sprintf("%s unrestricted assignment of form %s to the subject", d.Name, form),
-				Formula:     logic.Imp(logic.Conj(hyps...), goal),
+				Formula:     f,
 			})
 		}
 	}
 	return out, nil
 }
 
-// usesInitValue reports whether the invariant mentions the initvalue ghost.
-func usesInitValue(p qdl.Pred) bool {
-	var termHas func(t qdl.Term) bool
-	termHas = func(t qdl.Term) bool {
-		switch t := t.(type) {
-		case qdl.TInitValue:
-			return true
-		case qdl.TArith:
-			return termHas(t.L) || termHas(t.R)
-		}
-		return false
-	}
-	switch p := p.(type) {
-	case qdl.PCmp:
-		return termHas(p.L) || termHas(p.R)
-	case qdl.PIsHeapLoc:
-		return termHas(p.T)
-	case qdl.PAnd:
-		return usesInitValue(p.L) || usesInitValue(p.R)
-	case qdl.POr:
-		return usesInitValue(p.L) || usesInitValue(p.R)
-	case qdl.PImp:
-		return usesInitValue(p.L) || usesInitValue(p.R)
-	case qdl.PNot:
-		return usesInitValue(p.P)
-	case qdl.PForall:
-		return usesInitValue(p.Body)
-	}
-	return false
+// newLoc is the location an allocation in state rho returns and its facts:
+// a non-NULL heap location that nothing in store sigma references (section
+// 4.1: "we explicitly model memory allocation via a new function symbol").
+func newLoc(rho, sigma logic.Term) (logic.Term, []logic.Formula) {
+	v := logic.Fn("newLoc", rho)
+	return v, []logic.Formula{isHeapLoc(v), logic.Ne(v, nullT), noPointerTo(sigma, v)}
 }
 
 // rhsValue builds the stored value and hypotheses for an assign clause's
@@ -527,24 +397,11 @@ func rhsValue(d *qdl.Def, reg *qdl.Registry, cl qdl.Clause, rho, sigma logic.Ter
 		v := logic.Const("FRESH_RET")
 		hyps = append(hyps, logic.Disj(
 			logic.Eq(v, nullT),
-			logic.Conj(
-				isHeapLoc(v),
-				logic.AllPats([]string{"p"}, [][]logic.Term{{sel(sigma, logic.V("p"))}},
-					logic.Ne(sel(sigma, logic.V("p")), v)),
-			),
+			logic.Conj(isHeapLoc(v), noPointerTo(sigma, v)),
 		))
 		return v, hyps, nil
 	case qdl.PNew:
-		v := logic.Fn("newLoc", rho)
-		hyps = append(hyps,
-			// Allocation returns a non-NULL heap location that nothing in
-			// the store references (section 4.1: "we explicitly model
-			// memory allocation via a new function symbol").
-			isHeapLoc(v),
-			logic.Ne(v, nullT),
-			logic.AllPats([]string{"p"}, [][]logic.Term{{sel(sigma, logic.V("p"))}},
-				logic.Ne(sel(sigma, logic.V("p")), v)),
-		)
+		v, hyps := newLoc(rho, sigma)
 		return v, hyps, nil
 	default:
 		cv := introduceVars(d, cl)
